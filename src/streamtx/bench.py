@@ -143,7 +143,7 @@ def _drive_client(engine: Engine, stream: str, batches, warmup: int) -> tuple:
     """The trigger-less baseline: the client submits every workflow step
     itself and decides the next step from each decoded response."""
     w = engine.spec.workflows[0]
-    order = [n for n in w.chosen_order if w.procedure(n).is_streaming]
+    order = w.streaming_names()
     ing = StreamIngestor(engine, stream, BatchingPolicy("fixed_count", 10**9))
     latencies = []
     start_all = None

@@ -2,10 +2,12 @@
 
     streamtx bench <ee|pe|window|leaderboard|recovery|scaling> --config F
     streamtx validate --schedule F --workflow F
-    streamtx recover --snapshot P --log P [--input-cache P]
+    streamtx recover --log P --workflow F [--snapshot P] [--input-cache P]
     streamtx run --config F [--rate R] [--batch-size N] [--batch-by-ts]
 
-Exit code 0 means every embedded assertion held.
+``recover`` reads snapshots and the input cache from the log's directory;
+``--snapshot`` and ``--input-cache`` are informational. Exit code 0 means
+every embedded assertion held.
 """
 
 from __future__ import annotations

@@ -122,7 +122,9 @@ class Engine:
             for w in spec.workflows:
                 for e in w.edges:
                     triggers.register_procedure_trigger(
-                        e.stream, w.procedure(e.consumer)
+                        e.stream,
+                        catalog.procedures[e.consumer],
+                        catalog.group_of.get(e.consumer),
                     )
 
         log = None

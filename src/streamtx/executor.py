@@ -27,13 +27,14 @@ from .errors import (
 )
 from .model import (
     AtomicBatch,
-    NestedGroup,
     ProcedureDef,
     ProcedureKind,
+    ResolvedGroup,
     Schedule,
     TransactionExecution,
     Tuple,
     Workflow,
+    group_roots,
 )
 from .recovery import CommandLog, CommandLogRecord, InputCache, RecoveryMode, should_log
 from .storage import FullWindowEvent, Pred, Store, UndoBuffer
@@ -140,13 +141,15 @@ class Counters:
 
 
 class Catalog:
-    """Registered workflows and the procedures they contain."""
+    """Registered workflows plus the lookups the executor needs, built once
+    per workflow at registration."""
 
     def __init__(self):
         self.procedures: dict[str, ProcedureDef] = {}
         self.workflows: dict[str, Workflow] = {}
-        self._proc_workflow: dict[str, str] = {}
-        self.groups: dict[str, tuple[Workflow, NestedGroup]] = {}
+        self.consumers: dict[str, str] = {}  # interior stream -> its consumer
+        self.groups: dict[str, ResolvedGroup] = {}
+        self.group_of: dict[str, ResolvedGroup] = {}  # child procedure -> group
 
     def add_workflow(self, w: Workflow) -> None:
         for p in w.procedures:
@@ -157,18 +160,24 @@ class Catalog:
         self.workflows[w.name] = w
         for p in w.procedures:
             self.procedures[p.name] = p
-            self._proc_workflow[p.name] = w.name
+        for e in w.edges:
+            self.consumers[e.stream] = e.consumer
         for g in w.nested_groups:
-            self.groups[g.parent_name] = (w, g)
+            roots = group_roots(g, w.edges, self.procedures, w.chosen_order)
+            group = ResolvedGroup(
+                g.parent_name,
+                tuple(c for c in w.chosen_order if c in g.children),
+                tuple(self.procedures[r] for r in roots),
+            )
+            self.groups[group.name] = group
+            for c in g.children:
+                self.group_of[c] = group
 
     def procedure(self, name: str) -> ProcedureDef:
         try:
             return self.procedures[name]
         except KeyError:
             raise UnknownProcedure(name) from None
-
-    def workflow_of(self, proc: str) -> Workflow:
-        return self.workflows[self._proc_workflow[proc]]
 
     def border_procedures(self) -> list[str]:
         return [
@@ -349,7 +358,7 @@ class Partition:
         self._last_enqueued_round: dict[str, int] = {}
         self._border_finished: dict[int, set[str]] = {}
         self._round_outstanding: dict[int, int] = {}
-        self._round_base = 0  # rounds at or below this completed pre-recovery
+        self._round_base = 0  # every round at or below this has completed
         self._replaying = False
 
     # --- submission ---
@@ -432,25 +441,23 @@ class Partition:
 
     # --- execution ---
 
-    def execute_te(self, req: TERequest) -> str:
-        """Run one execution (or its whole nested group) to commit/abort."""
-        return self.execute(req)
-
     def execute_nested(self, group_name: str, round: int, args: bytes = b"") -> str:
         """Run one nested-group instance for a round, children serially with
         nothing interleaved; commits only if every child commits."""
-        w, group = self.catalog.groups[group_name]
-        from .triggers import group_roots
-
-        root = group_roots(w, group)[0]
+        group = self.catalog.groups[group_name]
+        root = group.roots[0].name
         req = TERequest(root, round, args, Origin.CLIENT, group=group_name)
-        return self._execute_group(req, group_name)
+        return self._execute_group(req, group)
 
     def execute(self, req: TERequest) -> str:
+        """Run one execution (or its whole nested group) to commit/abort."""
         proc = self.catalog.procedure(req.proc)
-        group = req.group
-        if group is None and proc.is_streaming and not req.solo:
-            group = self._group_name(proc)
+        if req.group is not None:
+            group = self.catalog.groups[req.group]
+        elif proc.is_streaming and not req.solo:
+            group = self.catalog.group_of.get(proc.name)
+        else:
+            group = None
         try:
             if group is not None:
                 outcome = self._execute_group(req, group)
@@ -466,11 +473,6 @@ class Partition:
         if req.origin is Origin.CLIENT:
             self.counters.client_roundtrips += 1
         return outcome
-
-    def _group_name(self, proc: ProcedureDef) -> Optional[str]:
-        w = self.catalog.workflow_of(proc.name)
-        g = w.group_of(proc.name)
-        return g.parent_name if g else None
 
     def _begin(self):
         self._executing += 1
@@ -496,19 +498,17 @@ class Partition:
         self._commit_group([(ctx, req)])
         return "committed"
 
-    def _execute_group(self, req: TERequest, group_name: str) -> str:
-        w, group = self.catalog.groups[group_name]
-        order = [c for c in w.chosen_order if c in group.children]
+    def _execute_group(self, req: TERequest, group: ResolvedGroup) -> str:
         self._begin()
         ran: list[tuple[TEContext, TERequest]] = []
         try:
-            for child in order:
-                proc = self.catalog.procedure(child)
+            for child in group.order:
+                proc = self.catalog.procedures[child]
                 if child == req.proc:
                     child_req = req
-                elif self._inputs_present(proc, req.round):
+                elif self.trigger_engine.inputs_ready(proc, req.round):
                     child_req = TERequest(
-                        child, req.round, origin=Origin.TRIGGER, group=group_name
+                        child, req.round, origin=Origin.TRIGGER, group=group.name
                     )
                     self.counters.boundary_crossings += 1
                     if self._replaying:
@@ -534,12 +534,6 @@ class Partition:
             self._end()
         self._commit_group(ran, group=group)
         return "committed"
-
-    def _inputs_present(self, proc: ProcedureDef, round_: int) -> bool:
-        return all(
-            any(t.batch_id == round_ for t in self.store.stream(s).rows)
-            for s in proc.stream_inputs
-        )
 
     def _run_one(self, proc: ProcedureDef, req: TERequest):
         """Run one execution's inputs and body; mutations stay in its undo
@@ -584,8 +578,8 @@ class Partition:
 
     # --- commit / abort ---
 
-    def _commit_group(self, ran, group: Optional[NestedGroup] = None) -> None:
-        members = set(group.children) if group else ()
+    def _commit_group(self, ran, group: Optional[ResolvedGroup] = None) -> None:
+        members = group.order if group else ()
         for ctx, req in ran:
             self.commit_seq += 1
             te = TransactionExecution(
@@ -607,13 +601,9 @@ class Partition:
                 self._border_finished.setdefault(req.round, set()).add(ctx.proc.name)
             # downstream triggers: in-group consumers already ran inline
             for stream, batch_id in ctx.emitted:
-                w = self.catalog.workflow_of(ctx.proc.name)
-                consumer = w.consumer_of(stream)
-                if consumer is not None and consumer in members:
+                if self.catalog.consumers.get(stream) in members:
                     continue
-                fires = self.trigger_engine.fire_procedure_triggers(
-                    self.catalog.workflow_of, stream, batch_id
-                )
+                fires = self.trigger_engine.fire_procedure_triggers(stream, batch_id)
                 self._submit_trigger(fires)
             self._collect_garbage(ctx)
             if self.post_commit_hook is not None:
@@ -696,43 +686,37 @@ class Partition:
         self.trigger_engine.set_pe_triggers_enabled(flag)
 
     def fire_procedure_triggers(self, stream: str, batch_id: int) -> list[TERequest]:
-        fires = self.trigger_engine.fire_procedure_triggers(
-            self.catalog.workflow_of, stream, batch_id
-        )
+        fires = self.trigger_engine.fire_procedure_triggers(stream, batch_id)
         return self._submit_trigger(fires)
 
     def refire_nonempty_streams(self) -> list[TERequest]:
-        fires = self.trigger_engine.refire_nonempty_streams(self.catalog.workflow_of)
-        return self._submit_trigger(fires)
+        return self._submit_trigger(self.trigger_engine.refire_nonempty_streams())
 
     # --- input cache low-water bookkeeping ---
 
     def completed_low_water(self) -> int:
         """Highest round r such that every round <= r has fully finished:
         border executions done, no queued trigger work, no pending interior
-        batches that could still run."""
+        batches that could still run. The mark only rises: rounds it passes
+        become the new base and their bookkeeping is dropped."""
         borders = set(self.catalog.border_procedures())
         if not borders:
             return 0
-        interior_streams = [
-            e.stream for w in self.catalog.workflows.values() for e in w.edges
-        ]
         pending_rounds = set()
-        for s in interior_streams:
+        for s in self.catalog.consumers:
             pending_rounds.update(self.store.stream(s).pending_batches())
         with self._queue_lock:
             queued_rounds = {r.round for r in self.fast_track}
-        low = self._round_base
-        r = low + 1
-        while True:
-            if self._border_finished.get(r, set()) != borders:
-                break
-            if r in queued_rounds or self._round_outstanding.get(r, 0) > 0:
-                break
-            if r in pending_rounds:
-                break
-            low = r
+        r = self._round_base + 1
+        while (
+            self._border_finished.get(r) == borders
+            and r not in queued_rounds
+            and not self._round_outstanding.get(r)
+            and r not in pending_rounds
+        ):
+            del self._border_finished[r]
+            self._round_base = r
             r += 1
-        return low
+        return self._round_base
 
 

@@ -155,18 +155,14 @@ class Workflow:
     chosen_order: tuple[str, ...]
     nested_groups: tuple[NestedGroup, ...] = ()
 
-    def procedure(self, name: str) -> ProcedureDef:
-        for p in self.procedures:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
     @property
     def procedure_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.procedures)
 
     def streaming_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.procedures if p.is_streaming)
+        """Streaming procedures in the chosen execution order."""
+        streaming = {p.name for p in self.procedures if p.is_streaming}
+        return tuple(n for n in self.chosen_order if n in streaming)
 
     def external_streams(self) -> tuple[str, ...]:
         """Border input streams, i.e. stream inputs no edge produces."""
@@ -187,11 +183,14 @@ class Workflow:
                 return e.consumer
         return None
 
-    def group_of(self, proc: str) -> Optional[NestedGroup]:
-        for g in self.nested_groups:
-            if proc in g.children:
-                return g
-        return None
+
+@dataclass(frozen=True)
+class ResolvedGroup:
+    """A nested group as the executor runs it, resolved at registration."""
+
+    name: str
+    order: tuple[str, ...]  # children in the workflow's chosen order
+    roots: tuple[ProcedureDef, ...]  # children fed only from outside the group
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,22 +359,28 @@ def _check_group_entry(
     # A group instance starts when its entry procedures' inputs are ready. A
     # border child's input arrives bundled with its own invocation, so it
     # cannot synchronize with any other entry point: it must be the only one.
-    children = set(g.children)
-    internal = {e.stream for e in edges if e.producer in children}
-    roots = [
-        c
-        for c in order
-        if c in children
-        and not any(s in internal for s in by_name[c].stream_inputs)
-    ]
+    roots = group_roots(g, edges, by_name, order)
     if not roots:
         raise BadDefinition(f"group {g.parent_name} has no entry procedure")
-    borders = [c for c in children if by_name[c].kind is ProcedureKind.BORDER]
+    borders = [c for c in g.children if by_name[c].kind is ProcedureKind.BORDER]
     if borders and (len(borders) > 1 or roots != borders):
         raise BadDefinition(
             f"group {g.parent_name}: a border child must be the group's "
             "only entry procedure"
         )
+
+
+def group_roots(g: NestedGroup, edges, by_name, order) -> list[str]:
+    """Children whose stream inputs all come from outside the group, in
+    workflow order."""
+    children = set(g.children)
+    internal = {e.stream for e in edges if e.producer in children}
+    return [
+        c
+        for c in order
+        if c in children
+        and not any(s in internal for s in by_name[c].stream_inputs)
+    ]
 
 
 def _check_group_order_consistency(

@@ -15,6 +15,8 @@ from __future__ import annotations
 import io
 import struct
 import zlib
+from itertools import groupby
+from operator import attrgetter
 
 from .errors import CorruptSnapshot, VersionMismatch
 from .model import Tuple, WindowSpec
@@ -116,12 +118,13 @@ def snapshot_state(store: Store, partition_id: int = 0, commit_seq: int = 0) -> 
             out.write(struct.pack("<B", _KIND_STREAM))
             _w_str(out, tab.name)
             _w_schema(out, tab.schema)
+            rows = tab.rows
             out.write(
                 struct.pack(
-                    "<QQQ", tab.next_tuple_id, tab.last_consumed_batch, len(tab.rows)
+                    "<QQQ", tab.next_tuple_id, tab.last_consumed_batch, len(rows)
                 )
             )
-            for t in tab.rows:
+            for t in rows:
                 _w_row(out, t, tab.schema)
         else:
             out.write(struct.pack("<B", _KIND_WINDOW))
@@ -193,8 +196,9 @@ def restore_state(blob: bytes) -> tuple[Store, int, int]:
             next_id, last_consumed, count = struct.unpack("<QQQ", _read(buf, 24))
             tab.next_tuple_id = next_id
             tab.last_consumed_batch = last_consumed
-            for _ in range(count):
-                tab.rows.append(_r_row(buf, schema))
+            rows = [_r_row(buf, schema) for _ in range(count)]
+            for batch_id, batch in groupby(rows, key=attrgetter("batch_id")):
+                tab.batches[batch_id] = tuple(batch)
         elif kind == _KIND_WINDOW:
             owner = _r_str(buf)
             size, slide, full_seen, emitted = struct.unpack("<IIBQ", _read(buf, 17))

@@ -142,21 +142,39 @@ class StreamTable(_BaseTable):
 
     def __init__(self, name: str, schema: Schema):
         super().__init__(name, schema)
-        self.rows: list[Tuple] = []
+        # batch id -> its tuples; ids ascend in insertion order and no batch
+        # is empty, so a batch is loaded, consumed and undone as one entry
+        self.batches: dict[int, tuple[Tuple, ...]] = {}
         self.next_tuple_id = 1
         # highest batch a committed consumer has taken; tells recovery which
         # retained input batches still need re-submission
         self.last_consumed_batch = 0
 
+    @property
+    def rows(self) -> list[Tuple]:
+        """Every held tuple in stream order (a read-only copy)."""
+        return [t for b in self.batches.values() for t in b]
+
     def pending_batches(self) -> list[int]:
-        seen: list[int] = []
-        for t in self.rows:
-            if not seen or seen[-1] != t.batch_id:
-                seen.append(t.batch_id)
-        return seen
+        return list(self.batches)
 
     def batch_tuples(self, batch_id: int) -> list[Tuple]:
-        return [t for t in self.rows if t.batch_id == batch_id]
+        return list(self.batches.get(batch_id, ()))
+
+    def put_batch(self, batch_id: int, tuples: tuple[Tuple, ...]) -> None:
+        """Replace one batch's tuples (none removes it), keeping id order."""
+        if not tuples:
+            del self.batches[batch_id]
+        elif (
+            batch_id in self.batches
+            or not self.batches
+            or batch_id > next(reversed(self.batches))
+        ):
+            self.batches[batch_id] = tuples
+        else:  # undoing the removal of a batch that sat before later ones
+            ordered = sorted({**self.batches, batch_id: tuples}.items())
+            self.batches.clear()
+            self.batches.update(ordered)
 
 
 class WindowTable(_BaseTable):
@@ -189,11 +207,15 @@ class UndoBuffer:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def record_insert(self, table: AnyTable, index: int) -> None:
+    def record_insert(self, table: PublicTable, index: int) -> None:
         self._entries.append(("ins", table, index))
 
-    def record_delete(self, table: AnyTable, index: int, row: Tuple) -> None:
+    def record_delete(self, table: PublicTable, index: int, row: Tuple) -> None:
         self._entries.append(("del", table, index, row))
+
+    def record_batch(self, s: StreamTable, batch_id: int) -> None:
+        """Remember one stream batch as it is before a write to it."""
+        self._entries.append(("bat", s, batch_id, s.batches.get(batch_id, ())))
 
     def record_window(self, w: WindowTable) -> None:
         self._entries.append(
@@ -208,14 +230,14 @@ class UndoBuffer:
             tag = entry[0]
             if tag == "ins":
                 _, table, index = entry
-                row = table.rows.pop(index)
-                if isinstance(table, PublicTable):
-                    table._index_remove(row)
+                table._index_remove(table.rows.pop(index))
             elif tag == "del":
                 _, table, index, row = entry
                 table.rows.insert(index, row)
-                if isinstance(table, PublicTable):
-                    table._index_add(row)
+                table._index_add(row)
+            elif tag == "bat":
+                _, s, batch_id, tuples = entry
+                s.put_batch(batch_id, tuples)
             elif tag == "win":
                 _, w, active, staged, full_seen, emitted = entry
                 w.active = active
@@ -358,26 +380,31 @@ class Store:
         tab = self.table(table)
         if isinstance(tab, WindowTable):
             return self.window_insert(table, [t], undo, accessor=accessor, round=round)
+        if isinstance(tab, StreamTable):
+            self.insert_batch(table, AtomicBatch(t.batch_id, (t,)), undo)
+            return None
         tab.check_row(t)
         tab.rows.append(t)
         undo.record_insert(tab, len(tab.rows) - 1)
-        if isinstance(tab, PublicTable):
-            tab._index_add(t)
+        tab._index_add(t)
         return None
 
     def insert_batch(self, stream: str, batch: AtomicBatch, undo: UndoBuffer) -> None:
+        """Append a batch, or extend the newest batch when it has the same id."""
         s = self.stream(stream)
-        if s.rows and (s.rows[-1].batch_id, s.rows[-1].tuple_id) >= (
-            batch.batch_id,
-            batch.tuples[0].tuple_id,
-        ):
-            raise BadDefinition(
-                f"stream {stream}: batch {batch.batch_id} arrives out of order"
-            )
+        if s.batches:
+            last = next(reversed(s.batches.values()))[-1]
+            if (last.batch_id, last.tuple_id) >= (
+                batch.batch_id,
+                batch.tuples[0].tuple_id,
+            ):
+                raise BadDefinition(
+                    f"stream {stream}: batch {batch.batch_id} arrives out of order"
+                )
         for t in batch.tuples:
             s.check_row(t)
-            s.rows.append(t)
-            undo.record_insert(s, len(s.rows) - 1)
+        undo.record_batch(s, batch.batch_id)
+        s.put_batch(batch.batch_id, s.batches.get(batch.batch_id, ()) + batch.tuples)
 
     def _matches(self, tab: AnyTable, pred: Optional[Pred]):
         if pred is None:
@@ -425,14 +452,21 @@ class Store:
                 f"window {tab.name}: rows expire by sliding, not deletion"
             )
         match = self._matches(tab, pred)
-        kept: list[Tuple] = []
         removed = 0
+        if isinstance(tab, StreamTable):
+            for batch_id, tuples in list(tab.batches.items()):
+                kept = tuple(t for t in tuples if not match(t))
+                if len(kept) < len(tuples):
+                    undo.record_batch(tab, batch_id)
+                    tab.put_batch(batch_id, kept)
+                    removed += len(tuples) - len(kept)
+            return removed
+        kept: list[Tuple] = []
         for i, t in enumerate(tab.rows):
             if match(t):
                 undo.record_delete(tab, i - removed, t)
                 removed += 1
-                if isinstance(tab, PublicTable):
-                    tab._index_remove(t)
+                tab._index_remove(t)
             else:
                 kept.append(t)
         if removed:
@@ -516,25 +550,16 @@ class Store:
 
     def garbage_collect(self, stream: str, batch_id: int) -> int:
         """Drop every tuple of a consumed batch. Idempotent, not undoable."""
-        s = self.stream(stream)
-        before = len(s.rows)
-        s.rows[:] = [t for t in s.rows if t.batch_id != batch_id]
-        return before - len(s.rows)
+        return len(self.stream(stream).batches.pop(batch_id, ()))
 
     def delete_batch(self, stream: str, batch_id: int, undo: UndoBuffer) -> int:
         """Undoable batch removal, for procedure bodies that manage stream
         cleanup themselves instead of relying on automatic collection."""
         s = self.stream(stream)
-        removed = 0
-        kept: list[Tuple] = []
-        for i, t in enumerate(s.rows):
-            if t.batch_id == batch_id:
-                undo.record_delete(s, i - removed, t)
-                removed += 1
-            else:
-                kept.append(t)
+        removed = len(s.batches.get(batch_id, ()))
         if removed:
-            s.rows[:] = kept
+            undo.record_batch(s, batch_id)
+            s.put_batch(batch_id, ())
         return removed
 
     # --- comparison helpers ---

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import BadDefinition, CycleDetected
-from .model import ProcedureDef, Workflow
+from .model import ProcedureDef, ResolvedGroup
 from .storage import (
     _OPS,
     FullWindowEvent,
@@ -71,8 +71,14 @@ class StatementTrigger:
 
 @dataclass(frozen=True)
 class ProcedureTrigger:
+    """A stream's fire plan: a committed batch enqueues ``target`` (as nested
+    group ``group``) once every procedure in ``ready`` holds it on all its
+    inputs."""
+
     source: str
     target: str
+    group: Optional[str] = None
+    ready: tuple[ProcedureDef, ...] = ()
 
 
 class TriggerEngine:
@@ -86,8 +92,6 @@ class TriggerEngine:
         # (stream, batch_id) -> count of trigger obligations not yet met;
         # a batch is GC-eligible only at zero.
         self.pending: dict[tuple[str, int], int] = {}
-        # per-stream dispatch plans, resolved once at first fire
-        self._fire_plan: dict[str, tuple] = {}
 
     # --- registration ---
 
@@ -150,7 +154,11 @@ class TriggerEngine:
         for n in nodes:
             visit(n)
 
-    def register_procedure_trigger(self, source: str, target: ProcedureDef) -> None:
+    def register_procedure_trigger(
+        self, source: str, target: ProcedureDef, group: Optional[ResolvedGroup] = None
+    ) -> None:
+        """Fire ``target`` for each batch committed to ``source``; a target
+        inside a nested group fires the group through its entry children."""
         tab = self.store.table(source)
         if isinstance(tab, WindowTable):
             raise BadDefinition(
@@ -164,7 +172,13 @@ class TriggerEngine:
             )
         if source in self.procedure_triggers:
             raise BadDefinition(f"stream {source} already triggers a procedure")
-        self.procedure_triggers[source] = ProcedureTrigger(source, target.name)
+        entry = (target,) if group is None else group.roots
+        # a single-input entry is ready by construction: the firing batch
+        # just landed on its only input
+        ready = () if len(entry) == 1 and len(entry[0].stream_inputs) == 1 else entry
+        self.procedure_triggers[source] = ProcedureTrigger(
+            source, entry[0].name, None if group is None else group.name, ready
+        )
 
     # --- enable flag ---
 
@@ -263,7 +277,7 @@ class TriggerEngine:
     # --- procedure trigger firing (commit time) ---
 
     def fire_procedure_triggers(
-        self, workflow_of, stream: str, batch_id: int
+        self, stream: str, batch_id: int
     ) -> list[tuple[str, int, Optional[str]]]:
         """Requests to enqueue for a committed batch: (target, round, group).
 
@@ -271,82 +285,29 @@ class TriggerEngine:
         input stream of the target (or of the target's group roots) holds the
         batch, so the completing producer is the one that enqueues.
         """
-        if not self.pe_enabled:
+        trig = self.procedure_triggers.get(stream)
+        if not self.pe_enabled or trig is None:
             return []
-        plan = self._fire_plan.get(stream)
-        if plan is None:
-            trig = self.procedure_triggers.get(stream)
-            if trig is None:
-                self._fire_plan[stream] = ("none",)
-                return []
-            w: Workflow = workflow_of(trig.target)
-            group = w.group_of(trig.target)
-            if group is None:
-                proc = w.procedure(trig.target)
-                # a single-input target is ready by construction: the firing
-                # batch just landed on its only input
-                if len(proc.stream_inputs) == 1:
-                    plan = ("direct", trig.target)
-                else:
-                    plan = ("join", trig.target, proc)
-            else:
-                roots = group_roots(w, group)
-                procs = tuple(w.procedure(r) for r in roots)
-                if len(procs) == 1 and len(procs[0].stream_inputs) == 1:
-                    plan = ("direct_group", roots[0], group.parent_name)
-                else:
-                    plan = ("join_group", roots[0], group.parent_name, procs)
-            self._fire_plan[stream] = plan
-        tag = plan[0]
-        if tag == "none":
-            return []
-        if tag == "direct":
-            return [(plan[1], batch_id, None)]
-        if tag == "direct_group":
-            return [(plan[1], batch_id, plan[2])]
-        if tag == "join":
-            if self._inputs_ready(plan[2], batch_id):
-                return [(plan[1], batch_id, None)]
-            return []
-        for proc in plan[3]:
-            if not self._inputs_ready(proc, batch_id):
-                return []
-        return [(plan[1], batch_id, plan[2])]
+        if all(self.inputs_ready(p, batch_id) for p in trig.ready):
+            return [(trig.target, batch_id, trig.group)]
+        return []
 
-    def _inputs_ready(self, proc: ProcedureDef, batch_id: int) -> bool:
-        for s in proc.stream_inputs:
-            tab = self.store.stream(s)
-            if not any(t.batch_id == batch_id for t in tab.rows):
-                return False
-        return True
+    def inputs_ready(self, proc: ProcedureDef, batch_id: int) -> bool:
+        return all(
+            batch_id in self.store.stream(s).batches for s in proc.stream_inputs
+        )
 
-    def refire_nonempty_streams(self, workflow_of) -> list[tuple[str, int, Optional[str]]]:
+    def refire_nonempty_streams(self) -> list[tuple[str, int, Optional[str]]]:
         """Recovery helper: re-enqueue consumers for still-pending batches."""
         out: list[tuple[str, int, Optional[str]]] = []
         seen: set[tuple[str, int]] = set()
         for name in sorted(self.procedure_triggers):
             tab = self.store.stream(name)
             for batch_id in tab.pending_batches():
-                for req in self.fire_procedure_triggers(workflow_of, name, batch_id):
+                for req in self.fire_procedure_triggers(name, batch_id):
                     key = (req[0] if req[2] is None else req[2], req[1])
                     if key not in seen:
                         seen.add(key)
                         out.append(req)
         out.sort(key=lambda r: r[1])
         return out
-
-
-def group_roots(w: Workflow, group) -> list[str]:
-    """Children whose stream inputs all come from outside the group, in
-    workflow order."""
-    children = set(group.children)
-    internal = {e.stream for e in w.edges if e.producer in children}
-    roots = [
-        c
-        for c in w.chosen_order
-        if c in children
-        and not any(s in internal for s in w.procedure(c).stream_inputs)
-    ]
-    if not roots:
-        raise BadDefinition(f"group {group.parent_name} has no entry procedure")
-    return roots

@@ -186,7 +186,7 @@ def enumerate_correct_schedules(
     lexicographic (procedure, round) candidate order; results match a full
     permutation filter exactly.
     """
-    names = [n for n in w.chosen_order if w.procedure(n).is_streaming]
+    names = w.streaming_names()
     total = rounds * len(names)
     if total > MAX_ENUMERATION_TES:
         raise TooLarge(f"{total} executions exceed the enumeration bound")
@@ -227,7 +227,7 @@ def brute_force_correct_schedules(
     w: Workflow, rounds: int, mode: str = "any_topological"
 ) -> list[list[tuple[str, int]]]:
     """Reference permutation filter; exponential, test-sized inputs only."""
-    names = [n for n in w.chosen_order if w.procedure(n).is_streaming]
+    names = w.streaming_names()
     total = rounds * len(names)
     if total > 9:
         raise TooLarge("permutation filter limited to 9 executions")

@@ -529,6 +529,21 @@ def test_trim_stops_at_pending_interior(tmp_path):
     assert [b.batch_id for b in e.partition.input_cache.retained["s1"]] == [6]
 
 
+def test_round_bookkeeping_bounded_by_checkpoints(tmp_path):
+    e = Engine(chain_spec(2), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.STRONG, fsync=False)
+    ing = StreamIngestor(e, "s1", BatchingPolicy("fixed_count", 1))
+    retained = []
+    for n in (50, 200):
+        for _ in range(n):
+            ing.push((1,))
+            e.run_until_idle()
+        e.checkpoint()
+        retained.append(len(e.partition._border_finished))
+    assert retained == [0, 0]
+    assert e.partition.completed_low_water() == 250
+
+
 # --- dispatch accounting ---
 
 

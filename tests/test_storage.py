@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -283,9 +284,20 @@ def test_undo_restores_everything_bit_exact():
         store = build_random_store(rng)
         before = snapshot_state(store)
         undo = UndoBuffer()
-        next_bid = (max(store.stream("s").pending_batches(), default=0)) + 1
+        first_bid = next_bid = (max(store.stream("s").pending_batches(), default=0)) + 1
+
+        def fresh_batch(batch_id):
+            ids = store.next_tuple_ids("s", 2, undo)
+            return AtomicBatch(
+                batch_id,
+                tuple(
+                    Tuple((rng.randint(0, 9),), tuple_id=i, batch_id=batch_id)
+                    for i in ids
+                ),
+            )
+
         for _ in range(rng.randint(1, 12)):
-            op = rng.randrange(4)
+            op = rng.randrange(7)
             if op == 0:
                 store.insert("p", Tuple((rng.randint(0, 5), rng.randint(0, 99))), undo)
             elif op == 1:
@@ -293,26 +305,24 @@ def test_undo_restores_everything_bit_exact():
                     "p", Pred("k", "==", rng.randint(0, 5)), undo
                 )
             elif op == 2:
-                ids = store.next_tuple_ids("s", 2, undo)
-                store.insert_batch(
-                    "s",
-                    AtomicBatch(
-                        next_bid,
-                        tuple(
-                            Tuple((rng.randint(0, 9),), tuple_id=i, batch_id=next_bid)
-                            for i in ids
-                        ),
-                    ),
-                    undo,
-                )
+                store.insert_batch("s", fresh_batch(next_bid), undo)
                 next_bid += 1
-            else:
+            elif op == 3:
                 store.window_insert(
                     "w",
                     [Tuple((rng.randint(0, 9),)) for _ in range(rng.randint(1, 5))],
                     undo,
                     accessor="sp",
                 )
+            elif op == 4 and next_bid > first_bid:
+                # emit twice: a second write to the batch just written
+                store.insert_batch("s", fresh_batch(next_bid - 1), undo)
+            elif op == 5:
+                pending = store.stream("s").pending_batches()
+                if pending:
+                    store.delete_batch("s", rng.choice(pending), undo)
+            elif op == 6:
+                store.delete_where("s", Pred("value", "<", rng.randint(0, 9)), undo)
         undo.rollback()
         assert snapshot_state(store) == before, f"case {case} diverged"
 
@@ -454,3 +464,38 @@ def test_snapshot_window_state_bit_exact(store):
     assert [t.values for t in rw.staged] == [t.values for t in w.staged]
     assert rw.full_seen == w.full_seen
     assert rw.spec == w.spec
+
+
+# sha256 of the snapshot built below; the layout is a compatibility contract,
+# so a change here means old snapshots no longer restore bit-exactly
+GOLDEN_SNAPSHOT_SHA256 = (
+    "1cdaa1c5619ecced0f0259d564947db0e62c676c3f4cc94de8a3a25b28ef78a3"
+)
+
+
+def test_snapshot_bytes_golden():
+    store = Store()
+    store.create_public(
+        "p", make_schema(("k", "int"), ("x", "float"), ("name", "text")),
+        indexed=["k"],
+    )
+    store.create_stream("s", VAL)
+    store.create_window(WindowSpec("w", 3, 2, "sp"), VAL)
+    undo = UndoBuffer()
+    for i, (k, name) in enumerate([(3, "c"), (1, "a"), (3, "数据")]):
+        store.insert("p", Tuple((k, i / 4, name), ts=i), undo)
+    store.insert_batch("s", make_batch(1, [10, 11], ts=5), undo)
+    store.insert_batch("s", make_batch(2, [20]), undo)
+    store.insert_batch("s", make_batch(2, [21, 22], first_tuple_id=150), undo)
+    store.insert_batch("s", make_batch(4, [40], ts=9), undo)
+    store.next_tuple_ids("s", 300, undo)
+    store.stream("s").last_consumed_batch = 1
+    store.window_insert(
+        "w", [Tuple((v,), batch_id=v) for v in range(6)], undo, accessor="sp"
+    )
+    assert len(store.window("w").staged) == 1
+    blob = snapshot_state(store, partition_id=2, commit_seq=7)
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_SNAPSHOT_SHA256
+    restored, _, _ = restore_state(blob)
+    assert restored.stream("s").pending_batches() == [1, 2, 4]
+    assert snapshot_state(restored, 2, 7) == blob
