@@ -34,6 +34,7 @@ from .recovery import (
     RecoveryMode,
     read_input_cache,
     read_log,
+    replace_file,
     truncate_log,
 )
 from .snapshot import restore_state, snapshot_state, verify_snapshot
@@ -189,15 +190,17 @@ class Engine:
     ) -> Optional[Ticket]:
         """Hand one external batch to its border procedure.
 
-        The batch lands in the input cache first (durably, in weak mode), so
-        an unacknowledged round survives a crash. Returns the round's ticket
-        once every input stream of the border procedure has its batch.
+        Encoding checks the values before anything keeps the batch; it then
+        lands in the input cache (durably, in weak mode), so an unacknowledged
+        round survives a crash. Returns the round's ticket once every input
+        stream of the border procedure has its batch.
         """
         proc_name = self._border_for_stream.get(stream)
         if proc_name is None:
             raise BadDefinition(f"stream {stream} is not a border input")
+        args = batches_to_args({stream: batch})
         if not resubmit:
-            self.partition.input_cache.append(stream, batch)
+            self.partition.input_cache.append(stream, batch, args)
         proc = self.catalog.procedure(proc_name)
         pending = self._feeder_pending.setdefault(proc_name, {})
         slot = pending.setdefault(batch.batch_id, {})
@@ -206,9 +209,9 @@ class Engine:
             return None
         del pending[batch.batch_id]
         self._backpressure()
-        req = TERequest(
-            proc_name, batch.batch_id, batches_to_args(slot), Origin.CLIENT
-        )
+        if len(slot) > 1:
+            args = batches_to_args(slot)
+        req = TERequest(proc_name, batch.batch_id, args, Origin.CLIENT)
         return self.partition.submit_client(req)
 
     def _backpressure(self) -> None:
@@ -265,16 +268,14 @@ class Engine:
         path = os.path.join(
             self.data_dir, f"snapshot-{self.partition.commit_seq:012d}.snap"
         )
-        with open(path, "wb") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
+        replace_file(path, blob)
         if self.partition.log is not None and self.recovery_mode is not None:
             truncate_log(
                 os.path.join(self.data_dir, LOG_FILE),
                 self.recovery_mode,
                 self.partition_id,
             )
+            self.partition.log.reopen()
         self.partition.input_cache.trim(self.partition.completed_low_water())
         self.partition.input_cache.compact()
         return path
@@ -284,7 +285,7 @@ class Engine:
         self.partition.stopped = True
         if self.partition.log is not None:
             self.partition.log.crash()
-        self.partition.input_cache.crash()
+        self.partition.input_cache.close()  # every append is already synced
 
     def close(self) -> None:
         if self.partition.log is not None:

@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .codec import decode_batches, encode_batches
 from .errors import (
     BadDefinition,
     BodyAbort,
@@ -56,28 +57,11 @@ def decode_args(blob: bytes):
 def batches_to_args(batches: dict[str, AtomicBatch]) -> bytes:
     """Border executions carry their input batches as the call arguments,
     which is what makes command-log replay self-contained."""
-    payload = {
-        stream: {
-            "batch_id": b.batch_id,
-            "tuples": [[t.tuple_id, t.ts, list(t.values)] for t in b.tuples],
-        }
-        for stream, b in batches.items()
-    }
-    return encode_args({"batches": payload})
+    return encode_batches(batches)
 
 
 def args_to_batches(blob: bytes) -> dict[str, AtomicBatch]:
-    decoded = decode_args(blob)
-    out: dict[str, AtomicBatch] = {}
-    for stream, b in decoded["batches"].items():
-        out[stream] = AtomicBatch(
-            b["batch_id"],
-            tuple(
-                Tuple(tuple(values), tuple_id=tid, batch_id=b["batch_id"], ts=ts)
-                for tid, ts, values in b["tuples"]
-            ),
-        )
-    return out
+    return decode_batches(blob)
 
 
 class Origin(enum.Enum):
@@ -196,8 +180,8 @@ class TEContext:
         self.store: Store = partition.store
         self.proc = proc
         self.round = round
-        self.raw_args = args
-        self.args = decode_args(args) if not _is_batch_args(proc, args) else None
+        # a border execution's args are its input batches, loaded separately
+        self.args = None if proc.kind is ProcedureKind.BORDER else decode_args(args)
         self.undo = UndoBuffer()
         self.inputs: dict[str, list[Tuple]] = {}
         self.consumed: list[tuple[str, int]] = []
@@ -316,10 +300,6 @@ class TEContext:
 
     def count_statement(self) -> None:
         self.partition.counters.ee_statement_executions += 1
-
-
-def _is_batch_args(proc: ProcedureDef, args: bytes) -> bool:
-    return proc.kind is ProcedureKind.BORDER and args.startswith(b'{"batches"')
 
 
 class Partition:
@@ -553,7 +533,7 @@ class Partition:
         return ctx, None
 
     def _load_inputs(self, ctx: TEContext, proc: ProcedureDef, req: TERequest):
-        if proc.kind is ProcedureKind.BORDER and _is_batch_args(proc, req.args):
+        if proc.kind is ProcedureKind.BORDER and req.args:
             for stream, batch in sorted(args_to_batches(req.args).items()):
                 if stream not in proc.stream_inputs:
                     raise BadDefinition(

@@ -1,14 +1,16 @@
 """Durability: command log with group commit, input caching, recovery replay.
 
-Log file layout (little-endian):
+Each file is a header, then codec frames; a torn or corrupt frame ends it.
 
-    header:  magic "STXLOG01" | version u32 | mode u8 | partition u32
-    record:  len u32 | commit_seq u64 | name len u16 + name | round u64 |
-             args len u32 + args | CRC32 over the record minus len and crc
+    log header:    magic "STXLOG01" | version u32 (2) | mode u8 | partition u32
+    log record:    commit_seq u64 | round u64 | procedure text | args
+    cache header:  magic "STXINP02"
+    cache record:  one ``{stream: batch}`` in the codec's batch encoding
 
-The input cache uses the same framing with batch payloads and backs the
+Border args are that batch encoding too. The input cache backs the
 weak-recovery upstream-backup scheme: every external batch is durable there
-before its border execution is acknowledged.
+before its border execution is acknowledged. Whole files are rewritten only
+through ``replace_file``.
 """
 
 from __future__ import annotations
@@ -17,16 +19,18 @@ import enum
 import os
 import struct
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .codec import decode_batches, encode_batches, encode_text, frame, frames, text_at
 from .errors import CorruptLogRecord, LogWriteFailure
-from .model import AtomicBatch, ProcedureKind, Tuple
+from .model import AtomicBatch, ProcedureKind
 
 LOG_MAGIC = b"STXLOG01"
-CACHE_MAGIC = b"STXINP01"
-LOG_VERSION = 1
+CACHE_MAGIC = b"STXINP02"
+LOG_VERSION = 2
+_LOG_HEAD = struct.Struct("<IBI")  # version, mode, partition
+_RECORD_HEAD = struct.Struct("<QQ")  # commit_seq, round
 
 
 class RecoveryMode(enum.Enum):
@@ -50,27 +54,43 @@ class CommandLogRecord:
     args: bytes
 
     def encode(self) -> bytes:
-        name = self.procedure.encode()
-        payload = struct.pack("<QH", self.commit_seq, len(name)) + name
-        payload += struct.pack("<QI", self.round, len(self.args)) + self.args
-        payload += struct.pack("<I", zlib.crc32(payload))
-        return struct.pack("<I", len(payload)) + payload
+        head = _RECORD_HEAD.pack(self.commit_seq, self.round)
+        return frame(head + encode_text(self.procedure) + self.args)
+
+    @classmethod
+    def decode(cls, payload: bytes) -> "CommandLogRecord":
+        seq, round_ = _RECORD_HEAD.unpack_from(payload)
+        procedure, off = text_at(payload, _RECORD_HEAD.size)
+        return cls(seq, procedure, round_, payload[off:])
 
 
-def _decode_record(payload: bytes) -> CommandLogRecord:
-    if len(payload) < 8 + 2 + 8 + 4 + 4:
-        raise CorruptLogRecord("record too short")
-    body, crc = payload[:-4], struct.unpack("<I", payload[-4:])[0]
-    if zlib.crc32(body) != crc:
-        raise CorruptLogRecord("record checksum mismatch")
-    seq, name_len = struct.unpack_from("<QH", body, 0)
-    off = 10
-    name = body[off : off + name_len].decode()
-    off += name_len
-    round_, args_len = struct.unpack_from("<QI", body, off)
-    off += 12
-    args = body[off : off + args_len]
-    return CommandLogRecord(seq, name, round_, args)
+def _log_header(mode: RecoveryMode, partition_id: int) -> bytes:
+    return LOG_MAGIC + _LOG_HEAD.pack(LOG_VERSION, mode.value, partition_id)
+
+
+def _open_for_append(path: str, header: bytes):
+    """Open ``path`` for appending; a new or empty file gets ``header``."""
+    fh = open(path, "ab")
+    if fh.tell() == 0:
+        fh.write(header)
+        fh.flush()
+    return fh
+
+
+def replace_file(path: str, data: bytes) -> None:
+    """Make ``path`` hold exactly ``data`` across a crash at any point:
+    write and sync a temp file, rename it over ``path``, sync the directory."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 class CommandLog:
@@ -101,15 +121,8 @@ class CommandLog:
         self.records_written = 0
         self._pending: list[tuple[CommandLogRecord, object]] = []
         self._pending_since: Optional[float] = None
-        fresh = not os.path.exists(path) or os.path.getsize(path) == 0
         try:
-            self._fh = open(path, "ab")
-            if fresh:
-                self._fh.write(
-                    LOG_MAGIC
-                    + struct.pack("<IBI", LOG_VERSION, mode.value, partition_id)
-                )
-                self._fh.flush()
+            self._fh = _open_for_append(path, _log_header(mode, partition_id))
         except OSError as e:
             raise LogWriteFailure(str(e)) from e
 
@@ -152,6 +165,11 @@ class CommandLog:
     def pending_count(self) -> int:
         return len(self._pending)
 
+    def reopen(self) -> None:
+        """Append to the file now at ``path``, after it was replaced."""
+        self._fh.close()
+        self._fh = open(self.path, "ab")
+
     def crash(self) -> None:
         """Drop buffered records and close, as a power failure would."""
         self._pending.clear()
@@ -170,113 +188,36 @@ def read_log(path: str) -> tuple[RecoveryMode, int, list[CommandLogRecord]]:
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    head_len = len(LOG_MAGIC) + 9
-    if len(blob) < head_len or blob[: len(LOG_MAGIC)] != LOG_MAGIC:
+    head_len = len(LOG_MAGIC) + _LOG_HEAD.size
+    if len(blob) < head_len or not blob.startswith(LOG_MAGIC):
         raise CorruptLogRecord("bad log header")
-    version, mode_v, partition_id = struct.unpack_from("<IBI", blob, len(LOG_MAGIC))
+    version, mode_v, partition_id = _LOG_HEAD.unpack_from(blob, len(LOG_MAGIC))
     if version != LOG_VERSION:
         raise CorruptLogRecord(f"unsupported log version {version}")
-    mode = RecoveryMode(mode_v)
     records: list[CommandLogRecord] = []
-    off = head_len
-    while off < len(blob):
-        if off + 4 > len(blob):
-            break  # torn length prefix
-        (rec_len,) = struct.unpack_from("<I", blob, off)
-        if off + 4 + rec_len > len(blob):
-            break  # torn record body
-        try:
-            rec = _decode_record(blob[off + 4 : off + 4 + rec_len])
-        except CorruptLogRecord:
-            break  # corrupted tail: ignore this and everything after
+    for payload in frames(blob, head_len):
+        rec = CommandLogRecord.decode(payload)
         if records and rec.commit_seq <= records[-1].commit_seq:
             raise CorruptLogRecord("commit sequence not increasing")
         records.append(rec)
-        off += 4 + rec_len
-    return mode, partition_id, records
+    return RecoveryMode(mode_v), partition_id, records
 
 
 def truncate_log(path: str, mode: RecoveryMode, partition_id: int) -> None:
     """Start the log over (after a checkpoint made old records redundant)."""
-    with open(path, "wb") as fh:
-        fh.write(LOG_MAGIC + struct.pack("<IBI", LOG_VERSION, mode.value, partition_id))
-        fh.flush()
-        os.fsync(fh.fileno())
+    replace_file(path, _log_header(mode, partition_id))
 
 
 # --- upstream backup ---
-
-
-def _encode_values(values) -> bytes:
-    out = struct.pack("<H", len(values))
-    for v in values:
-        if type(v) is int:
-            out += b"\x00" + struct.pack("<q", v)
-        elif type(v) is float:
-            out += b"\x01" + struct.pack("<d", v)
-        else:
-            b = v.encode()
-            out += b"\x02" + struct.pack("<H", len(b)) + b
-    return out
-
-
-def _decode_values(body: bytes, off: int) -> tuple[tuple, int]:
-    (count,) = struct.unpack_from("<H", body, off)
-    off += 2
-    values = []
-    for _ in range(count):
-        tag = body[off]
-        off += 1
-        if tag == 0:
-            values.append(struct.unpack_from("<q", body, off)[0])
-            off += 8
-        elif tag == 1:
-            values.append(struct.unpack_from("<d", body, off)[0])
-            off += 8
-        else:
-            (n,) = struct.unpack_from("<H", body, off)
-            off += 2
-            values.append(body[off : off + n].decode())
-            off += n
-    return tuple(values), off
-
-
-def _encode_batch(stream: str, batch: AtomicBatch) -> bytes:
-    name = stream.encode()
-    payload = struct.pack("<QH", batch.batch_id, len(name)) + name
-    payload += struct.pack("<I", len(batch.tuples))
-    for t in batch.tuples:
-        payload += struct.pack("<qqq", t.tuple_id, t.batch_id, t.ts)
-        payload += _encode_values(t.values)
-    payload += struct.pack("<I", zlib.crc32(payload))
-    return struct.pack("<I", len(payload)) + payload
-
-
-def _decode_batch(payload: bytes) -> tuple[str, AtomicBatch]:
-    body, crc = payload[:-4], struct.unpack("<I", payload[-4:])[0]
-    if zlib.crc32(body) != crc:
-        raise CorruptLogRecord("cached batch checksum mismatch")
-    batch_id, name_len = struct.unpack_from("<QH", body, 0)
-    off = 10
-    stream = body[off : off + name_len].decode()
-    off += name_len
-    (count,) = struct.unpack_from("<I", body, off)
-    off += 4
-    tuples = []
-    for _ in range(count):
-        tid, bid, ts = struct.unpack_from("<qqq", body, off)
-        off += 24
-        values, off = _decode_values(body, off)
-        tuples.append(Tuple(values, tuple_id=tid, batch_id=bid, ts=ts))
-    return stream, AtomicBatch(batch_id, tuple(tuples))
 
 
 @dataclass
 class InputCache:
     """Retained external batches, durable before the border ack (weak mode).
 
-    A batch may be trimmed only once every execution of its round finished;
-    the caller computes that low-water round.
+    Only a cache with a file retains anything. A batch may be trimmed only
+    once every execution of its round finished; the caller computes that
+    low-water round.
     """
 
     path: Optional[str] = None
@@ -284,20 +225,18 @@ class InputCache:
     low_water: int = 0
 
     def __post_init__(self):
-        self._fh = None
-        if self.path is not None:
-            fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
-            self._fh = open(self.path, "ab")
-            if fresh:
-                self._fh.write(CACHE_MAGIC)
-                self._fh.flush()
+        path = self.path
+        self._fh = None if path is None else _open_for_append(path, CACHE_MAGIC)
 
-    def append(self, stream: str, batch: AtomicBatch) -> None:
+    def append(self, stream: str, batch: AtomicBatch, payload: bytes) -> None:
+        """Retain ``batch`` and make ``payload``, the codec's encoding of
+        ``{stream: batch}``, durable."""
+        if self._fh is None:
+            return
         self.retained.setdefault(stream, []).append(batch)
-        if self._fh is not None:
-            self._fh.write(_encode_batch(stream, batch))
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+        self._fh.write(frame(payload))
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
 
     def trim(self, low_water: int) -> int:
         """Drop retained batches with round <= low_water. Monotone."""
@@ -316,13 +255,12 @@ class InputCache:
         if self._fh is None:
             return
         self._fh.close()
-        with open(self.path, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            for stream in sorted(self.retained):
-                for batch in self.retained[stream]:
-                    fh.write(_encode_batch(stream, batch))
-            fh.flush()
-            os.fsync(fh.fileno())
+        records = [
+            frame(encode_batches({s: b}))
+            for s in sorted(self.retained)
+            for b in self.retained[s]
+        ]
+        replace_file(self.path, CACHE_MAGIC + b"".join(records))
         self._fh = open(self.path, "ab")
 
     def close(self) -> None:
@@ -330,30 +268,17 @@ class InputCache:
             self._fh.close()
             self._fh = None
 
-    def crash(self) -> None:
-        self.close()
-
 
 def read_input_cache(path: str) -> dict[str, list[AtomicBatch]]:
     """All cached batches by stream, in append order; torn tail dropped."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(CACHE_MAGIC) or blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+    if not blob.startswith(CACHE_MAGIC):
         raise CorruptLogRecord("bad input cache header")
     out: dict[str, list[AtomicBatch]] = {}
-    off = len(CACHE_MAGIC)
-    while off < len(blob):
-        if off + 4 > len(blob):
-            break
-        (rec_len,) = struct.unpack_from("<I", blob, off)
-        if off + 4 + rec_len > len(blob):
-            break
-        try:
-            stream, batch = _decode_batch(blob[off + 4 : off + 4 + rec_len])
-        except CorruptLogRecord:
-            break
-        out.setdefault(stream, []).append(batch)
-        off += 4 + rec_len
+    for payload in frames(blob, len(CACHE_MAGIC)):
+        for stream, batch in decode_batches(payload).items():
+            out.setdefault(stream, []).append(batch)
     return out
 
 

@@ -29,7 +29,7 @@ class ScalarType(enum.Enum):
     TEXT = "text"
 
 
-_PY_TYPES = {
+PY_TYPES = {
     ScalarType.INT: int,
     ScalarType.FLOAT: float,
     ScalarType.TEXT: str,
@@ -100,7 +100,7 @@ class _BaseTable:
                 f"{self.name}: expected {len(self.schema)} values, got {len(t.values)}"
             )
         for v, c in zip(t.values, self.schema):
-            if type(v) is not _PY_TYPES[c.type]:
+            if type(v) is not PY_TYPES[c.type]:
                 raise TypeMismatch(
                     f"{self.name}.{c.name}: expected {c.type.value}, "
                     f"got {type(v).__name__}"

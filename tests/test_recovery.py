@@ -13,9 +13,16 @@ from streamtx.engine import (
     latest_valid_snapshot,
     recover,
 )
-from streamtx.errors import CorruptLogRecord, ReplayDivergence
+from streamtx.errors import CorruptLogRecord, ReplayDivergence, TypeMismatch
+from streamtx.executor import args_to_batches
 from streamtx.ingest import BatchingPolicy, FeedSource, StreamIngestor, ingest
-from streamtx.model import ProcedureDef, ProcedureKind, register_workflow
+from streamtx.model import (
+    AtomicBatch,
+    ProcedureDef,
+    ProcedureKind,
+    Tuple,
+    register_workflow,
+)
 from streamtx.recovery import (
     CommandLog,
     CommandLogRecord,
@@ -141,7 +148,8 @@ def test_strong_logs_interior_with_round_and_empty_args(tmp_path):
     _, _, recs = read_log(str(tmp_path / LOG_FILE))
     assert [(r.procedure, r.round) for r in recs] == [("SP1", 1), ("SP2", 1)]
     assert recs[1].args == b""
-    assert recs[0].args.startswith(b'{"batches"')
+    fed = AtomicBatch(1, (Tuple((5,), tuple_id=1, batch_id=1, ts=0),))
+    assert args_to_batches(recs[0].args) == {"s1": fed}
 
 
 # --- group commit ---
@@ -620,3 +628,75 @@ def test_measured_dispatches_match_formula(tmp_path, mode):
     want = recovery_dispatch_count(mode, n, rounds)
     assert r.counters.replay_client_dispatches == want.client_path
     assert r.counters.replay_trigger_dispatches == want.trigger_path
+
+
+# --- file formats and crash windows ---
+
+
+def test_v1_log_header_rejected(tmp_path):
+    from streamtx.recovery import LOG_MAGIC
+
+    path = tmp_path / LOG_FILE
+    path.write_bytes(LOG_MAGIC + struct.pack("<IBI", 1, RecoveryMode.STRONG.value, 0))
+    with pytest.raises(CorruptLogRecord, match="^unsupported log version 1$"):
+        read_log(str(path))
+
+
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+@pytest.mark.parametrize("bad", [True, None, "x" * 65], ids=["bool", "none", "text65"])
+def test_unencodable_value_rejected_before_kept(tmp_path, mode, bad):
+    e = Engine(chain_spec(2), data_dir=str(tmp_path), recovery_mode=mode,
+               fsync=False)
+    batch = AtomicBatch(1, (Tuple((bad,), tuple_id=1, batch_id=1),))
+    with pytest.raises(TypeMismatch):
+        e.ingest_batch("s1", batch)
+    assert e.partition.input_cache.retained == {}
+    assert len(e.partition.client_queue) == 0
+    assert e._feeder_pending == {}
+    e.close()
+    if mode is RecoveryMode.WEAK:
+        assert read_input_cache(str(tmp_path / CACHE_FILE)) == {}
+
+
+def test_no_data_dir_retains_no_input():
+    e = Engine(chain_spec(2))
+    ing = StreamIngestor(e, "s1", BatchingPolicy("fixed_count", 1))
+    for i in range(1000):
+        ing.push((i,))
+        e.run_until_idle()
+    assert e.partition.input_cache.retained == {}
+
+
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_crash_inside_truncate_log_keeps_log(tmp_path, monkeypatch, mode):
+    import builtins
+
+    import streamtx.engine as engine_mod
+    import streamtx.recovery as recovery_mod
+
+    real_truncate = engine_mod.truncate_log
+
+    def empty_then_die(path, how="r", *args, **kwargs):
+        builtins.open(path, "wb").close()  # the file is emptied
+        raise OSError("power lost")
+
+    def truncate_then_die(*args):  # once: recovery truncates too
+        monkeypatch.setattr(engine_mod, "truncate_log", real_truncate)
+        monkeypatch.setattr(recovery_mod, "open", empty_then_die, raising=False)
+        try:
+            real_truncate(*args)
+        finally:
+            monkeypatch.delattr(recovery_mod, "open")
+
+    monkeypatch.setattr(engine_mod, "truncate_log", truncate_then_die)
+    e = Engine(chain_spec(2), data_dir=str(tmp_path), recovery_mode=mode,
+               fsync=False)
+    feed_rounds(e, [1, 2, 3])
+    e.run_until_idle()
+    want = e.store.content_signature()
+    with pytest.raises(OSError, match="power lost"):
+        e.checkpoint()
+    e.crash()
+    r = recover(chain_spec(2), str(tmp_path), fsync=False)
+    r.run_until_idle()
+    assert r.store.content_signature() == want
