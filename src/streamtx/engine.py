@@ -14,12 +14,14 @@ from typing import Callable, Optional
 
 from .errors import (
     BadDefinition,
+    EngineStopped,
     NotPartitionable,
     ReplayDivergence,
     VersionMismatch,
 )
 from .executor import (
     Catalog,
+    Counters,
     Origin,
     Partition,
     TERequest,
@@ -29,6 +31,7 @@ from .executor import (
 )
 from .model import AtomicBatch, ProcedureKind, Workflow
 from .recovery import (
+    TEMP_SUFFIX,
     CommandLog,
     InputCache,
     RecoveryMode,
@@ -44,6 +47,7 @@ from .triggers import StatementTrigger, TriggerEngine
 SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.snap$")
 LOG_FILE = "command.log"
 CACHE_FILE = "input.cache"
+KEEP_SNAPSHOTS = 2  # recovery falls back to the older one if the newest is damaged
 
 
 @dataclass(frozen=True)
@@ -128,29 +132,31 @@ class Engine:
                         catalog.group_of.get(e.consumer),
                     )
 
-        log = None
-        input_cache = InputCache()
-        if recovery_mode is not None and data_dir is not None:
+        # without a data dir or a recovery mode the log and the cache hold no
+        # file: nothing is logged and every commit is acknowledged at once
+        mode = recovery_mode if data_dir is not None else None
+        log_path = cache_path = None
+        if mode is not None:
             os.makedirs(data_dir, exist_ok=True)
-            log = CommandLog(
-                os.path.join(data_dir, LOG_FILE),
-                recovery_mode,
-                partition_id,
-                max_batch=group_commit_max_batch,
-                max_delay=group_commit_max_delay,
-                fsync=fsync,
-            )
-            if recovery_mode is RecoveryMode.WEAK:
-                input_cache = InputCache(os.path.join(data_dir, CACHE_FILE))
-
+            log_path = os.path.join(data_dir, LOG_FILE)
+            if mode is RecoveryMode.WEAK:
+                cache_path = os.path.join(data_dir, CACHE_FILE)
+        log = CommandLog(
+            log_path,
+            mode,
+            Counters(),
+            partition_id,
+            max_batch=group_commit_max_batch,
+            max_delay=group_commit_max_delay,
+            fsync=fsync,
+        )
         self.partition = Partition(
             partition_id,
             store,
             triggers,
             catalog,
             log=log,
-            input_cache=input_cache,
-            recovery_mode=recovery_mode,
+            input_cache=InputCache(cache_path, fsync),
             schedule_capacity=schedule_capacity,
             post_commit_hook=post_commit_hook,
         )
@@ -191,16 +197,19 @@ class Engine:
         """Hand one external batch to its border procedure.
 
         Encoding checks the values before anything keeps the batch; it then
-        lands in the input cache (durably, in weak mode), so an unacknowledged
-        round survives a crash. Returns the round's ticket once every input
-        stream of the border procedure has its batch.
+        lands in the input cache (written to its file in weak mode), so an
+        unacknowledged round survives a crash. Returns the round's ticket once
+        every input stream of the border procedure has its batch.
         """
+        if self.partition.stopped:
+            raise EngineStopped("partition is stopped")
         proc_name = self._border_for_stream.get(stream)
         if proc_name is None:
             raise BadDefinition(f"stream {stream} is not a border input")
         args = batches_to_args({stream: batch})
         if not resubmit:
-            self.partition.input_cache.append(stream, batch, args)
+            p = self.partition
+            p.fail_stop(p.input_cache.append, stream, batch, args)
         proc = self.catalog.procedure(proc_name)
         pending = self._feeder_pending.setdefault(proc_name, {})
         slot = pending.setdefault(batch.batch_id, {})
@@ -234,9 +243,8 @@ class Engine:
         while not ticket.done:
             if not self.partition.step():
                 break
-        if ticket.done and not ticket.acknowledged and self.partition.log:
-            self.partition.log.flush()
-            self.partition._refresh_sync_counter()
+        if ticket.done and not ticket.acknowledged:
+            self.partition.fail_stop(self.partition.log.flush)
         return ticket
 
     # --- execution pumps ---
@@ -261,15 +269,13 @@ class Engine:
         """Quiesce, write a snapshot, truncate the log, trim the cache."""
         if self.data_dir is None:
             raise BadDefinition("checkpoint needs a data directory")
-        self.drain_and_quiesce()
-        if self.partition.log is not None:
-            self.partition.log.flush()
+        self.drain_and_quiesce()  # also flushes the log
         blob = self.snapshot_bytes()
         path = os.path.join(
             self.data_dir, f"snapshot-{self.partition.commit_seq:012d}.snap"
         )
         replace_file(path, blob)
-        if self.partition.log is not None and self.recovery_mode is not None:
+        if self.recovery_mode is not None:
             truncate_log(
                 os.path.join(self.data_dir, LOG_FILE),
                 self.recovery_mode,
@@ -278,18 +284,18 @@ class Engine:
             self.partition.log.reopen()
         self.partition.input_cache.trim(self.partition.completed_low_water())
         self.partition.input_cache.compact()
+        for _, name in _snapshots(self.data_dir)[:-KEEP_SNAPSHOTS]:
+            os.remove(os.path.join(self.data_dir, name))
         return path
 
     def crash(self) -> None:
         """Die without flushing anything buffered, like a power failure."""
         self.partition.stopped = True
-        if self.partition.log is not None:
-            self.partition.log.crash()
-        self.partition.input_cache.close()  # every append is already synced
+        self.partition.log.crash()
+        self.partition.input_cache.close()  # the cache buffers nothing
 
     def close(self) -> None:
-        if self.partition.log is not None:
-            self.partition.log.close()
+        self.partition.log.close()
         self.partition.input_cache.close()
         self.partition.stopped = True
 
@@ -311,15 +317,21 @@ class Engine:
         return seq
 
 
-def latest_valid_snapshot(data_dir: str) -> Optional[bytes]:
-    """Newest snapshot that passes its checksum; torn ones are skipped."""
-    candidates = []
+def _snapshots(data_dir: str) -> list[tuple[int, str]]:
+    """(commit_seq, file name) of every snapshot, oldest first."""
+    found = []
     for name in os.listdir(data_dir):
         m = SNAPSHOT_RE.match(name)
         if m:
-            candidates.append((int(m.group(1)), name))
-    for _, name in sorted(candidates, reverse=True):
-        blob = open(os.path.join(data_dir, name), "rb").read()
+            found.append((int(m.group(1)), name))
+    return sorted(found)
+
+
+def latest_valid_snapshot(data_dir: str) -> Optional[bytes]:
+    """Newest snapshot that passes its checksum; torn ones are skipped."""
+    for _, name in reversed(_snapshots(data_dir)):
+        with open(os.path.join(data_dir, name), "rb") as fh:
+            blob = fh.read()
         try:
             verify_snapshot(blob)
         except Exception:
@@ -336,6 +348,9 @@ def recover(
     **engine_kwargs,
 ) -> Engine:
     """Bring a crashed engine back per the mode recorded in its log."""
+    for name in os.listdir(data_dir):
+        if name.endswith(TEMP_SUFFIX):  # a replace_file the crash cut short
+            os.remove(os.path.join(data_dir, name))
     log_path = os.path.join(data_dir, LOG_FILE)
     mode, _, records = read_log(log_path)
     if expect_mode is not None and mode is not expect_mode:
@@ -349,14 +364,18 @@ def recover(
         recovery_mode=mode,
         **engine_kwargs,
     )
-    blob = latest_valid_snapshot(data_dir)
-    snapshot_seq = 0
-    if blob is not None:
-        snapshot_seq = engine._restore_snapshot(blob)
-    if mode is RecoveryMode.STRONG:
-        _replay_strong(engine, records, snapshot_seq)
-    else:
-        _replay_weak(engine, records, snapshot_seq, data_dir)
+    try:
+        blob = latest_valid_snapshot(data_dir)
+        snapshot_seq = 0
+        if blob is not None:
+            snapshot_seq = engine._restore_snapshot(blob)
+        if mode is RecoveryMode.STRONG:
+            _replay_strong(engine, records, snapshot_seq)
+        else:
+            _replay_weak(engine, records, snapshot_seq, data_dir)
+    except BaseException:
+        engine.crash()  # close its files
+        raise
     return engine
 
 
@@ -421,18 +440,15 @@ def _replay_weak(engine: Engine, records, snapshot_seq: int, data_dir: str) -> N
     finally:
         p._replaying = False
     # reload the retained input batches before checkpoint compacts the file
-    cache_path = os.path.join(data_dir, CACHE_FILE)
-    cached: dict[str, list[AtomicBatch]] = {}
-    if os.path.exists(cache_path):
-        cached = read_input_cache(cache_path)
-        p.input_cache.retained = {
-            s: [
-                b
-                for b in bs
-                if b.batch_id > engine.store.stream(s).last_consumed_batch
-            ]
-            for s, bs in cached.items()
-        }
+    cached = read_input_cache(os.path.join(data_dir, CACHE_FILE))
+    p.input_cache.retained = {
+        s: [
+            b
+            for b in bs
+            if b.batch_id > engine.store.stream(s).last_consumed_batch
+        ]
+        for s, bs in cached.items()
+    }
     engine.checkpoint()
     # re-submit retained batches whose border execution never committed
     for stream in sorted(cached):

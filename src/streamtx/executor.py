@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import json
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ from .errors import (
     BadDefinition,
     BodyAbort,
     EngineStopped,
+    LogWriteFailure,
     MissingInputBatch,
     QuiesceTimeout,
     StreamTxError,
@@ -37,7 +37,7 @@ from .model import (
     Workflow,
     group_roots,
 )
-from .recovery import CommandLog, CommandLogRecord, InputCache, RecoveryMode, should_log
+from .recovery import CommandLog, CommandLogRecord, InputCache
 from .storage import FullWindowEvent, Pred, Store, UndoBuffer
 from .triggers import TriggerEngine
 
@@ -74,7 +74,7 @@ class Ticket:
     """Asynchronous outcome of one submitted request.
 
     ``outcome`` is set at commit/abort; ``acknowledged`` only once the
-    commit's log record is durable (immediately when logging is off).
+    commit's log record is written (immediately when nothing is logged).
     """
 
     __slots__ = ("outcome", "reason", "result_rows", "commit_seq", "acknowledged")
@@ -311,9 +311,8 @@ class Partition:
         store: Store,
         trigger_engine: TriggerEngine,
         catalog: Catalog,
-        log: Optional[CommandLog] = None,
-        input_cache: Optional[InputCache] = None,
-        recovery_mode: Optional[RecoveryMode] = None,
+        log: CommandLog,
+        input_cache: InputCache,
         schedule_capacity: Optional[int] = None,
         post_commit_hook: Optional[Callable[["Partition"], None]] = None,
     ):
@@ -323,16 +322,14 @@ class Partition:
         self.catalog = catalog
         self.log = log
         self.input_cache = input_cache
-        self.recovery_mode = recovery_mode
         self.schedule_capacity = schedule_capacity
         self.post_commit_hook = post_commit_hook
 
         self.client_queue: deque[TERequest] = deque()
         self.fast_track: deque[TERequest] = deque()
-        self._queue_lock = threading.Lock()
         self.committed_schedule = Schedule()
         self.commit_seq = 0
-        self.counters = Counters()
+        self.counters: Counters = log.counters  # the log counts its syncs there
         self.stopped = False
         self._executing = 0
         self._last_enqueued_round: dict[str, int] = {}
@@ -349,8 +346,7 @@ class Partition:
         self.catalog.procedure(req.proc)
         if req.ticket is None:
             req.ticket = Ticket()
-        with self._queue_lock:
-            self.client_queue.append(req)
+        self.client_queue.append(req)
         return req.ticket
 
     def _submit_trigger(self, fires: list[tuple[str, int, Optional[str]]]) -> list[TERequest]:
@@ -364,8 +360,7 @@ class Partition:
                 continue
             self._last_enqueued_round[key] = round_
             req = TERequest(target, round_, origin=Origin.TRIGGER, group=group)
-            with self._queue_lock:
-                self.fast_track.append(req)
+            self.fast_track.append(req)
             self._round_outstanding[round_] = (
                 self._round_outstanding.get(round_, 0) + 1
             )
@@ -378,19 +373,18 @@ class Partition:
     # --- scheduling ---
 
     def schedule_next(self) -> Optional[TERequest]:
-        with self._queue_lock:
-            if self.fast_track:
-                return self.fast_track.popleft()
-            if self.client_queue:
-                return self.client_queue.popleft()
+        if self.fast_track:
+            return self.fast_track.popleft()
+        if self.client_queue:
+            return self.client_queue.popleft()
         return None
 
     def step(self) -> bool:
+        if self.stopped:
+            return False
         req = self.schedule_next()
         if req is None:
-            if self.log is not None:
-                self.log.maybe_flush()
-                self._refresh_sync_counter()
+            self.fail_stop(self.log.maybe_flush)
             return False
         self.execute(req)
         return True
@@ -401,23 +395,23 @@ class Partition:
 
     def drain_and_quiesce(self, timeout: Optional[float] = None) -> None:
         """Finish all fast-track work without starting new client requests."""
+        if self.stopped:
+            raise EngineStopped("partition is stopped")
         start = time.monotonic()
-        while True:
-            with self._queue_lock:
-                pending = bool(self.fast_track)
-            if not pending:
-                break
+        while self.fast_track:
             if timeout is not None and time.monotonic() - start >= timeout:
                 raise QuiesceTimeout("fast-track work still pending")
-            req = None
-            with self._queue_lock:
-                if self.fast_track:
-                    req = self.fast_track.popleft()
-            if req is not None:
-                self.execute(req)
-        if self.log is not None:
-            self.log.flush()
-            self._refresh_sync_counter()
+            self.execute(self.fast_track.popleft())
+        self.fail_stop(self.log.flush)
+
+    def fail_stop(self, write: Callable, *args) -> None:
+        """Call ``write`` on the log or the input cache. A failed write stops
+        the partition for good, so memory never runs ahead of its files."""
+        try:
+            write(*args)
+        except LogWriteFailure:
+            self.stopped = True
+            raise
 
     # --- execution ---
 
@@ -588,9 +582,7 @@ class Partition:
             self._collect_garbage(ctx)
             if self.post_commit_hook is not None:
                 self.post_commit_hook(self)
-        if self.log is not None:
-            self.log.maybe_flush()
-            self._refresh_sync_counter()
+        self.fail_stop(self.log.maybe_flush)
 
     def _finish_abort(
         self,
@@ -641,24 +633,16 @@ class Partition:
                 self.store.garbage_collect(stream, batch_id)
 
     def _log_commit(self, te: TransactionExecution, proc: ProcedureDef, ticket):
-        if self.log is None or self.recovery_mode is None:
+        if self._replaying or not self.log.logs(proc.kind):
             if ticket is not None:
                 ticket.acknowledged = True
             return
-        if self._replaying or not should_log(self.recovery_mode, proc.kind):
-            if ticket is not None:
-                ticket.acknowledged = True
-            return
-        self.log.append(
+        self.fail_stop(
+            self.log.append,
             CommandLogRecord(te.commit_seq, te.procedure, te.round, te.args),
             ticket,
         )
         self.counters.log_records += 1
-        self._refresh_sync_counter()
-
-    def _refresh_sync_counter(self):
-        if self.log is not None:
-            self.counters.sync_count = self.log.sync_count
 
     # --- trigger surface (module operations live on the partition) ---
 
@@ -685,8 +669,7 @@ class Partition:
         pending_rounds = set()
         for s in self.catalog.consumers:
             pending_rounds.update(self.store.stream(s).pending_batches())
-        with self._queue_lock:
-            queued_rounds = {r.round for r in self.fast_track}
+        queued_rounds = {r.round for r in self.fast_track}
         r = self._round_base + 1
         while (
             self._border_finished.get(r) == borders

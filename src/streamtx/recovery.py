@@ -1,6 +1,10 @@
 """Durability: command log with group commit, input caching, recovery replay.
 
-Each file is a header, then codec frames; a torn or corrupt frame ends it.
+All of the partition's durable bytes reach disk through one small file
+layer: ``AppendFile`` appends to a file that starts with a header,
+``replace_file`` swaps a whole file atomically, and ``_read_frames`` reads
+one back. Each file is a header, then codec frames; a torn or corrupt frame
+ends it.
 
     log header:    magic "STXLOG01" | version u32 (2) | mode u8 | partition u32
     log record:    commit_seq u64 | round u64 | procedure text | args
@@ -8,9 +12,10 @@ Each file is a header, then codec frames; a torn or corrupt frame ends it.
     cache record:  one ``{stream: batch}`` in the codec's batch encoding
 
 Border args are that batch encoding too. The input cache backs the
-weak-recovery upstream-backup scheme: every external batch is durable there
-before its border execution is acknowledged. Whole files are rewritten only
-through ``replace_file``.
+weak-recovery upstream-backup scheme: every external batch is written there
+before its border execution runs. One ``fsync`` policy holds for both the
+log and the cache: with it on, an append is synced before it returns; with
+it off, appends are flushed to the OS only. ``replace_file`` always syncs.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .codec import decode_batches, encode_batches, encode_text, frame, frames, text_at
 from .errors import CorruptLogRecord, LogWriteFailure
@@ -31,19 +36,12 @@ CACHE_MAGIC = b"STXINP02"
 LOG_VERSION = 2
 _LOG_HEAD = struct.Struct("<IBI")  # version, mode, partition
 _RECORD_HEAD = struct.Struct("<QQ")  # commit_seq, round
+TEMP_SUFFIX = ".tmp"  # replace_file writes here before the rename
 
 
 class RecoveryMode(enum.Enum):
     STRONG = 1
     WEAK = 2
-
-
-def should_log(mode: RecoveryMode, kind: ProcedureKind) -> bool:
-    """Strong logs every commit; weak logs only transactions with no
-    upstream that could regenerate them (border streaming and OLTP)."""
-    if mode is RecoveryMode.STRONG:
-        return True
-    return kind in (ProcedureKind.BORDER, ProcedureKind.OLTP)
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,19 +66,10 @@ def _log_header(mode: RecoveryMode, partition_id: int) -> bytes:
     return LOG_MAGIC + _LOG_HEAD.pack(LOG_VERSION, mode.value, partition_id)
 
 
-def _open_for_append(path: str, header: bytes):
-    """Open ``path`` for appending; a new or empty file gets ``header``."""
-    fh = open(path, "ab")
-    if fh.tell() == 0:
-        fh.write(header)
-        fh.flush()
-    return fh
-
-
 def replace_file(path: str, data: bytes) -> None:
     """Make ``path`` hold exactly ``data`` across a crash at any point:
     write and sync a temp file, rename it over ``path``, sync the directory."""
-    tmp = path + ".tmp"
+    tmp = path + TEMP_SUFFIX
     with open(tmp, "wb") as fh:
         fh.write(data)
         fh.flush()
@@ -93,19 +82,72 @@ def replace_file(path: str, data: bytes) -> None:
         os.close(dir_fd)
 
 
+class AppendFile:
+    """A file that starts with ``header`` and grows by appends."""
+
+    def __init__(self, path: str, header: bytes, fsync: bool):
+        self.path = path
+        self.fsync = fsync
+        try:
+            self._fh = open(path, "ab")
+            if self._fh.tell() == 0:
+                self._fh.write(header)
+                self._fh.flush()
+        except OSError as e:
+            raise LogWriteFailure(str(e)) from e
+
+    def append(self, data: bytes) -> None:
+        """Write ``data``; sync it too when the engine's ``fsync`` is set."""
+        try:
+            self._fh.write(data)
+            self._fh.flush()
+            if self.fsync:
+                os.fsync(self._fh.fileno())
+        except OSError as e:
+            raise LogWriteFailure(str(e)) from e
+
+    def rewrite(self, body: bytes) -> None:
+        """Replace the whole file with ``body`` and append after it."""
+        replace_file(self.path, body)
+        self.reopen()
+
+    def reopen(self) -> None:
+        """Append to the file now at ``path``, after it was replaced."""
+        self._fh.close()
+        self._fh = open(self.path, "ab")
+
+    def close(self) -> None:
+        self._fh.close()
+
+
+def _read_frames(
+    path: str, magic: bytes, head_size: int
+) -> tuple[bytes, Iterator[bytes]]:
+    """The header fields after ``magic`` and the frame payloads after them."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    start = len(magic) + head_size
+    if len(blob) < start or not blob.startswith(magic):
+        raise CorruptLogRecord(f"bad header in {os.path.basename(path)}")
+    return blob[len(magic) : start], frames(blob, start)
+
+
 class CommandLog:
     """Append-only command log with group commit.
 
     Records buffer in memory and reach disk on flush; tickets attached to
     buffered records are acknowledged only once their flush completes. A
     flush happens when ``max_batch`` records are pending, when the oldest
-    pending record is older than ``max_delay``, or explicitly.
+    pending record is older than ``max_delay``, or explicitly. A log without
+    a file (no data dir or no recovery mode) has no mode and logs nothing.
+    Every flush counts in ``counters.sync_count``.
     """
 
     def __init__(
         self,
-        path: str,
-        mode: RecoveryMode,
+        path: Optional[str],
+        mode: Optional[RecoveryMode],
+        counters,
         partition_id: int = 0,
         max_batch: int = 1,
         max_delay: float = 0.005,
@@ -113,18 +155,25 @@ class CommandLog:
     ):
         self.path = path
         self.mode = mode
-        self.partition_id = partition_id
+        self.counters = counters
         self.max_batch = max(1, max_batch)
         self.max_delay = max_delay
-        self.fsync = fsync
-        self.sync_count = 0
-        self.records_written = 0
         self._pending: list[tuple[CommandLogRecord, object]] = []
         self._pending_since: Optional[float] = None
-        try:
-            self._fh = _open_for_append(path, _log_header(mode, partition_id))
-        except OSError as e:
-            raise LogWriteFailure(str(e)) from e
+        self._file = None
+        if mode is not None:
+            self._file = AppendFile(path, _log_header(mode, partition_id), fsync)
+
+    @property
+    def sync_count(self) -> int:
+        return self.counters.sync_count
+
+    def logs(self, kind: ProcedureKind) -> bool:
+        """Strong logs every commit; weak logs only transactions with no
+        upstream that could regenerate them (border streaming and OLTP)."""
+        if self.mode is RecoveryMode.WEAK:
+            return kind in (ProcedureKind.BORDER, ProcedureKind.OLTP)
+        return self.mode is RecoveryMode.STRONG
 
     def append(self, record: CommandLogRecord, ticket=None) -> None:
         self._pending.append((record, ticket))
@@ -146,39 +195,28 @@ class CommandLog:
             return 0
         batch, self._pending = self._pending, []
         self._pending_since = None
-        try:
-            for record, _ in batch:
-                self._fh.write(record.encode())
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-        except OSError as e:
-            raise LogWriteFailure(str(e)) from e
-        self.sync_count += 1
-        self.records_written += len(batch)
+        self._file.append(b"".join(record.encode() for record, _ in batch))
+        self.counters.sync_count += 1
         for _, ticket in batch:
             if ticket is not None:
                 ticket.acknowledged = True
         return len(batch)
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def reopen(self) -> None:
         """Append to the file now at ``path``, after it was replaced."""
-        self._fh.close()
-        self._fh = open(self.path, "ab")
+        self._file.reopen()
 
     def crash(self) -> None:
         """Drop buffered records and close, as a power failure would."""
         self._pending.clear()
         self._pending_since = None
-        self._fh.close()
+        if self._file is not None:
+            self._file.close()
 
     def close(self) -> None:
         self.flush()
-        self._fh.close()
+        if self._file is not None:
+            self._file.close()
 
 
 def read_log(path: str) -> tuple[RecoveryMode, int, list[CommandLogRecord]]:
@@ -186,16 +224,12 @@ def read_log(path: str) -> tuple[RecoveryMode, int, list[CommandLogRecord]]:
 
     Returns (mode, partition_id, records in file order).
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head_len = len(LOG_MAGIC) + _LOG_HEAD.size
-    if len(blob) < head_len or not blob.startswith(LOG_MAGIC):
-        raise CorruptLogRecord("bad log header")
-    version, mode_v, partition_id = _LOG_HEAD.unpack_from(blob, len(LOG_MAGIC))
+    head, payloads = _read_frames(path, LOG_MAGIC, _LOG_HEAD.size)
+    version, mode_v, partition_id = _LOG_HEAD.unpack(head)
     if version != LOG_VERSION:
         raise CorruptLogRecord(f"unsupported log version {version}")
     records: list[CommandLogRecord] = []
-    for payload in frames(blob, head_len):
+    for payload in payloads:
         rec = CommandLogRecord.decode(payload)
         if records and rec.commit_seq <= records[-1].commit_seq:
             raise CorruptLogRecord("commit sequence not increasing")
@@ -213,7 +247,7 @@ def truncate_log(path: str, mode: RecoveryMode, partition_id: int) -> None:
 
 @dataclass
 class InputCache:
-    """Retained external batches, durable before the border ack (weak mode).
+    """Retained external batches, written before the border runs (weak mode).
 
     Only a cache with a file retains anything. A batch may be trimmed only
     once every execution of its round finished; the caller computes that
@@ -221,22 +255,21 @@ class InputCache:
     """
 
     path: Optional[str] = None
+    fsync: bool = True
     retained: dict[str, list[AtomicBatch]] = field(default_factory=dict)
     low_water: int = 0
 
     def __post_init__(self):
         path = self.path
-        self._fh = None if path is None else _open_for_append(path, CACHE_MAGIC)
+        self._file = None if path is None else AppendFile(path, CACHE_MAGIC, self.fsync)
 
     def append(self, stream: str, batch: AtomicBatch, payload: bytes) -> None:
-        """Retain ``batch`` and make ``payload``, the codec's encoding of
-        ``{stream: batch}``, durable."""
-        if self._fh is None:
+        """Retain ``batch`` and write ``payload``, the codec's encoding of
+        ``{stream: batch}``, to the file."""
+        if self._file is None:
             return
         self.retained.setdefault(stream, []).append(batch)
-        self._fh.write(frame(payload))
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._file.append(frame(payload))
 
     def trim(self, low_water: int) -> int:
         """Drop retained batches with round <= low_water. Monotone."""
@@ -252,31 +285,24 @@ class InputCache:
 
     def compact(self) -> None:
         """Rewrite the durable file to hold only still-retained batches."""
-        if self._fh is None:
+        if self._file is None:
             return
-        self._fh.close()
         records = [
             frame(encode_batches({s: b}))
             for s in sorted(self.retained)
             for b in self.retained[s]
         ]
-        replace_file(self.path, CACHE_MAGIC + b"".join(records))
-        self._fh = open(self.path, "ab")
+        self._file.rewrite(CACHE_MAGIC + b"".join(records))
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._file is not None:
+            self._file.close()
 
 
 def read_input_cache(path: str) -> dict[str, list[AtomicBatch]]:
     """All cached batches by stream, in append order; torn tail dropped."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(CACHE_MAGIC):
-        raise CorruptLogRecord("bad input cache header")
     out: dict[str, list[AtomicBatch]] = {}
-    for payload in frames(blob, len(CACHE_MAGIC)):
+    for payload in _read_frames(path, CACHE_MAGIC, 0)[1]:
         for stream, batch in decode_batches(payload).items():
             out.setdefault(stream, []).append(batch)
     return out
