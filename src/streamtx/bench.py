@@ -401,6 +401,7 @@ def run_recovery_experiment(
         **extras,
     )
     report.counters = live_counters
+    recovered.close()
     return report
 
 

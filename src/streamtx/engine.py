@@ -282,11 +282,29 @@ class Engine:
                 self.partition_id,
             )
             self.partition.log.reopen()
-        self.partition.input_cache.trim(self.partition.completed_low_water())
+        self.partition.input_cache.trim(self.completed_low_water())
         self.partition.input_cache.compact()
         for _, name in _snapshots(self.data_dir)[:-KEEP_SNAPSHOTS]:
             os.remove(os.path.join(self.data_dir, name))
         return path
+
+    def completed_low_water(self) -> int:
+        """Highest round r such that every round <= r has finished: each
+        border has consumed past it, and no round at or below it waits in a
+        queue, in a feeder slot or as a pending interior batch. Read from
+        that state at call time; 0 without border procedures."""
+        p = self.partition
+        mark = min(
+            (self.store.stream(s).last_consumed_batch for s in self._border_for_stream),
+            default=0,
+        )
+        waiting = {req.round for req in p.client_queue}
+        waiting.update(req.round for req in p.fast_track)
+        for slots in self._feeder_pending.values():
+            waiting.update(slots)
+        for s in self.catalog.consumers:
+            waiting.update(self.store.stream(s).pending_batches())
+        return min([mark] + [r - 1 for r in waiting if r > 0])
 
     def crash(self) -> None:
         """Die without flushing anything buffered, like a power failure."""
@@ -310,10 +328,6 @@ class Engine:
         self.partition.store = store
         self.partition.trigger_engine.store = store
         self.partition.commit_seq = seq
-        ext = list(self._border_for_stream)
-        self.partition._round_base = min(
-            (store.stream(s).last_consumed_batch for s in ext), default=0
-        )
         return seq
 
 
@@ -439,23 +453,28 @@ def _replay_weak(engine: Engine, records, snapshot_seq: int, data_dir: str) -> N
             p.run_until_idle()
     finally:
         p._replaying = False
-    # reload the retained input batches before checkpoint compacts the file
+    # re-submit the cached batches whose border execution never committed:
+    # rounds past what the border consumed, and rounds still missing an input
+    # (their feeder slot was waiting); the checkpoint then sees them waiting
     cached = read_input_cache(os.path.join(data_dir, CACHE_FILE))
+    arrived: dict[tuple[str, int], set[str]] = {}
+    for s, bs in cached.items():
+        for b in bs:
+            arrived.setdefault((engine._border_for_stream[s], b.batch_id), set()).add(s)
+
+    def unfinished(stream: str, batch: AtomicBatch) -> bool:
+        border = engine.catalog.procedure(engine._border_for_stream[stream])
+        return batch.batch_id > engine.store.stream(stream).last_consumed_batch or (
+            len(arrived[border.name, batch.batch_id]) < len(border.stream_inputs)
+        )
+
     p.input_cache.retained = {
-        s: [
-            b
-            for b in bs
-            if b.batch_id > engine.store.stream(s).last_consumed_batch
-        ]
-        for s, bs in cached.items()
+        s: [b for b in bs if unfinished(s, b)] for s, bs in cached.items()
     }
+    for stream in sorted(p.input_cache.retained):
+        for batch in p.input_cache.retained[stream]:
+            engine.ingest_batch(stream, batch, resubmit=True)
     engine.checkpoint()
-    # re-submit retained batches whose border execution never committed
-    for stream in sorted(cached):
-        consumed = engine.store.stream(stream).last_consumed_batch
-        for batch in cached[stream]:
-            if batch.batch_id > consumed:
-                engine.ingest_batch(stream, batch, resubmit=True)
 
 
 def partitioned_engines(

@@ -163,13 +163,6 @@ class Catalog:
         except KeyError:
             raise UnknownProcedure(name) from None
 
-    def border_procedures(self) -> list[str]:
-        return [
-            p.name
-            for p in self.procedures.values()
-            if p.kind is ProcedureKind.BORDER
-        ]
-
 
 class TEContext:
     """The operation surface a procedure body (or trigger program) runs
@@ -333,9 +326,6 @@ class Partition:
         self.stopped = False
         self._executing = 0
         self._last_enqueued_round: dict[str, int] = {}
-        self._border_finished: dict[int, set[str]] = {}
-        self._round_outstanding: dict[int, int] = {}
-        self._round_base = 0  # every round at or below this has completed
         self._replaying = False
 
     # --- submission ---
@@ -361,9 +351,6 @@ class Partition:
             self._last_enqueued_round[key] = round_
             req = TERequest(target, round_, origin=Origin.TRIGGER, group=group)
             self.fast_track.append(req)
-            self._round_outstanding[round_] = (
-                self._round_outstanding.get(round_, 0) + 1
-            )
             self.counters.boundary_crossings += 1
             if self._replaying:
                 self.counters.replay_trigger_dispatches += 1
@@ -432,18 +419,7 @@ class Partition:
             group = self.catalog.group_of.get(proc.name)
         else:
             group = None
-        try:
-            if group is not None:
-                outcome = self._execute_group(req, group)
-            else:
-                outcome = self._execute_solo(req)
-        finally:
-            if req.origin is Origin.TRIGGER:
-                left = self._round_outstanding.get(req.round, 0) - 1
-                if left <= 0:
-                    self._round_outstanding.pop(req.round, None)
-                else:
-                    self._round_outstanding[req.round] = left
+        outcome = self._execute_group(req, group)
         if req.origin is Origin.CLIENT:
             self.counters.client_roundtrips += 1
         return outcome
@@ -459,24 +435,13 @@ class Partition:
     def _end(self):
         self._executing -= 1
 
-    def _execute_solo(self, req: TERequest) -> str:
-        proc = self.catalog.procedure(req.proc)
-        self._begin()
-        try:
-            ctx, error = self._run_one(proc, req)
-        finally:
-            self._end()
-        if error is not None:
-            self._finish_abort(proc, req, error, [ctx], req.ticket)
-            return "aborted"
-        self._commit_group([(ctx, req)])
-        return "committed"
-
-    def _execute_group(self, req: TERequest, group: ResolvedGroup) -> str:
+    def _execute_group(self, req: TERequest, group: Optional[ResolvedGroup]) -> str:
+        """Run ``req`` and, inside a group, its other ready children in order;
+        without a group the order is ``req`` alone."""
         self._begin()
         ran: list[tuple[TEContext, TERequest]] = []
         try:
-            for child in group.order:
+            for child in group.order if group else (req.proc,):
                 proc = self.catalog.procedures[child]
                 if child == req.proc:
                     child_req = req
@@ -571,8 +536,6 @@ class Partition:
                 req.ticket.outcome = "committed"
                 req.ticket.commit_seq = self.commit_seq
                 req.ticket.result_rows = ctx.result_rows
-            if ctx.proc.kind is ProcedureKind.BORDER:
-                self._border_finished.setdefault(req.round, set()).add(ctx.proc.name)
             # downstream triggers: in-group consumers already ran inline
             for stream, batch_id in ctx.emitted:
                 if self.catalog.consumers.get(stream) in members:
@@ -603,13 +566,6 @@ class Partition:
             # appended batches were rolled back: clear trigger obligations
             for key in ctx.appended:
                 self.trigger_engine.pending.pop(key, None)
-            # a dropped round counts as finished for cache trimming; aborts
-            # leave no durable trace, so weak recovery re-submits the round
-            # and the deterministic body re-aborts it
-            if ctx.proc.kind is ProcedureKind.BORDER:
-                self._border_finished.setdefault(req.round, set()).add(
-                    ctx.proc.name
-                )
         # the round's downstream work is dropped: discard consumed inputs
         # that came from outside the rolled-back scope
         drops = list(dropped_inputs)
@@ -649,37 +605,5 @@ class Partition:
     def set_pe_triggers_enabled(self, flag: bool) -> None:
         self.trigger_engine.set_pe_triggers_enabled(flag)
 
-    def fire_procedure_triggers(self, stream: str, batch_id: int) -> list[TERequest]:
-        fires = self.trigger_engine.fire_procedure_triggers(stream, batch_id)
-        return self._submit_trigger(fires)
-
     def refire_nonempty_streams(self) -> list[TERequest]:
         return self._submit_trigger(self.trigger_engine.refire_nonempty_streams())
-
-    # --- input cache low-water bookkeeping ---
-
-    def completed_low_water(self) -> int:
-        """Highest round r such that every round <= r has fully finished:
-        border executions done, no queued trigger work, no pending interior
-        batches that could still run. The mark only rises: rounds it passes
-        become the new base and their bookkeeping is dropped."""
-        borders = set(self.catalog.border_procedures())
-        if not borders:
-            return 0
-        pending_rounds = set()
-        for s in self.catalog.consumers:
-            pending_rounds.update(self.store.stream(s).pending_batches())
-        queued_rounds = {r.round for r in self.fast_track}
-        r = self._round_base + 1
-        while (
-            self._border_finished.get(r) == borders
-            and r not in queued_rounds
-            and not self._round_outstanding.get(r)
-            and r not in pending_rounds
-        ):
-            del self._border_finished[r]
-            self._round_base = r
-            r += 1
-        return self._round_base
-
-

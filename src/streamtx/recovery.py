@@ -124,8 +124,11 @@ def _read_frames(
     path: str, magic: bytes, head_size: int
 ) -> tuple[bytes, Iterator[bytes]]:
     """The header fields after ``magic`` and the frame payloads after them."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except FileNotFoundError:
+        raise CorruptLogRecord(f"missing {os.path.basename(path)}") from None
     start = len(magic) + head_size
     if len(blob) < start or not blob.startswith(magic):
         raise CorruptLogRecord(f"bad header in {os.path.basename(path)}")
@@ -257,7 +260,6 @@ class InputCache:
     path: Optional[str] = None
     fsync: bool = True
     retained: dict[str, list[AtomicBatch]] = field(default_factory=dict)
-    low_water: int = 0
 
     def __post_init__(self):
         path = self.path
@@ -272,15 +274,12 @@ class InputCache:
         self._file.append(frame(payload))
 
     def trim(self, low_water: int) -> int:
-        """Drop retained batches with round <= low_water. Monotone."""
-        if low_water <= self.low_water:
-            return 0
+        """Drop retained batches with round <= low_water; returns how many."""
         removed = 0
         for stream, batches in self.retained.items():
             keep = [b for b in batches if b.batch_id > low_water]
             removed += len(batches) - len(keep)
             self.retained[stream] = keep
-        self.low_water = low_water
         return removed
 
     def compact(self) -> None:

@@ -168,6 +168,7 @@ def test_group_commit_defers_acks(tmp_path):
     e.run_until_idle()
     assert all(t.acknowledged for t in tickets) and t4.acknowledged
     assert e.partition.log.sync_count == 1
+    e.close()
 
 
 def test_group_commit_sync_bound(tmp_path):
@@ -182,6 +183,7 @@ def test_group_commit_sync_bound(tmp_path):
     assert acked == n
     timers = 1  # the final explicit flush
     assert e.partition.log.sync_count <= -(-n // 8) + timers
+    e.close()
 
 
 def test_unacknowledged_absent_acknowledged_present(tmp_path):
@@ -195,6 +197,7 @@ def test_unacknowledged_absent_acknowledged_present(tmp_path):
     r = recover(spec, str(tmp_path), fsync=False)
     vals = sorted(t.values[0] for t in r.store.table("olog").rows)
     assert vals == [0, 1, 2]
+    r.close()
 
 
 # --- checkpoints ---
@@ -213,6 +216,7 @@ def test_checkpoint_then_crash_restore_only(tmp_path):
     r = recover(chain_spec(2), str(tmp_path), fsync=False)
     assert r.counters.replay_client_dispatches == 0
     assert r.store.content_signature() == want
+    r.close()
 
 
 def test_two_checkpoints_latest_wins(tmp_path):
@@ -233,6 +237,7 @@ def test_two_checkpoints_latest_wins(tmp_path):
     assert len(snaps) == 2
     r = recover(chain_spec(2), str(tmp_path), fsync=False)
     assert r.store.content_signature() == want
+    r.close()
 
 
 def test_snapshot_preserved_pending_batch_refired_once_weak(tmp_path):
@@ -250,6 +255,7 @@ def test_snapshot_preserved_pending_batch_refired_once_weak(tmp_path):
     assert tes.count(("SP2", 1)) == 1  # refired exactly once, not replayed
     assert tes.count(("SP1", 1)) == 0  # border is inside the snapshot
     assert sorted(t.values[0] for t in r.store.table("out").rows) == [5]
+    r.close()
 
 
 # --- strong recovery ---
@@ -268,6 +274,7 @@ def test_strong_crash_after_three_rounds_bit_equal(tmp_path):
     assert seq == 6
     assert r.snapshot_bytes() == states[seq]
     assert r.counters.replay_client_dispatches == 6
+    r.close()
 
 
 def test_strong_empty_everything(tmp_path):
@@ -278,6 +285,7 @@ def test_strong_empty_everything(tmp_path):
     assert r.partition.commit_seq == 0
     assert len(r.committed_schedule) == 0
     assert r.store.content_signature() == Engine(chain_spec(2)).store.content_signature()
+    r.close()
 
 
 def test_strong_mid_round_crash_refires_pending(tmp_path):
@@ -298,6 +306,7 @@ def test_strong_mid_round_crash_refires_pending(tmp_path):
     assert queued == [("SP2", 1)]
     r.run_until_idle()
     assert sorted(t.values[0] for t in r.store.table("out").rows) == [5]
+    r.close()
 
 
 def test_tail_corruption_truncates(tmp_path):
@@ -319,7 +328,8 @@ def test_tail_corruption_truncates(tmp_path):
         (r_.procedure, r_.round) for r_ in before
     ]
     # corrupting a CRC mid-file also drops everything after it
-    blob = bytearray(open(log_path, "rb").read())
+    with open(log_path, "rb") as fh:
+        blob = bytearray(fh.read())
     blob[60] ^= 0xFF
     with open(log_path, "wb") as fh:
         fh.write(blob)
@@ -343,6 +353,7 @@ def test_torn_snapshot_falls_back_to_previous(tmp_path):
     assert blob is not None
     r = recover(chain_spec(2), str(tmp_path), fsync=False)
     assert r.store.content_signature() == good
+    r.close()
 
 
 def test_replay_divergence_detected(tmp_path):
@@ -387,6 +398,7 @@ def test_weak_crash_after_three_rounds(tmp_path):
     r.run_until_idle()
     assert validate(r.committed_schedule, chain_spec(3).workflows[0]).correct
     assert public_tables(r) == public_tables(golden)
+    r.close()
 
 
 def public_tables(engine):
@@ -412,6 +424,7 @@ def test_weak_unlogged_border_resubmitted_from_cache(tmp_path):
     r.run_until_idle()
     assert sorted(t.values[0] for t in r.store.table("out").rows) == [10, 20, 30]
     assert validate(r.committed_schedule, chain_spec(2).workflows[0]).correct
+    r.close()
 
 
 def test_weak_replays_oltp_interleaved(tmp_path):
@@ -440,6 +453,7 @@ def test_weak_replays_oltp_interleaved(tmp_path):
     r.run_until_idle()
     assert sorted(t.values[0] for t in r.store.table("olog").rows) == [0, 1, 2]
     assert sorted(t.values[0] for t in r.store.table("out").rows) == [10, 20, 30]
+    r.close()
 
 
 def test_trim_proceeds_past_aborted_group_round(tmp_path):
@@ -474,8 +488,9 @@ def test_trim_proceeds_past_aborted_group_round(tmp_path):
     feed_rounds(e, [10, 20, 30])
     e.run_until_idle()
     assert e.counters.te_aborted == 1
-    assert e.partition.completed_low_water() == 3
+    assert e.completed_low_water() == 3
     assert e.partition.input_cache.trim(3) == 3
+    e.close()
 
 
 def test_weak_single_procedure_equals_strong(tmp_path):
@@ -501,6 +516,7 @@ def test_weak_single_procedure_equals_strong(tmp_path):
         r = recover(solo_spec(), d, fsync=False)
         r.run_until_idle()
         results[mode] = r.snapshot_bytes()
+        r.close()
     assert results[RecoveryMode.STRONG] == results[RecoveryMode.WEAK]
 
 
@@ -514,10 +530,11 @@ def test_trim_after_full_rounds(tmp_path):
     e.run_until_idle()
     cache = e.partition.input_cache
     assert sum(len(v) for v in cache.retained.values()) == 5
-    low = e.partition.completed_low_water()
+    low = e.completed_low_water()
     assert low == 5
     assert cache.trim(low) == 5
     assert cache.trim(low) == 0  # idempotent
+    e.close()
 
 
 def test_trim_stops_at_pending_interior(tmp_path):
@@ -532,24 +549,104 @@ def test_trim_stops_at_pending_interior(tmp_path):
     ing.push((6,))
     e.run_until_idle()
     assert e.store.stream("s2").pending_batches() == [6]
-    assert e.partition.completed_low_water() == 5
-    assert e.partition.input_cache.trim(e.partition.completed_low_water()) == 5
+    assert e.completed_low_water() == 5
+    assert e.partition.input_cache.trim(e.completed_low_water()) == 5
     assert [b.batch_id for b in e.partition.input_cache.retained["s1"]] == [6]
+    e.close()
 
 
 def test_round_bookkeeping_bounded_by_checkpoints(tmp_path):
     e = Engine(chain_spec(2), data_dir=str(tmp_path),
                recovery_mode=RecoveryMode.STRONG, fsync=False)
     ing = StreamIngestor(e, "s1", BatchingPolicy("fixed_count", 1))
-    retained = []
     for n in (50, 200):
         for _ in range(n):
             ing.push((1,))
             e.run_until_idle()
         e.checkpoint()
-        retained.append(len(e.partition._border_finished))
-    assert retained == [0, 0]
-    assert e.partition.completed_low_water() == 250
+    assert e.completed_low_water() == 250
+    e.close()
+
+
+def one_row(round_, value):
+    return AtomicBatch(round_, (Tuple((value,), tuple_id=round_, batch_id=round_),))
+
+
+def out_values(engine):
+    return sorted(t.values[0] for t in engine.store.table("out").rows)
+
+
+def test_checkpoint_trims_past_batch_id_gap(tmp_path):
+    e = Engine(chain_spec(2), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.WEAK, fsync=False)
+    for r in [1, 2, *range(5, 41)]:
+        e.ingest_batch("s1", one_row(r, r))
+        e.run_until_idle()
+    e.checkpoint()
+    assert e.partition.input_cache.retained == {"s1": []}
+    assert read_input_cache(str(tmp_path / CACHE_FILE)) == {}
+    assert e.completed_low_water() == 40
+    e.close()
+
+
+def pair_spec():
+    """Border SP1 reads one batch from each of a and b per round."""
+
+    def body(ctx):
+        a, b = (ctx.input_tuples(s)[0].values[0] for s in ("a", "b"))
+        ctx.insert("out", (a + b,))
+
+    w = register_workflow(
+        "pair", [ProcedureDef("SP1", ProcedureKind.BORDER, ("a", "b"), body=body)]
+    )
+    return EngineSpec(
+        workflows=[w],
+        streams=[StreamDef("a", VAL_COLS), StreamDef("b", VAL_COLS)],
+        tables=[TableDef("out", VAL_COLS)],
+    )
+
+
+def test_round_waiting_in_feeder_slot_kept_and_recovered(tmp_path):
+    e = Engine(pair_spec(), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.WEAK, fsync=False)
+    for r in range(1, 5):
+        e.ingest_batch("a", one_row(r, 10 * r))
+        e.ingest_batch("b", one_row(r, r))
+    e.ingest_batch("a", one_row(5, 50))  # round 5 waits for b
+    e.ingest_batch("a", one_row(6, 60))
+    e.ingest_batch("b", one_row(6, 6))
+    e.run_until_idle()
+    assert out_values(e) == [11, 22, 33, 44, 66]
+    e.checkpoint()
+    assert e.completed_low_water() == 4
+    assert [b.batch_id for b in e.partition.input_cache.retained["a"]] == [5, 6]
+    e.crash()
+    r = recover(pair_spec(), str(tmp_path), fsync=False)
+    r.ingest_batch("b", one_row(5, 5))
+    assert r.completed_low_water() == 4  # round 5 is queued
+    r.run_until_idle()
+    assert out_values(r) == [11, 22, 33, 44, 55, 66]
+    assert r.completed_low_water() == 6
+    r.close()
+
+
+def test_queued_rounds_survive_two_crashes(tmp_path):
+    e = Engine(chain_spec(2), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.WEAK, fsync=False)
+    for r in range(1, 7):
+        e.ingest_batch("s1", one_row(r, 10 * r))
+        if r <= 3:
+            e.run_until_idle()
+    e.partition.log.flush()
+    e.crash()  # rounds 4-6 never ran
+    for _ in range(2):
+        r = recover(chain_spec(2), str(tmp_path), fsync=False)
+        assert len(r.partition.client_queue) == 3
+        r.crash()  # again before running them
+    r = recover(chain_spec(2), str(tmp_path), fsync=False)
+    r.run_until_idle()
+    assert out_values(r) == [10, 20, 30, 40, 50, 60]
+    r.close()
 
 
 # --- dispatch accounting ---
@@ -590,6 +687,7 @@ def test_nested_group_workload_recovers(tmp_path, mode):
     assert validate(
         r.committed_schedule, leaderboard_spec(4, 4, 6).workflows[0]
     ).correct
+    r.close()
 
 
 def test_mode_specific_recover_entry_points(tmp_path):
@@ -606,6 +704,7 @@ def test_mode_specific_recover_entry_points(tmp_path):
         recover_weak(chain_spec(2), str(tmp_path), fsync=False)
     r = recover_strong(chain_spec(2), str(tmp_path), fsync=False)
     assert r.partition.commit_seq == 2
+    r.close()
 
 
 def test_dispatch_count_formula():
@@ -628,6 +727,7 @@ def test_measured_dispatches_match_formula(tmp_path, mode):
     want = recovery_dispatch_count(mode, n, rounds)
     assert r.counters.replay_client_dispatches == want.client_path
     assert r.counters.replay_trigger_dispatches == want.trigger_path
+    r.close()
 
 
 # --- file formats and crash windows ---
@@ -640,6 +740,18 @@ def test_v1_log_header_rejected(tmp_path):
     path.write_bytes(LOG_MAGIC + struct.pack("<IBI", 1, RecoveryMode.STRONG.value, 0))
     with pytest.raises(CorruptLogRecord, match="^unsupported log version 1$"):
         read_log(str(path))
+
+
+def test_missing_log_rejected(tmp_path):
+    e = Engine(chain_spec(2), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.STRONG, fsync=False)
+    feed_rounds(e, [1, 2])
+    e.run_until_idle()
+    e.checkpoint()
+    e.close()
+    os.remove(tmp_path / LOG_FILE)
+    with pytest.raises(CorruptLogRecord, match="^missing command.log$"):
+        recover(chain_spec(2), str(tmp_path), fsync=False)
 
 
 @pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
@@ -700,3 +812,4 @@ def test_crash_inside_truncate_log_keeps_log(tmp_path, monkeypatch, mode):
     r = recover(chain_spec(2), str(tmp_path), fsync=False)
     r.run_until_idle()
     assert r.store.content_signature() == want
+    r.close()
