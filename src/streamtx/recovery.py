@@ -14,7 +14,8 @@ ends it.
 Border args are that batch encoding too. The input cache backs the
 weak-recovery upstream-backup scheme: every external batch is written there
 before its border execution runs. One ``fsync`` policy holds for both the
-log and the cache: with it on, an append is synced before it returns; with
+log and the cache: with it on, a new file's header and directory entry are
+synced when it is created and an append is synced before it returns; with
 it off, appends are flushed to the OS only. ``replace_file`` always syncs.
 """
 
@@ -75,6 +76,11 @@ def replace_file(path: str, data: bytes) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    _sync_dir(path)
+
+
+def _sync_dir(path: str) -> None:
+    """Sync the directory holding ``path``, so its entry survives a crash."""
     dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
     try:
         os.fsync(dir_fd)
@@ -83,7 +89,12 @@ def replace_file(path: str, data: bytes) -> None:
 
 
 class AppendFile:
-    """A file that starts with ``header`` and grows by appends."""
+    """A file that starts with ``header`` and grows by appends.
+
+    With ``fsync`` set, creating the file syncs the header and the
+    directory entry, so later synced appends are never orphaned by a
+    power loss that drops the new file itself.
+    """
 
     def __init__(self, path: str, header: bytes, fsync: bool):
         self.path = path
@@ -93,6 +104,9 @@ class AppendFile:
             if self._fh.tell() == 0:
                 self._fh.write(header)
                 self._fh.flush()
+                if fsync:
+                    os.fsync(self._fh.fileno())
+                    _sync_dir(path)
         except OSError as e:
             raise LogWriteFailure(str(e)) from e
 

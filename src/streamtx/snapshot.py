@@ -145,6 +145,7 @@ def restore_state(blob: bytes) -> tuple[Store, int, int]:
                 tab.events_emitted = emitted
                 tab.active, off = decode_rows(buf, off + 33, n_active)
                 tab.staged, off = decode_rows(buf, off, n_staged)
+                tab.recompute_sums()
             else:
                 raise CorruptSnapshot(f"unknown table kind {kind}")
     except (struct.error, ValueError, IndexError, KeyError) as e:

@@ -73,11 +73,14 @@ class Pred:
 
 @dataclass(frozen=True, slots=True)
 class FullWindowEvent:
-    """Emitted when a window completes a slide: the new active contents."""
+    """Emitted when a window completes a slide: the new active contents and
+    the running sum of each int column over them, as they stood at this
+    slide (one insert may fire several events before any trigger runs)."""
 
     window: str
     index: int
     tuples: tuple[Tuple, ...]
+    sums: dict[str, int]
 
 
 class _BaseTable:
@@ -178,7 +181,13 @@ class StreamTable(_BaseTable):
 
 
 class WindowTable(_BaseTable):
-    """Sliding window with staged (invisible) and active tuple sets."""
+    """Sliding window with staged (invisible) and active tuple sets.
+
+    ``sums`` keeps the exact sum of each int column over ``active``, updated
+    as tuples are admitted and expire, so count, sum and avg of a full window
+    cost O(1) per event. It is derived state: snapshots leave it out and
+    ``recompute_sums`` rebuilds it.
+    """
 
     kind = "window"
 
@@ -189,6 +198,15 @@ class WindowTable(_BaseTable):
         self.staged: list[Tuple] = []
         self.full_seen = False
         self.events_emitted = 0
+        self.int_cols = tuple(
+            (c.name, i) for i, c in enumerate(schema) if c.type is ScalarType.INT
+        )
+        self.recompute_sums()
+
+    def recompute_sums(self) -> None:
+        self.sums = {
+            name: sum(t.values[ci] for t in self.active) for name, ci in self.int_cols
+        }
 
 
 AnyTable = PublicTable | StreamTable | WindowTable
@@ -217,10 +235,18 @@ class UndoBuffer:
         """Remember one stream batch as it is before a write to it."""
         self._entries.append(("bat", s, batch_id, s.batches.get(batch_id, ())))
 
-    def record_window(self, w: WindowTable) -> None:
+    def record_window(self, w: WindowTable) -> list[Tuple]:
+        """Remember a window before an insert slides it, without copying its
+        active set. Returns the list the insert appends each expired tuple
+        to; rollback rebuilds the window from it."""
+        expired: list[Tuple] = []
         self._entries.append(
-            ("win", w, list(w.active), list(w.staged), w.full_seen, w.events_emitted)
+            (
+                "win", w, expired, len(w.active), list(w.staged),
+                w.full_seen, w.events_emitted, dict(w.sums),
+            )
         )
+        return expired
 
     def record_counter(self, s: StreamTable) -> None:
         self._entries.append(("ctr", s, s.next_tuple_id))
@@ -239,11 +265,15 @@ class UndoBuffer:
                 _, s, batch_id, tuples = entry
                 s.put_batch(batch_id, tuples)
             elif tag == "win":
-                _, w, active, staged, full_seen, emitted = entry
-                w.active = active
+                _, w, expired, n_active, staged, full_seen, emitted, sums = entry
+                # expired + active is the old active set followed by every
+                # tuple the insert admitted
+                del w.active[max(n_active - len(expired), 0) :]
+                w.active[:0] = expired[:n_active]
                 w.staged = staged
                 w.full_seen = full_seen
                 w.events_emitted = emitted
+                w.sums = sums
             elif tag == "ctr":
                 _, s, value = entry
                 s.next_tuple_id = value
@@ -507,34 +537,45 @@ class Store:
         Before the first full window, arrivals accumulate in staging; the
         first event fires once ``size`` tuples exist. Afterwards every
         ``slide`` staged tuples expire the oldest actives and fire an event.
-        A single large batch may fire several events.
+        A single large batch may fire several events. The running sums move
+        with each slide: admitted tuples are added, expired ones subtracted.
         """
         w = self.window(window)
         self._check_window_scope(w, accessor, round, write=True)
         tuples = list(tuples)
         for t in tuples:
             w.check_row(t)
-        undo.record_window(w)
+        expired = undo.record_window(w)
         w.staged.extend(tuples)
 
         size, slide = w.spec.size, w.spec.slide
+        active, staged, sums = w.active, w.staged, w.sums
         events: list[FullWindowEvent] = []
         while True:
             if not w.full_seen:
-                if len(w.active) + len(w.staged) < size:
+                if len(active) + len(staged) < size:
                     break
-                take = size - len(w.active)
-                w.active.extend(w.staged[:take])
-                del w.staged[:take]
+                admitted = staged[: size - len(active)]
+                gone: list[Tuple] = []
                 w.full_seen = True
             else:
-                if len(w.staged) < slide:
+                if len(staged) < slide:
                     break
-                del w.active[:slide]
-                w.active.extend(w.staged[:slide])
-                del w.staged[:slide]
+                admitted = staged[:slide]
+                gone = active[:slide]
+                del active[:slide]
+                expired += gone
+            del staged[: len(admitted)]
+            active += admitted
+            for name, ci in w.int_cols:
+                total = sums[name]
+                for t in admitted:
+                    total += t.values[ci]
+                for t in gone:
+                    total -= t.values[ci]
+                sums[name] = total
             events.append(
-                FullWindowEvent(w.name, w.events_emitted, tuple(w.active))
+                FullWindowEvent(w.name, w.events_emitted, tuple(active), dict(sums))
             )
             w.events_emitted += 1
         return events

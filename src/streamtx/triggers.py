@@ -240,9 +240,11 @@ class TriggerEngine:
         if trig is None:
             return
         for ev in events:
-            self._run_program(ctx, trig, ev.tuples, ctx.round)
+            self._run_program(ctx, trig, ev.tuples, ctx.round, ev.sums)
 
-    def _run_program(self, ctx, trig: StatementTrigger, tuples, batch_id: int):
+    def _run_program(
+        self, ctx, trig: StatementTrigger, tuples, batch_id: int, sums=None
+    ):
         for stmt in trig.program:
             ctx.count_statement()
             if isinstance(stmt, FilteredCopy):
@@ -259,10 +261,7 @@ class TriggerEngine:
             elif isinstance(stmt, WindowInsertStmt):
                 ctx.window_insert(stmt.window, tuples)
             elif isinstance(stmt, AggregateInsert):
-                tab = self.store.table(trig.source)
-                rows = aggregate_rows(
-                    list(tuples), tab, stmt.op, stmt.column, stmt.group_by
-                )
+                rows = self._aggregate(trig, stmt, tuples, sums)
                 dst = self.store.table(stmt.dst)
                 if isinstance(dst, StreamTable):
                     ctx.emit(stmt.dst, rows, _internal_batch_id=batch_id)
@@ -273,6 +272,24 @@ class TriggerEngine:
                 ctx.delete_batch(stmt.src, batch_id)
             else:
                 raise BadDefinition(f"unknown statement {stmt!r}")
+
+    def _aggregate(self, trig, stmt: AggregateInsert, tuples, sums) -> list[tuple]:
+        """Answer count, and sum/avg of an int column, from the window's
+        running sums. Everything else recomputes with ``aggregate_rows``:
+        float sums round differently once reassociated, and min/max and
+        group_by have no running form here."""
+        if sums is not None and stmt.group_by is None:
+            if stmt.op == "count":
+                return [(len(tuples),)]
+            total = sums.get(stmt.column)
+            if total is not None and stmt.op == "sum":
+                return [(total,)]
+            if total is not None and stmt.op == "avg":
+                return [(float(total) / len(tuples),)]
+        return aggregate_rows(
+            list(tuples), self.store.table(trig.source), stmt.op, stmt.column,
+            stmt.group_by,
+        )
 
     # --- procedure trigger firing (commit time) ---
 

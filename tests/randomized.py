@@ -1,16 +1,23 @@
-"""Random end-to-end run generator for the master schedule property."""
+"""Seeded random run generators: end-to-end workflows for the master
+schedule property, and window aggregates across aborts and a crash."""
 
 import random
 
-from streamtx.engine import Engine, EngineSpec, StreamDef, TableDef
+from oracles import sliding_window_events
+from streamtx.engine import Engine, EngineSpec, StreamDef, TableDef, recover
 from streamtx.errors import BadDefinition
 from streamtx.ingest import BatchingPolicy, StreamIngestor
 from streamtx.model import (
+    AtomicBatch,
     NestedGroup,
     ProcedureDef,
     ProcedureKind,
+    Tuple,
+    WindowSpec,
     register_workflow,
 )
+from streamtx.recovery import RecoveryMode
+from streamtx.triggers import AggregateInsert, StatementTrigger
 
 VAL_COLS = (("value", "int"),)
 
@@ -126,3 +133,118 @@ def random_run(seed: int):
             engine.run_until_idle()
     engine.run_until_idle()
     return engine, w
+
+
+# --- window aggregates ---
+
+WINDOW_COLS = (("i", "int"), ("f", "float"))
+WINDOW_AGGREGATES = (("count", "i"),) + tuple(
+    (op, col) for op in ("sum", "avg", "min", "max") for col in ("i", "f")
+)
+
+
+def _aggregate_stream(op: str, col: str) -> str:
+    return op if op == "count" else f"{op}_{col}"
+
+
+def window_aggregate_spec(size: int, slide: int, abort_rounds: set) -> EngineSpec:
+    """A border procedure owns window ``w`` and aborts after inserting in
+    ``abort_rounds``; every full window runs each aggregate into its own
+    output stream."""
+
+    def feeder(ctx):
+        ctx.window_insert("w", [t.values for t in ctx.input_tuples("s1")])
+        if ctx.round in abort_rounds:
+            ctx.abort("random abort")
+
+    w = register_workflow(
+        "win",
+        [
+            ProcedureDef(
+                "feeder",
+                ProcedureKind.BORDER,
+                ("s1",),
+                window_defs=(WindowSpec("w", size, slide, "feeder"),),
+                body=feeder,
+            )
+        ],
+    )
+    streams = [StreamDef("s1", WINDOW_COLS)]
+    for op, col in WINDOW_AGGREGATES:
+        out = "int" if op == "count" or (col == "i" and op != "avg") else "float"
+        streams.append(StreamDef(_aggregate_stream(op, col), (("v", out),)))
+    program = tuple(
+        AggregateInsert("w", _aggregate_stream(op, col), op, col)
+        for op, col in WINDOW_AGGREGATES
+    )
+    return EngineSpec(
+        workflows=[w],
+        streams=streams,
+        window_columns={"w": WINDOW_COLS},
+        statement_triggers=[StatementTrigger("w", program)],
+    )
+
+
+def _recompute(op: str, vals: list):
+    if op == "count":
+        return len(vals)
+    if op == "sum":
+        return sum(vals)
+    if op == "avg":
+        return float(sum(vals)) / len(vals)
+    return min(vals) if op == "min" else max(vals)
+
+
+def random_window_run(seed: int, data_dir: str) -> tuple[dict, dict]:
+    """One seeded window run with random size, slide, batchings and aborts,
+    a strong checkpoint and then a crash and ``recover()`` at random rounds.
+
+    Returns (got, want): each aggregate stream's values, and the same
+    aggregates recomputed in plain Python over the committed rounds' tuples.
+    """
+    rng = random.Random(seed)
+    size = rng.randint(1, 12)
+    slide = rng.randint(1, size)
+    rounds = rng.randint(1, 30)
+    abort_rounds = {r for r in range(1, rounds + 1) if rng.random() < 0.2}
+    checkpoint_at, crash_at = sorted(rng.randint(1, rounds) for _ in range(2))
+    spec = window_aggregate_spec(size, slide, abort_rounds)
+    args = dict(group_commit_max_batch=1, fsync=False)
+    engine = Engine(spec, data_dir=data_dir, recovery_mode=RecoveryMode.STRONG, **args)
+    committed = []
+    next_id = 1
+    for r in range(1, rounds + 1):
+        rows = [
+            (rng.randint(-50, 50), rng.uniform(-10.0, 10.0))
+            for _ in range(rng.randint(1, 5))
+        ]
+        tuples = tuple(
+            Tuple(v, tuple_id=next_id + k, batch_id=r) for k, v in enumerate(rows)
+        )
+        next_id += len(rows)
+        engine.ingest_batch("s1", AtomicBatch(r, tuples))
+        engine.run_until_idle()
+        if r not in abort_rounds:
+            committed += rows
+        if r == checkpoint_at:
+            engine.checkpoint()
+        if r == crash_at:
+            engine.crash()
+            engine = recover(spec, data_dir, **args)
+            engine.run_until_idle()
+    got = {
+        _aggregate_stream(op, col): [
+            t.values[0] for t in engine.store.stream(_aggregate_stream(op, col)).rows
+        ]
+        for op, col in WINDOW_AGGREGATES
+    }
+    engine.close()
+    windows = sliding_window_events(committed, size, slide)
+    names = [name for name, _ in WINDOW_COLS]
+    want = {
+        _aggregate_stream(op, col): [
+            _recompute(op, [row[names.index(col)] for row in win]) for win in windows
+        ]
+        for op, col in WINDOW_AGGREGATES
+    }
+    return got, want

@@ -11,6 +11,7 @@ prefix of a program's file operations.
 import dataclasses
 import gc
 import os
+import stat
 
 import pytest
 
@@ -156,9 +157,20 @@ def test_recovery_at_every_crash_point(tmp_path, mode):
 def test_log_and_cache_follow_one_fsync_policy(tmp_path, monkeypatch, mode, fsync):
     synced = []
     real_fsync = os.fsync
-    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+
+    def fsync_by_kind(fd):
+        synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync_by_kind)
     e = Engine(chain_spec(N_PROCS), data_dir=str(tmp_path), recovery_mode=mode,
                group_commit_max_batch=8, group_commit_max_delay=3600, fsync=fsync)
+    # each new file, the log and in weak mode the cache, is synced and then
+    # its directory entry, or a power loss could drop a log whose later
+    # appends were synced
+    new_files = 2 if mode is RecoveryMode.WEAK else 1
+    assert synced == (["file", "dir"] * new_files if fsync else [])
+    synced.clear()
     rounds = 40
     feed(e, 1, rounds)
     flushes = e.counters.sync_count

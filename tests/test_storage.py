@@ -278,11 +278,18 @@ def build_random_store(rng):
     return store
 
 
+def window_fields(w):
+    """A window's whole state, running sums included (snapshots omit them)."""
+    return (
+        list(w.active), list(w.staged), w.full_seen, w.events_emitted, dict(w.sums)
+    )
+
+
 def test_undo_restores_everything_bit_exact():
     rng = random.Random(2024)
     for case in range(1000):
         store = build_random_store(rng)
-        before = snapshot_state(store)
+        before = snapshot_state(store), window_fields(store.window("w"))
         undo = UndoBuffer()
         first_bid = next_bid = (max(store.stream("s").pending_batches(), default=0)) + 1
 
@@ -324,7 +331,23 @@ def test_undo_restores_everything_bit_exact():
             elif op == 6:
                 store.delete_where("s", Pred("value", "<", rng.randint(0, 9)), undo)
         undo.rollback()
-        assert snapshot_state(store) == before, f"case {case} diverged"
+        after = snapshot_state(store), window_fields(store.window("w"))
+        assert after == before, f"case {case} diverged"
+
+    # one insert that fills a window three tuples short of full, then slides
+    # it four times, so some of its own tuples expire again
+    store = Store()
+    store.create_window(WindowSpec("w", 4, 2, "sp"), VAL)
+    w = store.window("w")
+    store.window_insert("w", [Tuple((v,)) for v in (5, 6, 7)], UndoBuffer(), "sp")
+    before = snapshot_state(store), window_fields(w)
+    undo = UndoBuffer()
+    events = store.window_insert(
+        "w", [Tuple((v,)) for v in range(10, 20)], undo, accessor="sp"
+    )
+    assert len(events) == 5 and len(w.staged) == 1 and w.sums == {"value": 66}
+    undo.rollback()
+    assert (snapshot_state(store), window_fields(w)) == before
 
 
 def test_delete_then_rollback_bit_equal(store):

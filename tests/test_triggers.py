@@ -13,6 +13,7 @@ from streamtx.model import (
 )
 from streamtx.snapshot import snapshot_state
 from streamtx.storage import Pred, Store
+from randomized import random_window_run
 from streamtx.triggers import (
     AggregateInsert,
     DeleteBatch,
@@ -340,3 +341,12 @@ def test_same_te_property_trigger_writes_share_fate():
         else:
             assert after != before
             assert len(e.store.stream("s3").rows) == 3
+
+
+def test_window_aggregates_match_recompute_randomized(tmp_path):
+    """Every aggregate over int and float window columns equals a plain
+    recompute over the committed rounds, across aborts after a window insert,
+    a checkpoint and a crash with recovery."""
+    for seed in range(200):
+        got, want = random_window_run(seed, str(tmp_path / str(seed)))
+        assert got == want, f"seed {seed}"
