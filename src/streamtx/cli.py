@@ -2,12 +2,11 @@
 
     streamtx bench <ee|pe|window|leaderboard|recovery|scaling> --config F
     streamtx validate --schedule F --workflow F
-    streamtx recover --log P --workflow F [--snapshot P] [--input-cache P]
+    streamtx recover --log P --workflow F
     streamtx run --config F [--rate R] [--batch-size N] [--batch-by-ts]
 
-``recover`` reads snapshots and the input cache from the log's directory;
-``--snapshot`` and ``--input-cache`` are informational. Exit code 0 means
-every embedded assertion held.
+``recover`` reads snapshots and the input cache from the log's directory.
+Exit code 0 means every embedded assertion held.
 """
 
 from __future__ import annotations
@@ -235,9 +234,7 @@ def main(argv=None) -> int:
     v.set_defaults(fn=cmd_validate)
 
     r = sub.add_parser("recover", help="recover an engine from its files")
-    r.add_argument("--snapshot", help="snapshot path (informational; the log's directory is scanned)")
     r.add_argument("--log", required=True)
-    r.add_argument("--input-cache", dest="input_cache")
     r.add_argument("--workflow", required=True, help="workload config file")
     r.set_defaults(fn=cmd_recover)
 

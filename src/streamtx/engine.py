@@ -160,8 +160,10 @@ class Engine:
             schedule_capacity=schedule_capacity,
             post_commit_hook=post_commit_hook,
         )
-        # border procedures whose round is waiting for more input streams
-        self._feeder_pending: dict[str, dict[int, dict[str, AtomicBatch]]] = {}
+        # border -> round -> (its batches so far, its ticket), for rounds that
+        # miss a batch or wait behind a lower round
+        self._feeder_pending: dict[str, dict[int, tuple[dict, Ticket]]] = {}
+        self._released: dict[str, int] = {}  # border -> last round submitted
         self._border_for_stream: dict[str, str] = {}
         for w in spec.workflows:
             produced = {e.stream for e in w.edges}
@@ -196,32 +198,54 @@ class Engine:
     ) -> Optional[Ticket]:
         """Hand one external batch to its border procedure.
 
-        Encoding checks the values before anything keeps the batch; it then
-        lands in the input cache (written to its file in weak mode), so an
-        unacknowledged round survives a crash. Returns the round's ticket once
-        every input stream of the border procedure has its batch.
+        A border runs its rounds in increasing order: a round with every
+        input batch is submitted once no lower round waits for one, and a
+        batch for a round already submitted or consumed, or a second one from
+        a stream, raises ``BadDefinition``. Encoding checks the values before
+        anything keeps the batch; it then lands in the input cache (written
+        to its file in weak mode), so an unacknowledged round survives a
+        crash. The call that completes a round returns its ticket, even
+        while the round waits; earlier calls return None.
         """
         if self.partition.stopped:
             raise EngineStopped("partition is stopped")
         proc_name = self._border_for_stream.get(stream)
         if proc_name is None:
             raise BadDefinition(f"stream {stream} is not a border input")
+        round_ = batch.batch_id
+        slot = self._feeder_pending.get(proc_name, {}).get(round_)
+        if slot is not None and stream in slot[0]:
+            raise BadDefinition(f"{proc_name} round {round_} already has {stream}")
+        if slot is None and round_ <= max(
+            self._released.get(proc_name, 0),
+            self.partition.store.stream(stream).last_consumed_batch,
+        ):
+            raise BadDefinition(f"{proc_name} already took round {round_}")
         args = batches_to_args({stream: batch})
         if not resubmit:
             p = self.partition
             p.fail_stop(p.input_cache.append, stream, batch, args)
-        proc = self.catalog.procedure(proc_name)
         pending = self._feeder_pending.setdefault(proc_name, {})
-        slot = pending.setdefault(batch.batch_id, {})
-        slot[stream] = batch
-        if len(slot) < len(proc.stream_inputs):
+        if slot is None:
+            slot = pending[round_] = ({}, Ticket())
+        batches, ticket = slot
+        batches[stream] = batch
+        n_inputs = len(self.catalog.procedure(proc_name).stream_inputs)
+        if len(batches) < n_inputs:
             return None
-        del pending[batch.batch_id]
-        self._backpressure()
-        if len(slot) > 1:
-            args = batches_to_args(slot)
-        req = TERequest(proc_name, batch.batch_id, args, Origin.CLIENT)
-        return self.partition.submit_client(req)
+        while pending:
+            low = min(pending)
+            ready, low_ticket = pending[low]
+            if len(ready) < n_inputs:
+                break
+            del pending[low]
+            self._released[proc_name] = low
+            self._backpressure()
+            if n_inputs > 1:
+                args = batches_to_args(ready)
+            req = TERequest(proc_name, low, args, Origin.CLIENT, low_ticket)
+            self.partition.submit_client(req)
+        return ticket
 
     def _backpressure(self) -> None:
         depth = len(self.partition.client_queue) + len(self.partition.fast_track)
@@ -266,7 +290,8 @@ class Engine:
         )
 
     def checkpoint(self) -> str:
-        """Quiesce, write a snapshot, truncate the log, trim the cache."""
+        """Quiesce, write a snapshot, truncate the log, and compact the input
+        cache to the rounds whose border has not run."""
         if self.data_dir is None:
             raise BadDefinition("checkpoint needs a data directory")
         self.drain_and_quiesce()  # also flushes the log
@@ -282,29 +307,19 @@ class Engine:
                 self.partition_id,
             )
             self.partition.log.reopen()
-        self.partition.input_cache.trim(self.completed_low_water())
-        self.partition.input_cache.compact()
+        # with the fast track drained, a border round has not run exactly
+        # when it is queued or held in a feeder slot
+        waiting = {(q.proc, q.round) for q in self.partition.client_queue}
+        waiting.update((b, r) for b, rs in self._feeder_pending.items() for r in rs)
+        cache = self.partition.input_cache
+        cache.retained = {
+            s: [b for b in bs if (self._border_for_stream[s], b.batch_id) in waiting]
+            for s, bs in cache.retained.items()
+        }
+        cache.compact()
         for _, name in _snapshots(self.data_dir)[:-KEEP_SNAPSHOTS]:
             os.remove(os.path.join(self.data_dir, name))
         return path
-
-    def completed_low_water(self) -> int:
-        """Highest round r such that every round <= r has finished: each
-        border has consumed past it, and no round at or below it waits in a
-        queue, in a feeder slot or as a pending interior batch. Read from
-        that state at call time; 0 without border procedures."""
-        p = self.partition
-        mark = min(
-            (self.store.stream(s).last_consumed_batch for s in self._border_for_stream),
-            default=0,
-        )
-        waiting = {req.round for req in p.client_queue}
-        waiting.update(req.round for req in p.fast_track)
-        for slots in self._feeder_pending.values():
-            waiting.update(slots)
-        for s in self.catalog.consumers:
-            waiting.update(self.store.stream(s).pending_batches())
-        return min([mark] + [r - 1 for r in waiting if r > 0])
 
     def crash(self) -> None:
         """Die without flushing anything buffered, like a power failure."""
@@ -453,23 +468,12 @@ def _replay_weak(engine: Engine, records, snapshot_seq: int, data_dir: str) -> N
             p.run_until_idle()
     finally:
         p._replaying = False
-    # re-submit the cached batches whose border execution never committed:
-    # rounds past what the border consumed, and rounds still missing an input
-    # (their feeder slot was waiting); the checkpoint then sees them waiting
+    # a border runs its rounds in order, so the cached batches it never
+    # committed are exactly those above what its streams consumed
     cached = read_input_cache(os.path.join(data_dir, CACHE_FILE))
-    arrived: dict[tuple[str, int], set[str]] = {}
-    for s, bs in cached.items():
-        for b in bs:
-            arrived.setdefault((engine._border_for_stream[s], b.batch_id), set()).add(s)
-
-    def unfinished(stream: str, batch: AtomicBatch) -> bool:
-        border = engine.catalog.procedure(engine._border_for_stream[stream])
-        return batch.batch_id > engine.store.stream(stream).last_consumed_batch or (
-            len(arrived[border.name, batch.batch_id]) < len(border.stream_inputs)
-        )
-
     p.input_cache.retained = {
-        s: [b for b in bs if unfinished(s, b)] for s, bs in cached.items()
+        s: [b for b in bs if b.batch_id > engine.store.stream(s).last_consumed_batch]
+        for s, bs in cached.items()
     }
     for stream in sorted(p.input_cache.retained):
         for batch in p.input_cache.retained[stream]:

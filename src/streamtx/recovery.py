@@ -266,9 +266,9 @@ def truncate_log(path: str, mode: RecoveryMode, partition_id: int) -> None:
 class InputCache:
     """Retained external batches, written before the border runs (weak mode).
 
-    Only a cache with a file retains anything. A batch may be trimmed only
-    once every execution of its round finished; the caller computes that
-    low-water round.
+    Only a cache with a file retains anything. A checkpoint sets
+    ``retained`` to the batches of the rounds whose border has not run and
+    calls ``compact``; in between, every appended batch is kept.
     """
 
     path: Optional[str] = None
@@ -286,15 +286,6 @@ class InputCache:
             return
         self.retained.setdefault(stream, []).append(batch)
         self._file.append(frame(payload))
-
-    def trim(self, low_water: int) -> int:
-        """Drop retained batches with round <= low_water; returns how many."""
-        removed = 0
-        for stream, batches in self.retained.items():
-            keep = [b for b in batches if b.batch_id > low_water]
-            removed += len(batches) - len(keep)
-            self.retained[stream] = keep
-        return removed
 
     def compact(self) -> None:
         """Rewrite the durable file to hold only still-retained batches."""

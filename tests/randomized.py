@@ -1,5 +1,6 @@
 """Seeded random run generators: end-to-end workflows for the master
-schedule property, and window aggregates across aborts and a crash."""
+schedule property, window aggregates across aborts and a crash, and a
+two-input border across arrival orders, checkpoints and crashes."""
 
 import random
 
@@ -17,6 +18,7 @@ from streamtx.model import (
     register_workflow,
 )
 from streamtx.recovery import RecoveryMode
+from streamtx.validator import validate
 from streamtx.triggers import AggregateInsert, StatementTrigger
 
 VAL_COLS = (("value", "int"),)
@@ -248,3 +250,97 @@ def random_window_run(seed: int, data_dir: str) -> tuple[dict, dict]:
         for op, col in WINDOW_AGGREGATES
     }
     return got, want
+
+
+# --- a two-input border under weak recovery ---
+
+PAIR_OUT_COLS = (("round", "int"), ("value", "int"))
+
+
+def pair_chain_spec() -> EngineSpec:
+    """Border SP1 takes one batch from each of ``a`` and ``b`` per round and
+    emits ``(round, a + b)``; interior SP2 records it in ``out``."""
+
+    def join(ctx):
+        a, b = (ctx.input_tuples(s)[0].values[0] for s in ("a", "b"))
+        ctx.emit("ab", [(ctx.round, a + b)])
+
+    def record(ctx):
+        for t in ctx.input_tuples("ab"):
+            ctx.insert("out", t.values)
+
+    w = register_workflow(
+        "pair",
+        [
+            ProcedureDef("SP1", ProcedureKind.BORDER, ("a", "b"), body=join),
+            ProcedureDef("SP2", ProcedureKind.INTERIOR, ("ab",), body=record),
+        ],
+        [("SP1", "ab", "SP2")],
+    )
+    return EngineSpec(
+        workflows=[w],
+        streams=[
+            StreamDef("a", VAL_COLS),
+            StreamDef("b", VAL_COLS),
+            StreamDef("ab", PAIR_OUT_COLS),
+        ],
+        tables=[TableDef("out", PAIR_OUT_COLS)],
+    )
+
+
+def random_pair_run(seed: int, data_dir: str) -> tuple[list, list, list]:
+    """One seeded weak-mode run of ``pair_chain_spec`` over random batch ids:
+    the ``a`` and ``b`` batches arrive in a random order in which later
+    rounds can complete before earlier ones, with random pumping,
+    checkpoints and group-commit size, and the engine crashes and recovers
+    at one or two random points, then takes the rest of the feed.
+
+    Returns (got, want, violations): the ``out`` rows, one ``(round, a + b)``
+    per round, and the validator violations of every engine's schedule.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    ids = sorted(rng.sample(range(1, 2 * n + 1), n))  # batch ids may skip
+    values = {s: {r: rng.randint(0, 99) for r in ids} for s in "ab"}
+    # each round's first batch comes in round order, from either stream; its
+    # second may come any time later, so later rounds can complete first
+    arrivals, halves, fresh = [], [], list(ids)
+    while fresh or halves:
+        if fresh and (not halves or rng.random() < 0.5):
+            r = fresh.pop(0)
+            s = rng.choice("ab")
+            arrivals.append((s, r))
+            halves.append(("b" if s == "a" else "a", r))
+        else:
+            arrivals.append(halves.pop(rng.randrange(len(halves))))
+    crash_at = set(rng.sample(range(len(arrivals) + 1), rng.randint(1, 2)))
+    spec = pair_chain_spec()
+    args = dict(
+        group_commit_max_batch=rng.randint(1, 4),
+        group_commit_max_delay=3600,
+        fsync=False,
+    )
+    engine = Engine(spec, data_dir=data_dir, recovery_mode=RecoveryMode.WEAK, **args)
+    violations = []
+    for i in range(len(arrivals) + 1):
+        if i in crash_at:
+            violations += validate(engine.committed_schedule, spec.workflows[0]).violations
+            engine.crash()
+            engine = recover(spec, data_dir, **args)
+            if rng.random() < 0.5:
+                engine.run_until_idle()
+        if i == len(arrivals):
+            break
+        s, r = arrivals[i]
+        row = Tuple((values[s][r],), tuple_id=r, batch_id=r)
+        engine.ingest_batch(s, AtomicBatch(r, (row,)))
+        if rng.random() < 0.5:
+            engine.run_until_idle()
+        if rng.random() < 0.2:
+            engine.checkpoint()
+    engine.run_until_idle()
+    violations += validate(engine.committed_schedule, spec.workflows[0]).violations
+    got = sorted(t.values for t in engine.store.table("out").rows)
+    engine.close()
+    want = [(r, values["a"][r] + values["b"][r]) for r in ids]
+    return got, want, violations

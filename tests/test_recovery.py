@@ -3,6 +3,7 @@ import struct
 
 import pytest
 
+from randomized import random_pair_run
 from streamtx.engine import (
     CACHE_FILE,
     LOG_FILE,
@@ -13,7 +14,12 @@ from streamtx.engine import (
     latest_valid_snapshot,
     recover,
 )
-from streamtx.errors import CorruptLogRecord, ReplayDivergence, TypeMismatch
+from streamtx.errors import (
+    BadDefinition,
+    CorruptLogRecord,
+    ReplayDivergence,
+    TypeMismatch,
+)
 from streamtx.executor import args_to_batches
 from streamtx.ingest import BatchingPolicy, FeedSource, StreamIngestor, ingest
 from streamtx.model import (
@@ -34,6 +40,7 @@ from streamtx.recovery import (
     recovery_dispatch_count,
 )
 from streamtx.snapshot import snapshot_state
+from streamtx.storage import Pred
 from streamtx.validator import validate
 
 VAL_COLS = (("value", "int"),)
@@ -457,8 +464,8 @@ def test_weak_replays_oltp_interleaved(tmp_path):
 
 
 def test_trim_proceeds_past_aborted_group_round(tmp_path):
-    # a round dropped by an interior abort inside a group still counts as
-    # finished for input-cache trimming
+    # a round dropped by an interior abort inside a group has run: the
+    # checkpoint keeps none of its input
     from streamtx.model import NestedGroup
 
     def b1(ctx):
@@ -488,8 +495,9 @@ def test_trim_proceeds_past_aborted_group_round(tmp_path):
     feed_rounds(e, [10, 20, 30])
     e.run_until_idle()
     assert e.counters.te_aborted == 1
-    assert e.completed_low_water() == 3
-    assert e.partition.input_cache.trim(3) == 3
+    e.checkpoint()
+    assert e.partition.input_cache.retained == {"s1": []}
+    assert read_input_cache(str(tmp_path / CACHE_FILE)) == {}
     e.close()
 
 
@@ -520,21 +528,7 @@ def test_weak_single_procedure_equals_strong(tmp_path):
     assert results[RecoveryMode.STRONG] == results[RecoveryMode.WEAK]
 
 
-# --- input cache trimming ---
-
-
-def test_trim_after_full_rounds(tmp_path):
-    e = Engine(chain_spec(2), data_dir=str(tmp_path),
-               recovery_mode=RecoveryMode.WEAK, fsync=False)
-    feed_rounds(e, [1, 2, 3, 4, 5])
-    e.run_until_idle()
-    cache = e.partition.input_cache
-    assert sum(len(v) for v in cache.retained.values()) == 5
-    low = e.completed_low_water()
-    assert low == 5
-    assert cache.trim(low) == 5
-    assert cache.trim(low) == 0  # idempotent
-    e.close()
+# --- input cache retention ---
 
 
 def test_trim_stops_at_pending_interior(tmp_path):
@@ -549,22 +543,34 @@ def test_trim_stops_at_pending_interior(tmp_path):
     ing.push((6,))
     e.run_until_idle()
     assert e.store.stream("s2").pending_batches() == [6]
-    assert e.completed_low_water() == 5
-    assert e.partition.input_cache.trim(e.completed_low_water()) == 5
-    assert [b.batch_id for b in e.partition.input_cache.retained["s1"]] == [6]
-    e.close()
+    # the border ran round 6, so the cache keeps none of it: the parked
+    # interior batch is in the snapshot
+    e.checkpoint()
+    assert e.partition.input_cache.retained == {"s1": []}
+    assert read_input_cache(str(tmp_path / CACHE_FILE)) == {}
+    e.crash()
+    r = recover(chain_spec(2), str(tmp_path), fsync=False)
+    r.run_until_idle()
+    tes = [(te.procedure, te.round) for te in r.committed_schedule]
+    assert tes == [("SP2", 6)]
+    assert out_values(r) == [1, 2, 3, 4, 5, 6]
+    r.close()
 
 
 def test_round_bookkeeping_bounded_by_checkpoints(tmp_path):
     e = Engine(chain_spec(2), data_dir=str(tmp_path),
-               recovery_mode=RecoveryMode.STRONG, fsync=False)
+               recovery_mode=RecoveryMode.WEAK, fsync=False)
     ing = StreamIngestor(e, "s1", BatchingPolicy("fixed_count", 1))
+    cache = e.partition.input_cache
     for n in (50, 200):
         for _ in range(n):
             ing.push((1,))
             e.run_until_idle()
+        assert len(cache.retained["s1"]) == n
         e.checkpoint()
-    assert e.completed_low_water() == 250
+        assert cache.retained == {"s1": []}
+        assert read_input_cache(str(tmp_path / CACHE_FILE)) == {}
+    assert e._feeder_pending == {"SP1": {}}
     e.close()
 
 
@@ -577,16 +583,20 @@ def out_values(engine):
 
 
 def test_checkpoint_trims_past_batch_id_gap(tmp_path):
-    e = Engine(chain_spec(2), data_dir=str(tmp_path),
-               recovery_mode=RecoveryMode.WEAK, fsync=False)
-    for r in [1, 2, *range(5, 41)]:
-        e.ingest_batch("s1", one_row(r, r))
-        e.run_until_idle()
-    e.checkpoint()
-    assert e.partition.input_cache.retained == {"s1": []}
-    assert read_input_cache(str(tmp_path / CACHE_FILE)) == {}
-    assert e.completed_low_water() == 40
-    e.close()
+    for name, rounds in [("full", range(1, 6)), ("gap", [1, 2, *range(5, 41)])]:
+        d = tmp_path / name
+        e = Engine(chain_spec(2), data_dir=str(d),
+                   recovery_mode=RecoveryMode.WEAK, fsync=False)
+        for r in rounds:
+            e.ingest_batch("s1", one_row(r, r))
+            e.run_until_idle()
+        assert [b.batch_id for b in e.partition.input_cache.retained["s1"]] == list(rounds)
+        e.checkpoint()
+        assert e.partition.input_cache.retained == {"s1": []}
+        assert read_input_cache(str(d / CACHE_FILE)) == {}
+        e.checkpoint()  # nothing left to drop
+        assert e.partition.input_cache.retained == {"s1": []}
+        e.close()
 
 
 def pair_spec():
@@ -614,20 +624,125 @@ def test_round_waiting_in_feeder_slot_kept_and_recovered(tmp_path):
         e.ingest_batch("b", one_row(r, r))
     e.ingest_batch("a", one_row(5, 50))  # round 5 waits for b
     e.ingest_batch("a", one_row(6, 60))
-    e.ingest_batch("b", one_row(6, 6))
+    t6 = e.ingest_batch("b", one_row(6, 6))  # complete, but behind round 5
     e.run_until_idle()
-    assert out_values(e) == [11, 22, 33, 44, 66]
+    assert out_values(e) == [11, 22, 33, 44]
+    assert t6 is not None and not t6.done
     e.checkpoint()
-    assert e.completed_low_water() == 4
-    assert [b.batch_id for b in e.partition.input_cache.retained["a"]] == [5, 6]
+    retained = e.partition.input_cache.retained
+    assert [b.batch_id for b in retained["a"]] == [5, 6]
+    assert [b.batch_id for b in retained["b"]] == [6]
+    cached = read_input_cache(str(tmp_path / CACHE_FILE))
+    assert {s: [b.batch_id for b in bs] for s, bs in cached.items()} == {
+        "a": [5, 6], "b": [6]
+    }
     e.crash()
     r = recover(pair_spec(), str(tmp_path), fsync=False)
     r.ingest_batch("b", one_row(5, 5))
-    assert r.completed_low_water() == 4  # round 5 is queued
     r.run_until_idle()
     assert out_values(r) == [11, 22, 33, 44, 55, 66]
-    assert r.completed_low_water() == 6
+    assert validate(r.committed_schedule, pair_spec().workflows[0]).correct
     r.close()
+
+
+def test_weak_recovers_round_queued_before_crash(tmp_path):
+    # round 5 is complete and queued, round 6 behind it, when the engine dies
+    e = Engine(pair_spec(), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.WEAK, fsync=False)
+    for r in range(1, 5):
+        e.ingest_batch("a", one_row(r, 10 * r))
+        e.ingest_batch("b", one_row(r, r))
+    e.ingest_batch("a", one_row(5, 50))
+    e.ingest_batch("a", one_row(6, 60))
+    e.ingest_batch("b", one_row(6, 6))
+    e.run_until_idle()
+    e.checkpoint()
+    e.ingest_batch("b", one_row(5, 5))
+    assert ("SP1", 5) in [(q.proc, q.round) for q in e.partition.client_queue]
+    e.partition.log.flush()
+    e.crash()
+    r = recover(pair_spec(), str(tmp_path), fsync=False)
+    r.run_until_idle()
+    assert out_values(r) == [11, 22, 33, 44, 55, 66]
+    assert validate(r.committed_schedule, pair_spec().workflows[0]).correct
+    r.close()
+
+
+def test_border_runs_rounds_in_order():
+    e = Engine(pair_spec())
+    e.ingest_batch("a", one_row(1, 10))
+    for r in (3, 2):  # rounds 2 and 3 complete while round 1 waits
+        e.ingest_batch("a", one_row(r, 10 * r))
+        e.ingest_batch("b", one_row(r, r))
+    e.run_until_idle()
+    assert len(e.committed_schedule) == 0
+    e.ingest_batch("b", one_row(1, 1))
+    e.run_until_idle()
+    assert [te.round for te in e.committed_schedule] == [1, 2, 3]
+    assert validate(e.committed_schedule, pair_spec().workflows[0]).correct
+
+
+def seen_spec():
+    """Border SP1 records each value in ``seen`` and aborts on a repeat; the
+    OLTP procedure Clear empties ``seen``."""
+
+    def body(ctx):
+        for t in ctx.input_tuples("s1"):
+            if ctx.select("seen", Pred("value", "==", t.values[0])):
+                ctx.abort("seen before")
+            ctx.insert("seen", (t.values[0],))
+
+    def clear(ctx):
+        ctx.delete("seen", None)
+
+    border = register_workflow(
+        "dedup", [ProcedureDef("SP1", ProcedureKind.BORDER, ("s1",), body=body)]
+    )
+    ops = register_workflow(
+        "ops", [ProcedureDef("Clear", ProcedureKind.OLTP, body=clear)]
+    )
+    return EngineSpec(
+        workflows=[border, ops],
+        streams=[StreamDef("s1", VAL_COLS)],
+        tables=[TableDef("seen", VAL_COLS)],
+    )
+
+
+def test_acknowledged_abort_not_rerun_after_checkpoint(tmp_path):
+    e = Engine(seen_spec(), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.WEAK, fsync=False)
+    t1, t2 = feed_rounds(e, [7, 7])
+    e.run_until_idle()
+    assert t1.committed and t2.outcome == "aborted" and t2.acknowledged
+    e.checkpoint()
+    e.await_ticket(e.call_oltp("Clear"))
+    assert e.store.table("seen").rows == []
+    e.crash()
+    r = recover(seen_spec(), str(tmp_path), fsync=False)
+    r.run_until_idle()
+    assert r.store.table("seen").rows == []
+    r.close()
+
+
+@pytest.mark.parametrize("case", ["consumed", "queued", "same_slot"])
+def test_rejects_batch_border_already_took(tmp_path, case):
+    spec = pair_spec() if case == "same_slot" else chain_spec(2)
+    first = "a" if case == "same_slot" else "s1"
+    e = Engine(spec, data_dir=str(tmp_path), recovery_mode=RecoveryMode.WEAK,
+               fsync=False)
+    e.ingest_batch(first, one_row(1, 10))
+    if case == "consumed":
+        e.run_until_idle()
+    with pytest.raises(BadDefinition, match="round 1"):
+        e.ingest_batch(first, one_row(1, 20))
+    if case == "same_slot":
+        e.ingest_batch("b", one_row(1, 1))
+    e.run_until_idle()
+    assert out_values(e) == [10 if case != "same_slot" else 11]
+    assert validate(e.committed_schedule, spec.workflows[0]).correct
+    e.close()
+    cached = read_input_cache(str(tmp_path / CACHE_FILE))
+    assert [b.tuples[0].values for b in cached[first]] == [(10,)]
 
 
 def test_queued_rounds_survive_two_crashes(tmp_path):
@@ -647,6 +762,16 @@ def test_queued_rounds_survive_two_crashes(tmp_path):
     r.run_until_idle()
     assert out_values(r) == [10, 20, 30, 40, 50, 60]
     r.close()
+
+
+def test_weak_two_input_border_randomized(tmp_path):
+    """Whatever the arrival order of a two-input border's batches, and
+    wherever checkpoints and crashes fall, every round reaches ``out``
+    exactly once and every engine's schedule validates."""
+    for seed in range(200):
+        got, want, violations = random_pair_run(seed, str(tmp_path / str(seed)))
+        assert got == want, f"seed {seed}"
+        assert violations == [], f"seed {seed}"
 
 
 # --- dispatch accounting ---
