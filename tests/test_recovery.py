@@ -582,21 +582,27 @@ def out_values(engine):
     return sorted(t.values[0] for t in engine.store.table("out").rows)
 
 
+def assert_checkpoint_trims(tmp_path, rounds):
+    e = Engine(chain_spec(2), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.WEAK, fsync=False)
+    for r in rounds:
+        e.ingest_batch("s1", one_row(r, r))
+        e.run_until_idle()
+    assert [b.batch_id for b in e.partition.input_cache.retained["s1"]] == list(rounds)
+    e.checkpoint()
+    assert e.partition.input_cache.retained == {"s1": []}
+    assert read_input_cache(str(tmp_path / CACHE_FILE)) == {}
+    e.checkpoint()  # nothing left to drop
+    assert e.partition.input_cache.retained == {"s1": []}
+    e.close()
+
+
+def test_trim_after_full_rounds(tmp_path):
+    assert_checkpoint_trims(tmp_path, range(1, 6))
+
+
 def test_checkpoint_trims_past_batch_id_gap(tmp_path):
-    for name, rounds in [("full", range(1, 6)), ("gap", [1, 2, *range(5, 41)])]:
-        d = tmp_path / name
-        e = Engine(chain_spec(2), data_dir=str(d),
-                   recovery_mode=RecoveryMode.WEAK, fsync=False)
-        for r in rounds:
-            e.ingest_batch("s1", one_row(r, r))
-            e.run_until_idle()
-        assert [b.batch_id for b in e.partition.input_cache.retained["s1"]] == list(rounds)
-        e.checkpoint()
-        assert e.partition.input_cache.retained == {"s1": []}
-        assert read_input_cache(str(d / CACHE_FILE)) == {}
-        e.checkpoint()  # nothing left to drop
-        assert e.partition.input_cache.retained == {"s1": []}
-        e.close()
+    assert_checkpoint_trims(tmp_path, [1, 2, *range(5, 41)])
 
 
 def pair_spec():
