@@ -204,8 +204,10 @@ class Engine:
         a stream, raises ``BadDefinition``. Encoding checks the values before
         anything keeps the batch; it then lands in the input cache (written
         to its file in weak mode), so an unacknowledged round survives a
-        crash. The call that completes a round returns its ticket, even
-        while the round waits; earlier calls return None.
+        crash. The encoded round is the request's args, which the log keeps;
+        the request also carries the batches themselves, so the live
+        execution decodes nothing. The call that completes a round returns
+        its ticket, even while the round waits; earlier calls return None.
         """
         if self.partition.stopped:
             raise EngineStopped("partition is stopped")
@@ -243,7 +245,9 @@ class Engine:
             self._backpressure()
             if n_inputs > 1:
                 args = batches_to_args(ready)
-            req = TERequest(proc_name, low, args, Origin.CLIENT, low_ticket)
+            req = TERequest(
+                proc_name, low, args, Origin.CLIENT, low_ticket, batches=ready
+            )
             self.partition.submit_client(req)
         return ticket
 

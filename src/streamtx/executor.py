@@ -104,6 +104,9 @@ class TERequest:
     ticket: Optional[Ticket] = None
     group: Optional[str] = None
     solo: bool = False  # strong-recovery replay runs group children one by one
+    # a border's input batches as ingested; ``args`` encodes the same
+    # batches, and replay, which has only the args, decodes them
+    batches: Optional[dict[str, AtomicBatch]] = None
 
 
 @dataclass
@@ -270,13 +273,18 @@ class TEContext:
             accessor=self.proc.name, round=self.round,
         )
 
-    def window_insert(self, window: str, rows) -> list[FullWindowEvent]:
+    def window_insert(
+        self, window: str, rows, event_rows: bool = True
+    ) -> list[FullWindowEvent]:
+        """Feed rows into a window; the events it fires carry the active
+        tuples unless ``event_rows`` is false."""
         tuples = [
             r if isinstance(r, Tuple) else Tuple(tuple(r), batch_id=self.round)
             for r in rows
         ]
         events = self.store.window_insert(
-            window, tuples, self.undo, accessor=self.proc.name, round=self.round
+            window, tuples, self.undo, accessor=self.proc.name, round=self.round,
+            event_rows=event_rows,
         )
         if events:
             self.partition.trigger_engine.on_window_events(self, window, events)
@@ -492,8 +500,15 @@ class Partition:
         return ctx, None
 
     def _load_inputs(self, ctx: TEContext, proc: ProcedureDef, req: TERequest):
+        """Append a border's input batches to their streams, taken from the
+        request's batches, or decoded from its args when it carries none
+        (replay, ``execute_nested``); every other input must already hold
+        the round's batch."""
         if proc.kind is ProcedureKind.BORDER and req.args:
-            for stream, batch in sorted(args_to_batches(req.args).items()):
+            batches = req.batches
+            if batches is None:
+                batches = args_to_batches(req.args)
+            for stream, batch in sorted(batches.items()):
                 if stream not in proc.stream_inputs:
                     raise BadDefinition(
                         f"{proc.name}: batch for non-input stream {stream}"

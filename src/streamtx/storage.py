@@ -75,11 +75,16 @@ class Pred:
 class FullWindowEvent:
     """Emitted when a window completes a slide: the new active contents and
     the running sum of each int column over them, as they stood at this
-    slide (one insert may fire several events before any trigger runs)."""
+    slide (one insert may fire several events before any trigger runs).
+
+    ``tuples`` is None when the insert asked for no rows: a statement
+    program that reads only the sums needs no copy of the active set, and
+    an event always holds exactly ``size`` tuples.
+    """
 
     window: str
     index: int
-    tuples: tuple[Tuple, ...]
+    tuples: Optional[tuple[Tuple, ...]]
     sums: dict[str, int]
 
 
@@ -89,7 +94,16 @@ class _BaseTable:
     def __init__(self, name: str, schema: Schema):
         self.name = name
         self.schema = schema
-        self._col_index = {c.name: i for i, c in enumerate(schema)}
+        # built once: check_row compares a row's value types with _types
+        self._col_index: dict[str, int] = {}
+        types, text_cols = [], []
+        for i, c in enumerate(schema):
+            self._col_index[c.name] = i
+            types.append(PY_TYPES[c.type])
+            if c.type is ScalarType.TEXT:
+                text_cols.append(i)
+        self._types = tuple(types)
+        self._text_cols = tuple(text_cols)
 
     def col(self, name: str) -> int:
         try:
@@ -98,11 +112,22 @@ class _BaseTable:
             raise UnknownColumn(f"{self.name} has no column {name}") from None
 
     def check_row(self, t: Tuple) -> None:
-        if len(t.values) != len(self.schema):
+        values = t.values
+        if tuple(map(type, values)) == self._types:
+            for i in self._text_cols:
+                if len(values[i].encode()) > MAX_TEXT_BYTES:
+                    break
+            else:
+                return
+        self._reject(values)
+
+    def _reject(self, values) -> None:
+        """Raise for the first fault of a bad row, in schema order."""
+        if len(values) != len(self.schema):
             raise TypeMismatch(
-                f"{self.name}: expected {len(self.schema)} values, got {len(t.values)}"
+                f"{self.name}: expected {len(self.schema)} values, got {len(values)}"
             )
-        for v, c in zip(t.values, self.schema):
+        for v, c in zip(values, self.schema):
             if type(v) is not PY_TYPES[c.type]:
                 raise TypeMismatch(
                     f"{self.name}.{c.name}: expected {c.type.value}, "
@@ -437,9 +462,7 @@ class Store:
         undo.record_batch(s, batch.batch_id)
         s.put_batch(batch.batch_id, s.batches.get(batch.batch_id, ()) + batch.tuples)
 
-    def _matches(self, tab: AnyTable, pred: Optional[Pred]):
-        if pred is None:
-            return lambda t: True
+    def _matches(self, tab: AnyTable, pred: Pred):
         ci = tab.col(pred.column)
         fn = _OPS[pred.op]
         want = pred.value
@@ -466,6 +489,8 @@ class Store:
         ):
             hits = tab.indexes[pred.column].get(pred.value, [])
             return list(hits)
+        if pred is None:
+            return list(rows)
         match = self._matches(tab, pred)
         return [t for t in rows if match(t)]
 
@@ -482,15 +507,23 @@ class Store:
             raise BadDefinition(
                 f"window {tab.name}: rows expire by sliding, not deletion"
             )
-        match = self._matches(tab, pred)
+        match = None if pred is None else self._matches(tab, pred)
         removed = 0
         if isinstance(tab, StreamTable):
             for batch_id, tuples in list(tab.batches.items()):
-                kept = tuple(t for t in tuples if not match(t))
+                kept = () if match is None else tuple(t for t in tuples if not match(t))
                 if len(kept) < len(tuples):
                     undo.record_batch(tab, batch_id)
                     tab.put_batch(batch_id, kept)
                     removed += len(tuples) - len(kept)
+            return removed
+        if match is None:  # every row goes; undo puts each back at the front
+            for t in tab.rows:
+                undo.record_delete(tab, 0, t)
+            for idx in tab.indexes.values():
+                idx.clear()
+            removed = len(tab.rows)
+            tab.rows.clear()
             return removed
         kept: list[Tuple] = []
         for i, t in enumerate(tab.rows):
@@ -532,6 +565,7 @@ class Store:
         undo: UndoBuffer,
         accessor: Optional[str] = None,
         round: int = 0,
+        event_rows: bool = True,
     ) -> list[FullWindowEvent]:
         """Stage new tuples, then advance the window while a slide is due.
 
@@ -540,6 +574,7 @@ class Store:
         ``slide`` staged tuples expire the oldest actives and fire an event.
         A single large batch may fire several events. The running sums move
         with each slide: admitted tuples are added, expired ones subtracted.
+        With ``event_rows`` false the events carry no copy of the active set.
         """
         w = self.window(window)
         self._check_window_scope(w, accessor, round, write=True)
@@ -575,9 +610,8 @@ class Store:
                 for t in gone:
                     total -= t.values[ci]
                 sums[name] = total
-            events.append(
-                FullWindowEvent(w.name, w.events_emitted, tuple(active), dict(sums))
-            )
+            rows = tuple(active) if event_rows else None
+            events.append(FullWindowEvent(w.name, w.events_emitted, rows, dict(sums)))
             w.events_emitted += 1
         return events
 

@@ -81,6 +81,13 @@ class ProcedureTrigger:
     ready: tuple[ProcedureDef, ...] = ()
 
 
+def _from_sums(stmt: AggregateInsert, sums: dict[str, int]) -> bool:
+    """Whether a window's running sums (int column -> sum) answer ``stmt``."""
+    if stmt.group_by is not None:
+        return False
+    return stmt.op == "count" or (stmt.op in ("sum", "avg") and stmt.column in sums)
+
+
 class TriggerEngine:
     """Per-partition trigger registry, dispatch, and GC bookkeeping."""
 
@@ -89,6 +96,9 @@ class TriggerEngine:
         self.statement_triggers: dict[str, StatementTrigger] = {}
         self.procedure_triggers: dict[str, ProcedureTrigger] = {}
         self.pe_enabled = True
+        # window -> whether its statement program reads the rows of an event;
+        # decided when the program registers
+        self.event_rows: dict[str, bool] = {}
         # (stream, batch_id) -> count of trigger obligations not yet met;
         # a batch is GC-eligible only at zero.
         self.pending: dict[tuple[str, int], int] = {}
@@ -123,6 +133,11 @@ class TriggerEngine:
                     f"source {trig.source} is not a window"
                 )
         self.statement_triggers[trig.source] = trig
+        if isinstance(src, WindowTable):
+            self.event_rows[trig.source] = not all(
+                isinstance(stmt, AggregateInsert) and _from_sums(stmt, src.sums)
+                for stmt in trig.program
+            )
         self._check_statement_dag()
 
     def _check_statement_dag(self) -> None:
@@ -259,7 +274,10 @@ class TriggerEngine:
                 if hits:
                     ctx.copy_to_stream(stmt.dst, hits, batch_id)
             elif isinstance(stmt, WindowInsertStmt):
-                ctx.window_insert(stmt.window, tuples)
+                ctx.window_insert(
+                    stmt.window, tuples,
+                    event_rows=self.event_rows.get(stmt.window, False),
+                )
             elif isinstance(stmt, AggregateInsert):
                 rows = self._aggregate(trig, stmt, tuples, sums)
                 dst = self.store.table(stmt.dst)
@@ -275,17 +293,16 @@ class TriggerEngine:
 
     def _aggregate(self, trig, stmt: AggregateInsert, tuples, sums) -> list[tuple]:
         """Answer count, and sum/avg of an int column, from the window's
-        running sums. Everything else recomputes with ``aggregate_rows``:
-        float sums round differently once reassociated, and min/max and
-        group_by have no running form here."""
-        if sums is not None and stmt.group_by is None:
+        running sums and its size, which every event holds. Everything else
+        recomputes with ``aggregate_rows``: float sums round differently
+        once reassociated, and min/max and group_by have no running form
+        here."""
+        if sums is not None and _from_sums(stmt, sums):
+            n = self.store.tables[trig.source].spec.size
             if stmt.op == "count":
-                return [(len(tuples),)]
-            total = sums.get(stmt.column)
-            if total is not None and stmt.op == "sum":
-                return [(total,)]
-            if total is not None and stmt.op == "avg":
-                return [(float(total) / len(tuples),)]
+                return [(n,)]
+            total = sums[stmt.column]
+            return [(total,)] if stmt.op == "sum" else [(float(total) / n,)]
         return aggregate_rows(
             list(tuples), self.store.table(trig.source), stmt.op, stmt.column,
             stmt.group_by,

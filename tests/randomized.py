@@ -19,7 +19,7 @@ from streamtx.model import (
 )
 from streamtx.recovery import RecoveryMode
 from streamtx.validator import validate
-from streamtx.triggers import AggregateInsert, StatementTrigger
+from streamtx.triggers import AggregateInsert, StatementTrigger, WindowInsertStmt
 
 VAL_COLS = (("value", "int"),)
 
@@ -143,19 +143,40 @@ WINDOW_COLS = (("i", "int"), ("f", "float"))
 WINDOW_AGGREGATES = (("count", "i"),) + tuple(
     (op, col) for op in ("sum", "avg", "min", "max") for col in ("i", "f")
 )
+# the aggregates the window's running sums answer without reading its rows
+ROW_FREE_AGGREGATES = (("count", "i"), ("sum", "i"), ("avg", "i"))
 
 
 def _aggregate_stream(op: str, col: str) -> str:
     return op if op == "count" else f"{op}_{col}"
 
 
-def window_aggregate_spec(size: int, slide: int, abort_rounds: set) -> EngineSpec:
+def _draw_aggregates(rng: random.Random) -> tuple:
+    """A random window program: only aggregates that read no rows, or those
+    mixed with aggregates that do (min/max, or a float column)."""
+    picked = rng.sample(ROW_FREE_AGGREGATES, rng.randint(1, 3))
+    if rng.random() < 0.5:
+        reading = [a for a in WINDOW_AGGREGATES if a not in ROW_FREE_AGGREGATES]
+        picked += rng.sample(reading, rng.randint(1, 3))
+    rng.shuffle(picked)
+    return tuple(picked)
+
+
+def window_aggregate_spec(
+    size: int,
+    slide: int,
+    abort_rounds: set,
+    aggregates: tuple = WINDOW_AGGREGATES,
+    via_statement: bool = False,
+) -> EngineSpec:
     """A border procedure owns window ``w`` and aborts after inserting in
-    ``abort_rounds``; every full window runs each aggregate into its own
-    output stream."""
+    ``abort_rounds``; every full window runs each of ``aggregates`` into its
+    own output stream. The border's body feeds the window, or with
+    ``via_statement`` a statement trigger on ``s1`` does."""
 
     def feeder(ctx):
-        ctx.window_insert("w", [t.values for t in ctx.input_tuples("s1")])
+        if not via_statement:
+            ctx.window_insert("w", [t.values for t in ctx.input_tuples("s1")])
         if ctx.round in abort_rounds:
             ctx.abort("random abort")
 
@@ -172,18 +193,21 @@ def window_aggregate_spec(size: int, slide: int, abort_rounds: set) -> EngineSpe
         ],
     )
     streams = [StreamDef("s1", WINDOW_COLS)]
-    for op, col in WINDOW_AGGREGATES:
+    for op, col in aggregates:
         out = "int" if op == "count" or (col == "i" and op != "avg") else "float"
         streams.append(StreamDef(_aggregate_stream(op, col), (("v", out),)))
     program = tuple(
         AggregateInsert("w", _aggregate_stream(op, col), op, col)
-        for op, col in WINDOW_AGGREGATES
+        for op, col in aggregates
     )
+    triggers = [StatementTrigger("w", program)]
+    if via_statement:
+        triggers.append(StatementTrigger("s1", (WindowInsertStmt("s1", "w"),)))
     return EngineSpec(
         workflows=[w],
         streams=streams,
         window_columns={"w": WINDOW_COLS},
-        statement_triggers=[StatementTrigger("w", program)],
+        statement_triggers=triggers,
     )
 
 
@@ -197,9 +221,13 @@ def _recompute(op: str, vals: list):
     return min(vals) if op == "min" else max(vals)
 
 
-def random_window_run(seed: int, data_dir: str) -> tuple[dict, dict]:
+def random_window_run(
+    seed: int, data_dir: str, via_statement: bool = False
+) -> tuple[dict, dict]:
     """One seeded window run with random size, slide, batchings and aborts,
     a strong checkpoint and then a crash and ``recover()`` at random rounds.
+    With ``via_statement`` a statement trigger feeds the window, and its
+    aggregate program is drawn at random (see ``_draw_aggregates``).
 
     Returns (got, want): each aggregate stream's values, and the same
     aggregates recomputed in plain Python over the committed rounds' tuples.
@@ -210,7 +238,8 @@ def random_window_run(seed: int, data_dir: str) -> tuple[dict, dict]:
     rounds = rng.randint(1, 30)
     abort_rounds = {r for r in range(1, rounds + 1) if rng.random() < 0.2}
     checkpoint_at, crash_at = sorted(rng.randint(1, rounds) for _ in range(2))
-    spec = window_aggregate_spec(size, slide, abort_rounds)
+    aggregates = _draw_aggregates(rng) if via_statement else WINDOW_AGGREGATES
+    spec = window_aggregate_spec(size, slide, abort_rounds, aggregates, via_statement)
     args = dict(group_commit_max_batch=1, fsync=False)
     engine = Engine(spec, data_dir=data_dir, recovery_mode=RecoveryMode.STRONG, **args)
     committed = []
@@ -238,7 +267,7 @@ def random_window_run(seed: int, data_dir: str) -> tuple[dict, dict]:
         _aggregate_stream(op, col): [
             t.values[0] for t in engine.store.stream(_aggregate_stream(op, col)).rows
         ]
-        for op, col in WINDOW_AGGREGATES
+        for op, col in aggregates
     }
     engine.close()
     windows = sliding_window_events(committed, size, slide)
@@ -247,7 +276,7 @@ def random_window_run(seed: int, data_dir: str) -> tuple[dict, dict]:
         _aggregate_stream(op, col): [
             _recompute(op, [row[names.index(col)] for row in win]) for win in windows
         ]
-        for op, col in WINDOW_AGGREGATES
+        for op, col in aggregates
     }
     return got, want
 

@@ -885,6 +885,44 @@ def test_missing_log_rejected(tmp_path):
         recover(chain_spec(2), str(tmp_path), fsync=False)
 
 
+def test_border_args_decoded_only_at_replay(tmp_path, monkeypatch):
+    """A live border execution takes its batches from the request; strong
+    recovery decodes the args of each replayed border record exactly once."""
+    import streamtx.executor as executor_mod
+
+    decoded = []
+    real = executor_mod.args_to_batches
+
+    def counting(blob):
+        decoded.append(blob)
+        return real(blob)
+
+    monkeypatch.setattr(executor_mod, "args_to_batches", counting)
+    e = Engine(chain_spec(3), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.STRONG, fsync=False)
+    ing = StreamIngestor(e, "s1", BatchingPolicy("fixed_count", 1))
+    for v in range(20):
+        ing.push((v,))
+        e.run_until_idle()
+        if v == 7:
+            e.checkpoint()
+            checkpoint_seq = e.partition.commit_seq
+    assert decoded == []
+    e.partition.log.flush()
+    want = e.store.content_signature()
+    e.crash()
+    _, _, records = read_log(str(tmp_path / LOG_FILE))
+    replayed = [
+        rec.args for rec in records
+        if rec.procedure == "SP1" and rec.commit_seq > checkpoint_seq
+    ]
+    r = recover(chain_spec(3), str(tmp_path), fsync=False)
+    assert len(replayed) == 12
+    assert decoded == replayed
+    assert r.store.content_signature() == want
+    r.close()
+
+
 @pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
 @pytest.mark.parametrize("bad", [True, None, "x" * 65], ids=["bool", "none", "text65"])
 def test_unencodable_value_rejected_before_kept(tmp_path, mode, bad):

@@ -72,6 +72,38 @@ def test_text_length_limit(store):
     store.insert("t", Tuple(("x" * 64,)), undo)
 
 
+ROW_COLS = make_schema(("i", "int"), ("f", "float"), ("t", "text"))
+
+
+def create_kind(store, kind, name):
+    if kind == "public":
+        store.create_public(name, ROW_COLS)
+    elif kind == "stream":
+        store.create_stream(name, ROW_COLS)
+    else:
+        store.create_window(WindowSpec(name, 2, 1, "sp"), ROW_COLS)
+
+
+@pytest.mark.parametrize("kind", ["public", "stream", "window"])
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((1, 2.0), "x: expected 3 values, got 2"),
+        ((True, 2.0, "a"), "x.i: expected int, got bool"),
+        ((1, 2, "a"), "x.f: expected float, got int"),
+        ((1, 2.0, "\u00e9" * 32 + "a"), "x.t: text exceeds 64 bytes"),
+    ],
+    ids=["arity", "bool_in_int", "int_in_float", "text_65_utf8_bytes"],
+)
+def test_check_row_rejects_with_message(store, kind, values, message):
+    create_kind(store, kind, "x")
+    undo = UndoBuffer()
+    with pytest.raises(TypeMismatch) as err:
+        store.insert("x", Tuple(values), undo)
+    assert str(err.value) == message
+    store.insert("x", Tuple((1, 2.0, "\u00e9" * 32)), undo)  # 64 bytes fit
+
+
 def test_window_scope_violation_on_insert(store):
     store.create_window(WindowSpec("w", 4, 2, "owner_sp"), VAL)
     undo = UndoBuffer()
@@ -360,6 +392,38 @@ def test_delete_then_rollback_bit_equal(store):
     store.delete_where("t", Pred("value", ">", 2), undo)
     undo.rollback()
     assert snapshot_state(store) == before
+
+
+def test_unpredicated_delete_matches_always_true_predicate():
+    """Deleting with no predicate removes the same rows, records the same
+    undo entries and rolls back to the same state, index buckets included,
+    as a predicate every row meets."""
+
+    def run(pred):
+        store = Store()
+        store.create_public("p", make_schema(("k", "int"), ("v", "int")), indexed=["k"])
+        store.create_stream("s", VAL)
+        setup = UndoBuffer()
+        for i in range(8):
+            store.insert("p", Tuple((i % 3, i)), setup)
+        for bid in (1, 2):
+            store.insert_batch("s", make_batch(bid, [bid, bid + 1]), setup)
+        before = snapshot_state(store)
+        undo = UndoBuffer()
+        removed = (
+            store.delete_where("p", pred and Pred("v", *pred), undo),
+            store.delete_where("s", pred and Pred("value", *pred), undo),
+        )
+        assert store.select_where("p") == [] and store.select_where("s") == []
+        assert store.table("p").indexes == {"k": {}}
+        entries = [(e[0],) + e[2:] for e in undo._entries]
+        undo.rollback()
+        assert snapshot_state(store) == before
+        return removed, entries, store.table("p").indexes
+
+    unpredicated = run(None)
+    assert unpredicated[0] == (8, 4)
+    assert unpredicated == run((">=", 0))
 
 
 # --- garbage collection ---

@@ -350,3 +350,15 @@ def test_window_aggregates_match_recompute_randomized(tmp_path):
     for seed in range(200):
         got, want = random_window_run(seed, str(tmp_path / str(seed)))
         assert got == want, f"seed {seed}"
+
+
+def test_statement_fed_window_aggregates_match_recompute_randomized(tmp_path):
+    """The same invariant with a statement trigger feeding the window and a
+    random aggregate program: events that carry no rows (a program of
+    count, and sum/avg over the int column) and events that do (the program
+    also has min/max or a float column) both match the recompute."""
+    for seed in range(200):
+        got, want = random_window_run(
+            seed, str(tmp_path / str(seed)), via_statement=True
+        )
+        assert got == want, f"seed {seed}"
