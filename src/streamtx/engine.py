@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .codec import join_batches
 from .errors import (
     BadDefinition,
     EngineStopped,
@@ -160,9 +161,10 @@ class Engine:
             schedule_capacity=schedule_capacity,
             post_commit_hook=post_commit_hook,
         )
-        # border -> round -> (its batches so far, its ticket), for rounds that
-        # miss a batch or wait behind a lower round
-        self._feeder_pending: dict[str, dict[int, tuple[dict, Ticket]]] = {}
+        # border -> round -> (its batches so far, their encodings in arrival
+        # order, its ticket), for rounds that miss a batch or wait behind a
+        # lower round
+        self._feeder_pending: dict[str, dict[int, tuple[dict, list, Ticket]]] = {}
         self._released: dict[str, int] = {}  # border -> last round submitted
         self._border_for_stream: dict[str, str] = {}
         for w in spec.workflows:
@@ -204,10 +206,11 @@ class Engine:
         a stream, raises ``BadDefinition``. Encoding checks the values before
         anything keeps the batch; it then lands in the input cache (written
         to its file in weak mode), so an unacknowledged round survives a
-        crash. The encoded round is the request's args, which the log keeps;
-        the request also carries the batches themselves, so the live
-        execution decodes nothing. The call that completes a round returns
-        its ticket, even while the round waits; earlier calls return None.
+        crash. The round's args, which the log keeps, join its batches'
+        encodings in arrival order; the request also carries the batches
+        themselves, so the live execution decodes nothing. The call that
+        completes a round returns its ticket, even while the round waits;
+        earlier calls return None.
         """
         if self.partition.stopped:
             raise EngineStopped("partition is stopped")
@@ -229,24 +232,24 @@ class Engine:
             p.fail_stop(p.input_cache.append, stream, batch, args)
         pending = self._feeder_pending.setdefault(proc_name, {})
         if slot is None:
-            slot = pending[round_] = ({}, Ticket())
-        batches, ticket = slot
+            slot = pending[round_] = ({}, [], Ticket())
+        batches, encoded, ticket = slot
         batches[stream] = batch
+        encoded.append(args)
         n_inputs = len(self.catalog.procedure(proc_name).stream_inputs)
         if len(batches) < n_inputs:
             return None
         while pending:
             low = min(pending)
-            ready, low_ticket = pending[low]
+            ready, parts, low_ticket = pending[low]
             if len(ready) < n_inputs:
                 break
             del pending[low]
             self._released[proc_name] = low
             self._backpressure()
-            if n_inputs > 1:
-                args = batches_to_args(ready)
             req = TERequest(
-                proc_name, low, args, Origin.CLIENT, low_ticket, batches=ready
+                proc_name, low, join_batches(parts), Origin.CLIENT, low_ticket,
+                batches=ready,
             )
             self.partition.submit_client(req)
         return ticket
@@ -340,7 +343,7 @@ class Engine:
 
     def _restore_snapshot(self, blob: bytes) -> int:
         store, pid, seq = restore_state(blob)
-        if set(store.tables) != set(self.store.tables):
+        if _table_shapes(store) != _table_shapes(self.store):
             raise VersionMismatch(
                 "snapshot tables do not match the configured catalog"
             )
@@ -348,6 +351,16 @@ class Engine:
         self.partition.trigger_engine.store = store
         self.partition.commit_seq = seq
         return seq
+
+
+def _table_shapes(store: Store) -> dict:
+    """Each table's kind, schema, index columns and window spec: what a
+    snapshot must share with the catalog it is restored into."""
+    return {
+        name: (tab.kind, tab.schema, sorted(getattr(tab, "indexes", ())),
+               getattr(tab, "spec", None))
+        for name, tab in store.tables.items()
+    }
 
 
 def _snapshots(data_dir: str) -> list[tuple[int, str]]:

@@ -183,7 +183,6 @@ class TEContext:
         self.consumed: list[tuple[str, int]] = []
         self.ee_consumed: list[tuple[str, int]] = []
         self.emitted: list[tuple[str, int]] = []
-        self.appended: list[tuple[str, int]] = []  # for abort-time bookkeeping
         self.result_rows: Optional[list] = None
         self._depth = 0
 
@@ -206,12 +205,12 @@ class TEContext:
         if self.proc.kind is ProcedureKind.OLTP:
             raise BadDefinition("OLTP procedures operate on tables only")
         batch_id = self.round if _internal_batch_id is None else _internal_batch_id
-        self._append_to_stream(stream, rows, batch_id, ts, restamp=True)
+        self._append_to_stream(stream, rows, batch_id, ts)
 
     def copy_to_stream(self, stream: str, tuples: list[Tuple], batch_id: int) -> None:
-        self._append_to_stream(stream, tuples, batch_id, None, restamp=True)
+        self._append_to_stream(stream, tuples, batch_id, None)
 
-    def _append_to_stream(self, stream, rows, batch_id, ts, restamp) -> None:
+    def _append_to_stream(self, stream, rows, batch_id, ts) -> None:
         rows = list(rows)
         if not rows:
             return
@@ -237,7 +236,6 @@ class TEContext:
         if first:
             self.partition.trigger_engine.note_append(stream, batch_id)
             self.emitted.append((stream, batch_id))
-            self.appended.append((stream, batch_id))
         self._cascade(stream, batch)
 
     def _cascade(self, stream: str, batch: AtomicBatch) -> None:
@@ -494,8 +492,10 @@ class Partition:
                 self._load_inputs(ctx, proc, req)
             if proc.body is not None:
                 proc.body(ctx)
-        except (BodyAbort, StreamTxError) as e:
+        except Exception as e:  # any failure aborts, leaving nothing behind
             ctx.undo.rollback()
+            if not isinstance(e, StreamTxError):
+                e = BodyAbort(f"{type(e).__name__}: {e}")
             return ctx, e
         return ctx, None
 
@@ -514,10 +514,8 @@ class Partition:
                         f"{proc.name}: batch for non-input stream {stream}"
                     )
                 self.store.insert_batch(stream, batch, ctx.undo)
-                self.trigger_engine.note_append(stream, batch.batch_id)
                 ctx.inputs[stream] = list(batch.tuples)
                 ctx.consumed.append((stream, batch.batch_id))
-                ctx.appended.append((stream, batch.batch_id))
                 ctx._cascade(stream, batch)
         for stream in proc.stream_inputs:
             if stream in ctx.inputs:
@@ -577,10 +575,10 @@ class Partition:
             t.outcome = "aborted"
             t.reason = str(error)
             t.acknowledged = True  # aborts are never logged
-        for ctx in rolled_back:
-            # appended batches were rolled back: clear trigger obligations
-            for key in ctx.appended:
-                self.trigger_engine.pending.pop(key, None)
+        # emitted batches were rolled back: no consumer waits for them
+        self.trigger_engine.pending.difference_update(
+            key for ctx in rolled_back for key in ctx.emitted
+        )
         # the round's downstream work is dropped: discard consumed inputs
         # that came from outside the rolled-back scope
         drops = list(dropped_inputs)
@@ -591,16 +589,15 @@ class Partition:
             self.store.garbage_collect(stream, batch_id)
 
     def _collect_garbage(self, ctx: TEContext) -> None:
+        """Drop the batches this execution consumed or ran statements on,
+        except those a procedure-trigger consumer still waits for."""
+        triggers = self.trigger_engine
         for stream, batch_id in ctx.consumed:
-            self.trigger_engine.note_consumed(stream, batch_id)
-            if self.trigger_engine.gc_eligible(stream, batch_id):
-                self.store.garbage_collect(stream, batch_id)
+            triggers.note_consumed(stream, batch_id)
             tab = self.store.stream(stream)
             tab.last_consumed_batch = max(tab.last_consumed_batch, batch_id)
-        for stream, batch_id in ctx.ee_consumed:
-            if stream in self.trigger_engine.procedure_triggers:
-                continue  # a downstream execution still consumes it
-            if self.trigger_engine.gc_eligible(stream, batch_id):
+        for stream, batch_id in ctx.consumed + ctx.ee_consumed:
+            if triggers.gc_eligible(stream, batch_id):
                 self.store.garbage_collect(stream, batch_id)
 
     def _log_commit(self, te: TransactionExecution, proc: ProcedureDef, ticket):

@@ -306,6 +306,28 @@ class UndoBuffer:
         self._entries.clear()
 
 
+def row_matcher(tab: _BaseTable, pred: Pred) -> Callable[[Tuple], bool]:
+    """Whether a row of ``tab`` satisfies ``pred``, its column resolved once."""
+    ci = tab.col(pred.column)
+    fn = _OPS[pred.op]
+    want = pred.value
+    return lambda t: fn(t.values[ci], want)
+
+
+def check_aggregate(
+    tab: _BaseTable, op: str, column: Optional[str], group_by: Optional[str]
+) -> tuple[Optional[int], Optional[int]]:
+    """Reject an aggregate ``tab`` cannot answer; else its column positions."""
+    if op not in ("count", "sum", "avg", "min", "max"):
+        raise BadDefinition(f"unknown aggregate {op}")
+    if op != "count" and column is None:
+        raise UnknownColumn(f"aggregate {op} needs a column")
+    ci = None if column is None else tab.col(column)
+    if op != "count" and tab.schema[ci].type is ScalarType.TEXT:
+        raise TypeMismatch(f"{op} over text column {column}")
+    return ci, (None if group_by is None else tab.col(group_by))
+
+
 def aggregate_rows(
     rows: list[Tuple],
     tab: _BaseTable,
@@ -314,15 +336,7 @@ def aggregate_rows(
     group_by: Optional[str] = None,
 ) -> list[tuple]:
     """count/sum/avg/min/max over an explicit row list (see Store.aggregate)."""
-    if op not in ("count", "sum", "avg", "min", "max"):
-        raise BadDefinition(f"unknown aggregate {op}")
-    ci = None
-    if op != "count":
-        if column is None:
-            raise UnknownColumn(f"aggregate {op} needs a column")
-        ci = tab.col(column)
-        if tab.schema[ci].type is ScalarType.TEXT:
-            raise TypeMismatch(f"{op} over text column {column}")
+    ci, gi = check_aggregate(tab, op, column, group_by)
 
     def compute(sub: list[Tuple]):
         if op == "count":
@@ -340,7 +354,6 @@ def aggregate_rows(
         if not rows and op != "count":
             return []
         return [(compute(rows),)]
-    gi = tab.col(group_by)
     groups: dict[Value, list[Tuple]] = {}
     for t in rows:
         groups.setdefault(t.values[gi], []).append(t)
@@ -462,12 +475,6 @@ class Store:
         undo.record_batch(s, batch.batch_id)
         s.put_batch(batch.batch_id, s.batches.get(batch.batch_id, ()) + batch.tuples)
 
-    def _matches(self, tab: AnyTable, pred: Pred):
-        ci = tab.col(pred.column)
-        fn = _OPS[pred.op]
-        want = pred.value
-        return lambda t: fn(t.values[ci], want)
-
     def select_where(
         self,
         table: str,
@@ -491,7 +498,7 @@ class Store:
             return list(hits)
         if pred is None:
             return list(rows)
-        match = self._matches(tab, pred)
+        match = row_matcher(tab, pred)
         return [t for t in rows if match(t)]
 
     def delete_where(
@@ -507,7 +514,7 @@ class Store:
             raise BadDefinition(
                 f"window {tab.name}: rows expire by sliding, not deletion"
             )
-        match = None if pred is None else self._matches(tab, pred)
+        match = None if pred is None else row_matcher(tab, pred)
         removed = 0
         if isinstance(tab, StreamTable):
             for batch_id, tuples in list(tab.batches.items()):

@@ -9,18 +9,20 @@ and hand downstream executions straight to the scheduler's fast track.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from .errors import BadDefinition, CycleDetected
+from .errors import BadDefinition, CycleDetected, TypeMismatch
 from .model import ProcedureDef, ResolvedGroup
 from .storage import (
-    _OPS,
     FullWindowEvent,
     Pred,
+    ScalarType,
     Store,
     StreamTable,
     WindowTable,
     aggregate_rows,
+    check_aggregate,
+    row_matcher,
 )
 
 
@@ -81,6 +83,17 @@ class ProcedureTrigger:
     ready: tuple[ProcedureDef, ...] = ()
 
 
+@dataclass(frozen=True)
+class Step:
+    """A statement resolved at registration. ``run(ctx, tuples, batch_id,
+    sums)`` keeps names, column positions and constants, never a table
+    object: a snapshot restore swaps the store."""
+
+    writes: Optional[str]
+    reads_rows: bool
+    run: Callable
+
+
 def _from_sums(stmt: AggregateInsert, sums: dict[str, int]) -> bool:
     """Whether a window's running sums (int column -> sum) answer ``stmt``."""
     if stmt.group_by is not None:
@@ -88,85 +101,139 @@ def _from_sums(stmt: AggregateInsert, sums: dict[str, int]) -> bool:
     return stmt.op == "count" or (stmt.op in ("sum", "avg") and stmt.column in sums)
 
 
+def _pred_matcher(tab, pred: Pred) -> Callable:
+    """``row_matcher`` for a predicate whose value compares with its column:
+    text with ``str``, int and float with ``int`` or ``float``."""
+    col = tab.schema[tab.col(pred.column)]
+    kinds = (str,) if col.type is ScalarType.TEXT else (int, float)
+    if type(pred.value) not in kinds:
+        raise TypeMismatch(
+            f"{tab.name}.{col.name} is {col.type.value}; "
+            f"cannot compare it with {pred.value!r}"
+        )
+    return row_matcher(tab, pred)
+
+
 class TriggerEngine:
     """Per-partition trigger registry, dispatch, and GC bookkeeping."""
 
     def __init__(self, store: Store):
         self.store = store
-        self.statement_triggers: dict[str, StatementTrigger] = {}
+        self.programs: dict[str, tuple[Step, ...]] = {}  # source -> its steps
         self.procedure_triggers: dict[str, ProcedureTrigger] = {}
         self.pe_enabled = True
-        # window -> whether its statement program reads the rows of an event;
-        # decided when the program registers
+        # window -> whether some step of its program reads an event's rows
         self.event_rows: dict[str, bool] = {}
-        # (stream, batch_id) -> count of trigger obligations not yet met;
-        # a batch is GC-eligible only at zero.
-        self.pending: dict[tuple[str, int], int] = {}
+        # batches held on procedure-trigger streams whose consumer has not
+        # committed; every other batch may be collected
+        self.pending: set[tuple[str, int]] = set()
 
     # --- registration ---
 
     def register_statement_trigger(self, trig: StatementTrigger) -> None:
         src = self.store.table(trig.source)
-        if isinstance(src, StreamTable) or isinstance(src, WindowTable):
-            pass
-        else:
+        if not isinstance(src, (StreamTable, WindowTable)):
             raise BadDefinition(
                 f"statement trigger source {trig.source} must be a stream or window"
             )
-        if trig.source in self.statement_triggers:
+        if trig.source in self.programs:
             raise BadDefinition(f"{trig.source} already has a statement trigger")
         for stmt in trig.program:
-            if stmt.src != trig.source:
+            if getattr(stmt, "src", trig.source) != trig.source:
                 raise BadDefinition(
                     f"statement source {stmt.src} differs from trigger "
                     f"source {trig.source}"
                 )
-            if isinstance(stmt, (FilteredCopy, AggregateInsert)):
-                self.store.table(stmt.dst)
-            if isinstance(stmt, WindowInsertStmt):
-                self.store.window(stmt.window)
-            if isinstance(stmt, AggregateInsert) and not isinstance(
-                src, WindowTable
-            ):
-                raise BadDefinition(
-                    "aggregate_insert runs one full window at a time; "
-                    f"source {trig.source} is not a window"
-                )
-        self.statement_triggers[trig.source] = trig
+        steps = tuple(self._resolve(src, stmt) for stmt in trig.program)
+        self.programs[trig.source] = steps
         if isinstance(src, WindowTable):
-            self.event_rows[trig.source] = not all(
-                isinstance(stmt, AggregateInsert) and _from_sums(stmt, src.sums)
-                for stmt in trig.program
-            )
+            self.event_rows[trig.source] = any(s.reads_rows for s in steps)
         self._check_statement_dag()
 
+    def _resolve(self, src, stmt) -> Step:
+        """Check one statement against the catalog and build its step."""
+        if isinstance(stmt, FilteredCopy):
+            dst = self.store.stream(stmt.dst).name
+            match = None if stmt.pred is None else _pred_matcher(src, stmt.pred)
+
+            def copy(ctx, tuples, batch_id, sums):
+                hits = tuples if match is None else [t for t in tuples if match(t)]
+                if hits:
+                    ctx.copy_to_stream(dst, hits, batch_id)
+
+            return Step(dst, True, copy)
+        if isinstance(stmt, WindowInsertStmt):
+            window = self.store.window(stmt.window).name
+            event_rows = self.event_rows  # the window's program may come later
+
+            def insert(ctx, tuples, batch_id, sums):
+                ctx.window_insert(
+                    window, tuples, event_rows=event_rows.get(window, False)
+                )
+
+            return Step(window, True, insert)
+        if isinstance(stmt, AggregateInsert):
+            return self._aggregate_step(src, stmt)
+        if isinstance(stmt, DeleteBatch):
+            stream = self.store.stream(stmt.src).name
+
+            def delete(ctx, tuples, batch_id, sums):
+                ctx.delete_batch(stream, batch_id)
+
+            return Step(None, False, delete)
+        raise BadDefinition(f"unknown statement {stmt!r}")
+
+    def _aggregate_step(self, src, stmt: AggregateInsert) -> Step:
+        """Count, and sum/avg of an int column, come from the window's
+        running sums and its size, which every event holds. Everything else
+        recomputes with ``aggregate_rows``: float sums round differently
+        once reassociated, and min/max and group_by have no running form
+        here."""
+        if not isinstance(src, WindowTable):
+            raise BadDefinition(
+                "aggregate_insert runs one full window at a time; "
+                f"source {src.name} is not a window"
+            )
+        check_aggregate(src, stmt.op, stmt.column, stmt.group_by)
+        name, op, col, group_by = src.name, stmt.op, stmt.column, stmt.group_by
+        n = src.spec.size
+        from_sums = _from_sums(stmt, src.sums)
+        if not from_sums:
+            def rows(ctx, tuples, sums):
+                return aggregate_rows(tuples, ctx.store.tables[name], op, col, group_by)
+        elif op == "count":
+            def rows(ctx, tuples, sums):
+                return [(n,)]
+        elif op == "sum":
+            def rows(ctx, tuples, sums):
+                return [(sums[col],)]
+        else:
+            def rows(ctx, tuples, sums):
+                return [(float(sums[col]) / n,)]
+        dst = stmt.dst
+        if isinstance(self.store.table(dst), StreamTable):
+            def run(ctx, tuples, batch_id, sums):
+                ctx.emit(dst, rows(ctx, tuples, sums), _internal_batch_id=batch_id)
+        else:
+            def run(ctx, tuples, batch_id, sums):
+                for row in rows(ctx, tuples, sums):
+                    ctx.insert(dst, row)
+        return Step(dst, not from_sums, run)
+
     def _check_statement_dag(self) -> None:
-        edges: list[tuple[str, str]] = []
-        for trig in self.statement_triggers.values():
-            for stmt in trig.program:
-                if isinstance(stmt, FilteredCopy):
-                    edges.append((trig.source, stmt.dst))
-                elif isinstance(stmt, WindowInsertStmt):
-                    edges.append((trig.source, stmt.window))
-                elif isinstance(stmt, AggregateInsert):
-                    edges.append((trig.source, stmt.dst))
-        nodes = {n for e in edges for n in e}
-        state: dict[str, int] = {}
-        succ: dict[str, list[str]] = {n: [] for n in nodes}
-        for a, b in edges:
-            succ[a].append(b)
+        state: dict[str, int] = {}  # table -> 0 while visiting, 1 when done
 
         def visit(n):
             if state.get(n) == 0:
                 raise CycleDetected(f"statement triggers cycle through {n}")
-            if state.get(n) == 1:
-                return
-            state[n] = 0
-            for m in succ[n]:
-                visit(m)
-            state[n] = 1
+            if n not in state:
+                state[n] = 0
+                for step in self.programs.get(n, ()):
+                    if step.writes is not None:
+                        visit(step.writes)
+                state[n] = 1
 
-        for n in nodes:
+        for n in self.programs:
             visit(n)
 
     def register_procedure_trigger(
@@ -203,110 +270,38 @@ class TriggerEngine:
     # --- GC bookkeeping ---
 
     def note_append(self, stream: str, batch_id: int) -> None:
-        count = 0
-        if stream in self.statement_triggers:
-            count += 1
         if stream in self.procedure_triggers:
-            count += 1
-        if count:
-            self.pending[(stream, batch_id)] = count
-
-    def note_statement_done(self, stream: str, batch_id: int) -> None:
-        self._dec(stream, batch_id)
+            self.pending.add((stream, batch_id))
 
     def note_consumed(self, stream: str, batch_id: int) -> None:
-        self._dec(stream, batch_id)
-
-    def _dec(self, stream: str, batch_id: int) -> None:
-        key = (stream, batch_id)
-        left = self.pending.get(key)
-        if left is None:
-            return
-        if left <= 1:
-            del self.pending[key]
-        else:
-            self.pending[key] = left - 1
+        self.pending.discard((stream, batch_id))
 
     def gc_eligible(self, stream: str, batch_id: int) -> bool:
         return (stream, batch_id) not in self.pending
 
     # --- statement trigger execution ---
 
-    def fire_statement_triggers(self, source: str, batch, te_context) -> None:
-        """Run the statement program attached to ``source``, if any.
-
-        Runs inside the current transaction (same undo buffer, same commit
-        fate); statements that land rows on another triggered stream or
-        window cascade depth-first through the context.
-        """
-        trig = self.statement_triggers.get(source)
-        if trig is None:
-            return
-        self._run_program(te_context, trig, batch.tuples, batch.batch_id)
-        self.note_statement_done(source, batch.batch_id)
-        te_context.ee_consumed.append((source, batch.batch_id))
-
-    # storage-side hook name used by the execution context
     def on_stream_append(self, ctx, stream: str, batch) -> None:
-        self.fire_statement_triggers(stream, batch, ctx)
+        """Run the program attached to ``stream``, if any, inside the
+        current transaction (same undo buffer, same commit fate); steps that
+        land rows on another triggered stream or window cascade depth-first
+        through the context."""
+        steps = self.programs.get(stream)
+        if steps is None:
+            return
+        for step in steps:
+            ctx.count_statement()
+            step.run(ctx, batch.tuples, batch.batch_id, None)
+        ctx.ee_consumed.append((stream, batch.batch_id))
 
     def on_window_events(self, ctx, window: str, events: list[FullWindowEvent]):
-        trig = self.statement_triggers.get(window)
-        if trig is None:
+        steps = self.programs.get(window)
+        if steps is None:
             return
         for ev in events:
-            self._run_program(ctx, trig, ev.tuples, ctx.round, ev.sums)
-
-    def _run_program(
-        self, ctx, trig: StatementTrigger, tuples, batch_id: int, sums=None
-    ):
-        for stmt in trig.program:
-            ctx.count_statement()
-            if isinstance(stmt, FilteredCopy):
-                if stmt.pred is None:
-                    hits = list(tuples)
-                else:
-                    tab = self.store.table(trig.source)
-                    ci = tab.col(stmt.pred.column)
-                    fn = _OPS[stmt.pred.op]
-                    want = stmt.pred.value
-                    hits = [t for t in tuples if fn(t.values[ci], want)]
-                if hits:
-                    ctx.copy_to_stream(stmt.dst, hits, batch_id)
-            elif isinstance(stmt, WindowInsertStmt):
-                ctx.window_insert(
-                    stmt.window, tuples,
-                    event_rows=self.event_rows.get(stmt.window, False),
-                )
-            elif isinstance(stmt, AggregateInsert):
-                rows = self._aggregate(trig, stmt, tuples, sums)
-                dst = self.store.table(stmt.dst)
-                if isinstance(dst, StreamTable):
-                    ctx.emit(stmt.dst, rows, _internal_batch_id=batch_id)
-                else:
-                    for row in rows:
-                        ctx.insert(stmt.dst, row)
-            elif isinstance(stmt, DeleteBatch):
-                ctx.delete_batch(stmt.src, batch_id)
-            else:
-                raise BadDefinition(f"unknown statement {stmt!r}")
-
-    def _aggregate(self, trig, stmt: AggregateInsert, tuples, sums) -> list[tuple]:
-        """Answer count, and sum/avg of an int column, from the window's
-        running sums and its size, which every event holds. Everything else
-        recomputes with ``aggregate_rows``: float sums round differently
-        once reassociated, and min/max and group_by have no running form
-        here."""
-        if sums is not None and _from_sums(stmt, sums):
-            n = self.store.tables[trig.source].spec.size
-            if stmt.op == "count":
-                return [(n,)]
-            total = sums[stmt.column]
-            return [(total,)] if stmt.op == "sum" else [(float(total) / n,)]
-        return aggregate_rows(
-            list(tuples), self.store.table(trig.source), stmt.op, stmt.column,
-            stmt.group_by,
-        )
+            for step in steps:
+                ctx.count_statement()
+                step.run(ctx, ev.tuples, ctx.round, ev.sums)
 
     # --- procedure trigger firing (commit time) ---
 
@@ -332,16 +327,13 @@ class TriggerEngine:
         )
 
     def refire_nonempty_streams(self) -> list[tuple[str, int, Optional[str]]]:
-        """Recovery helper: re-enqueue consumers for still-pending batches."""
+        """Recovery helper: mark every batch held on a procedure-trigger
+        stream as waiting for its consumer, and fire the ready ones (the
+        partition drops a round a target already has queued)."""
         out: list[tuple[str, int, Optional[str]]] = []
-        seen: set[tuple[str, int]] = set()
         for name in sorted(self.procedure_triggers):
-            tab = self.store.stream(name)
-            for batch_id in tab.pending_batches():
-                for req in self.fire_procedure_triggers(name, batch_id):
-                    key = (req[0] if req[2] is None else req[2], req[1])
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(req)
+            for batch_id in self.store.stream(name).pending_batches():
+                self.pending.add((name, batch_id))
+                out += self.fire_procedure_triggers(name, batch_id)
         out.sort(key=lambda r: r[1])
         return out

@@ -485,8 +485,6 @@ def build_spec_from_config(cfg: WorkloadConfig) -> EngineSpec:
     builtin body names."""
     tables = [TableDef(n, cols, idx) for n, (cols, idx) in sorted(cfg.tables.items())]
     streams = [StreamDef(n, cols) for n, cols in sorted(cfg.streams.items())]
-    produced = {stream for _, stream, _ in cfg.edges}
-    consumers = {c: s for _, s, c in cfg.edges}
     procs = []
     for pc in cfg.procedures:
         kind = ProcedureKind(pc.kind)

@@ -133,8 +133,22 @@ def random_run(seed: int):
             engine.call_oltp("Q", {"v": rng.randint(0, 99)})
         if rng.random() < 0.5:
             engine.run_until_idle()
+        assert_pending_is_waiting(engine)
     engine.run_until_idle()
+    assert_pending_is_waiting(engine)
     return engine, w
+
+
+def assert_pending_is_waiting(engine: Engine) -> None:
+    """``TriggerEngine.pending`` is exactly the batches held on streams
+    that fire a procedure: those whose consumer has not committed."""
+    triggers = engine.partition.trigger_engine
+    held = {
+        (s, b)
+        for s in triggers.procedure_triggers
+        for b in engine.store.stream(s).batches
+    }
+    assert triggers.pending == held, (triggers.pending, held)
 
 
 # --- window aggregates ---

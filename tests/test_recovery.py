@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from randomized import random_pair_run
+from randomized import pair_chain_spec, random_pair_run
 from streamtx.engine import (
     CACHE_FILE,
     LOG_FILE,
@@ -19,6 +19,7 @@ from streamtx.errors import (
     CorruptLogRecord,
     ReplayDivergence,
     TypeMismatch,
+    VersionMismatch,
 )
 from streamtx.executor import args_to_batches
 from streamtx.ingest import BatchingPolicy, FeedSource, StreamIngestor, ingest
@@ -42,6 +43,7 @@ from streamtx.recovery import (
 from streamtx.snapshot import snapshot_state
 from streamtx.storage import Pred
 from streamtx.validator import validate
+from streamtx.workloads import window_native_spec
 
 VAL_COLS = (("value", "int"),)
 
@@ -309,10 +311,58 @@ def test_strong_mid_round_crash_refires_pending(tmp_path):
     r = recover(chain_spec(2), str(tmp_path), fsync=False)
     # recovered-but-not-resumed state holds the pending interior batch
     assert r.store.stream("s2").pending_batches() == [1]
+    assert r.partition.trigger_engine.pending == {("s2", 1)}
     queued = [(q.proc, q.round) for q in r.partition.fast_track]
     assert queued == [("SP2", 1)]
     r.run_until_idle()
     assert sorted(t.values[0] for t in r.store.table("out").rows) == [5]
+    r.close()
+
+
+def test_batch_waiting_in_snapshot_is_pending_after_recover(tmp_path):
+    # the waiting s2 batch comes back from the snapshot, not from replay
+    e = Engine(chain_spec(2), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.STRONG, fsync=False)
+    e.partition.set_pe_triggers_enabled(False)
+    feed_rounds(e, [5])
+    e.run_until_idle()
+    assert e.partition.trigger_engine.pending == {("s2", 1)}
+    e.checkpoint()
+    e.crash()
+    r = recover(chain_spec(2), str(tmp_path), fsync=False)
+    assert r.partition.trigger_engine.pending == {("s2", 1)}
+    r.run_until_idle()
+    assert out_values(r) == [5]
+    assert not r.partition.trigger_engine.pending
+    assert r.store.stream("s2").rows == []
+    r.close()
+
+
+def _chain_spec_with(out_cols=VAL_COLS, out_indexes=()):
+    spec = chain_spec(2)
+    spec.tables = [TableDef("out", out_cols, out_indexes)]
+    return spec
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        (lambda: window_native_spec(4, 1), lambda: window_native_spec(8, 2)),
+        (lambda: window_native_spec(4, 1), lambda: window_native_spec(4, 2)),
+        (lambda: chain_spec(2), lambda: _chain_spec_with(out_indexes=("value",))),
+        (lambda: chain_spec(2), lambda: _chain_spec_with((("value", "float"),))),
+        (lambda: chain_spec(2), lambda: _chain_spec_with((("v", "int"),))),
+    ],
+    ids=["window_size", "window_slide", "index", "column_type", "column_name"],
+)
+def test_recover_rejects_snapshot_of_another_catalog(tmp_path, before, after):
+    e = Engine(before(), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.STRONG, fsync=False)
+    e.checkpoint()
+    e.crash()
+    with pytest.raises(VersionMismatch):
+        recover(after(), str(tmp_path), fsync=False)
+    r = recover(before(), str(tmp_path), fsync=False)
     r.close()
 
 
@@ -768,6 +818,37 @@ def test_queued_rounds_survive_two_crashes(tmp_path):
     r.run_until_idle()
     assert out_values(r) == [10, 20, 30, 40, 50, 60]
     r.close()
+
+
+def test_multi_input_round_encoded_once(tmp_path, monkeypatch):
+    # each batch is encoded once; the round's args join those encodings in
+    # arrival order, the same bytes as encoding the whole round
+    import streamtx.engine as engine_mod
+    from streamtx.codec import encode_batches
+
+    calls = []
+    real = engine_mod.batches_to_args
+    monkeypatch.setattr(
+        engine_mod, "batches_to_args", lambda b: calls.append(b) or real(b)
+    )
+    spec = pair_chain_spec()
+    e = Engine(spec, data_dir=str(tmp_path), recovery_mode=RecoveryMode.STRONG,
+               fsync=False)
+    rounds = {1: ("a", "b"), 2: ("b", "a")}
+    value = {"a": 10, "b": 1}
+    for r, order in rounds.items():
+        for s in order:
+            e.ingest_batch(s, one_row(r, value[s] * r))
+        e.run_until_idle()
+    assert len(calls) == 4
+    e.partition.log.flush()
+    _, _, recs = read_log(str(tmp_path / LOG_FILE))
+    got = {rec.round: rec.args for rec in recs if rec.procedure == "SP1"}
+    assert got == {
+        r: encode_batches({s: one_row(r, value[s] * r) for s in order})
+        for r, order in rounds.items()
+    }
+    e.close()
 
 
 def test_weak_two_input_border_randomized(tmp_path):

@@ -198,6 +198,35 @@ def test_abort_leaves_state_bit_equal():
     assert snapshot_state(e.store) == before
 
 
+def test_body_exception_aborts_its_execution():
+    # a body that raises anything but an abort still rolls back and aborts
+    def body(ctx):
+        for t in ctx.input_tuples("s1"):
+            ctx.insert("out", t.values)
+        if ctx.round == 2:
+            raise ValueError("bad round")
+
+    w = register_workflow(
+        "w", [ProcedureDef("SP1", ProcedureKind.BORDER, ("s1",), body=body)]
+    )
+    spec = EngineSpec(
+        workflows=[w],
+        streams=[StreamDef("s1", VAL_COLS)],
+        tables=[TableDef("out", VAL_COLS)],
+    )
+    e = Engine(spec)
+    tickets = feed(e, [1, 2, 3])
+    e.run_until_idle()
+    assert [t.outcome for t in tickets] == ["committed", "aborted", "committed"]
+    assert tickets[1].reason == "ValueError: bad round"
+    assert tickets[1].acknowledged
+    assert sorted(t.values for t in e.store.table("out").rows) == [(1,), (3,)]
+    assert e.store.stream("s1").rows == []
+    assert [(te.procedure, te.round) for te in e.committed_schedule] == [
+        ("SP1", 1), ("SP1", 3)
+    ]
+
+
 def test_empty_body_commits():
     w = register_workflow("w", [ProcedureDef("Q", ProcedureKind.OLTP)])
     e = Engine(EngineSpec(workflows=[w]))

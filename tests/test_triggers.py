@@ -1,7 +1,9 @@
+from dataclasses import dataclass
+
 import pytest
 
 from streamtx.engine import Engine, EngineSpec, StreamDef, TableDef
-from streamtx.errors import BadDefinition, CycleDetected
+from streamtx.errors import BadDefinition, CycleDetected, StreamTxError
 from streamtx.ingest import BatchingPolicy, FeedSource, ingest
 from streamtx.model import (
     AtomicBatch,
@@ -83,7 +85,7 @@ def test_ee_chain_abort_reverts_everything():
     e.run_until_idle()
     assert tickets[0].outcome == "aborted"
     assert snapshot_state(e.store) == before
-    assert e.partition.trigger_engine.pending == {}
+    assert not e.partition.trigger_engine.pending
 
 
 def test_empty_program_is_noop():
@@ -116,6 +118,72 @@ def test_statement_trigger_cycle_rejected():
         te.register_statement_trigger(
             StatementTrigger("b", (FilteredCopy("b", "a"),))
         )
+
+
+@dataclass(frozen=True)
+class Truncate:
+    """A statement type the trigger engine does not know."""
+
+    src: str
+
+
+MALFORMED_PROGRAMS = {
+    "copy_into_public_table": ("s", FilteredCopy("s", "t")),
+    "pred_unknown_column": ("s", FilteredCopy("s", "out", Pred("nope", ">", 1))),
+    "pred_text_value_on_int": ("s", FilteredCopy("s", "out", Pred("value", "<", "9"))),
+    "pred_int_value_on_text": ("s", FilteredCopy("s", "out", Pred("name", "==", 3))),
+    "aggregate_unknown_op": ("w", AggregateInsert("w", "t", "median", "value")),
+    "aggregate_unknown_column": ("w", AggregateInsert("w", "t", "sum", "nope")),
+    "aggregate_unknown_group_by": (
+        "w", AggregateInsert("w", "t", "count", group_by="nope")
+    ),
+    "aggregate_sum_text": ("w", AggregateInsert("w", "t", "sum", "name")),
+    "aggregate_max_text": ("w", AggregateInsert("w", "t", "max", "name")),
+    "delete_from_window": ("w", DeleteBatch("w")),
+    "unknown_statement": ("s", Truncate("s")),
+}
+
+
+def single_statement_spec(source, stmt):
+    """A stream ``s`` and a window ``w`` over (value int, name text), a
+    stream ``out`` of the same schema, a public table ``t``, and one
+    statement triggered on ``source``."""
+    cols = (("value", "int"), ("name", "text"))
+    w = register_workflow(
+        "m",
+        [
+            ProcedureDef(
+                "SP1",
+                ProcedureKind.BORDER,
+                ("s",),
+                window_defs=(WindowSpec("w", 2, 1, "SP1"),),
+            )
+        ],
+    )
+    return EngineSpec(
+        workflows=[w],
+        streams=[StreamDef("s", cols), StreamDef("out", cols)],
+        tables=[TableDef("t", (("v", "int"),))],
+        window_columns={"w": cols},
+        statement_triggers=[StatementTrigger(source, (stmt,))],
+    )
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PROGRAMS))
+def test_malformed_program_rejected_at_registration(case):
+    with pytest.raises(StreamTxError):
+        Engine(single_statement_spec(*MALFORMED_PROGRAMS[case]))
+
+
+def test_well_formed_statements_register():
+    for source, stmt in [
+        ("s", FilteredCopy("s", "out", Pred("value", "<", 9.5))),
+        ("s", FilteredCopy("s", "out", Pred("name", "==", "x"))),
+        ("w", AggregateInsert("w", "t", "max", "value", group_by="name")),
+        ("w", AggregateInsert("w", "t", "count", "name")),
+        ("s", DeleteBatch("s")),
+    ]:
+        Engine(single_statement_spec(source, stmt))
 
 
 def test_pe_trigger_on_window_rejected():
