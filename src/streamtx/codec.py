@@ -115,14 +115,6 @@ def encode_batches(batches: dict[str, AtomicBatch]) -> bytes:
     return b"".join(out)
 
 
-def join_batches(encoded: list[bytes]) -> bytes:
-    """The encoding of several streams' batches, from each one's own
-    ``encode_batches`` output, in the given order."""
-    if len(encoded) == 1:
-        return encoded[0]
-    return b"".join([_H.pack(len(encoded)), *(e[_H.size :] for e in encoded)])
-
-
 def decode_batches(buf: bytes) -> dict[str, AtomicBatch]:
     (n_streams,) = _H.unpack_from(buf, 0)
     off = 2

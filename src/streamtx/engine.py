@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .codec import join_batches
 from .errors import (
     BadDefinition,
     EngineStopped,
@@ -161,10 +160,9 @@ class Engine:
             schedule_capacity=schedule_capacity,
             post_commit_hook=post_commit_hook,
         )
-        # border -> round -> (its batches so far, their encodings in arrival
-        # order, its ticket), for rounds that miss a batch or wait behind a
-        # lower round
-        self._feeder_pending: dict[str, dict[int, tuple[dict, list, Ticket]]] = {}
+        # border -> round -> (its batches so far, its ticket), for rounds that
+        # miss a batch or wait behind a lower round
+        self._feeder_pending: dict[str, dict[int, tuple[dict, Ticket]]] = {}
         self._released: dict[str, int] = {}  # border -> last round submitted
         self._border_for_stream: dict[str, str] = {}
         for w in spec.workflows:
@@ -206,11 +204,10 @@ class Engine:
         a stream, raises ``BadDefinition``. Encoding checks the values before
         anything keeps the batch; it then lands in the input cache (written
         to its file in weak mode), so an unacknowledged round survives a
-        crash. The round's args, which the log keeps, join its batches'
-        encodings in arrival order; the request also carries the batches
-        themselves, so the live execution decodes nothing. The call that
-        completes a round returns its ticket, even while the round waits;
-        earlier calls return None.
+        crash. The encoded round is the request's args, which the log keeps;
+        the request also carries the batches themselves, so the live
+        execution decodes nothing. The call that completes a round returns
+        its ticket, even while the round waits; earlier calls return None.
         """
         if self.partition.stopped:
             raise EngineStopped("partition is stopped")
@@ -232,24 +229,24 @@ class Engine:
             p.fail_stop(p.input_cache.append, stream, batch, args)
         pending = self._feeder_pending.setdefault(proc_name, {})
         if slot is None:
-            slot = pending[round_] = ({}, [], Ticket())
-        batches, encoded, ticket = slot
+            slot = pending[round_] = ({}, Ticket())
+        batches, ticket = slot
         batches[stream] = batch
-        encoded.append(args)
         n_inputs = len(self.catalog.procedure(proc_name).stream_inputs)
         if len(batches) < n_inputs:
             return None
         while pending:
             low = min(pending)
-            ready, parts, low_ticket = pending[low]
+            ready, low_ticket = pending[low]
             if len(ready) < n_inputs:
                 break
             del pending[low]
             self._released[proc_name] = low
             self._backpressure()
+            if n_inputs > 1:
+                args = batches_to_args(ready)
             req = TERequest(
-                proc_name, low, join_batches(parts), Origin.CLIENT, low_ticket,
-                batches=ready,
+                proc_name, low, args, Origin.CLIENT, low_ticket, batches=ready
             )
             self.partition.submit_client(req)
         return ticket

@@ -491,11 +491,14 @@ class Partition:
             if proc.is_streaming:
                 self._load_inputs(ctx, proc, req)
             if proc.body is not None:
-                proc.body(ctx)
-        except Exception as e:  # any failure aborts, leaving nothing behind
+                try:
+                    proc.body(ctx)
+                except StreamTxError:
+                    raise
+                except Exception as e:  # a failing body aborts, as BodyAbort does
+                    raise BodyAbort(f"{type(e).__name__}: {e}") from e
+        except StreamTxError as e:
             ctx.undo.rollback()
-            if not isinstance(e, StreamTxError):
-                e = BodyAbort(f"{type(e).__name__}: {e}")
             return ctx, e
         return ctx, None
 

@@ -307,8 +307,17 @@ class UndoBuffer:
 
 
 def row_matcher(tab: _BaseTable, pred: Pred) -> Callable[[Tuple], bool]:
-    """Whether a row of ``tab`` satisfies ``pred``, its column resolved once."""
+    """Whether a row of ``tab`` satisfies ``pred``, its column resolved and
+    its value checked once: text compares with ``str``, int and float with
+    ``int`` or ``float``."""
     ci = tab.col(pred.column)
+    col = tab.schema[ci]
+    kinds = (str,) if col.type is ScalarType.TEXT else (int, float)
+    if type(pred.value) not in kinds:
+        raise TypeMismatch(
+            f"{tab.name}.{col.name} is {col.type.value}; "
+            f"cannot compare it with {pred.value!r}"
+        )
     fn = _OPS[pred.op]
     want = pred.value
     return lambda t: fn(t.values[ci], want)
@@ -488,17 +497,15 @@ class Store:
             rows = tab.active  # staged tuples are never visible
         else:
             rows = tab.rows
-        if (
-            pred is not None
-            and pred.op == "=="
-            and isinstance(tab, PublicTable)
-            and pred.column in tab.indexes
-        ):
-            hits = tab.indexes[pred.column].get(pred.value, [])
-            return list(hits)
         if pred is None:
             return list(rows)
         match = row_matcher(tab, pred)
+        if (
+            pred.op == "=="
+            and isinstance(tab, PublicTable)
+            and pred.column in tab.indexes
+        ):
+            return list(tab.indexes[pred.column].get(pred.value, []))
         return [t for t in rows if match(t)]
 
     def delete_where(

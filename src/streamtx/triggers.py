@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .errors import BadDefinition, CycleDetected, TypeMismatch
+from .errors import BadDefinition, CycleDetected
 from .model import ProcedureDef, ResolvedGroup
 from .storage import (
     FullWindowEvent,
     Pred,
-    ScalarType,
     Store,
     StreamTable,
     WindowTable,
@@ -101,19 +100,6 @@ def _from_sums(stmt: AggregateInsert, sums: dict[str, int]) -> bool:
     return stmt.op == "count" or (stmt.op in ("sum", "avg") and stmt.column in sums)
 
 
-def _pred_matcher(tab, pred: Pred) -> Callable:
-    """``row_matcher`` for a predicate whose value compares with its column:
-    text with ``str``, int and float with ``int`` or ``float``."""
-    col = tab.schema[tab.col(pred.column)]
-    kinds = (str,) if col.type is ScalarType.TEXT else (int, float)
-    if type(pred.value) not in kinds:
-        raise TypeMismatch(
-            f"{tab.name}.{col.name} is {col.type.value}; "
-            f"cannot compare it with {pred.value!r}"
-        )
-    return row_matcher(tab, pred)
-
-
 class TriggerEngine:
     """Per-partition trigger registry, dispatch, and GC bookkeeping."""
 
@@ -154,7 +140,7 @@ class TriggerEngine:
         """Check one statement against the catalog and build its step."""
         if isinstance(stmt, FilteredCopy):
             dst = self.store.stream(stmt.dst).name
-            match = None if stmt.pred is None else _pred_matcher(src, stmt.pred)
+            match = None if stmt.pred is None else row_matcher(src, stmt.pred)
 
             def copy(ctx, tuples, batch_id, sums):
                 hits = tuples if match is None else [t for t in tuples if match(t)]

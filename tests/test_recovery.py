@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from randomized import pair_chain_spec, random_pair_run
+from randomized import random_pair_run
 from streamtx.engine import (
     CACHE_FILE,
     LOG_FILE,
@@ -818,37 +818,6 @@ def test_queued_rounds_survive_two_crashes(tmp_path):
     r.run_until_idle()
     assert out_values(r) == [10, 20, 30, 40, 50, 60]
     r.close()
-
-
-def test_multi_input_round_encoded_once(tmp_path, monkeypatch):
-    # each batch is encoded once; the round's args join those encodings in
-    # arrival order, the same bytes as encoding the whole round
-    import streamtx.engine as engine_mod
-    from streamtx.codec import encode_batches
-
-    calls = []
-    real = engine_mod.batches_to_args
-    monkeypatch.setattr(
-        engine_mod, "batches_to_args", lambda b: calls.append(b) or real(b)
-    )
-    spec = pair_chain_spec()
-    e = Engine(spec, data_dir=str(tmp_path), recovery_mode=RecoveryMode.STRONG,
-               fsync=False)
-    rounds = {1: ("a", "b"), 2: ("b", "a")}
-    value = {"a": 10, "b": 1}
-    for r, order in rounds.items():
-        for s in order:
-            e.ingest_batch(s, one_row(r, value[s] * r))
-        e.run_until_idle()
-    assert len(calls) == 4
-    e.partition.log.flush()
-    _, _, recs = read_log(str(tmp_path / LOG_FILE))
-    got = {rec.round: rec.args for rec in recs if rec.procedure == "SP1"}
-    assert got == {
-        r: encode_batches({s: one_row(r, value[s] * r) for s in order})
-        for r, order in rounds.items()
-    }
-    e.close()
 
 
 def test_weak_two_input_border_randomized(tmp_path):

@@ -152,6 +152,24 @@ def test_indexed_equality_matches_scan(store):
         )
 
 
+@pytest.mark.parametrize(
+    "pred",
+    [Pred("k", "<", "9"), Pred("k", "==", "9"), Pred("name", ">", 3)],
+    ids=["text_on_int", "text_on_indexed_int", "int_on_text"],
+)
+def test_ill_typed_predicate_rejected_before_scan(store, pred):
+    store.create_public(
+        "t", make_schema(("k", "int"), ("name", "text")), indexed=["k"]
+    )
+    undo = UndoBuffer()
+    store.insert("t", Tuple((9, "a")), undo)
+    with pytest.raises(TypeMismatch):
+        store.select_where("t", pred)
+    with pytest.raises(TypeMismatch):
+        store.delete_where("t", pred, undo)
+    assert len(store.table("t").rows) == 1
+
+
 def test_delete_one_batch_keeps_other(store):
     store.create_stream("s", VAL)
     undo = UndoBuffer()
