@@ -12,23 +12,19 @@ from .engine import (
     TableDef,
     partitioned_engines,
     recover,
-    recover_strong,
-    recover_weak,
     route_partition,
 )
-from .ingest import BatchingPolicy, FeedSource, StreamIngestor, call_oltp, ingest
+from .ingest import BatchingPolicy, FeedSource, StreamIngestor, ingest
 from .model import (
     AtomicBatch,
     Edge,
     NestedGroup,
     ProcedureDef,
     ProcedureKind,
-    Schedule,
     TransactionExecution,
     Tuple,
     WindowSpec,
     Workflow,
-    batch_round,
     register_workflow,
     topological_orderings,
 )
@@ -51,7 +47,6 @@ __all__ = [
     "ProcedureKind",
     "RecoveryMode",
     "ScalarType",
-    "Schedule",
     "Store",
     "StreamDef",
     "StreamIngestor",
@@ -61,14 +56,10 @@ __all__ = [
     "UndoBuffer",
     "WindowSpec",
     "Workflow",
-    "batch_round",
-    "call_oltp",
     "enumerate_correct_schedules",
     "ingest",
     "partitioned_engines",
     "recover",
-    "recover_strong",
-    "recover_weak",
     "recovery_dispatch_count",
     "register_workflow",
     "route_partition",

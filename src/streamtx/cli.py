@@ -3,9 +3,12 @@
     streamtx bench <ee|pe|window|leaderboard|recovery|scaling> --config F
     streamtx validate --schedule F --workflow F
     streamtx recover --log P --workflow F
-    streamtx run --config F [--rate R] [--batch-size N] [--batch-by-ts]
+    streamtx run --config F [--data-dir D] [--rate R]
 
 ``recover`` reads snapshots and the input cache from the log's directory.
+``run`` feeds the CSV named by the config's ``[feed] source`` into its
+stream, batched by ``batch_mode`` and ``batch_size``; a ``ts`` column, when
+the file has one, gives each tuple's timestamp.
 Exit code 0 means every embedded assertion held.
 """
 
@@ -16,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 
 from . import config as cfgmod
 from .bench import (
@@ -28,7 +32,7 @@ from .bench import (
     run_window_bench,
 )
 from .engine import Engine, recover
-from .ingest import BatchingPolicy, FeedSource
+from .ingest import BatchingPolicy, FeedSource, StreamIngestor
 from .model import TransactionExecution
 from .recovery import RecoveryMode
 from .validator import validate
@@ -178,24 +182,18 @@ def cmd_run(args) -> int:
     else:
         print("run needs a csv feed source", file=sys.stderr)
         return 2
-    if args.batch_by_ts:
-        policy = BatchingPolicy("same_timestamp")
-    else:
-        policy = BatchingPolicy("fixed_count", args.batch_size or cfg.feed.batch_size)
-    from .ingest import StreamIngestor
-
+    policy = BatchingPolicy(cfg.feed.batch_mode, cfg.feed.batch_size)
     ing = StreamIngestor(engine, stream, policy)
     delay = 1.0 / args.rate if args.rate else 0.0
+    tickets = []
     for values, ts in feed.rows:
-        ing.push(values, ts)
+        tickets.append(ing.push(values, ts))
         engine.run_until_idle()
         if delay:
-            import time
-
             time.sleep(delay)
-    ing.end_of_stream()
+    tickets.append(ing.end_of_stream())
     engine.run_until_idle()
-    tickets = ing.tickets
+    tickets = [t for t in tickets if t is not None]
     committed = sum(1 for t in tickets if t.committed)
     print(
         json.dumps(
@@ -242,8 +240,6 @@ def main(argv=None) -> int:
     x.add_argument("--config", required=True)
     x.add_argument("--data-dir")
     x.add_argument("--rate", type=float, help="tuples/sec (default: max speed)")
-    x.add_argument("--batch-size", type=int)
-    x.add_argument("--batch-by-ts", action="store_true")
     x.set_defaults(fn=cmd_run)
 
     args = parser.parse_args(argv)

@@ -9,11 +9,12 @@ Example::
     [engine]
     mode = triggered
     recovery = strong
-    partitions = 1
 
     [stream s1]
     columns = value:int
-    external = true
+
+    [stream s2]
+    columns = value:int
 
     [procedure sp1]
     kind = border
@@ -22,6 +23,15 @@ Example::
 
     [trigger s1]
     program = filtered_copy(s2, value > 10)
+
+    [feed]
+    stream = s1
+    batch_mode = same_timestamp
+    source = csv:feed.csv
+
+A border input is any stream a procedure reads that no edge produces. The
+``[feed]`` section sets how ``streamtx run`` cuts its source into batches:
+``batch_mode = fixed_count`` with ``batch_size``, or ``same_timestamp``.
 
 Procedure bodies are named references into the workload registry (see
 workloads.py); the config format itself carries no code.
@@ -181,7 +191,6 @@ class FeedConfig:
     batch_mode: str = "fixed_count"  # or same_timestamp
     batch_size: int = 1
     source: str = "builtin:none"  # builtin:<name> or csv:<path>
-    rounds: int = 0
 
 
 @dataclass
@@ -190,7 +199,6 @@ class WorkloadConfig:
 
     engine_mode: str = "triggered"  # triggered | client_driven
     recovery: str = "none"  # none | strong | weak
-    partitions: int = 1
     partition_key: Optional[str] = None
     group_commit_max_batch: int = 1
     group_commit_max_delay_ms: float = 5.0
@@ -244,7 +252,6 @@ def load(text: str) -> WorkloadConfig:
         if head == "engine":
             cfg.engine_mode = body.get("mode", cfg.engine_mode)
             cfg.recovery = body.get("recovery", cfg.recovery)
-            cfg.partitions = int(body.get("partitions", cfg.partitions))
             cfg.partition_key = body.get("partition_key") or None
             cfg.group_commit_max_batch = int(
                 body.get("group_commit_max_batch", cfg.group_commit_max_batch)
@@ -305,7 +312,6 @@ def load(text: str) -> WorkloadConfig:
                 batch_mode=body.get("batch_mode", "fixed_count"),
                 batch_size=int(body.get("batch_size", 1)),
                 source=body.get("source", "builtin:none"),
-                rounds=int(body.get("rounds", 0)),
             )
         elif head == "params":
             cfg.params = {k: float(v) for k, v in body.items()}
@@ -335,7 +341,6 @@ def dump(cfg: WorkloadConfig) -> str:
         [
             ("mode", cfg.engine_mode),
             ("recovery", cfg.recovery),
-            ("partitions", cfg.partitions),
             ("partition_key", cfg.partition_key or ""),
             ("group_commit_max_batch", cfg.group_commit_max_batch),
             ("group_commit_max_delay_ms", cfg.group_commit_max_delay_ms),
@@ -395,7 +400,6 @@ def dump(cfg: WorkloadConfig) -> str:
                 ("batch_mode", cfg.feed.batch_mode),
                 ("batch_size", cfg.feed.batch_size),
                 ("source", cfg.feed.source),
-                ("rounds", cfg.feed.rounds),
             ],
         )
     if cfg.params:

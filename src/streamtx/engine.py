@@ -166,12 +166,11 @@ class Engine:
         self._released: dict[str, int] = {}  # border -> last round submitted
         self._border_for_stream: dict[str, str] = {}
         for w in spec.workflows:
-            produced = {e.stream for e in w.edges}
+            external = w.external_streams()
             for p in w.procedures:
-                if p.kind is ProcedureKind.BORDER:
-                    for s in p.stream_inputs:
-                        if s not in produced:
-                            self._border_for_stream[s] = p.name
+                for s in p.stream_inputs:
+                    if s in external:
+                        self._border_for_stream[s] = p.name
 
     # --- convenience accessors ---
 
@@ -390,7 +389,9 @@ def recover(
     expect_mode: Optional[RecoveryMode] = None,
     **engine_kwargs,
 ) -> Engine:
-    """Bring a crashed engine back per the mode recorded in its log."""
+    """Bring a crashed engine back per the mode recorded in its log. With
+    ``expect_mode`` set, a log written in the other mode raises
+    ``VersionMismatch``."""
     for name in os.listdir(data_dir):
         if name.endswith(TEMP_SUFFIX):  # a replace_file the crash cut short
             os.remove(os.path.join(data_dir, name))
@@ -422,22 +423,10 @@ def recover(
     return engine
 
 
-def recover_strong(spec: EngineSpec, data_dir: str, **kw) -> Engine:
-    """Restore the snapshot, replay every logged execution once with
-    procedure triggers disabled, re-enable, refire pending streams."""
-    return recover(spec, data_dir, expect_mode=RecoveryMode.STRONG, **kw)
-
-
-def recover_weak(spec: EngineSpec, data_dir: str, **kw) -> Engine:
-    """Restore the snapshot, refire pending streams, replay border and OLTP
-    records with triggers live, then re-submit unconsumed cached input."""
-    return recover(spec, data_dir, expect_mode=RecoveryMode.WEAK, **kw)
-
-
 def _replay_strong(engine: Engine, records, snapshot_seq: int) -> None:
     """Replay every logged execution once, triggers off, then refire."""
     p = engine.partition
-    p.set_pe_triggers_enabled(False)
+    p.trigger_engine.pe_enabled = False
     p._replaying = True
     try:
         for rec in records:
@@ -457,7 +446,7 @@ def _replay_strong(engine: Engine, records, snapshot_seq: int) -> None:
                 )
     finally:
         p._replaying = False
-        p.set_pe_triggers_enabled(True)
+        p.trigger_engine.pe_enabled = True
     p.refire_nonempty_streams()
 
 

@@ -31,14 +31,13 @@ from .model import (
     ProcedureDef,
     ProcedureKind,
     ResolvedGroup,
-    Schedule,
     TransactionExecution,
     Tuple,
     Workflow,
     group_roots,
 )
 from .recovery import CommandLog, CommandLogRecord, InputCache
-from .storage import FullWindowEvent, Pred, Store, UndoBuffer
+from .storage import FullWindowEvent, Pred, Store, StreamTable, UndoBuffer
 from .triggers import TriggerEngine
 
 
@@ -195,7 +194,7 @@ class TEContext:
             )
         return self.inputs[stream]
 
-    def emit(self, stream: str, rows, ts=None, _internal_batch_id=None) -> None:
+    def emit(self, stream: str, rows, ts=None) -> None:
         """Append an output batch (labeled with this round) to a stream.
 
         ``rows`` holds value tuples or Tuple instances; tuple ids are stamped
@@ -204,11 +203,10 @@ class TEContext:
         """
         if self.proc.kind is ProcedureKind.OLTP:
             raise BadDefinition("OLTP procedures operate on tables only")
-        batch_id = self.round if _internal_batch_id is None else _internal_batch_id
-        self._append_to_stream(stream, rows, batch_id, ts)
+        self._append_to_stream(stream, rows, self.round, ts)
 
-    def copy_to_stream(self, stream: str, tuples: list[Tuple], batch_id: int) -> None:
-        self._append_to_stream(stream, tuples, batch_id, None)
+    def copy_to_stream(self, stream: str, rows, batch_id: int) -> None:
+        self._append_to_stream(stream, rows, batch_id, None)
 
     def _append_to_stream(self, stream, rows, batch_id, ts) -> None:
         rows = list(rows)
@@ -248,6 +246,11 @@ class TEContext:
             self._depth -= 1
 
     def insert(self, table: str, values, ts: int = 0) -> None:
+        """Insert one row. Into a stream this appends, as ``emit`` does;
+        into a window it may slide the window."""
+        if isinstance(self.store.tables.get(table), StreamTable):
+            self.emit(table, (values,), ts)
+            return
         t = values if isinstance(values, Tuple) else Tuple(tuple(values), ts=ts)
         events = self.store.insert(
             table, t, self.undo, accessor=self.proc.name, round=self.round
@@ -326,7 +329,7 @@ class Partition:
 
         self.client_queue: deque[TERequest] = deque()
         self.fast_track: deque[TERequest] = deque()
-        self.committed_schedule = Schedule()
+        self.committed_schedule: list[TransactionExecution] = []
         self.commit_seq = 0
         self.counters: Counters = log.counters  # the log counts its syncs there
         self.stopped = False
@@ -407,14 +410,6 @@ class Partition:
             raise
 
     # --- execution ---
-
-    def execute_nested(self, group_name: str, round: int, args: bytes = b"") -> str:
-        """Run one nested-group instance for a round, children serially with
-        nothing interleaved; commits only if every child commits."""
-        group = self.catalog.groups[group_name]
-        root = group.roots[0].name
-        req = TERequest(root, round, args, Origin.CLIENT, group=group_name)
-        return self._execute_group(req, group)
 
     def execute(self, req: TERequest) -> str:
         """Run one execution (or its whole nested group) to commit/abort."""
@@ -504,9 +499,8 @@ class Partition:
 
     def _load_inputs(self, ctx: TEContext, proc: ProcedureDef, req: TERequest):
         """Append a border's input batches to their streams, taken from the
-        request's batches, or decoded from its args when it carries none
-        (replay, ``execute_nested``); every other input must already hold
-        the round's batch."""
+        request's batches, or decoded from its args when it carries none, as
+        in replay; every other input must already hold the round's batch."""
         if proc.kind is ProcedureKind.BORDER and req.args:
             batches = req.batches
             if batches is None:
@@ -544,9 +538,9 @@ class Partition:
             self.committed_schedule.append(te)
             if (
                 self.schedule_capacity is not None
-                and len(self.committed_schedule.entries) > self.schedule_capacity
+                and len(self.committed_schedule) > self.schedule_capacity
             ):
-                del self.committed_schedule.entries[0]
+                del self.committed_schedule[0]
             self.counters.te_committed += 1
             if req.ticket is not None:
                 req.ticket.outcome = "committed"
@@ -616,9 +610,6 @@ class Partition:
         self.counters.log_records += 1
 
     # --- trigger surface (module operations live on the partition) ---
-
-    def set_pe_triggers_enabled(self, flag: bool) -> None:
-        self.trigger_engine.set_pe_triggers_enabled(flag)
 
     def refire_nonempty_streams(self) -> list[TERequest]:
         return self._submit_trigger(self.trigger_engine.refire_nonempty_streams())

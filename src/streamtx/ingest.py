@@ -1,5 +1,5 @@
 """Stream injection: turns tuple feeds into atomic batches and drives the
-border procedures; also the pull path for OLTP calls."""
+border procedures."""
 
 from __future__ import annotations
 
@@ -31,24 +31,21 @@ class BatchingPolicy:
 
 @dataclass
 class FeedSource:
-    """A deterministic, replayable tuple source: (values, ts) pairs.
-
-    ``rate`` is tuples/sec for paced replay; None means max speed. Pacing is
-    applied by the CLI driver; library ingestion always runs at full speed.
-    """
+    """A deterministic, replayable tuple source: (values, ts) pairs."""
 
     rows: Sequence[tuple[tuple, int]]
-    rate: Optional[float] = None
 
     @classmethod
     def from_values(cls, values: Iterable, ts: int = 0) -> "FeedSource":
         return cls([(tuple(v) if isinstance(v, (tuple, list)) else (v,), ts) for v in values])
 
     @classmethod
-    def from_csv(cls, path: str, schema, ts_column: Optional[str] = None) -> "FeedSource":
-        """CSV with a header row naming columns; coerced per stream schema."""
+    def from_csv(cls, path: str, schema, ts_column: str = "ts") -> "FeedSource":
+        """CSV with a header row naming columns; coerced per stream schema.
+        Each tuple's ts comes from ``ts_column`` when the file has it, else 0."""
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
+            has_ts = ts_column in (reader.fieldnames or ())
             rows = []
             for line in reader:
                 values = []
@@ -62,7 +59,7 @@ class FeedSource:
                         values.append(float(raw))
                     else:
                         values.append(raw)
-                ts = int(line[ts_column]) if ts_column else 0
+                ts = int(line[ts_column]) if has_ts else 0
                 rows.append((tuple(values), ts))
         return cls(rows)
 
@@ -83,35 +80,29 @@ class StreamIngestor:
         self.closed = False
         self._buffer: list[Tuple] = []
         self._buffer_ts: Optional[int] = None
-        self.tickets: list[Ticket] = []
 
     def push(self, values: tuple, ts: int = 0) -> Optional[Ticket]:
+        """Add one tuple. When that closes a batch, return what
+        ``Engine.ingest_batch`` returned for it; otherwise None."""
         if self.closed:
             raise EngineStopped(f"stream {self.stream} is closed")
-        t = Tuple(
-            tuple(values),
-            tuple_id=self.next_tuple_id,
-            batch_id=self.next_batch_id,
-            ts=ts,
+        ticket = None
+        by_ts = self.policy.mode == "same_timestamp"
+        if by_ts and self._buffer and ts != self._buffer_ts:
+            ticket = self._flush()
+        self._buffer.append(
+            Tuple(
+                tuple(values),
+                tuple_id=self.next_tuple_id,
+                batch_id=self.next_batch_id,
+                ts=ts,
+            )
         )
-        if self.policy.mode == "same_timestamp":
-            if self._buffer and ts != self._buffer_ts:
-                self._flush()
-                t = Tuple(
-                    t.values,
-                    tuple_id=self.next_tuple_id,
-                    batch_id=self.next_batch_id,
-                    ts=ts,
-                )
-            self._buffer_ts = ts
-            self._buffer.append(t)
-            self.next_tuple_id += 1
-            return None
-        self._buffer.append(t)
+        self._buffer_ts = ts
         self.next_tuple_id += 1
-        if len(self._buffer) >= self.policy.count:
-            return self._flush()
-        return None
+        if not by_ts and len(self._buffer) >= self.policy.count:
+            ticket = self._flush()
+        return ticket
 
     def _flush(self) -> Optional[Ticket]:
         if not self._buffer:
@@ -120,15 +111,14 @@ class StreamIngestor:
         self._buffer = []
         self._buffer_ts = None
         self.next_batch_id += 1
-        ticket = self.engine.ingest_batch(self.stream, batch)
-        if ticket is not None:
-            self.tickets.append(ticket)
-        return ticket
+        return self.engine.ingest_batch(self.stream, batch)
 
-    def end_of_stream(self) -> None:
-        """Flush any partial batch and refuse further pushes."""
-        self._flush()
+    def end_of_stream(self) -> Optional[Ticket]:
+        """Flush any partial batch and refuse further pushes; returns as
+        ``push`` does."""
+        ticket = self._flush()
         self.closed = True
+        return ticket
 
 
 def ingest(
@@ -136,11 +126,6 @@ def ingest(
 ) -> list[Ticket]:
     """Feed a whole source through an ingestor, then close the stream."""
     ing = StreamIngestor(engine, stream, policy)
-    for values, ts in feed.rows:
-        ing.push(values, ts)
-    ing.end_of_stream()
-    return ing.tickets
-
-
-def call_oltp(engine: Engine, proc: str, args=None) -> Ticket:
-    return engine.call_oltp(proc, args)
+    tickets = [ing.push(values, ts) for values, ts in feed.rows]
+    tickets.append(ing.end_of_stream())
+    return [t for t in tickets if t is not None]

@@ -1,4 +1,4 @@
-"""Core domain vocabulary: tuples, batches, procedures, workflows, schedules.
+"""Core domain vocabulary: tuples, batches, procedures, workflows, executions.
 
 Everything here is immutable after construction and safe to share; all
 validation happens at registration time.
@@ -7,7 +7,7 @@ validation happens at registration time.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -71,10 +71,6 @@ class WindowSpec:
         if not (1 <= self.slide <= self.size):
             raise BadDefinition(f"window {self.name}: need 1 <= slide <= size")
 
-    @property
-    def tumbling(self) -> bool:
-        return self.slide == self.size
-
 
 @dataclass(frozen=True)
 class ProcedureDef:
@@ -132,7 +128,7 @@ class NestedGroup:
                     f"group {self.parent_name}: order pair ({before},{after}) "
                     "names a non-child"
                 )
-        if _has_cycle(self.children, list(self.partial_order)):
+        if kahn_order(self.children, list(self.partial_order)) is None:
             raise BadDefinition(f"group {self.parent_name}: partial order is cyclic")
 
 
@@ -174,15 +170,6 @@ class Workflow:
                     out.append(s)
         return tuple(out)
 
-    def output_streams(self, proc: str) -> tuple[str, ...]:
-        return tuple(e.stream for e in self.edges if e.producer == proc)
-
-    def consumer_of(self, stream: str) -> Optional[str]:
-        for e in self.edges:
-            if e.stream == stream:
-                return e.consumer
-        return None
-
 
 @dataclass(frozen=True)
 class ResolvedGroup:
@@ -201,44 +188,6 @@ class TransactionExecution:
     round: int
     args: bytes = b""
     commit_seq: int = 0
-
-
-@dataclass
-class Schedule:
-    """Committed executions ordered by commit sequence."""
-
-    entries: list[TransactionExecution] = field(default_factory=list)
-
-    def append(self, te: TransactionExecution) -> None:
-        self.entries.append(te)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-def _has_cycle(nodes: Iterable[str], pairs: list[tuple[str, str]]) -> bool:
-    succ: dict[str, list[str]] = {n: [] for n in nodes}
-    for a, b in pairs:
-        succ[a].append(b)
-    seen: dict[str, int] = {}  # 0 = visiting, 1 = done
-
-    def visit(n: str) -> bool:
-        state = seen.get(n)
-        if state == 0:
-            return True
-        if state == 1:
-            return False
-        seen[n] = 0
-        for m in succ[n]:
-            if visit(m):
-                return True
-        seen[n] = 1
-        return False
-
-    return any(visit(n) for n in succ)
 
 
 def register_workflow(
@@ -300,7 +249,7 @@ def register_workflow(
             if produced and stream_consumer[s] != p.name:
                 raise BadDefinition(f"stream {s} consumed by two procedures")
 
-    order = _kahn_order(names, [(e.producer, e.consumer) for e in edges])
+    order = kahn_order(names, [(e.producer, e.consumer) for e in edges])
     if order is None:
         raise CycleDetected(f"workflow {name} contains a cycle")
 
@@ -402,13 +351,17 @@ def _check_group_order_consistency(
             )
 
 
-def _kahn_order(nodes: Sequence[str], pairs: list[tuple[str, str]]):
+def kahn_order(
+    nodes: Iterable[str], pairs: list[tuple[str, str]]
+) -> Optional[list[str]]:
+    """Nodes in topological order, lexicographic among ready ones; None when
+    the pairs form a cycle."""
     succ: dict[str, list[str]] = {n: [] for n in nodes}
     indeg: dict[str, int] = {n: 0 for n in nodes}
     for a, b in pairs:
         succ[a].append(b)
         indeg[b] += 1
-    ready = sorted(n for n in nodes if indeg[n] == 0)
+    ready = sorted(n for n in succ if indeg[n] == 0)
     out: list[str] = []
     while ready:
         n = ready.pop(0)
@@ -418,7 +371,7 @@ def _kahn_order(nodes: Sequence[str], pairs: list[tuple[str, str]]):
             if indeg[m] == 0:
                 ready.append(m)
         ready.sort()
-    if len(out) != len(nodes):
+    if len(out) != len(succ):
         return None
     return out
 
@@ -460,7 +413,3 @@ def topological_orderings(w: Workflow, limit: int) -> list[list[str]]:
     extend()
     return out
 
-
-def batch_round(b: AtomicBatch) -> int:
-    """The execution round a batch drives; identical to its batch id."""
-    return b.batch_id

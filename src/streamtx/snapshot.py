@@ -85,13 +85,6 @@ def snapshot_state(store: Store, partition_id: int = 0, commit_seq: int = 0) -> 
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def snapshot_header(blob: bytes) -> tuple[int, int, int]:
-    """(version, partition_id, commit_seq) without a full decode."""
-    if len(blob) < len(MAGIC) + 16 or blob[: len(MAGIC)] != MAGIC:
-        raise CorruptSnapshot("bad magic")
-    return struct.unpack("<IIQ", blob[len(MAGIC) : len(MAGIC) + 16])
-
-
 def verify_snapshot(blob: bytes) -> None:
     if len(blob) < len(MAGIC) + 16 + 4:
         raise CorruptSnapshot("snapshot too short")
@@ -105,7 +98,10 @@ def verify_snapshot(blob: bytes) -> None:
 def restore_state(blob: bytes) -> tuple[Store, int, int]:
     """Rebuild a store from a snapshot: (store, partition_id, commit_seq)."""
     verify_snapshot(blob)
-    version, partition_id, commit_seq = snapshot_header(blob)
+    # verify_snapshot has checked the magic and that the header fits
+    version, partition_id, commit_seq = struct.unpack_from(
+        "<IIQ", blob, len(MAGIC)
+    )
     if version != VERSION:
         raise VersionMismatch(f"snapshot version {version}, expected {VERSION}")
     buf = blob[len(MAGIC) + 16 : -4]

@@ -454,13 +454,13 @@ class Store:
         accessor: Optional[str] = None,
         round: int = 0,
     ) -> Optional[list[FullWindowEvent]]:
-        """Insert one row; inserting into a window may slide it."""
+        """Insert one row; inserting into a window may slide it. A stream
+        takes whole batches, through ``insert_batch``."""
         tab = self.table(table)
         if isinstance(tab, WindowTable):
             return self.window_insert(table, [t], undo, accessor=accessor, round=round)
         if isinstance(tab, StreamTable):
-            self.insert_batch(table, AtomicBatch(t.batch_id, (t,)), undo)
-            return None
+            raise BadDefinition(f"{table} is a stream: append a batch to it")
         tab.check_row(t)
         tab.rows.append(t)
         undo.record_insert(tab, len(tab.rows) - 1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .errors import BadDefinition, CycleDetected
-from .model import ProcedureDef, ResolvedGroup
+from .model import ProcedureDef, ResolvedGroup, kahn_order
 from .storage import (
     FullWindowEvent,
     Pred,
@@ -107,7 +107,7 @@ class TriggerEngine:
         self.store = store
         self.programs: dict[str, tuple[Step, ...]] = {}  # source -> its steps
         self.procedure_triggers: dict[str, ProcedureTrigger] = {}
-        self.pe_enabled = True
+        self.pe_enabled = True  # strong-recovery replay turns firing off
         # window -> whether some step of its program reads an event's rows
         self.event_rows: dict[str, bool] = {}
         # batches held on procedure-trigger streams whose consumer has not
@@ -199,7 +199,7 @@ class TriggerEngine:
         dst = stmt.dst
         if isinstance(self.store.table(dst), StreamTable):
             def run(ctx, tuples, batch_id, sums):
-                ctx.emit(dst, rows(ctx, tuples, sums), _internal_batch_id=batch_id)
+                ctx.copy_to_stream(dst, rows(ctx, tuples, sums), batch_id)
         else:
             def run(ctx, tuples, batch_id, sums):
                 for row in rows(ctx, tuples, sums):
@@ -207,20 +207,15 @@ class TriggerEngine:
         return Step(dst, not from_sums, run)
 
     def _check_statement_dag(self) -> None:
-        state: dict[str, int] = {}  # table -> 0 while visiting, 1 when done
-
-        def visit(n):
-            if state.get(n) == 0:
-                raise CycleDetected(f"statement triggers cycle through {n}")
-            if n not in state:
-                state[n] = 0
-                for step in self.programs.get(n, ()):
-                    if step.writes is not None:
-                        visit(step.writes)
-                state[n] = 1
-
-        for n in self.programs:
-            visit(n)
+        pairs = [
+            (src, step.writes)
+            for src, steps in self.programs.items()
+            for step in steps
+            if step.writes is not None
+        ]
+        nodes = set(self.programs).union(dst for _, dst in pairs)
+        if kahn_order(nodes, pairs) is None:
+            raise CycleDetected("statement triggers form a cycle")
 
     def register_procedure_trigger(
         self, source: str, target: ProcedureDef, group: Optional[ResolvedGroup] = None
@@ -247,11 +242,6 @@ class TriggerEngine:
         self.procedure_triggers[source] = ProcedureTrigger(
             source, entry[0].name, None if group is None else group.name, ready
         )
-
-    # --- enable flag ---
-
-    def set_pe_triggers_enabled(self, flag: bool) -> None:
-        self.pe_enabled = bool(flag)
 
     # --- GC bookkeeping ---
 

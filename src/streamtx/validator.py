@@ -17,7 +17,7 @@ from itertools import permutations
 from typing import Iterable, Optional
 
 from .errors import TooLarge, UnknownProcedureInSchedule
-from .model import Schedule, TransactionExecution, Workflow
+from .model import TransactionExecution, Workflow
 from .storage import WindowAccess
 
 MAX_ENUMERATION_TES = 12
@@ -58,12 +58,6 @@ class ValidationReport:
         }
 
 
-def _entries(s) -> list[TransactionExecution]:
-    if isinstance(s, Schedule):
-        return list(s.entries)
-    return list(s)
-
-
 def validate(
     s, w: Workflow, mode: str = "any_topological", strict: bool = False
 ) -> ValidationReport:
@@ -78,7 +72,7 @@ def validate(
     """
     if mode not in ("fixed_order", "any_topological"):
         raise ValueError(f"unknown mode {mode}")
-    entries = _entries(s)
+    entries = list(s)
     known = {p.name: p for p in w.procedures}
     streaming: list[TransactionExecution] = []
     for te in entries:

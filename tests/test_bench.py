@@ -325,8 +325,37 @@ threshold = 10
 """
         % feed
     )
-    rc = main(["run", "--config", str(cfg), "--batch-size", "1"])
+    rc = main(["run", "--config", str(cfg)])
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["batches"] == 3
     assert summary["te_committed"] == 3
+
+
+def test_cli_run_batches_as_feed_config(tmp_path, capsys):
+    from streamtx.cli import main
+
+    feed = tmp_path / "feed.csv"
+    feed.write_text("value,ts\n5,1\n15,1\n25,2\n35,3\n")
+    cfg = tmp_path / "wl.cfg"
+    cfg.write_text(
+        """
+[stream s1]
+columns = value:int
+
+[procedure head]
+kind = border
+streams = s1
+body = builtin:noop
+
+[feed]
+stream = s1
+batch_mode = same_timestamp
+source = csv:%s
+"""
+        % feed
+    )
+    assert main(["run", "--config", str(cfg)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["batches"] == 3  # ts 1, 1, 2, 3
+    assert summary["committed"] == 3

@@ -6,7 +6,6 @@ from streamtx.ingest import (
     BatchingPolicy,
     FeedSource,
     StreamIngestor,
-    call_oltp,
     ingest,
 )
 from streamtx.model import ProcedureDef, ProcedureKind, register_workflow
@@ -144,7 +143,7 @@ def test_call_oltp_and_result_rows():
         "q", [ProcedureDef("LOOKUP", ProcedureKind.OLTP, body=body)]
     )
     e = Engine(EngineSpec(workflows=[w], tables=[TableDef("t", VAL_COLS)]))
-    t = call_oltp(e, "LOOKUP", {"v": 4})
+    t = e.call_oltp("LOOKUP", {"v": 4})
     e.await_ticket(t)
     assert t.committed
     assert t.result_rows == [(1,)]
@@ -154,7 +153,7 @@ def test_call_oltp_wrong_kind():
     spec, _ = collector_spec()
     e = Engine(spec)
     with pytest.raises(WrongKind):
-        call_oltp(e, "SP1")
+        e.call_oltp("SP1")
 
 
 def test_ingest_to_non_border_stream_rejected():
@@ -200,7 +199,7 @@ def test_hundred_async_calls_all_resolve():
 
     w = register_workflow("q", [ProcedureDef("W", ProcedureKind.OLTP, body=body)])
     e = Engine(EngineSpec(workflows=[w], tables=[TableDef("t", VAL_COLS)]))
-    tickets = [call_oltp(e, "W", {"v": i}) for i in range(100)]
+    tickets = [e.call_oltp("W", {"v": i}) for i in range(100)]
     e.run_until_idle()
     assert all(t.committed for t in tickets)
     assert len(e.store.table("t").rows) == 100

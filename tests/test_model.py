@@ -15,7 +15,6 @@ from streamtx.model import (
     ProcedureKind,
     Tuple,
     WindowSpec,
-    batch_round,
     register_workflow,
     topological_orderings,
 )
@@ -59,8 +58,6 @@ def test_two_procedure_chain_order():
     w = chain_workflow()
     assert w.chosen_order == ("SP1", "SP2")
     assert w.external_streams() == ("s1",)
-    assert w.output_streams("SP1") == ("s12",)
-    assert w.consumer_of("s12") == "SP2"
 
 
 def test_single_oltp_workflow():
@@ -118,8 +115,6 @@ def test_window_spec_bounds():
         WindowSpec("w", 0, 1, "A")
     with pytest.raises(BadDefinition):
         WindowSpec("w", 3, 4, "A")
-    assert WindowSpec("w", 3, 3, "A").tumbling
-    assert not WindowSpec("w", 3, 1, "A").tumbling
 
 
 def diamond_workflow():
@@ -197,16 +192,6 @@ def test_topological_orderings_against_bruteforce():
         assert got == want
         pos = {nm: i for i, nm in enumerate(w.chosen_order)}
         assert all(pos[a] < pos[b] for a, b in edges)
-
-
-def test_batch_round_is_identity():
-    t = Tuple((1,), tuple_id=1, batch_id=7)
-    assert batch_round(AtomicBatch(7, (t,))) == 7
-    t1 = Tuple((1,), tuple_id=1, batch_id=1)
-    assert batch_round(AtomicBatch(1, (t1,))) == 1
-    b3 = AtomicBatch(3, (Tuple((1,), 1, 3),))
-    b4 = AtomicBatch(4, (Tuple((2,), 2, 4),))
-    assert [batch_round(b) for b in (b3, b4)] == [3, 4]
 
 
 def test_atomic_batch_invariants():

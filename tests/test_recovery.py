@@ -252,7 +252,7 @@ def test_two_checkpoints_latest_wins(tmp_path):
 def test_snapshot_preserved_pending_batch_refired_once_weak(tmp_path):
     e = Engine(chain_spec(2), data_dir=str(tmp_path),
                recovery_mode=RecoveryMode.WEAK, fsync=False)
-    e.partition.set_pe_triggers_enabled(False)  # park the interior batch
+    e.partition.trigger_engine.pe_enabled = False  # park the interior batch
     feed_rounds(e, [5])
     e.run_until_idle()
     assert e.store.stream("s2").pending_batches() == [1]
@@ -323,7 +323,7 @@ def test_batch_waiting_in_snapshot_is_pending_after_recover(tmp_path):
     # the waiting s2 batch comes back from the snapshot, not from replay
     e = Engine(chain_spec(2), data_dir=str(tmp_path),
                recovery_mode=RecoveryMode.STRONG, fsync=False)
-    e.partition.set_pe_triggers_enabled(False)
+    e.partition.trigger_engine.pe_enabled = False
     feed_rounds(e, [5])
     e.run_until_idle()
     assert e.partition.trigger_engine.pending == {("s2", 1)}
@@ -587,7 +587,7 @@ def test_trim_stops_at_pending_interior(tmp_path):
     feed_rounds(e, [1, 2, 3, 4, 5])
     e.run_until_idle()
     # round 6: border commits but the interior stays parked
-    e.partition.set_pe_triggers_enabled(False)
+    e.partition.trigger_engine.pe_enabled = False
     ing = StreamIngestor(e, "s1", BatchingPolicy("fixed_count", 1))
     ing.next_batch_id, ing.next_tuple_id = 6, 6
     ing.push((6,))
@@ -872,7 +872,6 @@ def test_nested_group_workload_recovers(tmp_path, mode):
 
 
 def test_mode_specific_recover_entry_points(tmp_path):
-    from streamtx.engine import recover_strong, recover_weak
     from streamtx.errors import VersionMismatch
 
     e = Engine(chain_spec(2), data_dir=str(tmp_path),
@@ -882,8 +881,10 @@ def test_mode_specific_recover_entry_points(tmp_path):
     e.partition.log.flush()
     e.crash()
     with pytest.raises(VersionMismatch):
-        recover_weak(chain_spec(2), str(tmp_path), fsync=False)
-    r = recover_strong(chain_spec(2), str(tmp_path), fsync=False)
+        recover(chain_spec(2), str(tmp_path), expect_mode=RecoveryMode.WEAK,
+                fsync=False)
+    r = recover(chain_spec(2), str(tmp_path), expect_mode=RecoveryMode.STRONG,
+                fsync=False)
     assert r.partition.commit_seq == 2
     r.close()
 

@@ -329,12 +329,13 @@ def test_execute_nested_direct_call():
     spec = group_spec()
     e = Engine(spec)
     # place the border batch manually, then run the nested instance directly
-    from streamtx.executor import batches_to_args
+    from streamtx.executor import TERequest, batches_to_args
     from streamtx.model import AtomicBatch, Tuple
 
     batch = AtomicBatch(1, (Tuple((5,), tuple_id=1, batch_id=1),))
-    outcome = e.partition.execute_nested(
-        "pair", 1, batches_to_args({"s1": batch})
+    root = e.catalog.groups["pair"].roots[0].name
+    outcome = e.partition.execute(
+        TERequest(root, 1, batches_to_args({"s1": batch}), group="pair")
     )
     assert outcome == "committed"
     assert [te.procedure for te in e.committed_schedule] == ["SP1", "SP2"]

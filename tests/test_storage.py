@@ -98,10 +98,24 @@ def create_kind(store, kind, name):
 def test_check_row_rejects_with_message(store, kind, values, message):
     create_kind(store, kind, "x")
     undo = UndoBuffer()
+
+    def insert(t):
+        if kind == "stream":  # a stream takes whole batches
+            store.insert_batch("x", AtomicBatch(0, (t,)), undo)
+        else:
+            store.insert("x", t, undo)
+
     with pytest.raises(TypeMismatch) as err:
-        store.insert("x", Tuple(values), undo)
+        insert(Tuple(values))
     assert str(err.value) == message
-    store.insert("x", Tuple((1, 2.0, "\u00e9" * 32)), undo)  # 64 bytes fit
+    insert(Tuple((1, 2.0, "\u00e9" * 32)))  # 64 bytes fit
+
+
+def test_row_insert_into_stream_rejected(store):
+    store.create_stream("s", VAL)
+    with pytest.raises(BadDefinition):
+        store.insert("s", Tuple((1,)), UndoBuffer())
+    assert store.stream("s").rows == []
 
 
 def test_window_scope_violation_on_insert(store):

@@ -298,14 +298,14 @@ def test_no_output_no_trigger():
 
 def test_disabled_triggers_suppress_dispatch():
     e = Engine(two_step_spec())
-    e.partition.set_pe_triggers_enabled(False)
+    e.partition.trigger_engine.pe_enabled = False
     ingest(e, FeedSource.from_values([5]), BatchingPolicy("fixed_count", 1), "s1")
     e.run_until_idle()
     assert [te.procedure for te in e.committed_schedule] == ["SP1"]
     # the output batch is parked on the interior stream, awaiting refire
     assert len(e.store.stream("s12").rows) == 1
     # enable + refire drains it
-    e.partition.set_pe_triggers_enabled(True)
+    e.partition.trigger_engine.pe_enabled = True
     reqs = e.partition.refire_nonempty_streams()
     assert [(r.proc, r.round) for r in reqs] == [("SP2", 1)]
     e.run_until_idle()
@@ -315,22 +315,22 @@ def test_disabled_triggers_suppress_dispatch():
 
 def test_double_disable_idempotent():
     e = Engine(two_step_spec())
-    e.partition.set_pe_triggers_enabled(False)
-    e.partition.set_pe_triggers_enabled(False)
+    e.partition.trigger_engine.pe_enabled = False
+    e.partition.trigger_engine.pe_enabled = False
     assert e.partition.trigger_engine.pe_enabled is False
-    e.partition.set_pe_triggers_enabled(True)
+    e.partition.trigger_engine.pe_enabled = True
     assert e.partition.trigger_engine.pe_enabled is True
 
 
 def test_refire_in_batch_order_multiple_batches():
     e = Engine(two_step_spec())
-    e.partition.set_pe_triggers_enabled(False)
+    e.partition.trigger_engine.pe_enabled = False
     ingest(
         e, FeedSource.from_values([4, 5]), BatchingPolicy("fixed_count", 1), "s1"
     )
     e.run_until_idle()
     assert e.store.stream("s12").pending_batches() == [1, 2]
-    e.partition.set_pe_triggers_enabled(True)
+    e.partition.trigger_engine.pe_enabled = True
     reqs = e.partition.refire_nonempty_streams()
     assert [(r.proc, r.round) for r in reqs] == [("SP2", 1), ("SP2", 2)]
 
@@ -361,6 +361,42 @@ def test_gc_waits_for_pending_consumer():
     assert len(e.store.stream("s12").rows) == 1
     e.run_until_idle()  # SP2 consumed and committed
     assert trig.gc_eligible("s12", 1)
+    assert e.store.stream("s12").rows == []
+
+
+def test_insert_into_stream_is_an_append():
+    # ctx.insert on a stream must append as emit does: fire the consumer,
+    # accept a second row for the round, and let the batch be collected
+    def b1(ctx):
+        for t in ctx.input_tuples("s1"):
+            ctx.insert("s12", t.values)
+
+    def b2(ctx):
+        for t in ctx.input_tuples("s12"):
+            ctx.insert("out", t.values)
+
+    w = register_workflow(
+        "ins",
+        [
+            ProcedureDef("SP1", ProcedureKind.BORDER, ("s1",), body=b1),
+            ProcedureDef("SP2", ProcedureKind.INTERIOR, ("s12",), body=b2),
+        ],
+        [("SP1", "s12", "SP2")],
+    )
+    e = Engine(EngineSpec(
+        workflows=[w],
+        streams=[StreamDef("s1", VAL_COLS), StreamDef("s12", VAL_COLS)],
+        tables=[TableDef("out", VAL_COLS)],
+    ))
+    feed = FeedSource([((1,), 1), ((2,), 2), ((3,), 2)])  # rounds of 1 and 2
+    tickets = ingest(e, feed, BatchingPolicy("same_timestamp"), "s1")
+    e.run_until_idle()
+    assert [t.outcome for t in tickets] == ["committed", "committed"]
+    assert [(te.procedure, te.round) for te in e.committed_schedule] == [
+        ("SP1", 1), ("SP2", 1), ("SP1", 2), ("SP2", 2),
+    ]
+    assert sorted(t.values for t in e.store.table("out").rows) == [(1,), (2,), (3,)]
+    assert e.partition.trigger_engine.pending == set()
     assert e.store.stream("s12").rows == []
 
 
