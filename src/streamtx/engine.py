@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 from .errors import (
     BadDefinition,
+    CorruptSnapshot,
     EngineStopped,
     NotPartitionable,
     ReplayDivergence,
@@ -335,29 +336,6 @@ class Engine:
         self.partition.input_cache.close()
         self.partition.stopped = True
 
-    # --- recovery plumbing ---
-
-    def _restore_snapshot(self, blob: bytes) -> int:
-        store, pid, seq = restore_state(blob)
-        if _table_shapes(store) != _table_shapes(self.store):
-            raise VersionMismatch(
-                "snapshot tables do not match the configured catalog"
-            )
-        self.partition.store = store
-        self.partition.trigger_engine.store = store
-        self.partition.commit_seq = seq
-        return seq
-
-
-def _table_shapes(store: Store) -> dict:
-    """Each table's kind, schema, index columns and window spec: what a
-    snapshot must share with the catalog it is restored into."""
-    return {
-        name: (tab.kind, tab.schema, sorted(getattr(tab, "indexes", ())),
-               getattr(tab, "spec", None))
-        for name, tab in store.tables.items()
-    }
-
 
 def _snapshots(data_dir: str) -> list[tuple[int, str]]:
     """(commit_seq, file name) of every snapshot, oldest first."""
@@ -376,7 +354,7 @@ def latest_valid_snapshot(data_dir: str) -> Optional[bytes]:
             blob = fh.read()
         try:
             verify_snapshot(blob)
-        except Exception:
+        except CorruptSnapshot:
             continue
         return blob
     return None
@@ -389,17 +367,22 @@ def recover(
     expect_mode: Optional[RecoveryMode] = None,
     **engine_kwargs,
 ) -> Engine:
-    """Bring a crashed engine back per the mode recorded in its log. With
-    ``expect_mode`` set, a log written in the other mode raises
-    ``VersionMismatch``."""
+    """Bring a crashed engine back per the mode recorded in its log: load
+    the newest valid snapshot into the tables ``spec`` builds, then replay.
+    A log or snapshot of another partition, or with ``expect_mode`` set a
+    log written in the other mode, raises ``VersionMismatch``."""
     for name in os.listdir(data_dir):
         if name.endswith(TEMP_SUFFIX):  # a replace_file the crash cut short
             os.remove(os.path.join(data_dir, name))
     log_path = os.path.join(data_dir, LOG_FILE)
-    mode, _, records = read_log(log_path)
+    mode, log_partition, records = read_log(log_path)
     if expect_mode is not None and mode is not expect_mode:
         raise VersionMismatch(
             f"log was written in {mode.name} mode, not {expect_mode.name}"
+        )
+    if log_partition != partition_id:
+        raise VersionMismatch(
+            f"log belongs to partition {log_partition}, not {partition_id}"
         )
     engine = Engine(
         spec,
@@ -412,7 +395,12 @@ def recover(
         blob = latest_valid_snapshot(data_dir)
         snapshot_seq = 0
         if blob is not None:
-            snapshot_seq = engine._restore_snapshot(blob)
+            owner, snapshot_seq = restore_state(blob, engine.store)
+            if owner != partition_id:
+                raise VersionMismatch(
+                    f"snapshot belongs to partition {owner}, not {partition_id}"
+                )
+            engine.partition.commit_seq = snapshot_seq
         if mode is RecoveryMode.STRONG:
             _replay_strong(engine, records, snapshot_seq)
         else:

@@ -3,11 +3,13 @@
 Layout (little-endian, length-prefixed strings):
 
     header:  magic "STXSNAP1" | version u32 | partition u32 | commit_seq u64
-    tables:  kind u8 | name | schema | kind-specific payload
+    tables:  shape | state | rows, for each table in name order
+    shape:   kind u8 | name | schema | index columns, or window owner, size, slide
     trailer: CRC32 over everything before it
 
-Restore rebuilds the store from the file alone, bit-exactly, including
-stream tuple-id counters and window staging state.
+Restore loads the file into the store the spec built: each table's shape
+must equal the snapshot's byte for byte, and its contents are replaced
+bit-exactly, including stream tuple-id counters and window staging state.
 """
 
 from __future__ import annotations
@@ -17,44 +19,33 @@ import zlib
 from itertools import groupby
 from operator import attrgetter
 
-from .codec import encode_text, row_codec, text_at
+from .codec import encode_text, row_codec
 from .errors import CorruptSnapshot, VersionMismatch
-from .model import WindowSpec
-from .storage import (
-    Column,
-    PublicTable,
-    ScalarType,
-    Schema,
-    Store,
-    StreamTable,
-)
+from .storage import AnyTable, PublicTable, ScalarType, Store, StreamTable
 
 MAGIC = b"STXSNAP1"
 VERSION = 1
 
-_KIND_PUBLIC = 0
-_KIND_STREAM = 1
-_KIND_WINDOW = 2
-
+_KIND_CODE = {"public": 0, "stream": 1, "window": 2}
 _TYPE_CODE = {ScalarType.INT: 0, ScalarType.FLOAT: 1, ScalarType.TEXT: 2}
-_CODE_TYPE = {v: k for k, v in _TYPE_CODE.items()}
+
+_PUBLIC_STATE = struct.Struct("<Q")  # rows
+_STREAM_STATE = struct.Struct("<QQQ")  # next tuple id, last consumed batch, rows
+_WINDOW_STATE = struct.Struct("<BQQQ")  # full_seen, events emitted, active, staged
 
 
-def _w_schema(out: list[bytes], schema: Schema) -> None:
-    out.append(struct.pack("<H", len(schema)))
-    for c in schema:
-        out += (encode_text(c.name), struct.pack("<B", _TYPE_CODE[c.type]))
-
-
-def _r_schema(buf: bytes, off: int) -> tuple[Schema, int]:
-    (n,) = struct.unpack_from("<H", buf, off)
-    off += 2
-    cols = []
-    for _ in range(n):
-        name, off = text_at(buf, off)
-        cols.append(Column(name, _CODE_TYPE[buf[off]]))
-        off += 1
-    return tuple(cols), off
+def _shape(tab: AnyTable) -> bytes:
+    """What a table's snapshot shares with the catalog it restores into."""
+    out = [bytes((_KIND_CODE[tab.kind],)), encode_text(tab.name)]
+    out.append(struct.pack("<H", len(tab.schema)))
+    for c in tab.schema:
+        out += (encode_text(c.name), bytes((_TYPE_CODE[c.type],)))
+    if isinstance(tab, PublicTable):
+        out.append(encode_text(",".join(sorted(tab.indexes))))
+    elif not isinstance(tab, StreamTable):
+        spec = tab.spec
+        out += (encode_text(spec.owner), struct.pack("<II", spec.size, spec.slide))
+    return b"".join(out)
 
 
 def snapshot_state(store: Store, partition_id: int = 0, commit_seq: int = 0) -> bytes:
@@ -63,24 +54,19 @@ def snapshot_state(store: Store, partition_id: int = 0, commit_seq: int = 0) -> 
     for name in sorted(store.tables):
         tab = store.tables[name]
         if isinstance(tab, PublicTable):
-            kind, rows = _KIND_PUBLIC, tab.rows
-            meta = encode_text(",".join(sorted(tab.indexes)))
-            meta += struct.pack("<Q", len(rows))
+            rows = tab.rows
+            state = _PUBLIC_STATE.pack(len(rows))
         elif isinstance(tab, StreamTable):
-            kind, rows = _KIND_STREAM, tab.rows
-            meta = struct.pack(
-                "<QQQ", tab.next_tuple_id, tab.last_consumed_batch, len(rows)
+            rows = tab.rows
+            state = _STREAM_STATE.pack(
+                tab.next_tuple_id, tab.last_consumed_batch, len(rows)
             )
         else:
-            kind, rows = _KIND_WINDOW, tab.active + tab.staged
-            spec = tab.spec
-            counts = (tab.events_emitted, len(tab.active), len(tab.staged))
-            meta = encode_text(spec.owner) + struct.pack(
-                "<IIBQQQ", spec.size, spec.slide, tab.full_seen, *counts
+            rows = tab.active + tab.staged
+            state = _WINDOW_STATE.pack(
+                tab.full_seen, tab.events_emitted, len(tab.active), len(tab.staged)
             )
-        out += (struct.pack("<B", kind), encode_text(tab.name))
-        _w_schema(out, tab.schema)
-        out += (meta, row_codec(tab.schema)[0](rows))
+        out += (_shape(tab), state, row_codec(tab.schema)[0](rows))
     body = b"".join(out)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -95,8 +81,11 @@ def verify_snapshot(blob: bytes) -> None:
         raise CorruptSnapshot("checksum mismatch")
 
 
-def restore_state(blob: bytes) -> tuple[Store, int, int]:
-    """Rebuild a store from a snapshot: (store, partition_id, commit_seq)."""
+def restore_state(blob: bytes, store: Store) -> tuple[int, int]:
+    """Replace every table's contents in ``store`` with the snapshot's and
+    return (partition_id, commit_seq). A table whose shape differs, or one
+    the snapshot holds beyond them, raises ``VersionMismatch`` and leaves
+    ``store`` partly loaded."""
     verify_snapshot(blob)
     # verify_snapshot has checked the magic and that the header fits
     version, partition_id, commit_seq = struct.unpack_from(
@@ -105,45 +94,41 @@ def restore_state(blob: bytes) -> tuple[Store, int, int]:
     if version != VERSION:
         raise VersionMismatch(f"snapshot version {version}, expected {VERSION}")
     buf = blob[len(MAGIC) + 16 : -4]
-    store = Store()
     off = 0
     try:
-        while off < len(buf):
-            kind = buf[off]
-            name, off = text_at(buf, off + 1)
-            schema, off = _r_schema(buf, off)
-            decode_rows = row_codec(schema)[1]
-            if kind == _KIND_PUBLIC:
-                indexed, off = text_at(buf, off)
-                tab = store.create_public(
-                    name, schema, indexed.split(",") if indexed else ()
-                )
-                (count,) = struct.unpack_from("<Q", buf, off)
-                rows, off = decode_rows(buf, off + 8, count)
-                for t in rows:
-                    tab.rows.append(t)
+        for name in sorted(store.tables):
+            tab = store.tables[name]
+            shape = _shape(tab)
+            if buf[off : off + len(shape)] != shape:
+                raise VersionMismatch(f"snapshot table {name} differs from the catalog")
+            off += len(shape)
+            decode_rows = row_codec(tab.schema)[1]
+            if isinstance(tab, PublicTable):
+                (count,) = _PUBLIC_STATE.unpack_from(buf, off)
+                tab.rows, off = decode_rows(buf, off + _PUBLIC_STATE.size, count)
+                for idx in tab.indexes.values():
+                    idx.clear()
+                for t in tab.rows:
                     tab._index_add(t)
-            elif kind == _KIND_STREAM:
-                tab = store.create_stream(name, schema)
-                next_id, last_consumed, count = struct.unpack_from("<QQQ", buf, off)
+            elif isinstance(tab, StreamTable):
+                next_id, last_consumed, count = _STREAM_STATE.unpack_from(buf, off)
                 tab.next_tuple_id = next_id
                 tab.last_consumed_batch = last_consumed
-                rows, off = decode_rows(buf, off + 24, count)
+                rows, off = decode_rows(buf, off + _STREAM_STATE.size, count)
+                tab.batches.clear()
                 for batch_id, batch in groupby(rows, key=attrgetter("batch_id")):
                     tab.batches[batch_id] = tuple(batch)
-            elif kind == _KIND_WINDOW:
-                owner, off = text_at(buf, off)
-                size, slide, full_seen, emitted, n_active, n_staged = (
-                    struct.unpack_from("<IIBQQQ", buf, off)
+            else:
+                full_seen, emitted, n_active, n_staged = _WINDOW_STATE.unpack_from(
+                    buf, off
                 )
-                tab = store.create_window(WindowSpec(name, size, slide, owner), schema)
                 tab.full_seen = bool(full_seen)
                 tab.events_emitted = emitted
-                tab.active, off = decode_rows(buf, off + 33, n_active)
+                tab.active, off = decode_rows(buf, off + _WINDOW_STATE.size, n_active)
                 tab.staged, off = decode_rows(buf, off, n_staged)
                 tab.recompute_sums()
-            else:
-                raise CorruptSnapshot(f"unknown table kind {kind}")
-    except (struct.error, ValueError, IndexError, KeyError) as e:
+    except (struct.error, ValueError, IndexError) as e:
         raise CorruptSnapshot(f"malformed snapshot: {e}") from e
-    return store, partition_id, commit_seq
+    if off != len(buf):
+        raise VersionMismatch("snapshot holds tables the catalog lacks")
+    return partition_id, commit_seq

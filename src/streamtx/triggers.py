@@ -85,8 +85,7 @@ class ProcedureTrigger:
 @dataclass(frozen=True)
 class Step:
     """A statement resolved at registration. ``run(ctx, tuples, batch_id,
-    sums)`` keeps names, column positions and constants, never a table
-    object: a snapshot restore swaps the store."""
+    sums)`` keeps names, column positions and constants."""
 
     writes: Optional[str]
     reads_rows: bool
@@ -181,12 +180,12 @@ class TriggerEngine:
                 f"source {src.name} is not a window"
             )
         check_aggregate(src, stmt.op, stmt.column, stmt.group_by)
-        name, op, col, group_by = src.name, stmt.op, stmt.column, stmt.group_by
+        op, col, group_by = stmt.op, stmt.column, stmt.group_by
         n = src.spec.size
         from_sums = _from_sums(stmt, src.sums)
         if not from_sums:
             def rows(ctx, tuples, sums):
-                return aggregate_rows(tuples, ctx.store.tables[name], op, col, group_by)
+                return aggregate_rows(tuples, src, op, col, group_by)
         elif op == "count":
             def rows(ctx, tuples, sums):
                 return [(n,)]

@@ -39,11 +39,12 @@ from streamtx.recovery import (
     read_input_cache,
     read_log,
     recovery_dispatch_count,
+    truncate_log,
 )
 from streamtx.snapshot import snapshot_state
 from streamtx.storage import Pred
 from streamtx.validator import validate
-from streamtx.workloads import window_native_spec
+from streamtx.workloads import pe_chain_spec, window_native_spec
 
 VAL_COLS = (("value", "int"),)
 
@@ -344,6 +345,19 @@ def _chain_spec_with(out_cols=VAL_COLS, out_indexes=()):
     return spec
 
 
+def _chain_spec_plus(table):
+    spec = chain_spec(2)
+    spec.tables.append(TableDef(table, VAL_COLS))
+    return spec
+
+
+def _chain_spec_out_stream():
+    spec = chain_spec(2)
+    spec.tables = []
+    spec.streams.append(StreamDef("out", VAL_COLS))
+    return spec
+
+
 @pytest.mark.parametrize(
     "before, after",
     [
@@ -352,8 +366,16 @@ def _chain_spec_with(out_cols=VAL_COLS, out_indexes=()):
         (lambda: chain_spec(2), lambda: _chain_spec_with(out_indexes=("value",))),
         (lambda: chain_spec(2), lambda: _chain_spec_with((("value", "float"),))),
         (lambda: chain_spec(2), lambda: _chain_spec_with((("v", "int"),))),
+        (lambda: chain_spec(2), lambda: _chain_spec_plus("aaa")),
+        (lambda: chain_spec(2), lambda: _chain_spec_plus("zzz")),
+        (lambda: _chain_spec_plus("zzz"), lambda: chain_spec(2)),
+        (lambda: chain_spec(2), _chain_spec_out_stream),
     ],
-    ids=["window_size", "window_slide", "index", "column_type", "column_name"],
+    ids=[
+        "window_size", "window_slide", "index", "column_type", "column_name",
+        "extra_table_first", "extra_table_last", "table_not_in_spec",
+        "public_to_stream",
+    ],
 )
 def test_recover_rejects_snapshot_of_another_catalog(tmp_path, before, after):
     e = Engine(before(), data_dir=str(tmp_path),
@@ -363,6 +385,69 @@ def test_recover_rejects_snapshot_of_another_catalog(tmp_path, before, after):
     with pytest.raises(VersionMismatch):
         recover(after(), str(tmp_path), fsync=False)
     r = recover(before(), str(tmp_path), fsync=False)
+    r.close()
+
+
+def test_recover_rejects_another_partitions_files(tmp_path):
+    spec = lambda: pe_chain_spec(3, "triggered")  # noqa: E731
+    e = Engine(spec(), partition_id=3, data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.STRONG, fsync=False)
+    feed_rounds(e, [1, 2])
+    e.run_until_idle()
+    e.checkpoint()
+    e.ingest_batch("s1", one_row(3, 3))
+    e.run_until_idle()
+    e.partition.log.flush()
+    e.crash()
+    with pytest.raises(VersionMismatch, match="log belongs to partition 3"):
+        recover(spec(), str(tmp_path), partition_id=0, fsync=False)
+    # partition 0's log beside partition 3's snapshot
+    log_path = str(tmp_path / LOG_FILE)
+    with open(log_path, "rb") as fh:
+        log = fh.read()
+    truncate_log(log_path, RecoveryMode.STRONG, 0)
+    with pytest.raises(VersionMismatch, match="snapshot belongs to partition 3"):
+        recover(spec(), str(tmp_path), partition_id=0, fsync=False)
+    with open(log_path, "wb") as fh:
+        fh.write(log)
+    r = recover(spec(), str(tmp_path), partition_id=3, fsync=False)
+    assert r.partition.commit_seq == 9
+    assert out_values(r) == [1, 2, 3]
+    r.close()
+
+
+def seeded_spec():
+    """Border SP1 deletes the seeded ``out`` row 1 and inserts its value."""
+
+    def body(ctx):
+        ctx.delete("out", Pred("value", "==", 1))
+        for t in ctx.input_tuples("s1"):
+            ctx.insert("out", (t.values[0],))
+
+    w = register_workflow(
+        "seeded", [ProcedureDef("SP1", ProcedureKind.BORDER, ("s1",), body=body)], []
+    )
+    return EngineSpec(
+        workflows=[w],
+        streams=[StreamDef("s1", VAL_COLS)],
+        tables=[TableDef("out", VAL_COLS, ("value",))],
+        seed_rows={"out": [(1,), (2,)]},
+    )
+
+
+def test_recover_seeded_table_from_snapshot(tmp_path):
+    e = Engine(seeded_spec(), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.STRONG, fsync=False)
+    feed_rounds(e, [5])
+    e.run_until_idle()
+    e.checkpoint()
+    assert out_values(e) == [2, 5]
+    before = e.snapshot_bytes()
+    e.crash()
+    r = recover(seeded_spec(), str(tmp_path), fsync=False)
+    assert r.snapshot_bytes() == before
+    assert out_values(r) == [2, 5]
+    assert r.store.select_where("out", Pred("value", "==", 1)) == []
     r.close()
 
 

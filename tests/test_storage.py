@@ -12,7 +12,14 @@ from streamtx.errors import (
 )
 from streamtx.model import AtomicBatch, Tuple, WindowSpec
 from streamtx.snapshot import restore_state, snapshot_state
-from streamtx.storage import Pred, Store, UndoBuffer, make_schema
+from streamtx.storage import (
+    Pred,
+    PublicTable,
+    Store,
+    StreamTable,
+    UndoBuffer,
+    make_schema,
+)
 
 from oracles import group_tally, sliding_window_events
 
@@ -342,6 +349,19 @@ def build_random_store(rng):
     return store
 
 
+def empty_like(store):
+    """A store with ``store``'s tables, all empty, to restore a snapshot into."""
+    out = Store()
+    for tab in store.tables.values():
+        if isinstance(tab, PublicTable):
+            out.create_public(tab.name, tab.schema, tab.indexes)
+        elif isinstance(tab, StreamTable):
+            out.create_stream(tab.name, tab.schema)
+        else:
+            out.create_window(tab.spec, tab.schema)
+    return out
+
+
 def window_fields(w):
     """A window's whole state, running sums included (snapshots omit them)."""
     return (
@@ -484,8 +504,8 @@ def test_gc_leaves_other_batches(store):
 def test_snapshot_empty_roundtrip():
     store = Store()
     blob = snapshot_state(store, partition_id=3, commit_seq=9)
-    restored, pid, seq = restore_state(blob)
-    assert (pid, seq) == (3, 9)
+    restored = Store()
+    assert restore_state(blob, restored) == (3, 9)
     assert restored.tables == {}
     assert snapshot_state(restored, 3, 9) == blob
 
@@ -495,7 +515,8 @@ def test_snapshot_preserves_pending_batches(store):
     undo = UndoBuffer()
     store.insert_batch("s", make_batch(4, [7]), undo)
     store.insert_batch("s", make_batch(5, [8, 9]), undo)
-    restored, _, _ = restore_state(snapshot_state(store))
+    restored = empty_like(store)
+    restore_state(snapshot_state(store), restored)
     assert restored.stream("s").pending_batches() == [4, 5]
 
 
@@ -504,9 +525,26 @@ def test_snapshot_random_state_bit_exact():
     for _ in range(20):
         store = build_random_store(rng)
         blob = snapshot_state(store, 1, 17)
-        restored, _, _ = restore_state(blob)
+        restored = empty_like(store)
+        restore_state(blob, restored)
         assert snapshot_state(restored, 1, 17) == blob
         assert restored.content_signature() == store.content_signature()
+
+
+def test_restore_in_place_over_another_random_store():
+    rng = random.Random(31)
+    for _ in range(200):
+        a, b = build_random_store(rng), build_random_store(rng)
+        tables = {name: id(tab) for name, tab in b.tables.items()}
+        blob = snapshot_state(a, 1, 17)
+        assert restore_state(blob, b) == (1, 17)
+        assert snapshot_state(b, 1, 17) == blob
+        assert window_fields(b.window("w")) == window_fields(a.window("w"))
+        rows = b.table("p").rows
+        for k in range(6):
+            scan = [t for t in rows if t.values[0] == k]
+            assert b.select_where("p", Pred("k", "==", k)) == scan
+        assert {name: id(tab) for name, tab in b.tables.items()} == tables
 
 
 def test_snapshot_500_row_state_bit_exact():
@@ -524,7 +562,8 @@ def test_snapshot_500_row_state_bit_exact():
             undo,
         )
     blob = snapshot_state(store, 2, 500)
-    restored, _, _ = restore_state(blob)
+    restored = empty_like(store)
+    restore_state(blob, restored)
     assert snapshot_state(restored, 2, 500) == blob
 
 
@@ -536,9 +575,9 @@ def test_snapshot_corruption_detected():
     blob = bytearray(snapshot_state(store))
     blob[-6] ^= 0xFF
     with pytest.raises(CorruptSnapshot):
-        restore_state(bytes(blob))
+        restore_state(bytes(blob), empty_like(store))
     with pytest.raises(CorruptSnapshot):
-        restore_state(b"NOTASNAP" + bytes(blob[8:]))
+        restore_state(b"NOTASNAP" + bytes(blob[8:]), empty_like(store))
 
 
 def test_snapshot_version_mismatch():
@@ -556,7 +595,7 @@ def test_snapshot_version_mismatch():
     body = bytes(blob[:-4])
     blob[-4:] = struct.pack("<I", zlib.crc32(body))
     with pytest.raises(VersionMismatch):
-        restore_state(bytes(blob))
+        restore_state(bytes(blob), Store())
 
 
 def test_snapshot_unicode_text_roundtrip(store):
@@ -564,7 +603,8 @@ def test_snapshot_unicode_text_roundtrip(store):
     undo = UndoBuffer()
     store.insert("t", Tuple(("héllo wörld",)), undo)
     store.insert("t", Tuple(("数据",)), undo)
-    restored, _, _ = restore_state(snapshot_state(store))
+    restored = empty_like(store)
+    restore_state(snapshot_state(store), restored)
     assert [t.values for t in restored.table("t").rows] == [
         ("héllo wörld",),
         ("数据",),
@@ -577,7 +617,8 @@ def test_snapshot_window_state_bit_exact(store):
     store.window_insert("w", [Tuple((v,)) for v in range(6)], undo, accessor="sp")
     w = store.window("w")
     assert w.full_seen and len(w.staged) == 1
-    restored, _, _ = restore_state(snapshot_state(store))
+    restored = empty_like(store)
+    restore_state(snapshot_state(store), restored)
     rw = restored.window("w")
     assert [t.values for t in rw.active] == [t.values for t in w.active]
     assert [t.values for t in rw.staged] == [t.values for t in w.staged]
@@ -615,6 +656,7 @@ def test_snapshot_bytes_golden():
     assert len(store.window("w").staged) == 1
     blob = snapshot_state(store, partition_id=2, commit_seq=7)
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SNAPSHOT_SHA256
-    restored, _, _ = restore_state(blob)
+    restored = empty_like(store)
+    restore_state(blob, restored)
     assert restored.stream("s").pending_batches() == [1, 2, 4]
     assert snapshot_state(restored, 2, 7) == blob
