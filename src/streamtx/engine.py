@@ -25,10 +25,12 @@ from .executor import (
     Counters,
     Origin,
     Partition,
+    ProcedurePlan,
     TERequest,
     Ticket,
     batches_to_args,
     encode_args,
+    make_plans,
 )
 from .model import AtomicBatch, ProcedureKind, Workflow
 from .recovery import (
@@ -136,6 +138,7 @@ class Engine:
         # without a data dir or a recovery mode the log and the cache hold no
         # file: nothing is logged and every commit is acknowledged at once
         mode = recovery_mode if data_dir is not None else None
+        plans, stream_plans = make_plans(catalog, store, triggers, mode)
         log_path = cache_path = None
         if mode is not None:
             os.makedirs(data_dir, exist_ok=True)
@@ -156,6 +159,8 @@ class Engine:
             store,
             triggers,
             catalog,
+            plans,
+            stream_plans,
             log=log,
             input_cache=InputCache(cache_path, fsync),
             schedule_capacity=schedule_capacity,
@@ -165,13 +170,13 @@ class Engine:
         # miss a batch or wait behind a lower round
         self._feeder_pending: dict[str, dict[int, tuple[dict, Ticket]]] = {}
         self._released: dict[str, int] = {}  # border -> last round submitted
-        self._border_for_stream: dict[str, str] = {}
-        for w in spec.workflows:
-            external = w.external_streams()
-            for p in w.procedures:
-                for s in p.stream_inputs:
-                    if s in external:
-                        self._border_for_stream[s] = p.name
+        # a border's inputs are exactly the streams no edge produces
+        self._border_for_stream: dict[str, ProcedurePlan] = {
+            s: plan
+            for plan in plans.values()
+            if plan.proc.kind is ProcedureKind.BORDER
+            for s in plan.proc.stream_inputs
+        }
 
     # --- convenience accessors ---
 
@@ -211,16 +216,17 @@ class Engine:
         """
         if self.partition.stopped:
             raise EngineStopped("partition is stopped")
-        proc_name = self._border_for_stream.get(stream)
-        if proc_name is None:
+        plan = self._border_for_stream.get(stream)
+        if plan is None:
             raise BadDefinition(f"stream {stream} is not a border input")
+        proc_name = plan.proc.name
         round_ = batch.batch_id
         slot = self._feeder_pending.get(proc_name, {}).get(round_)
         if slot is not None and stream in slot[0]:
             raise BadDefinition(f"{proc_name} round {round_} already has {stream}")
         if slot is None and round_ <= max(
             self._released.get(proc_name, 0),
-            self.partition.store.stream(stream).last_consumed_batch,
+            self.partition.stream_plans[stream].table.last_consumed_batch,
         ):
             raise BadDefinition(f"{proc_name} already took round {round_}")
         args = batches_to_args({stream: batch})
@@ -232,7 +238,7 @@ class Engine:
             slot = pending[round_] = ({}, Ticket())
         batches, ticket = slot
         batches[stream] = batch
-        n_inputs = len(self.catalog.procedure(proc_name).stream_inputs)
+        n_inputs = len(plan.inputs)
         if len(batches) < n_inputs:
             return None
         while pending:
@@ -259,7 +265,7 @@ class Engine:
     def call_oltp(self, proc: str, args=None) -> Ticket:
         from .errors import WrongKind
 
-        p = self.catalog.procedure(proc)
+        p = self.partition.plan(proc).proc
         if p.kind is not ProcedureKind.OLTP:
             raise WrongKind(f"{proc} is not an OLTP procedure")
         req = TERequest(proc, 0, encode_args(args), Origin.CLIENT)
@@ -309,6 +315,7 @@ class Engine:
                 os.path.join(self.data_dir, LOG_FILE),
                 self.recovery_mode,
                 self.partition_id,
+                self.partition.commit_seq,
             )
             self.partition.log.reopen()
         # with the fast track drained, a border round has not run exactly
@@ -317,7 +324,10 @@ class Engine:
         waiting.update((b, r) for b, rs in self._feeder_pending.items() for r in rs)
         cache = self.partition.input_cache
         cache.retained = {
-            s: [b for b in bs if (self._border_for_stream[s], b.batch_id) in waiting]
+            s: [
+                b for b in bs
+                if (self._border_for_stream[s].proc.name, b.batch_id) in waiting
+            ]
             for s, bs in cache.retained.items()
         }
         cache.compact()
@@ -370,12 +380,14 @@ def recover(
     """Bring a crashed engine back per the mode recorded in its log: load
     the newest valid snapshot into the tables ``spec`` builds, then replay.
     A log or snapshot of another partition, or with ``expect_mode`` set a
-    log written in the other mode, raises ``VersionMismatch``."""
+    log written in the other mode, raises ``VersionMismatch``. A newest
+    valid snapshot older than the one the log follows raises
+    ``CorruptSnapshot``."""
     for name in os.listdir(data_dir):
         if name.endswith(TEMP_SUFFIX):  # a replace_file the crash cut short
             os.remove(os.path.join(data_dir, name))
     log_path = os.path.join(data_dir, LOG_FILE)
-    mode, log_partition, records = read_log(log_path)
+    mode, log_partition, log_snapshot_seq, records = read_log(log_path)
     if expect_mode is not None and mode is not expect_mode:
         raise VersionMismatch(
             f"log was written in {mode.name} mode, not {expect_mode.name}"
@@ -401,6 +413,13 @@ def recover(
                     f"snapshot belongs to partition {owner}, not {partition_id}"
                 )
             engine.partition.commit_seq = snapshot_seq
+        if snapshot_seq < log_snapshot_seq:
+            # the log was truncated after a snapshot that is now unreadable:
+            # the commits between the two are gone
+            raise CorruptSnapshot(
+                f"newest valid snapshot is at commit {snapshot_seq}, but the "
+                f"log follows the snapshot at commit {log_snapshot_seq}"
+            )
         if mode is RecoveryMode.STRONG:
             _replay_strong(engine, records, snapshot_seq)
         else:

@@ -36,7 +36,7 @@ from .model import (
     Workflow,
     group_roots,
 )
-from .recovery import CommandLog, CommandLogRecord, InputCache
+from .recovery import LOGGED_KINDS, CommandLog, CommandLogRecord, InputCache, RecoveryMode
 from .storage import FullWindowEvent, Pred, Store, StreamTable, UndoBuffer
 from .triggers import TriggerEngine
 
@@ -159,21 +159,70 @@ class Catalog:
             for c in g.children:
                 self.group_of[c] = group
 
-    def procedure(self, name: str) -> ProcedureDef:
-        try:
-            return self.procedures[name]
-        except KeyError:
-            raise UnknownProcedure(name) from None
+
+@dataclass(slots=True)
+class ProcedurePlan:
+    """One procedure as the partition runs it, resolved when the engine is
+    built: its default nested group, its input tables in ``stream_inputs``
+    order, and whether this engine's log mode logs its commits."""
+
+    proc: ProcedureDef
+    group: Optional[ResolvedGroup]
+    inputs: tuple[StreamTable, ...]
+    logged: bool
+
+
+@dataclass(slots=True)
+class StreamPlan:
+    """What an append to one stream sets off, resolved with the plans."""
+
+    table: StreamTable
+    fires: bool  # a procedure trigger reads it: a new batch waits in pending
+    program: bool  # a statement program runs on each appended batch
+    consumer_group: Optional[ResolvedGroup]  # its consumer's nested group
+
+
+def make_plans(
+    catalog: Catalog,
+    store: Store,
+    triggers: TriggerEngine,
+    mode: Optional[RecoveryMode],
+) -> tuple[dict[str, ProcedurePlan], dict[str, StreamPlan]]:
+    """Plans for every registered procedure and every stream table, made
+    once all triggers are registered; an input stream the store lacks
+    raises ``UnknownTable``. ``mode`` is the log's recovery mode."""
+    logged = LOGGED_KINDS[mode]
+    plans = {
+        name: ProcedurePlan(
+            proc,
+            catalog.group_of.get(name),
+            tuple(map(store.stream, proc.stream_inputs)),
+            proc.kind in logged,
+        )
+        for name, proc in catalog.procedures.items()
+    }
+    streams = {
+        name: StreamPlan(
+            tab,
+            name in triggers.procedure_triggers,
+            name in triggers.programs,
+            catalog.group_of.get(catalog.consumers.get(name)),
+        )
+        for name, tab in store.tables.items()
+        if isinstance(tab, StreamTable)
+    }
+    return plans, streams
 
 
 class TEContext:
     """The operation surface a procedure body (or trigger program) runs
     against; every mutation lands in this execution's undo buffer."""
 
-    def __init__(self, partition: "Partition", proc: ProcedureDef, round: int, args: bytes):
+    def __init__(self, partition: "Partition", plan: ProcedurePlan, round: int, args: bytes):
         self.partition = partition
         self.store: Store = partition.store
-        self.proc = proc
+        self.plan = plan
+        self.proc = proc = plan.proc
         self.round = round
         # a border execution's args are its input batches, loaded separately
         self.args = None if proc.kind is ProcedureKind.BORDER else decode_args(args)
@@ -181,7 +230,9 @@ class TEContext:
         self.inputs: dict[str, list[Tuple]] = {}
         self.consumed: list[tuple[str, int]] = []
         self.ee_consumed: list[tuple[str, int]] = []
-        self.emitted: list[tuple[str, int]] = []
+        # (stream, batch) this execution appended to a procedure-trigger
+        # stream, in first-append order, to that stream's plan
+        self.emitted: dict[tuple[str, int], StreamPlan] = {}
         self.result_rows: Optional[list] = None
         self._depth = 0
 
@@ -212,6 +263,7 @@ class TEContext:
         rows = list(rows)
         if not rows:
             return
+        plan = self.partition.stream_plan(stream)
         ids = self.store.next_tuple_ids(stream, len(rows), self.undo)
         tuples = []
         for tid, r in zip(ids, rows):
@@ -229,12 +281,12 @@ class TEContext:
                     )
                 )
         batch = AtomicBatch(batch_id, tuple(tuples))
-        first = not any(s == stream and b == batch_id for s, b in self.emitted)
         self.store.insert_batch(stream, batch, self.undo)
-        if first:
+        if plan.fires and (stream, batch_id) not in self.emitted:
             self.partition.trigger_engine.note_append(stream, batch_id)
-            self.emitted.append((stream, batch_id))
-        self._cascade(stream, batch)
+            self.emitted[stream, batch_id] = plan
+        if plan.program:
+            self._cascade(stream, batch)
 
     def _cascade(self, stream: str, batch: AtomicBatch) -> None:
         self._depth += 1
@@ -248,7 +300,7 @@ class TEContext:
     def insert(self, table: str, values, ts: int = 0) -> None:
         """Insert one row. Into a stream this appends, as ``emit`` does;
         into a window it may slide the window."""
-        if isinstance(self.store.tables.get(table), StreamTable):
+        if table in self.partition.stream_plans:
             self.emit(table, (values,), ts)
             return
         t = values if isinstance(values, Tuple) else Tuple(tuple(values), ts=ts)
@@ -313,6 +365,8 @@ class Partition:
         store: Store,
         trigger_engine: TriggerEngine,
         catalog: Catalog,
+        plans: dict[str, ProcedurePlan],
+        stream_plans: dict[str, StreamPlan],
         log: CommandLog,
         input_cache: InputCache,
         schedule_capacity: Optional[int] = None,
@@ -324,12 +378,16 @@ class Partition:
         self.catalog = catalog
         self.log = log
         self.input_cache = input_cache
-        self.schedule_capacity = schedule_capacity
         self.post_commit_hook = post_commit_hook
+        self.plans = plans
+        self.stream_plans = stream_plans
 
         self.client_queue: deque[TERequest] = deque()
         self.fast_track: deque[TERequest] = deque()
-        self.committed_schedule: list[TransactionExecution] = []
+        # with a capacity, only the newest ``schedule_capacity`` commits
+        self.committed_schedule: deque[TransactionExecution] = deque(
+            maxlen=schedule_capacity
+        )
         self.commit_seq = 0
         self.counters: Counters = log.counters  # the log counts its syncs there
         self.stopped = False
@@ -337,12 +395,25 @@ class Partition:
         self._last_enqueued_round: dict[str, int] = {}
         self._replaying = False
 
+    def plan(self, name: str) -> ProcedurePlan:
+        try:
+            return self.plans[name]
+        except KeyError:
+            raise UnknownProcedure(name) from None
+
+    def stream_plan(self, name: str) -> StreamPlan:
+        try:
+            return self.stream_plans[name]
+        except KeyError:
+            self.store.stream(name)  # raises UnknownTable
+            raise
+
     # --- submission ---
 
     def submit_client(self, req: TERequest) -> Ticket:
         if self.stopped:
             raise EngineStopped("partition is stopped")
-        self.catalog.procedure(req.proc)
+        self.plan(req.proc)
         if req.ticket is None:
             req.ticket = Ticket()
         self.client_queue.append(req)
@@ -413,14 +484,14 @@ class Partition:
 
     def execute(self, req: TERequest) -> str:
         """Run one execution (or its whole nested group) to commit/abort."""
-        proc = self.catalog.procedure(req.proc)
+        plan = self.plan(req.proc)
         if req.group is not None:
             group = self.catalog.groups[req.group]
-        elif proc.is_streaming and not req.solo:
-            group = self.catalog.group_of.get(proc.name)
+        elif not req.solo:
+            group = plan.group
         else:
             group = None
-        outcome = self._execute_group(req, group)
+        outcome = self._execute_group(req, plan, group)
         if req.origin is Origin.CLIENT:
             self.counters.client_roundtrips += 1
         return outcome
@@ -436,32 +507,34 @@ class Partition:
     def _end(self):
         self._executing -= 1
 
-    def _execute_group(self, req: TERequest, group: Optional[ResolvedGroup]) -> str:
+    def _execute_group(
+        self, req: TERequest, plan: ProcedurePlan, group: Optional[ResolvedGroup]
+    ) -> str:
         """Run ``req`` and, inside a group, its other ready children in order;
         without a group the order is ``req`` alone."""
         self._begin()
         ran: list[tuple[TEContext, TERequest]] = []
         try:
             for child in group.order if group else (req.proc,):
-                proc = self.catalog.procedures[child]
                 if child == req.proc:
-                    child_req = req
-                elif self.trigger_engine.inputs_ready(proc, req.round):
+                    child_plan, child_req = plan, req
+                else:
+                    child_plan = self.plans[child]
+                    if not all(req.round in t.batches for t in child_plan.inputs):
+                        continue
                     child_req = TERequest(
                         child, req.round, origin=Origin.TRIGGER, group=group.name
                     )
                     self.counters.boundary_crossings += 1
                     if self._replaying:
                         self.counters.replay_trigger_dispatches += 1
-                else:
-                    continue
-                ctx, error = self._run_one(proc, child_req)
+                ctx, error = self._run_one(child_plan, child_req)
                 if error is not None:
                     # group rollback: undo every already-finished child too
                     for done_ctx, _ in reversed(ran):
                         done_ctx.undo.rollback()
                     self._finish_abort(
-                        proc, child_req, error,
+                        child_plan.proc, child_req, error,
                         [ctx] + [c for c, _ in ran],
                         req.ticket,
                         dropped_inputs=[
@@ -475,16 +548,17 @@ class Partition:
         self._commit_group(ran, group=group)
         return "committed"
 
-    def _run_one(self, proc: ProcedureDef, req: TERequest):
+    def _run_one(self, plan: ProcedurePlan, req: TERequest):
         """Run one execution's inputs and body; mutations stay in its undo
         buffer until the commit decision. Returns (ctx, error|None)."""
         self.counters.pe_dispatches += 1
         if self._replaying and req.origin is Origin.RECOVERY:
             self.counters.replay_client_dispatches += 1
-        ctx = TEContext(self, proc, req.round, req.args)
+        ctx = TEContext(self, plan, req.round, req.args)
+        proc = plan.proc
         try:
-            if proc.is_streaming:
-                self._load_inputs(ctx, proc, req)
+            if plan.inputs:
+                self._load_inputs(ctx, plan, req)
             if proc.body is not None:
                 try:
                     proc.body(ctx)
@@ -497,10 +571,11 @@ class Partition:
             return ctx, e
         return ctx, None
 
-    def _load_inputs(self, ctx: TEContext, proc: ProcedureDef, req: TERequest):
+    def _load_inputs(self, ctx: TEContext, plan: ProcedurePlan, req: TERequest):
         """Append a border's input batches to their streams, taken from the
         request's batches, or decoded from its args when it carries none, as
         in replay; every other input must already hold the round's batch."""
+        proc = plan.proc
         if proc.kind is ProcedureKind.BORDER and req.args:
             batches = req.batches
             if batches is None:
@@ -513,11 +588,12 @@ class Partition:
                 self.store.insert_batch(stream, batch, ctx.undo)
                 ctx.inputs[stream] = list(batch.tuples)
                 ctx.consumed.append((stream, batch.batch_id))
-                ctx._cascade(stream, batch)
-        for stream in proc.stream_inputs:
+                if self.stream_plans[stream].program:
+                    ctx._cascade(stream, batch)
+        for stream, tab in zip(proc.stream_inputs, plan.inputs):
             if stream in ctx.inputs:
                 continue
-            tuples = self.store.stream(stream).batch_tuples(req.round)
+            tuples = tab.batch_tuples(req.round)
             if not tuples:
                 raise MissingInputBatch(
                     f"{proc.name}: stream {stream} holds no batch {req.round}"
@@ -528,27 +604,21 @@ class Partition:
     # --- commit / abort ---
 
     def _commit_group(self, ran, group: Optional[ResolvedGroup] = None) -> None:
-        members = group.order if group else ()
         for ctx, req in ran:
             self.commit_seq += 1
             te = TransactionExecution(
                 ctx.proc.name, req.round, req.args, self.commit_seq
             )
-            self._log_commit(te, ctx.proc, req.ticket)
+            self._log_commit(te, ctx.plan, req.ticket)
             self.committed_schedule.append(te)
-            if (
-                self.schedule_capacity is not None
-                and len(self.committed_schedule) > self.schedule_capacity
-            ):
-                del self.committed_schedule[0]
             self.counters.te_committed += 1
             if req.ticket is not None:
                 req.ticket.outcome = "committed"
                 req.ticket.commit_seq = self.commit_seq
                 req.ticket.result_rows = ctx.result_rows
             # downstream triggers: in-group consumers already ran inline
-            for stream, batch_id in ctx.emitted:
-                if self.catalog.consumers.get(stream) in members:
+            for (stream, batch_id), plan in ctx.emitted.items():
+                if group is not None and plan.consumer_group is group:
                     continue
                 fires = self.trigger_engine.fire_procedure_triggers(stream, batch_id)
                 self._submit_trigger(fires)
@@ -591,14 +661,15 @@ class Partition:
         triggers = self.trigger_engine
         for stream, batch_id in ctx.consumed:
             triggers.note_consumed(stream, batch_id)
-            tab = self.store.stream(stream)
-            tab.last_consumed_batch = max(tab.last_consumed_batch, batch_id)
+            tab = self.stream_plans[stream].table
+            if batch_id > tab.last_consumed_batch:
+                tab.last_consumed_batch = batch_id
         for stream, batch_id in ctx.consumed + ctx.ee_consumed:
             if triggers.gc_eligible(stream, batch_id):
                 self.store.garbage_collect(stream, batch_id)
 
-    def _log_commit(self, te: TransactionExecution, proc: ProcedureDef, ticket):
-        if self._replaying or not self.log.logs(proc.kind):
+    def _log_commit(self, te: TransactionExecution, plan: ProcedurePlan, ticket):
+        if self._replaying or not plan.logged:
             if ticket is not None:
                 ticket.acknowledged = True
             return

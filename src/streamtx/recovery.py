@@ -4,9 +4,12 @@ All of the partition's durable bytes reach disk through one small file
 layer: ``AppendFile`` appends to a file that starts with a header,
 ``replace_file`` swaps a whole file atomically, and ``_read_frames`` reads
 one back. Each file is a header, then codec frames; a torn or corrupt frame
-ends it.
+ends it. The log header's snapshot seq is the commit sequence of the
+snapshot the log follows: the checkpoint that wrote that snapshot truncated
+the log, so the commits up to it are in no log record.
 
-    log header:    magic "STXLOG01" | version u32 (2) | mode u8 | partition u32
+    log header:    magic "STXLOG01" | version u32 (3) | mode u8 | partition u32
+                   | snapshot seq u64
     log record:    commit_seq u64 | round u64 | procedure text | args
     cache header:  magic "STXINP02"
     cache record:  one ``{stream: batch}`` in the codec's batch encoding
@@ -34,8 +37,8 @@ from .model import AtomicBatch, ProcedureKind
 
 LOG_MAGIC = b"STXLOG01"
 CACHE_MAGIC = b"STXINP02"
-LOG_VERSION = 2
-_LOG_HEAD = struct.Struct("<IBI")  # version, mode, partition
+LOG_VERSION = 3
+_LOG_HEAD = struct.Struct("<IBIQ")  # version, mode, partition, snapshot seq
 _RECORD_HEAD = struct.Struct("<QQ")  # commit_seq, round
 TEMP_SUFFIX = ".tmp"  # replace_file writes here before the rename
 
@@ -63,8 +66,19 @@ class CommandLogRecord:
         return cls(seq, procedure, round_, payload[off:])
 
 
-def _log_header(mode: RecoveryMode, partition_id: int) -> bytes:
-    return LOG_MAGIC + _LOG_HEAD.pack(LOG_VERSION, mode.value, partition_id)
+# the procedure kinds whose commits each log mode logs: strong logs every
+# commit; weak only transactions with no upstream that could regenerate
+# them (border streaming and OLTP); an engine without a log logs nothing
+LOGGED_KINDS: dict[Optional[RecoveryMode], frozenset[ProcedureKind]] = {
+    RecoveryMode.STRONG: frozenset(ProcedureKind),
+    RecoveryMode.WEAK: frozenset((ProcedureKind.BORDER, ProcedureKind.OLTP)),
+    None: frozenset(),
+}
+
+
+def _log_header(mode: RecoveryMode, partition_id: int, snapshot_seq: int = 0) -> bytes:
+    head = _LOG_HEAD.pack(LOG_VERSION, mode.value, partition_id, snapshot_seq)
+    return LOG_MAGIC + head
 
 
 def replace_file(path: str, data: bytes) -> None:
@@ -137,14 +151,15 @@ class AppendFile:
 def _read_frames(
     path: str, magic: bytes, head_size: int
 ) -> tuple[bytes, Iterator[bytes]]:
-    """The header fields after ``magic`` and the frame payloads after them."""
+    """The ``head_size`` header bytes after ``magic`` (fewer when the file
+    is shorter; the caller checks) and the frame payloads after them."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except FileNotFoundError:
         raise CorruptLogRecord(f"missing {os.path.basename(path)}") from None
     start = len(magic) + head_size
-    if len(blob) < start or not blob.startswith(magic):
+    if not blob.startswith(magic):
         raise CorruptLogRecord(f"bad header in {os.path.basename(path)}")
     return blob[len(magic) : start], frames(blob, start)
 
@@ -184,13 +199,6 @@ class CommandLog:
     @property
     def sync_count(self) -> int:
         return self.counters.sync_count
-
-    def logs(self, kind: ProcedureKind) -> bool:
-        """Strong logs every commit; weak logs only transactions with no
-        upstream that could regenerate them (border streaming and OLTP)."""
-        if self.mode is RecoveryMode.WEAK:
-            return kind in (ProcedureKind.BORDER, ProcedureKind.OLTP)
-        return self.mode is RecoveryMode.STRONG
 
     def append(self, record: CommandLogRecord, ticket=None) -> None:
         self._pending.append((record, ticket))
@@ -236,27 +244,36 @@ class CommandLog:
             self._file.close()
 
 
-def read_log(path: str) -> tuple[RecoveryMode, int, list[CommandLogRecord]]:
+def read_log(path: str) -> tuple[RecoveryMode, int, int, list[CommandLogRecord]]:
     """Read a command log; a torn record truncates the tail (standard rule).
 
-    Returns (mode, partition_id, records in file order).
+    Returns (mode, partition_id, snapshot seq, records in file order).
     """
     head, payloads = _read_frames(path, LOG_MAGIC, _LOG_HEAD.size)
-    version, mode_v, partition_id = _LOG_HEAD.unpack(head)
-    if version != LOG_VERSION:
+    # the version leads, so an older header, shorter than this one, still
+    # reads as its version
+    version = int.from_bytes(head[:4], "little")
+    if len(head) >= 4 and version != LOG_VERSION:
         raise CorruptLogRecord(f"unsupported log version {version}")
+    if len(head) < _LOG_HEAD.size:
+        raise CorruptLogRecord(f"bad header in {os.path.basename(path)}")
+    _, mode_v, partition_id, snapshot_seq = _LOG_HEAD.unpack(head)
     records: list[CommandLogRecord] = []
     for payload in payloads:
         rec = CommandLogRecord.decode(payload)
         if records and rec.commit_seq <= records[-1].commit_seq:
             raise CorruptLogRecord("commit sequence not increasing")
         records.append(rec)
-    return RecoveryMode(mode_v), partition_id, records
+    return RecoveryMode(mode_v), partition_id, snapshot_seq, records
 
 
-def truncate_log(path: str, mode: RecoveryMode, partition_id: int) -> None:
-    """Start the log over (after a checkpoint made old records redundant)."""
-    replace_file(path, _log_header(mode, partition_id))
+def truncate_log(
+    path: str, mode: RecoveryMode, partition_id: int, snapshot_seq: int = 0
+) -> None:
+    """Start the log over after the snapshot at ``snapshot_seq`` made the
+    records up to it redundant; recovery then needs that snapshot or a
+    newer one."""
+    replace_file(path, _log_header(mode, partition_id, snapshot_seq))
 
 
 # --- upstream backup ---

@@ -419,8 +419,9 @@ class Store:
             raise UnknownTable(f"no table named {name}") from None
 
     def stream(self, name: str) -> StreamTable:
-        t = self.table(name)
+        t = self.tables.get(name)
         if not isinstance(t, StreamTable):
+            self.table(name)  # raises for a missing name
             raise UnknownTable(f"{name} is not a stream table")
         return t
 

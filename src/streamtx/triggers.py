@@ -73,13 +73,12 @@ class StatementTrigger:
 @dataclass(frozen=True)
 class ProcedureTrigger:
     """A stream's fire plan: a committed batch enqueues ``target`` (as nested
-    group ``group``) once every procedure in ``ready`` holds it on all its
-    inputs."""
+    group ``group``) once every stream in ``ready`` holds it."""
 
     source: str
     target: str
     group: Optional[str] = None
-    ready: tuple[ProcedureDef, ...] = ()
+    ready: tuple[StreamTable, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,10 @@ class TriggerEngine:
         entry = (target,) if group is None else group.roots
         # a single-input entry is ready by construction: the firing batch
         # just landed on its only input
-        ready = () if len(entry) == 1 and len(entry[0].stream_inputs) == 1 else entry
+        if len(entry) == 1 and len(entry[0].stream_inputs) == 1:
+            ready = ()
+        else:
+            ready = tuple(self.store.stream(s) for p in entry for s in p.stream_inputs)
         self.procedure_triggers[source] = ProcedureTrigger(
             source, entry[0].name, None if group is None else group.name, ready
         )
@@ -245,8 +247,8 @@ class TriggerEngine:
     # --- GC bookkeeping ---
 
     def note_append(self, stream: str, batch_id: int) -> None:
-        if stream in self.procedure_triggers:
-            self.pending.add((stream, batch_id))
+        """A batch landed on a procedure-trigger stream."""
+        self.pending.add((stream, batch_id))
 
     def note_consumed(self, stream: str, batch_id: int) -> None:
         self.pending.discard((stream, batch_id))
@@ -292,14 +294,9 @@ class TriggerEngine:
         trig = self.procedure_triggers.get(stream)
         if not self.pe_enabled or trig is None:
             return []
-        if all(self.inputs_ready(p, batch_id) for p in trig.ready):
+        if all(batch_id in t.batches for t in trig.ready):
             return [(trig.target, batch_id, trig.group)]
         return []
-
-    def inputs_ready(self, proc: ProcedureDef, batch_id: int) -> bool:
-        return all(
-            batch_id in self.store.stream(s).batches for s in proc.stream_inputs
-        )
 
     def refire_nonempty_streams(self) -> list[tuple[str, int, Optional[str]]]:
         """Recovery helper: mark every batch held on a procedure-trigger

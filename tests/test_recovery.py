@@ -17,6 +17,7 @@ from streamtx.engine import (
 from streamtx.errors import (
     BadDefinition,
     CorruptLogRecord,
+    CorruptSnapshot,
     ReplayDivergence,
     TypeMismatch,
     VersionMismatch,
@@ -121,7 +122,7 @@ def test_log_volume_strong_vs_weak(tmp_path):
     e1.run_until_idle()
     assert e1.counters.log_records == 400
     e1.close()
-    _, _, recs = read_log(str(tmp_path / "strong" / LOG_FILE))
+    *_, recs = read_log(str(tmp_path / "strong" / LOG_FILE))
     assert len(recs) == 400
 
     e2 = Engine(chain_spec(4), data_dir=str(tmp_path / "weak"),
@@ -130,7 +131,7 @@ def test_log_volume_strong_vs_weak(tmp_path):
     e2.run_until_idle()
     assert e2.counters.log_records == 100
     e2.close()
-    _, _, recs = read_log(str(tmp_path / "weak" / LOG_FILE))
+    *_, recs = read_log(str(tmp_path / "weak" / LOG_FILE))
     assert len(recs) == 100
     assert all(r.procedure == "SP1" for r in recs)
 
@@ -145,7 +146,7 @@ def test_weak_mode_logs_oltp(tmp_path):
     e.call_oltp("Q", {"v": 7})
     e.run_until_idle()
     e.close()
-    _, _, recs = read_log(str(tmp_path / LOG_FILE))
+    *_, recs = read_log(str(tmp_path / LOG_FILE))
     assert [r.procedure for r in recs] == ["SP1", "Q"]
 
 
@@ -155,7 +156,7 @@ def test_strong_logs_interior_with_round_and_empty_args(tmp_path):
     feed_rounds(e, [5])
     e.run_until_idle()
     e.close()
-    _, _, recs = read_log(str(tmp_path / LOG_FILE))
+    *_, recs = read_log(str(tmp_path / LOG_FILE))
     assert [(r.procedure, r.round) for r in recs] == [("SP1", 1), ("SP2", 1)]
     assert recs[1].args == b""
     fed = AtomicBatch(1, (Tuple((5,), tuple_id=1, batch_id=1, ts=0),))
@@ -221,7 +222,7 @@ def test_checkpoint_then_crash_restore_only(tmp_path):
     e.checkpoint()
     want = e.store.content_signature()
     e.crash()
-    _, _, recs = read_log(str(tmp_path / LOG_FILE))
+    *_, recs = read_log(str(tmp_path / LOG_FILE))
     assert recs == []
     r = recover(chain_spec(2), str(tmp_path), fsync=False)
     assert r.counters.replay_client_dispatches == 0
@@ -307,7 +308,7 @@ def test_strong_mid_round_crash_refires_pending(tmp_path):
     feed_rounds(e, [5])
     e.step()  # SP1 commits (flushed, max_batch=1); SP2 still queued
     e.crash()
-    _, _, recs = read_log(str(tmp_path / LOG_FILE))
+    *_, recs = read_log(str(tmp_path / LOG_FILE))
     assert [r_.procedure for r_ in recs] == ["SP1"]
     r = recover(chain_spec(2), str(tmp_path), fsync=False)
     # recovered-but-not-resumed state holds the pending interior batch
@@ -459,13 +460,13 @@ def test_tail_corruption_truncates(tmp_path):
     e.partition.log.flush()
     e.crash()
     log_path = str(tmp_path / LOG_FILE)
-    _, _, before = read_log(log_path)
+    *_, before = read_log(log_path)
     assert len(before) == 4
     # torn tail: half a record
     rec = CommandLogRecord(99, "SP1", 99, b"xxx").encode()
     with open(log_path, "ab") as fh:
         fh.write(rec[: len(rec) // 2])
-    _, _, after = read_log(log_path)
+    *_, after = read_log(log_path)
     assert [(r_.procedure, r_.round) for r_ in after] == [
         (r_.procedure, r_.round) for r_ in before
     ]
@@ -475,7 +476,7 @@ def test_tail_corruption_truncates(tmp_path):
     blob[60] ^= 0xFF
     with open(log_path, "wb") as fh:
         fh.write(blob)
-    _, _, truncated = read_log(log_path)
+    *_, truncated = read_log(log_path)
     assert len(truncated) < 4
 
 
@@ -495,6 +496,64 @@ def test_torn_snapshot_falls_back_to_previous(tmp_path):
     assert blob is not None
     r = recover(chain_spec(2), str(tmp_path), fsync=False)
     assert r.store.content_signature() == good
+    r.close()
+
+
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+@pytest.mark.parametrize("tail_round", [False, True], ids=["no_tail", "tail"])
+def test_fallback_past_truncated_log_refused(tmp_path, mode, tail_round):
+    """The checkpoint that wrote the newest snapshot truncated the log, so
+    the older snapshot cannot bring back the commits between the two."""
+    e = Engine(chain_spec(2), data_dir=str(tmp_path), recovery_mode=mode,
+               fsync=False)
+    for round_ in (1, 2):
+        e.ingest_batch("s1", one_row(round_, round_))
+        e.run_until_idle()
+        newest = e.checkpoint()
+    assert read_log(str(tmp_path / LOG_FILE))[2] == e.partition.commit_seq
+    if tail_round:
+        e.ingest_batch("s1", one_row(3, 3))
+        e.run_until_idle()
+        e.partition.log.flush()
+    e.crash()
+    with open(newest, "rb") as fh:
+        intact = fh.read()
+    damaged = bytearray(intact)
+    damaged[len(damaged) // 2] ^= 0xFF
+    with open(newest, "wb") as fh:
+        fh.write(damaged)
+    with pytest.raises(CorruptSnapshot, match="log follows the snapshot at commit 4"):
+        recover(chain_spec(2), str(tmp_path), fsync=False)
+    with open(newest, "wb") as fh:
+        fh.write(intact)
+    r = recover(chain_spec(2), str(tmp_path), fsync=False)
+    r.run_until_idle()
+    assert out_values(r) == ([1, 2, 3] if tail_round else [1, 2])
+    r.close()
+
+
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_recovered_plans_hold_the_engines_tables(tmp_path, mode):
+    e = Engine(chain_spec(3), data_dir=str(tmp_path), recovery_mode=mode,
+               fsync=False)
+    feed_rounds(e, [1, 2])
+    e.run_until_idle()
+    e.checkpoint()
+    e.ingest_batch("s1", one_row(3, 3))
+    e.run_until_idle()
+    e.partition.log.flush()
+    e.crash()
+    r = recover(chain_spec(3), str(tmp_path), fsync=False)
+    r.run_until_idle()
+    assert out_values(r) == [1, 2, 3]
+    tables = r.store.tables
+    for plan in r.partition.plans.values():
+        names = plan.proc.stream_inputs
+        assert len(plan.inputs) == len(names)
+        assert all(tab is tables[n] for n, tab in zip(names, plan.inputs))
+    assert set(r.partition.stream_plans) == {"s1", "s2", "s3"}
+    for name, stream_plan in r.partition.stream_plans.items():
+        assert stream_plan.table is tables[name]
     r.close()
 
 
@@ -558,7 +617,7 @@ def test_weak_unlogged_border_resubmitted_from_cache(tmp_path):
     # nothing flushed: all three border records vanish with the crash
     assert all(t.done and not t.acknowledged for t in tickets)
     e.crash()
-    _, _, recs = read_log(str(tmp_path / LOG_FILE))
+    *_, recs = read_log(str(tmp_path / LOG_FILE))
     assert recs == []
     cached = read_input_cache(str(tmp_path / CACHE_FILE))
     assert [b.batch_id for b in cached["s1"]] == [1, 2, 3]
@@ -589,7 +648,7 @@ def test_weak_replays_oltp_interleaved(tmp_path):
         e.run_until_idle()
     e.partition.log.flush()
     e.crash()
-    _, _, recs = read_log(str(tmp_path / LOG_FILE))
+    *_, recs = read_log(str(tmp_path / LOG_FILE))
     assert [r.procedure for r in recs] == ["SP1", "Q"] * 3
     r = recover(build(), str(tmp_path), fsync=False)
     r.run_until_idle()
@@ -1047,7 +1106,7 @@ def test_border_args_decoded_only_at_replay(tmp_path, monkeypatch):
     e.partition.log.flush()
     want = e.store.content_signature()
     e.crash()
-    _, _, records = read_log(str(tmp_path / LOG_FILE))
+    *_, records = read_log(str(tmp_path / LOG_FILE))
     replayed = [
         rec.args for rec in records
         if rec.procedure == "SP1" and rec.commit_seq > checkpoint_seq

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import pytest
 
 from streamtx.engine import Engine, EngineSpec, StreamDef, TableDef
-from streamtx.errors import BadDefinition, CycleDetected, StreamTxError
+from streamtx.errors import BadDefinition, CycleDetected, StreamTxError, UnknownTable
 from streamtx.ingest import BatchingPolicy, FeedSource, ingest
 from streamtx.model import (
     AtomicBatch,
@@ -410,6 +410,64 @@ def test_schedule_ring_buffer_capacity():
     entries = [(te.procedure, te.round) for te in e.committed_schedule]
     assert len(entries) == 3
     assert entries == [("SP2", 2), ("SP1", 3), ("SP2", 3)]
+
+
+def test_schedule_capacity_zero_keeps_nothing():
+    e = Engine(two_step_spec(), schedule_capacity=0)
+    ingest(
+        e, FeedSource.from_values([1, 2, 3]), BatchingPolicy("fixed_count", 1), "s1"
+    )
+    e.run_until_idle()
+    assert list(e.committed_schedule) == []
+    assert e.counters.te_committed == 6
+
+
+def test_input_stream_without_streamdef_fails_construction():
+    spec = two_step_spec()
+    spec.streams = [StreamDef("s12", VAL_COLS)]  # the border's s1 is missing
+    with pytest.raises(UnknownTable, match="no table named s1"):
+        Engine(spec)
+
+
+def test_two_appends_to_one_batch_wait_and_fire_once():
+    def b1(ctx):
+        ctx.emit("s12", [(1,)])
+        ctx.emit("s12", [(2,)])
+
+    def b2(ctx):
+        ctx.insert("out", (sum(t.values[0] for t in ctx.input_tuples("s12")),))
+
+    w = register_workflow(
+        "two",
+        [
+            ProcedureDef("SP1", ProcedureKind.BORDER, ("s1",), body=b1),
+            ProcedureDef("SP2", ProcedureKind.INTERIOR, ("s12",), body=b2),
+        ],
+        [("SP1", "s12", "SP2")],
+    )
+    e = Engine(EngineSpec(
+        workflows=[w],
+        streams=[StreamDef("s1", VAL_COLS), StreamDef("s12", VAL_COLS)],
+        tables=[TableDef("out", VAL_COLS)],
+    ))
+    triggers = e.partition.trigger_engine
+    fired = []
+    real_fire = triggers.fire_procedure_triggers
+
+    def counting_fire(stream, batch_id):
+        fired.append((stream, batch_id))
+        return real_fire(stream, batch_id)
+
+    triggers.fire_procedure_triggers = counting_fire
+    ingest(e, FeedSource.from_values([5]), BatchingPolicy("fixed_count", 1), "s1")
+    e.step()  # SP1 round 1
+    assert triggers.pending == {("s12", 1)}
+    assert fired == [("s12", 1)]
+    assert [(r.proc, r.round) for r in e.partition.fast_track] == [("SP2", 1)]
+    e.run_until_idle()
+    assert [t.values for t in e.store.table("out").rows] == [(3,)]
+    assert triggers.pending == set()
+    assert e.counters.boundary_crossings == 1
 
 
 def test_same_te_property_trigger_writes_share_fate():
