@@ -21,7 +21,6 @@ from .errors import (
     VersionMismatch,
 )
 from .executor import (
-    Catalog,
     Counters,
     Origin,
     Partition,
@@ -31,6 +30,7 @@ from .executor import (
     batches_to_args,
     encode_args,
     make_plans,
+    make_stream_plans,
 )
 from .model import AtomicBatch, ProcedureKind, Workflow
 from .recovery import (
@@ -113,32 +113,29 @@ class Engine:
             for table, rows in spec.seed_rows.items():
                 for row in rows:
                     store.insert(table, Tuple(tuple(row)), seed_undo)
-        catalog = Catalog()
-        for w in spec.workflows:
-            catalog.add_workflow(w)
-            for p in w.procedures:
-                for wd in p.window_defs:
-                    if wd.name not in spec.window_columns:
-                        raise BadDefinition(f"window {wd.name} has no schema")
-                    store.create_window(
-                        wd, make_schema(*spec.window_columns[wd.name])
-                    )
+        # without a data dir or a recovery mode the log and the cache hold no
+        # file: nothing is logged and every commit is acknowledged at once
+        mode = recovery_mode if data_dir is not None else None
+        plans = make_plans(spec.workflows, store, mode)
+        for plan in plans.values():
+            for wd in plan.proc.window_defs:
+                if wd.name not in spec.window_columns:
+                    raise BadDefinition(f"window {wd.name} has no schema")
+                store.create_window(wd, make_schema(*spec.window_columns[wd.name]))
         triggers = TriggerEngine(store)
         for st in spec.statement_triggers:
             triggers.register_statement_trigger(st)
         if spec.use_procedure_triggers:
             for w in spec.workflows:
                 for e in w.edges:
-                    triggers.register_procedure_trigger(
-                        e.stream,
-                        catalog.procedures[e.consumer],
-                        catalog.group_of.get(e.consumer),
-                    )
-
-        # without a data dir or a recovery mode the log and the cache hold no
-        # file: nothing is logged and every commit is acknowledged at once
-        mode = recovery_mode if data_dir is not None else None
-        plans, stream_plans = make_plans(catalog, store, triggers, mode)
+                    consumer = plans[e.consumer]
+                    group = consumer.group
+                    # an edge between two children of a group runs inside it
+                    if group is None or plans[e.producer].group is not group:
+                        triggers.register_procedure_trigger(
+                            e.stream, consumer.proc, group
+                        )
+        stream_plans = make_stream_plans(store, triggers)
         log_path = cache_path = None
         if mode is not None:
             os.makedirs(data_dir, exist_ok=True)
@@ -158,7 +155,6 @@ class Engine:
             partition_id,
             store,
             triggers,
-            catalog,
             plans,
             stream_plans,
             log=log,
@@ -191,10 +187,6 @@ class Engine:
     @property
     def committed_schedule(self):
         return self.partition.committed_schedule
-
-    @property
-    def catalog(self) -> Catalog:
-        return self.partition.catalog
 
     # --- ingestion and client calls ---
 
@@ -431,7 +423,9 @@ def recover(
 
 
 def _replay_strong(engine: Engine, records, snapshot_seq: int) -> None:
-    """Replay every logged execution once, triggers off, then refire."""
+    """Replay every logged transaction once, a nested group whole, with
+    triggers off, after dropping the batches the aborts before it dropped;
+    then refire."""
     p = engine.partition
     p.trigger_engine.pe_enabled = False
     p._replaying = True
@@ -443,9 +437,9 @@ def _replay_strong(engine: Engine, records, snapshot_seq: int) -> None:
                 raise ReplayDivergence(
                     f"expected commit {p.commit_seq + 1}, log has {rec.commit_seq}"
                 )
-            req = TERequest(
-                rec.procedure, rec.round, rec.args, Origin.RECOVERY, solo=True
-            )
+            for stream, batch_id in rec.dropped:
+                p.drop(stream, batch_id)
+            req = TERequest(rec.procedure, rec.round, rec.args, Origin.RECOVERY)
             outcome = p.execute(req)
             if outcome != "committed":
                 raise ReplayDivergence(

@@ -74,6 +74,8 @@ class Ticket:
 
     ``outcome`` is set at commit/abort; ``acknowledged`` only once the
     commit's log record is written (immediately when nothing is logged).
+    ``commit_seq`` is the last commit of the transaction, which for a
+    nested group is its last child.
     """
 
     __slots__ = ("outcome", "reason", "result_rows", "commit_seq", "acknowledged")
@@ -101,8 +103,6 @@ class TERequest:
     args: bytes = b""
     origin: Origin = Origin.CLIENT
     ticket: Optional[Ticket] = None
-    group: Optional[str] = None
-    solo: bool = False  # strong-recovery replay runs group children one by one
     # a border's input batches as ingested; ``args`` encodes the same
     # batches, and replay, which has only the args, decodes them
     batches: Optional[dict[str, AtomicBatch]] = None
@@ -126,45 +126,11 @@ class Counters:
         return dict(self.__dict__)
 
 
-class Catalog:
-    """Registered workflows plus the lookups the executor needs, built once
-    per workflow at registration."""
-
-    def __init__(self):
-        self.procedures: dict[str, ProcedureDef] = {}
-        self.workflows: dict[str, Workflow] = {}
-        self.consumers: dict[str, str] = {}  # interior stream -> its consumer
-        self.groups: dict[str, ResolvedGroup] = {}
-        self.group_of: dict[str, ResolvedGroup] = {}  # child procedure -> group
-
-    def add_workflow(self, w: Workflow) -> None:
-        for p in w.procedures:
-            if p.name in self.procedures:
-                raise BadDefinition(f"procedure {p.name} registered twice")
-        if w.name in self.workflows:
-            raise BadDefinition(f"workflow {w.name} registered twice")
-        self.workflows[w.name] = w
-        for p in w.procedures:
-            self.procedures[p.name] = p
-        for e in w.edges:
-            self.consumers[e.stream] = e.consumer
-        for g in w.nested_groups:
-            roots = group_roots(g, w.edges, self.procedures, w.chosen_order)
-            group = ResolvedGroup(
-                g.parent_name,
-                tuple(c for c in w.chosen_order if c in g.children),
-                tuple(self.procedures[r] for r in roots),
-            )
-            self.groups[group.name] = group
-            for c in g.children:
-                self.group_of[c] = group
-
-
 @dataclass(slots=True)
 class ProcedurePlan:
     """One procedure as the partition runs it, resolved when the engine is
-    built: its default nested group, its input tables in ``stream_inputs``
-    order, and whether this engine's log mode logs its commits."""
+    built: its nested group, its input tables in ``stream_inputs`` order,
+    and whether this engine's log mode logs a transaction it enters."""
 
     proc: ProcedureDef
     group: Optional[ResolvedGroup]
@@ -179,39 +145,54 @@ class StreamPlan:
     table: StreamTable
     fires: bool  # a procedure trigger reads it: a new batch waits in pending
     program: bool  # a statement program runs on each appended batch
-    consumer_group: Optional[ResolvedGroup]  # its consumer's nested group
 
 
 def make_plans(
-    catalog: Catalog,
-    store: Store,
-    triggers: TriggerEngine,
-    mode: Optional[RecoveryMode],
-) -> tuple[dict[str, ProcedurePlan], dict[str, StreamPlan]]:
-    """Plans for every registered procedure and every stream table, made
-    once all triggers are registered; an input stream the store lacks
-    raises ``UnknownTable``. ``mode`` is the log's recovery mode."""
+    workflows: list[Workflow], store: Store, mode: Optional[RecoveryMode]
+) -> dict[str, ProcedurePlan]:
+    """A plan for every procedure of ``workflows``, in registration order.
+    A procedure or a workflow registered twice raises ``BadDefinition``, an
+    input stream the store lacks ``UnknownTable``. ``mode`` is the log's
+    recovery mode."""
+    procs: dict[str, ProcedureDef] = {}
+    names: set[str] = set()
+    group_of: dict[str, ResolvedGroup] = {}  # child procedure -> its group
+    for w in workflows:
+        for p in w.procedures:
+            if p.name in procs:
+                raise BadDefinition(f"procedure {p.name} registered twice")
+        if w.name in names:
+            raise BadDefinition(f"workflow {w.name} registered twice")
+        names.add(w.name)
+        procs.update((p.name, p) for p in w.procedures)
+        for g in w.nested_groups:
+            roots = group_roots(g, w.edges, procs, w.chosen_order)
+            group = ResolvedGroup(
+                tuple(c for c in w.chosen_order if c in g.children),
+                tuple(procs[r] for r in roots),
+            )
+            group_of.update((c, group) for c in g.children)
     logged = LOGGED_KINDS[mode]
-    plans = {
+    return {
         name: ProcedurePlan(
             proc,
-            catalog.group_of.get(name),
+            group_of.get(name),
             tuple(map(store.stream, proc.stream_inputs)),
             proc.kind in logged,
         )
-        for name, proc in catalog.procedures.items()
+        for name, proc in procs.items()
     }
-    streams = {
+
+
+def make_stream_plans(store: Store, triggers: TriggerEngine) -> dict[str, StreamPlan]:
+    """A plan for every stream table, made once all triggers are registered."""
+    return {
         name: StreamPlan(
-            tab,
-            name in triggers.procedure_triggers,
-            name in triggers.programs,
-            catalog.group_of.get(catalog.consumers.get(name)),
+            tab, name in triggers.procedure_triggers, name in triggers.programs
         )
         for name, tab in store.tables.items()
         if isinstance(tab, StreamTable)
     }
-    return plans, streams
 
 
 class TEContext:
@@ -231,8 +212,8 @@ class TEContext:
         self.consumed: list[tuple[str, int]] = []
         self.ee_consumed: list[tuple[str, int]] = []
         # (stream, batch) this execution appended to a procedure-trigger
-        # stream, in first-append order, to that stream's plan
-        self.emitted: dict[tuple[str, int], StreamPlan] = {}
+        # stream, in first-append order (a dict as an ordered set)
+        self.emitted: dict[tuple[str, int], None] = {}
         self.result_rows: Optional[list] = None
         self._depth = 0
 
@@ -284,7 +265,7 @@ class TEContext:
         self.store.insert_batch(stream, batch, self.undo)
         if plan.fires and (stream, batch_id) not in self.emitted:
             self.partition.trigger_engine.note_append(stream, batch_id)
-            self.emitted[stream, batch_id] = plan
+            self.emitted[stream, batch_id] = None
         if plan.program:
             self._cascade(stream, batch)
 
@@ -364,7 +345,6 @@ class Partition:
         pid: int,
         store: Store,
         trigger_engine: TriggerEngine,
-        catalog: Catalog,
         plans: dict[str, ProcedurePlan],
         stream_plans: dict[str, StreamPlan],
         log: CommandLog,
@@ -375,7 +355,6 @@ class Partition:
         self.id = pid
         self.store = store
         self.trigger_engine = trigger_engine
-        self.catalog = catalog
         self.log = log
         self.input_cache = input_cache
         self.post_commit_hook = post_commit_hook
@@ -394,6 +373,10 @@ class Partition:
         self._executing = 0
         self._last_enqueued_round: dict[str, int] = {}
         self._replaying = False
+        # in strong mode, the batches aborts dropped since the last record:
+        # the next record carries them, and replay drops them before it
+        self._log_drops = log.mode is RecoveryMode.STRONG
+        self._dropped: list[tuple[str, int]] = []
 
     def plan(self, name: str) -> ProcedurePlan:
         try:
@@ -419,17 +402,16 @@ class Partition:
         self.client_queue.append(req)
         return req.ticket
 
-    def _submit_trigger(self, fires: list[tuple[str, int, Optional[str]]]) -> list[TERequest]:
+    def _submit_trigger(self, fires: list[tuple[str, int]]) -> list[TERequest]:
         """Queue trigger-fired work on the fast track, skipping rounds a
         target already has queued (two producers can complete the same
         round's inputs in one commit)."""
         out = []
-        for target, round_, group in fires:
-            key = group or target
-            if self._last_enqueued_round.get(key, 0) >= round_:
+        for target, round_ in fires:
+            if self._last_enqueued_round.get(target, 0) >= round_:
                 continue
-            self._last_enqueued_round[key] = round_
-            req = TERequest(target, round_, origin=Origin.TRIGGER, group=group)
+            self._last_enqueued_round[target] = round_
+            req = TERequest(target, round_, origin=Origin.TRIGGER)
             self.fast_track.append(req)
             self.counters.boundary_crossings += 1
             if self._replaying:
@@ -483,15 +465,8 @@ class Partition:
     # --- execution ---
 
     def execute(self, req: TERequest) -> str:
-        """Run one execution (or its whole nested group) to commit/abort."""
-        plan = self.plan(req.proc)
-        if req.group is not None:
-            group = self.catalog.groups[req.group]
-        elif not req.solo:
-            group = plan.group
-        else:
-            group = None
-        outcome = self._execute_group(req, plan, group)
+        """Run one execution, or its whole nested group, to commit/abort."""
+        outcome = self._execute_group(req, self.plan(req.proc))
         if req.origin is Origin.CLIENT:
             self.counters.client_roundtrips += 1
         return outcome
@@ -507,12 +482,11 @@ class Partition:
     def _end(self):
         self._executing -= 1
 
-    def _execute_group(
-        self, req: TERequest, plan: ProcedurePlan, group: Optional[ResolvedGroup]
-    ) -> str:
+    def _execute_group(self, req: TERequest, plan: ProcedurePlan) -> str:
         """Run ``req`` and, inside a group, its other ready children in order;
         without a group the order is ``req`` alone."""
         self._begin()
+        group = plan.group
         ran: list[tuple[TEContext, TERequest]] = []
         try:
             for child in group.order if group else (req.proc,):
@@ -522,9 +496,7 @@ class Partition:
                     child_plan = self.plans[child]
                     if not all(req.round in t.batches for t in child_plan.inputs):
                         continue
-                    child_req = TERequest(
-                        child, req.round, origin=Origin.TRIGGER, group=group.name
-                    )
+                    child_req = TERequest(child, req.round, origin=Origin.TRIGGER)
                     self.counters.boundary_crossings += 1
                     if self._replaying:
                         self.counters.replay_trigger_dispatches += 1
@@ -545,7 +517,7 @@ class Partition:
                 ran.append((ctx, child_req))
         finally:
             self._end()
-        self._commit_group(ran, group=group)
+        self._commit_group(req, plan, ran)
         return "committed"
 
     def _run_one(self, plan: ProcedurePlan, req: TERequest):
@@ -603,28 +575,41 @@ class Partition:
 
     # --- commit / abort ---
 
-    def _commit_group(self, ran, group: Optional[ResolvedGroup] = None) -> None:
-        for ctx, req in ran:
-            self.commit_seq += 1
-            te = TransactionExecution(
-                ctx.proc.name, req.round, req.args, self.commit_seq
+    def _commit_group(self, req: TERequest, plan: ProcedurePlan, ran) -> None:
+        """Commit ``ran``, ``req``'s execution and, inside a group, the other
+        children that ran, as one transaction. Its one log record is ``req``
+        at the group's first commit seq; the ticket's commit seq is its last."""
+        ticket = req.ticket
+        if self._replaying or not plan.logged:
+            if ticket is not None:
+                ticket.acknowledged = True
+        else:
+            record = CommandLogRecord(
+                self.commit_seq + 1, req.proc, req.round, req.args,
+                tuple(self._dropped),
             )
-            self._log_commit(te, ctx.plan, req.ticket)
-            self.committed_schedule.append(te)
+            self._dropped.clear()
+            self.fail_stop(self.log.append, record, ticket)
+            self.counters.log_records += 1
+        for ctx, child in ran:
+            self.commit_seq += 1
+            self.committed_schedule.append(
+                TransactionExecution(
+                    ctx.proc.name, child.round, child.args, self.commit_seq
+                )
+            )
             self.counters.te_committed += 1
-            if req.ticket is not None:
-                req.ticket.outcome = "committed"
-                req.ticket.commit_seq = self.commit_seq
-                req.ticket.result_rows = ctx.result_rows
-            # downstream triggers: in-group consumers already ran inline
-            for (stream, batch_id), plan in ctx.emitted.items():
-                if group is not None and plan.consumer_group is group:
-                    continue
+            if child.ticket is not None:
+                child.ticket.result_rows = ctx.result_rows
+            for stream, batch_id in ctx.emitted:
                 fires = self.trigger_engine.fire_procedure_triggers(stream, batch_id)
                 self._submit_trigger(fires)
             self._collect_garbage(ctx)
-            if self.post_commit_hook is not None:
-                self.post_commit_hook(self)
+        if ticket is not None:
+            ticket.outcome = "committed"
+            ticket.commit_seq = self.commit_seq
+        if self.post_commit_hook is not None:
+            self.post_commit_hook(self)
         self.fail_stop(self.log.maybe_flush)
 
     def _finish_abort(
@@ -641,7 +626,7 @@ class Partition:
         if t is not None:
             t.outcome = "aborted"
             t.reason = str(error)
-            t.acknowledged = True  # aborts are never logged
+            t.acknowledged = True  # an abort has no record of its own
         # emitted batches were rolled back: no consumer waits for them
         self.trigger_engine.pending.difference_update(
             key for ctx in rolled_back for key in ctx.emitted
@@ -652,8 +637,13 @@ class Partition:
         if proc.kind is ProcedureKind.INTERIOR:
             drops.extend((s, req.round) for s in proc.stream_inputs)
         for stream, batch_id in drops:
-            self.trigger_engine.note_consumed(stream, batch_id)
-            self.store.garbage_collect(stream, batch_id)
+            if self.drop(stream, batch_id) and self._log_drops:
+                self._dropped.append((stream, batch_id))
+
+    def drop(self, stream: str, batch_id: int) -> bool:
+        """Collect a batch no consumer will take; whether the stream held it."""
+        self.trigger_engine.note_consumed(stream, batch_id)
+        return self.store.garbage_collect(stream, batch_id) > 0
 
     def _collect_garbage(self, ctx: TEContext) -> None:
         """Drop the batches this execution consumed or ran statements on,
@@ -667,18 +657,6 @@ class Partition:
         for stream, batch_id in ctx.consumed + ctx.ee_consumed:
             if triggers.gc_eligible(stream, batch_id):
                 self.store.garbage_collect(stream, batch_id)
-
-    def _log_commit(self, te: TransactionExecution, plan: ProcedurePlan, ticket):
-        if self._replaying or not plan.logged:
-            if ticket is not None:
-                ticket.acknowledged = True
-            return
-        self.fail_stop(
-            self.log.append,
-            CommandLogRecord(te.commit_seq, te.procedure, te.round, te.args),
-            ticket,
-        )
-        self.counters.log_records += 1
 
     # --- trigger surface (module operations live on the partition) ---
 

@@ -160,22 +160,11 @@ class Workflow:
         streaming = {p.name for p in self.procedures if p.is_streaming}
         return tuple(n for n in self.chosen_order if n in streaming)
 
-    def external_streams(self) -> tuple[str, ...]:
-        """Border input streams, i.e. stream inputs no edge produces."""
-        produced = {e.stream for e in self.edges}
-        out = []
-        for p in self.procedures:
-            for s in p.stream_inputs:
-                if s not in produced and s not in out:
-                    out.append(s)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class ResolvedGroup:
     """A nested group as the executor runs it, resolved at registration."""
 
-    name: str
     order: tuple[str, ...]  # children in the workflow's chosen order
     roots: tuple[ProcedureDef, ...]  # children fed only from outside the group
 

@@ -6,11 +6,18 @@ layer: ``AppendFile`` appends to a file that starts with a header,
 one back. Each file is a header, then codec frames; a torn or corrupt frame
 ends it. The log header's snapshot seq is the commit sequence of the
 snapshot the log follows: the checkpoint that wrote that snapshot truncated
-the log, so the commits up to it are in no log record.
+the log, so the commits up to it are in no log record. A record is one
+transaction: a nested group's record names its entry child and carries
+the group's first commit seq, and strong replay runs the group again whole.
+An abort changes no state but the batches it drops, the round's inputs
+that committed work left; a strong-mode record names those dropped by the
+aborts since the previous record, and replay drops them before it runs
+the record.
 
-    log header:    magic "STXLOG01" | version u32 (3) | mode u8 | partition u32
+    log header:    magic "STXLOG01" | version u32 (4) | mode u8 | partition u32
                    | snapshot seq u64
-    log record:    commit_seq u64 | round u64 | procedure text | args
+    log record:    commit_seq u64 | round u64 | dropped count u32 | procedure
+                   text | per dropped batch: stream text | batch u64 | args
     cache header:  magic "STXINP02"
     cache record:  one ``{stream: batch}`` in the codec's batch encoding
 
@@ -37,9 +44,10 @@ from .model import AtomicBatch, ProcedureKind
 
 LOG_MAGIC = b"STXLOG01"
 CACHE_MAGIC = b"STXINP02"
-LOG_VERSION = 3
+LOG_VERSION = 4
 _LOG_HEAD = struct.Struct("<IBIQ")  # version, mode, partition, snapshot seq
-_RECORD_HEAD = struct.Struct("<QQ")  # commit_seq, round
+_RECORD_HEAD = struct.Struct("<QQI")  # commit_seq, round, dropped count
+_BATCH_ID = struct.Struct("<Q")
 TEMP_SUFFIX = ".tmp"  # replace_file writes here before the rename
 
 
@@ -50,25 +58,38 @@ class RecoveryMode(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class CommandLogRecord:
+    """One committed transaction, and the (stream, batch) pairs that the
+    aborts since the previous record dropped."""
+
     commit_seq: int
     procedure: str
     round: int
     args: bytes
+    dropped: tuple[tuple[str, int], ...] = ()
 
     def encode(self) -> bytes:
-        head = _RECORD_HEAD.pack(self.commit_seq, self.round)
-        return frame(head + encode_text(self.procedure) + self.args)
+        head = _RECORD_HEAD.pack(self.commit_seq, self.round, len(self.dropped))
+        body = head + encode_text(self.procedure)
+        for stream, batch_id in self.dropped:
+            body += encode_text(stream) + _BATCH_ID.pack(batch_id)
+        return frame(body + self.args)
 
     @classmethod
     def decode(cls, payload: bytes) -> "CommandLogRecord":
-        seq, round_ = _RECORD_HEAD.unpack_from(payload)
+        seq, round_, n = _RECORD_HEAD.unpack_from(payload)
         procedure, off = text_at(payload, _RECORD_HEAD.size)
-        return cls(seq, procedure, round_, payload[off:])
+        dropped = []
+        for _ in range(n):
+            stream, off = text_at(payload, off)
+            dropped.append((stream, _BATCH_ID.unpack_from(payload, off)[0]))
+            off += _BATCH_ID.size
+        return cls(seq, procedure, round_, payload[off:], tuple(dropped))
 
 
-# the procedure kinds whose commits each log mode logs: strong logs every
-# commit; weak only transactions with no upstream that could regenerate
-# them (border streaming and OLTP); an engine without a log logs nothing
+# the procedure kinds whose transactions each log mode logs, by the kind of
+# the transaction's entry procedure: strong logs every transaction; weak
+# only those with no upstream that could regenerate them (border streaming
+# and OLTP); an engine without a log logs nothing
 LOGGED_KINDS: dict[Optional[RecoveryMode], frozenset[ProcedureKind]] = {
     RecoveryMode.STRONG: frozenset(ProcedureKind),
     RecoveryMode.WEAK: frozenset((ProcedureKind.BORDER, ProcedureKind.OLTP)),

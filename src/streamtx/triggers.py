@@ -72,12 +72,12 @@ class StatementTrigger:
 
 @dataclass(frozen=True)
 class ProcedureTrigger:
-    """A stream's fire plan: a committed batch enqueues ``target`` (as nested
-    group ``group``) once every stream in ``ready`` holds it."""
+    """A stream's fire plan: a committed batch enqueues ``target``, which
+    runs its nested group if it has one, once every stream in ``ready``
+    holds it."""
 
     source: str
     target: str
-    group: Optional[str] = None
     ready: tuple[StreamTable, ...] = ()
 
 
@@ -219,7 +219,8 @@ class TriggerEngine:
         self, source: str, target: ProcedureDef, group: Optional[ResolvedGroup] = None
     ) -> None:
         """Fire ``target`` for each batch committed to ``source``; a target
-        inside a nested group fires the group through its entry children."""
+        inside nested group ``group`` fires the group through its first
+        entry child, once every entry child's inputs hold the batch."""
         tab = self.store.table(source)
         if isinstance(tab, WindowTable):
             raise BadDefinition(
@@ -240,9 +241,7 @@ class TriggerEngine:
             ready = ()
         else:
             ready = tuple(self.store.stream(s) for p in entry for s in p.stream_inputs)
-        self.procedure_triggers[source] = ProcedureTrigger(
-            source, entry[0].name, None if group is None else group.name, ready
-        )
+        self.procedure_triggers[source] = ProcedureTrigger(source, entry[0].name, ready)
 
     # --- GC bookkeeping ---
 
@@ -284,8 +283,8 @@ class TriggerEngine:
 
     def fire_procedure_triggers(
         self, stream: str, batch_id: int
-    ) -> list[tuple[str, int, Optional[str]]]:
-        """Requests to enqueue for a committed batch: (target, round, group).
+    ) -> list[tuple[str, int]]:
+        """Requests to enqueue for a committed batch: (target, round).
 
         Consults downstream readiness: the request appears only once every
         input stream of the target (or of the target's group roots) holds the
@@ -295,14 +294,14 @@ class TriggerEngine:
         if not self.pe_enabled or trig is None:
             return []
         if all(batch_id in t.batches for t in trig.ready):
-            return [(trig.target, batch_id, trig.group)]
+            return [(trig.target, batch_id)]
         return []
 
-    def refire_nonempty_streams(self) -> list[tuple[str, int, Optional[str]]]:
+    def refire_nonempty_streams(self) -> list[tuple[str, int]]:
         """Recovery helper: mark every batch held on a procedure-trigger
         stream as waiting for its consumer, and fire the ready ones (the
         partition drops a round a target already has queued)."""
-        out: list[tuple[str, int, Optional[str]]] = []
+        out: list[tuple[str, int]] = []
         for name in sorted(self.procedure_triggers):
             for batch_id in self.store.stream(name).pending_batches():
                 self.pending.add((name, batch_id))

@@ -1,6 +1,7 @@
 """Seeded random run generators: end-to-end workflows for the master
-schedule property, window aggregates across aborts and a crash, and a
-two-input border across arrival orders, checkpoints and crashes."""
+schedule property, strong recovery of such a workflow crashed at any step,
+window aggregates across aborts and a crash, and a two-input border across
+arrival orders, checkpoints and crashes."""
 
 import random
 
@@ -18,6 +19,7 @@ from streamtx.model import (
     register_workflow,
 )
 from streamtx.recovery import RecoveryMode
+from streamtx.snapshot import snapshot_state
 from streamtx.validator import validate
 from streamtx.triggers import AggregateInsert, StatementTrigger, WindowInsertStmt
 
@@ -149,6 +151,87 @@ def assert_pending_is_waiting(engine: Engine) -> None:
         for b in engine.store.stream(s).batches
     }
     assert triggers.pending == held, (triggers.pending, held)
+
+
+# --- strong recovery of a random workflow ---
+
+
+def group_boundaries(schedule, workflow) -> set[int]:
+    """The commit seqs at which no nested-group instance is half committed:
+    0, and every commit not followed by a child of its own group's round."""
+    group_of = {c: g.parent_name for g in workflow.nested_groups for c in g.children}
+    tes = list(schedule)
+    out = {0}
+    for te, nxt in zip(tes, tes[1:] + [None]):
+        group = group_of.get(te.procedure)
+        if (
+            nxt is None
+            or group is None
+            or group_of.get(nxt.procedure) != group
+            or nxt.round != te.round
+        ):
+            out.add(te.commit_seq)
+    return out
+
+
+def random_strong_crash_run(
+    seed: int, data_dir: str
+) -> tuple[int, set, dict, bytes, int]:
+    """One seeded strong-mode run of a ``random_workflow`` with group commit
+    1-4, crashed after a random step of a random feed and recovered.
+
+    A golden engine without files takes the whole feed with a
+    ``post_commit_hook`` snapshot at each commit. Returns (recovered commit
+    seq, the golden schedule's group boundaries, the golden snapshots by
+    commit seq, the recovered snapshot, the largest commit seq of an
+    acknowledged ticket).
+    """
+    rng = random.Random(seed)
+    w, streams, externals, _ = random_workflow(rng, str(seed))
+    spec = EngineSpec(workflows=[w], streams=streams)
+    steps = []  # ("feed", round, stream, value) or ("pump",)
+    for r in range(1, rng.randint(1, 20) + 1):
+        for s in externals:
+            steps.append(("feed", r, s, rng.randint(0, 9)))
+        if rng.random() < 0.5:
+            steps.append(("pump",))
+    steps.append(("pump",))
+    crash_after = rng.randint(0, len(steps))
+    args = dict(
+        group_commit_max_batch=rng.randint(1, 4),
+        group_commit_max_delay=3600,
+        fsync=False,
+    )
+
+    def run(engine, steps):
+        tickets = []
+        for step in steps:
+            if step[0] == "pump":
+                engine.run_until_idle()
+                continue
+            _, r, s, v = step
+            row = Tuple((v,), tuple_id=r, batch_id=r)
+            tickets.append(engine.ingest_batch(s, AtomicBatch(r, (row,))))
+        return [t for t in tickets if t is not None]
+
+    golden_states = {}
+
+    def hook(p):
+        golden_states[p.commit_seq] = snapshot_state(p.store, p.id, p.commit_seq)
+
+    golden = Engine(spec, post_commit_hook=hook)
+    golden_states[0] = golden.snapshot_bytes()
+    run(golden, steps)
+    boundaries = group_boundaries(golden.committed_schedule, w)
+
+    live = Engine(spec, data_dir=data_dir, recovery_mode=RecoveryMode.STRONG, **args)
+    tickets = run(live, steps[:crash_after])
+    acked = max((t.commit_seq for t in tickets if t.acknowledged), default=0)
+    live.crash()
+    engine = recover(spec, data_dir, **args)
+    seq, state = engine.partition.commit_seq, engine.snapshot_bytes()
+    engine.close()
+    return seq, boundaries, golden_states, state, acked
 
 
 # --- window aggregates ---

@@ -57,7 +57,6 @@ def chain_workflow():
 def test_two_procedure_chain_order():
     w = chain_workflow()
     assert w.chosen_order == ("SP1", "SP2")
-    assert w.external_streams() == ("s1",)
 
 
 def test_single_oltp_workflow():

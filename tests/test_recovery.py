@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from randomized import random_pair_run
+from randomized import random_pair_run, random_strong_crash_run
 from streamtx.engine import (
     CACHE_FILE,
     LOG_FILE,
@@ -584,6 +584,68 @@ def test_replay_divergence_detected(tmp_path):
         recover(aborting_spec(), str(tmp_path), fsync=False)
 
 
+def gate_spec():
+    """SP1 passes each batch to SP2, which aborts while table ``gate`` is
+    empty and otherwise records the batch in ``out``; OLTP ``Open`` fills
+    ``gate``."""
+
+    def pass_on(ctx):
+        ctx.emit("s2", ctx.input_tuples("s1"))
+
+    def record(ctx):
+        if not ctx.select("gate"):
+            ctx.abort("gate closed")
+        for t in ctx.input_tuples("s2"):
+            ctx.insert("out", t.values)
+
+    def open_gate(ctx):
+        ctx.insert("gate", (1,))
+
+    w = register_workflow(
+        "gated",
+        [
+            ProcedureDef("SP1", ProcedureKind.BORDER, ("s1",), body=pass_on),
+            ProcedureDef("SP2", ProcedureKind.INTERIOR, ("s2",), body=record),
+        ],
+        [("SP1", "s2", "SP2")],
+    )
+    ops = register_workflow(
+        "ops", [ProcedureDef("Open", ProcedureKind.OLTP, body=open_gate)]
+    )
+    return EngineSpec(
+        workflows=[w, ops],
+        streams=[StreamDef("s1", VAL_COLS), StreamDef("s2", VAL_COLS)],
+        tables=[TableDef("out", VAL_COLS), TableDef("gate", VAL_COLS)],
+    )
+
+
+def test_strong_replay_drops_what_an_abort_dropped(tmp_path):
+    # SP2's abort drops round 1's batch on s2; recovery must drop it too,
+    # or it refires SP2, which commits the aborted round once the gate is
+    # open
+    e = Engine(gate_spec(), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.STRONG, fsync=False)
+    feed_rounds(e, [7])
+    e.run_until_idle()
+    assert e.counters.te_aborted == 1
+    e.call_oltp("Open")
+    e.run_until_idle()
+    e.partition.log.flush()
+    want = e.snapshot_bytes()
+    e.crash()
+    r = recover(gate_spec(), str(tmp_path), fsync=False)
+    assert r.snapshot_bytes() == want
+    r.run_until_idle()
+    assert r.store.table("out").rows == []
+    assert r.counters.te_aborted == 0
+    r.close()
+    *_, recs = read_log(str(tmp_path / LOG_FILE))
+    assert [(rec.procedure, rec.dropped) for rec in recs] == [
+        ("SP1", ()),
+        ("Open", (("s2", 1),)),
+    ]
+
+
 # --- weak recovery ---
 
 
@@ -974,6 +1036,20 @@ def test_weak_two_input_border_randomized(tmp_path):
         assert violations == [], f"seed {seed}"
 
 
+def test_strong_crash_recovers_a_group_boundary_randomized(tmp_path):
+    """Wherever a strong-mode run of a random workflow crashes, recovery
+    lands bit-exactly on a crash-free run's state at a commit seq where no
+    nested group is half committed, and no acknowledged ticket is past it."""
+    for seed in range(200):
+        seq, boundaries, golden, got, acked = random_strong_crash_run(
+            seed, str(tmp_path / str(seed))
+        )
+        assert seq in boundaries, f"seed {seed}: commit {seq} splits a group"
+        assert got == golden[seq], f"seed {seed}"
+        assert acked <= seq, f"seed {seed}: acknowledged commit {acked} lost"
+        assert set(golden) == boundaries, f"seed {seed}"
+
+
 # --- dispatch accounting ---
 
 
@@ -1013,6 +1089,58 @@ def test_nested_group_workload_recovers(tmp_path, mode):
         r.committed_schedule, leaderboard_spec(4, 4, 6).workflows[0]
     ).correct
     r.close()
+
+
+@pytest.mark.parametrize("flushed", [False, True])
+def test_strong_recovery_brings_back_whole_groups(tmp_path, flushed):
+    # with group commit 3, a crash must bring back whole votes only: each
+    # vote's group (validate, maintain) is one record, acknowledged once
+    # the whole group is durable
+    from streamtx.workloads import leaderboard_spec
+
+    def spec():
+        return leaderboard_spec(4, 100, 1000, "triggered")
+
+    def vote(engine, round_, phone, who):
+        row = Tuple((phone, who), tuple_id=round_, batch_id=round_)
+        ticket = engine.ingest_batch("votes_in", AtomicBatch(round_, (row,)))
+        engine.run_until_idle()
+        return ticket
+
+    votes = [(1, "C0"), (2, "C1")]
+    golden = {}
+
+    def hook(p):
+        golden[p.commit_seq] = snapshot_state(p.store, p.id, p.commit_seq)
+
+    g = Engine(spec(), post_commit_hook=hook)
+    golden[0] = g.snapshot_bytes()
+    for r, (phone, who) in enumerate(votes, 1):
+        vote(g, r, phone, who)
+
+    live = Engine(spec(), data_dir=str(tmp_path), recovery_mode=RecoveryMode.STRONG,
+                  group_commit_max_batch=3, fsync=False)
+    tickets = [vote(live, r, phone, who) for r, (phone, who) in enumerate(votes, 1)]
+    if flushed:
+        live.partition.log.flush()
+    live.crash()
+    r = recover(spec(), str(tmp_path), fsync=False)
+    seq = r.partition.commit_seq
+    assert r.snapshot_bytes() == golden[seq]
+    assert all(t.commit_seq <= seq for t in tickets if t.acknowledged)
+    assert r.counters.te_aborted == 0
+    r.close()
+    # one record per vote, at its group's first commit seq; each replays as
+    # one client dispatch, and maintain, its second child, inside the group
+    *_, recs = read_log(str(tmp_path / LOG_FILE))
+    assert [(rec.procedure, rec.round, rec.commit_seq) for rec in recs] == (
+        [("validate", 1, 1), ("validate", 2, 3)] if flushed else []
+    )
+    assert live.counters.log_records == len(votes)
+    assert r.counters.replay_client_dispatches == len(recs)
+    assert r.counters.replay_trigger_dispatches == len(recs)
+    assert [t.commit_seq for t in tickets] == [2, 4]
+    assert sorted(golden) == [0, 2, 4]  # the hook runs once per group
 
 
 def test_mode_specific_recover_entry_points(tmp_path):
@@ -1060,12 +1188,21 @@ def test_measured_dispatches_match_formula(tmp_path, mode):
 
 
 def test_v1_log_header_rejected(tmp_path):
+    # a v1 header is shorter than the current one; a v3 log holds a record
+    # per nested-group child, which replay would not run as a group
     from streamtx.recovery import LOG_MAGIC
 
     path = tmp_path / LOG_FILE
-    path.write_bytes(LOG_MAGIC + struct.pack("<IBI", 1, RecoveryMode.STRONG.value, 0))
-    with pytest.raises(CorruptLogRecord, match="^unsupported log version 1$"):
-        read_log(str(path))
+    strong = RecoveryMode.STRONG.value
+    for version, head in (
+        (1, struct.pack("<IBI", 1, strong, 0)),
+        (3, struct.pack("<IBIQ", 3, strong, 0, 0)),
+    ):
+        path.write_bytes(LOG_MAGIC + head)
+        with pytest.raises(
+            CorruptLogRecord, match=f"^unsupported log version {version}$"
+        ):
+            read_log(str(path))
 
 
 def test_missing_log_rejected(tmp_path):

@@ -2,6 +2,7 @@ import pytest
 
 from streamtx.engine import Engine, EngineSpec, StreamDef, TableDef
 from streamtx.errors import (
+    BadDefinition,
     BodyAbort,
     EngineStopped,
     QuiesceTimeout,
@@ -104,6 +105,24 @@ def test_unknown_procedure():
     e = Engine(chain_spec())
     with pytest.raises(UnknownProcedure):
         e.partition.submit_client(TERequest("nope", 0))
+
+
+@pytest.mark.parametrize(
+    "second, error",
+    [
+        (("other", "Q"), "procedure Q registered twice"),
+        (("oltp", "R"), "workflow oltp registered twice"),
+    ],
+    ids=["procedure", "workflow"],
+)
+def test_registered_twice_rejected(second, error):
+    name, proc = second
+    again = register_workflow(name, [ProcedureDef(proc, ProcedureKind.OLTP)])
+    spec = EngineSpec(
+        workflows=[oltp_spec(), again], tables=[TableDef("log", VAL_COLS)]
+    )
+    with pytest.raises(BadDefinition, match=f"^{error}$"):
+        Engine(spec)
 
 
 def test_wrong_kind_guard():
@@ -333,10 +352,8 @@ def test_execute_nested_direct_call():
     from streamtx.model import AtomicBatch, Tuple
 
     batch = AtomicBatch(1, (Tuple((5,), tuple_id=1, batch_id=1),))
-    root = e.catalog.groups["pair"].roots[0].name
-    outcome = e.partition.execute(
-        TERequest(root, 1, batches_to_args({"s1": batch}), group="pair")
-    )
+    root = e.partition.plans["SP2"].group.roots[0].name
+    outcome = e.partition.execute(TERequest(root, 1, batches_to_args({"s1": batch})))
     assert outcome == "committed"
     assert [te.procedure for te in e.committed_schedule] == ["SP1", "SP2"]
 
@@ -367,6 +384,8 @@ def test_group_partial_order_execution():
         streams=[StreamDef(s, VAL_COLS) for s in ("s0", "sab", "sac")],
     )
     e = Engine(spec)
+    # the group runs B and C itself: only a stream into a group fires it
+    assert not e.partition.trigger_engine.procedure_triggers
     feed(e, [1, 2], stream="s0")
     e.run_until_idle()
     per_round = [
