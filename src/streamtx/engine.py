@@ -281,8 +281,8 @@ class Engine:
     def run_until_idle(self) -> None:
         self.partition.run_until_idle()
 
-    def drain_and_quiesce(self, timeout: Optional[float] = None) -> None:
-        self.partition.drain_and_quiesce(timeout)
+    def drain_and_quiesce(self) -> None:
+        self.partition.drain_and_quiesce()
 
     # --- durability ---
 
@@ -293,28 +293,29 @@ class Engine:
 
     def checkpoint(self) -> str:
         """Quiesce, write a snapshot, truncate the log, and compact the input
-        cache to the rounds whose border has not run."""
+        cache to the rounds whose border has not run. A failed file step
+        stops the partition, as a failed log write does."""
         if self.data_dir is None:
             raise BadDefinition("checkpoint needs a data directory")
         self.drain_and_quiesce()  # also flushes the log
+        p = self.partition
         blob = self.snapshot_bytes()
-        path = os.path.join(
-            self.data_dir, f"snapshot-{self.partition.commit_seq:012d}.snap"
-        )
-        replace_file(path, blob)
+        path = os.path.join(self.data_dir, f"snapshot-{p.commit_seq:012d}.snap")
+        p.fail_stop(replace_file, path, blob)
         if self.recovery_mode is not None:
-            truncate_log(
+            p.fail_stop(
+                truncate_log,
                 os.path.join(self.data_dir, LOG_FILE),
                 self.recovery_mode,
                 self.partition_id,
-                self.partition.commit_seq,
+                p.commit_seq,
             )
-            self.partition.log.reopen()
+            p.fail_stop(p.log.reopen)
         # with the fast track drained, a border round has not run exactly
         # when it is queued or held in a feeder slot
-        waiting = {(q.proc, q.round) for q in self.partition.client_queue}
+        waiting = {(q.proc, q.round) for q in p.client_queue}
         waiting.update((b, r) for b, rs in self._feeder_pending.items() for r in rs)
-        cache = self.partition.input_cache
+        cache = p.input_cache
         cache.retained = {
             s: [
                 b for b in bs
@@ -322,7 +323,7 @@ class Engine:
             ]
             for s, bs in cache.retained.items()
         }
-        cache.compact()
+        p.fail_stop(cache.compact)
         for _, name in _snapshots(self.data_dir)[:-KEEP_SNAPSHOTS]:
             os.remove(os.path.join(self.data_dir, name))
         return path
@@ -412,27 +413,31 @@ def recover(
                 f"newest valid snapshot is at commit {snapshot_seq}, but the "
                 f"log follows the snapshot at commit {log_snapshot_seq}"
             )
-        if mode is RecoveryMode.STRONG:
-            _replay_strong(engine, records, snapshot_seq)
+        # every record after the snapshot runs once, or replay raises
+        replayed = [rec for rec in records if rec.commit_seq > snapshot_seq]
+        strong = mode is RecoveryMode.STRONG
+        c = engine.counters
+        crossings = c.boundary_crossings
+        (_replay_strong if strong else _replay_weak)(engine, replayed)
+        c.replay_client_dispatches = len(replayed)
+        c.replay_trigger_dispatches = c.boundary_crossings - crossings
+        if strong:
+            engine.partition.refire_nonempty_streams()
         else:
-            _replay_weak(engine, records, snapshot_seq, data_dir)
+            _resubmit_cached(engine, data_dir)
     except BaseException:
         engine.crash()  # close its files
         raise
     return engine
 
 
-def _replay_strong(engine: Engine, records, snapshot_seq: int) -> None:
+def _replay_strong(engine: Engine, records) -> None:
     """Replay every logged transaction once, a nested group whole, with
-    triggers off, after dropping the batches the aborts before it dropped;
-    then refire."""
+    triggers off, after dropping the batches the aborts before it dropped."""
     p = engine.partition
     p.trigger_engine.pe_enabled = False
-    p._replaying = True
     try:
         for rec in records:
-            if rec.commit_seq <= snapshot_seq:
-                continue
             if rec.commit_seq != p.commit_seq + 1:
                 raise ReplayDivergence(
                     f"expected commit {p.commit_seq + 1}, log has {rec.commit_seq}"
@@ -446,32 +451,30 @@ def _replay_strong(engine: Engine, records, snapshot_seq: int) -> None:
                     f"{rec.procedure} round {rec.round} aborted during replay"
                 )
     finally:
-        p._replaying = False
         p.trigger_engine.pe_enabled = True
-    p.refire_nonempty_streams()
 
 
-def _replay_weak(engine: Engine, records, snapshot_seq: int, data_dir: str) -> None:
+def _replay_weak(engine: Engine, records) -> None:
     """Replay border and OLTP records with triggers live; interiors come back
-    through the triggers. Ends with a fresh checkpoint so commit sequences
-    stay consistent with the (rotated) log."""
+    through the triggers."""
     p = engine.partition
-    p._replaying = True
-    try:
-        p.refire_nonempty_streams()
+    p.refire_nonempty_streams()
+    p.run_until_idle()
+    for rec in records:
+        req = TERequest(rec.procedure, rec.round, rec.args, Origin.RECOVERY)
+        outcome = p.execute(req)
+        if outcome != "committed":
+            raise ReplayDivergence(
+                f"{rec.procedure} round {rec.round} aborted during replay"
+            )
         p.run_until_idle()
-        for rec in records:
-            if rec.commit_seq <= snapshot_seq:
-                continue
-            req = TERequest(rec.procedure, rec.round, rec.args, Origin.RECOVERY)
-            outcome = p.execute(req)
-            if outcome != "committed":
-                raise ReplayDivergence(
-                    f"{rec.procedure} round {rec.round} aborted during replay"
-                )
-            p.run_until_idle()
-    finally:
-        p._replaying = False
+
+
+def _resubmit_cached(engine: Engine, data_dir: str) -> None:
+    """Re-submit the cached rounds weak replay did not bring back, then take
+    a fresh checkpoint so commit sequences stay consistent with the
+    (rotated) log."""
+    p = engine.partition
     # a border runs its rounds in order, so the cached batches it never
     # committed are exactly those above what its streams consumed
     cached = read_input_cache(os.path.join(data_dir, CACHE_FILE))

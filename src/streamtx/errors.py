@@ -71,10 +71,6 @@ class EngineStopped(StreamTxError):
     pass
 
 
-class QuiesceTimeout(StreamTxError):
-    pass
-
-
 class NotPartitionable(StreamTxError):
     pass
 

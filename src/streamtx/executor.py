@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import json
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,9 +21,9 @@ from .errors import (
     EngineStopped,
     LogWriteFailure,
     MissingInputBatch,
-    QuiesceTimeout,
     StreamTxError,
     UnknownProcedure,
+    WindowScopeViolation,
 )
 from .model import (
     AtomicBatch,
@@ -130,12 +129,14 @@ class Counters:
 class ProcedurePlan:
     """One procedure as the partition runs it, resolved when the engine is
     built: its nested group, its input tables in ``stream_inputs`` order,
-    and whether this engine's log mode logs a transaction it enters."""
+    whether this engine's log mode logs a transaction it enters, and the
+    windows other procedures own (window -> owner), which it may not touch."""
 
     proc: ProcedureDef
     group: Optional[ResolvedGroup]
     inputs: tuple[StreamTable, ...]
     logged: bool
+    foreign_windows: dict[str, str]
 
 
 @dataclass(slots=True)
@@ -173,12 +174,14 @@ def make_plans(
             )
             group_of.update((c, group) for c in g.children)
     logged = LOGGED_KINDS[mode]
+    owners = {wd.name: name for name, p in procs.items() for wd in p.window_defs}
     return {
         name: ProcedurePlan(
             proc,
             group_of.get(name),
             tuple(map(store.stream, proc.stream_inputs)),
             proc.kind in logged,
+            {w: owner for w, owner in owners.items() if owner != name},
         )
         for name, proc in procs.items()
     }
@@ -197,7 +200,10 @@ def make_stream_plans(store: Store, triggers: TriggerEngine) -> dict[str, Stream
 
 class TEContext:
     """The operation surface a procedure body (or trigger program) runs
-    against; every mutation lands in this execution's undo buffer."""
+    against; every mutation lands in this execution's undo buffer. A window
+    is visible only to its owner: ``select``, ``insert``, ``aggregate`` and
+    ``window_insert`` on another procedure's window raise
+    ``WindowScopeViolation``, which aborts the execution."""
 
     def __init__(self, partition: "Partition", plan: ProcedurePlan, round: int, args: bytes):
         self.partition = partition
@@ -284,41 +290,35 @@ class TEContext:
         if table in self.partition.stream_plans:
             self.emit(table, (values,), ts)
             return
+        self._check_owner(table)
         t = values if isinstance(values, Tuple) else Tuple(tuple(values), ts=ts)
-        events = self.store.insert(
-            table, t, self.undo, accessor=self.proc.name, round=self.round
-        )
+        events = self.store.insert(table, t, self.undo)
         if events:
             self.partition.trigger_engine.on_window_events(self, table, events)
 
     def select(self, table: str, pred: Optional[Pred] = None) -> list[Tuple]:
-        return self.store.select_where(
-            table, pred, accessor=self.proc.name, round=self.round
-        )
+        self._check_owner(table)
+        return self.store.select_where(table, pred)
 
     def delete(self, table: str, pred: Optional[Pred]) -> int:
-        return self.store.delete_where(
-            table, pred, self.undo, accessor=self.proc.name, round=self.round
-        )
+        return self.store.delete_where(table, pred, self.undo)
 
     def aggregate(self, table, op, column=None, group_by=None, pred=None):
-        return self.store.aggregate(
-            table, op, column, group_by, pred,
-            accessor=self.proc.name, round=self.round,
-        )
+        self._check_owner(table)
+        return self.store.aggregate(table, op, column, group_by, pred)
 
     def window_insert(
         self, window: str, rows, event_rows: bool = True
     ) -> list[FullWindowEvent]:
         """Feed rows into a window; the events it fires carry the active
         tuples unless ``event_rows`` is false."""
+        self._check_owner(window)
         tuples = [
             r if isinstance(r, Tuple) else Tuple(tuple(r), batch_id=self.round)
             for r in rows
         ]
         events = self.store.window_insert(
-            window, tuples, self.undo, accessor=self.proc.name, round=self.round,
-            event_rows=event_rows,
+            window, tuples, self.undo, event_rows=event_rows
         )
         if events:
             self.partition.trigger_engine.on_window_events(self, window, events)
@@ -326,6 +326,13 @@ class TEContext:
 
     def delete_batch(self, stream: str, batch_id: int) -> int:
         return self.store.delete_batch(stream, batch_id, self.undo)
+
+    def _check_owner(self, table: str) -> None:
+        owner = self.plan.foreign_windows.get(table)
+        if owner is not None:
+            raise WindowScopeViolation(
+                f"window {table} is owned by {owner}, not {self.proc.name}"
+            )
 
     def abort(self, reason: str = "") -> None:
         raise BodyAbort(reason)
@@ -372,7 +379,6 @@ class Partition:
         self.stopped = False
         self._executing = 0
         self._last_enqueued_round: dict[str, int] = {}
-        self._replaying = False
         # in strong mode, the batches aborts dropped since the last record:
         # the next record carries them, and replay drops them before it
         self._log_drops = log.mode is RecoveryMode.STRONG
@@ -414,8 +420,6 @@ class Partition:
             req = TERequest(target, round_, origin=Origin.TRIGGER)
             self.fast_track.append(req)
             self.counters.boundary_crossings += 1
-            if self._replaying:
-                self.counters.replay_trigger_dispatches += 1
             out.append(req)
         return out
 
@@ -442,20 +446,18 @@ class Partition:
         while self.step():
             pass
 
-    def drain_and_quiesce(self, timeout: Optional[float] = None) -> None:
+    def drain_and_quiesce(self) -> None:
         """Finish all fast-track work without starting new client requests."""
         if self.stopped:
             raise EngineStopped("partition is stopped")
-        start = time.monotonic()
         while self.fast_track:
-            if timeout is not None and time.monotonic() - start >= timeout:
-                raise QuiesceTimeout("fast-track work still pending")
             self.execute(self.fast_track.popleft())
         self.fail_stop(self.log.flush)
 
     def fail_stop(self, write: Callable, *args) -> None:
-        """Call ``write`` on the log or the input cache. A failed write stops
-        the partition for good, so memory never runs ahead of its files."""
+        """Call ``write``, which writes the log, the input cache or a
+        checkpoint's files. A failed write stops the partition for good, so
+        memory never runs ahead of its files."""
         try:
             write(*args)
         except LogWriteFailure:
@@ -498,8 +500,6 @@ class Partition:
                         continue
                     child_req = TERequest(child, req.round, origin=Origin.TRIGGER)
                     self.counters.boundary_crossings += 1
-                    if self._replaying:
-                        self.counters.replay_trigger_dispatches += 1
                 ctx, error = self._run_one(child_plan, child_req)
                 if error is not None:
                     # group rollback: undo every already-finished child too
@@ -524,8 +524,6 @@ class Partition:
         """Run one execution's inputs and body; mutations stay in its undo
         buffer until the commit decision. Returns (ctx, error|None)."""
         self.counters.pe_dispatches += 1
-        if self._replaying and req.origin is Origin.RECOVERY:
-            self.counters.replay_client_dispatches += 1
         ctx = TEContext(self, plan, req.round, req.args)
         proc = plan.proc
         try:
@@ -580,7 +578,8 @@ class Partition:
         children that ran, as one transaction. Its one log record is ``req``
         at the group's first commit seq; the ticket's commit seq is its last."""
         ticket = req.ticket
-        if self._replaying or not plan.logged:
+        # a replayed transaction is already in the log
+        if req.origin is Origin.RECOVERY or not plan.logged:
             if ticket is not None:
                 ticket.acknowledged = True
         else:

@@ -306,6 +306,16 @@ def _check_group_entry(
             f"group {g.parent_name}: a border child must be the group's "
             "only entry procedure"
         )
+    # Only a stream that enters the group fires it, through its entry
+    # procedures, so a child fed from inside the group cannot also wait for
+    # a batch from outside it.
+    internal = {e.stream for e in edges if e.producer in g.children}
+    for c in g.children:
+        if len({s in internal for s in by_name[c].stream_inputs}) > 1:
+            raise BadDefinition(
+                f"group {g.parent_name}: child {c} reads streams from both "
+                "inside and outside the group"
+            )
 
 
 def group_roots(g: NestedGroup, edges, by_name, order) -> list[str]:

@@ -104,14 +104,18 @@ def _log_header(mode: RecoveryMode, partition_id: int, snapshot_seq: int = 0) ->
 
 def replace_file(path: str, data: bytes) -> None:
     """Make ``path`` hold exactly ``data`` across a crash at any point:
-    write and sync a temp file, rename it over ``path``, sync the directory."""
+    write and sync a temp file, rename it over ``path``, sync the directory.
+    An I/O error raises ``LogWriteFailure``."""
     tmp = path + TEMP_SUFFIX
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    _sync_dir(path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        _sync_dir(path)
+    except OSError as e:
+        raise LogWriteFailure(str(e)) from e
 
 
 def _sync_dir(path: str) -> None:
@@ -163,7 +167,10 @@ class AppendFile:
     def reopen(self) -> None:
         """Append to the file now at ``path``, after it was replaced."""
         self._fh.close()
-        self._fh = open(self.path, "ab")
+        try:
+            self._fh = open(self.path, "ab")
+        except OSError as e:
+            raise LogWriteFailure(str(e)) from e
 
     def close(self) -> None:
         self._fh.close()

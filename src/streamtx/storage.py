@@ -2,7 +2,8 @@
 
 All mutating calls take an UndoBuffer so an aborting transaction can restore
 every touched table bit-exactly. The store is single-threaded per partition;
-nothing here locks.
+nothing here locks, and nothing here checks who may touch a table: the
+execution context (``executor.TEContext``) keeps a window to its owner.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .errors import (
     TypeMismatch,
     UnknownColumn,
     UnknownTable,
-    WindowScopeViolation,
 )
 from .model import MAX_TEXT_BYTES, AtomicBatch, Tuple, Value, WindowSpec
 
@@ -369,24 +369,11 @@ def aggregate_rows(
     return [(k, compute(groups[k])) for k in sorted(groups)]
 
 
-@dataclass
-class WindowAccess:
-    """One traced window access, for the visibility validator."""
-
-    window: str
-    accessor: Optional[str]
-    round: int
-    write: bool
-
-
 class Store:
     """The per-partition table catalog plus all data operations."""
 
     def __init__(self):
         self.tables: dict[str, AnyTable] = {}
-        self.trace_window_access = False
-        self.enforce_window_scope = True
-        self.window_accesses: list[WindowAccess] = []
 
     # --- catalog ---
 
@@ -431,35 +418,16 @@ class Store:
             raise UnknownTable(f"{name} is not a window table")
         return t
 
-    # --- scoping ---
-
-    def _check_window_scope(
-        self, w: WindowTable, accessor: Optional[str], round: int, write: bool
-    ) -> None:
-        if self.trace_window_access:
-            self.window_accesses.append(WindowAccess(w.name, accessor, round, write))
-        if accessor is None:
-            return  # engine-internal access (snapshots, oracles)
-        if accessor != w.spec.owner and self.enforce_window_scope:
-            raise WindowScopeViolation(
-                f"window {w.name} is owned by {w.spec.owner}, not {accessor}"
-            )
-
     # --- row operations ---
 
     def insert(
-        self,
-        table: str,
-        t: Tuple,
-        undo: UndoBuffer,
-        accessor: Optional[str] = None,
-        round: int = 0,
+        self, table: str, t: Tuple, undo: UndoBuffer
     ) -> Optional[list[FullWindowEvent]]:
         """Insert one row; inserting into a window may slide it. A stream
         takes whole batches, through ``insert_batch``."""
         tab = self.table(table)
         if isinstance(tab, WindowTable):
-            return self.window_insert(table, [t], undo, accessor=accessor, round=round)
+            return self.window_insert(table, [t], undo)
         if isinstance(tab, StreamTable):
             raise BadDefinition(f"{table} is a stream: append a batch to it")
         tab.check_row(t)
@@ -485,16 +453,9 @@ class Store:
         undo.record_batch(s, batch.batch_id)
         s.put_batch(batch.batch_id, s.batches.get(batch.batch_id, ()) + batch.tuples)
 
-    def select_where(
-        self,
-        table: str,
-        pred: Optional[Pred] = None,
-        accessor: Optional[str] = None,
-        round: int = 0,
-    ) -> list[Tuple]:
+    def select_where(self, table: str, pred: Optional[Pred] = None) -> list[Tuple]:
         tab = self.table(table)
         if isinstance(tab, WindowTable):
-            self._check_window_scope(tab, accessor, round, write=False)
             rows = tab.active  # staged tuples are never visible
         else:
             rows = tab.rows
@@ -509,14 +470,7 @@ class Store:
             return list(tab.indexes[pred.column].get(pred.value, []))
         return [t for t in rows if match(t)]
 
-    def delete_where(
-        self,
-        table: str,
-        pred: Optional[Pred],
-        undo: UndoBuffer,
-        accessor: Optional[str] = None,
-        round: int = 0,
-    ) -> int:
+    def delete_where(self, table: str, pred: Optional[Pred], undo: UndoBuffer) -> int:
         tab = self.table(table)
         if isinstance(tab, WindowTable):
             raise BadDefinition(
@@ -559,8 +513,6 @@ class Store:
         column: Optional[str] = None,
         group_by: Optional[str] = None,
         pred: Optional[Pred] = None,
-        accessor: Optional[str] = None,
-        round: int = 0,
     ) -> list[tuple]:
         """count/sum/avg/min/max, optionally grouped.
 
@@ -568,7 +520,7 @@ class Store:
         input yields no rows except plain count, which yields [(0,)].
         """
         tab = self.table(table)
-        rows = self.select_where(table, pred, accessor=accessor, round=round)
+        rows = self.select_where(table, pred)
         return aggregate_rows(rows, tab, op, column, group_by)
 
     # --- windows ---
@@ -578,8 +530,6 @@ class Store:
         window: str,
         tuples: Iterable[Tuple],
         undo: UndoBuffer,
-        accessor: Optional[str] = None,
-        round: int = 0,
         event_rows: bool = True,
     ) -> list[FullWindowEvent]:
         """Stage new tuples, then advance the window while a slide is due.
@@ -592,7 +542,6 @@ class Store:
         With ``event_rows`` false the events carry no copy of the active set.
         """
         w = self.window(window)
-        self._check_window_scope(w, accessor, round, write=True)
         tuples = list(tuples)
         for t in tuples:
             w.check_row(t)

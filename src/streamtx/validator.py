@@ -18,9 +18,19 @@ from typing import Iterable, Optional
 
 from .errors import TooLarge, UnknownProcedureInSchedule
 from .model import TransactionExecution, Workflow
-from .storage import WindowAccess
 
 MAX_ENUMERATION_TES = 12
+
+
+@dataclass
+class WindowAccess:
+    """One window access, as a caller traced it: ``accessor`` None is the
+    engine's own (snapshots, oracles)."""
+
+    window: str
+    accessor: Optional[str]
+    round: int
+    write: bool
 
 
 @dataclass(frozen=True)
@@ -235,7 +245,8 @@ def brute_force_correct_schedules(
 
 
 def validate_window_visibility(trace: Iterable[WindowAccess], w: Workflow) -> ValidationReport:
-    """Flag traced window accesses made by anything but the owner."""
+    """Flag the accesses in a caller's trace made by anything but the
+    window's owner."""
     owners = {
         wd.name: wd.owner for p in w.procedures for wd in p.window_defs
     }

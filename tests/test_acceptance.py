@@ -145,7 +145,7 @@ def test_criterion_3_window_oracle_exhaustive():
         undo = UndoBuffer()
         events = []
         for a, b in pieces:
-            events += store.window_insert("w", tuples_cache[a:b], undo, accessor="sp")
+            events += store.window_insert("w", tuples_cache[a:b], undo)
         got = [[t.values[0] for t in e.tuples] for e in events]
         if got != sliding_window_events(flat, size, slide):
             mismatches += 1

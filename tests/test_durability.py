@@ -242,6 +242,41 @@ def test_failed_write_stops_the_partition(
     r.close()
 
 
+def test_failed_checkpoint_stops_the_partition(tmp_path, monkeypatch):
+    # the directory sync after the truncated log's rename fails: the log's
+    # handle still points at the old, now unlinked file, so a commit after
+    # this would be acknowledged from a file recovery never reads
+    import errno
+
+    from streamtx.errors import EngineStopped, LogWriteFailure
+    from streamtx.workloads import pe_chain_spec
+
+    real_sync_dir = recovery_mod._sync_dir
+
+    def fail_for_log(path):
+        if os.path.basename(path) == "command.log":
+            raise OSError(errno.EIO, "I/O error")
+        real_sync_dir(path)
+
+    e = Engine(
+        pe_chain_spec(2, "triggered"), data_dir=str(tmp_path),
+        recovery_mode=RecoveryMode.STRONG, fsync=False,
+    )
+    assert e.await_ticket(e.ingest_batch("s1", batch(1))).acknowledged
+    e.run_until_idle()
+    monkeypatch.setattr(recovery_mod, "_sync_dir", fail_for_log)
+    with pytest.raises(LogWriteFailure, match="I/O error"):
+        e.checkpoint()
+    monkeypatch.setattr(recovery_mod, "_sync_dir", real_sync_dir)
+    assert e.partition.stopped
+    with pytest.raises(EngineStopped):
+        e.ingest_batch("s1", batch(2))
+    e.crash()
+    r = recover(pe_chain_spec(2, "triggered"), str(tmp_path), fsync=False)
+    assert [t.values for t in r.store.table("out").rows] == [(10,)]
+    r.close()
+
+
 # --- handles and stale files ---
 
 

@@ -224,6 +224,25 @@ def test_nested_group_closure_rejected():
         )
 
 
+def test_group_child_fed_from_inside_and_outside_rejected():
+    # P2 is fed by P0 inside the group and by P1 from outside it: only the
+    # entry child P0 fires the group, so P2 would run only when P1's batch
+    # happened to be there first, and otherwise never
+    procs = [border("P0", ["x0"]), border("P1", ["x1"]), interior("P2", ["e0_2", "e1_2"])]
+    edges = [("P0", "e0_2", "P2"), ("P1", "e1_2", "P2")]
+    with pytest.raises(BadDefinition, match="child P2 reads streams from both"):
+        register_workflow(
+            "mixed", procs, edges, nested_groups=[NestedGroup("g", ("P0", "P2"))]
+        )
+    register_workflow("ungrouped", procs, edges)
+    register_workflow(
+        "inside",
+        [border("P0", ["x0"]), interior("P2", ["e0_2"])],
+        [("P0", "e0_2", "P2")],
+        nested_groups=[NestedGroup("g", ("P0", "P2"))],
+    )
+
+
 def test_nested_group_order_must_match_workflow():
     with pytest.raises(BadDefinition):
         register_workflow(

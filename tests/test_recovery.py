@@ -18,6 +18,7 @@ from streamtx.errors import (
     BadDefinition,
     CorruptLogRecord,
     CorruptSnapshot,
+    LogWriteFailure,
     ReplayDivergence,
     TypeMismatch,
     VersionMismatch,
@@ -1307,8 +1308,9 @@ def test_crash_inside_truncate_log_keeps_log(tmp_path, monkeypatch, mode):
     feed_rounds(e, [1, 2, 3])
     e.run_until_idle()
     want = e.store.content_signature()
-    with pytest.raises(OSError, match="power lost"):
+    with pytest.raises(LogWriteFailure, match="power lost"):
         e.checkpoint()
+    assert e.partition.stopped
     e.crash()
     r = recover(chain_spec(2), str(tmp_path), fsync=False)
     r.run_until_idle()

@@ -5,7 +5,6 @@ from streamtx.errors import (
     BadDefinition,
     BodyAbort,
     EngineStopped,
-    QuiesceTimeout,
     UnknownProcedure,
     WrongKind,
 )
@@ -268,18 +267,9 @@ def test_drain_and_quiesce_completes_round_not_clients():
     assert len(e.partition.client_queue) == 1  # OLTP still waiting
 
 
-def test_quiesce_timeout_zero():
-    e = Engine(chain_spec(2))
-    feed(e, [1])
-    e.step()
-    with pytest.raises(QuiesceTimeout):
-        e.drain_and_quiesce(timeout=0)
-    e.drain_and_quiesce()  # succeeds without the timeout
-
-
 def test_quiesce_idle_immediate():
     e = Engine(chain_spec(2))
-    e.drain_and_quiesce(timeout=0)
+    e.drain_and_quiesce()
 
 
 def test_engine_stopped_rejects_submissions():

@@ -8,7 +8,6 @@ from streamtx.errors import (
     TypeMismatch,
     UnknownColumn,
     UnknownTable,
-    WindowScopeViolation,
 )
 from streamtx.model import AtomicBatch, Tuple, WindowSpec
 from streamtx.snapshot import restore_state, snapshot_state
@@ -125,29 +124,19 @@ def test_row_insert_into_stream_rejected(store):
     assert store.stream("s").rows == []
 
 
-def test_window_scope_violation_on_insert(store):
-    store.create_window(WindowSpec("w", 4, 2, "owner_sp"), VAL)
-    undo = UndoBuffer()
-    with pytest.raises(WindowScopeViolation):
-        store.insert("w", Tuple((1,)), undo, accessor="other_sp")
-    # owner and engine-internal access are fine
-    store.insert("w", Tuple((1,)), undo, accessor="owner_sp")
-    store.insert("w", Tuple((2,)), undo, accessor=None)
-
-
 def test_window_select_hides_staged(store):
     store.create_window(WindowSpec("w", 2, 1, "sp"), VAL)
     undo = UndoBuffer()
-    store.window_insert("w", [Tuple((1,)), Tuple((2,))], undo, accessor="sp")
-    store.window_insert("w", [Tuple((3,))], undo, accessor="sp")
+    store.window_insert("w", [Tuple((1,)), Tuple((2,))], undo)
+    store.window_insert("w", [Tuple((3,))], undo)
     # window slid to {2,3}; nothing staged now, so add one more staged
     w = store.window("w")
     assert [t.values[0] for t in w.active] == [2, 3]
     store.create_window(WindowSpec("w2", 3, 2, "sp"), VAL)
-    store.window_insert("w2", [Tuple((i,)) for i in range(1, 5)], undo, accessor="sp")
+    store.window_insert("w2", [Tuple((i,)) for i in range(1, 5)], undo)
     w2 = store.window("w2")
     assert len(w2.staged) == 1
-    visible = store.select_where("w2", accessor="sp")
+    visible = store.select_where("w2")
     assert [t.values[0] for t in visible] == [1, 2, 3]
 
 
@@ -263,7 +252,7 @@ def test_window_size2_slide1(store):
     undo = UndoBuffer()
     events = []
     for v in [1, 2, 3]:
-        events += store.window_insert("w", [Tuple((v,))], undo, accessor="sp")
+        events += store.window_insert("w", [Tuple((v,))], undo)
     got = [[t.values[0] for t in e.tuples] for e in events]
     assert got == [[1, 2], [2, 3]]
 
@@ -273,7 +262,7 @@ def test_window_tumbling(store):
     undo = UndoBuffer()
     events = []
     for v in range(1, 7):
-        events += store.window_insert("w", [Tuple((v,))], undo, accessor="sp")
+        events += store.window_insert("w", [Tuple((v,))], undo)
     got = [[t.values[0] for t in e.tuples] for e in events]
     assert got == [[1, 2, 3], [4, 5, 6]]
 
@@ -282,7 +271,7 @@ def test_window_single_large_batch(store):
     store.create_window(WindowSpec("w", 4, 2, "sp"), VAL)
     undo = UndoBuffer()
     events = store.window_insert(
-        "w", [Tuple((v,)) for v in [1, 2, 3, 4, 5]], undo, accessor="sp"
+        "w", [Tuple((v,)) for v in [1, 2, 3, 4, 5]], undo
     )
     assert [[t.values[0] for t in e.tuples] for e in events] == [[1, 2, 3, 4]]
     assert [t.values[0] for t in store.window("w").staged] == [5]
@@ -316,7 +305,7 @@ def test_window_oracle_random_batchings(size):
             events = []
             for piece in batches:
                 events += store.window_insert(
-                    "w", [Tuple((v,)) for v in piece], undo, accessor="sp"
+                    "w", [Tuple((v,)) for v in piece], undo
                 )
             got = [[t.values[0] for t in e.tuples] for e in events]
             assert got == sliding_window_events(flat, size, slide)
@@ -344,7 +333,7 @@ def build_random_store(rng):
             "s", make_batch(bid, [rng.randint(0, 9) for _ in range(rng.randint(1, 4))])
         , undo)
     store.window_insert(
-        "w", [Tuple((v,)) for v in range(rng.randint(0, 6))], undo, accessor="sp"
+        "w", [Tuple((v,)) for v in range(rng.randint(0, 6))], undo
     )
     return store
 
@@ -403,7 +392,6 @@ def test_undo_restores_everything_bit_exact():
                     "w",
                     [Tuple((rng.randint(0, 9),)) for _ in range(rng.randint(1, 5))],
                     undo,
-                    accessor="sp",
                 )
             elif op == 4 and next_bid > first_bid:
                 # emit twice: a second write to the batch just written
@@ -427,7 +415,7 @@ def test_undo_restores_everything_bit_exact():
     before = snapshot_state(store), window_fields(w)
     undo = UndoBuffer()
     events = store.window_insert(
-        "w", [Tuple((v,)) for v in range(10, 20)], undo, accessor="sp"
+        "w", [Tuple((v,)) for v in range(10, 20)], undo
     )
     assert len(events) == 5 and len(w.staged) == 1 and w.sums == {"value": 66}
     undo.rollback()
@@ -614,7 +602,7 @@ def test_snapshot_unicode_text_roundtrip(store):
 def test_snapshot_window_state_bit_exact(store):
     store.create_window(WindowSpec("w", 3, 2, "sp"), VAL)
     undo = UndoBuffer()
-    store.window_insert("w", [Tuple((v,)) for v in range(6)], undo, accessor="sp")
+    store.window_insert("w", [Tuple((v,)) for v in range(6)], undo)
     w = store.window("w")
     assert w.full_seen and len(w.staged) == 1
     restored = empty_like(store)
@@ -651,7 +639,7 @@ def test_snapshot_bytes_golden():
     store.next_tuple_ids("s", 300, undo)
     store.stream("s").last_consumed_batch = 1
     store.window_insert(
-        "w", [Tuple((v,), batch_id=v) for v in range(6)], undo, accessor="sp"
+        "w", [Tuple((v,), batch_id=v) for v in range(6)], undo
     )
     assert len(store.window("w").staged) == 1
     blob = snapshot_state(store, partition_id=2, commit_seq=7)

@@ -1,0 +1,68 @@
+"""The benchmark's span wrappers on the window and leaderboard paths.
+
+``perfbench/spans.py`` wraps engine functions by name and reads their
+positional arguments (``_select_scanned`` reads the table and predicate of
+``Store.select_where``). The traced chain episode in ``perfbench/tests``
+never reaches the window, select or statement-program paths, so these tiny
+traced episodes check that the wrappers still fit them.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(BENCH))
+
+import episode  # noqa: E402
+import spans  # noqa: E402
+import workloads as wl  # noqa: E402
+
+
+class TinyWindow(episode.Window):
+    # the native window needs 1000 tuples (250 rounds) before its first event
+    shape = wl.Shape(warmup=240, timed=40, checkpoint_every=20, resume=5, block=10)
+
+
+class TinyLeaderboard(episode.Leaderboard):
+    shape = wl.Shape(warmup=50, timed=250, checkpoint_every=100, resume=20, block=50)
+
+
+@pytest.mark.parametrize(
+    "workload, called",
+    [
+        (
+            TinyWindow,
+            [
+                "triggers.on_stream_append",
+                "storage.window_insert",
+                "triggers.on_window_events",
+            ],
+        ),
+        (
+            TinyLeaderboard,
+            [
+                "storage.select_where",
+                "storage.window_insert",
+                "triggers.on_window_events",
+            ],
+        ),
+    ],
+    ids=["window", "leaderboard"],
+)
+def test_traced_episode_reaches_window_paths(workload, called, tmp_path):
+    tr = spans.Tracer()
+    spans.install(tr)
+    try:
+        ep = episode.run_episode(workload(seed=2), str(tmp_path), 0, tr)
+    finally:
+        tr.uninstall()
+    assert ep.problems == []
+    assert ep.failed == 0
+    calls = {}
+    for (_, name), totals in spans.summarize(tr).spans.items():
+        calls[name] = calls.get(name, 0) + totals.calls
+    assert {name: calls.get(name, 0) > 0 for name in called} == dict.fromkeys(
+        called, True
+    )

@@ -11,8 +11,8 @@ from streamtx.model import (
     register_workflow,
     topological_orderings,
 )
-from streamtx.storage import WindowAccess
 from streamtx.validator import (
+    WindowAccess,
     brute_force_correct_schedules,
     enumerate_correct_schedules,
     validate,
@@ -248,48 +248,64 @@ def test_foreign_read_flagged():
     assert report.violations[0].kind == "window_visibility"
 
 
-def test_injected_foreign_read_via_engine_trace():
-    # bypass the storage guard (test hook) and catch it in the trace
+# a foreign procedure's access to window w, owned by SP1; "program" is the
+# statement program on its own input stream x, which feeds w
+FOREIGN_ACCESS = {
+    "select": lambda ctx: ctx.select("w"),
+    "insert": lambda ctx: ctx.insert("w", (7,)),
+    "aggregate": lambda ctx: ctx.aggregate("w", "count"),
+    "window_insert": lambda ctx: ctx.window_insert("w", [(7,)]),
+    "program": None,
+}
+
+
+@pytest.mark.parametrize("access", FOREIGN_ACCESS)
+def test_foreign_window_access_aborts(access):
     from streamtx.engine import Engine, EngineSpec, StreamDef
-    from streamtx.ingest import BatchingPolicy, FeedSource, ingest
-    from streamtx.model import WindowSpec
+    from streamtx.errors import BadDefinition
+    from streamtx.model import AtomicBatch, Tuple, WindowSpec
+    from streamtx.triggers import StatementTrigger, WindowInsertStmt
 
-    def b1(ctx):
+    def owner(ctx):
         ctx.window_insert("w", ctx.input_tuples("s1"))
-        ctx.emit("s12", ctx.input_tuples("s1"))
-
-    def b2(ctx):
-        ctx.select("w")  # foreign read: SP2 touching SP1's window
+        with pytest.raises(BadDefinition):  # rows leave a window by sliding
+            ctx.delete("w", None)
 
     wf = register_workflow(
         "wv",
         [
             ProcedureDef(
-                "SP1",
-                ProcedureKind.BORDER,
-                ("s1",),
-                window_defs=(WindowSpec("w", 2, 1, "SP1"),),
-                body=b1,
+                "SP1", ProcedureKind.BORDER, ("s1",),
+                window_defs=(WindowSpec("w", 2, 1, "SP1"),), body=owner,
             ),
-            ProcedureDef("SP2", ProcedureKind.INTERIOR, ("s12",), body=b2),
+            ProcedureDef("SPX", ProcedureKind.BORDER, ("x",), body=FOREIGN_ACCESS[access]),
         ],
-        [("SP1", "s12", "SP2")],
     )
+    cols = (("value", "int"),)
     spec = EngineSpec(
         workflows=[wf],
-        streams=[StreamDef("s1", (("value", "int"),)), StreamDef("s12", (("value", "int"),))],
-        window_columns={"w": (("value", "int"),)},
+        streams=[StreamDef("s1", cols), StreamDef("x", cols)],
+        window_columns={"w": cols},
+        statement_triggers=(
+            [StatementTrigger("x", (WindowInsertStmt("x", "w"),))]
+            if access == "program" else []
+        ),
     )
     e = Engine(spec)
-    e.store.trace_window_access = True
-    e.store.enforce_window_scope = False  # fault-injection hook
-    ingest(e, FeedSource.from_values([1, 2]), BatchingPolicy("fixed_count", 1), "s1")
-    e.run_until_idle()
-    report = validate_window_visibility(e.store.window_accesses, wf)
-    assert not report.correct
-    # window state carrying across the owner's own rounds stays legal
-    owner_only = [a for a in e.store.window_accesses if a.accessor == "SP1"]
-    assert validate_window_visibility(owner_only, wf).correct
+
+    def feed(stream, r):
+        batch = AtomicBatch(r, (Tuple((r,), tuple_id=r, batch_id=r),))
+        ticket = e.ingest_batch(stream, batch)
+        e.run_until_idle()
+        return ticket
+
+    assert feed("s1", 1).committed
+    foreign = feed("x", 1)
+    assert foreign.outcome == "aborted"
+    assert foreign.reason == "window w is owned by SP1, not SPX"
+    assert feed("s1", 2).committed
+    assert [t.values for t in e.store.window("w").active] == [(1,), (2,)]
+    assert [te_.procedure for te_ in e.committed_schedule] == ["SP1", "SP1"]
 
 
 def test_window_guard_raises_without_hook():
