@@ -30,7 +30,7 @@ from .model import (
 )
 from .recovery import RecoveryMode, recovery_dispatch_count
 from .storage import Column, FullWindowEvent, Pred, ScalarType, Store, UndoBuffer
-from .validator import enumerate_correct_schedules, validate, validate_window_visibility
+from .validator import enumerate_correct_schedules, validate
 
 __all__ = [
     "AtomicBatch",
@@ -65,7 +65,6 @@ __all__ = [
     "route_partition",
     "topological_orderings",
     "validate",
-    "validate_window_visibility",
 ]
 
 __version__ = "0.1.0"

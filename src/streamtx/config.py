@@ -29,6 +29,9 @@ Example::
     batch_mode = same_timestamp
     source = csv:feed.csv
 
+A section rejects a key it does not know, so a misspelled setting fails to
+load instead of falling back to its default; ``[params]`` takes any key.
+
 A border input is any stream a procedure reads that no edge produces. The
 ``[feed]`` section sets how ``streamtx run`` cuts its source into batches:
 ``batch_mode = fixed_count`` with ``batch_size``, or ``same_timestamp``.
@@ -49,7 +52,6 @@ from .errors import ConfigError
 from .storage import Pred
 from .triggers import (
     AggregateInsert,
-    DeleteBatch,
     FilteredCopy,
     Statement,
     WindowInsertStmt,
@@ -134,8 +136,6 @@ def parse_statement(source: str, text: str) -> Statement:
         column = parts[2] if len(parts) > 2 else None
         group_by = parts[3] if len(parts) > 3 else None
         return AggregateInsert(source, dst, agg, column, group_by)
-    if op == "delete_batch":
-        return DeleteBatch(source)
     raise ConfigError(f"unknown statement {op!r}")
 
 
@@ -153,8 +153,6 @@ def format_statement(stmt: Statement) -> str:
             if stmt.group_by is not None:
                 parts.append(stmt.group_by)
         return f"aggregate_insert({', '.join(parts)})"
-    if isinstance(stmt, DeleteBatch):
-        return "delete_batch()"
     raise ConfigError(f"unknown statement object {stmt!r}")
 
 
@@ -238,6 +236,28 @@ class WorkloadConfig:
             raise ConfigError(f"bad recovery mode {self.recovery}")
 
 
+# each section's keys; [params] is free-form and takes any key
+_KEYS = {
+    "engine": {
+        "mode",
+        "recovery",
+        "partition_key",
+        "group_commit_max_batch",
+        "group_commit_max_delay_ms",
+        "rounds",
+    },
+    "workflow": {"name"},
+    "table": {"columns", "indexes"},
+    "stream": {"columns"},
+    "window": {"columns", "size", "slide", "owner"},
+    "procedure": {"kind", "streams", "tables", "windows", "body", "output"},
+    "edge": {"producer", "stream", "consumer"},
+    "trigger": {"program"},
+    "group": {"children", "order"},
+    "feed": {"stream", "batch_mode", "batch_size", "source"},
+}
+
+
 def load(text: str) -> WorkloadConfig:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keep key case
@@ -249,6 +269,10 @@ def load(text: str) -> WorkloadConfig:
     for section in cp.sections():
         body = dict(cp.items(section))
         head, _, arg = section.partition(" ")
+        known = _KEYS.get(head)
+        for key in body:
+            if known is not None and key not in known:
+                raise ConfigError(f"[{section}]: unknown key {key!r}")
         if head == "engine":
             cfg.engine_mode = body.get("mode", cfg.engine_mode)
             cfg.recovery = body.get("recovery", cfg.recovery)

@@ -301,6 +301,8 @@ class TEContext:
         return self.store.select_where(table, pred)
 
     def delete(self, table: str, pred: Optional[Pred]) -> int:
+        """Delete matching rows of a public table; on a stream or a window
+        it raises ``BadDefinition``, which aborts the execution."""
         return self.store.delete_where(table, pred, self.undo)
 
     def aggregate(self, table, op, column=None, group_by=None, pred=None):
@@ -308,7 +310,7 @@ class TEContext:
         return self.store.aggregate(table, op, column, group_by, pred)
 
     def window_insert(
-        self, window: str, rows, event_rows: bool = True
+        self, window: str, rows, *, event_rows: bool = True
     ) -> list[FullWindowEvent]:
         """Feed rows into a window; the events it fires carry the active
         tuples unless ``event_rows`` is false."""
@@ -323,9 +325,6 @@ class TEContext:
         if events:
             self.partition.trigger_engine.on_window_events(self, window, events)
         return events
-
-    def delete_batch(self, stream: str, batch_id: int) -> int:
-        return self.store.delete_batch(stream, batch_id, self.undo)
 
     def _check_owner(self, table: str) -> None:
         owner = self.plan.foreign_windows.get(table)

@@ -164,7 +164,12 @@ class PublicTable(_BaseTable):
 
 
 class StreamTable(_BaseTable):
-    """Time-varying table holding not-yet-consumed atomic batches in order."""
+    """Time-varying table holding not-yet-consumed atomic batches in order.
+
+    Append-only inside a transaction: a write only appends, to a new batch
+    or to the newest one, and a batch leaves only through
+    ``Store.garbage_collect`` or when the append that wrote it rolls back.
+    """
 
     kind = "stream"
 
@@ -189,21 +194,6 @@ class StreamTable(_BaseTable):
 
     def batch_tuples(self, batch_id: int) -> list[Tuple]:
         return list(self.batches.get(batch_id, ()))
-
-    def put_batch(self, batch_id: int, tuples: tuple[Tuple, ...]) -> None:
-        """Replace one batch's tuples (none removes it), keeping id order."""
-        if not tuples:
-            del self.batches[batch_id]
-        elif (
-            batch_id in self.batches
-            or not self.batches
-            or batch_id > next(reversed(self.batches))
-        ):
-            self.batches[batch_id] = tuples
-        else:  # undoing the removal of a batch that sat before later ones
-            ordered = sorted({**self.batches, batch_id: tuples}.items())
-            self.batches.clear()
-            self.batches.update(ordered)
 
 
 class WindowTable(_BaseTable):
@@ -258,7 +248,8 @@ class UndoBuffer:
         self._entries.append(("del", table, index, row))
 
     def record_batch(self, s: StreamTable, batch_id: int) -> None:
-        """Remember one stream batch as it is before a write to it."""
+        """Remember a stream's newest batch (or its absence) before an
+        append extends or creates it; streams take no other undoable write."""
         self._entries.append(("bat", s, batch_id, s.batches.get(batch_id, ())))
 
     def record_window(self, w: WindowTable) -> list[Tuple]:
@@ -289,7 +280,10 @@ class UndoBuffer:
                 table._index_add(row)
             elif tag == "bat":
                 _, s, batch_id, tuples = entry
-                s.put_batch(batch_id, tuples)
+                if tuples:
+                    s.batches[batch_id] = tuples
+                else:
+                    del s.batches[batch_id]
             elif tag == "win":
                 _, w, expired, n_active, staged, full_seen, emitted, sums = entry
                 # expired + active is the old active set followed by every
@@ -451,7 +445,7 @@ class Store:
         for t in batch.tuples:
             s.check_row(t)
         undo.record_batch(s, batch.batch_id)
-        s.put_batch(batch.batch_id, s.batches.get(batch.batch_id, ()) + batch.tuples)
+        s.batches[batch.batch_id] = s.batches.get(batch.batch_id, ()) + batch.tuples
 
     def select_where(self, table: str, pred: Optional[Pred] = None) -> list[Tuple]:
         tab = self.table(table)
@@ -471,21 +465,21 @@ class Store:
         return [t for t in rows if match(t)]
 
     def delete_where(self, table: str, pred: Optional[Pred], undo: UndoBuffer) -> int:
+        """Delete the public-table rows ``pred`` matches (every row for None).
+        Streams and windows take no deletes: a batch leaves a stream through
+        garbage collection, a row leaves a window by sliding."""
         tab = self.table(table)
         if isinstance(tab, WindowTable):
             raise BadDefinition(
                 f"window {tab.name}: rows expire by sliding, not deletion"
             )
+        if isinstance(tab, StreamTable):
+            raise BadDefinition(
+                f"stream {tab.name}: batches leave by garbage collection, "
+                "not deletion"
+            )
         match = None if pred is None else row_matcher(tab, pred)
         removed = 0
-        if isinstance(tab, StreamTable):
-            for batch_id, tuples in list(tab.batches.items()):
-                kept = () if match is None else tuple(t for t in tuples if not match(t))
-                if len(kept) < len(tuples):
-                    undo.record_batch(tab, batch_id)
-                    tab.put_batch(batch_id, kept)
-                    removed += len(tuples) - len(kept)
-            return removed
         if match is None:  # every row goes; undo puts each back at the front
             for t in tab.rows:
                 undo.record_delete(tab, 0, t)
@@ -530,6 +524,7 @@ class Store:
         window: str,
         tuples: Iterable[Tuple],
         undo: UndoBuffer,
+        *,
         event_rows: bool = True,
     ) -> list[FullWindowEvent]:
         """Stage new tuples, then advance the window while a slide is due.
@@ -591,16 +586,6 @@ class Store:
     def garbage_collect(self, stream: str, batch_id: int) -> int:
         """Drop every tuple of a consumed batch. Idempotent, not undoable."""
         return len(self.stream(stream).batches.pop(batch_id, ()))
-
-    def delete_batch(self, stream: str, batch_id: int, undo: UndoBuffer) -> int:
-        """Undoable batch removal, for procedure bodies that manage stream
-        cleanup themselves instead of relying on automatic collection."""
-        s = self.stream(stream)
-        removed = len(s.batches.get(batch_id, ()))
-        if removed:
-            undo.record_batch(s, batch_id)
-            s.put_batch(batch_id, ())
-        return removed
 
     # --- comparison helpers ---
 

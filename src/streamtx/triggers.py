@@ -2,8 +2,12 @@
 
 Statement triggers run declarative operation chains inside the storage layer
 within the firing transaction (same undo buffer, same commit fate), cascading
-depth-first. Procedure triggers fire at commit of the producing transaction
-and hand downstream executions straight to the scheduler's fast track.
+depth-first. A statement only adds rows: it copies them to a stream, feeds a
+window or inserts an aggregate. Streams are append-only, so the batch that
+fired a program leaves its stream through garbage collection once the
+transaction commits, not through a statement. Procedure triggers fire at
+commit of the producing transaction and hand downstream executions straight
+to the scheduler's fast track.
 """
 
 from __future__ import annotations
@@ -53,15 +57,7 @@ class AggregateInsert:
     group_by: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class DeleteBatch:
-    """Drop the firing batch from its stream (emulation workloads only;
-    live streams are garbage collected automatically)."""
-
-    src: str
-
-
-Statement = Union[FilteredCopy, WindowInsertStmt, AggregateInsert, DeleteBatch]
+Statement = Union[FilteredCopy, WindowInsertStmt, AggregateInsert]
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ class Step:
     """A statement resolved at registration. ``run(ctx, tuples, batch_id,
     sums)`` keeps names, column positions and constants."""
 
-    writes: Optional[str]
+    writes: str
     reads_rows: bool
     run: Callable
 
@@ -158,13 +154,6 @@ class TriggerEngine:
             return Step(window, True, insert)
         if isinstance(stmt, AggregateInsert):
             return self._aggregate_step(src, stmt)
-        if isinstance(stmt, DeleteBatch):
-            stream = self.store.stream(stmt.src).name
-
-            def delete(ctx, tuples, batch_id, sums):
-                ctx.delete_batch(stream, batch_id)
-
-            return Step(None, False, delete)
         raise BadDefinition(f"unknown statement {stmt!r}")
 
     def _aggregate_step(self, src, stmt: AggregateInsert) -> Step:
@@ -209,7 +198,6 @@ class TriggerEngine:
             (src, step.writes)
             for src, steps in self.programs.items()
             for step in steps
-            if step.writes is not None
         ]
         nodes = set(self.programs).union(dst for _, dst in pairs)
         if kahn_order(nodes, pairs) is None:

@@ -14,23 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import TooLarge, UnknownProcedureInSchedule
 from .model import TransactionExecution, Workflow
 
 MAX_ENUMERATION_TES = 12
-
-
-@dataclass
-class WindowAccess:
-    """One window access, as a caller traced it: ``accessor`` None is the
-    engine's own (snapshots, oracles)."""
-
-    window: str
-    accessor: Optional[str]
-    round: int
-    write: bool
 
 
 @dataclass(frozen=True)
@@ -242,26 +231,3 @@ def brute_force_correct_schedules(
             out.append([(te.procedure, te.round) for te in perm])
     out.sort()
     return out
-
-
-def validate_window_visibility(trace: Iterable[WindowAccess], w: Workflow) -> ValidationReport:
-    """Flag the accesses in a caller's trace made by anything but the
-    window's owner."""
-    owners = {
-        wd.name: wd.owner for p in w.procedures for wd in p.window_defs
-    }
-    report = ValidationReport()
-    for acc in trace:
-        owner = owners.get(acc.window)
-        if owner is None:
-            continue
-        if acc.accessor is not None and acc.accessor != owner:
-            report.violations.append(
-                Violation(
-                    "window_visibility",
-                    (owner, acc.round),
-                    (acc.accessor, acc.round),
-                    acc.round,
-                )
-            )
-    return report

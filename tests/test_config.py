@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from streamtx import config as cfgmod
@@ -9,7 +11,6 @@ LEADERBOARD_CONFIG = """
 [engine]
 mode = triggered
 recovery = weak
-partitions = 1
 rounds = 40
 group_commit_max_batch = 4
 
@@ -61,7 +62,6 @@ stream = votes_in
 batch_mode = fixed_count
 batch_size = 1
 source = builtin:votes
-rounds = 40
 
 [params]
 removal_period = 6
@@ -99,8 +99,9 @@ def test_statement_parsing():
     assert cfgmod.parse_statement(
         "w", "aggregate_insert(out, avg, value)"
     ) == AggregateInsert("w", "out", "avg", "value")
-    with pytest.raises(ConfigError):
-        cfgmod.parse_statement("s1", "explode(s2)")
+    for text in ["explode(s2)", "delete_batch()"]:
+        with pytest.raises(ConfigError):
+            cfgmod.parse_statement("s1", text)
 
 
 def test_statement_format_roundtrip():
@@ -109,7 +110,6 @@ def test_statement_format_roundtrip():
         "filtered_copy(s2)",
         "window_insert(w)",
         "aggregate_insert(out, avg, value)",
-        "delete_batch()",
     ]:
         stmt = cfgmod.parse_statement("s1", text)
         assert cfgmod.parse_statement("s1", cfgmod.format_statement(stmt)) == stmt
@@ -126,6 +126,25 @@ def test_pred_parsing():
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError):
         cfgmod.load("[mystery]\nx = 1\n")
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("engine", "group_comit_max_batch"),
+        ("engine", "partitions"),
+        ("feed", "rounds"),
+        ("stream s12", "colums"),
+        ("procedure validate", "inputs"),
+        ("window trending", "range"),
+    ],
+)
+def test_unknown_key_rejected(section, key):
+    """A misspelled or unsupported key fails to load instead of leaving its
+    setting at the default."""
+    text = LEADERBOARD_CONFIG.replace(f"[{section}]\n", f"[{section}]\n{key} = 8\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\]: unknown key '{key}'"):
+        cfgmod.load(text)
 
 
 def test_unknown_stream_reference_rejected():
@@ -204,3 +223,19 @@ threshold = 10
     )
     e.run_until_idle()
     assert [t.values[0] for t in e.store.stream("s3").rows] == [15, 25]
+
+
+def test_readme_example_config_builds():
+    """The README's example config loads, materializes and builds an
+    engine, so the documented grammar cannot drift from the parser."""
+    from pathlib import Path
+
+    from streamtx.engine import Engine
+    from streamtx.workloads import build_spec_from_config
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    cfg = cfgmod.load(blocks[0])
+    assert cfg.group_commit_max_batch == 8 and cfg.triggers["s1"]
+    Engine(build_spec_from_config(cfg))

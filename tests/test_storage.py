@@ -181,19 +181,17 @@ def test_ill_typed_predicate_rejected_before_scan(store, pred):
 
 
 def test_delete_one_batch_keeps_other(store):
+    """A stream takes no deletes; garbage collection drops one batch."""
     store.create_stream("s", VAL)
     undo = UndoBuffer()
     store.insert_batch("s", make_batch(3, [1, 2]), undo)
     store.insert_batch("s", make_batch(4, [3]), undo)
-    n = store.delete_where("s", Pred("value", ">", 0), undo)
-    assert n == 3
-    undo2 = UndoBuffer()
-    store2 = Store()
-    store2.create_stream("s", VAL)
-    store2.insert_batch("s", make_batch(3, [1, 2]), undo2)
-    store2.insert_batch("s", make_batch(4, [3]), undo2)
-    assert store2.garbage_collect("s", 3) == 2
-    assert store2.stream("s").pending_batches() == [4]
+    for pred in (Pred("value", ">", 0), None):
+        with pytest.raises(BadDefinition, match="garbage collection"):
+            store.delete_where("s", pred, undo)
+    assert store.stream("s").pending_batches() == [3, 4]
+    assert store.garbage_collect("s", 3) == 2
+    assert store.stream("s").pending_batches() == [4]
 
 
 def test_delete_false_predicate(store):
@@ -377,7 +375,7 @@ def test_undo_restores_everything_bit_exact():
             )
 
         for _ in range(rng.randint(1, 12)):
-            op = rng.randrange(7)
+            op = rng.randrange(5)
             if op == 0:
                 store.insert("p", Tuple((rng.randint(0, 5), rng.randint(0, 99))), undo)
             elif op == 1:
@@ -396,12 +394,6 @@ def test_undo_restores_everything_bit_exact():
             elif op == 4 and next_bid > first_bid:
                 # emit twice: a second write to the batch just written
                 store.insert_batch("s", fresh_batch(next_bid - 1), undo)
-            elif op == 5:
-                pending = store.stream("s").pending_batches()
-                if pending:
-                    store.delete_batch("s", rng.choice(pending), undo)
-            elif op == 6:
-                store.delete_where("s", Pred("value", "<", rng.randint(0, 9)), undo)
         undo.rollback()
         after = snapshot_state(store), window_fields(store.window("w"))
         assert after == before, f"case {case} diverged"
@@ -411,7 +403,7 @@ def test_undo_restores_everything_bit_exact():
     store = Store()
     store.create_window(WindowSpec("w", 4, 2, "sp"), VAL)
     w = store.window("w")
-    store.window_insert("w", [Tuple((v,)) for v in (5, 6, 7)], UndoBuffer(), "sp")
+    store.window_insert("w", [Tuple((v,)) for v in (5, 6, 7)], UndoBuffer())
     before = snapshot_state(store), window_fields(w)
     undo = UndoBuffer()
     events = store.window_insert(
@@ -442,19 +434,13 @@ def test_unpredicated_delete_matches_always_true_predicate():
     def run(pred):
         store = Store()
         store.create_public("p", make_schema(("k", "int"), ("v", "int")), indexed=["k"])
-        store.create_stream("s", VAL)
         setup = UndoBuffer()
         for i in range(8):
             store.insert("p", Tuple((i % 3, i)), setup)
-        for bid in (1, 2):
-            store.insert_batch("s", make_batch(bid, [bid, bid + 1]), setup)
         before = snapshot_state(store)
         undo = UndoBuffer()
-        removed = (
-            store.delete_where("p", pred and Pred("v", *pred), undo),
-            store.delete_where("s", pred and Pred("value", *pred), undo),
-        )
-        assert store.select_where("p") == [] and store.select_where("s") == []
+        removed = store.delete_where("p", pred and Pred("v", *pred), undo)
+        assert store.select_where("p") == []
         assert store.table("p").indexes == {"k": {}}
         entries = [(e[0],) + e[2:] for e in undo._entries]
         undo.rollback()
@@ -462,7 +448,7 @@ def test_unpredicated_delete_matches_always_true_predicate():
         return removed, entries, store.table("p").indexes
 
     unpredicated = run(None)
-    assert unpredicated[0] == (8, 4)
+    assert unpredicated[0] == 8
     assert unpredicated == run((">=", 0))
 
 

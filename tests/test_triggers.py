@@ -18,7 +18,6 @@ from streamtx.storage import Pred, Store
 from randomized import random_window_run
 from streamtx.triggers import (
     AggregateInsert,
-    DeleteBatch,
     FilteredCopy,
     StatementTrigger,
     TriggerEngine,
@@ -139,7 +138,6 @@ MALFORMED_PROGRAMS = {
     ),
     "aggregate_sum_text": ("w", AggregateInsert("w", "t", "sum", "name")),
     "aggregate_max_text": ("w", AggregateInsert("w", "t", "max", "name")),
-    "delete_from_window": ("w", DeleteBatch("w")),
     "unknown_statement": ("s", Truncate("s")),
 }
 
@@ -181,7 +179,6 @@ def test_well_formed_statements_register():
         ("s", FilteredCopy("s", "out", Pred("name", "==", "x"))),
         ("w", AggregateInsert("w", "t", "max", "value", group_by="name")),
         ("w", AggregateInsert("w", "t", "count", "name")),
-        ("s", DeleteBatch("s")),
     ]:
         Engine(single_statement_spec(source, stmt))
 
@@ -236,12 +233,10 @@ def test_window_trigger_fires_only_on_full_window():
 
 
 def test_delete_batch_statement():
+    """No statement deletes a batch: the batch a program fired on leaves its
+    stream when the transaction commits, by garbage collection."""
     streams = [StreamDef("s1", VAL_COLS), StreamDef("keep", VAL_COLS)]
-    triggers = [
-        StatementTrigger(
-            "s1", (FilteredCopy("s1", "keep"), DeleteBatch("s1"))
-        )
-    ]
+    triggers = [StatementTrigger("s1", (FilteredCopy("s1", "keep"),))]
     w = register_workflow(
         "d", [ProcedureDef("SP1", ProcedureKind.BORDER, ("s1",))]
     )
@@ -311,6 +306,40 @@ def test_disabled_triggers_suppress_dispatch():
     e.run_until_idle()
     assert [te.procedure for te in e.committed_schedule] == ["SP1", "SP2"]
     assert e.store.stream("s12").rows == []
+
+
+def test_body_delete_on_stream_aborts():
+    """Streams are append-only: a body that deletes the batch it just
+    emitted aborts, so its consumer never runs on a round whose input is
+    gone, and the stream and the GC waits are left as before."""
+
+    def border(ctx):
+        ctx.emit("s2", ctx.input_tuples("s1"))
+        ctx.delete("s2", None)
+
+    w = register_workflow(
+        "del",
+        [
+            ProcedureDef("SP1", ProcedureKind.BORDER, ("s1",), body=border),
+            ProcedureDef("SP2", ProcedureKind.INTERIOR, ("s2",)),
+        ],
+        [("SP1", "s2", "SP2")],
+    )
+    e = Engine(
+        EngineSpec(
+            workflows=[w], streams=[StreamDef("s1", VAL_COLS), StreamDef("s2", VAL_COLS)]
+        )
+    )
+    ticket = e.ingest_batch("s1", AtomicBatch(1, (Tuple((7,), tuple_id=1, batch_id=1),)))
+    e.run_until_idle()
+    assert ticket.outcome == "aborted"
+    assert ticket.reason == (
+        "stream s2: batches leave by garbage collection, not deletion"
+    )
+    assert list(e.committed_schedule) == []
+    assert e.counters.pe_dispatches == 1  # SP2 never ran
+    assert e.store.stream("s2").rows == []
+    assert e.partition.trigger_engine.pending == set()
 
 
 def test_double_disable_idempotent():

@@ -12,11 +12,9 @@ from streamtx.model import (
     topological_orderings,
 )
 from streamtx.validator import (
-    WindowAccess,
     brute_force_correct_schedules,
     enumerate_correct_schedules,
     validate,
-    validate_window_visibility,
 )
 
 from oracles import correct_schedules_brute
@@ -209,43 +207,7 @@ def test_validator_is_pure():
     assert r1.as_dict() == r2.as_dict()
 
 
-# --- window visibility ---
-
-
-def windowed_workflow():
-    from streamtx.model import WindowSpec
-
-    return register_workflow(
-        "wv",
-        [
-            ProcedureDef(
-                "SP1",
-                ProcedureKind.BORDER,
-                ("s1",),
-                window_defs=(WindowSpec("w", 2, 1, "SP1"),),
-            ),
-            ProcedureDef("SP2", ProcedureKind.INTERIOR, ("s12",)),
-        ],
-        [("SP1", "s12", "SP2")],
-    )
-
-
-def test_owner_accesses_correct():
-    w = windowed_workflow()
-    trace = [
-        WindowAccess("w", "SP1", 1, True),
-        WindowAccess("w", "SP1", 2, False),
-        WindowAccess("w", None, 0, False),  # engine-internal (snapshot)
-    ]
-    assert validate_window_visibility(trace, w).correct
-
-
-def test_foreign_read_flagged():
-    w = windowed_workflow()
-    trace = [WindowAccess("w", "SP2", 1, False)]
-    report = validate_window_visibility(trace, w)
-    assert not report.correct
-    assert report.violations[0].kind == "window_visibility"
+# --- window ownership ---
 
 
 # a foreign procedure's access to window w, owned by SP1; "program" is the
