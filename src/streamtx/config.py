@@ -31,6 +31,8 @@ Example::
 
 A section rejects a key it does not know, so a misspelled setting fails to
 load instead of falling back to its default; ``[params]`` takes any key.
+A section that declares something by name, such as ``[stream s1]``, needs
+the name.
 
 A border input is any stream a procedure reads that no edge produces. The
 ``[feed]`` section sets how ``streamtx run`` cuts its source into batches:
@@ -269,6 +271,9 @@ def load(text: str) -> WorkloadConfig:
     for section in cp.sections():
         body = dict(cp.items(section))
         head, _, arg = section.partition(" ")
+        named = ("table", "stream", "window", "procedure", "trigger", "group")
+        if head in named and not arg.strip():
+            raise ConfigError(f"[{section}]: a {head} section needs a name")
         known = _KEYS.get(head)
         for key in body:
             if known is not None and key not in known:

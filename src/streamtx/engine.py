@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import re
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -19,6 +20,7 @@ from .errors import (
     NotPartitionable,
     ReplayDivergence,
     VersionMismatch,
+    WrongKind,
 )
 from .executor import (
     Counters,
@@ -30,9 +32,8 @@ from .executor import (
     batches_to_args,
     encode_args,
     make_plans,
-    make_stream_plans,
 )
-from .model import AtomicBatch, ProcedureKind, Workflow
+from .model import AtomicBatch, ProcedureKind, Tuple, Workflow
 from .recovery import (
     TEMP_SUFFIX,
     CommandLog,
@@ -44,7 +45,7 @@ from .recovery import (
     truncate_log,
 )
 from .snapshot import restore_state, snapshot_state, verify_snapshot
-from .storage import Store, make_schema
+from .storage import Store, UndoBuffer, make_schema
 from .triggers import StatementTrigger, TriggerEngine
 
 SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.snap$")
@@ -81,6 +82,10 @@ class EngineSpec:
 
 
 class Engine:
+    # whether this engine may write into data_dir: recover() sets it for the
+    # directory it reopens, and any other engine's first write claims it
+    _owns_data_dir = False
+
     def __init__(
         self,
         spec: EngineSpec,
@@ -105,14 +110,10 @@ class Engine:
             store.create_public(t.name, make_schema(*t.columns), t.indexes)
         for s in spec.streams:
             store.create_stream(s.name, make_schema(*s.columns))
-        if spec.seed_rows:
-            from .model import Tuple
-            from .storage import UndoBuffer
-
-            seed_undo = UndoBuffer()
-            for table, rows in spec.seed_rows.items():
-                for row in rows:
-                    store.insert(table, Tuple(tuple(row)), seed_undo)
+        seed_undo = UndoBuffer()  # never rolled back
+        for table, rows in spec.seed_rows.items():
+            for row in rows:
+                store.insert(table, Tuple(tuple(row)), seed_undo)
         # without a data dir or a recovery mode the log and the cache hold no
         # file: nothing is logged and every commit is acknowledged at once
         mode = recovery_mode if data_dir is not None else None
@@ -135,9 +136,9 @@ class Engine:
                         triggers.register_procedure_trigger(
                             e.stream, consumer.proc, group
                         )
-        stream_plans = make_stream_plans(store, triggers)
         log_path = cache_path = None
         if mode is not None:
+            self._claim_data_dir()
             os.makedirs(data_dir, exist_ok=True)
             log_path = os.path.join(data_dir, LOG_FILE)
             if mode is RecoveryMode.WEAK:
@@ -156,7 +157,6 @@ class Engine:
             store,
             triggers,
             plans,
-            stream_plans,
             log=log,
             input_cache=InputCache(cache_path, fsync),
             schedule_capacity=schedule_capacity,
@@ -255,8 +255,6 @@ class Engine:
             self.run_until_idle()
 
     def call_oltp(self, proc: str, args=None) -> Ticket:
-        from .errors import WrongKind
-
         p = self.partition.plan(proc).proc
         if p.kind is not ProcedureKind.OLTP:
             raise WrongKind(f"{proc} is not an OLTP procedure")
@@ -297,6 +295,7 @@ class Engine:
         stops the partition, as a failed log write does."""
         if self.data_dir is None:
             raise BadDefinition("checkpoint needs a data directory")
+        self._claim_data_dir()
         self.drain_and_quiesce()  # also flushes the log
         p = self.partition
         blob = self.snapshot_bytes()
@@ -328,6 +327,18 @@ class Engine:
             os.remove(os.path.join(self.data_dir, name))
         return path
 
+    def _claim_data_dir(self) -> None:
+        """Before this engine first writes into its data directory, refuse
+        one that holds a log, cache or snapshot: starting empty, it would
+        write commits that recovery cannot order after the old ones."""
+        if not self._owns_data_dir and os.path.isdir(self.data_dir):
+            for name in sorted(os.listdir(self.data_dir)):
+                if name in (LOG_FILE, CACHE_FILE) or SNAPSHOT_RE.match(name):
+                    raise BadDefinition(
+                        f"{self.data_dir} already holds {name}; recover() reopens it"
+                    )
+        self._owns_data_dir = True
+
     def crash(self) -> None:
         """Die without flushing anything buffered, like a power failure."""
         self.partition.stopped = True
@@ -335,9 +346,14 @@ class Engine:
         self.partition.input_cache.close()  # the cache buffers nothing
 
     def close(self) -> None:
-        self.partition.log.close()
-        self.partition.input_cache.close()
-        self.partition.stopped = True
+        """Flush the log and close both files. The partition stops whatever
+        the flush does; a failed flush raises ``LogWriteFailure``."""
+        p = self.partition
+        p.stopped = True
+        try:
+            p.log.close()
+        finally:
+            p.input_cache.close()
 
 
 def _snapshots(data_dir: str) -> list[tuple[int, str]]:
@@ -389,7 +405,9 @@ def recover(
         raise VersionMismatch(
             f"log belongs to partition {log_partition}, not {partition_id}"
         )
-    engine = Engine(
+    engine = Engine.__new__(Engine)
+    engine._owns_data_dir = True
+    engine.__init__(
         spec,
         partition_id=partition_id,
         data_dir=data_dir,
@@ -444,12 +462,7 @@ def _replay_strong(engine: Engine, records) -> None:
                 )
             for stream, batch_id in rec.dropped:
                 p.drop(stream, batch_id)
-            req = TERequest(rec.procedure, rec.round, rec.args, Origin.RECOVERY)
-            outcome = p.execute(req)
-            if outcome != "committed":
-                raise ReplayDivergence(
-                    f"{rec.procedure} round {rec.round} aborted during replay"
-                )
+            _replay(p, rec)
     finally:
         p.trigger_engine.pe_enabled = True
 
@@ -461,13 +474,16 @@ def _replay_weak(engine: Engine, records) -> None:
     p.refire_nonempty_streams()
     p.run_until_idle()
     for rec in records:
-        req = TERequest(rec.procedure, rec.round, rec.args, Origin.RECOVERY)
-        outcome = p.execute(req)
-        if outcome != "committed":
-            raise ReplayDivergence(
-                f"{rec.procedure} round {rec.round} aborted during replay"
-            )
+        _replay(p, rec)
         p.run_until_idle()
+
+
+def _replay(p: Partition, rec) -> None:
+    req = TERequest(rec.procedure, rec.round, rec.args, Origin.RECOVERY)
+    if p.execute(req) != "committed":
+        raise ReplayDivergence(
+            f"{rec.procedure} round {rec.round} aborted during replay"
+        )
 
 
 def _resubmit_cached(engine: Engine, data_dir: str) -> None:
@@ -506,7 +522,4 @@ def partitioned_engines(
 
 def route_partition(key_value, p: int) -> int:
     """Stable hash routing; identical across processes and runs."""
-    import zlib as _z
-
-    data = repr(key_value).encode()
-    return _z.crc32(data) % p
+    return zlib.crc32(repr(key_value).encode()) % p

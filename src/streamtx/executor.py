@@ -36,8 +36,8 @@ from .model import (
     group_roots,
 )
 from .recovery import LOGGED_KINDS, CommandLog, CommandLogRecord, InputCache, RecoveryMode
-from .storage import FullWindowEvent, Pred, Store, StreamTable, UndoBuffer
-from .triggers import TriggerEngine
+from .storage import Pred, Store, StreamTable, UndoBuffer
+from .triggers import StreamPlan, TriggerEngine
 
 
 def encode_args(obj) -> bytes:
@@ -139,15 +139,6 @@ class ProcedurePlan:
     foreign_windows: dict[str, str]
 
 
-@dataclass(slots=True)
-class StreamPlan:
-    """What an append to one stream sets off, resolved with the plans."""
-
-    table: StreamTable
-    fires: bool  # a procedure trigger reads it: a new batch waits in pending
-    program: bool  # a statement program runs on each appended batch
-
-
 def make_plans(
     workflows: list[Workflow], store: Store, mode: Optional[RecoveryMode]
 ) -> dict[str, ProcedurePlan]:
@@ -187,17 +178,6 @@ def make_plans(
     }
 
 
-def make_stream_plans(store: Store, triggers: TriggerEngine) -> dict[str, StreamPlan]:
-    """A plan for every stream table, made once all triggers are registered."""
-    return {
-        name: StreamPlan(
-            tab, name in triggers.procedure_triggers, name in triggers.programs
-        )
-        for name, tab in store.tables.items()
-        if isinstance(tab, StreamTable)
-    }
-
-
 class TEContext:
     """The operation surface a procedure body (or trigger program) runs
     against; every mutation lands in this execution's undo buffer. A window
@@ -221,7 +201,6 @@ class TEContext:
         # stream, in first-append order (a dict as an ordered set)
         self.emitted: dict[tuple[str, int], None] = {}
         self.result_rows: Optional[list] = None
-        self._depth = 0
 
     # --- body API ---
 
@@ -241,48 +220,35 @@ class TEContext:
         """
         if self.proc.kind is ProcedureKind.OLTP:
             raise BadDefinition("OLTP procedures operate on tables only")
-        self._append_to_stream(stream, rows, self.round, ts)
+        plans = self.partition.stream_plans
+        if stream not in plans:
+            self.store.stream(stream)  # raises UnknownTable
+        self.append_to(plans[stream], rows, self.round, ts)
 
-    def copy_to_stream(self, stream: str, rows, batch_id: int) -> None:
-        self._append_to_stream(stream, rows, batch_id, None)
-
-    def _append_to_stream(self, stream, rows, batch_id, ts) -> None:
+    def append_to(self, plan: StreamPlan, rows, batch_id: int, ts=None) -> None:
+        """Append ``rows`` as batch ``batch_id`` of ``plan``'s stream and set
+        off its triggers; a statement step calls this with the plan it
+        resolved at registration."""
         rows = list(rows)
         if not rows:
             return
-        plan = self.partition.stream_plan(stream)
+        stream = plan.table.name
         ids = self.store.next_tuple_ids(stream, len(rows), self.undo)
+        ts = 0 if ts is None else ts
         tuples = []
         for tid, r in zip(ids, rows):
             if isinstance(r, Tuple):
-                tuples.append(
-                    Tuple(r.values, tuple_id=tid, batch_id=batch_id, ts=r.ts)
-                )
+                tuples.append(Tuple(r.values, tuple_id=tid, batch_id=batch_id, ts=r.ts))
             else:
-                tuples.append(
-                    Tuple(
-                        tuple(r),
-                        tuple_id=tid,
-                        batch_id=batch_id,
-                        ts=0 if ts is None else ts,
-                    )
-                )
+                tuples.append(Tuple(tuple(r), tuple_id=tid, batch_id=batch_id, ts=ts))
         batch = AtomicBatch(batch_id, tuple(tuples))
         self.store.insert_batch(stream, batch, self.undo)
-        if plan.fires and (stream, batch_id) not in self.emitted:
-            self.partition.trigger_engine.note_append(stream, batch_id)
+        triggers = self.partition.trigger_engine
+        if plan.target is not None and (stream, batch_id) not in self.emitted:
+            triggers.note_append(stream, batch_id)
             self.emitted[stream, batch_id] = None
-        if plan.program:
-            self._cascade(stream, batch)
-
-    def _cascade(self, stream: str, batch: AtomicBatch) -> None:
-        self._depth += 1
-        if self._depth > 64:
-            raise BadDefinition("statement trigger cascade too deep")
-        try:
-            self.partition.trigger_engine.on_stream_append(self, stream, batch)
-        finally:
-            self._depth -= 1
+        if plan.program is not None:
+            triggers.on_stream_append(self, plan, batch)
 
     def insert(self, table: str, values, ts: int = 0) -> None:
         """Insert one row. Into a stream this appends, as ``emit`` does;
@@ -309,22 +275,17 @@ class TEContext:
         self._check_owner(table)
         return self.store.aggregate(table, op, column, group_by, pred)
 
-    def window_insert(
-        self, window: str, rows, *, event_rows: bool = True
-    ) -> list[FullWindowEvent]:
-        """Feed rows into a window; the events it fires carry the active
-        tuples unless ``event_rows`` is false."""
+    def window_insert(self, window: str, rows) -> None:
+        """Feed rows into a window; each slide it makes runs the window's
+        statement program, if it has one."""
         self._check_owner(window)
         tuples = [
             r if isinstance(r, Tuple) else Tuple(tuple(r), batch_id=self.round)
             for r in rows
         ]
-        events = self.store.window_insert(
-            window, tuples, self.undo, event_rows=event_rows
-        )
+        events = self.store.window_insert(window, tuples, self.undo)
         if events:
             self.partition.trigger_engine.on_window_events(self, window, events)
-        return events
 
     def _check_owner(self, table: str) -> None:
         owner = self.plan.foreign_windows.get(table)
@@ -352,7 +313,6 @@ class Partition:
         store: Store,
         trigger_engine: TriggerEngine,
         plans: dict[str, ProcedurePlan],
-        stream_plans: dict[str, StreamPlan],
         log: CommandLog,
         input_cache: InputCache,
         schedule_capacity: Optional[int] = None,
@@ -365,7 +325,7 @@ class Partition:
         self.input_cache = input_cache
         self.post_commit_hook = post_commit_hook
         self.plans = plans
-        self.stream_plans = stream_plans
+        self.stream_plans = trigger_engine.stream_plans
 
         self.client_queue: deque[TERequest] = deque()
         self.fast_track: deque[TERequest] = deque()
@@ -388,13 +348,6 @@ class Partition:
             return self.plans[name]
         except KeyError:
             raise UnknownProcedure(name) from None
-
-    def stream_plan(self, name: str) -> StreamPlan:
-        try:
-            return self.stream_plans[name]
-        except KeyError:
-            self.store.stream(name)  # raises UnknownTable
-            raise
 
     # --- submission ---
 
@@ -557,8 +510,9 @@ class Partition:
                 self.store.insert_batch(stream, batch, ctx.undo)
                 ctx.inputs[stream] = list(batch.tuples)
                 ctx.consumed.append((stream, batch.batch_id))
-                if self.stream_plans[stream].program:
-                    ctx._cascade(stream, batch)
+                stream_plan = self.stream_plans[stream]
+                if stream_plan.program is not None:
+                    self.trigger_engine.on_stream_append(ctx, stream_plan, batch)
         for stream, tab in zip(proc.stream_inputs, plan.inputs):
             if stream in ctx.inputs:
                 continue

@@ -267,9 +267,12 @@ class CommandLog:
             self._file.close()
 
     def close(self) -> None:
-        self.flush()
-        if self._file is not None:
-            self._file.close()
+        """Flush, then close the file even when the flush fails."""
+        try:
+            self.flush()
+        finally:
+            if self._file is not None:
+                self._file.close()
 
 
 def read_log(path: str) -> tuple[RecoveryMode, int, int, list[CommandLogRecord]]:

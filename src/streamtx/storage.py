@@ -77,9 +77,10 @@ class FullWindowEvent:
     the running sum of each int column over them, as they stood at this
     slide (one insert may fire several events before any trigger runs).
 
-    ``tuples`` is None when the insert asked for no rows: a statement
-    program that reads only the sums needs no copy of the active set, and
-    an event always holds exactly ``size`` tuples.
+    ``tuples`` is None when the window's events carry no rows
+    (``WindowTable.events_carry_rows``): a statement program that reads
+    only the sums needs no copy of the active set, and an event always
+    holds exactly ``size`` tuples.
     """
 
     window: str
@@ -202,7 +203,8 @@ class WindowTable(_BaseTable):
     ``sums`` keeps the exact sum of each int column over ``active``, updated
     as tuples are admitted and expire, so count, sum and avg of a full window
     cost O(1) per event. It is derived state: snapshots leave it out and
-    ``recompute_sums`` rebuilds it.
+    ``recompute_sums`` rebuilds it. Registering a statement program on the
+    window sets ``events_carry_rows``.
     """
 
     kind = "window"
@@ -214,6 +216,7 @@ class WindowTable(_BaseTable):
         self.staged: list[Tuple] = []
         self.full_seen = False
         self.events_emitted = 0
+        self.events_carry_rows = True
         self.int_cols = tuple(
             (c.name, i) for i, c in enumerate(schema) if c.type is ScalarType.INT
         )
@@ -237,9 +240,6 @@ class UndoBuffer:
 
     def __init__(self):
         self._entries: list[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def record_insert(self, table: PublicTable, index: int) -> None:
         self._entries.append(("ins", table, index))
@@ -524,8 +524,6 @@ class Store:
         window: str,
         tuples: Iterable[Tuple],
         undo: UndoBuffer,
-        *,
-        event_rows: bool = True,
     ) -> list[FullWindowEvent]:
         """Stage new tuples, then advance the window while a slide is due.
 
@@ -534,7 +532,7 @@ class Store:
         ``slide`` staged tuples expire the oldest actives and fire an event.
         A single large batch may fire several events. The running sums move
         with each slide: admitted tuples are added, expired ones subtracted.
-        With ``event_rows`` false the events carry no copy of the active set.
+        Without ``events_carry_rows`` events carry no copy of the active set.
         """
         w = self.window(window)
         tuples = list(tuples)
@@ -569,7 +567,7 @@ class Store:
                 for t in gone:
                     total -= t.values[ci]
                 sums[name] = total
-            rows = tuple(active) if event_rows else None
+            rows = tuple(active) if w.events_carry_rows else None
             events.append(FullWindowEvent(w.name, w.events_emitted, rows, dict(sums)))
             w.events_emitted += 1
         return events

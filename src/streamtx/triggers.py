@@ -7,7 +7,8 @@ window or inserts an aggregate. Streams are append-only, so the batch that
 fired a program leaves its stream through garbage collection once the
 transaction commits, not through a statement. Procedure triggers fire at
 commit of the producing transaction and hand downstream executions straight
-to the scheduler's fast track.
+to the scheduler's fast track. A stream's ``StreamPlan`` is the one record of
+both kinds of trigger on it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .errors import BadDefinition, CycleDetected
-from .model import ProcedureDef, ResolvedGroup, kahn_order
+from .model import ProcedureDef, ResolvedGroup
 from .storage import (
     FullWindowEvent,
     Pred,
@@ -67,31 +68,34 @@ class StatementTrigger:
 
 
 @dataclass(frozen=True)
-class ProcedureTrigger:
-    """A stream's fire plan: a committed batch enqueues ``target``, which
-    runs its nested group if it has one, once every stream in ``ready``
-    holds it."""
-
-    source: str
-    target: str
-    ready: tuple[StreamTable, ...] = ()
-
-
-@dataclass(frozen=True)
 class Step:
     """A statement resolved at registration. ``run(ctx, tuples, batch_id,
-    sums)`` keeps names, column positions and constants."""
+    sums)`` keeps its destination stream's plan (or a table or window name),
+    column positions and constants."""
 
     writes: str
     reads_rows: bool
     run: Callable
 
 
-def _from_sums(stmt: AggregateInsert, sums: dict[str, int]) -> bool:
-    """Whether a window's running sums (int column -> sum) answer ``stmt``."""
-    if stmt.group_by is not None:
-        return False
-    return stmt.op == "count" or (stmt.op in ("sum", "avg") and stmt.column in sums)
+@dataclass(slots=True)
+class StreamPlan:
+    """A stream and the one record of its triggers. ``program`` runs on each
+    appended batch inside the appending transaction. With a ``target``, a
+    committed batch waits in ``TriggerEngine.pending`` and enqueues that
+    procedure, which runs its nested group if it has one, once every stream
+    in ``ready`` holds the batch."""
+
+    table: StreamTable
+    program: Optional[tuple[Step, ...]] = None
+    target: Optional[str] = None
+    ready: tuple[StreamTable, ...] = ()
+
+
+# the most stream programs one statement-trigger chain may run: each stage
+# nests several Python frames, and a chain that starts while a border's
+# input loads runs outside the body's exception handler
+MAX_CHAIN = 64
 
 
 class TriggerEngine:
@@ -99,11 +103,14 @@ class TriggerEngine:
 
     def __init__(self, store: Store):
         self.store = store
-        self.programs: dict[str, tuple[Step, ...]] = {}  # source -> its steps
-        self.procedure_triggers: dict[str, ProcedureTrigger] = {}
+        # every stream's plan, made before any trigger registers
+        self.stream_plans = {
+            name: StreamPlan(tab)
+            for name, tab in store.tables.items()
+            if isinstance(tab, StreamTable)
+        }
+        self.window_programs: dict[str, tuple[Step, ...]] = {}
         self.pe_enabled = True  # strong-recovery replay turns firing off
-        # window -> whether some step of its program reads an event's rows
-        self.event_rows: dict[str, bool] = {}
         # batches held on procedure-trigger streams whose consumer has not
         # committed; every other batch may be collected
         self.pending: set[tuple[str, int]] = set()
@@ -111,12 +118,17 @@ class TriggerEngine:
     # --- registration ---
 
     def register_statement_trigger(self, trig: StatementTrigger) -> None:
+        """Resolve ``trig``'s program onto its stream's plan, or its window.
+        A window's events carry its rows exactly when some step reads them;
+        a window with no program keeps them."""
         src = self.store.table(trig.source)
-        if not isinstance(src, (StreamTable, WindowTable)):
+        plan = self.stream_plans.get(trig.source)
+        if plan is None and not isinstance(src, WindowTable):
             raise BadDefinition(
                 f"statement trigger source {trig.source} must be a stream or window"
             )
-        if trig.source in self.programs:
+        registered = plan.program if plan else self.window_programs.get(trig.source)
+        if registered is not None:
             raise BadDefinition(f"{trig.source} already has a statement trigger")
         for stmt in trig.program:
             if getattr(stmt, "src", trig.source) != trig.source:
@@ -125,31 +137,30 @@ class TriggerEngine:
                     f"source {trig.source}"
                 )
         steps = tuple(self._resolve(src, stmt) for stmt in trig.program)
-        self.programs[trig.source] = steps
-        if isinstance(src, WindowTable):
-            self.event_rows[trig.source] = any(s.reads_rows for s in steps)
+        if plan is not None:
+            plan.program = steps
+        else:
+            self.window_programs[trig.source] = steps
+            src.events_carry_rows = any(s.reads_rows for s in steps)
         self._check_statement_dag()
 
     def _resolve(self, src, stmt) -> Step:
         """Check one statement against the catalog and build its step."""
         if isinstance(stmt, FilteredCopy):
-            dst = self.store.stream(stmt.dst).name
+            dst = self.stream_plans[self.store.stream(stmt.dst).name]
             match = None if stmt.pred is None else row_matcher(src, stmt.pred)
 
             def copy(ctx, tuples, batch_id, sums):
                 hits = tuples if match is None else [t for t in tuples if match(t)]
                 if hits:
-                    ctx.copy_to_stream(dst, hits, batch_id)
+                    ctx.append_to(dst, hits, batch_id)
 
-            return Step(dst, True, copy)
+            return Step(stmt.dst, True, copy)
         if isinstance(stmt, WindowInsertStmt):
             window = self.store.window(stmt.window).name
-            event_rows = self.event_rows  # the window's program may come later
 
             def insert(ctx, tuples, batch_id, sums):
-                ctx.window_insert(
-                    window, tuples, event_rows=event_rows.get(window, False)
-                )
+                ctx.window_insert(window, tuples)
 
             return Step(window, True, insert)
         if isinstance(stmt, AggregateInsert):
@@ -170,7 +181,9 @@ class TriggerEngine:
         check_aggregate(src, stmt.op, stmt.column, stmt.group_by)
         op, col, group_by = stmt.op, stmt.column, stmt.group_by
         n = src.spec.size
-        from_sums = _from_sums(stmt, src.sums)
+        from_sums = group_by is None and (
+            op == "count" or (op in ("sum", "avg") and col in src.sums)
+        )
         if not from_sums:
             def rows(ctx, tuples, sums):
                 return aggregate_rows(tuples, src, op, col, group_by)
@@ -185,8 +198,10 @@ class TriggerEngine:
                 return [(float(sums[col]) / n,)]
         dst = stmt.dst
         if isinstance(self.store.table(dst), StreamTable):
+            plan = self.stream_plans[dst]
+
             def run(ctx, tuples, batch_id, sums):
-                ctx.copy_to_stream(dst, rows(ctx, tuples, sums), batch_id)
+                ctx.append_to(plan, rows(ctx, tuples, sums), batch_id)
         else:
             def run(ctx, tuples, batch_id, sums):
                 for row in rows(ctx, tuples, sums):
@@ -194,14 +209,32 @@ class TriggerEngine:
         return Step(dst, not from_sums, run)
 
     def _check_statement_dag(self) -> None:
-        pairs = [
-            (src, step.writes)
-            for src, steps in self.programs.items()
-            for step in steps
-        ]
-        nodes = set(self.programs).union(dst for _, dst in pairs)
-        if kahn_order(nodes, pairs) is None:
-            raise CycleDetected("statement triggers form a cycle")
+        """Reject a cycle, and a chain that runs more than ``MAX_CHAIN``
+        stream programs, which execution would nest that deep."""
+        programs = dict(self.window_programs)
+        programs.update(
+            (name, p.program)
+            for name, p in self.stream_plans.items()
+            if p.program is not None
+        )
+        chain: dict[str, int] = {}  # source -> stream programs on its longest chain
+
+        def longest(node: str, path: tuple[str, ...]) -> int:
+            if node in path:
+                raise CycleDetected("statement triggers form a cycle")
+            if node not in chain:
+                steps = programs.get(node, ())
+                n = max([longest(s.writes, path + (node,)) for s in steps], default=0)
+                n = chain[node] = n + (node in programs and node in self.stream_plans)
+                if n > MAX_CHAIN:
+                    raise BadDefinition(
+                        f"statement trigger chain from {node} runs {n} stream "
+                        f"programs; at most {MAX_CHAIN} may nest"
+                    )
+            return chain[node]
+
+        for node in programs:
+            longest(node, ())
 
     def register_procedure_trigger(
         self, source: str, target: ProcedureDef, group: Optional[ResolvedGroup] = None
@@ -209,27 +242,23 @@ class TriggerEngine:
         """Fire ``target`` for each batch committed to ``source``; a target
         inside nested group ``group`` fires the group through its first
         entry child, once every entry child's inputs hold the batch."""
-        tab = self.store.table(source)
-        if isinstance(tab, WindowTable):
+        plan = self.stream_plans.get(source)
+        if plan is None:
             raise BadDefinition(
-                f"procedure triggers attach to stream tables only, not window {source}"
+                f"procedure triggers attach to stream tables only; {source} is not one"
             )
-        if not isinstance(tab, StreamTable):
-            raise BadDefinition(f"procedure trigger source {source} is not a stream")
         if source not in target.stream_inputs:
-            raise BadDefinition(
-                f"{target.name} does not read stream {source}"
-            )
-        if source in self.procedure_triggers:
+            raise BadDefinition(f"{target.name} does not read stream {source}")
+        if plan.target is not None:
             raise BadDefinition(f"stream {source} already triggers a procedure")
         entry = (target,) if group is None else group.roots
+        plan.target = entry[0].name
         # a single-input entry is ready by construction: the firing batch
         # just landed on its only input
-        if len(entry) == 1 and len(entry[0].stream_inputs) == 1:
-            ready = ()
-        else:
-            ready = tuple(self.store.stream(s) for p in entry for s in p.stream_inputs)
-        self.procedure_triggers[source] = ProcedureTrigger(source, entry[0].name, ready)
+        if len(entry) > 1 or len(entry[0].stream_inputs) > 1:
+            plan.ready = tuple(
+                self.stream_plans[s].table for p in entry for s in p.stream_inputs
+            )
 
     # --- GC bookkeeping ---
 
@@ -245,23 +274,18 @@ class TriggerEngine:
 
     # --- statement trigger execution ---
 
-    def on_stream_append(self, ctx, stream: str, batch) -> None:
-        """Run the program attached to ``stream``, if any, inside the
-        current transaction (same undo buffer, same commit fate); steps that
-        land rows on another triggered stream or window cascade depth-first
-        through the context."""
-        steps = self.programs.get(stream)
-        if steps is None:
-            return
-        for step in steps:
+    def on_stream_append(self, ctx, plan: StreamPlan, batch) -> None:
+        """Run the program of ``plan``'s stream on a batch just appended to
+        it, inside the current transaction (same undo buffer, same commit
+        fate); steps that land rows on another triggered stream or window
+        cascade depth-first through the context."""
+        for step in plan.program:
             ctx.count_statement()
             step.run(ctx, batch.tuples, batch.batch_id, None)
-        ctx.ee_consumed.append((stream, batch.batch_id))
+        ctx.ee_consumed.append((plan.table.name, batch.batch_id))
 
     def on_window_events(self, ctx, window: str, events: list[FullWindowEvent]):
-        steps = self.programs.get(window)
-        if steps is None:
-            return
+        steps = self.window_programs.get(window, ())
         for ev in events:
             for step in steps:
                 ctx.count_statement()
@@ -278,11 +302,11 @@ class TriggerEngine:
         input stream of the target (or of the target's group roots) holds the
         batch, so the completing producer is the one that enqueues.
         """
-        trig = self.procedure_triggers.get(stream)
-        if not self.pe_enabled or trig is None:
+        if not self.pe_enabled:
             return []
-        if all(batch_id in t.batches for t in trig.ready):
-            return [(trig.target, batch_id)]
+        plan = self.stream_plans[stream]
+        if all(batch_id in t.batches for t in plan.ready):
+            return [(plan.target, batch_id)]
         return []
 
     def refire_nonempty_streams(self) -> list[tuple[str, int]]:
@@ -290,8 +314,10 @@ class TriggerEngine:
         stream as waiting for its consumer, and fire the ready ones (the
         partition drops a round a target already has queued)."""
         out: list[tuple[str, int]] = []
-        for name in sorted(self.procedure_triggers):
-            for batch_id in self.store.stream(name).pending_batches():
+        for name, plan in sorted(self.stream_plans.items()):
+            if plan.target is None:
+                continue
+            for batch_id in plan.table.pending_batches():
                 self.pending.add((name, batch_id))
                 out += self.fire_procedure_triggers(name, batch_id)
         out.sort(key=lambda r: r[1])

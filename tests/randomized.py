@@ -147,8 +147,9 @@ def assert_pending_is_waiting(engine: Engine) -> None:
     triggers = engine.partition.trigger_engine
     held = {
         (s, b)
-        for s in triggers.procedure_triggers
-        for b in engine.store.stream(s).batches
+        for s, plan in triggers.stream_plans.items()
+        if plan.target is not None
+        for b in plan.table.batches
     }
     assert triggers.pending == held, (triggers.pending, held)
 

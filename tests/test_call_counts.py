@@ -1,0 +1,80 @@
+"""Calls per round to the engine's own functions, pinned.
+
+cProfile counts every call to a Python function defined in the ``streamtx``
+package. Two engines built alike run N and 2N rounds under the profiler
+after the same unprofiled warm-up; the difference over N is the steady cost
+of one round, free of setup. The figures match the benchmark's chain and
+window shapes: a strong five-procedure chain with group commit 8, and a
+native window of 1000 tuples sliding by one. Run this file with ``-s`` to
+print them. A change that adds calls to the round path fails here: lower
+the count again, or raise the pin on purpose and say why.
+"""
+
+import cProfile
+import os
+import pstats
+
+import pytest
+
+import streamtx
+from streamtx.engine import Engine
+from streamtx.model import AtomicBatch, Tuple
+from streamtx.recovery import RecoveryMode
+from streamtx.workloads import pe_chain_spec, window_native_spec
+
+SRC = os.path.dirname(streamtx.__file__) + os.sep
+ROUNDS = 64  # five records a round fill 40 group-commit flushes of 8
+
+# calls per round when these pins were set; a flush of 8 records costs a
+# fractional share of a round
+PINS = {"chain": 233.875, "window": 67}
+
+
+def chain_engine(data_dir):
+    return Engine(
+        pe_chain_spec(5, "triggered"), data_dir=data_dir,
+        recovery_mode=RecoveryMode.STRONG, group_commit_max_batch=8,
+        group_commit_max_delay=3600, fsync=False,
+    )
+
+
+def window_engine(data_dir):
+    return Engine(window_native_spec(1000, 1))
+
+
+SHAPES = {"chain": (chain_engine, 16), "window": (window_engine, 1000)}
+
+
+def batches(first, last):
+    return [
+        AtomicBatch(r, (Tuple((r % 7,), tuple_id=r, batch_id=r),))
+        for r in range(first, last + 1)
+    ]
+
+
+def streamtx_calls(shape, data_dir, rounds):
+    """Calls into ``streamtx`` while ``rounds`` rounds run after the warm-up."""
+    make, warmup = SHAPES[shape]
+    engine = make(data_dir)
+    for b in batches(1, warmup):
+        engine.ingest_batch("s1", b)
+        engine.run_until_idle()
+    timed = batches(warmup + 1, warmup + rounds)
+    profile = cProfile.Profile()
+    profile.enable()
+    for b in timed:
+        engine.ingest_batch("s1", b)
+        engine.run_until_idle()
+    profile.disable()
+    engine.close()
+    stats = pstats.Stats(profile).stats  # (file, line, name) -> (cc, nc, ...)
+    return sum(v[1] for k, v in stats.items() if k[0].startswith(SRC))
+
+
+@pytest.mark.parametrize("shape", sorted(PINS))
+def test_calls_per_round_pinned(shape, tmp_path):
+    once = streamtx_calls(shape, str(tmp_path / "n"), ROUNDS)
+    twice = streamtx_calls(shape, str(tmp_path / "2n"), 2 * ROUNDS)
+    per_round = (twice - once) / ROUNDS
+    print(f"\n{shape}: {per_round:g} streamtx calls per round")
+    assert per_round <= PINS[shape]

@@ -147,6 +147,25 @@ def test_unknown_key_rejected(section, key):
         cfgmod.load(text)
 
 
+@pytest.mark.parametrize(
+    "head, body",
+    [
+        ("table", "columns = v:int"),
+        ("stream", "columns = v:int"),
+        ("window", "columns = v:int\nsize = 2\nslide = 1\nowner = p"),
+        ("procedure", "kind = border"),
+        ("trigger", "program = window_insert(w)"),
+        ("group", "children = a, b"),
+    ],
+)
+def test_empty_section_name_rejected(head, body):
+    """A section that declares something by name needs one: ``[stream]``
+    would otherwise build a table named ""."""
+    for header in (f"[{head}]", f"[{head} ]"):
+        with pytest.raises(ConfigError, match=rf"a {head} section needs a name"):
+            cfgmod.load(f"{header}\n{body}\n")
+
+
 def test_unknown_stream_reference_rejected():
     with pytest.raises(ConfigError):
         cfgmod.load(

@@ -277,6 +277,73 @@ def test_failed_checkpoint_stops_the_partition(tmp_path, monkeypatch):
     r.close()
 
 
+def test_close_stops_the_partition_when_its_flush_fails(tmp_path, monkeypatch):
+    # round 1's border record sits in the group-commit buffer; the flush in
+    # close() fails, so that record never reaches the log, and a round after
+    # it must not commit in memory
+    from streamtx.errors import EngineStopped, LogWriteFailure
+    from streamtx.workloads import pe_chain_spec
+
+    e = Engine(
+        pe_chain_spec(2, "triggered"), data_dir=str(tmp_path),
+        recovery_mode=RecoveryMode.WEAK, group_commit_max_batch=8,
+        group_commit_max_delay=3600, fsync=False,
+    )
+    ticket = e.ingest_batch("s1", batch(1))
+    e.run_until_idle()
+    assert ticket.committed and not ticket.acknowledged
+
+    def fail(self, data):
+        raise LogWriteFailure("disk gone")
+
+    monkeypatch.setattr(recovery_mod.AppendFile, "append", fail)
+    with pytest.raises(LogWriteFailure, match="disk gone"):
+        e.close()
+    assert e.partition.stopped
+    assert e.partition.log._file._fh.closed
+    assert e.partition.input_cache._file._fh.closed
+    with pytest.raises(EngineStopped):
+        e.ingest_batch("s1", batch(2))
+    assert e.counters.te_committed == 2  # round 1's two procedures only
+
+
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_engine_refuses_a_used_data_dir(tmp_path, mode):
+    """A second engine on a directory another one wrote would start empty
+    and log commits whose sequence restarts at 1; only recover() reopens
+    it. An engine without a log writes there first at its checkpoint,
+    which checks instead."""
+    from streamtx.errors import BadDefinition
+    from streamtx.workloads import pe_chain_spec
+
+    args = dict(fsync=False)
+    e = Engine(pe_chain_spec(2, "triggered"), data_dir=str(tmp_path),
+               recovery_mode=mode, **args)
+    feed(e, 1, 3)
+    e.close()
+    with pytest.raises(BadDefinition, match="already holds command.log"):
+        Engine(pe_chain_spec(2, "triggered"), data_dir=str(tmp_path),
+               recovery_mode=mode, **args)
+    r = recover(pe_chain_spec(2, "triggered"), str(tmp_path), **args)
+    r.run_until_idle()
+    assert [t.values for t in r.store.table("out").rows] == [(10,), (20,), (30,)]
+    feed(r, 4, 4)
+    r.checkpoint()
+    r.close()
+    os.remove(tmp_path / "command.log")
+    if mode is RecoveryMode.WEAK:
+        with pytest.raises(BadDefinition, match="already holds input.cache"):
+            Engine(pe_chain_spec(2, "triggered"), data_dir=str(tmp_path),
+                   recovery_mode=mode, **args)
+        os.remove(tmp_path / "input.cache")
+    snapshots = sorted(os.listdir(tmp_path))
+    unlogged = Engine(pe_chain_spec(2, "triggered"), data_dir=str(tmp_path), **args)
+    feed(unlogged, 1, 1)
+    with pytest.raises(BadDefinition, match=r"already holds snapshot-\d+\.snap"):
+        unlogged.checkpoint()
+    assert sorted(os.listdir(tmp_path)) == snapshots
+
+
 # --- handles and stale files ---
 
 

@@ -375,7 +375,7 @@ def test_group_partial_order_execution():
     )
     e = Engine(spec)
     # the group runs B and C itself: only a stream into a group fires it
-    assert not e.partition.trigger_engine.procedure_triggers
+    assert all(p.target is None for p in e.partition.stream_plans.values())
     feed(e, [1, 2], stream="s0")
     e.run_until_idle()
     per_round = [

@@ -63,6 +63,104 @@ def test_ee_chain_filters_in_one_te():
     assert e.counters.ee_statement_executions == 3
 
 
+def test_64_stage_chain_commits():
+    e = Engine(ee_chain_spec(64, threshold=0))
+    ticket = e.ingest_batch("s1", AtomicBatch(1, (Tuple((7,), 1, 1),)))
+    e.run_until_idle()
+    assert ticket.committed
+    assert [t.values for t in e.store.stream("s65").rows] == [(7,)]
+    assert e.counters.ee_statement_executions == 64
+
+
+def test_65_stage_chain_rejected_at_registration():
+    """The chain bound is checked once, when the programs register, not by
+    aborting every round at run time."""
+    with pytest.raises(BadDefinition, match="chain from s1 runs 65 stream programs"):
+        Engine(ee_chain_spec(65))
+
+
+def test_chain_bound_counts_stream_programs_through_windows():
+    # s1 -> w -> s2 -> ... -> s64: 64 stream programs with a window between
+    # the first two still registers; one more stream program does not
+    def spec(stages):
+        streams = [StreamDef(f"s{i}", VAL_COLS) for i in range(1, stages + 2)]
+        triggers = [
+            StatementTrigger("s1", (WindowInsertStmt("s1", "w"),)),
+            StatementTrigger("w", (AggregateInsert("w", "s2", "sum", "value"),)),
+        ] + [
+            StatementTrigger(f"s{i}", (FilteredCopy(f"s{i}", f"s{i + 1}"),))
+            for i in range(2, stages + 1)
+        ]
+        w = register_workflow("ew", [ProcedureDef(
+            "SP1", ProcedureKind.BORDER, ("s1",),
+            window_defs=(WindowSpec("w", 1, 1, "SP1"),),
+        )])
+        return EngineSpec(
+            workflows=[w], streams=streams, window_columns={"w": VAL_COLS},
+            statement_triggers=triggers,
+        )
+
+    e = Engine(spec(64))
+    ticket = e.ingest_batch("s1", AtomicBatch(1, (Tuple((7,), 1, 1),)))
+    e.run_until_idle()
+    assert ticket.committed
+    assert [t.values for t in e.store.stream("s65").rows] == [(7,)]
+    with pytest.raises(BadDefinition, match="runs 65 stream programs"):
+        Engine(spec(65))
+
+
+def window_events_spec(program):
+    """A border feeds window ``w`` from its body; ``w`` runs ``program``."""
+
+    def body(ctx):
+        ctx.window_insert("w", ctx.input_tuples("s1"))
+
+    w = register_workflow("we", [ProcedureDef(
+        "SP1", ProcedureKind.BORDER, ("s1",), body=body,
+        window_defs=(WindowSpec("w", 2, 1, "SP1"),),
+    )])
+    return EngineSpec(
+        workflows=[w],
+        streams=[StreamDef("s1", VAL_COLS)],
+        tables=[TableDef("t", (("v", "float"),))],
+        window_columns={"w": VAL_COLS},
+        statement_triggers=[StatementTrigger("w", program)] if program else [],
+    )
+
+
+def rows_seen_by_window_events(spec):
+    """The rows each window event carried, as on_window_events saw them."""
+    e = Engine(spec)
+    triggers = e.partition.trigger_engine
+    real = triggers.on_window_events
+    seen = []
+
+    def spy(ctx, window, events):
+        seen.extend(ev.tuples for ev in events)
+        return real(ctx, window, events)
+
+    triggers.on_window_events = spy
+    for r, v in enumerate((1, 2, 3), 1):
+        e.ingest_batch("s1", AtomicBatch(r, (Tuple((v,), r, r),)))
+    e.run_until_idle()
+    return e, seen
+
+
+def test_window_program_of_sums_fires_events_without_rows():
+    e, seen = rows_seen_by_window_events(window_events_spec(
+        (AggregateInsert("w", "t", "avg", "value"),)
+    ))
+    assert seen == [None, None]
+    assert [t.values for t in e.store.table("t").rows] == [(1.5,), (2.5,)]
+
+
+def test_window_without_program_keeps_its_rows():
+    # on_window_events runs for every insert that fires events, with or
+    # without a program, and a window no program reads keeps its rows
+    _, seen = rows_seen_by_window_events(window_events_spec(()))
+    assert [[t.values[0] for t in rows] for rows in seen] == [[1, 2], [2, 3]]
+
+
 def test_ee_chain_abort_reverts_everything():
     spec = ee_chain_spec(3)
 
@@ -95,7 +193,9 @@ def test_empty_program_is_noop():
     te = TriggerEngine(store)
     te.register_statement_trigger(StatementTrigger("s", ()))
     # no context needed: program has nothing to run
-    te.on_stream_append(_NullCtx(), "s", AtomicBatch(1, (Tuple((1,), 1, 1),)))
+    te.on_stream_append(
+        _NullCtx(), te.stream_plans["s"], AtomicBatch(1, (Tuple((1,), 1, 1),))
+    )
 
 
 class _NullCtx:
