@@ -9,7 +9,8 @@
 ``run`` feeds the CSV named by the config's ``[feed] source`` into its
 stream, batched by ``batch_mode`` and ``batch_size``; a ``ts`` column, when
 the file has one, gives each tuple's timestamp.
-Exit code 0 means every embedded assertion held.
+Exit code 0 means every embedded assertion held; an engine error
+(``StreamTxError``) prints one line on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ from .bench import (
     run_window_bench,
 )
 from .engine import Engine, recover
+from .errors import StreamTxError, UnknownTable
 from .ingest import BatchingPolicy, FeedSource, StreamIngestor
 from .model import TransactionExecution
 from .recovery import RecoveryMode
+from .storage import make_schema
 from .validator import validate
 from .workloads import build_spec_from_config, make_vote_trace
 
@@ -167,6 +170,17 @@ def cmd_recover(args) -> int:
 def cmd_run(args) -> int:
     cfg = cfgmod.load_file(args.config)
     spec = build_spec_from_config(cfg)
+    stream = cfg.feed.stream
+    scheme, _, arg = cfg.feed.source.partition(":")
+    if scheme != "csv":
+        print("run needs a csv feed source", file=sys.stderr)
+        return 2
+    # the whole feed loads before the engine creates anything in data_dir,
+    # so a bad feed leaves the directory as it was
+    columns = {s.name: s.columns for s in spec.streams}
+    if stream not in columns:
+        raise UnknownTable(f"feed stream {stream} is not a stream")
+    feed = FeedSource.from_csv(arg, make_schema(*columns[stream]))
     recovery = None if cfg.recovery == "none" else RecoveryMode[cfg.recovery.upper()]
     engine = Engine(
         spec,
@@ -175,13 +189,6 @@ def cmd_run(args) -> int:
         group_commit_max_batch=cfg.group_commit_max_batch,
         group_commit_max_delay=cfg.group_commit_max_delay_ms / 1000.0,
     )
-    stream = cfg.feed.stream
-    scheme, _, arg = cfg.feed.source.partition(":")
-    if scheme == "csv":
-        feed = FeedSource.from_csv(arg, engine.store.stream(stream).schema)
-    else:
-        print("run needs a csv feed source", file=sys.stderr)
-        return 2
     policy = BatchingPolicy(cfg.feed.batch_mode, cfg.feed.batch_size)
     ing = StreamIngestor(engine, stream, policy)
     delay = 1.0 / args.rate if args.rate else 0.0
@@ -243,7 +250,11 @@ def main(argv=None) -> int:
     x.set_defaults(fn=cmd_run)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except StreamTxError as e:
+        print(f"streamtx {args.command}: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,9 +17,10 @@ MAX_TEXT_BYTES.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 from .errors import TypeMismatch
 from .model import MAX_TEXT_BYTES, AtomicBatch, Tuple
@@ -29,7 +30,6 @@ _Q = struct.Struct("<q")
 _D = struct.Struct("<d")
 _H = struct.Struct("<H")
 _I = struct.Struct("<I")
-_ROW_HEAD = struct.Struct("<qqq")
 _BATCH_HEAD = struct.Struct("<qI")
 _TUPLE_HEAD = struct.Struct("<qqH")
 
@@ -61,34 +61,85 @@ _TAGS = {kind: bytes([i]) for i, kind in enumerate(_SCALARS)}
 _TAGGED_DECODERS = [decode for _, decode in _SCALARS.values()]
 
 
+@functools.cache
 def row_codec(schema: Schema) -> tuple[Callable, Callable]:
-    """Encoder ``rows -> bytearray`` and decoder ``(buf, off, n) -> (rows, off)``
-    of one schema's rows."""
-    kinds = [PY_TYPES[c.type] for c in schema]
-    encoders = [_SCALARS[k][0] for k in kinds]
-    decoders = [_SCALARS[k][1] for k in kinds]
+    """Encoder ``rows -> bytes`` and decoder ``(buf, off, n) -> (rows, off)``
+    of one schema's rows.
 
-    def encode(rows) -> bytearray:
-        out = bytearray()
-        for t in rows:
-            out += _ROW_HEAD.pack(t.tuple_id, t.batch_id, t.ts)
-            for e, v in zip(encoders, t.values):
-                out += e(v)
-        return out
+    Compiled once per schema into Python source, as ``namedtuple`` builds
+    its methods: each run of fixed-width fields, the row head included,
+    packs and unpacks with one ``struct.Struct``, which also carries the
+    length prefix of the text field that ends the run; the text's bytes
+    follow. The bytes equal those of encoding each field alone. A schema
+    without text decodes with ``iter_unpack``, once ``n`` rows fit in
+    ``buf``; a short buffer raises ``ValueError`` or ``struct.error``."""
+    env = {"Tuple": Tuple, "new": tuple.__new__}
+    runs: list[tuple[list[str], Optional[str]]] = []  # (fields, text field)
+    fields, fmt = ["tid", "bid", "ts"], "<qqq"
+    for i, c in enumerate(schema):
+        kind = PY_TYPES[c.type]
+        if kind is str:
+            runs.append((fields, f"v{i}"))
+            env[f"s{len(runs) - 1}"] = struct.Struct(fmt + "H")
+            fields, fmt = [], "<"
+        else:
+            fields.append(f"v{i}")
+            fmt += "q" if kind is int else "d"
+    if fields:
+        runs.append((fields, None))
+        env[f"s{len(runs) - 1}"] = struct.Struct(fmt)
+    values = "".join(f"v{i}, " for i in range(len(schema)))
+    row = f"new(Tuple, (({values}), tid, bid, ts))"
+    if len(runs) == 1 and runs[0][1] is None:  # no text: one struct per row
+        head = ", ".join(runs[0][0])
+        source = f"""
+def encode(rows):
+    return b"".join([s0.pack({head}) for ({values}), tid, bid, ts in rows])
 
-    def decode(buf: bytes, off: int, n: int) -> tuple[list[Tuple], int]:
-        rows = []
-        for _ in range(n):
-            tuple_id, batch_id, ts = _ROW_HEAD.unpack_from(buf, off)
-            off += _ROW_HEAD.size
-            values = []
-            for d in decoders:
-                v, off = d(buf, off)
-                values.append(v)
-            rows.append(Tuple(tuple(values), tuple_id, batch_id, ts))
-        return rows, off
+def decode(buf, off, n):
+    end = off + n * s0.size
+    if end > len(buf):
+        raise ValueError(f"{{n}} rows run past the end")
+    view = memoryview(buf)[off:end]
+    return [{row} for {head} in s0.iter_unpack(view)], end
+"""
+    else:
+        enc, dec = [], []
+        for k, (names, text) in enumerate(runs):
+            packed = names + ([f"len(b_{text})"] if text else [])
+            unpacked = names + ([f"n_{text}"] if text else [])
+            if text:
+                enc.append(f"b_{text} = {text}.encode()")
+            enc.append(f"out.append(s{k}.pack({', '.join(packed)}))")
+            dec.append(f"{', '.join(unpacked)}, = s{k}.unpack_from(buf, off)")
+            dec.append(f"off += {env[f's{k}'].size}")
+            if text:
+                enc.append(f"out.append(b_{text})")
+                dec += [
+                    f"end = off + n_{text}",
+                    "if end > len(buf):",
+                    "    raise ValueError('text runs past the end')",
+                    f"{text} = buf[off:end].decode()",
+                    "off = end",
+                ]
+        enc_body = "\n        ".join(enc)
+        dec_body = "\n        ".join(dec)
+        source = f"""
+def encode(rows):
+    out = []
+    for ({values}), tid, bid, ts in rows:
+        {enc_body}
+    return b"".join(out)
 
-    return encode, decode
+def decode(buf, off, n):
+    rows = []
+    for _ in range(n):
+        {dec_body}
+        rows.append({row})
+    return rows, off
+"""
+    exec(source, env)
+    return env["encode"], env["decode"]
 
 
 def _tagged(v) -> bytes:

@@ -126,6 +126,7 @@ class Engine:
         triggers = TriggerEngine(store)
         for st in spec.statement_triggers:
             triggers.register_statement_trigger(st)
+        triggers.unread_windows_carry_no_rows()
         if spec.use_procedure_triggers:
             for w in spec.workflows:
                 for e in w.edges:

@@ -238,10 +238,11 @@ class TEContext:
         tuples = []
         for tid, r in zip(ids, rows):
             if isinstance(r, Tuple):
-                tuples.append(Tuple(r.values, tuple_id=tid, batch_id=batch_id, ts=r.ts))
+                tuples.append(Tuple(r.values, tid, batch_id, r.ts))
             else:
-                tuples.append(Tuple(tuple(r), tuple_id=tid, batch_id=batch_id, ts=ts))
-        batch = AtomicBatch(batch_id, tuple(tuples))
+                tuples.append(Tuple(tuple(r), tid, batch_id, ts))
+        # every tuple carries batch_id, so the batch needs no check
+        batch = AtomicBatch._make((batch_id, tuple(tuples)))
         self.store.insert_batch(stream, batch, self.undo)
         triggers = self.partition.trigger_engine
         if plan.target is not None and (stream, batch_id) not in self.emitted:
@@ -409,7 +410,8 @@ class Partition:
     def fail_stop(self, write: Callable, *args) -> None:
         """Call ``write``, which writes the log, the input cache or a
         checkpoint's files. A failed write stops the partition for good, so
-        memory never runs ahead of its files."""
+        memory never runs ahead of its files. The commit path makes the same
+        guard once, around its log writes, in ``_execute_group``."""
         try:
             write(*args)
         except LogWriteFailure:
@@ -469,7 +471,11 @@ class Partition:
                 ran.append((ctx, child_req))
         finally:
             self._end()
-        self._commit_group(req, plan, ran)
+        try:
+            self._commit_group(req, plan, ran)
+        except LogWriteFailure:  # the one fail-stop guard of the commit path
+            self.stopped = True
+            raise
         return "committed"
 
     def _run_one(self, plan: ProcedurePlan, req: TERequest):
@@ -529,8 +535,10 @@ class Partition:
     def _commit_group(self, req: TERequest, plan: ProcedurePlan, ran) -> None:
         """Commit ``ran``, ``req``'s execution and, inside a group, the other
         children that ran, as one transaction. Its one log record is ``req``
-        at the group's first commit seq; the ticket's commit seq is its last."""
+        at the group's first commit seq; the ticket's commit seq is its last.
+        ``_execute_group`` stops the partition when a log write fails."""
         ticket = req.ticket
+        log = self.log
         # a replayed transaction is already in the log
         if req.origin is Origin.RECOVERY or not plan.logged:
             if ticket is not None:
@@ -541,7 +549,7 @@ class Partition:
                 tuple(self._dropped),
             )
             self._dropped.clear()
-            self.fail_stop(self.log.append, record, ticket)
+            log.append(record, ticket)
             self.counters.log_records += 1
         for ctx, child in ran:
             self.commit_seq += 1
@@ -562,7 +570,7 @@ class Partition:
             ticket.commit_seq = self.commit_seq
         if self.post_commit_hook is not None:
             self.post_commit_hook(self)
-        self.fail_stop(self.log.maybe_flush)
+        log.maybe_flush()
 
     def _finish_abort(
         self,

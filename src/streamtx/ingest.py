@@ -37,7 +37,9 @@ class FeedSource:
 
     @classmethod
     def from_values(cls, values: Iterable, ts: int = 0) -> "FeedSource":
-        return cls([(tuple(v) if isinstance(v, (tuple, list)) else (v,), ts) for v in values])
+        """One row per item: a ``Tuple`` gives its values, a tuple or list
+        is the row, anything else a one-value row."""
+        return cls([(_row_values(v), ts) for v in values])
 
     @classmethod
     def from_csv(cls, path: str, schema, ts_column: str = "ts") -> "FeedSource":
@@ -62,6 +64,12 @@ class FeedSource:
                 ts = int(line[ts_column]) if has_ts else 0
                 rows.append((tuple(values), ts))
         return cls(rows)
+
+
+def _row_values(v) -> tuple:
+    if isinstance(v, Tuple):  # a tuple too, but its row is its values
+        return v.values
+    return tuple(v) if isinstance(v, (tuple, list)) else (v,)
 
 
 class StreamIngestor:

@@ -1,14 +1,18 @@
 """Core domain vocabulary: tuples, batches, procedures, workflows, executions.
 
-Everything here is immutable after construction and safe to share; all
-validation happens at registration time.
+The records the execution path builds per row and per commit (``Tuple``,
+``AtomicBatch``, ``TransactionExecution``) are named tuples: they build
+without a frozen dataclass's per-field ``object.__setattr__`` and still
+refuse assignment. The definitions (``ProcedureDef``, ``Workflow`` and the
+rest) are frozen dataclasses. Nothing here changes once built, so all of
+it is safe to share; all validation happens at registration time.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadDefinition,
@@ -23,9 +27,12 @@ Value = int | float | str
 MAX_TEXT_BYTES = 64
 
 
-@dataclass(frozen=True, slots=True)
-class Tuple:
-    """One stream or table row: scalar values plus ordering metadata."""
+class Tuple(NamedTuple):
+    """One stream or table row: scalar values plus ordering metadata.
+
+    Bodies reach rows through ``select`` and ``input_tuples``; assigning to
+    a field raises ``AttributeError``, which aborts the execution, so no
+    change bypasses the undo buffer and the indexes."""
 
     values: tuple[Value, ...]
     tuple_id: int = 0
@@ -33,21 +40,27 @@ class Tuple:
     ts: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class AtomicBatch:
-    """A contiguous run of stream tuples processed as one indivisible unit."""
-
+class _Batch(NamedTuple):
     batch_id: int
     tuples: tuple[Tuple, ...]
 
-    def __post_init__(self):
-        if not self.tuples:
+
+class AtomicBatch(_Batch):
+    """A contiguous run of stream tuples processed as one indivisible unit.
+
+    Building one checks that it is nonempty and that every tuple carries
+    its id. ``AtomicBatch._make((batch_id, tuples))`` skips the check; the
+    engine uses it for the batches whose ids it has just stamped."""
+
+    __slots__ = ()
+
+    def __new__(cls, batch_id: int, tuples: tuple[Tuple, ...]):
+        if not tuples:
             raise BadDefinition("atomic batch must be nonempty")
-        for t in self.tuples:
-            if t.batch_id != self.batch_id:
-                raise BadDefinition(
-                    f"tuple batch_id {t.batch_id} != batch {self.batch_id}"
-                )
+        for t in tuples:
+            if t.batch_id != batch_id:
+                raise BadDefinition(f"tuple batch_id {t.batch_id} != batch {batch_id}")
+        return tuple.__new__(cls, (batch_id, tuples))
 
 
 class ProcedureKind(enum.Enum):
@@ -169,8 +182,7 @@ class ResolvedGroup:
     roots: tuple[ProcedureDef, ...]  # children fed only from outside the group
 
 
-@dataclass(frozen=True, slots=True)
-class TransactionExecution:
+class TransactionExecution(NamedTuple):
     """One committed instance of a procedure."""
 
     procedure: str

@@ -36,7 +36,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .codec import decode_batches, encode_batches, encode_text, frame, frames, text_at
 from .errors import CorruptLogRecord, LogWriteFailure
@@ -56,8 +56,7 @@ class RecoveryMode(enum.Enum):
     WEAK = 2
 
 
-@dataclass(frozen=True, slots=True)
-class CommandLogRecord:
+class CommandLogRecord(NamedTuple):
     """One committed transaction, and the (stream, batch) pairs that the
     aborts since the previous record dropped."""
 

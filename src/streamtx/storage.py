@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import (
     BadDefinition,
@@ -71,8 +71,7 @@ class Pred:
             raise BadDefinition(f"unknown comparison operator {self.op!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class FullWindowEvent:
+class FullWindowEvent(NamedTuple):
     """Emitted when a window completes a slide: the new active contents and
     the running sum of each int column over them, as they stood at this
     slide (one insert may fire several events before any trigger runs).
@@ -203,8 +202,8 @@ class WindowTable(_BaseTable):
     ``sums`` keeps the exact sum of each int column over ``active``, updated
     as tuples are admitted and expire, so count, sum and avg of a full window
     cost O(1) per event. It is derived state: snapshots leave it out and
-    ``recompute_sums`` rebuilds it. Registering a statement program on the
-    window sets ``events_carry_rows``.
+    ``recompute_sums`` rebuilds it. ``events_carry_rows`` starts true; an
+    engine clears it unless the window's statement program reads rows.
     """
 
     kind = "window"

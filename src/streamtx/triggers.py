@@ -119,8 +119,8 @@ class TriggerEngine:
 
     def register_statement_trigger(self, trig: StatementTrigger) -> None:
         """Resolve ``trig``'s program onto its stream's plan, or its window.
-        A window's events carry its rows exactly when some step reads them;
-        a window with no program keeps them."""
+        A window's events carry its rows exactly when some step reads them
+        (see also ``unread_windows_carry_no_rows``)."""
         src = self.store.table(trig.source)
         plan = self.stream_plans.get(trig.source)
         if plan is None and not isinstance(src, WindowTable):
@@ -143,6 +143,14 @@ class TriggerEngine:
             self.window_programs[trig.source] = steps
             src.events_carry_rows = any(s.reads_rows for s in steps)
         self._check_statement_dag()
+
+    def unread_windows_carry_no_rows(self) -> None:
+        """Once every statement trigger has registered, stop a window that
+        runs no program from copying its rows into its events: in an engine
+        nothing else reads them. A bare store's windows keep them."""
+        for name, tab in self.store.tables.items():
+            if isinstance(tab, WindowTable) and name not in self.window_programs:
+                tab.events_carry_rows = False
 
     def _resolve(self, src, stmt) -> Step:
         """Check one statement against the catalog and build its step."""

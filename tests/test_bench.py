@@ -359,3 +359,37 @@ source = csv:%s
     summary = json.loads(capsys.readouterr().out)
     assert summary["batches"] == 3  # ts 1, 1, 2, 3
     assert summary["committed"] == 3
+
+
+def test_cli_run_bad_feed_leaves_data_dir_unused(tmp_path, capsys):
+    from streamtx.cli import main
+
+    feed = tmp_path / "feed.csv"
+    feed.write_text("wrong\n5\n")
+    cfg = tmp_path / "wl.cfg"
+    cfg.write_text(
+        """
+[engine]
+recovery = strong
+
+[stream s1]
+columns = value:int
+
+[procedure head]
+kind = border
+streams = s1
+body = builtin:noop
+
+[feed]
+stream = s1
+source = csv:%s
+"""
+        % feed
+    )
+    data = tmp_path / "data"
+    for _ in range(2):  # the second run finds the directory as the first left it
+        assert main(["run", "--config", str(cfg), "--data-dir", str(data)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "streamtx run: SchemaMismatch: feed missing column value\n"
+        assert not (data / "command.log").exists()

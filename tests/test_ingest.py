@@ -8,7 +8,7 @@ from streamtx.ingest import (
     StreamIngestor,
     ingest,
 )
-from streamtx.model import ProcedureDef, ProcedureKind, register_workflow
+from streamtx.model import ProcedureDef, ProcedureKind, Tuple, register_workflow
 
 VAL_COLS = (("value", "int"),)
 
@@ -203,3 +203,9 @@ def test_hundred_async_calls_all_resolve():
     e.run_until_idle()
     assert all(t.committed for t in tickets)
     assert len(e.store.table("t").rows) == 100
+
+
+def test_from_values_takes_a_tuple_as_its_values():
+    # a Tuple is a tuple too, but its four fields are not a row
+    feed = FeedSource.from_values([Tuple((1, "a"), 5, 5, 9), (2, "b"), [3, "c"], 4], ts=7)
+    assert feed.rows == [((1, "a"), 7), ((2, "b"), 7), ((3, "c"), 7), ((4,), 7)]

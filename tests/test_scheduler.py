@@ -245,6 +245,41 @@ def test_body_exception_aborts_its_execution():
     ]
 
 
+@pytest.mark.parametrize("source", ["select", "input_tuples"])
+def test_body_cannot_change_a_row_it_read(source):
+    # rows reach a body by reference; a change in place would bypass the
+    # undo buffer and the index, so assigning to one aborts the execution
+    def body(ctx):
+        if source == "select":
+            (row,) = ctx.select("t", Pred("value", "==", 2))
+        else:
+            (row,) = ctx.input_tuples("s1")
+        row.values = (99,)
+
+    w = register_workflow(
+        "w", [ProcedureDef("SP1", ProcedureKind.BORDER, ("s1",), body=body)]
+    )
+    spec = EngineSpec(
+        workflows=[w],
+        streams=[StreamDef("s1", VAL_COLS)],
+        tables=[TableDef("t", VAL_COLS, indexes=("value",))],
+        seed_rows={"t": [(1,), (2,)]},
+    )
+    e = Engine(spec)
+    before = snapshot_state(e.store)
+    (ticket,) = feed(e, [5])
+    e.run_until_idle()
+    assert ticket.outcome == "aborted"
+    assert ticket.reason.startswith("AttributeError")
+    t = e.store.table("t")
+    assert [r.values for r in t.rows] == [(1,), (2,)]
+    assert {k: [r.values for r in b] for k, b in t.indexes["value"].items()} == {
+        1: [(1,)], 2: [(2,)]
+    }
+    assert e.store.stream("s1").rows == []
+    assert snapshot_state(e.store) == before
+
+
 def test_empty_body_commits():
     w = register_workflow("w", [ProcedureDef("Q", ProcedureKind.OLTP)])
     e = Engine(EngineSpec(workflows=[w]))

@@ -154,11 +154,16 @@ def test_window_program_of_sums_fires_events_without_rows():
     assert [t.values for t in e.store.table("t").rows] == [(1.5,), (2.5,)]
 
 
-def test_window_without_program_keeps_its_rows():
+def test_window_without_program_carries_no_rows():
     # on_window_events runs for every insert that fires events, with or
-    # without a program, and a window no program reads keeps its rows
-    _, seen = rows_seen_by_window_events(window_events_spec(()))
-    assert [[t.values[0] for t in rows] for rows in seen] == [[1, 2], [2, 3]]
+    # without a program; nothing in an engine reads the rows of a window
+    # that runs no program, so its events carry none, while the window
+    # itself still slides
+    e, seen = rows_seen_by_window_events(window_events_spec(()))
+    assert seen == [None, None]
+    w = e.store.window("w")
+    assert [t.values for t in w.active] == [(2,), (3,)]
+    assert w.events_emitted == 2
 
 
 def test_ee_chain_abort_reverts_everything():
