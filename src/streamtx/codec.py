@@ -2,17 +2,19 @@
 
     scalars  int <q, float <d, text as len u16 | UTF-8
     row      tuple_id, batch_id, ts as <qqq | each value in its column's
-             scalar encoding (snapshots)
+             scalar encoding (snapshots, and the rows of a batch)
     batches  stream count u16, then per stream: name text | batch_id <q |
-             tuple count u32, then per tuple: tuple_id <q | ts <q |
-             value count u16 | per value a tag u8 (0 int, 1 float, 2 text)
-             and the scalar (border args and input-cache records)
+             tuple count u32 | column count u16 | a type code u8 per column
+             (0 int, 1 float, 2 text) | the rows (border args and
+             input-cache records)
     frame    len u32 | payload | CRC32 of len and payload (command log and
              input cache)
 
-Batches describe themselves: their producers know no schema. Encoding one
-raises TypeMismatch for any value that is not int, float or text of at most
-MAX_TEXT_BYTES.
+Batches describe themselves, so the log reads without the spec. The codec
+checks no value: ``check_row`` (storage) is the one rule, and the engine
+runs it on every row before it encodes or keeps one. A batch's rows take
+the column types of its first row; a type outside int, float and text, or
+a row the structs cannot pack, raises TypeMismatch.
 """
 
 from __future__ import annotations
@@ -24,14 +26,12 @@ from typing import Callable, Iterator, Optional
 
 from .errors import TypeMismatch
 from .model import MAX_TEXT_BYTES, AtomicBatch, Tuple
-from .storage import PY_TYPES, Schema
 
-_Q = struct.Struct("<q")
-_D = struct.Struct("<d")
+TYPE_CODES = {int: 0, float: 1, str: 2}  # a column's type, as snapshot shapes number it
+_CODE_TYPES = tuple(TYPE_CODES)
 _H = struct.Struct("<H")
 _I = struct.Struct("<I")
-_BATCH_HEAD = struct.Struct("<qI")
-_TUPLE_HEAD = struct.Struct("<qqH")
+_BATCH_HEAD = struct.Struct("<qIH")  # batch_id, tuple count, column count
 
 
 def encode_text(s: str) -> bytes:
@@ -47,37 +47,24 @@ def text_at(buf: bytes, off: int) -> tuple[str, int]:
     return buf[off + 2 : end].decode(), end
 
 
-def _fixed_at(st: struct.Struct) -> Callable:
-    return lambda buf, off: (st.unpack_from(buf, off)[0], off + st.size)
-
-
-# Python type -> (encoder, decoder); a batch value's tag is its type's position
-_SCALARS = {
-    int: (_Q.pack, _fixed_at(_Q)),
-    float: (_D.pack, _fixed_at(_D)),
-    str: (encode_text, text_at),
-}
-_TAGS = {kind: bytes([i]) for i, kind in enumerate(_SCALARS)}
-_TAGGED_DECODERS = [decode for _, decode in _SCALARS.values()]
-
-
 @functools.cache
-def row_codec(schema: Schema) -> tuple[Callable, Callable]:
+def row_codec(types: tuple[type, ...]) -> tuple[Callable, Callable]:
     """Encoder ``rows -> bytes`` and decoder ``(buf, off, n) -> (rows, off)``
-    of one schema's rows.
+    of rows whose columns have these value types (``int``, ``float``,
+    ``str``), so tables and batches of the same types share one.
 
-    Compiled once per schema into Python source, as ``namedtuple`` builds
+    Compiled on first use into Python source, as ``namedtuple`` builds
     its methods: each run of fixed-width fields, the row head included,
     packs and unpacks with one ``struct.Struct``, which also carries the
     length prefix of the text field that ends the run; the text's bytes
-    follow. The bytes equal those of encoding each field alone. A schema
-    without text decodes with ``iter_unpack``, once ``n`` rows fit in
-    ``buf``; a short buffer raises ``ValueError`` or ``struct.error``."""
+    follow. The bytes equal those of encoding each field alone. Rows
+    without text decode with ``iter_unpack``, once ``n`` rows fit in
+    ``buf``; a short buffer, or a text longer than ``check_row`` lets a
+    table hold, raises ``ValueError`` or ``struct.error``."""
     env = {"Tuple": Tuple, "new": tuple.__new__}
     runs: list[tuple[list[str], Optional[str]]] = []  # (fields, text field)
     fields, fmt = ["tid", "bid", "ts"], "<qqq"
-    for i, c in enumerate(schema):
-        kind = PY_TYPES[c.type]
+    for i, kind in enumerate(types):
         if kind is str:
             runs.append((fields, f"v{i}"))
             env[f"s{len(runs) - 1}"] = struct.Struct(fmt + "H")
@@ -88,7 +75,7 @@ def row_codec(schema: Schema) -> tuple[Callable, Callable]:
     if fields:
         runs.append((fields, None))
         env[f"s{len(runs) - 1}"] = struct.Struct(fmt)
-    values = "".join(f"v{i}, " for i in range(len(schema)))
+    values = "".join(f"v{i}, " for i in range(len(types)))
     row = f"new(Tuple, (({values}), tid, bid, ts))"
     if len(runs) == 1 and runs[0][1] is None:  # no text: one struct per row
         head = ", ".join(runs[0][0])
@@ -117,8 +104,8 @@ def decode(buf, off, n):
                 enc.append(f"out.append(b_{text})")
                 dec += [
                     f"end = off + n_{text}",
-                    "if end > len(buf):",
-                    "    raise ValueError('text runs past the end')",
+                    f"if n_{text} > {MAX_TEXT_BYTES} or end > len(buf):",
+                    "    raise ValueError('text too long or past the end')",
                     f"{text} = buf[off:end].decode()",
                     "off = end",
                 ]
@@ -142,26 +129,30 @@ def decode(buf, off, n):
     return env["encode"], env["decode"]
 
 
-def _tagged(v) -> bytes:
-    kind = type(v)  # bool is not int here, as in check_row
-    if kind not in _TAGS:
-        raise TypeMismatch(f"cannot encode {kind.__name__} value {v!r}")
-    body = _SCALARS[kind][0](v)
-    if kind is str and len(body) > 2 + MAX_TEXT_BYTES:
-        raise TypeMismatch(f"text exceeds {MAX_TEXT_BYTES} bytes")
-    return _TAGS[kind] + body
+@functools.cache
+def _batch_codec(types: tuple[type, ...]) -> tuple[bytes, Callable]:
+    """The type codes of a batch whose rows have these column types, and
+    its rows' encoder."""
+    try:
+        codes = bytes(TYPE_CODES[kind] for kind in types)
+    except KeyError as e:
+        raise TypeMismatch(f"cannot encode a {e.args[0].__name__} value") from None
+    return codes, row_codec(types)[0]
+
+
+@functools.cache
+def _decoder(codes: bytes) -> Callable:
+    return row_codec(tuple(_CODE_TYPES[c] for c in codes))[1]
 
 
 def encode_batches(batches: dict[str, AtomicBatch]) -> bytes:
     out = [_H.pack(len(batches))]
     try:
-        for stream, batch in batches.items():
-            head = _BATCH_HEAD.pack(batch.batch_id, len(batch.tuples))
-            out += (encode_text(stream), head)
-            for t in batch.tuples:
-                out.append(_TUPLE_HEAD.pack(t.tuple_id, t.ts, len(t.values)))
-                out.extend(map(_tagged, t.values))
-    except struct.error as e:  # an int outside 64 bits, say
+        for stream, (batch_id, tuples) in batches.items():
+            codes, encode_rows = _batch_codec(tuple(map(type, tuples[0].values)))
+            head = _BATCH_HEAD.pack(batch_id, len(tuples), len(codes))
+            out += (encode_text(stream), head, codes, encode_rows(tuples))
+    except struct.error as e:  # a row head outside int64, say
         raise TypeMismatch(str(e)) from e
     return b"".join(out)
 
@@ -172,18 +163,11 @@ def decode_batches(buf: bytes) -> dict[str, AtomicBatch]:
     out: dict[str, AtomicBatch] = {}
     for _ in range(n_streams):
         stream, off = text_at(buf, off)
-        batch_id, n_tuples = _BATCH_HEAD.unpack_from(buf, off)
+        batch_id, n_tuples, n_cols = _BATCH_HEAD.unpack_from(buf, off)
         off += _BATCH_HEAD.size
-        tuples = []
-        for _ in range(n_tuples):
-            tuple_id, ts, n_values = _TUPLE_HEAD.unpack_from(buf, off)
-            off += _TUPLE_HEAD.size
-            values = []
-            for _ in range(n_values):
-                v, off = _TAGGED_DECODERS[buf[off]](buf, off + 1)
-                values.append(v)
-            tuples.append(Tuple(tuple(values), tuple_id, batch_id, ts))
-        out[stream] = AtomicBatch(batch_id, tuple(tuples))
+        decode = _decoder(buf[off : off + n_cols])
+        rows, off = decode(buf, off + n_cols, n_tuples)
+        out[stream] = AtomicBatch(batch_id, tuple(rows))
     return out
 
 

@@ -199,12 +199,13 @@ class Engine:
         A border runs its rounds in increasing order: a round with every
         input batch is submitted once no lower round waits for one, and a
         batch for a round already submitted or consumed, or a second one from
-        a stream, raises ``BadDefinition``. Encoding checks the values before
-        anything keeps the batch; it then lands in the input cache (written
-        to its file in weak mode), so an unacknowledged round survives a
-        crash. The encoded round is the request's args, which the log keeps;
-        the request also carries the batches themselves, so the live
-        execution decodes nothing. The call that completes a round returns
+        a stream, raises ``BadDefinition``. The stream's ``check_row``, the
+        one value rule, accepts every tuple before anything encodes or keeps
+        the batch; it then lands in the input cache (written to its file in
+        weak mode), so an unacknowledged round survives a crash. The
+        encoded round is the request's args, which the log keeps; the
+        request also carries the batches themselves, so the live execution
+        decodes nothing. The call that completes a round returns
         its ticket, even while the round waits; earlier calls return None.
         """
         if self.partition.stopped:
@@ -213,15 +214,17 @@ class Engine:
         if plan is None:
             raise BadDefinition(f"stream {stream} is not a border input")
         proc_name = plan.proc.name
+        table = self.partition.stream_plans[stream].table
         round_ = batch.batch_id
         slot = self._feeder_pending.get(proc_name, {}).get(round_)
         if slot is not None and stream in slot[0]:
             raise BadDefinition(f"{proc_name} round {round_} already has {stream}")
         if slot is None and round_ <= max(
-            self._released.get(proc_name, 0),
-            self.partition.stream_plans[stream].table.last_consumed_batch,
+            self._released.get(proc_name, 0), table.last_consumed_batch
         ):
             raise BadDefinition(f"{proc_name} already took round {round_}")
+        for t in batch.tuples:
+            table.check_row(t)
         args = batches_to_args({stream: batch})
         if not resubmit:
             p = self.partition

@@ -14,14 +14,15 @@ that committed work left; a strong-mode record names those dropped by the
 aborts since the previous record, and replay drops them before it runs
 the record.
 
-    log header:    magic "STXLOG01" | version u32 (4) | mode u8 | partition u32
+    log header:    magic "STXLOG01" | version u32 (5) | mode u8 | partition u32
                    | snapshot seq u64
     log record:    commit_seq u64 | round u64 | dropped count u32 | procedure
                    text | per dropped batch: stream text | batch u64 | args
-    cache header:  magic "STXINP02"
+    cache header:  magic "STXINP03"
     cache record:  one ``{stream: batch}`` in the codec's batch encoding
 
-Border args are that batch encoding too. The input cache backs the
+Border args are that batch encoding too: a batch's column types, then its
+rows in the row encoding snapshots use. The input cache backs the
 weak-recovery upstream-backup scheme: every external batch is written there
 before its border execution runs. One ``fsync`` policy holds for both the
 log and the cache: with it on, a new file's header and directory entry are
@@ -43,8 +44,8 @@ from .errors import CorruptLogRecord, LogWriteFailure
 from .model import AtomicBatch, ProcedureKind
 
 LOG_MAGIC = b"STXLOG01"
-CACHE_MAGIC = b"STXINP02"
-LOG_VERSION = 4
+CACHE_MAGIC = b"STXINP03"
+LOG_VERSION = 5
 _LOG_HEAD = struct.Struct("<IBIQ")  # version, mode, partition, snapshot seq
 _RECORD_HEAD = struct.Struct("<QQI")  # commit_seq, round, dropped count
 _BATCH_ID = struct.Struct("<Q")

@@ -19,15 +19,14 @@ import zlib
 from itertools import groupby
 from operator import attrgetter
 
-from .codec import encode_text, row_codec
+from .codec import TYPE_CODES, encode_text, row_codec
 from .errors import CorruptSnapshot, VersionMismatch
-from .storage import AnyTable, PublicTable, ScalarType, Store, StreamTable
+from .storage import AnyTable, PublicTable, Store, StreamTable
 
 MAGIC = b"STXSNAP1"
 VERSION = 1
 
 _KIND_CODE = {"public": 0, "stream": 1, "window": 2}
-_TYPE_CODE = {ScalarType.INT: 0, ScalarType.FLOAT: 1, ScalarType.TEXT: 2}
 
 _PUBLIC_STATE = struct.Struct("<Q")  # rows
 _STREAM_STATE = struct.Struct("<QQQ")  # next tuple id, last consumed batch, rows
@@ -38,8 +37,8 @@ def _shape(tab: AnyTable) -> bytes:
     """What a table's snapshot shares with the catalog it restores into."""
     out = [bytes((_KIND_CODE[tab.kind],)), encode_text(tab.name)]
     out.append(struct.pack("<H", len(tab.schema)))
-    for c in tab.schema:
-        out += (encode_text(c.name), bytes((_TYPE_CODE[c.type],)))
+    for c, kind in zip(tab.schema, tab.types):
+        out += (encode_text(c.name), bytes((TYPE_CODES[kind],)))
     if isinstance(tab, PublicTable):
         out.append(encode_text(",".join(sorted(tab.indexes))))
     elif not isinstance(tab, StreamTable):
@@ -66,7 +65,7 @@ def snapshot_state(store: Store, partition_id: int = 0, commit_seq: int = 0) -> 
             state = _WINDOW_STATE.pack(
                 tab.full_seen, tab.events_emitted, len(tab.active), len(tab.staged)
             )
-        out += (_shape(tab), state, row_codec(tab.schema)[0](rows))
+        out += (_shape(tab), state, row_codec(tab.types)[0](rows))
     body = b"".join(out)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -102,7 +101,7 @@ def restore_state(blob: bytes, store: Store) -> tuple[int, int]:
             if buf[off : off + len(shape)] != shape:
                 raise VersionMismatch(f"snapshot table {name} differs from the catalog")
             off += len(shape)
-            decode_rows = row_codec(tab.schema)[1]
+            decode_rows = row_codec(tab.types)[1]
             if isinstance(tab, PublicTable):
                 (count,) = _PUBLIC_STATE.unpack_from(buf, off)
                 tab.rows, off = decode_rows(buf, off + _PUBLIC_STATE.size, count)

@@ -9,6 +9,7 @@ execution context (``executor.TEContext``) keeps a window to its owner.
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -34,6 +35,44 @@ PY_TYPES = {
     ScalarType.FLOAT: float,
     ScalarType.TEXT: str,
 }
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _is_int64(v) -> bool:
+    return type(v) is int and INT64_MIN <= v <= INT64_MAX
+
+
+@functools.cache
+def _compile_fits(types: tuple[type, ...]) -> Callable[[Tuple], bool]:
+    """``fits(t)``: whether row ``t`` keeps the value rule for columns of
+    these value types. Compiled on first use into one expression, as
+    ``codec.row_codec`` compiles its encoders: the type tests come first,
+    so each range and length test sees the type it expects."""
+    cols = [f"v{i}" for i in range(len(types))]
+    head = ["tid", "bid", "ts"]
+    tests = [f"type({v}) is {k.__name__}" for v, k in zip(cols, types)]
+    tests += [f"type({v}) is int" for v in head]
+    ints = head + [v for v, k in zip(cols, types) if k is int]
+    tests += [f"{INT64_MIN} <= {v} <= {INT64_MAX}" for v in ints]
+    tests += [
+        f"len({v}.encode()) <= {MAX_TEXT_BYTES}"
+        for v, k in zip(cols, types)
+        if k is str
+    ]
+    values = "".join(f"{v}, " for v in cols)
+    source = f"""
+def fits(t):
+    try:
+        ({values}), tid, bid, ts = t
+    except ValueError:  # a row of another arity
+        return False
+    return {" and ".join(tests)}
+"""
+    env: dict = {}
+    exec(source, env)
+    return env["fits"]
+
 
 _OPS: dict[str, Callable[[Value, Value], bool]] = {
     "==": operator.eq,
@@ -94,16 +133,11 @@ class _BaseTable:
     def __init__(self, name: str, schema: Schema):
         self.name = name
         self.schema = schema
-        # built once: check_row compares a row's value types with _types
-        self._col_index: dict[str, int] = {}
-        types, text_cols = [], []
-        for i, c in enumerate(schema):
-            self._col_index[c.name] = i
-            types.append(PY_TYPES[c.type])
-            if c.type is ScalarType.TEXT:
-                text_cols.append(i)
-        self._types = tuple(types)
-        self._text_cols = tuple(text_cols)
+        self._col_index = {c.name: i for i, c in enumerate(schema)}
+        # each column's value type: the codec compiles one row encoding, and
+        # check_row one test, per distinct tuple of them
+        self.types = tuple(PY_TYPES[c.type] for c in schema)
+        self._fits: Optional[Callable[[Tuple], bool]] = None  # on first use
 
     def col(self, name: str) -> int:
         try:
@@ -112,17 +146,24 @@ class _BaseTable:
             raise UnknownColumn(f"{self.name} has no column {name}") from None
 
     def check_row(self, t: Tuple) -> None:
-        values = t.values
-        if tuple(map(type, values)) == self._types:
-            for i in self._text_cols:
-                if len(values[i].encode()) > MAX_TEXT_BYTES:
-                    break
-            else:
-                return
-        self._reject(values)
+        """The one value rule: raise TypeMismatch unless ``t`` is a row this
+        table, its snapshot and the batch codec can all hold. Its values
+        have the columns' types (a bool is no int, an int no float), its
+        ints and its head (``tuple_id``, ``batch_id``, ``ts``) are int64
+        ints, and its text fits in MAX_TEXT_BYTES of UTF-8."""
+        fits = self._fits
+        if fits is None:
+            fits = self._fits = _compile_fits(self.types)
+        if not fits(t):
+            self._reject(t)
 
-    def _reject(self, values) -> None:
-        """Raise for the first fault of a bad row, in schema order."""
+    def _reject(self, t: Tuple) -> None:
+        """Raise for the first fault of a bad row: its head, then its
+        values in schema order."""
+        for field, v in zip(("tuple_id", "batch_id", "ts"), t[1:]):
+            if not _is_int64(v):
+                raise TypeMismatch(f"{self.name}: {field} {v!r} is not an int64 int")
+        values = t.values
         if len(values) != len(self.schema):
             raise TypeMismatch(
                 f"{self.name}: expected {len(self.schema)} values, got {len(values)}"
@@ -133,6 +174,8 @@ class _BaseTable:
                     f"{self.name}.{c.name}: expected {c.type.value}, "
                     f"got {type(v).__name__}"
                 )
+            if c.type is ScalarType.INT and not _is_int64(v):
+                raise TypeMismatch(f"{self.name}.{c.name}: {v} is outside int64")
             if c.type is ScalarType.TEXT and len(v.encode()) > MAX_TEXT_BYTES:
                 raise TypeMismatch(f"{self.name}.{c.name}: text exceeds 64 bytes")
 

@@ -8,9 +8,10 @@ window shapes: a strong five-procedure chain with group commit 8, and a
 native window of 1000 tuples sliding by one. Run this file with ``-s`` to
 print them. A change that adds calls to the round path fails here: lower
 the count again, or raise the pin on purpose and say why. Functions that
-Python generates from source, such as a named tuple's ``__new__`` or a
-dataclass's ``__init__``, have the file name ``<string>`` and are not
-counted, so what a record costs to build shows only in timed runs.
+Python generates from source, such as a named tuple's ``__new__``, a
+dataclass's ``__init__`` or the codec's compiled row encoders, have the file
+name ``<string>`` and are not counted, so what a record costs to build or
+encode shows only in timed runs.
 """
 
 import cProfile

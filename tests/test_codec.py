@@ -1,6 +1,7 @@
 """Round trips through the binary batch encoding that border args, input-cache
 records and command-log records share, and through the schema-typed rows of
-snapshots."""
+snapshots and batches; and the value rule, ``check_row``, accepts exactly the
+rows that those encodings hold."""
 
 import math
 import random
@@ -10,12 +11,12 @@ import zlib
 import pytest
 
 from streamtx.codec import frames, row_codec
-from streamtx.errors import CorruptSnapshot
+from streamtx.errors import CorruptSnapshot, TypeMismatch
 from streamtx.executor import args_to_batches, batches_to_args
 from streamtx.model import AtomicBatch, Tuple
 from streamtx.recovery import CommandLogRecord
 from streamtx.snapshot import restore_state, snapshot_state
-from streamtx.storage import ScalarType, Store, UndoBuffer, make_schema
+from streamtx.storage import PY_TYPES, ScalarType, Store, UndoBuffer, make_schema
 
 
 def one(values, batch_id=1):
@@ -123,7 +124,7 @@ def random_table(seed):
 def test_row_codec_matches_per_value_encoding():
     for seed in range(200):
         schema, rows = random_table(seed)
-        encode, decode = row_codec(schema)
+        encode, decode = row_codec(tuple(PY_TYPES[c.type] for c in schema))
         blob = bytes(encode(rows))
         assert blob == b"".join(reference_row(schema, t) for t in rows), seed
         got, end = decode(blob + b"\x07" * 3, 0, len(rows))  # stops at the end
@@ -157,3 +158,67 @@ def test_snapshot_one_row_short_is_corrupt(kind):
             restore_state(body + struct.pack("<I", zlib.crc32(body)), store)
         restore_state(blob, store)  # the whole snapshot still loads
         assert snapshot_state(store) == blob, seed
+
+
+# --- the value rule and the codec agree ---
+
+# (value, the column kind it goes into, or "ts" for the row head)
+BAD_VALUES = [
+    (True, None),
+    (2**63, None),
+    (-(2**63) - 1, None),
+    (1.5, "int"),
+    (1, "float"),
+    ("x" * 65, "text"),
+    (2**63, "ts"),
+    (1.5, "ts"),
+]
+
+
+def mutate(rng, kinds, t):
+    """``t`` with one value from BAD_VALUES, or ``t`` itself when no
+    column of the value's kind exists."""
+    value, kind = rng.choice(BAD_VALUES)
+    if kind == "ts":
+        return t._replace(ts=value)
+    cols = [i for i, k in enumerate(kinds) if kind in (None, k)]
+    if not cols:
+        return t
+    values = list(t.values)
+    values[rng.choice(cols)] = value
+    return t._replace(values=tuple(values))
+
+
+def round_trips(encode, decode, t) -> bool:
+    try:
+        blob = encode([t])
+        got, end = decode(blob, 0, 1)
+    except (struct.error, AttributeError, ValueError):  # .encode() on a non-str
+        return False
+    return end == len(blob) and exact_rows(got) == exact_rows([t])
+
+
+def test_check_row_accepts_exactly_what_row_codec_round_trips():
+    rejected = 0
+    for seed in range(200):
+        schema, rows = random_table(seed)
+        kinds = [c.type.value for c in schema]
+        rng = random.Random(seed)
+        tab = Store().create_public("t", schema)
+        encode, decode = row_codec(tab.types)
+        accepted = []
+        for t in rows + [mutate(rng, kinds, t) for t in rows]:
+            try:
+                tab.check_row(t)
+                ok = True
+            except TypeMismatch:
+                ok = False
+                rejected += 1
+            assert ok == round_trips(encode, decode, t), (seed, t)
+            if ok:
+                accepted.append(t)
+        bid = accepted[0].batch_id
+        batch = AtomicBatch(bid, tuple(t._replace(batch_id=bid) for t in accepted))
+        batches = {"s": batch}
+        assert exact(args_to_batches(batches_to_args(batches))) == exact(batches)
+    assert rejected > 200

@@ -1190,7 +1190,8 @@ def test_measured_dispatches_match_formula(tmp_path, mode):
 
 def test_v1_log_header_rejected(tmp_path):
     # a v1 header is shorter than the current one; a v3 log holds a record
-    # per nested-group child, which replay would not run as a group
+    # per nested-group child, which replay would not run as a group; a v4
+    # log's border args tag each value instead of naming column types
     from streamtx.recovery import LOG_MAGIC
 
     path = tmp_path / LOG_FILE
@@ -1198,6 +1199,7 @@ def test_v1_log_header_rejected(tmp_path):
     for version, head in (
         (1, struct.pack("<IBI", 1, strong, 0)),
         (3, struct.pack("<IBIQ", 3, strong, 0, 0)),
+        (4, struct.pack("<IBIQ", 4, strong, 0, 0)),
     ):
         path.write_bytes(LOG_MAGIC + head)
         with pytest.raises(
@@ -1257,7 +1259,11 @@ def test_border_args_decoded_only_at_replay(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
-@pytest.mark.parametrize("bad", [True, None, "x" * 65], ids=["bool", "none", "text65"])
+@pytest.mark.parametrize(
+    "bad",
+    [True, None, "x" * 65, 1.5, 2**63],
+    ids=["bool", "none", "text65", "float", "int_over_int64"],
+)
 def test_unencodable_value_rejected_before_kept(tmp_path, mode, bad):
     e = Engine(chain_spec(2), data_dir=str(tmp_path), recovery_mode=mode,
                fsync=False)
@@ -1270,6 +1276,73 @@ def test_unencodable_value_rejected_before_kept(tmp_path, mode, bad):
     e.close()
     if mode is RecoveryMode.WEAK:
         assert read_input_cache(str(tmp_path / CACHE_FILE)) == {}
+
+
+def test_old_input_cache_rejected(tmp_path):
+    # an STXINP02 cache holds batches whose values are tagged one by one
+    e = Engine(chain_spec(2), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.WEAK, fsync=False)
+    feed_rounds(e, [1, 2])
+    e.run_until_idle()
+    e.crash()
+    path = tmp_path / CACHE_FILE
+    blob = path.read_bytes()
+    assert blob.startswith(b"STXINP03")
+    path.write_bytes(b"STXINP02" + blob[8:])
+    with pytest.raises(CorruptLogRecord, match="^bad header in input.cache$"):
+        recover(chain_spec(2), str(tmp_path), fsync=False)
+
+
+BAD_WRITES = {
+    "int_over_int64": lambda ctx: ctx.insert("out", (2**70,)),
+    "ts_over_int64": lambda ctx: ctx.insert("out", (1,), ts=2**70),
+    "ts_float": lambda ctx: ctx.insert("out", (1,), ts=1.5),
+    "ts_text": lambda ctx: ctx.insert("out", (1,), ts="x"),
+    "stream_ts_over_int64": lambda ctx: ctx.emit("side", [(1,)], ts=2**70),
+    "sum_over_int64": lambda ctx: ctx.insert(
+        "out", (ctx.aggregate("acc", "sum", "value")[0][0],)
+    ),
+}
+
+
+@pytest.mark.parametrize("write", BAD_WRITES.values(), ids=BAD_WRITES.keys())
+def test_row_a_snapshot_cannot_hold_aborts(tmp_path, write):
+    # a row that the snapshot's structs cannot pack is refused as it is
+    # written, so a later checkpoint succeeds and the log is truncated
+    def body(ctx):
+        (t,) = ctx.input_tuples("s1")
+        if t.values[0] == 2:
+            write(ctx)
+        else:
+            ctx.insert("out", t.values)
+
+    w = register_workflow(
+        "w", [ProcedureDef("SP1", ProcedureKind.BORDER, ("s1",), body=body)]
+    )
+    spec = EngineSpec(
+        workflows=[w],
+        streams=[StreamDef("s1", VAL_COLS), StreamDef("side", VAL_COLS)],
+        tables=[TableDef("out", VAL_COLS), TableDef("acc", VAL_COLS)],
+        seed_rows={"acc": [(2**62,), (2**62,)]},
+    )
+    e = Engine(spec, data_dir=str(tmp_path), recovery_mode=RecoveryMode.STRONG,
+               fsync=False)
+    ing = StreamIngestor(e, "s1", BatchingPolicy("fixed_count", 1))
+    tickets = [ing.push((v,)) for v in (1, 2)]
+    e.run_until_idle()
+    assert [t.outcome for t in tickets] == ["committed", "aborted"]
+    assert "int64" in tickets[1].reason
+    e.checkpoint()
+    assert not e.partition.stopped
+    ing.push((3,))
+    e.run_until_idle()
+    e.partition.log.flush()
+    want = e.snapshot_bytes()
+    e.crash()
+    r = recover(spec, str(tmp_path), fsync=False)
+    assert r.snapshot_bytes() == want
+    assert [t.values for t in r.store.table("out").rows] == [(1,), (3,)]
+    r.close()
 
 
 def test_no_data_dir_retains_no_input():

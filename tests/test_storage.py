@@ -98,8 +98,13 @@ def create_kind(store, kind, name):
         ((True, 2.0, "a"), "x.i: expected int, got bool"),
         ((1, 2, "a"), "x.f: expected float, got int"),
         ((1, 2.0, "\u00e9" * 32 + "a"), "x.t: text exceeds 64 bytes"),
+        ((2**63, 2.0, "a"), "x.i: 9223372036854775808 is outside int64"),
+        ((-(2**63) - 1, 2.0, "a"), "x.i: -9223372036854775809 is outside int64"),
     ],
-    ids=["arity", "bool_in_int", "int_in_float", "text_65_utf8_bytes"],
+    ids=[
+        "arity", "bool_in_int", "int_in_float", "text_65_utf8_bytes",
+        "int_over_int64", "int_under_int64",
+    ],
 )
 def test_check_row_rejects_with_message(store, kind, values, message):
     create_kind(store, kind, "x")
@@ -115,6 +120,30 @@ def test_check_row_rejects_with_message(store, kind, values, message):
         insert(Tuple(values))
     assert str(err.value) == message
     insert(Tuple((1, 2.0, "\u00e9" * 32)))  # 64 bytes fit
+
+
+@pytest.mark.parametrize("kind", ["public", "stream", "window"])
+@pytest.mark.parametrize(
+    "head, message",
+    [
+        ({"ts": 1.5}, "x: ts 1.5 is not an int64 int"),
+        ({"ts": True}, "x: ts True is not an int64 int"),
+        ({"tuple_id": 2**63}, "x: tuple_id 9223372036854775808 is not an int64 int"),
+        ({"batch_id": -(2**63) - 1},
+         "x: batch_id -9223372036854775809 is not an int64 int"),
+    ],
+    ids=["ts_float", "ts_bool", "tuple_id_over", "batch_id_under"],
+)
+def test_check_row_rejects_bad_head(store, kind, head, message):
+    # the head is part of every stored row, snapshots included
+    create_kind(store, kind, "x")
+    t = Tuple((1, 2.0, "a"), **head)
+    with pytest.raises(TypeMismatch) as err:
+        if kind == "stream":  # _make: the batch keeps the bad id as its own
+            store.insert_batch("x", AtomicBatch._make((t.batch_id, (t,))), UndoBuffer())
+        else:
+            store.insert("x", t, UndoBuffer())
+    assert str(err.value) == message
 
 
 def test_row_insert_into_stream_rejected(store):
