@@ -200,21 +200,24 @@ class Engine:
         input batch is submitted once no lower round waits for one, and a
         batch for a round already submitted or consumed, or a second one from
         a stream, raises ``BadDefinition``. The stream's ``check_row``, the
-        one value rule, accepts every tuple before anything encodes or keeps
-        the batch; it then lands in the input cache (written to its file in
-        weak mode), so an unacknowledged round survives a crash. The
-        encoded round is the request's args, which the log keeps; the
-        request also carries the batches themselves, so the live execution
-        decodes nothing. The call that completes a round returns
-        its ticket, even while the round waits; earlier calls return None.
+        one value rule, accepts every tuple here, once: nothing downstream
+        checks the batch again. A batch is encoded only for a file that
+        keeps it. In weak mode the input cache writes it before the round
+        runs, so an unacknowledged round survives a crash; a border the log
+        keeps gets its encoded round as the request's args. The request
+        carries the batches themselves, so the live execution decodes
+        nothing, and an unlogged border's args stay empty. The call that
+        completes a round returns its ticket, even while the round waits;
+        earlier calls return None.
         """
-        if self.partition.stopped:
+        p = self.partition
+        if p.stopped:
             raise EngineStopped("partition is stopped")
         plan = self._border_for_stream.get(stream)
         if plan is None:
             raise BadDefinition(f"stream {stream} is not a border input")
         proc_name = plan.proc.name
-        table = self.partition.stream_plans[stream].table
+        table = p.stream_plans[stream].table
         round_ = batch.batch_id
         slot = self._feeder_pending.get(proc_name, {}).get(round_)
         if slot is not None and stream in slot[0]:
@@ -225,10 +228,10 @@ class Engine:
             raise BadDefinition(f"{proc_name} already took round {round_}")
         for t in batch.tuples:
             table.check_row(t)
-        args = batches_to_args({stream: batch})
-        if not resubmit:
-            p = self.partition
-            p.fail_stop(p.input_cache.append, stream, batch, args)
+        cached = None  # the cache's encoding of this batch, if it keeps one
+        if not resubmit and p.input_cache.path is not None:
+            cached = batches_to_args({stream: batch})
+            p.fail_stop(p.input_cache.append, stream, batch, cached)
         pending = self._feeder_pending.setdefault(proc_name, {})
         if slot is None:
             slot = pending[round_] = ({}, Ticket())
@@ -245,12 +248,15 @@ class Engine:
             del pending[low]
             self._released[proc_name] = low
             self._backpressure()
-            if n_inputs > 1:
-                args = batches_to_args(ready)
+            args = b""
+            if plan.logged:
+                # a one-input round is this batch, which the cache may have
+                # encoded already
+                args = cached if n_inputs == 1 and cached else batches_to_args(ready)
             req = TERequest(
                 proc_name, low, args, Origin.CLIENT, low_ticket, batches=ready
             )
-            self.partition.submit_client(req)
+            p.submit_client(req)
         return ticket
 
     def _backpressure(self) -> None:

@@ -102,8 +102,9 @@ class TERequest:
     args: bytes = b""
     origin: Origin = Origin.CLIENT
     ticket: Optional[Ticket] = None
-    # a border's input batches as ingested; ``args`` encodes the same
-    # batches, and replay, which has only the args, decodes them
+    # a live border request's input batches, which ``Engine.ingest_batch``
+    # has held to the value rule; ``args`` encodes them only when the log
+    # keeps the border, and replay, which has only the args, decodes them
     batches: Optional[dict[str, AtomicBatch]] = None
 
 
@@ -223,12 +224,15 @@ class TEContext:
         plans = self.partition.stream_plans
         if stream not in plans:
             self.store.stream(stream)  # raises UnknownTable
-        self.append_to(plans[stream], rows, self.round, ts)
+        self._append(plans[stream], rows, self.round, ts)
 
-    def append_to(self, plan: StreamPlan, rows, batch_id: int, ts=None) -> None:
+    def _append(
+        self, plan: StreamPlan, rows, batch_id: int, ts=None, checked=False
+    ) -> None:
         """Append ``rows`` as batch ``batch_id`` of ``plan``'s stream and set
-        off its triggers; a statement step calls this with the plan it
-        resolved at registration."""
+        off its triggers. A statement step calls this with the plan it
+        resolved at registration, and with ``checked`` when registration
+        proved that its rows keep the stream's value rule."""
         rows = list(rows)
         if not rows:
             return
@@ -243,7 +247,7 @@ class TEContext:
                 tuples.append(Tuple(tuple(r), tid, batch_id, ts))
         # every tuple carries batch_id, so the batch needs no check
         batch = AtomicBatch._make((batch_id, tuple(tuples)))
-        self.store.insert_batch(stream, batch, self.undo)
+        self.store.insert_batch(stream, batch, self.undo, checked=checked)
         triggers = self.partition.trigger_engine
         if plan.target is not None and (stream, batch_id) not in self.emitted:
             triggers.note_append(stream, batch_id)
@@ -279,12 +283,17 @@ class TEContext:
     def window_insert(self, window: str, rows) -> None:
         """Feed rows into a window; each slide it makes runs the window's
         statement program, if it has one."""
-        self._check_owner(window)
         tuples = [
             r if isinstance(r, Tuple) else Tuple(tuple(r), batch_id=self.round)
             for r in rows
         ]
-        events = self.store.window_insert(window, tuples, self.undo)
+        self._window_insert(window, tuples)
+
+    def _window_insert(self, window: str, tuples: list[Tuple], checked=False):
+        """``window_insert`` of tuples; a statement step passes ``checked``
+        when its source rows have the window's column types."""
+        self._check_owner(window)
+        events = self.store.window_insert(window, tuples, self.undo, checked=checked)
         if events:
             self.partition.trigger_engine.on_window_events(self, window, events)
 
@@ -502,18 +511,22 @@ class Partition:
     def _load_inputs(self, ctx: TEContext, plan: ProcedurePlan, req: TERequest):
         """Append a border's input batches to their streams, taken from the
         request's batches, or decoded from its args when it carries none, as
-        in replay; every other input must already hold the round's batch."""
+        in replay; every other input must already hold the round's batch.
+        A request's batches skip the value rule, which ingest ran on them
+        against the same tables; decoded ones keep it, because a log may
+        come from another spec."""
         proc = plan.proc
-        if proc.kind is ProcedureKind.BORDER and req.args:
-            batches = req.batches
-            if batches is None:
-                batches = args_to_batches(req.args)
+        batches = req.batches
+        checked = batches is not None
+        if not checked and proc.kind is ProcedureKind.BORDER and req.args:
+            batches = args_to_batches(req.args)
+        if batches:
             for stream, batch in sorted(batches.items()):
                 if stream not in proc.stream_inputs:
                     raise BadDefinition(
                         f"{proc.name}: batch for non-input stream {stream}"
                     )
-                self.store.insert_batch(stream, batch, ctx.undo)
+                self.store.insert_batch(stream, batch, ctx.undo, checked=checked)
                 ctx.inputs[stream] = list(batch.tuples)
                 ctx.consumed.append((stream, batch.batch_id))
                 stream_plan = self.stream_plans[stream]

@@ -65,9 +65,9 @@ def _compile_fits(types: tuple[type, ...]) -> Callable[[Tuple], bool]:
 def fits(t):
     try:
         ({values}), tid, bid, ts = t
-    except ValueError:  # a row of another arity
+        return {" and ".join(tests)}
+    except ValueError:  # another arity, or text that is not UTF-8
         return False
-    return {" and ".join(tests)}
 """
     env: dict = {}
     exec(source, env)
@@ -150,7 +150,7 @@ class _BaseTable:
         table, its snapshot and the batch codec can all hold. Its values
         have the columns' types (a bool is no int, an int no float), its
         ints and its head (``tuple_id``, ``batch_id``, ``ts``) are int64
-        ints, and its text fits in MAX_TEXT_BYTES of UTF-8."""
+        ints, and its text encodes as UTF-8 in at most MAX_TEXT_BYTES bytes."""
         fits = self._fits
         if fits is None:
             fits = self._fits = _compile_fits(self.types)
@@ -176,8 +176,15 @@ class _BaseTable:
                 )
             if c.type is ScalarType.INT and not _is_int64(v):
                 raise TypeMismatch(f"{self.name}.{c.name}: {v} is outside int64")
-            if c.type is ScalarType.TEXT and len(v.encode()) > MAX_TEXT_BYTES:
-                raise TypeMismatch(f"{self.name}.{c.name}: text exceeds 64 bytes")
+            if c.type is ScalarType.TEXT:
+                try:
+                    n = len(v.encode())
+                except UnicodeEncodeError:  # a lone surrogate
+                    raise TypeMismatch(
+                        f"{self.name}.{c.name}: text is not valid UTF-8"
+                    ) from None
+                if n > MAX_TEXT_BYTES:
+                    raise TypeMismatch(f"{self.name}.{c.name}: text exceeds 64 bytes")
 
 
 class PublicTable(_BaseTable):
@@ -472,8 +479,12 @@ class Store:
         tab._index_add(t)
         return None
 
-    def insert_batch(self, stream: str, batch: AtomicBatch, undo: UndoBuffer) -> None:
-        """Append a batch, or extend the newest batch when it has the same id."""
+    def insert_batch(
+        self, stream: str, batch: AtomicBatch, undo: UndoBuffer, *, checked=False
+    ) -> None:
+        """Append a batch, or extend the newest batch when it has the same
+        id. ``checked`` says the caller has already held every tuple to
+        this stream's value rule, so the append skips ``check_row``."""
         s = self.stream(stream)
         if s.batches:
             last = next(reversed(s.batches.values()))[-1]
@@ -484,8 +495,9 @@ class Store:
                 raise BadDefinition(
                     f"stream {stream}: batch {batch.batch_id} arrives out of order"
                 )
-        for t in batch.tuples:
-            s.check_row(t)
+        if not checked:
+            for t in batch.tuples:
+                s.check_row(t)
         undo.record_batch(s, batch.batch_id)
         s.batches[batch.batch_id] = s.batches.get(batch.batch_id, ()) + batch.tuples
 
@@ -566,6 +578,8 @@ class Store:
         window: str,
         tuples: Iterable[Tuple],
         undo: UndoBuffer,
+        *,
+        checked=False,
     ) -> list[FullWindowEvent]:
         """Stage new tuples, then advance the window while a slide is due.
 
@@ -575,11 +589,13 @@ class Store:
         A single large batch may fire several events. The running sums move
         with each slide: admitted tuples are added, expired ones subtracted.
         Without ``events_carry_rows`` events carry no copy of the active set.
+        ``checked`` skips ``check_row``, as in ``insert_batch``.
         """
         w = self.window(window)
         tuples = list(tuples)
-        for t in tuples:
-            w.check_row(t)
+        if not checked:
+            for t in tuples:
+                w.check_row(t)
         expired = undo.record_window(w)
         w.staged.extend(tuples)
 

@@ -153,24 +153,28 @@ class TriggerEngine:
                 tab.events_carry_rows = False
 
     def _resolve(self, src, stmt) -> Step:
-        """Check one statement against the catalog and build its step."""
+        """Check one statement against the catalog and build its step. A
+        step that moves rows between tables of equal column types skips the
+        value rule: every row of its source already kept it."""
         if isinstance(stmt, FilteredCopy):
             dst = self.stream_plans[self.store.stream(stmt.dst).name]
             match = None if stmt.pred is None else row_matcher(src, stmt.pred)
+            same = src.types == dst.table.types
 
             def copy(ctx, tuples, batch_id, sums):
                 hits = tuples if match is None else [t for t in tuples if match(t)]
                 if hits:
-                    ctx.append_to(dst, hits, batch_id)
+                    ctx._append(dst, hits, batch_id, checked=same)
 
             return Step(stmt.dst, True, copy)
         if isinstance(stmt, WindowInsertStmt):
-            window = self.store.window(stmt.window).name
+            window = self.store.window(stmt.window)
+            name, same = window.name, src.types == window.types
 
             def insert(ctx, tuples, batch_id, sums):
-                ctx.window_insert(window, tuples)
+                ctx._window_insert(name, tuples, checked=same)
 
-            return Step(window, True, insert)
+            return Step(name, True, insert)
         if isinstance(stmt, AggregateInsert):
             return self._aggregate_step(src, stmt)
         raise BadDefinition(f"unknown statement {stmt!r}")
@@ -180,15 +184,20 @@ class TriggerEngine:
         running sums and its size, which every event holds. Everything else
         recomputes with ``aggregate_rows``: float sums round differently
         once reassociated, and min/max and group_by have no running form
-        here."""
+        here.
+
+        A row into a stream skips the value rule when registration can
+        prove its types: count is an int, avg a float, min and max a value
+        of their column, and a group key a value of its. A sum can leave
+        int64, so its rows are checked."""
         if not isinstance(src, WindowTable):
             raise BadDefinition(
                 "aggregate_insert runs one full window at a time; "
                 f"source {src.name} is not a window"
             )
-        check_aggregate(src, stmt.op, stmt.column, stmt.group_by)
+        ci, gi = check_aggregate(src, stmt.op, stmt.column, stmt.group_by)
         op, col, group_by = stmt.op, stmt.column, stmt.group_by
-        n = src.spec.size
+        n = int(src.spec.size)  # an int, as the count row it makes must be
         from_sums = group_by is None and (
             op == "count" or (op in ("sum", "avg") and col in src.sums)
         )
@@ -207,9 +216,12 @@ class TriggerEngine:
         dst = stmt.dst
         if isinstance(self.store.table(dst), StreamTable):
             plan = self.stream_plans[dst]
+            value = {"count": int, "avg": float}.get(op) or src.types[ci]
+            key = () if gi is None else (src.types[gi],)
+            proven = op != "sum" and plan.table.types == key + (value,)
 
             def run(ctx, tuples, batch_id, sums):
-                ctx.append_to(plan, rows(ctx, tuples, sums), batch_id)
+                ctx._append(plan, rows(ctx, tuples, sums), batch_id, checked=proven)
         else:
             def run(ctx, tuples, batch_id, sums):
                 for row in rows(ctx, tuples, sums):

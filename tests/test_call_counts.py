@@ -5,7 +5,10 @@ package. Two engines built alike run N and 2N rounds under the profiler
 after the same unprofiled warm-up; the difference over N is the steady cost
 of one round, free of setup. The figures match the benchmark's chain and
 window shapes: a strong five-procedure chain with group commit 8, and a
-native window of 1000 tuples sliding by one. Run this file with ``-s`` to
+native window of 1000 tuples sliding by one. A third, weak-mode shape, the
+leaderboard's vote workflow with its input cache, keeps the ingest path
+that still encodes each batch: once for the cache, whose encoding the
+logged border reuses as its args. Run this file with ``-s`` to
 print them. A change that adds calls to the round path fails here: lower
 the count again, or raise the pin on purpose and say why. Functions that
 Python generates from source, such as a named tuple's ``__new__``, a
@@ -24,14 +27,19 @@ import streamtx
 from streamtx.engine import Engine
 from streamtx.model import AtomicBatch, Tuple
 from streamtx.recovery import RecoveryMode
-from streamtx.workloads import pe_chain_spec, window_native_spec
+from streamtx.workloads import (
+    leaderboard_spec,
+    make_vote_trace,
+    pe_chain_spec,
+    window_native_spec,
+)
 
 SRC = os.path.dirname(streamtx.__file__) + os.sep
 ROUNDS = 64  # five records a round fill 40 group-commit flushes of 8
 
 # calls per round when these pins were set; a flush of 8 records costs a
 # fractional share of a round
-PINS = {"chain": 219.875, "window": 65}
+PINS = {"chain": 216.875, "window": 56, "leaderboard": 230.453125}
 
 
 def chain_engine(data_dir):
@@ -46,28 +54,43 @@ def window_engine(data_dir):
     return Engine(window_native_spec(1000, 1))
 
 
-SHAPES = {"chain": (chain_engine, 16), "window": (window_engine, 1000)}
+def leaderboard_engine(data_dir):
+    return Engine(
+        leaderboard_spec(), data_dir=data_dir,
+        recovery_mode=RecoveryMode.WEAK, group_commit_max_batch=8,
+        group_commit_max_delay=3600, fsync=False,
+    )
 
 
-def batches(first, last):
+VOTES = make_vote_trace(4, 100 + 2 * ROUNDS)  # about 15 % of them rejected
+
+# shape -> (engine builder, border stream, warm-up rounds, round r's values)
+SHAPES = {
+    "chain": (chain_engine, "s1", 16, lambda r: (r % 7,)),
+    "window": (window_engine, "s1", 1000, lambda r: (r % 7,)),
+    "leaderboard": (leaderboard_engine, "votes_in", 100, lambda r: VOTES[r - 1]),
+}
+
+
+def batches(values, first, last):
     return [
-        AtomicBatch(r, (Tuple((r % 7,), tuple_id=r, batch_id=r),))
+        AtomicBatch(r, (Tuple(values(r), tuple_id=r, batch_id=r),))
         for r in range(first, last + 1)
     ]
 
 
 def streamtx_calls(shape, data_dir, rounds):
     """Calls into ``streamtx`` while ``rounds`` rounds run after the warm-up."""
-    make, warmup = SHAPES[shape]
+    make, stream, warmup, values = SHAPES[shape]
     engine = make(data_dir)
-    for b in batches(1, warmup):
-        engine.ingest_batch("s1", b)
+    for b in batches(values, 1, warmup):
+        engine.ingest_batch(stream, b)
         engine.run_until_idle()
-    timed = batches(warmup + 1, warmup + rounds)
+    timed = batches(values, warmup + 1, warmup + rounds)
     profile = cProfile.Profile()
     profile.enable()
     for b in timed:
-        engine.ingest_batch("s1", b)
+        engine.ingest_batch(stream, b)
         engine.run_until_idle()
     profile.disable()
     engine.close()

@@ -170,6 +170,7 @@ BAD_VALUES = [
     (1.5, "int"),
     (1, "float"),
     ("x" * 65, "text"),
+    ("\ud800", "text"),
     (2**63, "ts"),
     (1.5, "ts"),
 ]

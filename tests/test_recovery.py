@@ -1,9 +1,10 @@
+import hashlib
 import os
 import struct
 
 import pytest
 
-from randomized import random_pair_run, random_strong_crash_run
+from randomized import pair_chain_spec, random_pair_run, random_strong_crash_run
 from streamtx.engine import (
     CACHE_FILE,
     LOG_FILE,
@@ -1258,15 +1259,91 @@ def test_border_args_decoded_only_at_replay(tmp_path, monkeypatch):
     r.close()
 
 
+def feed_pairs(engine, rounds):
+    for r in range(1, rounds + 1):
+        for stream, v in (("a", r), ("b", 10 * r)):
+            engine.ingest_batch(
+                stream, AtomicBatch(r, (Tuple((v,), tuple_id=r, batch_id=r),))
+            )
+        engine.run_until_idle()
+
+
+@pytest.mark.parametrize(
+    "shape, mode, per_round",
+    [
+        ("window", None, 0),
+        ("pair", RecoveryMode.STRONG, 1),
+        ("pair", RecoveryMode.WEAK, 3),
+    ],
+    ids=["window_no_data_dir", "pair_strong", "pair_weak"],
+)
+def test_border_batch_encoded_only_for_a_file(
+    tmp_path, monkeypatch, shape, mode, per_round
+):
+    """A border round is encoded once for the log when the log keeps its
+    border, and each batch once for the input cache in weak mode; with no
+    file, nothing is encoded."""
+    import streamtx.engine as engine_mod
+
+    calls = []
+    real = engine_mod.batches_to_args
+
+    def counting(batches):
+        calls.append(sorted(batches))
+        return real(batches)
+
+    monkeypatch.setattr(engine_mod, "batches_to_args", counting)
+    if shape == "window":
+        e = Engine(window_native_spec(10, 1))
+        feed_rounds(e, range(100))
+        e.run_until_idle()
+        assert len(e.store.stream("wout").rows) == 91
+    else:
+        e = Engine(pair_chain_spec(), data_dir=str(tmp_path), recovery_mode=mode,
+                   fsync=False)
+        feed_pairs(e, 100)
+        assert len(e.store.table("out").rows) == 100
+    e.close()
+    assert len(calls) == 100 * per_round
+    if per_round:
+        whole = [["a", "b"]] * 100
+        assert [c for c in calls if len(c) == 2] == whole
+
+
+# SHA-256 of the strong command log a fixed feed writes; how often the
+# engine encodes a border round must not change a byte of it
+STRONG_LOG_SHA256 = {
+    "chain": "f4bc7682b9ff33e42387348beeaad215db62e826dd4c7f5163f45ae4d670ef26",
+    "pair": "8b0c35ef94fb39e137bd0f7d680f96e5c66e685a781bd4b4bfeeaac62b20cf3b",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(STRONG_LOG_SHA256))
+def test_strong_log_bytes_pinned(tmp_path, shape):
+    spec = chain_spec(3) if shape == "chain" else pair_chain_spec()
+    e = Engine(spec, data_dir=str(tmp_path), recovery_mode=RecoveryMode.STRONG,
+               fsync=False)
+    if shape == "chain":
+        feed_rounds(e, [v * 7 - 20 for v in range(30)])
+        e.run_until_idle()
+    else:
+        feed_pairs(e, 30)
+    e.close()
+    blob = (tmp_path / LOG_FILE).read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == STRONG_LOG_SHA256[shape]
+
+
 @pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
 @pytest.mark.parametrize(
     "bad",
-    [True, None, "x" * 65, 1.5, 2**63],
-    ids=["bool", "none", "text65", "float", "int_over_int64"],
+    [True, None, "x" * 65, 1.5, 2**63, "\ud800"],
+    ids=["bool", "none", "text65", "float", "int_over_int64", "lone_surrogate"],
 )
 def test_unencodable_value_rejected_before_kept(tmp_path, mode, bad):
-    e = Engine(chain_spec(2), data_dir=str(tmp_path), recovery_mode=mode,
-               fsync=False)
+    spec = chain_spec(2)
+    if isinstance(bad, str):  # into a text column, so the text rule sees it
+        spec.streams[0] = StreamDef("s1", (("value", "text"),))
+    e = Engine(spec, data_dir=str(tmp_path), recovery_mode=mode, fsync=False)
     batch = AtomicBatch(1, (Tuple((bad,), tuple_id=1, batch_id=1),))
     with pytest.raises(TypeMismatch):
         e.ingest_batch("s1", batch)

@@ -100,10 +100,11 @@ def create_kind(store, kind, name):
         ((1, 2.0, "\u00e9" * 32 + "a"), "x.t: text exceeds 64 bytes"),
         ((2**63, 2.0, "a"), "x.i: 9223372036854775808 is outside int64"),
         ((-(2**63) - 1, 2.0, "a"), "x.i: -9223372036854775809 is outside int64"),
+        ((1, 2.0, "\ud800"), "x.t: text is not valid UTF-8"),
     ],
     ids=[
         "arity", "bool_in_int", "int_in_float", "text_65_utf8_bytes",
-        "int_over_int64", "int_under_int64",
+        "int_over_int64", "int_under_int64", "lone_surrogate",
     ],
 )
 def test_check_row_rejects_with_message(store, kind, values, message):
