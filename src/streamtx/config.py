@@ -278,74 +278,79 @@ def load(text: str) -> WorkloadConfig:
         for key in body:
             if known is not None and key not in known:
                 raise ConfigError(f"[{section}]: unknown key {key!r}")
-        if head == "engine":
-            cfg.engine_mode = body.get("mode", cfg.engine_mode)
-            cfg.recovery = body.get("recovery", cfg.recovery)
-            cfg.partition_key = body.get("partition_key") or None
-            cfg.group_commit_max_batch = int(
-                body.get("group_commit_max_batch", cfg.group_commit_max_batch)
-            )
-            cfg.group_commit_max_delay_ms = float(
-                body.get("group_commit_max_delay_ms", cfg.group_commit_max_delay_ms)
-            )
-            cfg.rounds = int(body.get("rounds", cfg.rounds))
-        elif head == "workflow":
-            cfg.workflow_name = body.get("name", arg or cfg.workflow_name)
-        elif head == "table":
-            cfg.tables[arg] = (
-                parse_columns(body["columns"]),
-                _csv(body.get("indexes", "")),
-            )
-        elif head == "stream":
-            cfg.streams[arg] = parse_columns(body["columns"])
-        elif head == "window":
-            cfg.windows[arg] = WindowConfig(
-                arg,
-                parse_columns(body["columns"]),
-                int(body["size"]),
-                int(body["slide"]),
-                body["owner"],
-            )
-        elif head == "procedure":
-            cfg.procedures.append(
-                ProcedureConfig(
-                    arg,
-                    body["kind"],
-                    _csv(body.get("streams", "")),
-                    _csv(body.get("tables", "")),
-                    _csv(body.get("windows", "")),
-                    body.get("body", "builtin:noop"),
-                    body.get("output", ""),
+        try:
+            if head == "engine":
+                cfg.engine_mode = body.get("mode", cfg.engine_mode)
+                cfg.recovery = body.get("recovery", cfg.recovery)
+                cfg.partition_key = body.get("partition_key") or None
+                cfg.group_commit_max_batch = int(
+                    body.get("group_commit_max_batch", cfg.group_commit_max_batch)
                 )
-            )
-        elif head == "edge":
-            cfg.edges.append((body["producer"], body["stream"], body["consumer"]))
-        elif head == "trigger":
-            stmts = tuple(
-                parse_statement(arg, s.strip())
-                for s in body["program"].split(";")
-                if s.strip()
-            )
-            cfg.triggers[arg] = stmts
-        elif head == "group":
-            order = []
-            for pair in _csv(body.get("order", "")):
-                if "<" not in pair:
-                    raise ConfigError(f"group order pair {pair!r} needs a<b")
-                a, b = pair.split("<", 1)
-                order.append((a.strip(), b.strip()))
-            cfg.groups.append(GroupConfig(arg, _csv(body["children"]), tuple(order)))
-        elif head == "feed":
-            cfg.feed = FeedConfig(
-                stream=body.get("stream", ""),
-                batch_mode=body.get("batch_mode", "fixed_count"),
-                batch_size=int(body.get("batch_size", 1)),
-                source=body.get("source", "builtin:none"),
-            )
-        elif head == "params":
-            cfg.params = {k: float(v) for k, v in body.items()}
-        else:
-            raise ConfigError(f"unknown section [{section}]")
+                cfg.group_commit_max_delay_ms = float(
+                    body.get("group_commit_max_delay_ms", cfg.group_commit_max_delay_ms)
+                )
+                cfg.rounds = int(body.get("rounds", cfg.rounds))
+            elif head == "workflow":
+                cfg.workflow_name = body.get("name", arg or cfg.workflow_name)
+            elif head == "table":
+                cfg.tables[arg] = (
+                    parse_columns(body["columns"]),
+                    _csv(body.get("indexes", "")),
+                )
+            elif head == "stream":
+                cfg.streams[arg] = parse_columns(body["columns"])
+            elif head == "window":
+                cfg.windows[arg] = WindowConfig(
+                    arg,
+                    parse_columns(body["columns"]),
+                    int(body["size"]),
+                    int(body["slide"]),
+                    body["owner"],
+                )
+            elif head == "procedure":
+                cfg.procedures.append(
+                    ProcedureConfig(
+                        arg,
+                        body["kind"],
+                        _csv(body.get("streams", "")),
+                        _csv(body.get("tables", "")),
+                        _csv(body.get("windows", "")),
+                        body.get("body", "builtin:noop"),
+                        body.get("output", ""),
+                    )
+                )
+            elif head == "edge":
+                cfg.edges.append((body["producer"], body["stream"], body["consumer"]))
+            elif head == "trigger":
+                stmts = tuple(
+                    parse_statement(arg, s.strip())
+                    for s in body["program"].split(";")
+                    if s.strip()
+                )
+                cfg.triggers[arg] = stmts
+            elif head == "group":
+                order = []
+                for pair in _csv(body.get("order", "")):
+                    if "<" not in pair:
+                        raise ConfigError(f"group order pair {pair!r} needs a<b")
+                    a, b = pair.split("<", 1)
+                    order.append((a.strip(), b.strip()))
+                cfg.groups.append(GroupConfig(arg, _csv(body["children"]), tuple(order)))
+            elif head == "feed":
+                cfg.feed = FeedConfig(
+                    stream=body.get("stream", ""),
+                    batch_mode=body.get("batch_mode", "fixed_count"),
+                    batch_size=int(body.get("batch_size", 1)),
+                    source=body.get("source", "builtin:none"),
+                )
+            elif head == "params":
+                cfg.params = {k: float(v) for k, v in body.items()}
+            else:
+                raise ConfigError(f"unknown section [{section}]")
+        except KeyError as e:  # a required key is missing
+            raise ConfigError(f"[{section}]: missing key {e.args[0]!r}") from None
+        except ValueError as e:  # a number that does not parse
+            raise ConfigError(f"[{section}]: {e}") from None
     cfg.validate_refs()
     return cfg
 

@@ -471,7 +471,8 @@ def _replay_strong(engine: Engine, records) -> None:
                     f"expected commit {p.commit_seq + 1}, log has {rec.commit_seq}"
                 )
             for stream, batch_id in rec.dropped:
-                p.drop(stream, batch_id)
+                p.trigger_engine.note_consumed(stream, batch_id)
+                p.store.garbage_collect(stream, batch_id)
             _replay(p, rec)
     finally:
         p.trigger_engine.pe_enabled = True

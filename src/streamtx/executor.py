@@ -196,11 +196,8 @@ class TEContext:
         self.args = None if proc.kind is ProcedureKind.BORDER else decode_args(args)
         self.undo = UndoBuffer()
         self.inputs: dict[str, list[Tuple]] = {}
-        self.consumed: list[tuple[str, int]] = []
-        self.ee_consumed: list[tuple[str, int]] = []
-        # (stream, batch) this execution appended to a procedure-trigger
-        # stream, in first-append order (a dict as an ordered set)
-        self.emitted: dict[tuple[str, int], None] = {}
+        # each stream this execution appended batch ``round`` to, in order
+        self.appended: dict[str, StreamPlan] = {}
         self.result_rows: Optional[list] = None
 
     # --- body API ---
@@ -224,19 +221,17 @@ class TEContext:
         plans = self.partition.stream_plans
         if stream not in plans:
             self.store.stream(stream)  # raises UnknownTable
-        self._append(plans[stream], rows, self.round, ts)
+        self._append(plans[stream], rows, ts)
 
-    def _append(
-        self, plan: StreamPlan, rows, batch_id: int, ts=None, checked=False
-    ) -> None:
-        """Append ``rows`` as batch ``batch_id`` of ``plan``'s stream and set
+    def _append(self, plan: StreamPlan, rows, ts=None, checked=False) -> None:
+        """Append ``rows`` as batch ``round`` of ``plan``'s stream and set
         off its triggers. A statement step calls this with the plan it
         resolved at registration, and with ``checked`` when registration
         proved that its rows keep the stream's value rule."""
         rows = list(rows)
         if not rows:
             return
-        stream = plan.table.name
+        stream, batch_id = plan.table.name, self.round
         ids = self.store.next_tuple_ids(stream, len(rows), self.undo)
         ts = 0 if ts is None else ts
         tuples = []
@@ -249,9 +244,9 @@ class TEContext:
         batch = AtomicBatch._make((batch_id, tuple(tuples)))
         self.store.insert_batch(stream, batch, self.undo, checked=checked)
         triggers = self.partition.trigger_engine
-        if plan.target is not None and (stream, batch_id) not in self.emitted:
+        if plan.target is not None and stream not in self.appended:
             triggers.note_append(stream, batch_id)
-            self.emitted[stream, batch_id] = None
+        self.appended[stream] = plan
         if plan.program is not None:
             triggers.on_stream_append(self, plan, batch)
 
@@ -468,14 +463,7 @@ class Partition:
                     # group rollback: undo every already-finished child too
                     for done_ctx, _ in reversed(ran):
                         done_ctx.undo.rollback()
-                    self._finish_abort(
-                        child_plan.proc, child_req, error,
-                        [ctx] + [c for c, _ in ran],
-                        req.ticket,
-                        dropped_inputs=[
-                            item for c, _ in ran for item in c.consumed
-                        ],
-                    )
+                    self._finish_abort(req, plan, error, [ctx] + [c for c, _ in ran])
                     return "aborted"
                 ran.append((ctx, child_req))
         finally:
@@ -513,8 +501,8 @@ class Partition:
         request's batches, or decoded from its args when it carries none, as
         in replay; every other input must already hold the round's batch.
         A request's batches skip the value rule, which ingest ran on them
-        against the same tables; decoded ones keep it, because a log may
-        come from another spec."""
+        against the same tables; decoded ones keep it, and must be the
+        request's round, because a log may come from another spec."""
         proc = plan.proc
         batches = req.batches
         checked = batches is not None
@@ -522,13 +510,13 @@ class Partition:
             batches = args_to_batches(req.args)
         if batches:
             for stream, batch in sorted(batches.items()):
-                if stream not in proc.stream_inputs:
+                if stream not in proc.stream_inputs or batch.batch_id != req.round:
                     raise BadDefinition(
-                        f"{proc.name}: batch for non-input stream {stream}"
+                        f"{proc.name} round {req.round} takes no batch "
+                        f"{batch.batch_id} on {stream}"
                     )
                 self.store.insert_batch(stream, batch, ctx.undo, checked=checked)
                 ctx.inputs[stream] = list(batch.tuples)
-                ctx.consumed.append((stream, batch.batch_id))
                 stream_plan = self.stream_plans[stream]
                 if stream_plan.program is not None:
                     self.trigger_engine.on_stream_append(ctx, stream_plan, batch)
@@ -541,7 +529,6 @@ class Partition:
                     f"{proc.name}: stream {stream} holds no batch {req.round}"
                 )
             ctx.inputs[stream] = tuples
-            ctx.consumed.append((stream, req.round))
 
     # --- commit / abort ---
 
@@ -552,6 +539,7 @@ class Partition:
         ``_execute_group`` stops the partition when a log write fails."""
         ticket = req.ticket
         log = self.log
+        triggers = self.trigger_engine
         # a replayed transaction is already in the log
         if req.origin is Origin.RECOVERY or not plan.logged:
             if ticket is not None:
@@ -574,10 +562,19 @@ class Partition:
             self.counters.te_committed += 1
             if child.ticket is not None:
                 child.ticket.result_rows = ctx.result_rows
-            for stream, batch_id in ctx.emitted:
-                fires = self.trigger_engine.fire_procedure_triggers(stream, batch_id)
-                self._submit_trigger(fires)
-            self._collect_garbage(ctx)
+            round_ = ctx.round
+            # fire each appended stream that triggers a procedure; collect
+            # one a statement program ran on, unless a consumer waits for it
+            for stream, sp in ctx.appended.items():
+                if sp.target is not None:
+                    fires = triggers.fire_procedure_triggers(stream, round_)
+                    self._submit_trigger(fires)
+                if sp.program is not None and triggers.gc_eligible(stream, round_):
+                    self.store.garbage_collect(stream, round_)
+            for tab in ctx.plan.inputs:
+                if round_ > tab.last_consumed_batch:
+                    tab.last_consumed_batch = round_
+            self._collect_inputs(ctx.plan, round_)
         if ticket is not None:
             ticket.outcome = "committed"
             ticket.commit_seq = self.commit_seq
@@ -586,50 +583,42 @@ class Partition:
         log.maybe_flush()
 
     def _finish_abort(
-        self,
-        proc: ProcedureDef,
-        req: TERequest,
-        error: Exception,
+        self, req: TERequest, plan: ProcedurePlan, error: Exception,
         rolled_back: list[TEContext],
-        ticket: Optional[Ticket],
-        dropped_inputs=(),
     ) -> None:
+        """Abort ``req``'s transaction, which ``plan`` enters, once its
+        executions in ``rolled_back`` have rolled back."""
         self.counters.te_aborted += 1
-        t = ticket or req.ticket
+        t = req.ticket
         if t is not None:
             t.outcome = "aborted"
             t.reason = str(error)
             t.acknowledged = True  # an abort has no record of its own
-        # emitted batches were rolled back: no consumer waits for them
+        # appended batches were rolled back: no consumer waits for them
         self.trigger_engine.pending.difference_update(
-            key for ctx in rolled_back for key in ctx.emitted
+            (stream, req.round) for ctx in rolled_back for stream in ctx.appended
         )
-        # the round's downstream work is dropped: discard consumed inputs
-        # that came from outside the rolled-back scope
-        drops = list(dropped_inputs)
-        if proc.kind is ProcedureKind.INTERIOR:
-            drops.extend((s, req.round) for s in proc.stream_inputs)
-        for stream, batch_id in drops:
-            if self.drop(stream, batch_id) and self._log_drops:
-                self._dropped.append((stream, batch_id))
+        # no procedure of the transaction runs this round, or a lower one,
+        # again: drop what their inputs hold up to it
+        for name in plan.group.order if plan.group else (req.proc,):
+            dropped = self._collect_inputs(self.plans[name], req.round)
+            if self._log_drops:
+                self._dropped += dropped
 
-    def drop(self, stream: str, batch_id: int) -> bool:
-        """Collect a batch no consumer will take; whether the stream held it."""
-        self.trigger_engine.note_consumed(stream, batch_id)
-        return self.store.garbage_collect(stream, batch_id) > 0
-
-    def _collect_garbage(self, ctx: TEContext) -> None:
-        """Drop the batches this execution consumed or ran statements on,
-        except those a procedure-trigger consumer still waits for."""
-        triggers = self.trigger_engine
-        for stream, batch_id in ctx.consumed:
-            triggers.note_consumed(stream, batch_id)
-            tab = self.stream_plans[stream].table
-            if batch_id > tab.last_consumed_batch:
-                tab.last_consumed_batch = batch_id
-        for stream, batch_id in ctx.consumed + ctx.ee_consumed:
-            if triggers.gc_eligible(stream, batch_id):
-                self.store.garbage_collect(stream, batch_id)
+    def _collect_inputs(self, plan: ProcedurePlan, round_: int) -> list:
+        """Collect every batch at or below ``round_`` on ``plan``'s input
+        streams: its procedure takes its rounds in increasing order, and no
+        other procedure reads them. Returns the (stream, batch) collected."""
+        collected = []
+        for tab in plan.inputs:
+            name = tab.name
+            for batch_id in list(tab.batches):  # ascending
+                if batch_id > round_:
+                    break
+                self.trigger_engine.note_consumed(name, batch_id)
+                self.store.garbage_collect(name, batch_id)
+                collected.append((name, batch_id))
+        return collected
 
     # --- trigger surface (module operations live on the partition) ---
 

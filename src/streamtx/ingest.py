@@ -11,7 +11,7 @@ from .engine import Engine
 from .errors import EngineStopped, SchemaMismatch
 from .executor import Ticket
 from .model import AtomicBatch, Tuple
-from .storage import ScalarType
+from .storage import PY_TYPES
 
 
 @dataclass(frozen=True)
@@ -44,24 +44,31 @@ class FeedSource:
     @classmethod
     def from_csv(cls, path: str, schema, ts_column: str = "ts") -> "FeedSource":
         """CSV with a header row naming columns; coerced per stream schema.
-        Each tuple's ts comes from ``ts_column`` when the file has it, else 0."""
+        Each tuple's ts comes from ``ts_column`` when the file has it, else 0.
+        A missing column or a cell not of its type raises ``SchemaMismatch``."""
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
+            parsers = [(col.name, PY_TYPES[col.type]) for col in schema]
             has_ts = ts_column in (reader.fieldnames or ())
+            if has_ts:
+                parsers.append((ts_column, int))
             rows = []
             for line in reader:
                 values = []
-                for col in schema:
-                    if col.name not in line:
-                        raise SchemaMismatch(f"feed missing column {col.name}")
-                    raw = line[col.name]
-                    if col.type is ScalarType.INT:
-                        values.append(int(raw))
-                    elif col.type is ScalarType.FLOAT:
-                        values.append(float(raw))
-                    else:
-                        values.append(raw)
-                ts = int(line[ts_column]) if has_ts else 0
+                for name, parse in parsers:
+                    if name not in line:
+                        raise SchemaMismatch(f"feed missing column {name}")
+                    raw = line[name]
+                    try:
+                        if raw is None:  # the row is shorter than the header
+                            raise ValueError(name)
+                        values.append(parse(raw))
+                    except ValueError:
+                        raise SchemaMismatch(
+                            f"feed line {reader.line_num}: {name} = {raw!r} "
+                            f"is not {parse.__name__}"
+                        ) from None
+                ts = values.pop() if has_ts else 0
                 rows.append((tuple(values), ts))
         return cls(rows)
 

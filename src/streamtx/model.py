@@ -79,10 +79,9 @@ class WindowSpec:
     owner: str
 
     def __post_init__(self):
-        if self.size < 1:
-            raise BadDefinition(f"window {self.name}: size must be >= 1")
-        if not (1 <= self.slide <= self.size):
-            raise BadDefinition(f"window {self.name}: need 1 <= slide <= size")
+        ints = type(self.size) is int and type(self.slide) is int  # not bool
+        if not (ints and 1 <= self.slide <= self.size):
+            raise BadDefinition(f"window {self.name}: need ints 1 <= slide <= size")
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ snapshot the log follows: the checkpoint that wrote that snapshot truncated
 the log, so the commits up to it are in no log record. A record is one
 transaction: a nested group's record names its entry child and carries
 the group's first commit seq, and strong replay runs the group again whole.
-An abort changes no state but the batches it drops, the round's inputs
-that committed work left; a strong-mode record names those dropped by the
+An abort changes no state but the batches it drops, the inputs up to its
+round that committed work left; a strong-mode record names those dropped by the
 aborts since the previous record, and replay drops them before it runs
 the record.
 

@@ -69,9 +69,9 @@ class StatementTrigger:
 
 @dataclass(frozen=True)
 class Step:
-    """A statement resolved at registration. ``run(ctx, tuples, batch_id,
-    sums)`` keeps its destination stream's plan (or a table or window name),
-    column positions and constants."""
+    """A statement resolved at registration. ``run(ctx, tuples, sums)``
+    keeps its destination stream's plan (or a table or window name), column
+    positions and constants; what it appends is batch ``ctx.round``."""
 
     writes: str
     reads_rows: bool
@@ -161,17 +161,17 @@ class TriggerEngine:
             match = None if stmt.pred is None else row_matcher(src, stmt.pred)
             same = src.types == dst.table.types
 
-            def copy(ctx, tuples, batch_id, sums):
+            def copy(ctx, tuples, sums):
                 hits = tuples if match is None else [t for t in tuples if match(t)]
                 if hits:
-                    ctx._append(dst, hits, batch_id, checked=same)
+                    ctx._append(dst, hits, checked=same)
 
             return Step(stmt.dst, True, copy)
         if isinstance(stmt, WindowInsertStmt):
             window = self.store.window(stmt.window)
             name, same = window.name, src.types == window.types
 
-            def insert(ctx, tuples, batch_id, sums):
+            def insert(ctx, tuples, sums):
                 ctx._window_insert(name, tuples, checked=same)
 
             return Step(name, True, insert)
@@ -197,7 +197,7 @@ class TriggerEngine:
             )
         ci, gi = check_aggregate(src, stmt.op, stmt.column, stmt.group_by)
         op, col, group_by = stmt.op, stmt.column, stmt.group_by
-        n = int(src.spec.size)  # an int, as the count row it makes must be
+        n = src.spec.size
         from_sums = group_by is None and (
             op == "count" or (op in ("sum", "avg") and col in src.sums)
         )
@@ -220,10 +220,10 @@ class TriggerEngine:
             key = () if gi is None else (src.types[gi],)
             proven = op != "sum" and plan.table.types == key + (value,)
 
-            def run(ctx, tuples, batch_id, sums):
-                ctx._append(plan, rows(ctx, tuples, sums), batch_id, checked=proven)
+            def run(ctx, tuples, sums):
+                ctx._append(plan, rows(ctx, tuples, sums), checked=proven)
         else:
-            def run(ctx, tuples, batch_id, sums):
+            def run(ctx, tuples, sums):
                 for row in rows(ctx, tuples, sums):
                     ctx.insert(dst, row)
         return Step(dst, not from_sums, run)
@@ -301,15 +301,14 @@ class TriggerEngine:
         cascade depth-first through the context."""
         for step in plan.program:
             ctx.count_statement()
-            step.run(ctx, batch.tuples, batch.batch_id, None)
-        ctx.ee_consumed.append((plan.table.name, batch.batch_id))
+            step.run(ctx, batch.tuples, None)
 
     def on_window_events(self, ctx, window: str, events: list[FullWindowEvent]):
         steps = self.window_programs.get(window, ())
         for ev in events:
             for step in steps:
                 ctx.count_statement()
-                step.run(ctx, ev.tuples, ctx.round, ev.sums)
+                step.run(ctx, ev.tuples, ev.sums)
 
     # --- procedure trigger firing (commit time) ---
 

@@ -136,8 +136,10 @@ def random_run(seed: int):
         if rng.random() < 0.5:
             engine.run_until_idle()
         assert_pending_is_waiting(engine)
+        assert_nothing_held_up_to_consumed(engine)
     engine.run_until_idle()
     assert_pending_is_waiting(engine)
+    assert_nothing_held_up_to_consumed(engine)
     return engine, w
 
 
@@ -152,6 +154,20 @@ def assert_pending_is_waiting(engine: Engine) -> None:
         for b in plan.table.batches
     }
     assert triggers.pending == held, (triggers.pending, held)
+
+
+def assert_nothing_held_up_to_consumed(engine: Engine) -> None:
+    """A stream that fires a procedure holds no batch at or below the last
+    round its consumer committed: the consumer takes its rounds in order,
+    so such a batch would wait forever."""
+    stranded = {
+        (s, b)
+        for s, plan in engine.partition.stream_plans.items()
+        if plan.target is not None
+        for b in plan.table.batches
+        if b <= plan.table.last_consumed_batch
+    }
+    assert not stranded, stranded
 
 
 # --- strong recovery of a random workflow ---

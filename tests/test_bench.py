@@ -365,7 +365,6 @@ def test_cli_run_bad_feed_leaves_data_dir_unused(tmp_path, capsys):
     from streamtx.cli import main
 
     feed = tmp_path / "feed.csv"
-    feed.write_text("wrong\n5\n")
     cfg = tmp_path / "wl.cfg"
     cfg.write_text(
         """
@@ -387,9 +386,16 @@ source = csv:%s
         % feed
     )
     data = tmp_path / "data"
-    for _ in range(2):  # the second run finds the directory as the first left it
-        assert main(["run", "--config", str(cfg), "--data-dir", str(data)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "streamtx run: SchemaMismatch: feed missing column value\n"
-        assert not (data / "command.log").exists()
+    bad_feeds = {
+        "wrong\n5\n": "feed missing column value",
+        "value\n5\nabc\n": "feed line 3: value = 'abc' is not int",
+        "value,ts\n5,1\n7\n": "feed line 3: ts = None is not int",  # a short row
+    }
+    for text, reason in bad_feeds.items():
+        feed.write_text(text)
+        for _ in range(2):  # the second run finds the directory as the first left it
+            assert main(["run", "--config", str(cfg), "--data-dir", str(data)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"streamtx run: SchemaMismatch: {reason}\n"
+            assert not (data / "command.log").exists()

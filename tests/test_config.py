@@ -166,6 +166,33 @@ def test_empty_section_name_rejected(head, body):
             cfgmod.load(f"{header}\n{body}\n")
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("[stream s1]\n", r"\[stream s1\]: missing key 'columns'"),
+        ("[edge 1]\nproducer = a\nconsumer = b\n", r"\[edge 1\]: missing key 'stream'"),
+        ("[group g]\norder = a<b\n", r"\[group g\]: missing key 'children'"),
+        ("[procedure p]\nstreams = s\n", r"\[procedure p\]: missing key 'kind'"),
+        (
+            "[window w]\ncolumns = v:int\nsize = x\nslide = 1\nowner = p\n",
+            r"\[window w\]: .*'x'",
+        ),
+        ("[engine]\nrounds = many\n", r"\[engine\]: .*'many'"),
+        ("[feed]\nbatch_size = two\n", r"\[feed\]: .*'two'"),
+        ("[params]\nx = abc\n", r"\[params\]: .*'abc'"),
+    ],
+    ids=[
+        "stream_columns", "edge_stream", "group_children", "procedure_kind",
+        "window_size", "rounds", "batch_size", "param",
+    ],
+)
+def test_missing_key_or_bad_number_is_config_error(text, match):
+    """A missing required key or a number that does not parse names its
+    section in a ``ConfigError``, not a raw ``KeyError`` or ``ValueError``."""
+    with pytest.raises(ConfigError, match=match):
+        cfgmod.load(text)
+
+
 def test_unknown_stream_reference_rejected():
     with pytest.raises(ConfigError):
         cfgmod.load(

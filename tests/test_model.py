@@ -110,10 +110,10 @@ def test_streaming_without_stream_rejected():
 
 
 def test_window_spec_bounds():
-    with pytest.raises(BadDefinition):
-        WindowSpec("w", 0, 1, "A")
-    with pytest.raises(BadDefinition):
-        WindowSpec("w", 3, 4, "A")
+    # size and slide are ints, not bools or floats, with 1 <= slide <= size
+    for size, slide in [(0, 1), (3, 4), (2.5, 1), (True, 1), (2, 1.0), (2, True)]:
+        with pytest.raises(BadDefinition):
+            WindowSpec("w", size, slide, "A")
 
 
 def diamond_workflow():

@@ -24,7 +24,7 @@ from streamtx.errors import (
     TypeMismatch,
     VersionMismatch,
 )
-from streamtx.executor import args_to_batches
+from streamtx.executor import args_to_batches, batches_to_args
 from streamtx.ingest import BatchingPolicy, FeedSource, StreamIngestor, ingest
 from streamtx.model import (
     AtomicBatch,
@@ -584,6 +584,19 @@ def test_replay_divergence_detected(tmp_path):
 
     with pytest.raises(ReplayDivergence):
         recover(aborting_spec(), str(tmp_path), fsync=False)
+
+
+def test_replayed_border_batch_must_be_its_round(tmp_path):
+    # a log may come from another spec: a border record whose batch is not
+    # its round diverges instead of committing that batch as the round
+    Engine(chain_spec(2), data_dir=str(tmp_path),
+           recovery_mode=RecoveryMode.STRONG, fsync=False).close()
+    batch = AtomicBatch(2, (Tuple((5,), tuple_id=1, batch_id=2),))
+    rec = CommandLogRecord(1, "SP1", 1, batches_to_args({"s1": batch}))
+    with open(tmp_path / LOG_FILE, "ab") as fh:
+        fh.write(rec.encode())
+    with pytest.raises(ReplayDivergence, match="SP1 round 1 aborted"):
+        recover(chain_spec(2), str(tmp_path), fsync=False)
 
 
 def gate_spec():

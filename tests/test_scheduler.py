@@ -9,7 +9,7 @@ from streamtx.errors import (
     WrongKind,
 )
 from streamtx.executor import Origin, TERequest
-from streamtx.ingest import BatchingPolicy, FeedSource, ingest
+from streamtx.ingest import BatchingPolicy, FeedSource, StreamIngestor, ingest
 from streamtx.model import (
     NestedGroup,
     ProcedureDef,
@@ -554,6 +554,104 @@ def test_diamond_join_runs_once_with_both_inputs():
     per_round = [te.procedure for te in e.committed_schedule if te.round == 1]
     assert per_round.count("D") == 1
     assert validate(e.committed_schedule, w).correct
+
+
+def held_batches(e):
+    """(stream, batch) of every batch the engine's streams hold."""
+    return {
+        (name, b)
+        for name, plan in e.partition.stream_plans.items()
+        for b in plan.table.batches
+    }
+
+
+def two_root_group_spec(abort):
+    """P fans out to A and B, which both feed C; {A, B, C} is one nested
+    group with two roots. ``abort`` is the set of (procedure, round) that
+    abort."""
+
+    def body(ins, outs):
+        def run(ctx):
+            if (ctx.proc.name, ctx.round) in abort:
+                ctx.abort("forced")
+            rows = [t for s in ins for t in ctx.input_tuples(s)]
+            for out in outs:
+                ctx.emit(out, rows)
+
+        return run
+
+    kinds = {"P": ProcedureKind.BORDER}
+    ins = {"P": ("s0",), "A": ("sA",), "B": ("sB",), "C": ("sAC", "sBC")}
+    outs = {"P": ("sA", "sB"), "A": ("sAC",), "B": ("sBC",), "C": ()}
+    w = register_workflow(
+        "two_roots",
+        [
+            ProcedureDef(
+                n, kinds.get(n, ProcedureKind.INTERIOR), ins[n], body=body(ins[n], outs[n])
+            )
+            for n in "PABC"
+        ],
+        [("P", "sA", "A"), ("P", "sB", "B"), ("A", "sAC", "C"), ("B", "sBC", "C")],
+        nested_groups=[NestedGroup("g", ("A", "B", "C"), (("A", "C"), ("B", "C")))],
+    )
+    streams = [StreamDef(s, VAL_COLS) for s in ("s0", "sA", "sB", "sAC", "sBC")]
+    return EngineSpec(workflows=[w], streams=streams)
+
+
+@pytest.mark.parametrize("child", ["A", "B", "C"])
+def test_group_abort_drops_every_root_input(child):
+    # the trigger fires the group through A; when any child aborts round 2,
+    # the batch B would have read is dropped too, and nothing waits for it
+    e = Engine(two_root_group_spec({(child, 2)}))
+    feed(e, [1, 2, 3], stream="s0")
+    e.run_until_idle()
+    rounds = [(te.procedure, te.round) for te in e.committed_schedule]
+    assert [r for p, r in rounds if p == "C"] == [1, 3]
+    assert held_batches(e) == set()
+    assert e.partition.trigger_engine.pending == set()
+    assert validate(e.committed_schedule, e.spec.workflows[0]).correct
+
+
+def test_join_input_of_a_dead_round_collected_by_the_next():
+    # C aborts round 1, so D never runs round 1 and B's batch 1 waits at the
+    # join; D's round 2 collects it, since D never runs a lower round again
+    def fan_out(ctx):
+        ctx.emit("sab", ctx.input_tuples("s0"))
+        ctx.emit("sac", ctx.input_tuples("s0"))
+
+    def forward(src, dst):
+        def body(ctx):
+            if (ctx.proc.name, ctx.round) == ("C", 1):
+                ctx.abort("forced")
+            ctx.emit(dst, ctx.input_tuples(src))
+
+        return body
+
+    w = register_workflow(
+        "diamond",
+        [
+            ProcedureDef("A", ProcedureKind.BORDER, ("s0",), body=fan_out),
+            ProcedureDef("B", ProcedureKind.INTERIOR, ("sab",), body=forward("sab", "sbd")),
+            ProcedureDef("C", ProcedureKind.INTERIOR, ("sac",), body=forward("sac", "scd")),
+            ProcedureDef("D", ProcedureKind.INTERIOR, ("sbd", "scd")),
+        ],
+        [("A", "sab", "B"), ("A", "sac", "C"), ("B", "sbd", "D"), ("C", "scd", "D")],
+    )
+    e = Engine(
+        EngineSpec(
+            workflows=[w],
+            streams=[StreamDef(s, VAL_COLS) for s in ("s0", "sab", "sac", "sbd", "scd")],
+        )
+    )
+    ing = StreamIngestor(e, "s0", BatchingPolicy("fixed_count", 1))
+    ing.push((1,))
+    e.run_until_idle()
+    assert held_batches(e) == {("sbd", 1)}  # held until D runs a later round
+    ing.push((2,))
+    e.run_until_idle()
+    assert held_batches(e) == set()
+    assert e.partition.trigger_engine.pending == set()
+    assert [te.round for te in e.committed_schedule if te.procedure == "D"] == [2]
 
 
 def test_not_partitionable_guard():

@@ -204,8 +204,6 @@ def test_empty_program_is_noop():
 
 
 class _NullCtx:
-    ee_consumed = []
-
     def count_statement(self):
         raise AssertionError("empty program must not execute statements")
 
