@@ -171,6 +171,9 @@ def decode_batches(buf: bytes) -> dict[str, AtomicBatch]:
     return out
 
 
+FRAME_OVERHEAD = 2 * _I.size  # a frame's length before its payload, its CRC after
+
+
 def frame(payload: bytes) -> bytes:
     body = _I.pack(len(payload)) + payload
     return body + _I.pack(zlib.crc32(body))

@@ -39,6 +39,8 @@ from .recovery import (
     CommandLog,
     InputCache,
     RecoveryMode,
+    cut_torn_tail,
+    make_dirs,
     read_input_cache,
     read_log,
     replace_file,
@@ -140,7 +142,7 @@ class Engine:
         log_path = cache_path = None
         if mode is not None:
             self._claim_data_dir()
-            os.makedirs(data_dir, exist_ok=True)
+            make_dirs(data_dir, fsync)
             log_path = os.path.join(data_dir, LOG_FILE)
             if mode is RecoveryMode.WEAK:
                 cache_path = os.path.join(data_dir, CACHE_FILE)
@@ -166,7 +168,6 @@ class Engine:
         # border -> round -> (its batches so far, its ticket), for rounds that
         # miss a batch or wait behind a lower round
         self._feeder_pending: dict[str, dict[int, tuple[dict, Ticket]]] = {}
-        self._released: dict[str, int] = {}  # border -> last round submitted
         # a border's inputs are exactly the streams no edge produces
         self._border_for_stream: dict[str, ProcedurePlan] = {
             s: plan
@@ -223,7 +224,7 @@ class Engine:
         if slot is not None and stream in slot[0]:
             raise BadDefinition(f"{proc_name} round {round_} already has {stream}")
         if slot is None and round_ <= max(
-            self._released.get(proc_name, 0), table.last_consumed_batch
+            p.last_queued.get(proc_name, 0), table.last_consumed_batch
         ):
             raise BadDefinition(f"{proc_name} already took round {round_}")
         for t in batch.tuples:
@@ -246,7 +247,7 @@ class Engine:
             if len(ready) < n_inputs:
                 break
             del pending[low]
-            self._released[proc_name] = low
+            p.last_queued[proc_name] = low
             self._backpressure()
             args = b""
             if plan.logged:
@@ -396,17 +397,18 @@ def recover(
     expect_mode: Optional[RecoveryMode] = None,
     **engine_kwargs,
 ) -> Engine:
-    """Bring a crashed engine back per the mode recorded in its log: load
-    the newest valid snapshot into the tables ``spec`` builds, then replay.
-    A log or snapshot of another partition, or with ``expect_mode`` set a
-    log written in the other mode, raises ``VersionMismatch``. A newest
-    valid snapshot older than the one the log follows raises
-    ``CorruptSnapshot``."""
+    """Bring a crashed engine back per the mode recorded in its log: cut
+    the log's torn tail, if it has one, so that new records follow the
+    ones recovery reads, load the newest valid snapshot into the tables
+    ``spec`` builds, then replay. A log or snapshot of another partition,
+    or with ``expect_mode`` set a log written in the other mode, raises
+    ``VersionMismatch``. A newest valid snapshot older than the one the log
+    follows raises ``CorruptSnapshot``."""
     for name in os.listdir(data_dir):
         if name.endswith(TEMP_SUFFIX):  # a replace_file the crash cut short
             os.remove(os.path.join(data_dir, name))
     log_path = os.path.join(data_dir, LOG_FILE)
-    mode, log_partition, log_snapshot_seq, records = read_log(log_path)
+    mode, log_partition, log_snapshot_seq, log_end, records = read_log(log_path)
     if expect_mode is not None and mode is not expect_mode:
         raise VersionMismatch(
             f"log was written in {mode.name} mode, not {expect_mode.name}"
@@ -415,6 +417,7 @@ def recover(
         raise VersionMismatch(
             f"log belongs to partition {log_partition}, not {partition_id}"
         )
+    cut_torn_tail(log_path, log_end, engine_kwargs.get("fsync", True))
     engine = Engine.__new__(Engine)
     engine._owns_data_dir = True
     engine.__init__(
@@ -452,7 +455,10 @@ def recover(
         if strong:
             engine.partition.refire_nonempty_streams()
         else:
-            _resubmit_cached(engine, data_dir)
+            # an acknowledged abort that any record carries, even one the
+            # snapshot covers, never runs again
+            retired = {a for rec in records for a in rec.aborted}
+            _resubmit_cached(engine, data_dir, retired)
     except BaseException:
         engine.crash()  # close its files
         raise
@@ -461,7 +467,9 @@ def recover(
 
 def _replay_strong(engine: Engine, records) -> None:
     """Replay every logged transaction once, a nested group whole, with
-    triggers off, after dropping the batches the aborts before it dropped."""
+    triggers off; ``_replay`` runs the drop rule of each abort a record
+    carries first. Strong mode logs every abort, so this brings back the
+    pre-crash state bit for bit."""
     p = engine.partition
     p.trigger_engine.pe_enabled = False
     try:
@@ -470,9 +478,6 @@ def _replay_strong(engine: Engine, records) -> None:
                 raise ReplayDivergence(
                     f"expected commit {p.commit_seq + 1}, log has {rec.commit_seq}"
                 )
-            for stream, batch_id in rec.dropped:
-                p.trigger_engine.note_consumed(stream, batch_id)
-                p.store.garbage_collect(stream, batch_id)
             _replay(p, rec)
     finally:
         p.trigger_engine.pe_enabled = True
@@ -490,6 +495,9 @@ def _replay_weak(engine: Engine, records) -> None:
 
 
 def _replay(p: Partition, rec) -> None:
+    """Run the drop rule of each abort ``rec`` carries, then ``rec``."""
+    for proc, round_ in rec.aborted:
+        p.drop_aborted(proc, round_)
     req = TERequest(rec.procedure, rec.round, rec.args, Origin.RECOVERY)
     if p.execute(req) != "committed":
         raise ReplayDivergence(
@@ -497,16 +505,23 @@ def _replay(p: Partition, rec) -> None:
         )
 
 
-def _resubmit_cached(engine: Engine, data_dir: str) -> None:
-    """Re-submit the cached rounds weak replay did not bring back, then take
-    a fresh checkpoint so commit sequences stay consistent with the
-    (rotated) log."""
+def _resubmit_cached(
+    engine: Engine, data_dir: str, retired: set[tuple[str, int]]
+) -> None:
+    """Re-submit the cached rounds weak replay did not bring back, except
+    the ``retired`` (border, round) pairs, then take a fresh checkpoint so
+    commit sequences stay consistent with the (rotated) log."""
     p = engine.partition
     # a border runs its rounds in order, so the cached batches it never
-    # committed are exactly those above what its streams consumed
+    # committed are exactly those above what its streams consumed; a
+    # retired one's round aborted
     cached = read_input_cache(os.path.join(data_dir, CACHE_FILE))
     p.input_cache.retained = {
-        s: [b for b in bs if b.batch_id > engine.store.stream(s).last_consumed_batch]
+        s: [
+            b for b in bs
+            if b.batch_id > engine.store.stream(s).last_consumed_batch
+            and (engine._border_for_stream[s].proc.name, b.batch_id) not in retired
+        ]
         for s, bs in cached.items()
     }
     for stream in sorted(p.input_cache.retained):

@@ -72,7 +72,8 @@ class Ticket:
     """Asynchronous outcome of one submitted request.
 
     ``outcome`` is set at commit/abort; ``acknowledged`` only once the
-    commit's log record is written (immediately when nothing is logged).
+    commit's log record is written (immediately when nothing is logged),
+    and at once for an abort.
     ``commit_seq`` is the last commit of the transaction, which for a
     nested group is its last child.
     """
@@ -130,12 +131,15 @@ class Counters:
 class ProcedurePlan:
     """One procedure as the partition runs it, resolved when the engine is
     built: its nested group, its input tables in ``stream_inputs`` order,
-    whether this engine's log mode logs a transaction it enters, and the
-    windows other procedures own (window -> owner), which it may not touch."""
+    those of every procedure of the transaction it enters, in group order,
+    whether this engine's log mode logs that transaction, its commit or its
+    abort, and the windows other procedures own (window -> owner), which it
+    may not touch."""
 
     proc: ProcedureDef
     group: Optional[ResolvedGroup]
     inputs: tuple[StreamTable, ...]
+    transaction_inputs: tuple[StreamTable, ...]
     logged: bool
     foreign_windows: dict[str, str]
 
@@ -167,11 +171,17 @@ def make_plans(
             group_of.update((c, group) for c in g.children)
     logged = LOGGED_KINDS[mode]
     owners = {wd.name: name for name, p in procs.items() for wd in p.window_defs}
+    inputs = {
+        name: tuple(map(store.stream, p.stream_inputs)) for name, p in procs.items()
+    }
     return {
         name: ProcedurePlan(
             proc,
             group_of.get(name),
-            tuple(map(store.stream, proc.stream_inputs)),
+            inputs[name],
+            tuple(t for c in group_of[name].order for t in inputs[c])
+            if name in group_of
+            else inputs[name],
             proc.kind in logged,
             {w: owner for w, owner in owners.items() if owner != name},
         )
@@ -342,11 +352,12 @@ class Partition:
         self.counters: Counters = log.counters  # the log counts its syncs there
         self.stopped = False
         self._executing = 0
-        self._last_enqueued_round: dict[str, int] = {}
-        # in strong mode, the batches aborts dropped since the last record:
-        # the next record carries them, and replay drops them before it
-        self._log_drops = log.mode is RecoveryMode.STRONG
-        self._dropped: list[tuple[str, int]] = []
+        # procedure -> the last round queued for it: a border's round once
+        # ``Engine.ingest_batch`` submits it, a trigger target's once fired
+        self.last_queued: dict[str, int] = {}
+        # the (procedure, round) of each logged abort since the last record:
+        # the next record carries them, and replay runs their drop rule
+        self._aborted: list[tuple[str, int]] = []
 
     def plan(self, name: str) -> ProcedurePlan:
         try:
@@ -371,9 +382,9 @@ class Partition:
         round's inputs in one commit)."""
         out = []
         for target, round_ in fires:
-            if self._last_enqueued_round.get(target, 0) >= round_:
+            if self.last_queued.get(target, 0) >= round_:
                 continue
-            self._last_enqueued_round[target] = round_
+            self.last_queued[target] = round_
             req = TERequest(target, round_, origin=Origin.TRIGGER)
             self.fast_track.append(req)
             self.counters.boundary_crossings += 1
@@ -547,9 +558,9 @@ class Partition:
         else:
             record = CommandLogRecord(
                 self.commit_seq + 1, req.proc, req.round, req.args,
-                tuple(self._dropped),
+                tuple(self._aborted),
             )
-            self._dropped.clear()
+            self._aborted.clear()
             log.append(record, ticket)
             self.counters.log_records += 1
         for ctx, child in ran:
@@ -571,10 +582,16 @@ class Partition:
                     self._submit_trigger(fires)
                 if sp.program is not None and triggers.gc_eligible(stream, round_):
                     self.store.garbage_collect(stream, round_)
+            # the procedure takes its rounds in increasing order, and no
+            # other procedure reads its inputs: collect them up to the round
             for tab in ctx.plan.inputs:
                 if round_ > tab.last_consumed_batch:
                     tab.last_consumed_batch = round_
-            self._collect_inputs(ctx.plan, round_)
+                for batch_id in list(tab.batches):  # ascending
+                    if batch_id > round_:
+                        break
+                    triggers.note_consumed(tab.name, batch_id)
+                    self.store.garbage_collect(tab.name, batch_id)
         if ticket is not None:
             ticket.outcome = "committed"
             ticket.commit_seq = self.commit_seq
@@ -587,38 +604,35 @@ class Partition:
         rolled_back: list[TEContext],
     ) -> None:
         """Abort ``req``'s transaction, which ``plan`` enters, once its
-        executions in ``rolled_back`` have rolled back."""
+        executions in ``rolled_back`` have rolled back. The abort is
+        acknowledged at once; when the log keeps the transaction, the next
+        record carries it."""
         self.counters.te_aborted += 1
         t = req.ticket
         if t is not None:
             t.outcome = "aborted"
             t.reason = str(error)
-            t.acknowledged = True  # an abort has no record of its own
+            t.acknowledged = True
         # appended batches were rolled back: no consumer waits for them
         self.trigger_engine.pending.difference_update(
             (stream, req.round) for ctx in rolled_back for stream in ctx.appended
         )
-        # no procedure of the transaction runs this round, or a lower one,
-        # again: drop what their inputs hold up to it
-        for name in plan.group.order if plan.group else (req.proc,):
-            dropped = self._collect_inputs(self.plans[name], req.round)
-            if self._log_drops:
-                self._dropped += dropped
+        if plan.logged:
+            self._aborted.append((req.proc, req.round))
+        self.drop_aborted(req.proc, req.round)
 
-    def _collect_inputs(self, plan: ProcedurePlan, round_: int) -> list:
-        """Collect every batch at or below ``round_`` on ``plan``'s input
-        streams: its procedure takes its rounds in increasing order, and no
-        other procedure reads them. Returns the (stream, batch) collected."""
-        collected = []
-        for tab in plan.inputs:
-            name = tab.name
+    def drop_aborted(self, proc: str, round_: int) -> None:
+        """The drop rule of an aborted transaction that ``proc`` enters: no
+        procedure of it runs ``round_``, or a lower one, again, so collect
+        what their inputs hold up to it, as a commit collects its own. A
+        live abort runs it, and replay runs it for each abort a record
+        carries, before the record."""
+        for tab in self.plans[proc].transaction_inputs:
             for batch_id in list(tab.batches):  # ascending
                 if batch_id > round_:
                     break
-                self.trigger_engine.note_consumed(name, batch_id)
-                self.store.garbage_collect(name, batch_id)
-                collected.append((name, batch_id))
-        return collected
+                self.trigger_engine.note_consumed(tab.name, batch_id)
+                self.store.garbage_collect(tab.name, batch_id)
 
     # --- trigger surface (module operations live on the partition) ---
 

@@ -4,20 +4,27 @@ All of the partition's durable bytes reach disk through one small file
 layer: ``AppendFile`` appends to a file that starts with a header,
 ``replace_file`` swaps a whole file atomically, and ``_read_frames`` reads
 one back. Each file is a header, then codec frames; a torn or corrupt frame
-ends it. The log header's snapshot seq is the commit sequence of the
-snapshot the log follows: the checkpoint that wrote that snapshot truncated
-the log, so the commits up to it are in no log record. A record is one
-transaction: a nested group's record names its entry child and carries
-the group's first commit seq, and strong replay runs the group again whole.
-An abort changes no state but the batches it drops, the inputs up to its
-round that committed work left; a strong-mode record names those dropped by the
-aborts since the previous record, and replay drops them before it runs
-the record.
+ends it, and recovery cuts a log's torn tail (``cut_torn_tail``) before the
+engine appends to it again. The log header's snapshot seq is the commit
+sequence of the snapshot the log follows: the checkpoint that wrote that
+snapshot truncated the log, so the commits up to it are in no log record.
+A record is one transaction: a nested group's record names its entry child
+and carries the group's first commit seq, and strong replay runs the group
+again whole.
 
-    log header:    magic "STXLOG01" | version u32 (5) | mode u8 | partition u32
+An abort changes no state but the batches it drops, the inputs up to its
+round that committed work left, and it is logged as its command, not its
+effects. A record carries the (procedure, round) of each abort since the
+previous record that the log mode logs, by the rule that logs a commit.
+Replay, in both modes, runs each carried abort's drop rule
+(``Partition.drop_aborted``) before it runs the record, and weak recovery
+never re-submits a carried border round. An abort is acknowledged at once,
+so one that no record carries yet when the process dies is not logged.
+
+    log header:    magic "STXLOG01" | version u32 (6) | mode u8 | partition u32
                    | snapshot seq u64
-    log record:    commit_seq u64 | round u64 | dropped count u32 | procedure
-                   text | per dropped batch: stream text | batch u64 | args
+    log record:    commit_seq u64 | round u64 | aborted count u32 | procedure
+                   text | per abort: procedure text | round u64 | args
     cache header:  magic "STXINP03"
     cache record:  one ``{stream: batch}`` in the codec's batch encoding
 
@@ -25,9 +32,10 @@ Border args are that batch encoding too: a batch's column types, then its
 rows in the row encoding snapshots use. The input cache backs the
 weak-recovery upstream-backup scheme: every external batch is written there
 before its border execution runs. One ``fsync`` policy holds for both the
-log and the cache: with it on, a new file's header and directory entry are
-synced when it is created and an append is synced before it returns; with
-it off, appends are flushed to the OS only. ``replace_file`` always syncs.
+log and the cache: with it on, a new data directory's entry, a new file's
+header and its directory entry are synced when they are created, and an
+append is synced before it returns; with it off, appends are flushed to
+the OS only. ``replace_file`` always syncs.
 """
 
 from __future__ import annotations
@@ -39,16 +47,24 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
-from .codec import decode_batches, encode_batches, encode_text, frame, frames, text_at
+from .codec import (
+    FRAME_OVERHEAD,
+    decode_batches,
+    encode_batches,
+    encode_text,
+    frame,
+    frames,
+    text_at,
+)
 from .errors import CorruptLogRecord, LogWriteFailure
 from .model import AtomicBatch, ProcedureKind
 
 LOG_MAGIC = b"STXLOG01"
 CACHE_MAGIC = b"STXINP03"
-LOG_VERSION = 5
+LOG_VERSION = 6
 _LOG_HEAD = struct.Struct("<IBIQ")  # version, mode, partition, snapshot seq
-_RECORD_HEAD = struct.Struct("<QQI")  # commit_seq, round, dropped count
-_BATCH_ID = struct.Struct("<Q")
+_RECORD_HEAD = struct.Struct("<QQI")  # commit_seq, round, aborted count
+_ROUND = struct.Struct("<Q")
 TEMP_SUFFIX = ".tmp"  # replace_file writes here before the rename
 
 
@@ -58,32 +74,32 @@ class RecoveryMode(enum.Enum):
 
 
 class CommandLogRecord(NamedTuple):
-    """One committed transaction, and the (stream, batch) pairs that the
-    aborts since the previous record dropped."""
+    """One committed transaction, and the (procedure, round) of each logged
+    transaction that aborted since the previous record."""
 
     commit_seq: int
     procedure: str
     round: int
     args: bytes
-    dropped: tuple[tuple[str, int], ...] = ()
+    aborted: tuple[tuple[str, int], ...] = ()
 
     def encode(self) -> bytes:
-        head = _RECORD_HEAD.pack(self.commit_seq, self.round, len(self.dropped))
+        head = _RECORD_HEAD.pack(self.commit_seq, self.round, len(self.aborted))
         body = head + encode_text(self.procedure)
-        for stream, batch_id in self.dropped:
-            body += encode_text(stream) + _BATCH_ID.pack(batch_id)
+        for procedure, round_ in self.aborted:
+            body += encode_text(procedure) + _ROUND.pack(round_)
         return frame(body + self.args)
 
     @classmethod
     def decode(cls, payload: bytes) -> "CommandLogRecord":
         seq, round_, n = _RECORD_HEAD.unpack_from(payload)
         procedure, off = text_at(payload, _RECORD_HEAD.size)
-        dropped = []
+        aborted = []
         for _ in range(n):
-            stream, off = text_at(payload, off)
-            dropped.append((stream, _BATCH_ID.unpack_from(payload, off)[0]))
-            off += _BATCH_ID.size
-        return cls(seq, procedure, round_, payload[off:], tuple(dropped))
+            name, off = text_at(payload, off)
+            aborted.append((name, _ROUND.unpack_from(payload, off)[0]))
+            off += _ROUND.size
+        return cls(seq, procedure, round_, payload[off:], tuple(aborted))
 
 
 # the procedure kinds whose transactions each log mode logs, by the kind of
@@ -275,10 +291,13 @@ class CommandLog:
                 self._file.close()
 
 
-def read_log(path: str) -> tuple[RecoveryMode, int, int, list[CommandLogRecord]]:
+def read_log(
+    path: str,
+) -> tuple[RecoveryMode, int, int, int, list[CommandLogRecord]]:
     """Read a command log; a torn record truncates the tail (standard rule).
 
-    Returns (mode, partition_id, snapshot seq, records in file order).
+    Returns (mode, partition_id, snapshot seq, the offset where the last
+    whole frame ends, records in file order).
     """
     head, payloads = _read_frames(path, LOG_MAGIC, _LOG_HEAD.size)
     # the version leads, so an older header, shorter than this one, still
@@ -289,13 +308,46 @@ def read_log(path: str) -> tuple[RecoveryMode, int, int, list[CommandLogRecord]]
     if len(head) < _LOG_HEAD.size:
         raise CorruptLogRecord(f"bad header in {os.path.basename(path)}")
     _, mode_v, partition_id, snapshot_seq = _LOG_HEAD.unpack(head)
+    end = len(LOG_MAGIC) + _LOG_HEAD.size
     records: list[CommandLogRecord] = []
     for payload in payloads:
         rec = CommandLogRecord.decode(payload)
         if records and rec.commit_seq <= records[-1].commit_seq:
             raise CorruptLogRecord("commit sequence not increasing")
         records.append(rec)
-    return RecoveryMode(mode_v), partition_id, snapshot_seq, records
+        end += len(payload) + FRAME_OVERHEAD
+    return RecoveryMode(mode_v), partition_id, snapshot_seq, end, records
+
+
+def cut_torn_tail(path: str, end: int, fsync: bool) -> None:
+    """Cut ``path`` back to its first ``end`` bytes, the whole frames before
+    a torn tail, so that later appends follow them instead of bytes no read
+    gets past; sync the cut when ``fsync`` is set. A file no longer than
+    ``end`` is left as it is. An I/O error raises ``LogWriteFailure``."""
+    try:
+        with open(path, "r+b") as fh:
+            if fh.seek(0, os.SEEK_END) <= end:
+                return
+            fh.truncate(end)
+            if fsync:
+                os.fsync(fh.fileno())
+    except OSError as e:
+        raise LogWriteFailure(str(e)) from e
+
+
+def make_dirs(path: str, fsync: bool) -> None:
+    """``os.makedirs(path, exist_ok=True)``; with ``fsync`` set, also sync
+    the parent of each directory it creates, so that the new entries
+    survive a crash."""
+    created = []
+    d = os.path.abspath(path)
+    while not os.path.isdir(d):
+        created.append(d)
+        d = os.path.dirname(d)
+    os.makedirs(path, exist_ok=True)
+    if fsync:
+        for new in reversed(created):
+            _sync_dir(new)
 
 
 def truncate_log(

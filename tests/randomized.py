@@ -4,6 +4,7 @@ window aggregates across aborts and a crash, and a two-input border across
 arrival orders, checkpoints and crashes."""
 
 import random
+import shutil
 
 from oracles import sliding_window_events
 from streamtx.engine import Engine, EngineSpec, StreamDef, TableDef, recover
@@ -191,17 +192,34 @@ def group_boundaries(schedule, workflow) -> set[int]:
     return out
 
 
+def crash_in_flush(engine: Engine, rng: random.Random) -> None:
+    """Crash ``engine`` inside a flush of the records its log buffers: a
+    random prefix of their bytes, maybe none, reaches the file, which may
+    leave a torn tail. None of them was acknowledged."""
+    log = engine.partition.log
+    buffered = b"".join(rec.encode() for rec, _ in log._pending)
+    engine.crash()
+    if buffered:
+        with open(log.path, "ab") as fh:
+            fh.write(buffered[: rng.randrange(len(buffered))])
+
+
 def random_strong_crash_run(
     seed: int, data_dir: str
-) -> tuple[int, set, dict, bytes, int]:
+) -> list[tuple[int, set, dict, bytes, int]]:
     """One seeded strong-mode run of a ``random_workflow`` with group commit
-    1-4, crashed after a random step of a random feed and recovered.
+    1-4, crashed inside a flush after a random step of a random feed and
+    recovered; the recovered engine takes the rest of the feed and crashes
+    again, the same way, after a random later step, and is recovered once
+    more.
 
-    A golden engine without files takes the whole feed with a
-    ``post_commit_hook`` snapshot at each commit. Returns (recovered commit
-    seq, the golden schedule's group boundaries, the golden snapshots by
-    commit seq, the recovered snapshot, the largest commit seq of an
-    acknowledged ticket).
+    Each life is checked against a crash-free run that takes the same
+    steps, with a ``post_commit_hook`` snapshot at each commit. For the
+    first, an engine without files takes the whole feed; for the second,
+    an engine recovered from a copy of the first crash's files takes the
+    rest of it. Returns, per life, (recovered commit seq, the crash-free
+    schedule's group boundaries, its snapshots by commit seq, the recovered
+    snapshot, the largest commit seq of a ticket acknowledged so far).
     """
     rng = random.Random(seed)
     w, streams, externals, _ = random_workflow(rng, str(seed))
@@ -231,24 +249,52 @@ def random_strong_crash_run(
             tickets.append(engine.ingest_batch(s, AtomicBatch(r, (row,))))
         return [t for t in tickets if t is not None]
 
+    def acked_by(tickets, acked=0):
+        return max([acked] + [t.commit_seq for t in tickets if t.acknowledged])
+
+    def recorder(states):
+        def hook(p):
+            states[p.commit_seq] = snapshot_state(p.store, p.id, p.commit_seq)
+
+        return hook
+
     golden_states = {}
-
-    def hook(p):
-        golden_states[p.commit_seq] = snapshot_state(p.store, p.id, p.commit_seq)
-
-    golden = Engine(spec, post_commit_hook=hook)
+    golden = Engine(spec, post_commit_hook=recorder(golden_states))
     golden_states[0] = golden.snapshot_bytes()
     run(golden, steps)
     boundaries = group_boundaries(golden.committed_schedule, w)
 
     live = Engine(spec, data_dir=data_dir, recovery_mode=RecoveryMode.STRONG, **args)
-    tickets = run(live, steps[:crash_after])
-    acked = max((t.commit_seq for t in tickets if t.acknowledged), default=0)
-    live.crash()
+    acked = acked_by(run(live, steps[:crash_after]))
+    crash_in_flush(live, rng)
+    shutil.copytree(data_dir, data_dir + "-golden")
     engine = recover(spec, data_dir, **args)
-    seq, state = engine.partition.commit_seq, engine.snapshot_bytes()
+    seq = engine.partition.commit_seq
+    lives = [(seq, boundaries, golden_states, engine.snapshot_bytes(), acked)]
+
+    rest_states = {k: v for k, v in golden_states.items() if k <= seq}
+    rest = recover(
+        spec, data_dir + "-golden", post_commit_hook=recorder(rest_states), **args
+    )
+    run(rest, steps[crash_after:])
+    rest.close()
+    rest_boundaries = group_boundaries(rest.committed_schedule, w)
+
+    crash_again = rng.randint(crash_after, len(steps))
+    acked = acked_by(run(engine, steps[crash_after:crash_again]), acked)
+    crash_in_flush(engine, rng)
+    engine = recover(spec, data_dir, **args)
+    lives.append(
+        (
+            engine.partition.commit_seq,
+            rest_boundaries,
+            rest_states,
+            engine.snapshot_bytes(),
+            acked,
+        )
+    )
     engine.close()
-    return seq, boundaries, golden_states, state, acked
+    return lives
 
 
 # --- window aggregates ---

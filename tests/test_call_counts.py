@@ -39,7 +39,7 @@ ROUNDS = 64  # five records a round fill 40 group-commit flushes of 8
 
 # calls per round when these pins were set; a flush of 8 records costs a
 # fractional share of a round
-PINS = {"chain": 211.875, "window": 52, "leaderboard": 229.140625}
+PINS = {"chain": 206.875, "window": 51, "leaderboard": 227.34375}
 
 
 def chain_engine(data_dir):

@@ -5,7 +5,8 @@ The crash-point test runs a short chain once while recording the data dir
 around every call that writes it: before the call, after it, and with only
 half of what the call wrote. Each recorded state is then recovered in a
 fresh directory, the way ALICE (Pillai et al., OSDI 2014) replays every
-prefix of a program's file operations.
+prefix of a program's file operations, and the recovered engine crashes
+and is recovered once more.
 """
 
 import dataclasses
@@ -128,16 +129,29 @@ def test_recovery_at_every_crash_point(tmp_path, mode):
     crash_states = record_crash_states(mode, str(tmp_path / "live"))
     assert len(crash_states) > 20
     workflow = chain_spec(N_PROCS).workflows[0]
+
+    def check(r, seen, at):
+        if mode is RecoveryMode.STRONG:
+            seq = r.partition.commit_seq
+            assert seq >= seen, f"{at}: acknowledged commit {seen} lost"
+            assert r.snapshot_bytes() == golden_states[seq], at
+
     for i, (files, seen) in enumerate(crash_states):
         d = tmp_path / f"crash{i}"
         d.mkdir()
         for name, data in files.items():
             (d / name).write_bytes(data)
         r = recover(chain_spec(N_PROCS), str(d), **ENGINE_ARGS)
-        if mode is RecoveryMode.STRONG:
-            seq = r.partition.commit_seq
-            assert seq >= seen, f"state {i}: acknowledged commit {seen} lost"
-            assert r.snapshot_bytes() == golden_states[seq], f"state {i}"
+        check(r, seen, f"state {i}")
+        # the recovered engine takes up to two more rounds, then crashes and
+        # is recovered once more
+        r.run_until_idle()
+        resume = r.store.stream("s1").last_consumed_batch + 1
+        tickets = feed(r, resume, min(resume + 1, ROUNDS))
+        seen = max([seen] + [t.commit_seq for t in tickets if t.acknowledged])
+        r.crash()
+        r = recover(chain_spec(N_PROCS), str(d), **ENGINE_ARGS)
+        check(r, seen, f"state {i}, recovered twice")
         r.run_until_idle()
         resume = r.store.stream("s1").last_consumed_batch + 1
         feed(r, resume, ROUNDS)
@@ -177,6 +191,13 @@ def test_log_and_cache_follow_one_fsync_policy(tmp_path, monkeypatch, mode, fsyn
     assert flushes == rounds * (N_PROCS if mode is RecoveryMode.STRONG else 1) // 8
     cache_appends = rounds if mode is RecoveryMode.WEAK else 0
     assert len(synced) == (flushes + cache_appends if fsync else 0)
+    e.close()
+    # a data dir that does not exist yet: the parent of each directory the
+    # engine creates is synced too, before the new files
+    synced.clear()
+    e = Engine(chain_spec(N_PROCS), data_dir=str(tmp_path / "new" / "data"),
+               recovery_mode=mode, fsync=fsync)
+    assert synced == (["dir", "dir"] + ["file", "dir"] * new_files if fsync else [])
     e.close()
 
 

@@ -482,6 +482,35 @@ def test_tail_corruption_truncates(tmp_path):
     assert len(truncated) < 4
 
 
+def test_torn_tail_cut_before_new_records(tmp_path):
+    # recovery reads up to the torn record; the records the recovered
+    # engine writes must follow the ones it read, or the next recovery
+    # stops at the torn bytes and loses them
+    e = Engine(chain_spec(2), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.STRONG, fsync=False)
+    for round_ in (1, 2, 3):
+        e.ingest_batch("s1", one_row(round_, 10 * round_))
+    e.run_until_idle()
+    e.crash()
+    log_path = tmp_path / LOG_FILE
+    whole = log_path.read_bytes()
+    log_path.write_bytes(whole[:-5])
+    r = recover(chain_spec(2), str(tmp_path), fsync=False)
+    assert r.partition.commit_seq == 5
+    assert len(log_path.read_bytes()) < len(whole) - 5
+    r.run_until_idle()
+    tickets = [r.ingest_batch("s1", one_row(n, 10 * n)) for n in (4, 5, 6)]
+    r.run_until_idle()
+    assert [(t.commit_seq, t.acknowledged) for t in tickets] == [
+        (7, True), (9, True), (11, True)
+    ]
+    r.crash()
+    r = recover(chain_spec(2), str(tmp_path), fsync=False)
+    assert r.partition.commit_seq == 12
+    assert out_values(r) == [10, 20, 30, 40, 50, 60]
+    r.close()
+
+
 def test_torn_snapshot_falls_back_to_previous(tmp_path):
     e = Engine(chain_spec(2), data_dir=str(tmp_path),
                recovery_mode=RecoveryMode.STRONG, fsync=False)
@@ -635,9 +664,9 @@ def gate_spec():
 
 
 def test_strong_replay_drops_what_an_abort_dropped(tmp_path):
-    # SP2's abort drops round 1's batch on s2; recovery must drop it too,
-    # or it refires SP2, which commits the aborted round once the gate is
-    # open
+    # SP2's abort drops round 1's batch on s2; Open's record carries the
+    # abort, and replay runs its drop rule first, or recovery refires SP2,
+    # which commits the aborted round once the gate is open
     e = Engine(gate_spec(), data_dir=str(tmp_path),
                recovery_mode=RecoveryMode.STRONG, fsync=False)
     feed_rounds(e, [7])
@@ -655,9 +684,9 @@ def test_strong_replay_drops_what_an_abort_dropped(tmp_path):
     assert r.counters.te_aborted == 0
     r.close()
     *_, recs = read_log(str(tmp_path / LOG_FILE))
-    assert [(rec.procedure, rec.dropped) for rec in recs] == [
+    assert [(rec.procedure, rec.aborted) for rec in recs] == [
         ("SP1", ()),
-        ("Open", (("s2", 1),)),
+        ("Open", (("SP2", 1),)),
     ]
 
 
@@ -1001,6 +1030,72 @@ def test_acknowledged_abort_not_rerun_after_checkpoint(tmp_path):
     r.close()
 
 
+def test_acknowledged_abort_after_checkpoint_not_rerun(tmp_path):
+    # round 2 aborts after the checkpoint, so the cache still holds it; the
+    # record of Clear carries the abort, which retires the round, or
+    # recovery would run it again after Clear, and it would commit
+    e = Engine(seen_spec(), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.WEAK, fsync=False)
+    t1 = e.await_ticket(e.ingest_batch("s1", one_row(1, 7)))
+    assert t1.committed
+    e.checkpoint()
+    t2 = e.await_ticket(e.ingest_batch("s1", one_row(2, 7)))
+    assert t2.outcome == "aborted" and t2.acknowledged
+    assert e.await_ticket(e.call_oltp("Clear")).acknowledged
+    e.crash()
+    r = recover(seen_spec(), str(tmp_path), fsync=False)
+    r.run_until_idle()
+    assert r.store.table("seen").rows == []
+    assert r.counters.te_aborted == 0
+    r.close()
+
+
+def test_trailing_abort_reruns_after_weak_recovery(tmp_path):
+    # an abort is acknowledged at once, but only the next logged record
+    # carries it: when the process dies before one does, weak recovery runs
+    # the round again, against the state it rebuilt, and here it aborts
+    # again
+    e = Engine(seen_spec(), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.WEAK, fsync=False)
+    t1, t2 = feed_rounds(e, [7, 7])
+    e.run_until_idle()
+    assert t1.committed and t2.outcome == "aborted" and t2.acknowledged
+    e.crash()
+    r = recover(seen_spec(), str(tmp_path), fsync=False)
+    assert [(q.proc, q.round) for q in r.partition.client_queue] == [("SP1", 2)]
+    r.run_until_idle()
+    assert r.counters.te_aborted == 1
+    assert [t.values for t in r.store.table("seen").rows] == [(7,)]
+    r.close()
+
+
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_abort_before_checkpoint_carried_after_it(tmp_path, mode):
+    # the snapshot already holds what round 2's abort dropped; the record
+    # after the checkpoint still carries the abort, and running its drop
+    # rule again changes nothing
+    e = Engine(seen_spec(), data_dir=str(tmp_path), recovery_mode=mode,
+               fsync=False)
+    t1, t2 = feed_rounds(e, [7, 7])
+    e.run_until_idle()
+    assert t1.committed and t2.outcome == "aborted"
+    e.checkpoint()
+    e.await_ticket(e.call_oltp("Clear"))
+    want = e.snapshot_bytes()
+    e.crash()
+    *_, recs = read_log(str(tmp_path / LOG_FILE))
+    assert [(rec.procedure, rec.aborted) for rec in recs] == [
+        ("Clear", (("SP1", 2),))
+    ]
+    r = recover(seen_spec(), str(tmp_path), fsync=False)
+    if mode is RecoveryMode.STRONG:
+        assert r.snapshot_bytes() == want
+    r.run_until_idle()
+    assert r.store.table("seen").rows == []
+    assert r.counters.te_aborted == 0
+    r.close()
+
+
 @pytest.mark.parametrize("case", ["consumed", "queued", "same_slot"])
 def test_rejects_batch_border_already_took(tmp_path, case):
     spec = pair_spec() if case == "same_slot" else chain_spec(2)
@@ -1052,17 +1147,18 @@ def test_weak_two_input_border_randomized(tmp_path):
 
 
 def test_strong_crash_recovers_a_group_boundary_randomized(tmp_path):
-    """Wherever a strong-mode run of a random workflow crashes, recovery
-    lands bit-exactly on a crash-free run's state at a commit seq where no
-    nested group is half committed, and no acknowledged ticket is past it."""
+    """Wherever a strong-mode run of a random workflow crashes, and wherever
+    the recovered engine crashes again, recovery lands bit-exactly on a
+    crash-free run's state at a commit seq where no nested group is half
+    committed, and no acknowledged ticket is past it."""
     for seed in range(200):
-        seq, boundaries, golden, got, acked = random_strong_crash_run(
-            seed, str(tmp_path / str(seed))
-        )
-        assert seq in boundaries, f"seed {seed}: commit {seq} splits a group"
-        assert got == golden[seq], f"seed {seed}"
-        assert acked <= seq, f"seed {seed}: acknowledged commit {acked} lost"
-        assert set(golden) == boundaries, f"seed {seed}"
+        lives = random_strong_crash_run(seed, str(tmp_path / str(seed)))
+        for life, (seq, boundaries, golden, got, acked) in enumerate(lives, 1):
+            at = f"seed {seed}, life {life}"
+            assert seq in boundaries, f"{at}: commit {seq} splits a group"
+            assert got == golden[seq], at
+            assert acked <= seq, f"{at}: acknowledged commit {acked} lost"
+            assert set(golden) == boundaries, at
 
 
 # --- dispatch accounting ---
@@ -1205,7 +1301,8 @@ def test_measured_dispatches_match_formula(tmp_path, mode):
 def test_v1_log_header_rejected(tmp_path):
     # a v1 header is shorter than the current one; a v3 log holds a record
     # per nested-group child, which replay would not run as a group; a v4
-    # log's border args tag each value instead of naming column types
+    # log's border args tag each value instead of naming column types; a v5
+    # record carries the batches aborts dropped instead of the aborts
     from streamtx.recovery import LOG_MAGIC
 
     path = tmp_path / LOG_FILE
@@ -1214,6 +1311,7 @@ def test_v1_log_header_rejected(tmp_path):
         (1, struct.pack("<IBI", 1, strong, 0)),
         (3, struct.pack("<IBIQ", 3, strong, 0, 0)),
         (4, struct.pack("<IBIQ", 4, strong, 0, 0)),
+        (5, struct.pack("<IBIQ", 5, strong, 0, 0)),
     ):
         path.write_bytes(LOG_MAGIC + head)
         with pytest.raises(
@@ -1326,8 +1424,8 @@ def test_border_batch_encoded_only_for_a_file(
 # SHA-256 of the strong command log a fixed feed writes; how often the
 # engine encodes a border round must not change a byte of it
 STRONG_LOG_SHA256 = {
-    "chain": "f4bc7682b9ff33e42387348beeaad215db62e826dd4c7f5163f45ae4d670ef26",
-    "pair": "8b0c35ef94fb39e137bd0f7d680f96e5c66e685a781bd4b4bfeeaac62b20cf3b",
+    "chain": "768c9ccd17fbe145ddcde28e4cc469dc08ba185d1fe88abda852a3a0866b0070",
+    "pair": "1196f4c7cd3802bdfd3be58c6446d7025b0c8f59e80f921cebf571b6cf051a59",
 }
 
 
