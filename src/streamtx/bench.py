@@ -99,26 +99,6 @@ def _report(name, mode, rounds, elapsed, engine, latencies, **extras) -> Metrics
     )
 
 
-def _drive_triggered(engine: Engine, stream: str, batches, warmup: int) -> tuple:
-    """Feed every batch through the fast-track pipeline; one client
-    round-trip per workflow instance."""
-    ing = StreamIngestor(engine, stream, BatchingPolicy("fixed_count", 10**9))
-    latencies = []
-    start_all = None
-    for i, rows in enumerate(batches):
-        if i == warmup:
-            start_all = time.perf_counter()
-        t0 = time.perf_counter()
-        for row in rows:
-            ing.push(tuple(row))
-        ticket = ing._flush()
-        engine.run_until_idle()
-        if i >= warmup:
-            latencies.append(time.perf_counter() - t0)
-    elapsed = time.perf_counter() - (start_all or time.perf_counter())
-    return elapsed, latencies
-
-
 def _client_response(engine: Engine, ticket) -> dict:
     """Marshal an outcome across the client boundary, as a remote client
     would receive it."""
@@ -139,11 +119,17 @@ def _client_call(engine: Engine, proc: str, round_: int, args=None) -> dict:
     return _client_response(engine, ticket)
 
 
-def _drive_client(engine: Engine, stream: str, batches, warmup: int) -> tuple:
-    """The trigger-less baseline: the client submits every workflow step
-    itself and decides the next step from each decoded response."""
-    w = engine.spec.workflows[0]
-    order = w.streaming_names()
+def _drive(
+    engine: Engine, stream: str, batches, warmup: int, client_driven: bool = False
+) -> tuple:
+    """Feed each batch as one round and time it. Triggered, the fast track
+    runs the rest of the workflow: one client round-trip per round. Client
+    driven, the trigger-less baseline: the client submits the workflow's
+    streaming procedures after the border itself, in ``streaming_names()``
+    order, and decides the next step from each decoded response. It stops
+    after a step that aborted or whose first result cell is false; a step
+    that sets no result goes on."""
+    steps = engine.spec.workflows[0].streaming_names()[1:] if client_driven else ()
     ing = StreamIngestor(engine, stream, BatchingPolicy("fixed_count", 10**9))
     latencies = []
     start_all = None
@@ -154,12 +140,17 @@ def _drive_client(engine: Engine, stream: str, batches, warmup: int) -> tuple:
         for row in rows:
             ing.push(tuple(row))
         ticket = ing._flush()
-        resp = _client_response(engine, ticket)
-        round_ = ing.next_batch_id - 1
-        for name in order[1:]:
-            if resp["outcome"] != "committed" or not resp["rows"][0][0]:
-                break
-            resp = _client_call(engine, name, round_)
+        if client_driven:
+            resp = _client_response(engine, ticket)
+            for name in steps:
+                result = resp["rows"]
+                if resp["outcome"] != "committed" or (
+                    result is not None and not (result and result[0][0])
+                ):
+                    break
+                resp = _client_call(engine, name, ing.next_batch_id - 1)
+        else:
+            engine.run_until_idle()
         if i >= warmup:
             latencies.append(time.perf_counter() - t0)
     elapsed = time.perf_counter() - (start_all or time.perf_counter())
@@ -181,8 +172,7 @@ def run_ee_trigger_bench(
     engine = Engine(ee_chain_spec(stages, mode))
     batches = _int_batches(rounds, batch_size)
     warmup = int(rounds * warmup_frac)
-    drive = _drive_triggered if mode == "triggered" else _drive_client
-    elapsed, lat = drive(engine, "s1", batches, warmup)
+    elapsed, lat = _drive(engine, "s1", batches, warmup, mode != "triggered")
     sig = engine.store.content_signature()
     final_stream = f"s{stages + 1}"
     return _report(
@@ -200,8 +190,7 @@ def run_pe_trigger_bench(
     engine = Engine(pe_chain_spec(n, mode))
     batches = _int_batches(rounds, batch_size)
     warmup = int(rounds * warmup_frac)
-    drive = _drive_triggered if mode == "triggered" else _drive_client
-    elapsed, lat = drive(engine, "s1", batches, warmup)
+    elapsed, lat = _drive(engine, "s1", batches, warmup, mode != "triggered")
     report = _report(
         "pe_trigger", mode, rounds - warmup, elapsed, engine, lat,
         chain=n,
@@ -222,7 +211,7 @@ def run_window_bench(
     engine = Engine(spec)
     batches = _int_batches(rounds, batch_size)
     warmup = int(rounds * warmup_frac)
-    elapsed, lat = _drive_triggered(engine, "s1", batches, warmup)
+    elapsed, lat = _drive(engine, "s1", batches, warmup)
     events = [t.values[0] for t in engine.store.stream("wout").rows]
     return _report(
         "window", mode, rounds - warmup, elapsed, engine, lat,
@@ -237,7 +226,7 @@ def window_event_log(size, slide, mode, batches) -> list[float]:
     """Full window-event sequence for equality checks between modes."""
     spec = window_native_spec(size, slide) if mode == "native" else window_emulated_spec(size, slide)
     engine = Engine(spec)
-    _drive_triggered(engine, "s1", batches, warmup=0)
+    _drive(engine, "s1", batches, warmup=0)
     return [t.values[0] for t in engine.store.stream("wout").rows]
 
 
@@ -254,27 +243,10 @@ def run_leaderboard(
         votes = make_vote_trace(contestants, rounds)
     engine = Engine(leaderboard_spec(contestants, trending_size, removal_period, mode))
     warmup = int(len(votes) * warmup_frac)
-    latencies = []
-    start_all = None
-    ing = StreamIngestor(engine, "votes_in", BatchingPolicy("fixed_count", 1))
-    for i, (phone, contestant) in enumerate(votes):
-        if i == warmup:
-            start_all = time.perf_counter()
-        t0 = time.perf_counter()
-        if mode == "triggered":
-            ing.push((phone, contestant))
-            engine.run_until_idle()
-        else:
-            ticket = ing.push((phone, contestant))
-            resp = _client_response(engine, ticket)
-            if resp["outcome"] == "committed":
-                round_ = ing.next_batch_id - 1
-                resp2 = _client_call(engine, "maintain", round_)
-                if resp2["rows"] and resp2["rows"][0][0]:
-                    _client_call(engine, "removal", round_)
-        if i >= warmup:
-            latencies.append(time.perf_counter() - t0)
-    elapsed = time.perf_counter() - (start_all or time.perf_counter())
+    batches = [[vote] for vote in votes]
+    elapsed, latencies = _drive(
+        engine, "votes_in", batches, warmup, mode != "triggered"
+    )
     state = leaderboard_state(engine)
     report = _report(
         "leaderboard", mode, len(votes) - warmup, elapsed, engine, latencies,
@@ -336,7 +308,7 @@ def run_recovery_experiment(
 
     golden = Engine(pe_chain_spec(n, "triggered"), post_commit_hook=hook)
     golden_states[0] = snapshot_state(golden.store, 0, 0)
-    _drive_triggered(golden, "s1", batches[:feed_rounds], warmup=0)
+    _drive(golden, "s1", batches[:feed_rounds], warmup=0)
     golden_public = _public_tables(golden)
 
     live = Engine(

@@ -102,9 +102,7 @@ class Engine:
         queue_bound: int = 10_000,
     ):
         self.spec = spec
-        self.partition_id = partition_id
         self.data_dir = data_dir
-        self.recovery_mode = recovery_mode
         self.queue_bound = queue_bound
 
         store = Store()
@@ -199,10 +197,10 @@ class Engine:
 
         A border runs its rounds in increasing order: a round with every
         input batch is submitted once no lower round waits for one, and a
-        batch for a round already submitted or consumed, or a second one from
-        a stream, raises ``BadDefinition``. The stream's ``check_row``, the
-        one value rule, accepts every tuple here, once: nothing downstream
-        checks the batch again. A batch is encoded only for a file that
+        batch for a round the border already took (``Partition.last_queued``),
+        or a second one from a stream, raises ``BadDefinition``. The
+        stream's ``check_row``, the one value rule, accepts every tuple here,
+        once: nothing downstream checks the batch again. A batch is encoded only for a file that
         keeps it. In weak mode the input cache writes it before the round
         runs, so an unacknowledged round survives a crash; a border the log
         keeps gets its encoded round as the request's args. The request
@@ -223,9 +221,7 @@ class Engine:
         slot = self._feeder_pending.get(proc_name, {}).get(round_)
         if slot is not None and stream in slot[0]:
             raise BadDefinition(f"{proc_name} round {round_} already has {stream}")
-        if slot is None and round_ <= max(
-            p.last_queued.get(proc_name, 0), table.last_consumed_batch
-        ):
+        if slot is None and round_ <= p.last_queued.get(proc_name, 0):
             raise BadDefinition(f"{proc_name} already took round {round_}")
         for t in batch.tuples:
             table.check_row(t)
@@ -296,9 +292,7 @@ class Engine:
     # --- durability ---
 
     def snapshot_bytes(self) -> bytes:
-        return snapshot_state(
-            self.store, self.partition_id, self.partition.commit_seq
-        )
+        return snapshot_state(self.store, self.partition.id, self.partition.commit_seq)
 
     def checkpoint(self) -> str:
         """Quiesce, write a snapshot, truncate the log, and compact the input
@@ -312,12 +306,12 @@ class Engine:
         blob = self.snapshot_bytes()
         path = os.path.join(self.data_dir, f"snapshot-{p.commit_seq:012d}.snap")
         p.fail_stop(replace_file, path, blob)
-        if self.recovery_mode is not None:
+        if p.log.mode is not None:
             p.fail_stop(
                 truncate_log,
                 os.path.join(self.data_dir, LOG_FILE),
-                self.recovery_mode,
-                self.partition_id,
+                p.log.mode,
+                p.id,
                 p.commit_seq,
             )
             p.fail_stop(p.log.reopen)
@@ -452,13 +446,21 @@ def recover(
         (_replay_strong if strong else _replay_weak)(engine, replayed)
         c.replay_client_dispatches = len(replayed)
         c.replay_trigger_dispatches = c.boundary_crossings - crossings
+        # a border took each round its inputs consumed, and each round that
+        # an abort any record carries ended, even one the snapshot covers
+        queued = engine.partition.last_queued
+        for plan in engine.partition.plans.values():
+            if plan.proc.kind is ProcedureKind.BORDER:
+                queued[plan.proc.name] = max(
+                    (t.last_consumed_batch for t in plan.inputs), default=0
+                )
+        for rec in records:
+            for proc, round_ in rec.aborted:
+                queued[proc] = max(queued.get(proc, 0), round_)
         if strong:
             engine.partition.refire_nonempty_streams()
         else:
-            # an acknowledged abort that any record carries, even one the
-            # snapshot covers, never runs again
-            retired = {a for rec in records for a in rec.aborted}
-            _resubmit_cached(engine, data_dir, retired)
+            _resubmit_cached(engine, data_dir)
     except BaseException:
         engine.crash()  # close its files
         raise
@@ -505,22 +507,16 @@ def _replay(p: Partition, rec) -> None:
         )
 
 
-def _resubmit_cached(
-    engine: Engine, data_dir: str, retired: set[tuple[str, int]]
-) -> None:
-    """Re-submit the cached rounds weak replay did not bring back, except
-    the ``retired`` (border, round) pairs, then take a fresh checkpoint so
-    commit sequences stay consistent with the (rotated) log."""
+def _resubmit_cached(engine: Engine, data_dir: str) -> None:
+    """Re-submit the cached rounds above the last round their border took,
+    then take a fresh checkpoint so commit sequences stay consistent with
+    the (rotated) log."""
     p = engine.partition
-    # a border runs its rounds in order, so the cached batches it never
-    # committed are exactly those above what its streams consumed; a
-    # retired one's round aborted
     cached = read_input_cache(os.path.join(data_dir, CACHE_FILE))
     p.input_cache.retained = {
         s: [
             b for b in bs
-            if b.batch_id > engine.store.stream(s).last_consumed_batch
-            and (engine._border_for_stream[s].proc.name, b.batch_id) not in retired
+            if b.batch_id > p.last_queued[engine._border_for_stream[s].proc.name]
         ]
         for s, bs in cached.items()
     }

@@ -353,7 +353,8 @@ class Partition:
         self.stopped = False
         self._executing = 0
         # procedure -> the last round queued for it: a border's round once
-        # ``Engine.ingest_batch`` submits it, a trigger target's once fired
+        # ``Engine.ingest_batch`` submits it, a trigger target's once fired;
+        # ``recover`` rebuilds it once, after replay
         self.last_queued: dict[str, int] = {}
         # the (procedure, round) of each logged abort since the last record:
         # the next record carries them, and replay runs their drop rule

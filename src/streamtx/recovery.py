@@ -17,9 +17,14 @@ round that committed work left, and it is logged as its command, not its
 effects. A record carries the (procedure, round) of each abort since the
 previous record that the log mode logs, by the rule that logs a commit.
 Replay, in both modes, runs each carried abort's drop rule
-(``Partition.drop_aborted``) before it runs the record, and weak recovery
-never re-submits a carried border round. An abort is acknowledged at once,
-so one that no record carries yet when the process dies is not logged.
+(``Partition.drop_aborted``) before it runs the record. Recovery then
+rebuilds ``Partition.last_queued``, the one record of the rounds each
+procedure took, once: a border took the highest round its inputs consumed
+and every round that a carried abort ended, so intake refuses those rounds
+and weak recovery re-submits only the cached rounds above them. An abort
+is acknowledged at once, so one that no record carries yet when the process
+dies is not logged: weak recovery runs it again, and strong recovery
+forgets it.
 
     log header:    magic "STXLOG01" | version u32 (6) | mode u8 | partition u32
                    | snapshot seq u64
@@ -239,10 +244,6 @@ class CommandLog:
         self._file = None
         if mode is not None:
             self._file = AppendFile(path, _log_header(mode, partition_id), fsync)
-
-    @property
-    def sync_count(self) -> int:
-        return self.counters.sync_count
 
     def append(self, record: CommandLogRecord, ticket=None) -> None:
         self._pending.append((record, ticket))

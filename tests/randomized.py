@@ -3,11 +3,12 @@ schedule property, strong recovery of such a workflow crashed at any step,
 window aggregates across aborts and a crash, and a two-input border across
 arrival orders, checkpoints and crashes."""
 
+import os
 import random
 import shutil
 
 from oracles import sliding_window_events
-from streamtx.engine import Engine, EngineSpec, StreamDef, TableDef, recover
+from streamtx.engine import LOG_FILE, Engine, EngineSpec, StreamDef, TableDef, recover
 from streamtx.errors import BadDefinition
 from streamtx.ingest import BatchingPolicy, StreamIngestor
 from streamtx.model import (
@@ -19,7 +20,7 @@ from streamtx.model import (
     WindowSpec,
     register_workflow,
 )
-from streamtx.recovery import RecoveryMode
+from streamtx.recovery import RecoveryMode, read_log
 from streamtx.snapshot import snapshot_state
 from streamtx.validator import validate
 from streamtx.triggers import AggregateInsert, StatementTrigger, WindowInsertStmt
@@ -204,6 +205,25 @@ def crash_in_flush(engine: Engine, rng: random.Random) -> None:
             fh.write(buffered[: rng.randrange(len(buffered))])
 
 
+def assert_aborted_rounds_refused(engine: Engine, data_dir: str) -> None:
+    """The recovered ``engine`` refuses, on each of the border's inputs,
+    every border round that a record of ``data_dir``'s command log carries
+    as aborted, as the live engine did. A refused batch raises before
+    anything is cached, so the probes change nothing."""
+    *_, records = read_log(os.path.join(data_dir, LOG_FILE))
+    plans = engine.partition.plans
+    for proc, round_ in {a for rec in records for a in rec.aborted}:
+        if plans[proc].proc.kind is not ProcedureKind.BORDER:
+            continue
+        row = Tuple((0,), tuple_id=round_, batch_id=round_)
+        for stream in plans[proc].proc.stream_inputs:
+            try:
+                engine.ingest_batch(stream, AtomicBatch(round_, (row,)))
+            except BadDefinition:
+                continue
+            raise AssertionError(f"recovered {proc} took aborted round {round_}")
+
+
 def random_strong_crash_run(
     seed: int, data_dir: str
 ) -> list[tuple[int, set, dict, bytes, int]]:
@@ -217,9 +237,11 @@ def random_strong_crash_run(
     steps, with a ``post_commit_hook`` snapshot at each commit. For the
     first, an engine without files takes the whole feed; for the second,
     an engine recovered from a copy of the first crash's files takes the
-    rest of it. Returns, per life, (recovered commit seq, the crash-free
-    schedule's group boundaries, its snapshots by commit seq, the recovered
-    snapshot, the largest commit seq of a ticket acknowledged so far).
+    rest of it. Each recovered engine must refuse every border round that
+    its log carries as aborted (``assert_aborted_rounds_refused``).
+    Returns, per life, (recovered commit seq, the crash-free schedule's
+    group boundaries, its snapshots by commit seq, the recovered snapshot,
+    the largest commit seq of a ticket acknowledged so far).
     """
     rng = random.Random(seed)
     w, streams, externals, _ = random_workflow(rng, str(seed))
@@ -269,6 +291,7 @@ def random_strong_crash_run(
     crash_in_flush(live, rng)
     shutil.copytree(data_dir, data_dir + "-golden")
     engine = recover(spec, data_dir, **args)
+    assert_aborted_rounds_refused(engine, data_dir)
     seq = engine.partition.commit_seq
     lives = [(seq, boundaries, golden_states, engine.snapshot_bytes(), acked)]
 
@@ -276,6 +299,7 @@ def random_strong_crash_run(
     rest = recover(
         spec, data_dir + "-golden", post_commit_hook=recorder(rest_states), **args
     )
+    assert_aborted_rounds_refused(rest, data_dir + "-golden")
     run(rest, steps[crash_after:])
     rest.close()
     rest_boundaries = group_boundaries(rest.committed_schedule, w)
@@ -284,6 +308,7 @@ def random_strong_crash_run(
     acked = acked_by(run(engine, steps[crash_after:crash_again]), acked)
     crash_in_flush(engine, rng)
     engine = recover(spec, data_dir, **args)
+    assert_aborted_rounds_refused(engine, data_dir)
     lives.append(
         (
             engine.partition.commit_seq,

@@ -15,6 +15,15 @@ Python generates from source, such as a named tuple's ``__new__``, a
 dataclass's ``__init__`` or the codec's compiled row encoders, have the file
 name ``<string>`` and are not counted, so what a record costs to build or
 encode shows only in timed runs.
+
+Recovery is pinned the same way, per unit of the work it repeats: two
+engines crash after N and 2N rounds, and the difference between the calls
+``recover`` makes for each, over the difference in that work, is its steady
+cost. Strong recovery of the chain shape, crashed after a flush, is pinned
+per record replayed; weak recovery of the leaderboard shape, fed without
+pumping so that every round is still cached, per cached round re-submitted.
+A recovery of 8 rounds runs first and is not counted, so that both
+profiled ones find the codec's row decoders compiled.
 """
 
 import cProfile
@@ -24,7 +33,7 @@ import pstats
 import pytest
 
 import streamtx
-from streamtx.engine import Engine
+from streamtx.engine import Engine, recover
 from streamtx.model import AtomicBatch, Tuple
 from streamtx.recovery import RecoveryMode
 from streamtx.workloads import (
@@ -40,6 +49,8 @@ ROUNDS = 64  # five records a round fill 40 group-commit flushes of 8
 # calls per round when these pins were set; a flush of 8 records costs a
 # fractional share of a round
 PINS = {"chain": 206.875, "window": 51, "leaderboard": 227.34375}
+# calls per strong record replayed and per weak cached round re-submitted
+RECOVERY_PINS = {"STRONG": 35.2, "WEAK": 16}
 
 
 def chain_engine(data_dir):
@@ -105,3 +116,43 @@ def test_calls_per_round_pinned(shape, tmp_path):
     per_round = (twice - once) / ROUNDS
     print(f"\n{shape}: {per_round:g} streamtx calls per round")
     assert per_round <= PINS[shape]
+
+
+# recovery mode -> (shape, its spec, whether the feed is pumped)
+RECOVERY_SHAPES = {
+    "STRONG": ("chain", lambda: pe_chain_spec(5, "triggered"), True),
+    "WEAK": ("leaderboard", leaderboard_spec, False),
+}
+
+
+def recovery_calls(mode, data_dir, rounds):
+    """Calls into ``streamtx`` while ``recover`` brings back an engine that
+    crashed after ``rounds`` rounds, and the records it replayed plus the
+    cached rounds it re-submitted."""
+    shape, spec, pumped = RECOVERY_SHAPES[mode]
+    make, stream, _, values = SHAPES[shape]
+    engine = make(data_dir)
+    for b in batches(values, 1, rounds):
+        engine.ingest_batch(stream, b)
+        if pumped:
+            engine.run_until_idle()
+    assert not engine.partition.log._pending  # the crash follows a flush
+    engine.crash()
+    profile = cProfile.Profile()
+    recovered = profile.runcall(recover, spec(), data_dir, fsync=False)
+    stats = pstats.Stats(profile).stats
+    calls = sum(v[1] for k, v in stats.items() if k[0].startswith(SRC))
+    c = recovered.counters
+    repeated = c.replay_client_dispatches + len(recovered.partition.client_queue)
+    recovered.close()
+    return calls, repeated
+
+
+@pytest.mark.parametrize("mode", sorted(RECOVERY_PINS))
+def test_recovery_calls_pinned(mode, tmp_path):
+    recovery_calls(mode, str(tmp_path / "warm"), 8)
+    once, n_once = recovery_calls(mode, str(tmp_path / "n"), ROUNDS)
+    twice, n_twice = recovery_calls(mode, str(tmp_path / "2n"), 2 * ROUNDS)
+    per_unit = (twice - once) / (n_twice - n_once)
+    print(f"\n{mode}: {per_unit:g} streamtx calls per repeated record or round")
+    assert per_unit <= RECOVERY_PINS[mode]

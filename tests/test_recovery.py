@@ -176,11 +176,11 @@ def test_group_commit_defers_acks(tmp_path):
     e.run_until_idle()
     assert all(t.done for t in tickets)
     assert not any(t.acknowledged for t in tickets)
-    assert e.partition.log.sync_count == 0
+    assert e.counters.sync_count == 0
     t4 = e.call_oltp("Q", {"v": 3})
     e.run_until_idle()
     assert all(t.acknowledged for t in tickets) and t4.acknowledged
-    assert e.partition.log.sync_count == 1
+    assert e.counters.sync_count == 1
     e.close()
 
 
@@ -195,7 +195,7 @@ def test_group_commit_sync_bound(tmp_path):
     acked = sum(1 for t in tickets if t.acknowledged)
     assert acked == n
     timers = 1  # the final explicit flush
-    assert e.partition.log.sync_count <= -(-n // 8) + timers
+    assert e.counters.sync_count <= -(-n // 8) + timers
     e.close()
 
 
@@ -1066,6 +1066,49 @@ def test_trailing_abort_reruns_after_weak_recovery(tmp_path):
     r.run_until_idle()
     assert r.counters.te_aborted == 1
     assert [t.values for t in r.store.table("seen").rows] == [(7,)]
+    r.close()
+
+
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_recovered_border_refuses_a_round_an_abort_ended(tmp_path, mode):
+    # the record of Clear carries round 2's abort: the recovered engine
+    # refuses a second round 2, as the live one does, even though round 2
+    # raised no consumption mark
+    e = Engine(seen_spec(), data_dir=str(tmp_path), recovery_mode=mode,
+               fsync=False)
+    t1, t2 = feed_rounds(e, [7, 7])
+    e.run_until_idle()
+    assert t1.committed and t2.outcome == "aborted" and t2.acknowledged
+    assert e.await_ticket(e.call_oltp("Clear")).acknowledged
+    with pytest.raises(BadDefinition, match="already took round 2"):
+        e.ingest_batch("s1", one_row(2, 7))
+    e.crash()
+    r = recover(seen_spec(), str(tmp_path), fsync=False)
+    r.run_until_idle()
+    with pytest.raises(BadDefinition, match="already took round 2"):
+        r.ingest_batch("s1", one_row(2, 7))
+    assert not r.partition.client_queue
+    r.run_until_idle()
+    assert r.store.table("seen").rows == []
+    r.close()
+
+
+def test_trailing_abort_forgotten_after_strong_recovery(tmp_path):
+    # the strong counterpart of the weak re-run: no record carries round
+    # 2's abort when the process dies, so strong recovery, which restores
+    # what the log holds, forgets it, and the border takes round 2 again
+    e = Engine(seen_spec(), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.STRONG, fsync=False)
+    t1, t2 = feed_rounds(e, [7, 7])
+    e.run_until_idle()
+    assert t1.committed and t2.outcome == "aborted" and t2.acknowledged
+    e.crash()
+    r = recover(seen_spec(), str(tmp_path), fsync=False)
+    assert not r.partition.client_queue
+    assert r.partition.last_queued == {"SP1": 1}
+    t = r.await_ticket(r.ingest_batch("s1", one_row(2, 8)))
+    assert t.committed
+    assert [t.values for t in r.store.table("seen").rows] == [(7,), (8,)]
     r.close()
 
 
