@@ -266,14 +266,16 @@ class TEContext:
         if table in self.partition.stream_plans:
             self.emit(table, (values,), ts)
             return
-        self._check_owner(table)
-        t = values if isinstance(values, Tuple) else Tuple(tuple(values), ts=ts)
+        if table in self.plan.foreign_windows:
+            self._check_owner(table)
+        t = values if isinstance(values, Tuple) else Tuple(tuple(values), 0, 0, ts)
         events = self.store.insert(table, t, self.undo)
         if events:
             self.partition.trigger_engine.on_window_events(self, table, events)
 
     def select(self, table: str, pred: Optional[Pred] = None) -> list[Tuple]:
-        self._check_owner(table)
+        if table in self.plan.foreign_windows:
+            self._check_owner(table)
         return self.store.select_where(table, pred)
 
     def delete(self, table: str, pred: Optional[Pred]) -> int:

@@ -1,9 +1,16 @@
 """In-memory table store: public tables, stream tables, window tables.
 
 All mutating calls take an UndoBuffer so an aborting transaction can restore
-every touched table bit-exactly. The store is single-threaded per partition;
-nothing here locks, and nothing here checks who may touch a table: the
-execution context (``executor.TEContext``) keeps a window to its owner.
+every touched table bit-exactly, index buckets in their order included. Each
+public-table operation records one undo entry: an insert that it appended,
+a delete the table's old row list, and a whole-table clear its old buckets
+too, so rollback swaps them back instead of putting rows back one by one.
+``Store.insert``, ``select_where`` and ``delete_where`` find their table
+with one lookup and branch on its kind only for a stream or a window; an
+``==`` predicate compares inline, with no call per row. The store is
+single-threaded per partition; nothing here locks, and nothing here checks
+who may touch a table: the execution context (``executor.TEContext``) keeps
+a window to its owner.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import enum
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadDefinition,
@@ -188,29 +195,23 @@ class _BaseTable:
 
 
 class PublicTable(_BaseTable):
-    """Unordered multiset of rows with optional hash indexes."""
+    """Unordered multiset of rows with optional hash indexes. Each bucket
+    lists its rows in table-row order; ``index_cols`` holds each indexed
+    column with its position, resolved once."""
 
     kind = "public"
 
     def __init__(self, name: str, schema: Schema, indexed: Iterable[str] = ()):
         super().__init__(name, schema)
         self.rows: list[Tuple] = []
-        self.indexes: dict[str, dict[Value, list[Tuple]]] = {}
-        for cname in indexed:
-            self.col(cname)
-            self.indexes[cname] = {}
+        self.index_cols = tuple((c, self.col(c)) for c in dict.fromkeys(indexed))
+        self.indexes: dict[str, dict[Value, list[Tuple]]] = {
+            c: {} for c, _ in self.index_cols
+        }
 
     def _index_add(self, t: Tuple) -> None:
-        for cname, idx in self.indexes.items():
-            idx.setdefault(t.values[self.col(cname)], []).append(t)
-
-    def _index_remove(self, t: Tuple) -> None:
-        for cname, idx in self.indexes.items():
-            key = t.values[self.col(cname)]
-            bucket = idx[key]
-            bucket.remove(t)
-            if not bucket:
-                del idx[key]
+        for cname, ci in self.index_cols:
+            self.indexes[cname].setdefault(t.values[ci], []).append(t)
 
 
 class StreamTable(_BaseTable):
@@ -290,11 +291,24 @@ class UndoBuffer:
     def __init__(self):
         self._entries: list[tuple] = []
 
-    def record_insert(self, table: PublicTable, index: int) -> None:
-        self._entries.append(("ins", table, index))
+    def record_insert(self, table: PublicTable) -> None:
+        """Remember a row just appended to ``table``: rollback runs
+        newest-first, so it is then the last row of the table and of each
+        of its buckets."""
+        self._entries.append(("ins", table))
 
-    def record_delete(self, table: PublicTable, index: int, row: Tuple) -> None:
-        self._entries.append(("del", table, index, row))
+    def record_delete(
+        self,
+        table: PublicTable,
+        rows: list[Tuple],
+        indexes: dict[str, dict[Value, list[Tuple]]],
+        spots: Sequence[tuple] = (),
+    ) -> None:
+        """Remember ``table``'s row list and index dicts before a delete put
+        new ones in their place. A delete that edits the buckets in place
+        lists each row it took out of one as (bucket dict, key, position,
+        row), in the order it took them."""
+        self._entries.append(("del", table, rows, indexes, spots))
 
     def record_batch(self, s: StreamTable, batch_id: int) -> None:
         """Remember a stream's newest batch (or its absence) before an
@@ -321,12 +335,20 @@ class UndoBuffer:
         for entry in reversed(self._entries):
             tag = entry[0]
             if tag == "ins":
-                _, table, index = entry
-                table._index_remove(table.rows.pop(index))
+                table = entry[1]
+                t = table.rows.pop()
+                for cname, ci in table.index_cols:
+                    idx, key = table.indexes[cname], t.values[ci]
+                    bucket = idx[key]
+                    bucket.pop()
+                    if not bucket:
+                        del idx[key]
             elif tag == "del":
-                _, table, index, row = entry
-                table.rows.insert(index, row)
-                table._index_add(row)
+                _, table, rows, indexes, spots = entry
+                table.rows = rows
+                table.indexes = indexes
+                for idx, key, pos, t in reversed(spots):
+                    idx.setdefault(key, []).insert(pos, t)
             elif tag == "bat":
                 _, s, batch_id, tuples = entry
                 if tuples:
@@ -349,10 +371,10 @@ class UndoBuffer:
         self._entries.clear()
 
 
-def row_matcher(tab: _BaseTable, pred: Pred) -> Callable[[Tuple], bool]:
-    """Whether a row of ``tab`` satisfies ``pred``, its column resolved and
-    its value checked once: text compares with ``str``, int and float with
-    ``int`` or ``float``."""
+def pred_column(tab: _BaseTable, pred: Pred) -> tuple[int, Value]:
+    """The position of ``pred``'s column in ``tab`` and the value it
+    compares with, checked once: text compares with ``str``, int and float
+    with ``int`` or ``float``."""
     ci = tab.col(pred.column)
     col = tab.schema[ci]
     kinds = (str,) if col.type is ScalarType.TEXT else (int, float)
@@ -361,8 +383,13 @@ def row_matcher(tab: _BaseTable, pred: Pred) -> Callable[[Tuple], bool]:
             f"{tab.name}.{col.name} is {col.type.value}; "
             f"cannot compare it with {pred.value!r}"
         )
+    return ci, pred.value
+
+
+def row_matcher(tab: _BaseTable, pred: Pred) -> Callable[[Tuple], bool]:
+    """Whether a row of ``tab`` satisfies ``pred`` (see ``pred_column``)."""
+    ci, want = pred_column(tab, pred)
     fn = _OPS[pred.op]
-    want = pred.value
     return lambda t: fn(t.values[ci], want)
 
 
@@ -468,15 +495,20 @@ class Store:
     ) -> Optional[list[FullWindowEvent]]:
         """Insert one row; inserting into a window may slide it. A stream
         takes whole batches, through ``insert_batch``."""
-        tab = self.table(table)
-        if isinstance(tab, WindowTable):
-            return self.window_insert(table, [t], undo)
-        if isinstance(tab, StreamTable):
-            raise BadDefinition(f"{table} is a stream: append a batch to it")
-        tab.check_row(t)
+        tab = self.tables.get(table)
+        if type(tab) is not PublicTable:
+            if isinstance(tab, WindowTable):
+                return self.window_insert(table, [t], undo)
+            if isinstance(tab, StreamTable):
+                raise BadDefinition(f"{table} is a stream: append a batch to it")
+            self.table(table)  # raises UnknownTable
+        fits = tab._fits
+        if fits is None or not fits(t):
+            tab.check_row(t)
         tab.rows.append(t)
-        undo.record_insert(tab, len(tab.rows) - 1)
-        tab._index_add(t)
+        undo.record_insert(tab)
+        if tab.index_cols:
+            tab._index_add(t)
         return None
 
     def insert_batch(
@@ -502,57 +534,84 @@ class Store:
         s.batches[batch.batch_id] = s.batches.get(batch.batch_id, ()) + batch.tuples
 
     def select_where(self, table: str, pred: Optional[Pred] = None) -> list[Tuple]:
-        tab = self.table(table)
-        if isinstance(tab, WindowTable):
-            rows = tab.active  # staged tuples are never visible
+        """The rows ``pred`` matches (every row for None): of a public
+        table, a stream's pending batches, or a window's active set (its
+        staged tuples are never visible). An ``==`` on an indexed column
+        reads its bucket."""
+        tab = self.tables.get(table)
+        if type(tab) is PublicTable:
+            rows, indexes = tab.rows, tab.indexes
+        elif isinstance(tab, WindowTable):
+            rows, indexes = tab.active, {}
+        elif isinstance(tab, StreamTable):
+            rows, indexes = tab.rows, {}
         else:
-            rows = tab.rows
+            self.table(table)  # raises UnknownTable
         if pred is None:
             return list(rows)
-        match = row_matcher(tab, pred)
-        if (
-            pred.op == "=="
-            and isinstance(tab, PublicTable)
-            and pred.column in tab.indexes
-        ):
-            return list(tab.indexes[pred.column].get(pred.value, []))
-        return [t for t in rows if match(t)]
+        if pred.op != "==":
+            match = row_matcher(tab, pred)
+            return [t for t in rows if match(t)]
+        ci, want = pred_column(tab, pred)
+        if pred.column in indexes:
+            # a NaN equals nothing, though a dict finds a key by identity
+            return list(indexes[pred.column].get(want, ())) if want == want else []
+        return [t for t in rows if t.values[ci] == want]
 
     def delete_where(self, table: str, pred: Optional[Pred], undo: UndoBuffer) -> int:
         """Delete the public-table rows ``pred`` matches (every row for None).
         Streams and windows take no deletes: a batch leaves a stream through
-        garbage collection, a row leaves a window by sliding."""
-        tab = self.table(table)
-        if isinstance(tab, WindowTable):
-            raise BadDefinition(
-                f"window {tab.name}: rows expire by sliding, not deletion"
-            )
-        if isinstance(tab, StreamTable):
-            raise BadDefinition(
-                f"stream {tab.name}: batches leave by garbage collection, "
-                "not deletion"
-            )
-        match = None if pred is None else row_matcher(tab, pred)
-        removed = 0
-        if match is None:  # every row goes; undo puts each back at the front
-            for t in tab.rows:
-                undo.record_delete(tab, 0, t)
-            for idx in tab.indexes.values():
-                idx.clear()
-            removed = len(tab.rows)
-            tab.rows.clear()
-            return removed
-        kept: list[Tuple] = []
-        for i, t in enumerate(tab.rows):
-            if match(t):
-                undo.record_delete(tab, i - removed, t)
-                removed += 1
-                tab._index_remove(t)
-            else:
-                kept.append(t)
-        if removed:
-            tab.rows[:] = kept
-        return removed
+        garbage collection, a row leaves a window by sliding.
+
+        Either way the table gets a new row list and the undo entry keeps
+        the old one. Clearing a table also gives it new, empty buckets; a
+        predicate takes each removed row out of its buckets and records
+        where it stood."""
+        tab = self.tables.get(table)
+        if type(tab) is not PublicTable:
+            if isinstance(tab, WindowTable):
+                raise BadDefinition(
+                    f"window {table}: rows expire by sliding, not deletion"
+                )
+            if isinstance(tab, StreamTable):
+                raise BadDefinition(
+                    f"stream {table}: batches leave by garbage collection, "
+                    "not deletion"
+                )
+            self.table(table)  # raises UnknownTable
+        rows = tab.rows
+        if pred is None:
+            undo.record_delete(tab, rows, tab.indexes)
+            tab.rows = []
+            if tab.index_cols:
+                tab.indexes = {cname: {} for cname, _ in tab.index_cols}
+            return len(rows)
+        if pred.op == "==":
+            ci, want = pred_column(tab, pred)
+            gone = [t for t in rows if t.values[ci] == want]
+            if not gone:
+                return 0
+            kept = [t for t in rows if t.values[ci] != want]
+        else:
+            match = row_matcher(tab, pred)
+            gone = [t for t in rows if match(t)]
+            if not gone:
+                return 0
+            kept = [t for t in rows if not match(t)]
+        spots = []
+        for cname, ci in tab.index_cols:
+            idx = tab.indexes[cname]
+            for t in gone:
+                key = t.values[ci]
+                bucket = idx[key]
+                pos = bucket.index(t)
+                del bucket[pos]
+                spots.append((idx, key, pos, t))
+                if not bucket:
+                    del idx[key]
+        undo.record_delete(tab, rows, tab.indexes, spots)
+        tab.rows = kept
+        return len(gone)
 
     def aggregate(
         self,

@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import random
 
 import pytest
@@ -194,20 +195,87 @@ def test_indexed_equality_matches_scan(store):
 
 @pytest.mark.parametrize(
     "pred",
-    [Pred("k", "<", "9"), Pred("k", "==", "9"), Pred("name", ">", 3)],
-    ids=["text_on_int", "text_on_indexed_int", "int_on_text"],
+    [
+        Pred("k", "<", "9"),
+        Pred("k", "==", "9"),
+        Pred("name", ">", 3),
+        Pred("k", "==", True),
+        Pred("name", "==", 1.5),
+        Pred("x", ">=", "1"),
+        Pred("x", "==", None),
+    ],
+    ids=[
+        "text_on_int", "text_on_indexed_int", "int_on_text",
+        "bool_on_indexed_int", "float_on_text", "text_on_float", "none_on_float",
+    ],
 )
 def test_ill_typed_predicate_rejected_before_scan(store, pred):
     store.create_public(
-        "t", make_schema(("k", "int"), ("name", "text")), indexed=["k"]
+        "t", make_schema(("k", "int"), ("name", "text"), ("x", "float")),
+        indexed=["k"],
     )
     undo = UndoBuffer()
-    store.insert("t", Tuple((9, "a")), undo)
+    store.insert("t", Tuple((9, "a", 1.0)), undo)
     with pytest.raises(TypeMismatch):
         store.select_where("t", pred)
     with pytest.raises(TypeMismatch):
         store.delete_where("t", pred, undo)
     assert len(store.table("t").rows) == 1
+
+
+OPERATORS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def test_predicates_match_operator_filter():
+    """``select_where`` and ``delete_where`` agree with a plain
+    ``operator`` filter for every operator, on int, float and text columns,
+    indexed or not: an int equals an equal float, -0.0 equals 0.0, and a
+    NaN equals nothing, not even the same NaN object. A rollback brings
+    back the rows, and each bucket, in their order."""
+    rng = random.Random(7)
+    nan = float("nan")
+    ints = [-2, -1, 0, 1, 2]
+    floats = [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, nan, float("inf")]
+    texts = ["", "a", "b", "ab", "é"]
+    probes = {
+        "i": ints + [1.0, -0.0, 0.5, nan],
+        "f": floats + [0, 1, -2, float("nan")],
+        "s": texts + ["zz"],
+    }
+    for case in range(60):
+        indexed = rng.choice([(), ("i",), ("f",), ("s",), ("i", "f", "s")])
+        store = Store()
+        store.create_public(
+            "t", make_schema(("i", "int"), ("f", "float"), ("s", "text")), indexed
+        )
+        setup = UndoBuffer()
+        for n in range(rng.randint(0, 25)):
+            values = (rng.choice(ints), rng.choice(floats), rng.choice(texts))
+            store.insert("t", Tuple(values, ts=n), setup)
+        rows = list(store.table("t").rows)
+        buckets = index_buckets(store)
+        for ci, col in enumerate("ifs"):
+            for op, fn in OPERATORS.items():
+                for want in probes[col]:
+                    pred = Pred(col, op, want)
+                    hits = [t for t in rows if fn(t.values[ci], want)]
+                    misses = [t for t in rows if not fn(t.values[ci], want)]
+                    where = f"case {case}: {pred}"
+                    assert store.select_where("t", pred) == hits, where
+                    undo = UndoBuffer()
+                    assert store.delete_where("t", pred, undo) == len(hits), where
+                    assert store.table("t").rows == misses, where
+                    assert_buckets_in_row_order(store)
+                    undo.rollback()
+                    assert store.table("t").rows == rows, where
+                    assert index_buckets(store) == buckets, where
 
 
 def test_delete_one_batch_keeps_other(store):
@@ -349,11 +417,14 @@ def test_window_oracle_random_batchings(size):
 def build_random_store(rng):
     store = Store()
     store.create_public("p", make_schema(("k", "int"), ("v", "int")), indexed=["k"])
+    store.create_public("q", VAL)
     store.create_stream("s", VAL)
     store.create_window(WindowSpec("w", 4, 2, "sp"), VAL)
     undo = UndoBuffer()
     for i in range(rng.randint(0, 20)):
         store.insert("p", Tuple((rng.randint(0, 5), i)), undo)
+    for _ in range(rng.randint(0, 5)):
+        store.insert("q", Tuple((rng.randint(0, 9),)), undo)
     bid = 0
     for _ in range(rng.randint(0, 3)):
         bid += 1
@@ -364,6 +435,32 @@ def build_random_store(rng):
         "w", [Tuple((v,)) for v in range(rng.randint(0, 6))], undo
     )
     return store
+
+
+def index_buckets(store):
+    """Every bucket of every public table's indexes, each in its order."""
+    return {
+        name: {
+            cname: {k: list(b) for k, b in idx.items()}
+            for cname, idx in tab.indexes.items()
+        }
+        for name, tab in store.tables.items()
+        if isinstance(tab, PublicTable)
+    }
+
+
+def assert_buckets_in_row_order(store):
+    """Each bucket lists exactly the table's rows with its key, in row
+    order, and no bucket is empty."""
+    for tab in store.tables.values():
+        if not isinstance(tab, PublicTable):
+            continue
+        for cname, idx in tab.indexes.items():
+            ci = tab.col(cname)
+            expected = {}
+            for t in tab.rows:
+                expected.setdefault(t.values[ci], []).append(t)
+            assert idx == expected, f"{tab.name}.{cname} buckets out of row order"
 
 
 def empty_like(store):
@@ -386,11 +483,21 @@ def window_fields(w):
     )
 
 
+def full_state(store):
+    """Snapshot bytes, window ``w``'s whole state and every index bucket."""
+    return snapshot_state(store), window_fields(store.window("w")), index_buckets(store)
+
+
 def test_undo_restores_everything_bit_exact():
+    """Random writes, then a rollback, restore every table bit-exactly and
+    every index bucket in its order; after each write each bucket lists its
+    rows in row order."""
     rng = random.Random(2024)
+    ops = ("<", "<=", ">", ">=", "!=", "==")
     for case in range(1000):
         store = build_random_store(rng)
-        before = snapshot_state(store), window_fields(store.window("w"))
+        assert_buckets_in_row_order(store)
+        before = full_state(store)
         undo = UndoBuffer()
         first_bid = next_bid = (max(store.stream("s").pending_batches(), default=0)) + 1
 
@@ -405,7 +512,7 @@ def test_undo_restores_everything_bit_exact():
             )
 
         for _ in range(rng.randint(1, 12)):
-            op = rng.randrange(5)
+            op = rng.randrange(10)
             if op == 0:
                 store.insert("p", Tuple((rng.randint(0, 5), rng.randint(0, 99))), undo)
             elif op == 1:
@@ -424,9 +531,21 @@ def test_undo_restores_everything_bit_exact():
             elif op == 4 and next_bid > first_bid:
                 # emit twice: a second write to the batch just written
                 store.insert_batch("s", fresh_batch(next_bid - 1), undo)
+            elif op == 5:
+                # rows leave from the middle of their buckets
+                pred = Pred("v", rng.choice(ops), rng.randint(0, 99))
+                store.delete_where("p", pred, undo)
+            elif op == 6:
+                store.delete_where("p", None, undo)
+            elif op == 7:
+                store.insert("q", Tuple((rng.randint(0, 9),)), undo)
+            elif op == 8:
+                store.delete_where("q", None, undo)
+            elif op == 9:
+                store.delete_where("q", Pred("value", rng.choice(ops), 5), undo)
+            assert_buckets_in_row_order(store)
         undo.rollback()
-        after = snapshot_state(store), window_fields(store.window("w"))
-        assert after == before, f"case {case} diverged"
+        assert full_state(store) == before, f"case {case} diverged"
 
     # one insert that fills a window three tuples short of full, then slides
     # it four times, so some of its own tuples expire again
@@ -457,9 +576,10 @@ def test_delete_then_rollback_bit_equal(store):
 
 
 def test_unpredicated_delete_matches_always_true_predicate():
-    """Deleting with no predicate removes the same rows, records the same
-    undo entries and rolls back to the same state, index buckets included,
-    as a predicate every row meets."""
+    """Deleting with no predicate removes the same rows, leaves the same
+    state and rolls back to the same state, index buckets included, as a
+    predicate every row meets. Its undo entry differs: a clear keeps the
+    old row list and buckets whole."""
 
     def run(pred):
         store = Store()
@@ -467,15 +587,16 @@ def test_unpredicated_delete_matches_always_true_predicate():
         setup = UndoBuffer()
         for i in range(8):
             store.insert("p", Tuple((i % 3, i)), setup)
-        before = snapshot_state(store)
+        before = snapshot_state(store), index_buckets(store)
         undo = UndoBuffer()
         removed = store.delete_where("p", pred and Pred("v", *pred), undo)
         assert store.select_where("p") == []
         assert store.table("p").indexes == {"k": {}}
-        entries = [(e[0],) + e[2:] for e in undo._entries]
+        after_delete = snapshot_state(store)
         undo.rollback()
-        assert snapshot_state(store) == before
-        return removed, entries, store.table("p").indexes
+        after_rollback = snapshot_state(store), index_buckets(store)
+        assert after_rollback == before
+        return removed, after_delete, after_rollback
 
     unpredicated = run(None)
     assert unpredicated[0] == 8
