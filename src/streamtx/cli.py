@@ -56,13 +56,9 @@ def _emit(reports: list[MetricsReport], out: str, path) -> None:
         print(text)
 
 
-def _params(cfg) -> dict:
-    return dict(cfg.params)
-
-
 def cmd_bench(args) -> int:
     cfg = cfgmod.load_file(args.config) if args.config else cfgmod.WorkloadConfig()
-    p = _params(cfg)
+    p = cfg.params
     rounds = cfg.rounds
     ok = True
     reports: list[MetricsReport] = []

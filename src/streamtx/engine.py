@@ -244,7 +244,8 @@ class Engine:
                 break
             del pending[low]
             p.last_queued[proc_name] = low
-            self._backpressure()
+            if len(p.client_queue) + len(p.fast_track) >= self.queue_bound:
+                self.run_until_idle()
             args = b""
             if plan.logged:
                 # a one-input round is this batch, which the cache may have
@@ -255,11 +256,6 @@ class Engine:
             )
             p.submit_client(req)
         return ticket
-
-    def _backpressure(self) -> None:
-        depth = len(self.partition.client_queue) + len(self.partition.fast_track)
-        if depth >= self.queue_bound:
-            self.run_until_idle()
 
     def call_oltp(self, proc: str, args=None) -> Ticket:
         p = self.partition.plan(proc).proc
@@ -446,17 +442,13 @@ def recover(
         (_replay_strong if strong else _replay_weak)(engine, replayed)
         c.replay_client_dispatches = len(replayed)
         c.replay_trigger_dispatches = c.boundary_crossings - crossings
-        # a border took each round its inputs consumed, and each round that
-        # an abort any record carries ended, even one the snapshot covers
+        # a border took each round its transaction ended, by commit or abort
         queued = engine.partition.last_queued
         for plan in engine.partition.plans.values():
             if plan.proc.kind is ProcedureKind.BORDER:
                 queued[plan.proc.name] = max(
                     (t.last_consumed_batch for t in plan.inputs), default=0
                 )
-        for rec in records:
-            for proc, round_ in rec.aborted:
-                queued[proc] = max(queued.get(proc, 0), round_)
         if strong:
             engine.partition.refire_nonempty_streams()
         else:

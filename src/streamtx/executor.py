@@ -253,12 +253,9 @@ class TEContext:
         # every tuple carries batch_id, so the batch needs no check
         batch = AtomicBatch._make((batch_id, tuple(tuples)))
         self.store.insert_batch(stream, batch, self.undo, checked=checked)
-        triggers = self.partition.trigger_engine
-        if plan.target is not None and stream not in self.appended:
-            triggers.note_append(stream, batch_id)
         self.appended[stream] = plan
         if plan.program is not None:
-            triggers.on_stream_append(self, plan, batch)
+            self.partition.trigger_engine.on_stream_append(self, plan, batch)
 
     def insert(self, table: str, values, ts: int = 0) -> None:
         """Insert one row. Into a stream this appends, as ``emit`` does;
@@ -356,7 +353,8 @@ class Partition:
         self._executing = 0
         # procedure -> the last round queued for it: a border's round once
         # ``Engine.ingest_batch`` submits it, a trigger target's once fired;
-        # ``recover`` rebuilds it once, after replay
+        # ``recover`` rebuilds it once, after replay, from the inputs'
+        # ``last_consumed_batch``, which commit and abort both raise
         self.last_queued: dict[str, int] = {}
         # the (procedure, round) of each logged abort since the last record:
         # the next record carries them, and replay runs their drop rule
@@ -477,7 +475,7 @@ class Partition:
                     # group rollback: undo every already-finished child too
                     for done_ctx, _ in reversed(ran):
                         done_ctx.undo.rollback()
-                    self._finish_abort(req, plan, error, [ctx] + [c for c, _ in ran])
+                    self._finish_abort(req, plan, error)
                     return "aborted"
                 ran.append((ctx, child_req))
         finally:
@@ -550,7 +548,11 @@ class Partition:
         """Commit ``ran``, ``req``'s execution and, inside a group, the other
         children that ran, as one transaction. Its one log record is ``req``
         at the group's first commit seq; the ticket's commit seq is its last.
-        ``_execute_group`` stops the partition when a log write fails."""
+        A batch on a stream that triggers a procedure waits for its consumer
+        from here on. The transaction then ends its round as an abort does
+        (see ``drop_aborted``), inline to keep the commit path one call
+        shorter. ``_execute_group`` stops the partition when a log write
+        fails."""
         ticket = req.ticket
         log = self.log
         triggers = self.trigger_engine
@@ -566,35 +568,36 @@ class Partition:
             self._aborted.clear()
             log.append(record, ticket)
             self.counters.log_records += 1
+        round_ = req.round
         for ctx, child in ran:
             self.commit_seq += 1
             self.committed_schedule.append(
                 TransactionExecution(
-                    ctx.proc.name, child.round, child.args, self.commit_seq
+                    ctx.proc.name, round_, child.args, self.commit_seq
                 )
             )
             self.counters.te_committed += 1
             if child.ticket is not None:
                 child.ticket.result_rows = ctx.result_rows
-            round_ = ctx.round
             # fire each appended stream that triggers a procedure; collect
             # one a statement program ran on, unless a consumer waits for it
             for stream, sp in ctx.appended.items():
                 if sp.target is not None:
+                    triggers.note_append(stream, round_)
                     fires = triggers.fire_procedure_triggers(stream, round_)
                     self._submit_trigger(fires)
                 if sp.program is not None and triggers.gc_eligible(stream, round_):
                     self.store.garbage_collect(stream, round_)
-            # the procedure takes its rounds in increasing order, and no
-            # other procedure reads its inputs: collect them up to the round
-            for tab in ctx.plan.inputs:
-                if round_ > tab.last_consumed_batch:
-                    tab.last_consumed_batch = round_
-                for batch_id in list(tab.batches):  # ascending
-                    if batch_id > round_:
-                        break
-                    triggers.note_consumed(tab.name, batch_id)
-                    self.store.garbage_collect(tab.name, batch_id)
+        # no procedure of the transaction runs this round, or a lower one,
+        # again, and no other procedure reads their inputs
+        for tab in plan.transaction_inputs:
+            if round_ > tab.last_consumed_batch:
+                tab.last_consumed_batch = round_
+            for batch_id in list(tab.batches):  # ascending
+                if batch_id > round_:
+                    break
+                triggers.note_consumed(tab.name, batch_id)
+                self.store.garbage_collect(tab.name, batch_id)
         if ticket is not None:
             ticket.outcome = "committed"
             ticket.commit_seq = self.commit_seq
@@ -603,11 +606,11 @@ class Partition:
         log.maybe_flush()
 
     def _finish_abort(
-        self, req: TERequest, plan: ProcedurePlan, error: Exception,
-        rolled_back: list[TEContext],
+        self, req: TERequest, plan: ProcedurePlan, error: Exception
     ) -> None:
         """Abort ``req``'s transaction, which ``plan`` enters, once its
-        executions in ``rolled_back`` have rolled back. The abort is
+        executions have rolled back. Nothing it appended waits for a
+        consumer, since only a commit makes a batch wait. The abort is
         acknowledged at once; when the log keeps the transaction, the next
         record carries it."""
         self.counters.te_aborted += 1
@@ -616,21 +619,21 @@ class Partition:
             t.outcome = "aborted"
             t.reason = str(error)
             t.acknowledged = True
-        # appended batches were rolled back: no consumer waits for them
-        self.trigger_engine.pending.difference_update(
-            (stream, req.round) for ctx in rolled_back for stream in ctx.appended
-        )
         if plan.logged:
             self._aborted.append((req.proc, req.round))
         self.drop_aborted(req.proc, req.round)
 
     def drop_aborted(self, proc: str, round_: int) -> None:
-        """The drop rule of an aborted transaction that ``proc`` enters: no
-        procedure of it runs ``round_``, or a lower one, again, so collect
-        what their inputs hold up to it, as a commit collects its own. A
-        live abort runs it, and replay runs it for each abort a record
-        carries, before the record."""
+        """End round ``round_`` of the aborted transaction that ``proc``
+        enters, as its commit would have: no procedure of it runs
+        ``round_``, or a lower one, again, so raise each input's
+        ``last_consumed_batch`` to the round and collect what the inputs
+        hold up to it. A live abort runs this, and replay runs it for each
+        abort a record carries, before the record; a snapshot keeps the
+        marks, so recovery needs no record of an abort it covers."""
         for tab in self.plans[proc].transaction_inputs:
+            if round_ > tab.last_consumed_batch:
+                tab.last_consumed_batch = round_
             for batch_id in list(tab.batches):  # ascending
                 if batch_id > round_:
                     break

@@ -12,19 +12,22 @@ A record is one transaction: a nested group's record names its entry child
 and carries the group's first commit seq, and strong replay runs the group
 again whole.
 
-An abort changes no state but the batches it drops, the inputs up to its
-round that committed work left, and it is logged as its command, not its
-effects. A record carries the (procedure, round) of each abort since the
-previous record that the log mode logs, by the rule that logs a commit.
-Replay, in both modes, runs each carried abort's drop rule
-(``Partition.drop_aborted``) before it runs the record. Recovery then
-rebuilds ``Partition.last_queued``, the one record of the rounds each
-procedure took, once: a border took the highest round its inputs consumed
-and every round that a carried abort ended, so intake refuses those rounds
-and weak recovery re-submits only the cached rounds above them. An abort
-is acknowledged at once, so one that no record carries yet when the process
-dies is not logged: weak recovery runs it again, and strong recovery
-forgets it.
+An abort ends its round as a commit does: it raises its transaction's
+input marks (``StreamTable.last_consumed_batch``) to the round and drops
+what the inputs hold up to it, and it changes no other state. It is logged
+as its command, not its effects. A record carries the (procedure, round)
+of each abort since the previous record that the log mode logs, by the
+rule that logs a commit. Replay, in both modes, runs each carried abort's
+drop rule (``Partition.drop_aborted``) before it runs the record; a
+snapshot keeps the marks of every abort before it, so a checkpoint that
+truncates the record, or comes before any record carries the abort, keeps
+the abort too. Recovery then rebuilds ``Partition.last_queued``, the one
+record of the rounds each procedure took, once, from the marks alone: a
+border took the highest round its inputs' transaction ended, so intake
+refuses those rounds and weak recovery re-submits only the cached rounds
+above them. An abort is acknowledged at once, so one that neither a record
+nor a snapshot holds when the process dies is lost: weak recovery runs it
+again, and strong recovery forgets it.
 
     log header:    magic "STXLOG01" | version u32 (6) | mode u8 | partition u32
                    | snapshot seq u64

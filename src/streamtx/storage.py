@@ -230,9 +230,9 @@ class StreamTable(_BaseTable):
         # is empty, so a batch is loaded, consumed and undone as one entry
         self.batches: dict[int, tuple[Tuple, ...]] = {}
         self.next_tuple_id = 1
-        # highest batch a committed consumer has taken; a border takes its
-        # rounds in order, so recovery re-submits exactly the cached input
-        # batches above it
+        # highest round its consumer's transaction ended, by commit or
+        # abort; a border takes its rounds in order, so recovery re-submits
+        # exactly the cached input batches above it
         self.last_consumed_batch = 0
 
     @property

@@ -283,7 +283,7 @@ class TriggerEngine:
     # --- GC bookkeeping ---
 
     def note_append(self, stream: str, batch_id: int) -> None:
-        """A batch landed on a procedure-trigger stream."""
+        """A committed batch landed on a procedure-trigger stream."""
         self.pending.add((stream, batch_id))
 
     def note_consumed(self, stream: str, batch_id: int) -> None:

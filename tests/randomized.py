@@ -159,17 +159,34 @@ def assert_pending_is_waiting(engine: Engine) -> None:
 
 
 def assert_nothing_held_up_to_consumed(engine: Engine) -> None:
-    """A stream that fires a procedure holds no batch at or below the last
-    round its consumer committed: the consumer takes its rounds in order,
-    so such a batch would wait forever."""
+    """A stream that some procedure reads holds no batch at or below the
+    last round its consumer's transaction ended, by commit or abort: the
+    consumer takes its rounds in order, so such a batch would wait
+    forever."""
     stranded = {
-        (s, b)
-        for s, plan in engine.partition.stream_plans.items()
-        if plan.target is not None
-        for b in plan.table.batches
-        if b <= plan.table.last_consumed_batch
+        (tab.name, b)
+        for plan in engine.partition.plans.values()
+        for tab in plan.inputs
+        for b in tab.batches
+        if b <= tab.last_consumed_batch
     }
     assert not stranded, stranded
+
+
+def snapshot_with_marks(engine: Engine, marks: dict[str, int]) -> bytes:
+    """``engine``'s snapshot with the ``last_consumed_batch`` of each stream
+    in ``marks`` raised to its value, as ending a round that changes nothing
+    else raises it, and every other byte as it is; ``engine`` keeps its own
+    marks."""
+    tabs = {s: engine.store.stream(s) for s in marks}
+    old = {s: tab.last_consumed_batch for s, tab in tabs.items()}
+    for s, tab in tabs.items():
+        tab.last_consumed_batch = max(old[s], marks[s])
+    try:
+        return snapshot_state(engine.store)
+    finally:
+        for s, tab in tabs.items():
+            tab.last_consumed_batch = old[s]
 
 
 # --- strong recovery of a random workflow ---

@@ -48,9 +48,9 @@ ROUNDS = 64  # five records a round fill 40 group-commit flushes of 8
 
 # calls per round when these pins were set; a flush of 8 records costs a
 # fractional share of a round
-PINS = {"chain": 202.875, "window": 51, "leaderboard": 156.40625}
+PINS = {"chain": 201.875, "window": 50, "leaderboard": 155.0625}
 # calls per strong record replayed and per weak cached round re-submitted
-RECOVERY_PINS = {"STRONG": 34.4, "WEAK": 16}
+RECOVERY_PINS = {"STRONG": 34.4, "WEAK": 15}
 
 
 def chain_engine(data_dir):

@@ -1093,6 +1093,33 @@ def test_recovered_border_refuses_a_round_an_abort_ended(tmp_path, mode):
     r.close()
 
 
+@pytest.mark.parametrize("carried", [True, False], ids=["carried", "uncarried"])
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_checkpoint_keeps_the_round_an_abort_ended(tmp_path, mode, carried):
+    # round 2 aborts before a checkpoint, which truncates the record of
+    # Clear that carries the abort, or follows before any record does: the
+    # snapshot's consumption mark alone keeps round 2 taken
+    e = Engine(seen_spec(), data_dir=str(tmp_path), recovery_mode=mode,
+               fsync=False)
+    t1, t2 = feed_rounds(e, [7, 7])
+    e.run_until_idle()
+    assert t1.committed and t2.outcome == "aborted" and t2.acknowledged
+    if carried:
+        assert e.await_ticket(e.call_oltp("Clear")).acknowledged
+    e.checkpoint()
+    e.crash()
+    r = recover(seen_spec(), str(tmp_path), fsync=False)
+    r.run_until_idle()
+    assert r.counters.te_aborted == 0  # weak recovery does not re-run round 2
+    with pytest.raises(BadDefinition, match="already took round 2"):
+        r.ingest_batch("s1", one_row(2, 8))
+    assert not r.partition.client_queue
+    assert [t.values for t in r.store.table("seen").rows] == (
+        [] if carried else [(7,)]
+    )
+    r.close()
+
+
 def test_trailing_abort_forgotten_after_strong_recovery(tmp_path):
     # the strong counterpart of the weak re-run: no record carries round
     # 2's abort when the process dies, so strong recovery, which restores

@@ -19,6 +19,7 @@ from streamtx.model import (
 from streamtx.snapshot import snapshot_state
 from streamtx.storage import Pred
 from streamtx.validator import validate
+from randomized import snapshot_with_marks
 
 VAL_COLS = (("value", "int"),)
 
@@ -266,7 +267,8 @@ def test_body_cannot_change_a_row_it_read(source):
         seed_rows={"t": [(1,), (2,)]},
     )
     e = Engine(spec)
-    before = snapshot_state(e.store)
+    # the aborted round 1 ends s1's round 1, as a commit would
+    before = snapshot_with_marks(e, {"s1": 1})
     (ticket,) = feed(e, [5])
     e.run_until_idle()
     assert ticket.outcome == "aborted"
@@ -610,6 +612,52 @@ def test_group_abort_drops_every_root_input(child):
     assert held_batches(e) == set()
     assert e.partition.trigger_engine.pending == set()
     assert validate(e.committed_schedule, e.spec.workflows[0]).correct
+
+
+def test_group_commit_collects_an_input_of_a_child_that_did_not_run():
+    # in the group {A, B, C}, B emits only odd values, so C runs rounds 1
+    # and 3 alone; the batch A sent to C for rounds 2 and 4 dies with the
+    # group's commit of the round, since no child runs a round twice
+    def fan_out(ctx):
+        ctx.emit("sab", ctx.input_tuples("s0"))
+        ctx.emit("sac", ctx.input_tuples("s0"))
+
+    def odd(ctx):
+        ctx.emit("sbc", [t for t in ctx.input_tuples("sab") if t.values[0] % 2])
+
+    def join(ctx):
+        for t in ctx.input_tuples("sac") + ctx.input_tuples("sbc"):
+            ctx.insert("out", t.values)
+
+    w = register_workflow(
+        "odd_join",
+        [
+            ProcedureDef("A", ProcedureKind.BORDER, ("s0",), body=fan_out),
+            ProcedureDef("B", ProcedureKind.INTERIOR, ("sab",), body=odd),
+            ProcedureDef("C", ProcedureKind.INTERIOR, ("sac", "sbc"), body=join),
+        ],
+        [("A", "sab", "B"), ("A", "sac", "C"), ("B", "sbc", "C")],
+        nested_groups=[
+            NestedGroup("g", ("A", "B", "C"), (("A", "B"), ("A", "C"), ("B", "C")))
+        ],
+    )
+    e = Engine(
+        EngineSpec(
+            workflows=[w],
+            streams=[StreamDef(s, VAL_COLS) for s in ("s0", "sab", "sac", "sbc")],
+            tables=[TableDef("out", VAL_COLS)],
+        )
+    )
+    feed(e, [1, 2, 3, 4], stream="s0")
+    e.run_until_idle()
+    assert held_batches(e) == set()
+    assert sorted(t.values for t in e.store.table("out").rows) == [
+        (1,), (1,), (3,), (3,)
+    ]
+    assert [(te.procedure, te.round) for te in e.committed_schedule] == [
+        (p, r) for r in (1, 2, 3, 4) for p in ("ABC" if r % 2 else "AB")
+    ]
+    assert validate(e.committed_schedule, w).correct
 
 
 def test_join_input_of_a_dead_round_collected_by_the_next():

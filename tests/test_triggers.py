@@ -15,7 +15,7 @@ from streamtx.model import (
 )
 from streamtx.snapshot import snapshot_state
 from streamtx.storage import Pred, Store
-from randomized import random_window_run
+from randomized import random_window_run, snapshot_with_marks
 from streamtx.triggers import (
     AggregateInsert,
     FilteredCopy,
@@ -177,7 +177,8 @@ def test_ee_chain_abort_reverts_everything():
     )
     spec.workflows = [w]
     e = Engine(spec)
-    before = snapshot_state(e.store)
+    # the aborted round 1 ends s1's round 1, as a commit would
+    before = snapshot_with_marks(e, {"s1": 1})
     tickets = ingest(
         e,
         FeedSource.from_values([12, 20]),
@@ -622,6 +623,7 @@ def test_same_te_property_trigger_writes_share_fate():
         spec.workflows = [w]
         e = Engine(spec)
         before = snapshot_state(e.store)
+        ended = snapshot_with_marks(e, {"s1": 1})  # round 1 ended, nothing else
         ingest(
             e,
             FeedSource.from_values([rng.randint(1, 9) for _ in range(3)]),
@@ -631,7 +633,7 @@ def test_same_te_property_trigger_writes_share_fate():
         e.run_until_idle()
         after = snapshot_state(e.store)
         if flip:
-            assert after == before
+            assert after == ended
         else:
             assert after != before
             assert len(e.store.stream("s3").rows) == 3
