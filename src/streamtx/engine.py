@@ -218,7 +218,8 @@ class Engine:
         proc_name = plan.proc.name
         table = p.stream_plans[stream].table
         round_ = batch.batch_id
-        slot = self._feeder_pending.get(proc_name, {}).get(round_)
+        pending = self._feeder_pending.get(proc_name)
+        slot = None if pending is None else pending.get(round_)
         if slot is not None and stream in slot[0]:
             raise BadDefinition(f"{proc_name} round {round_} already has {stream}")
         if slot is None and round_ <= p.last_queued.get(proc_name, 0):
@@ -229,7 +230,8 @@ class Engine:
         if not resubmit and p.input_cache.path is not None:
             cached = batches_to_args({stream: batch})
             p.fail_stop(p.input_cache.append, stream, batch, cached)
-        pending = self._feeder_pending.setdefault(proc_name, {})
+        if pending is None:
+            pending = self._feeder_pending[proc_name] = {}
         if slot is None:
             slot = pending[round_] = ({}, Ticket())
         batches, ticket = slot

@@ -238,18 +238,20 @@ class TEContext:
         off its triggers. A statement step calls this with the plan it
         resolved at registration, and with ``checked`` when registration
         proved that its rows keep the stream's value rule."""
-        rows = list(rows)
+        if type(rows) is not list:
+            rows = list(rows)
         if not rows:
             return
         stream, batch_id = plan.table.name, self.round
         ids = self.store.next_tuple_ids(stream, len(rows), self.undo)
         ts = 0 if ts is None else ts
+        new = tuple.__new__  # the ids are stamped here: skip Tuple's __new__
         tuples = []
         for tid, r in zip(ids, rows):
-            if isinstance(r, Tuple):
-                tuples.append(Tuple(r.values, tid, batch_id, r.ts))
+            if type(r) is Tuple:
+                tuples.append(new(Tuple, (r.values, tid, batch_id, r.ts)))
             else:
-                tuples.append(Tuple(tuple(r), tid, batch_id, ts))
+                tuples.append(new(Tuple, (tuple(r), tid, batch_id, ts)))
         # every tuple carries batch_id, so the batch needs no check
         batch = AtomicBatch._make((batch_id, tuple(tuples)))
         self.store.insert_batch(stream, batch, self.undo, checked=checked)
@@ -285,8 +287,8 @@ class TEContext:
         return self.store.aggregate(table, op, column, group_by, pred)
 
     def window_insert(self, window: str, rows) -> None:
-        """Feed rows into a window; each slide it makes runs the window's
-        statement program, if it has one."""
+        """Feed rows into a window. The window's statement program, if it
+        has one, runs once over every slide the insert makes."""
         tuples = [
             r if isinstance(r, Tuple) else Tuple(tuple(r), batch_id=self.round)
             for r in rows
@@ -314,8 +316,8 @@ class TEContext:
     def set_result(self, rows) -> None:
         self.result_rows = rows
 
-    def count_statement(self) -> None:
-        self.partition.counters.ee_statement_executions += 1
+    def count_statement(self, n: int = 1) -> None:
+        self.partition.counters.ee_statement_executions += n
 
 
 class Partition:
@@ -412,8 +414,16 @@ class Partition:
         return True
 
     def run_until_idle(self) -> None:
-        while self.step():
-            pass
+        """``step`` until idle, popping the queues inline."""
+        fast, client = self.fast_track, self.client_queue
+        while not self.stopped:
+            if fast:
+                self.execute(fast.popleft())
+            elif client:
+                self.execute(client.popleft())
+            else:
+                self.fail_stop(self.log.maybe_flush)
+                return
 
     def drain_and_quiesce(self) -> None:
         """Finish all fast-track work without starting new client requests."""

@@ -90,6 +90,9 @@ class StreamIngestor:
         self.engine = engine
         self.stream = stream
         self.policy = policy
+        # a batch closes at a new ts, or else once it holds ``_count`` tuples
+        self._by_ts = policy.mode == "same_timestamp"
+        self._count = policy.count
         self.next_batch_id = 1
         self.next_tuple_id = 1
         self.closed = False
@@ -102,27 +105,26 @@ class StreamIngestor:
         if self.closed:
             raise EngineStopped(f"stream {self.stream} is closed")
         ticket = None
-        by_ts = self.policy.mode == "same_timestamp"
+        by_ts = self._by_ts
         if by_ts and self._buffer and ts != self._buffer_ts:
             ticket = self._flush()
+        # the ingestor stamps the ids itself, so rows and batches skip the
+        # named tuples' constructors
         self._buffer.append(
-            Tuple(
-                tuple(values),
-                tuple_id=self.next_tuple_id,
-                batch_id=self.next_batch_id,
-                ts=ts,
+            tuple.__new__(
+                Tuple, (tuple(values), self.next_tuple_id, self.next_batch_id, ts)
             )
         )
         self._buffer_ts = ts
         self.next_tuple_id += 1
-        if not by_ts and len(self._buffer) >= self.policy.count:
+        if not by_ts and len(self._buffer) >= self._count:
             ticket = self._flush()
         return ticket
 
     def _flush(self) -> Optional[Ticket]:
         if not self._buffer:
             return None
-        batch = AtomicBatch(self.next_batch_id, tuple(self._buffer))
+        batch = AtomicBatch._make((self.next_batch_id, tuple(self._buffer)))
         self._buffer = []
         self._buffer_ts = None
         self.next_batch_id += 1

@@ -477,14 +477,15 @@ class Store:
 
     def stream(self, name: str) -> StreamTable:
         t = self.tables.get(name)
-        if not isinstance(t, StreamTable):
+        if type(t) is not StreamTable:
             self.table(name)  # raises for a missing name
             raise UnknownTable(f"{name} is not a stream table")
         return t
 
     def window(self, name: str) -> WindowTable:
-        t = self.table(name)
-        if not isinstance(t, WindowTable):
+        t = self.tables.get(name)
+        if type(t) is not WindowTable:
+            self.table(name)  # raises for a missing name
             raise UnknownTable(f"{name} is not a window table")
         return t
 
@@ -517,12 +518,15 @@ class Store:
         """Append a batch, or extend the newest batch when it has the same
         id. ``checked`` says the caller has already held every tuple to
         this stream's value rule, so the append skips ``check_row``."""
-        s = self.stream(stream)
+        s = self.tables.get(stream)
+        if type(s) is not StreamTable:
+            s = self.stream(stream)  # raises
         if s.batches:
             last = next(reversed(s.batches.values()))[-1]
-            if (last.batch_id, last.tuple_id) >= (
-                batch.batch_id,
-                batch.tuples[0].tuple_id,
+            batch_id = batch.batch_id
+            if last.batch_id > batch_id or (
+                last.batch_id == batch_id
+                and last.tuple_id >= batch.tuples[0].tuple_id
             ):
                 raise BadDefinition(
                     f"stream {stream}: batch {batch.batch_id} arrives out of order"
@@ -692,7 +696,9 @@ class Store:
     # --- stream upkeep ---
 
     def next_tuple_ids(self, stream: str, count: int, undo: UndoBuffer) -> range:
-        s = self.stream(stream)
+        s = self.tables.get(stream)
+        if type(s) is not StreamTable:
+            s = self.stream(stream)  # raises
         undo.record_counter(s)
         first = s.next_tuple_id
         s.next_tuple_id += count

@@ -5,7 +5,15 @@ within the firing transaction (same undo buffer, same commit fate), cascading
 depth-first. A statement only adds rows: it copies them to a stream, feeds a
 window or inserts an aggregate. Streams are append-only, so the batch that
 fired a program leaves its stream through garbage collection once the
-transaction commits, not through a statement. Procedure triggers fire at
+transaction commits, not through a statement.
+
+A program runs once per write to its source, as an SQL statement-level
+trigger does: a stream's program once per appended batch, each step as
+``run(ctx, tuples)`` over the batch's tuples, and a window's program once per
+insert, each step as ``run(ctx, events)`` over every slide that insert made,
+in slide order. Each step finishes all the slides before the next step
+starts, so when two steps write the same table it gets the first step's rows
+for every slide before the second step's. Procedure triggers fire at
 commit of the producing transaction and hand downstream executions straight
 to the scheduler's fast track. A stream's ``StreamPlan`` is the one record of
 both kinds of trigger on it.
@@ -69,7 +77,9 @@ class StatementTrigger:
 
 @dataclass(frozen=True)
 class Step:
-    """A statement resolved at registration. ``run(ctx, tuples, sums)``
+    """A statement resolved at registration. A stream's step runs as
+    ``run(ctx, tuples)`` on an appended batch's tuples, a window's as
+    ``run(ctx, events)`` on the events of one insert, in slide order. It
     keeps its destination stream's plan (or a table or window name), column
     positions and constants; what it appends is batch ``ctx.round``."""
 
@@ -92,9 +102,10 @@ class StreamPlan:
     ready: tuple[StreamTable, ...] = ()
 
 
-# the most stream programs one statement-trigger chain may run: each stage
-# nests several Python frames, and a chain that starts while a border's
-# input loads runs outside the body's exception handler
+# the most stream programs, and the most window programs, one
+# statement-trigger chain may run: each stage nests several Python frames,
+# and a chain that starts while a border's input loads runs outside the
+# body's exception handler
 MAX_CHAIN = 64
 
 
@@ -155,29 +166,38 @@ class TriggerEngine:
     def _resolve(self, src, stmt) -> Step:
         """Check one statement against the catalog and build its step. A
         step that moves rows between tables of equal column types skips the
-        value rule: every row of its source already kept it."""
+        value rule: every row of its source already kept it. A copy or a
+        window insert from a window takes the tuples of all its events, one
+        event after the other."""
         if isinstance(stmt, FilteredCopy):
             dst = self.stream_plans[self.store.stream(stmt.dst).name]
             match = None if stmt.pred is None else row_matcher(src, stmt.pred)
             same = src.types == dst.table.types
 
-            def copy(ctx, tuples, sums):
+            def run(ctx, tuples):
                 hits = tuples if match is None else [t for t in tuples if match(t)]
                 if hits:
                     ctx._append(dst, hits, checked=same)
 
-            return Step(stmt.dst, True, copy)
-        if isinstance(stmt, WindowInsertStmt):
+            writes = stmt.dst
+        elif isinstance(stmt, WindowInsertStmt):
             window = self.store.window(stmt.window)
-            name, same = window.name, src.types == window.types
+            writes, same = window.name, src.types == window.types
 
-            def insert(ctx, tuples, sums):
-                ctx._window_insert(name, tuples, checked=same)
+            def run(ctx, tuples):
+                ctx._window_insert(writes, tuples, checked=same)
 
-            return Step(name, True, insert)
-        if isinstance(stmt, AggregateInsert):
+        elif isinstance(stmt, AggregateInsert):
             return self._aggregate_step(src, stmt)
-        raise BadDefinition(f"unknown statement {stmt!r}")
+        else:
+            raise BadDefinition(f"unknown statement {stmt!r}")
+        if isinstance(src, WindowTable):
+            of_tuples = run
+
+            def run(ctx, events):
+                of_tuples(ctx, [t for ev in events for t in ev.tuples])
+
+        return Step(writes, True, run)
 
     def _aggregate_step(self, src, stmt: AggregateInsert) -> Step:
         """Count, and sum/avg of an int column, come from the window's
@@ -201,18 +221,23 @@ class TriggerEngine:
         from_sums = group_by is None and (
             op == "count" or (op in ("sum", "avg") and col in src.sums)
         )
+        # the rows of every event, in slide order
         if not from_sums:
-            def rows(ctx, tuples, sums):
-                return aggregate_rows(tuples, src, op, col, group_by)
+            def rows(events):
+                return [
+                    row
+                    for ev in events
+                    for row in aggregate_rows(ev.tuples, src, op, col, group_by)
+                ]
         elif op == "count":
-            def rows(ctx, tuples, sums):
-                return [(n,)]
+            def rows(events):
+                return [(n,)] * len(events)
         elif op == "sum":
-            def rows(ctx, tuples, sums):
-                return [(sums[col],)]
+            def rows(events):
+                return [(ev.sums[col],) for ev in events]
         else:
-            def rows(ctx, tuples, sums):
-                return [(float(sums[col]) / n,)]
+            def rows(events):
+                return [(float(ev.sums[col]) / n,) for ev in events]
         dst = stmt.dst
         if isinstance(self.store.table(dst), StreamTable):
             plan = self.stream_plans[dst]
@@ -220,37 +245,47 @@ class TriggerEngine:
             key = () if gi is None else (src.types[gi],)
             proven = op != "sum" and plan.table.types == key + (value,)
 
-            def run(ctx, tuples, sums):
-                ctx._append(plan, rows(ctx, tuples, sums), checked=proven)
+            def run(ctx, events):
+                ctx._append(plan, rows(events), checked=proven)
         else:
-            def run(ctx, tuples, sums):
-                for row in rows(ctx, tuples, sums):
+            def run(ctx, events):
+                for row in rows(events):
                     ctx.insert(dst, row)
         return Step(dst, not from_sums, run)
 
     def _check_statement_dag(self) -> None:
         """Reject a cycle, and a chain that runs more than ``MAX_CHAIN``
-        stream programs, which execution would nest that deep."""
+        stream programs or more than ``MAX_CHAIN`` window programs, which
+        execution would nest that deep."""
         programs = dict(self.window_programs)
         programs.update(
             (name, p.program)
             for name, p in self.stream_plans.items()
             if p.program is not None
         )
-        chain: dict[str, int] = {}  # source -> stream programs on its longest chain
+        # source -> the most stream programs, and the most window programs,
+        # on a chain from it
+        chain: dict[str, tuple[int, int]] = {}
 
-        def longest(node: str, path: tuple[str, ...]) -> int:
+        def longest(node: str, path: tuple[str, ...]) -> tuple[int, int]:
             if node in path:
                 raise CycleDetected("statement triggers form a cycle")
             if node not in chain:
-                steps = programs.get(node, ())
-                n = max([longest(s.writes, path + (node,)) for s in steps], default=0)
-                n = chain[node] = n + (node in programs and node in self.stream_plans)
-                if n > MAX_CHAIN:
-                    raise BadDefinition(
-                        f"statement trigger chain from {node} runs {n} stream "
-                        f"programs; at most {MAX_CHAIN} may nest"
-                    )
+                streams = windows = 0
+                for step in programs.get(node, ()):
+                    s, w = longest(step.writes, path + (node,))
+                    streams, windows = max(streams, s), max(windows, w)
+                if node in self.stream_plans:
+                    streams += node in programs
+                else:
+                    windows += node in programs
+                for n, kind in ((streams, "stream"), (windows, "window")):
+                    if n > MAX_CHAIN:
+                        raise BadDefinition(
+                            f"statement trigger chain from {node} runs {n} {kind} "
+                            f"programs; at most {MAX_CHAIN} may nest"
+                        )
+                chain[node] = streams, windows
             return chain[node]
 
         for node in programs:
@@ -301,14 +336,15 @@ class TriggerEngine:
         cascade depth-first through the context."""
         for step in plan.program:
             ctx.count_statement()
-            step.run(ctx, batch.tuples, None)
+            step.run(ctx, batch.tuples)
 
     def on_window_events(self, ctx, window: str, events: list[FullWindowEvent]):
-        steps = self.window_programs.get(window, ())
-        for ev in events:
-            for step in steps:
-                ctx.count_statement()
-                step.run(ctx, ev.tuples, ev.sums)
+        """Run ``window``'s program, if it has one, on the events of one
+        insert: each step runs once over all of them, in slide order, before
+        the next step starts, and counts one statement per event."""
+        for step in self.window_programs.get(window, ()):
+            ctx.count_statement(len(events))
+            step.run(ctx, events)
 
     # --- procedure trigger firing (commit time) ---
 

@@ -5,7 +5,9 @@ package. Two engines built alike run N and 2N rounds under the profiler
 after the same unprofiled warm-up; the difference over N is the steady cost
 of one round, free of setup. The figures match the benchmark's chain and
 window shapes: a strong five-procedure chain with group commit 8, and a
-native window of 1000 tuples sliding by one. A third, weak-mode shape, the
+native window of 1000 tuples sliding by one, fed one tuple a round
+(``window``, one slide a round) and four (``window4``, the benchmark's
+rounds, four slides each). Another, weak-mode shape, the
 leaderboard's vote workflow with its input cache, keeps the ingest path
 that still encodes each batch: once for the cache, whose encoding the
 logged border reuses as its args. Run this file with ``-s`` to
@@ -48,9 +50,9 @@ ROUNDS = 64  # five records a round fill 40 group-commit flushes of 8
 
 # calls per round when these pins were set; a flush of 8 records costs a
 # fractional share of a round
-PINS = {"chain": 201.875, "window": 50, "leaderboard": 155.0625}
+PINS = {"chain": 180.875, "window": 43, "window4": 46, "leaderboard": 147.578125}
 # calls per strong record replayed and per weak cached round re-submitted
-RECOVERY_PINS = {"STRONG": 34.4, "WEAK": 15}
+RECOVERY_PINS = {"STRONG": 32.6, "WEAK": 15}
 
 
 def chain_engine(data_dir):
@@ -75,19 +77,28 @@ def leaderboard_engine(data_dir):
 
 VOTES = make_vote_trace(4, 100 + 2 * ROUNDS)  # about 15 % of them rejected
 
-# shape -> (engine builder, border stream, warm-up rounds, round r's values)
+# shape -> (engine builder, border stream, warm-up rounds, round r's rows)
 SHAPES = {
-    "chain": (chain_engine, "s1", 16, lambda r: (r % 7,)),
-    "window": (window_engine, "s1", 1000, lambda r: (r % 7,)),
-    "leaderboard": (leaderboard_engine, "votes_in", 100, lambda r: VOTES[r - 1]),
+    "chain": (chain_engine, "s1", 16, lambda r: [(r % 7,)]),
+    "window": (window_engine, "s1", 1000, lambda r: [(r % 7,)]),
+    "window4": (
+        window_engine, "s1", 250, lambda r: [((4 * r + i) % 7,) for i in range(4)]
+    ),
+    "leaderboard": (leaderboard_engine, "votes_in", 100, lambda r: [VOTES[r - 1]]),
 }
 
 
-def batches(values, first, last):
-    return [
-        AtomicBatch(r, (Tuple(values(r), tuple_id=r, batch_id=r),))
-        for r in range(first, last + 1)
-    ]
+def batches(rows, first, last):
+    """Rounds ``first`` to ``last``, with tuple ids counted from round 1."""
+    tid = sum(len(rows(r)) for r in range(1, first))
+    out = []
+    for r in range(first, last + 1):
+        tuples = []
+        for values in rows(r):
+            tid += 1
+            tuples.append(Tuple(values, tuple_id=tid, batch_id=r))
+        out.append(AtomicBatch(r, tuple(tuples)))
+    return out
 
 
 def streamtx_calls(shape, data_dir, rounds):

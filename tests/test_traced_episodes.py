@@ -4,7 +4,10 @@
 positional arguments (``_select_scanned`` reads the table and predicate of
 ``Store.select_where``). The traced chain episode in ``perfbench/tests``
 never reaches the window, select or statement-program paths, so these tiny
-traced episodes check that the wrappers still fit them.
+traced episodes check that the wrappers still fit them. The window case
+also names the round path's wrapped functions, from the push to the
+collection of the round's batches, so that a round path which stops calling
+one of them fails here, not only in a traced benchmark run.
 """
 
 import sys
@@ -35,9 +38,15 @@ class TinyLeaderboard(episode.Leaderboard):
         (
             TinyWindow,
             [
+                "ingest.push",
+                "engine.ingest_batch",
+                "executor.execute",
                 "triggers.on_stream_append",
+                "storage.insert_batch",
+                "storage.next_tuple_ids",
                 "storage.window_insert",
                 "triggers.on_window_events",
+                "storage.garbage_collect",
             ],
         ),
         (

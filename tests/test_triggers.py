@@ -109,6 +109,36 @@ def test_chain_bound_counts_stream_programs_through_windows():
         Engine(spec(65))
 
 
+def window_chain_spec(windows):
+    """s1 feeds w1 and each window feeds the next, up to ``w{windows}``,
+    through ``WindowInsertStmt``s: ``windows - 1`` window programs."""
+    names = [f"w{i}" for i in range(1, windows + 1)]
+    triggers = [StatementTrigger("s1", (WindowInsertStmt("s1", "w1"),))] + [
+        StatementTrigger(a, (WindowInsertStmt(a, b),)) for a, b in zip(names, names[1:])
+    ]
+    w = register_workflow("wc", [ProcedureDef(
+        "SP1", ProcedureKind.BORDER, ("s1",),
+        window_defs=tuple(WindowSpec(n, 1, 1, "SP1") for n in names),
+    )])
+    return EngineSpec(
+        workflows=[w], streams=[StreamDef("s1", VAL_COLS)],
+        window_columns=dict.fromkeys(names, VAL_COLS), statement_triggers=triggers,
+    )
+
+
+def test_chain_bound_counts_window_programs():
+    # 64 window programs nest and commit; a chain of 399 is refused when it
+    # registers instead of overflowing the stack in its first round
+    e = Engine(window_chain_spec(65))
+    ticket = e.ingest_batch("s1", AtomicBatch(1, (Tuple((7,), 1, 1),)))
+    e.run_until_idle()
+    assert ticket.committed
+    assert [t.values for t in e.store.window("w65").active] == [(7,)]
+    assert e.counters.ee_statement_executions == 65
+    with pytest.raises(BadDefinition, match="chain from w1 runs 65 window programs"):
+        Engine(window_chain_spec(400))
+
+
 def window_events_spec(program):
     """A border feeds window ``w`` from its body; ``w`` runs ``program``."""
 
@@ -164,6 +194,89 @@ def test_window_without_program_carries_no_rows():
     w = e.store.window("w")
     assert [t.values for t in w.active] == [(2,), (3,)]
     assert w.events_emitted == 2
+
+
+def slide_program_spec(program, abort=False):
+    """A border feeds each round's batch into window ``w`` (size 2, slide
+    1) from its body, and aborts round 2 after the insert when ``abort``;
+    ``w`` runs ``program``, which may write streams o1 and o2 and table t."""
+
+    def body(ctx):
+        ctx.window_insert("w", ctx.input_tuples("s1"))
+        if abort and ctx.round == 2:
+            ctx.abort("after the insert")
+
+    w = register_workflow("ws", [ProcedureDef(
+        "SP1", ProcedureKind.BORDER, ("s1",), body=body,
+        window_defs=(WindowSpec("w", 2, 1, "SP1"),),
+    )])
+    return EngineSpec(
+        workflows=[w],
+        streams=[StreamDef(s, VAL_COLS) for s in ("s1", "o1", "o2")],
+        tables=[TableDef("t", VAL_COLS)],
+        window_columns={"w": VAL_COLS},
+        statement_triggers=[StatementTrigger("w", program)],
+    )
+
+
+# round 1 stages one tuple; round 2 inserts four, which make four slides
+SLIDE_ROUNDS = ((3,), (1, 5, 2, 8))
+SLIDES = [(3, 1), (1, 5), (5, 2), (2, 8)]
+SUM_MAX = (
+    AggregateInsert("w", "o1", "sum", "value"),  # from the running sums
+    AggregateInsert("w", "o2", "max", "value"),  # recomputed from the rows
+)
+
+
+def feed_slide_round(e, r):
+    first = sum(map(len, SLIDE_ROUNDS[: r - 1])) + 1
+    values = SLIDE_ROUNDS[r - 1]
+    tuples = tuple(Tuple((v,), first + i, r) for i, v in enumerate(values))
+    ticket = e.ingest_batch("s1", AtomicBatch(r, tuples))
+    e.run_until_idle()
+    return ticket
+
+
+def run_slide_rounds(spec):
+    e = Engine(spec)
+    return e, [feed_slide_round(e, r) for r in range(1, len(SLIDE_ROUNDS) + 1)]
+
+
+def test_window_program_runs_once_per_insert_as_per_slide_recompute():
+    # each step runs once over the insert's four slides; each stream gets
+    # one row per slide, in slide order, with consecutive tuple ids in the
+    # round's batch, as a step run slide by slide gives
+    e, tickets = run_slide_rounds(slide_program_spec(SUM_MAX))
+    assert all(t.committed for t in tickets)
+    for stream, agg in (("o1", sum), ("o2", max)):
+        got = [(t.values, t.tuple_id, t.batch_id) for t in e.store.stream(stream).rows]
+        want = [((agg(s),), i, 2) for i, s in enumerate(SLIDES, 1)]
+        assert got == want, stream
+    assert e.counters.ee_statement_executions == len(SLIDES) * len(SUM_MAX)
+
+
+def test_steps_writing_one_table_write_step_by_step():
+    # the documented order: step 1's row for every slide, then step 2's
+    e, _ = run_slide_rounds(slide_program_spec((
+        AggregateInsert("w", "t", "sum", "value"),
+        AggregateInsert("w", "t", "max", "value"),
+    )))
+    rows = [t.values[0] for t in e.store.table("t").rows]
+    assert rows == [sum(s) for s in SLIDES] + [max(s) for s in SLIDES]
+    assert e.counters.ee_statement_executions == 2 * len(SLIDES)
+
+
+def test_abort_after_a_many_slide_insert_restores_every_table():
+    # the steps wrote two streams and a table over four slides; the abort
+    # leaves every byte as round 1 left it, but for the mark it raises
+    program = SUM_MAX + (AggregateInsert("w", "t", "count"),)
+    e = Engine(slide_program_spec(program, abort=True))
+    assert feed_slide_round(e, 1).committed
+    before = snapshot_with_marks(e, {"s1": 2})
+    ticket = feed_slide_round(e, 2)
+    assert ticket.outcome == "aborted"
+    assert snapshot_state(e.store) == before
+    assert e.counters.ee_statement_executions == len(SLIDES) * len(program)
 
 
 def test_ee_chain_abort_reverts_everything():
