@@ -133,9 +133,7 @@ def cmd_validate(args) -> int:
     with open(args.schedule) as fh:
         raw = json.load(fh)
     schedule = [
-        TransactionExecution(
-            r["procedure"], r["round"], b"", r.get("commit_seq", i + 1)
-        )
+        TransactionExecution(r["procedure"], r["round"], r.get("commit_seq", i + 1))
         for i, r in enumerate(raw)
     ]
     report = validate(schedule, spec.workflows[0], mode=args.mode)

@@ -294,8 +294,8 @@ class Engine:
 
     def checkpoint(self) -> str:
         """Quiesce, write a snapshot, truncate the log, and compact the input
-        cache to the rounds whose border has not run. A failed file step
-        stops the partition, as a failed log write does."""
+        cache to the batches above their border's mark (``_unended``). A
+        failed file step stops the partition, as a failed log write does."""
         if self.data_dir is None:
             raise BadDefinition("checkpoint needs a data directory")
         self._claim_data_dir()
@@ -313,22 +313,26 @@ class Engine:
                 p.commit_seq,
             )
             p.fail_stop(p.log.reopen)
-        # with the fast track drained, a border round has not run exactly
-        # when it is queued or held in a feeder slot
-        waiting = {(q.proc, q.round) for q in p.client_queue}
-        waiting.update((b, r) for b, rs in self._feeder_pending.items() for r in rs)
         cache = p.input_cache
-        cache.retained = {
-            s: [
-                b for b in bs
-                if (self._border_for_stream[s].proc.name, b.batch_id) in waiting
-            ]
-            for s, bs in cache.retained.items()
-        }
+        cache.retained = self._unended(cache.retained)
         p.fail_stop(cache.compact)
         for _, name in _snapshots(self.data_dir)[:-KEEP_SNAPSHOTS]:
             os.remove(os.path.join(self.data_dir, name))
         return path
+
+    def _unended(
+        self, cached: dict[str, list[AtomicBatch]]
+    ) -> dict[str, list[AtomicBatch]]:
+        """The batches of ``cached`` whose round their border has not ended.
+        A border has ended round r, by commit or abort, exactly when r is at
+        most its mark, the highest ``last_consumed_batch`` of its inputs.
+        Borders take their rounds in order, so with the fast track drained
+        these are the rounds queued for a client or held in a feeder slot."""
+        out = {}
+        for s, bs in cached.items():
+            mark = _mark(self._border_for_stream[s])
+            out[s] = [b for b in bs if b.batch_id > mark]
+        return out
 
     def _claim_data_dir(self) -> None:
         """Before this engine first writes into its data directory, refuse
@@ -392,9 +396,10 @@ def recover(
     """Bring a crashed engine back per the mode recorded in its log: cut
     the log's torn tail, if it has one, so that new records follow the
     ones recovery reads, load the newest valid snapshot into the tables
-    ``spec`` builds, then replay. A log or snapshot of another partition,
-    or with ``expect_mode`` set a log written in the other mode, raises
-    ``VersionMismatch``. A newest valid snapshot older than the one the log
+    ``spec`` builds, then replay the records after it, in one loop for
+    both modes (see the ``recovery`` module). A log or snapshot of another
+    partition, or with ``expect_mode`` set a log written in the other mode,
+    raises ``VersionMismatch``. A newest valid snapshot older than the one the log
     follows raises ``CorruptSnapshot``."""
     for name in os.listdir(data_dir):
         if name.endswith(TEMP_SUFFIX):  # a replace_file the crash cut short
@@ -438,86 +443,56 @@ def recover(
             )
         # every record after the snapshot runs once, or replay raises
         replayed = [rec for rec in records if rec.commit_seq > snapshot_seq]
+        p = engine.partition
         strong = mode is RecoveryMode.STRONG
         c = engine.counters
         crossings = c.boundary_crossings
-        (_replay_strong if strong else _replay_weak)(engine, replayed)
+        # strong replays every transaction with procedure triggers off; weak
+        # replays border and OLTP records, and the triggers bring back the
+        # interiors. A replay that raises crashes the engine below.
+        p.trigger_engine.pe_enabled = not strong
+        for rec in replayed:
+            if strong and rec.commit_seq != p.commit_seq + 1:
+                raise ReplayDivergence(
+                    f"expected commit {p.commit_seq + 1}, log has {rec.commit_seq}"
+                )
+            for proc, round_ in rec.aborted:
+                p.drop_aborted(proc, round_)
+            req = TERequest(rec.procedure, rec.round, rec.args, Origin.RECOVERY)
+            if p.execute(req) != "committed":
+                raise ReplayDivergence(
+                    f"{rec.procedure} round {rec.round} aborted during replay"
+                )
+            if not strong:
+                p.run_until_idle()
+        p.trigger_engine.pe_enabled = True
         c.replay_client_dispatches = len(replayed)
         c.replay_trigger_dispatches = c.boundary_crossings - crossings
         # a border took each round its transaction ended, by commit or abort
-        queued = engine.partition.last_queued
-        for plan in engine.partition.plans.values():
+        for plan in p.plans.values():
             if plan.proc.kind is ProcedureKind.BORDER:
-                queued[plan.proc.name] = max(
-                    (t.last_consumed_batch for t in plan.inputs), default=0
-                )
-        if strong:
-            engine.partition.refire_nonempty_streams()
-        else:
-            _resubmit_cached(engine, data_dir)
+                p.last_queued[plan.proc.name] = _mark(plan)
+        p.refire_nonempty_streams()
+        if not strong:
+            # re-submit the cached rounds no border has ended, then take a
+            # fresh checkpoint so commit sequences stay consistent with the
+            # (rotated) log
+            cached = read_input_cache(os.path.join(data_dir, CACHE_FILE))
+            p.input_cache.retained = engine._unended(cached)
+            for stream in sorted(p.input_cache.retained):
+                for batch in p.input_cache.retained[stream]:
+                    engine.ingest_batch(stream, batch, resubmit=True)
+            engine.checkpoint()
     except BaseException:
         engine.crash()  # close its files
         raise
     return engine
 
 
-def _replay_strong(engine: Engine, records) -> None:
-    """Replay every logged transaction once, a nested group whole, with
-    triggers off; ``_replay`` runs the drop rule of each abort a record
-    carries first. Strong mode logs every abort, so this brings back the
-    pre-crash state bit for bit."""
-    p = engine.partition
-    p.trigger_engine.pe_enabled = False
-    try:
-        for rec in records:
-            if rec.commit_seq != p.commit_seq + 1:
-                raise ReplayDivergence(
-                    f"expected commit {p.commit_seq + 1}, log has {rec.commit_seq}"
-                )
-            _replay(p, rec)
-    finally:
-        p.trigger_engine.pe_enabled = True
-
-
-def _replay_weak(engine: Engine, records) -> None:
-    """Replay border and OLTP records with triggers live; interiors come back
-    through the triggers."""
-    p = engine.partition
-    p.refire_nonempty_streams()
-    p.run_until_idle()
-    for rec in records:
-        _replay(p, rec)
-        p.run_until_idle()
-
-
-def _replay(p: Partition, rec) -> None:
-    """Run the drop rule of each abort ``rec`` carries, then ``rec``."""
-    for proc, round_ in rec.aborted:
-        p.drop_aborted(proc, round_)
-    req = TERequest(rec.procedure, rec.round, rec.args, Origin.RECOVERY)
-    if p.execute(req) != "committed":
-        raise ReplayDivergence(
-            f"{rec.procedure} round {rec.round} aborted during replay"
-        )
-
-
-def _resubmit_cached(engine: Engine, data_dir: str) -> None:
-    """Re-submit the cached rounds above the last round their border took,
-    then take a fresh checkpoint so commit sequences stay consistent with
-    the (rotated) log."""
-    p = engine.partition
-    cached = read_input_cache(os.path.join(data_dir, CACHE_FILE))
-    p.input_cache.retained = {
-        s: [
-            b for b in bs
-            if b.batch_id > p.last_queued[engine._border_for_stream[s].proc.name]
-        ]
-        for s, bs in cached.items()
-    }
-    for stream in sorted(p.input_cache.retained):
-        for batch in p.input_cache.retained[stream]:
-            engine.ingest_batch(stream, batch, resubmit=True)
-    engine.checkpoint()
+def _mark(border: ProcedurePlan) -> int:
+    """The highest round ``border`` has ended, by commit or abort: both
+    raise its inputs' ``last_consumed_batch`` to the round."""
+    return max((t.last_consumed_batch for t in border.inputs), default=0)
 
 
 def partitioned_engines(

@@ -352,7 +352,9 @@ class Partition:
         self.commit_seq = 0
         self.counters: Counters = log.counters  # the log counts its syncs there
         self.stopped = False
-        self._executing = 0
+        # true while an execution runs: a body that pumps or executes its
+        # own partition raises before anything is popped, and aborts alone
+        self._executing = False
         # procedure -> the last round queued for it: a border's round once
         # ``Engine.ingest_batch`` submits it, a trigger target's once fired;
         # ``recover`` rebuilds it once, after replay, from the inputs'
@@ -406,6 +408,8 @@ class Partition:
     def step(self) -> bool:
         if self.stopped:
             return False
+        if self._executing:
+            raise StreamTxError("serial execution violated")
         req = self.schedule_next()
         if req is None:
             self.fail_stop(self.log.maybe_flush)
@@ -415,6 +419,8 @@ class Partition:
 
     def run_until_idle(self) -> None:
         """``step`` until idle, popping the queues inline."""
+        if self._executing:
+            raise StreamTxError("serial execution violated")
         fast, client = self.fast_track, self.client_queue
         while not self.stopped:
             if fast:
@@ -429,6 +435,8 @@ class Partition:
         """Finish all fast-track work without starting new client requests."""
         if self.stopped:
             raise EngineStopped("partition is stopped")
+        if self._executing:
+            raise StreamTxError("serial execution violated")
         while self.fast_track:
             self.execute(self.fast_track.popleft())
         self.fail_stop(self.log.flush)
@@ -453,21 +461,13 @@ class Partition:
             self.counters.client_roundtrips += 1
         return outcome
 
-    def _begin(self):
-        self._executing += 1
-        self.counters.max_concurrent = max(
-            self.counters.max_concurrent, self._executing
-        )
-        if self._executing > 1:
-            raise StreamTxError("serial execution violated")
-
-    def _end(self):
-        self._executing -= 1
-
     def _execute_group(self, req: TERequest, plan: ProcedurePlan) -> str:
         """Run ``req`` and, inside a group, its other ready children in order;
         without a group the order is ``req`` alone."""
-        self._begin()
+        if self._executing:
+            raise StreamTxError("serial execution violated")
+        self._executing = True
+        self.counters.max_concurrent = 1
         group = plan.group
         ran: list[tuple[TEContext, TERequest]] = []
         try:
@@ -489,7 +489,7 @@ class Partition:
                     return "aborted"
                 ran.append((ctx, child_req))
         finally:
-            self._end()
+            self._executing = False
         try:
             self._commit_group(req, plan, ran)
         except LogWriteFailure:  # the one fail-stop guard of the commit path
@@ -582,9 +582,7 @@ class Partition:
         for ctx, child in ran:
             self.commit_seq += 1
             self.committed_schedule.append(
-                TransactionExecution(
-                    ctx.proc.name, round_, child.args, self.commit_seq
-                )
+                TransactionExecution(ctx.proc.name, round_, self.commit_seq)
             )
             self.counters.te_committed += 1
             if child.ticket is not None:

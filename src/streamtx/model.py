@@ -186,7 +186,6 @@ class TransactionExecution(NamedTuple):
 
     procedure: str
     round: int
-    args: bytes = b""
     commit_seq: int = 0
 
 

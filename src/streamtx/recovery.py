@@ -17,17 +17,23 @@ input marks (``StreamTable.last_consumed_batch``) to the round and drops
 what the inputs hold up to it, and it changes no other state. It is logged
 as its command, not its effects. A record carries the (procedure, round)
 of each abort since the previous record that the log mode logs, by the
-rule that logs a commit. Replay, in both modes, runs each carried abort's
-drop rule (``Partition.drop_aborted``) before it runs the record; a
-snapshot keeps the marks of every abort before it, so a checkpoint that
-truncates the record, or comes before any record carries the abort, keeps
-the abort too. Recovery then rebuilds ``Partition.last_queued``, the one
-record of the rounds each procedure took, once, from the marks alone: a
-border took the highest round its inputs' transaction ended, so intake
-refuses those rounds and weak recovery re-submits only the cached rounds
-above them. An abort is acknowledged at once, so one that neither a record
-nor a snapshot holds when the process dies is lost: weak recovery runs it
-again, and strong recovery forgets it.
+rule that logs a commit. A snapshot keeps the marks of every abort before
+it, so a checkpoint that truncates the record, or comes before any record
+carries the abort, keeps the abort too.
+
+Both modes replay in one loop over the records after the snapshot. Per
+record it runs each carried abort's drop rule (``Partition.drop_aborted``),
+then the record. Strong mode runs it with procedure triggers off and
+checks that the commit sequence has no gap; weak mode runs it with them
+live and runs the triggered work after each record. After the loop, both
+modes refire the batches the procedure-trigger streams hold. Recovery
+rebuilds ``Partition.last_queued``, the one record of the rounds each
+procedure took, once, from the marks alone: a border has ended round r
+exactly when r is at most the highest mark of its inputs, so intake
+refuses those rounds. Weak recovery re-submits the cached rounds above the
+mark, the rule a checkpoint keeps them by. An abort is acknowledged at
+once, so one that neither a record nor a snapshot holds when the process
+dies is lost: weak recovery runs it again, and strong recovery forgets it.
 
     log header:    magic "STXLOG01" | version u32 (6) | mode u8 | partition u32
                    | snapshot seq u64
@@ -371,7 +377,7 @@ class InputCache:
     """Retained external batches, written before the border runs (weak mode).
 
     Only a cache with a file retains anything. A checkpoint sets
-    ``retained`` to the batches of the rounds whose border has not run and
+    ``retained`` to the batches above their border's consumption mark and
     calls ``compact``; in between, every appended batch is kept.
     """
 

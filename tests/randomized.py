@@ -1,14 +1,23 @@
 """Seeded random run generators: end-to-end workflows for the master
 schedule property, strong recovery of such a workflow crashed at any step,
 window aggregates across aborts and a crash, and a two-input border across
-arrival orders, checkpoints and crashes."""
+arrival orders, checkpoints and crashes; and the fixed specs they and other
+tests share."""
 
 import os
 import random
 import shutil
 
 from oracles import sliding_window_events
-from streamtx.engine import LOG_FILE, Engine, EngineSpec, StreamDef, TableDef, recover
+from streamtx.engine import (
+    CACHE_FILE,
+    LOG_FILE,
+    Engine,
+    EngineSpec,
+    StreamDef,
+    TableDef,
+    recover,
+)
 from streamtx.errors import BadDefinition
 from streamtx.ingest import BatchingPolicy, StreamIngestor
 from streamtx.model import (
@@ -20,7 +29,7 @@ from streamtx.model import (
     WindowSpec,
     register_workflow,
 )
-from streamtx.recovery import RecoveryMode, read_log
+from streamtx.recovery import RecoveryMode, read_input_cache, read_log
 from streamtx.snapshot import snapshot_state
 from streamtx.validator import validate
 from streamtx.triggers import AggregateInsert, StatementTrigger, WindowInsertStmt
@@ -488,6 +497,39 @@ def random_window_run(
 PAIR_OUT_COLS = (("round", "int"), ("value", "int"))
 
 
+def dead_round_diamond_spec() -> EngineSpec:
+    """A fans ``s0`` out to B and C, which both feed D; C aborts round 1, so
+    D never runs round 1 and B's batch 1 waits at the join until D's round
+    2 collects it."""
+
+    def fan_out(ctx):
+        ctx.emit("sab", ctx.input_tuples("s0"))
+        ctx.emit("sac", ctx.input_tuples("s0"))
+
+    def forward(src, dst):
+        def body(ctx):
+            if (ctx.proc.name, ctx.round) == ("C", 1):
+                ctx.abort("forced")
+            ctx.emit(dst, ctx.input_tuples(src))
+
+        return body
+
+    w = register_workflow(
+        "diamond",
+        [
+            ProcedureDef("A", ProcedureKind.BORDER, ("s0",), body=fan_out),
+            ProcedureDef("B", ProcedureKind.INTERIOR, ("sab",), body=forward("sab", "sbd")),
+            ProcedureDef("C", ProcedureKind.INTERIOR, ("sac",), body=forward("sac", "scd")),
+            ProcedureDef("D", ProcedureKind.INTERIOR, ("sbd", "scd")),
+        ],
+        [("A", "sab", "B"), ("A", "sac", "C"), ("B", "sbd", "D"), ("C", "scd", "D")],
+    )
+    return EngineSpec(
+        workflows=[w],
+        streams=[StreamDef(s, VAL_COLS) for s in ("s0", "sab", "sac", "sbd", "scd")],
+    )
+
+
 def pair_chain_spec() -> EngineSpec:
     """Border SP1 takes one batch from each of ``a`` and ``b`` per round and
     emits ``(round, a + b)``; interior SP2 records it in ``out``."""
@@ -519,12 +561,32 @@ def pair_chain_spec() -> EngineSpec:
     )
 
 
+def assert_cache_holds_waiting_rounds(engine: Engine, data_dir: str) -> None:
+    """Right after a checkpoint, the input cache file holds exactly the
+    batches of the border rounds queued for a client or held in a feeder
+    slot. Each stream's batches compare as sorted lists: a later round that
+    completes first reaches the cache before an earlier one."""
+    want: dict[str, list] = {}
+    waiting = [req.batches or {} for req in engine.partition.client_queue]
+    for slots in engine._feeder_pending.values():
+        waiting += [batches for batches, _ in slots.values()]
+    for batches in waiting:
+        for s, b in batches.items():
+            want.setdefault(s, []).append(b)
+    got = read_input_cache(os.path.join(data_dir, CACHE_FILE))
+    assert {s: sorted(bs) for s, bs in got.items()} == {
+        s: sorted(bs) for s, bs in want.items()
+    }
+
+
 def random_pair_run(seed: int, data_dir: str) -> tuple[list, list, list]:
     """One seeded weak-mode run of ``pair_chain_spec`` over random batch ids:
     the ``a`` and ``b`` batches arrive in a random order in which later
     rounds can complete before earlier ones, with random pumping,
     checkpoints and group-commit size, and the engine crashes and recovers
-    at one or two random points, then takes the rest of the feed.
+    at one or two random points, then takes the rest of the feed. After
+    every checkpoint, a recovery's included, the cache holds exactly the
+    waiting rounds (``assert_cache_holds_waiting_rounds``).
 
     Returns (got, want, violations): the ``out`` rows, one ``(round, a + b)``
     per round, and the validator violations of every engine's schedule.
@@ -558,6 +620,7 @@ def random_pair_run(seed: int, data_dir: str) -> tuple[list, list, list]:
             violations += validate(engine.committed_schedule, spec.workflows[0]).violations
             engine.crash()
             engine = recover(spec, data_dir, **args)
+            assert_cache_holds_waiting_rounds(engine, data_dir)
             if rng.random() < 0.5:
                 engine.run_until_idle()
         if i == len(arrivals):
@@ -569,6 +632,7 @@ def random_pair_run(seed: int, data_dir: str) -> tuple[list, list, list]:
             engine.run_until_idle()
         if rng.random() < 0.2:
             engine.checkpoint()
+            assert_cache_holds_waiting_rounds(engine, data_dir)
     engine.run_until_idle()
     violations += validate(engine.committed_schedule, spec.workflows[0]).violations
     got = sorted(t.values for t in engine.store.table("out").rows)

@@ -92,7 +92,7 @@ def test_replay_determinism():
         )
         e.run_until_idle()
         ids = [
-            (te.round, te.args) for te in e.committed_schedule
+            (te.procedure, te.round) for te in e.committed_schedule
         ]
         return seen, ids
 

@@ -4,7 +4,12 @@ import struct
 
 import pytest
 
-from randomized import pair_chain_spec, random_pair_run, random_strong_crash_run
+from randomized import (
+    dead_round_diamond_spec,
+    pair_chain_spec,
+    random_pair_run,
+    random_strong_crash_run,
+)
 from streamtx.engine import (
     CACHE_FILE,
     LOG_FILE,
@@ -1066,6 +1071,30 @@ def test_trailing_abort_reruns_after_weak_recovery(tmp_path):
     r.run_until_idle()
     assert r.counters.te_aborted == 1
     assert [t.values for t in r.store.table("seen").rows] == [(7,)]
+    r.close()
+
+
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_dead_round_join_input_survives_checkpoint_and_crash(tmp_path, mode):
+    # C aborts round 1, so B's batch 1 waits at D's join; a checkpoint keeps
+    # it, recovery marks it waiting without firing D, and round 2 collects it
+    e = Engine(dead_round_diamond_spec(), data_dir=str(tmp_path),
+               recovery_mode=mode, fsync=False)
+    e.ingest_batch("s0", one_row(1, 1))
+    e.run_until_idle()
+    e.checkpoint()
+    want = e.store.content_signature()
+    e.crash()
+    r = recover(dead_round_diamond_spec(), str(tmp_path), fsync=False)
+    assert r.store.content_signature() == want
+    assert list(r.store.stream("sbd").batches) == [1]
+    assert r.partition.trigger_engine.pending == {("sbd", 1)}
+    assert not r.partition.fast_track and not r.partition.client_queue
+    r.ingest_batch("s0", one_row(2, 2))
+    r.run_until_idle()
+    assert not r.store.stream("sbd").batches
+    assert r.partition.trigger_engine.pending == set()
+    assert [te.round for te in r.committed_schedule if te.procedure == "D"] == [2]
     r.close()
 
 

@@ -11,15 +11,17 @@ from streamtx.errors import (
 from streamtx.executor import Origin, TERequest
 from streamtx.ingest import BatchingPolicy, FeedSource, StreamIngestor, ingest
 from streamtx.model import (
+    AtomicBatch,
     NestedGroup,
     ProcedureDef,
     ProcedureKind,
+    Tuple,
     register_workflow,
 )
 from streamtx.snapshot import snapshot_state
 from streamtx.storage import Pred
 from streamtx.validator import validate
-from randomized import snapshot_with_marks
+from randomized import dead_round_diamond_spec, snapshot_with_marks
 
 VAL_COLS = (("value", "int"),)
 
@@ -663,34 +665,7 @@ def test_group_commit_collects_an_input_of_a_child_that_did_not_run():
 def test_join_input_of_a_dead_round_collected_by_the_next():
     # C aborts round 1, so D never runs round 1 and B's batch 1 waits at the
     # join; D's round 2 collects it, since D never runs a lower round again
-    def fan_out(ctx):
-        ctx.emit("sab", ctx.input_tuples("s0"))
-        ctx.emit("sac", ctx.input_tuples("s0"))
-
-    def forward(src, dst):
-        def body(ctx):
-            if (ctx.proc.name, ctx.round) == ("C", 1):
-                ctx.abort("forced")
-            ctx.emit(dst, ctx.input_tuples(src))
-
-        return body
-
-    w = register_workflow(
-        "diamond",
-        [
-            ProcedureDef("A", ProcedureKind.BORDER, ("s0",), body=fan_out),
-            ProcedureDef("B", ProcedureKind.INTERIOR, ("sab",), body=forward("sab", "sbd")),
-            ProcedureDef("C", ProcedureKind.INTERIOR, ("sac",), body=forward("sac", "scd")),
-            ProcedureDef("D", ProcedureKind.INTERIOR, ("sbd", "scd")),
-        ],
-        [("A", "sab", "B"), ("A", "sac", "C"), ("B", "sbd", "D"), ("C", "scd", "D")],
-    )
-    e = Engine(
-        EngineSpec(
-            workflows=[w],
-            streams=[StreamDef(s, VAL_COLS) for s in ("s0", "sab", "sac", "sbd", "scd")],
-        )
-    )
+    e = Engine(dead_round_diamond_spec())
     ing = StreamIngestor(e, "s0", BatchingPolicy("fixed_count", 1))
     ing.push((1,))
     e.run_until_idle()
@@ -700,6 +675,44 @@ def test_join_input_of_a_dead_round_collected_by_the_next():
     assert held_batches(e) == set()
     assert e.partition.trigger_engine.pending == set()
     assert [te.round for te in e.committed_schedule if te.procedure == "D"] == [2]
+
+
+REENTRY = {
+    "step": lambda p: p.step(),
+    "run_until_idle": lambda p: p.run_until_idle(),
+    "drain_and_quiesce": lambda p: p.drain_and_quiesce(),
+    "execute": lambda p: p.execute(p.client_queue[0]),
+}
+
+
+@pytest.mark.parametrize("how", sorted(REENTRY))
+def test_reentrant_body_aborts_alone(how):
+    # round 1's body pumps its own partition while round 2 is queued: the
+    # pump raises before it pops anything, so only round 1 aborts
+    def body(ctx):
+        if ctx.round == 1:
+            REENTRY[how](ctx.partition)
+        ctx.insert("out", (ctx.round,))
+
+    w = register_workflow(
+        "reentry", [ProcedureDef("P", ProcedureKind.BORDER, ("s1",), body=body)]
+    )
+    e = Engine(
+        EngineSpec(
+            workflows=[w],
+            streams=[StreamDef("s1", VAL_COLS)],
+            tables=[TableDef("out", VAL_COLS)],
+        )
+    )
+    tickets = [
+        e.ingest_batch("s1", AtomicBatch(r, (Tuple((r,), tuple_id=r, batch_id=r),)))
+        for r in (1, 2, 3)
+    ]
+    e.run_until_idle()
+    assert [t.outcome for t in tickets] == ["aborted", "committed", "committed"]
+    assert tickets[0].reason == "serial execution violated"
+    assert sorted(t.values for t in e.store.table("out").rows) == [(2,), (3,)]
+    assert e.counters.max_concurrent == 1
 
 
 def test_not_partitionable_guard():
