@@ -19,6 +19,7 @@ from .errors import (
     EngineStopped,
     NotPartitionable,
     ReplayDivergence,
+    StreamTxError,
     VersionMismatch,
     WrongKind,
 )
@@ -198,12 +199,15 @@ class Engine:
         A border runs its rounds in increasing order: a round with every
         input batch is submitted once no lower round waits for one, and a
         batch for a round the border already took (``Partition.last_queued``),
-        or a second one from a stream, raises ``BadDefinition``. The
-        stream's ``check_row``, the one value rule, accepts every tuple here,
-        once: nothing downstream checks the batch again. A batch is encoded only for a file that
-        keeps it. In weak mode the input cache writes it before the round
-        runs, so an unacknowledged round survives a crash; a border the log
-        keeps gets its encoded round as the request's args. The request
+        or a second one from a stream, raises ``BadDefinition``. A call
+        made while an execution runs, from a procedure body, raises
+        ``StreamTxError`` before it changes anything, so only that
+        execution aborts. The stream's ``check_row``, the one value rule,
+        accepts every tuple here, once: nothing downstream checks the batch
+        again. A batch is encoded only for a file that keeps it. In weak
+        mode the input cache writes it before the round runs, so an
+        unacknowledged round survives a crash; a border the log keeps gets
+        its encoded round as the request's args. The request
         carries the batches themselves, so the live execution decodes
         nothing, and an unlogged border's args stay empty. The call that
         completes a round returns its ticket, even while the round waits;
@@ -212,6 +216,8 @@ class Engine:
         p = self.partition
         if p.stopped:
             raise EngineStopped("partition is stopped")
+        if p.executing:  # a body feeding its own partition aborts alone
+            raise StreamTxError("serial execution violated")
         plan = self._border_for_stream.get(stream)
         if plan is None:
             raise BadDefinition(f"stream {stream} is not a border input")
@@ -224,8 +230,7 @@ class Engine:
             raise BadDefinition(f"{proc_name} round {round_} already has {stream}")
         if slot is None and round_ <= p.last_queued.get(proc_name, 0):
             raise BadDefinition(f"{proc_name} already took round {round_}")
-        for t in batch.tuples:
-            table.check_row(t)
+        table.check_rows(batch.tuples)
         cached = None  # the cache's encoding of this batch, if it keeps one
         if not resubmit and p.input_cache.path is not None:
             cached = batches_to_args({stream: batch})

@@ -96,7 +96,12 @@ class Ticket:
         return self.outcome == "committed"
 
 
-@dataclass
+# builds a named tuple from a tuple of its fields without the Python-level
+# ``__new__`` of its class, for the ones the commit path makes
+_make = tuple.__new__
+
+
+@dataclass(slots=True)
 class TERequest:
     proc: str
     round: int
@@ -121,7 +126,6 @@ class Counters:
     sync_count: int = 0
     replay_client_dispatches: int = 0
     replay_trigger_dispatches: int = 0
-    max_concurrent: int = 0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -352,9 +356,10 @@ class Partition:
         self.commit_seq = 0
         self.counters: Counters = log.counters  # the log counts its syncs there
         self.stopped = False
-        # true while an execution runs: a body that pumps or executes its
-        # own partition raises before anything is popped, and aborts alone
-        self._executing = False
+        # true while an execution runs: a body that pumps, executes or
+        # feeds its own partition raises before anything is popped or
+        # queued, and aborts alone
+        self.executing = False
         # procedure -> the last round queued for it: a border's round once
         # ``Engine.ingest_batch`` submits it, a trigger target's once fired;
         # ``recover`` rebuilds it once, after replay, from the inputs'
@@ -375,7 +380,8 @@ class Partition:
     def submit_client(self, req: TERequest) -> Ticket:
         if self.stopped:
             raise EngineStopped("partition is stopped")
-        self.plan(req.proc)
+        if req.proc not in self.plans:
+            raise UnknownProcedure(req.proc)
         if req.ticket is None:
             req.ticket = Ticket()
         self.client_queue.append(req)
@@ -408,7 +414,7 @@ class Partition:
     def step(self) -> bool:
         if self.stopped:
             return False
-        if self._executing:
+        if self.executing:
             raise StreamTxError("serial execution violated")
         req = self.schedule_next()
         if req is None:
@@ -419,7 +425,7 @@ class Partition:
 
     def run_until_idle(self) -> None:
         """``step`` until idle, popping the queues inline."""
-        if self._executing:
+        if self.executing:
             raise StreamTxError("serial execution violated")
         fast, client = self.fast_track, self.client_queue
         while not self.stopped:
@@ -435,7 +441,7 @@ class Partition:
         """Finish all fast-track work without starting new client requests."""
         if self.stopped:
             raise EngineStopped("partition is stopped")
-        if self._executing:
+        if self.executing:
             raise StreamTxError("serial execution violated")
         while self.fast_track:
             self.execute(self.fast_track.popleft())
@@ -445,7 +451,7 @@ class Partition:
         """Call ``write``, which writes the log, the input cache or a
         checkpoint's files. A failed write stops the partition for good, so
         memory never runs ahead of its files. The commit path makes the same
-        guard once, around its log writes, in ``_execute_group``."""
+        guard once, around its log writes, in ``execute``."""
         try:
             write(*args)
         except LogWriteFailure:
@@ -455,60 +461,73 @@ class Partition:
     # --- execution ---
 
     def execute(self, req: TERequest) -> str:
-        """Run one execution, or its whole nested group, to commit/abort."""
-        outcome = self._execute_group(req, self.plan(req.proc))
+        """Run one execution, or its whole nested group, to commit/abort.
+        Inside a group, ``req``'s child runs with the group's other ready
+        children, in group order; a procedure without a group runs alone."""
+        plan = self.plans.get(req.proc)
+        if plan is None:
+            raise UnknownProcedure(req.proc)
+        if self.executing:
+            raise StreamTxError("serial execution violated")
+        self.executing = True
+        try:
+            if plan.group is None:
+                ctx, error = self._run_one(plan, req)
+                ran = ((ctx, req),)
+            else:
+                ran, error = self._run_group(req, plan)
+        finally:
+            self.executing = False
+        if error is None:
+            try:
+                self._commit_group(req, plan, ran)
+            except LogWriteFailure:  # the one fail-stop guard of the commit path
+                self.stopped = True
+                raise
+            outcome = "committed"
+        else:
+            self._finish_abort(req, plan, error)
+            outcome = "aborted"
         if req.origin is Origin.CLIENT:
             self.counters.client_roundtrips += 1
         return outcome
 
-    def _execute_group(self, req: TERequest, plan: ProcedurePlan) -> str:
-        """Run ``req`` and, inside a group, its other ready children in order;
-        without a group the order is ``req`` alone."""
-        if self._executing:
-            raise StreamTxError("serial execution violated")
-        self._executing = True
-        self.counters.max_concurrent = 1
-        group = plan.group
+    def _run_group(self, req: TERequest, plan: ProcedurePlan):
+        """Run ``req`` and the other children of its group whose inputs
+        hold the round, in group order. Returns ((ctx, request) of each
+        execution that ran, error|None); on an error all of them have
+        rolled back."""
         ran: list[tuple[TEContext, TERequest]] = []
-        try:
-            for child in group.order if group else (req.proc,):
-                if child == req.proc:
-                    child_plan, child_req = plan, req
-                else:
-                    child_plan = self.plans[child]
-                    if not all(req.round in t.batches for t in child_plan.inputs):
-                        continue
-                    child_req = TERequest(child, req.round, origin=Origin.TRIGGER)
-                    self.counters.boundary_crossings += 1
-                ctx, error = self._run_one(child_plan, child_req)
-                if error is not None:
-                    # group rollback: undo every already-finished child too
-                    for done_ctx, _ in reversed(ran):
-                        done_ctx.undo.rollback()
-                    self._finish_abort(req, plan, error)
-                    return "aborted"
-                ran.append((ctx, child_req))
-        finally:
-            self._executing = False
-        try:
-            self._commit_group(req, plan, ran)
-        except LogWriteFailure:  # the one fail-stop guard of the commit path
-            self.stopped = True
-            raise
-        return "committed"
+        for child in plan.group.order:
+            if child == req.proc:
+                child_plan, child_req = plan, req
+            else:
+                child_plan = self.plans[child]
+                if not all(req.round in t.batches for t in child_plan.inputs):
+                    continue
+                child_req = TERequest(child, req.round, origin=Origin.TRIGGER)
+                self.counters.boundary_crossings += 1
+            ctx, error = self._run_one(child_plan, child_req)
+            if error is not None:
+                # group rollback: undo every already-finished child too
+                for done_ctx, _ in reversed(ran):
+                    done_ctx.undo.rollback()
+                return ran, error
+            ran.append((ctx, child_req))
+        return ran, None
 
     def _run_one(self, plan: ProcedurePlan, req: TERequest):
         """Run one execution's inputs and body; mutations stay in its undo
         buffer until the commit decision. Returns (ctx, error|None)."""
         self.counters.pe_dispatches += 1
         ctx = TEContext(self, plan, req.round, req.args)
-        proc = plan.proc
+        body = plan.proc.body
         try:
             if plan.inputs:
                 self._load_inputs(ctx, plan, req)
-            if proc.body is not None:
+            if body is not None:
                 try:
-                    proc.body(ctx)
+                    body(ctx)
                 except StreamTxError:
                     raise
                 except Exception as e:  # a failing body aborts, as BodyAbort does
@@ -530,6 +549,7 @@ class Partition:
         checked = batches is not None
         if not checked and proc.kind is ProcedureKind.BORDER and req.args:
             batches = args_to_batches(req.args)
+        inputs = ctx.inputs
         if batches:
             for stream, batch in sorted(batches.items()):
                 if stream not in proc.stream_inputs or batch.batch_id != req.round:
@@ -538,19 +558,19 @@ class Partition:
                         f"{batch.batch_id} on {stream}"
                     )
                 self.store.insert_batch(stream, batch, ctx.undo, checked=checked)
-                ctx.inputs[stream] = list(batch.tuples)
+                inputs[stream] = list(batch.tuples)
                 stream_plan = self.stream_plans[stream]
                 if stream_plan.program is not None:
                     self.trigger_engine.on_stream_append(ctx, stream_plan, batch)
         for stream, tab in zip(proc.stream_inputs, plan.inputs):
-            if stream in ctx.inputs:
+            if stream in inputs:
                 continue
             tuples = tab.batch_tuples(req.round)
             if not tuples:
                 raise MissingInputBatch(
                     f"{proc.name}: stream {stream} holds no batch {req.round}"
                 )
-            ctx.inputs[stream] = tuples
+            inputs[stream] = tuples
 
     # --- commit / abort ---
 
@@ -561,30 +581,20 @@ class Partition:
         A batch on a stream that triggers a procedure waits for its consumer
         from here on. The transaction then ends its round as an abort does
         (see ``drop_aborted``), inline to keep the commit path one call
-        shorter. ``_execute_group`` stops the partition when a log write
-        fails."""
+        shorter. The record goes to the log last: ``CommandLog.append``
+        flushes once ``max_batch`` records wait or the oldest is overdue.
+        ``execute`` stops the partition when a log write fails."""
         ticket = req.ticket
-        log = self.log
         triggers = self.trigger_engine
-        # a replayed transaction is already in the log
-        if req.origin is Origin.RECOVERY or not plan.logged:
-            if ticket is not None:
-                ticket.acknowledged = True
-        else:
-            record = CommandLogRecord(
-                self.commit_seq + 1, req.proc, req.round, req.args,
-                tuple(self._aborted),
-            )
-            self._aborted.clear()
-            log.append(record, ticket)
-            self.counters.log_records += 1
+        store = self.store
+        schedule = self.committed_schedule
+        counters = self.counters
         round_ = req.round
+        first_seq = self.commit_seq + 1  # the record's
+        seq = self.commit_seq
         for ctx, child in ran:
-            self.commit_seq += 1
-            self.committed_schedule.append(
-                TransactionExecution(ctx.proc.name, round_, self.commit_seq)
-            )
-            self.counters.te_committed += 1
+            seq += 1
+            schedule.append(_make(TransactionExecution, (ctx.proc.name, round_, seq)))
             if child.ticket is not None:
                 child.ticket.result_rows = ctx.result_rows
             # fire each appended stream that triggers a procedure; collect
@@ -593,25 +603,42 @@ class Partition:
                 if sp.target is not None:
                     triggers.note_append(stream, round_)
                     fires = triggers.fire_procedure_triggers(stream, round_)
-                    self._submit_trigger(fires)
+                    if fires:
+                        self._submit_trigger(fires)
                 if sp.program is not None and triggers.gc_eligible(stream, round_):
-                    self.store.garbage_collect(stream, round_)
+                    store.garbage_collect(stream, round_)
+        self.commit_seq = seq
+        counters.te_committed += len(ran)
         # no procedure of the transaction runs this round, or a lower one,
         # again, and no other procedure reads their inputs
         for tab in plan.transaction_inputs:
             if round_ > tab.last_consumed_batch:
                 tab.last_consumed_batch = round_
-            for batch_id in list(tab.batches):  # ascending
+            batches = tab.batches
+            while batches:
+                for batch_id in batches:  # the oldest: ids ascend
+                    break
                 if batch_id > round_:
                     break
                 triggers.note_consumed(tab.name, batch_id)
-                self.store.garbage_collect(tab.name, batch_id)
+                store.garbage_collect(tab.name, batch_id)
         if ticket is not None:
             ticket.outcome = "committed"
-            ticket.commit_seq = self.commit_seq
+            ticket.commit_seq = seq
         if self.post_commit_hook is not None:
             self.post_commit_hook(self)
-        log.maybe_flush()
+        # a replayed transaction is already in the log
+        if req.origin is not Origin.RECOVERY and plan.logged:
+            aborted = ()
+            if self._aborted:
+                aborted, self._aborted = tuple(self._aborted), []
+            counters.log_records += 1
+            record = (first_seq, req.proc, round_, req.args, aborted)
+            self.log.append(_make(CommandLogRecord, record), ticket)
+        else:
+            if ticket is not None:
+                ticket.acknowledged = True
+            self.log.maybe_flush()
 
     def _finish_abort(
         self, req: TERequest, plan: ProcedurePlan, error: Exception
@@ -642,7 +669,10 @@ class Partition:
         for tab in self.plans[proc].transaction_inputs:
             if round_ > tab.last_consumed_batch:
                 tab.last_consumed_batch = round_
-            for batch_id in list(tab.batches):  # ascending
+            batches = tab.batches
+            while batches:
+                for batch_id in batches:  # the oldest: ids ascend
+                    break
                 if batch_id > round_:
                     break
                 self.trigger_engine.note_consumed(tab.name, batch_id)

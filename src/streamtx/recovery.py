@@ -55,6 +55,7 @@ the OS only. ``replace_file`` always syncs.
 from __future__ import annotations
 
 import enum
+import functools
 import os
 import struct
 import time
@@ -87,6 +88,11 @@ class RecoveryMode(enum.Enum):
     WEAK = 2
 
 
+# a procedure name's text encoding, made once per name: every record
+# names its procedure
+_name_bytes = functools.lru_cache(maxsize=1024)(encode_text)
+
+
 class CommandLogRecord(NamedTuple):
     """One committed transaction, and the (procedure, round) of each logged
     transaction that aborted since the previous record."""
@@ -98,11 +104,11 @@ class CommandLogRecord(NamedTuple):
     aborted: tuple[tuple[str, int], ...] = ()
 
     def encode(self) -> bytes:
-        head = _RECORD_HEAD.pack(self.commit_seq, self.round, len(self.aborted))
-        body = head + encode_text(self.procedure)
-        for procedure, round_ in self.aborted:
-            body += encode_text(procedure) + _ROUND.pack(round_)
-        return frame(body + self.args)
+        seq, procedure, round_, args, aborted = self
+        body = _RECORD_HEAD.pack(seq, round_, len(aborted)) + _name_bytes(procedure)
+        for procedure, round_ in aborted:
+            body += _name_bytes(procedure) + _ROUND.pack(round_)
+        return frame(body + args)
 
     @classmethod
     def decode(cls, payload: bytes) -> "CommandLogRecord":
@@ -255,10 +261,16 @@ class CommandLog:
             self._file = AppendFile(path, _log_header(mode, partition_id), fsync)
 
     def append(self, record: CommandLogRecord, ticket=None) -> None:
-        self._pending.append((record, ticket))
+        """Buffer ``record``, then flush as ``maybe_flush`` would, or at
+        once when ``max_batch`` records are pending."""
+        pending = self._pending
+        pending.append((record, ticket))
+        now = time.monotonic()
         if self._pending_since is None:
-            self._pending_since = time.monotonic()
-        if len(self._pending) >= self.max_batch:
+            self._pending_since = now
+        if len(pending) >= self.max_batch or (
+            now - self._pending_since >= self.max_delay
+        ):
             self.flush()
 
     def maybe_flush(self) -> None:
@@ -274,7 +286,7 @@ class CommandLog:
             return 0
         batch, self._pending = self._pending, []
         self._pending_since = None
-        self._file.append(b"".join(record.encode() for record, _ in batch))
+        self._file.append(b"".join([record.encode() for record, _ in batch]))
         self.counters.sync_count += 1
         for _, ticket in batch:
             if ticket is not None:

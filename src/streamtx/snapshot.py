@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from itertools import groupby
-from operator import attrgetter
 
 from .codec import TYPE_CODES, encode_text, row_codec
 from .errors import CorruptSnapshot, VersionMismatch
@@ -80,6 +78,21 @@ def verify_snapshot(blob: bytes) -> None:
         raise CorruptSnapshot("checksum mismatch")
 
 
+def _batches(rows: tuple) -> dict[int, tuple]:
+    """A stream's rows, in stream order, as its batches: each batch is a
+    slice of ``rows``, cut where the batch id changes."""
+    out = {}
+    if not rows:
+        return out
+    start, batch_id = 0, rows[0].batch_id
+    for i, t in enumerate(rows):
+        if t[2] != batch_id:  # t.batch_id, without the attribute lookup
+            out[batch_id] = rows[start:i]
+            start, batch_id = i, t[2]
+    out[batch_id] = rows[start:]
+    return out
+
+
 def restore_state(blob: bytes, store: Store) -> tuple[int, int]:
     """Replace every table's contents in ``store`` with the snapshot's and
     return (partition_id, commit_seq). A table whose shape differs, or one
@@ -114,9 +127,7 @@ def restore_state(blob: bytes, store: Store) -> tuple[int, int]:
                 tab.next_tuple_id = next_id
                 tab.last_consumed_batch = last_consumed
                 rows, off = decode_rows(buf, off + _STREAM_STATE.size, count)
-                tab.batches.clear()
-                for batch_id, batch in groupby(rows, key=attrgetter("batch_id")):
-                    tab.batches[batch_id] = tuple(batch)
+                tab.batches = _batches(tuple(rows))
             else:
                 full_seen, emitted, n_active, n_staged = _WINDOW_STATE.unpack_from(
                     buf, off

@@ -164,6 +164,13 @@ class _BaseTable:
         if not fits(t):
             self._reject(t)
 
+    def check_rows(self, rows: Sequence[Tuple]) -> None:
+        """``check_row`` for each of ``rows``, in one call."""
+        fits = self._fits
+        if fits is None or not all(map(fits, rows)):
+            for t in rows:
+                self.check_row(t)
+
     def _reject(self, t: Tuple) -> None:
         """Raise for the first fault of a bad row: its head, then its
         values in schema order."""
@@ -281,46 +288,36 @@ class WindowTable(_BaseTable):
 AnyTable = PublicTable | StreamTable | WindowTable
 
 
-class UndoBuffer:
-    """Inverse-operation log for one transaction execution.
+class UndoBuffer(list):
+    """Inverse-operation log for one transaction execution: a list of
+    entries, one per undoable write, appended by the store's writers.
 
     Applying ``rollback`` replays the inverses newest-first, which restores
-    each touched table to its pre-transaction state exactly.
+    each touched table to its pre-transaction state exactly. The entries:
+
+    - ``("ins", table)``: a row appended to a public table; newest-first,
+      it is then the last row of the table and of each of its buckets.
+    - ``("del", table, rows, indexes, spots)``: a public table's row list
+      and index dicts before a delete put new ones in their place; a
+      delete that edits the buckets in place lists each row it took out of
+      one as (bucket dict, key, position, row), in the order it took them.
+    - ``("bat", stream, batch_id, tuples)``: a stream's newest batch before
+      an append extended it, or ``()`` when the append created it; streams
+      take no other undoable write.
+    - ``("ctr", stream, next_tuple_id)``: a stream's id counter before ids
+      were stamped.
+    - ``("win", window, ...)``: a window before an insert slid it
+      (``record_window``).
     """
 
-    def __init__(self):
-        self._entries: list[tuple] = []
-
-    def record_insert(self, table: PublicTable) -> None:
-        """Remember a row just appended to ``table``: rollback runs
-        newest-first, so it is then the last row of the table and of each
-        of its buckets."""
-        self._entries.append(("ins", table))
-
-    def record_delete(
-        self,
-        table: PublicTable,
-        rows: list[Tuple],
-        indexes: dict[str, dict[Value, list[Tuple]]],
-        spots: Sequence[tuple] = (),
-    ) -> None:
-        """Remember ``table``'s row list and index dicts before a delete put
-        new ones in their place. A delete that edits the buckets in place
-        lists each row it took out of one as (bucket dict, key, position,
-        row), in the order it took them."""
-        self._entries.append(("del", table, rows, indexes, spots))
-
-    def record_batch(self, s: StreamTable, batch_id: int) -> None:
-        """Remember a stream's newest batch (or its absence) before an
-        append extends or creates it; streams take no other undoable write."""
-        self._entries.append(("bat", s, batch_id, s.batches.get(batch_id, ())))
+    __slots__ = ()
 
     def record_window(self, w: WindowTable) -> list[Tuple]:
         """Remember a window before an insert slides it, without copying its
         active set. Returns the list the insert appends each expired tuple
         to; rollback rebuilds the window from it."""
         expired: list[Tuple] = []
-        self._entries.append(
+        self.append(
             (
                 "win", w, expired, len(w.active), list(w.staged),
                 w.full_seen, w.events_emitted, dict(w.sums),
@@ -328,11 +325,8 @@ class UndoBuffer:
         )
         return expired
 
-    def record_counter(self, s: StreamTable) -> None:
-        self._entries.append(("ctr", s, s.next_tuple_id))
-
     def rollback(self) -> None:
-        for entry in reversed(self._entries):
+        for entry in reversed(self):
             tag = entry[0]
             if tag == "ins":
                 table = entry[1]
@@ -368,7 +362,7 @@ class UndoBuffer:
             elif tag == "ctr":
                 _, s, value = entry
                 s.next_tuple_id = value
-        self._entries.clear()
+        self.clear()
 
 
 def pred_column(tab: _BaseTable, pred: Pred) -> tuple[int, Value]:
@@ -507,7 +501,7 @@ class Store:
         if fits is None or not fits(t):
             tab.check_row(t)
         tab.rows.append(t)
-        undo.record_insert(tab)
+        undo.append(("ins", tab))
         if tab.index_cols:
             tab._index_add(t)
         return None
@@ -521,21 +515,22 @@ class Store:
         s = self.tables.get(stream)
         if type(s) is not StreamTable:
             s = self.stream(stream)  # raises
-        if s.batches:
-            last = next(reversed(s.batches.values()))[-1]
-            batch_id = batch.batch_id
+        batch_id, tuples = batch
+        batches = s.batches
+        if batches:
+            last = next(reversed(batches.values()))[-1]
             if last.batch_id > batch_id or (
-                last.batch_id == batch_id
-                and last.tuple_id >= batch.tuples[0].tuple_id
+                last.batch_id == batch_id and last.tuple_id >= tuples[0].tuple_id
             ):
                 raise BadDefinition(
-                    f"stream {stream}: batch {batch.batch_id} arrives out of order"
+                    f"stream {stream}: batch {batch_id} arrives out of order"
                 )
         if not checked:
-            for t in batch.tuples:
-                s.check_row(t)
-        undo.record_batch(s, batch.batch_id)
-        s.batches[batch.batch_id] = s.batches.get(batch.batch_id, ()) + batch.tuples
+            s.check_rows(tuples)
+        # the batch before this append, or none: rollback puts it back
+        old = batches.get(batch_id, ())
+        undo.append(("bat", s, batch_id, old))
+        batches[batch_id] = old + tuples
 
     def select_where(self, table: str, pred: Optional[Pred] = None) -> list[Tuple]:
         """The rows ``pred`` matches (every row for None): of a public
@@ -585,7 +580,7 @@ class Store:
             self.table(table)  # raises UnknownTable
         rows = tab.rows
         if pred is None:
-            undo.record_delete(tab, rows, tab.indexes)
+            undo.append(("del", tab, rows, tab.indexes, ()))
             tab.rows = []
             if tab.index_cols:
                 tab.indexes = {cname: {} for cname, _ in tab.index_cols}
@@ -613,7 +608,7 @@ class Store:
                 spots.append((idx, key, pos, t))
                 if not bucket:
                     del idx[key]
-        undo.record_delete(tab, rows, tab.indexes, spots)
+        undo.append(("del", tab, rows, tab.indexes, spots))
         tab.rows = kept
         return len(gone)
 
@@ -657,8 +652,7 @@ class Store:
         w = self.window(window)
         tuples = list(tuples)
         if not checked:
-            for t in tuples:
-                w.check_row(t)
+            w.check_rows(tuples)
         expired = undo.record_window(w)
         w.staged.extend(tuples)
 
@@ -699,14 +693,17 @@ class Store:
         s = self.tables.get(stream)
         if type(s) is not StreamTable:
             s = self.stream(stream)  # raises
-        undo.record_counter(s)
         first = s.next_tuple_id
-        s.next_tuple_id += count
+        undo.append(("ctr", s, first))
+        s.next_tuple_id = first + count
         return range(first, first + count)
 
     def garbage_collect(self, stream: str, batch_id: int) -> int:
         """Drop every tuple of a consumed batch. Idempotent, not undoable."""
-        return len(self.stream(stream).batches.pop(batch_id, ()))
+        s = self.tables.get(stream)
+        if type(s) is not StreamTable:
+            s = self.stream(stream)  # raises
+        return len(s.batches.pop(batch_id, ()))
 
     # --- comparison helpers ---
 

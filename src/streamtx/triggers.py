@@ -360,9 +360,10 @@ class TriggerEngine:
         if not self.pe_enabled:
             return []
         plan = self.stream_plans[stream]
-        if all(batch_id in t.batches for t in plan.ready):
-            return [(plan.target, batch_id)]
-        return []
+        for t in plan.ready:
+            if batch_id not in t.batches:
+                return []
+        return [(plan.target, batch_id)]
 
     def refire_nonempty_streams(self) -> list[tuple[str, int]]:
         """Recovery helper: mark every batch held on a procedure-trigger

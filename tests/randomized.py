@@ -117,8 +117,28 @@ def random_workflow(rng: random.Random, tag: str):
     return w, streams, externals, abort_set
 
 
+class OpenExecutions:
+    """Wraps one engine's ``Partition._run_one``, on the instance, to record
+    the most executions that were open at once (``most``)."""
+
+    def __init__(self, engine: Engine):
+        self.open = self.most = 0
+        run_one = engine.partition._run_one
+
+        def counted(plan, req):
+            self.open += 1
+            self.most = max(self.most, self.open)
+            try:
+                return run_one(plan, req)
+            finally:
+                self.open -= 1
+
+        engine.partition._run_one = counted
+
+
 def random_run(seed: int):
-    """One randomized end-to-end run; returns (engine, workflow)."""
+    """One randomized end-to-end run; returns (engine, workflow, its
+    ``OpenExecutions``)."""
     rng = random.Random(seed)
     w, streams, externals, _ = random_workflow(rng, str(seed))
 
@@ -134,6 +154,7 @@ def random_run(seed: int):
         tables=[TableDef("olog", VAL_COLS)],
     )
     engine = Engine(spec)
+    opened = OpenExecutions(engine)
     rounds = rng.randint(1, 20)
     ingestors = {
         s: StreamIngestor(engine, s, BatchingPolicy("fixed_count", 1))
@@ -151,7 +172,7 @@ def random_run(seed: int):
     engine.run_until_idle()
     assert_pending_is_waiting(engine)
     assert_nothing_held_up_to_consumed(engine)
-    return engine, w
+    return engine, w, opened
 
 
 def assert_pending_is_waiting(engine: Engine) -> None:

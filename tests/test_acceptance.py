@@ -100,14 +100,15 @@ def test_criterion_2_master_property_1000_randomized_runs():
     nested_violations = 0
     failures = []
     for seed in range(1000):
-        engine, w = random_run(seed)
+        engine, w, opened = random_run(seed)
         report = validate(engine.committed_schedule, w)
         if not report.correct:
             failures.append(seed)
         nested_violations += sum(
             1 for v in report.violations if v.kind == "nested_interleave"
         )
-        assert engine.counters.max_concurrent <= 1
+        # every run executes something, and no execution opens inside another
+        assert opened.most == 1
     elapsed = time.time() - t0
     _announce(
         2,

@@ -50,9 +50,9 @@ ROUNDS = 64  # five records a round fill 40 group-commit flushes of 8
 
 # calls per round when these pins were set; a flush of 8 records costs a
 # fractional share of a round
-PINS = {"chain": 170.875, "window": 41, "window4": 44, "leaderboard": 145.578125}
+PINS = {"chain": 120.875, "window": 33, "window4": 33, "leaderboard": 120.578125}
 # calls per strong record replayed and per weak cached round re-submitted
-RECOVERY_PINS = {"STRONG": 29.6, "WEAK": 15}
+RECOVERY_PINS = {"STRONG": 22.8, "WEAK": 14}
 
 
 def chain_engine(data_dir):

@@ -21,7 +21,7 @@ from streamtx.model import (
 from streamtx.snapshot import snapshot_state
 from streamtx.storage import Pred
 from streamtx.validator import validate
-from randomized import dead_round_diamond_spec, snapshot_with_marks
+from randomized import OpenExecutions, dead_round_diamond_spec, snapshot_with_marks
 
 VAL_COLS = (("value", "int"),)
 
@@ -166,6 +166,7 @@ def test_schedule_next_idle():
 def test_multi_round_schedule_valid():
     spec = chain_spec(3)
     e = Engine(spec)
+    opened = OpenExecutions(e)
     feed(e, list(range(10)))
     e.run_until_idle()
     assert validate(e.committed_schedule, spec.workflows[0], "fixed_order").correct
@@ -175,7 +176,7 @@ def test_multi_round_schedule_valid():
         assert e.store.stream(s).rows == []
     # the sink stream retains everything (no consumer ever collects it)
     assert len(e.store.stream("s4").rows) == 10
-    assert e.counters.max_concurrent == 1
+    assert opened.most == 1  # the 30 executions ran one at a time
 
 
 def test_streaming_abort_drops_round_downstream():
@@ -704,6 +705,7 @@ def test_reentrant_body_aborts_alone(how):
             tables=[TableDef("out", VAL_COLS)],
         )
     )
+    opened = OpenExecutions(e)
     tickets = [
         e.ingest_batch("s1", AtomicBatch(r, (Tuple((r,), tuple_id=r, batch_id=r),)))
         for r in (1, 2, 3)
@@ -712,7 +714,57 @@ def test_reentrant_body_aborts_alone(how):
     assert [t.outcome for t in tickets] == ["aborted", "committed", "committed"]
     assert tickets[0].reason == "serial execution violated"
     assert sorted(t.values for t in e.store.table("out").rows) == [(2,), (3,)]
-    assert e.counters.max_concurrent == 1
+    assert opened.most == 1  # the re-entering pump opened no execution
+
+
+def test_body_ingest_aborts_alone_and_loses_no_round():
+    # border P's round-1 body feeds rounds 1 and 2 of border Q with a queue
+    # bound of 1: the feed raises before it takes or queues anything, so P
+    # round 1 aborts, and the client can still feed both Q rounds
+    def q_batch(r):
+        return AtomicBatch(r, (Tuple((10 + r,), tuple_id=r, batch_id=r),))
+
+    engine = []
+    fed = []
+
+    def p_body(ctx):
+        for r in (1, 2):
+            fed.append(engine[0].ingest_batch("sq", q_batch(r)))
+        ctx.insert("out", (ctx.round,))
+
+    def q_body(ctx):
+        for t in ctx.input_tuples("sq"):
+            ctx.insert("out", t.values)
+
+    w = register_workflow(
+        "feeds",
+        [
+            ProcedureDef("P", ProcedureKind.BORDER, ("sp",), body=p_body),
+            ProcedureDef("Q", ProcedureKind.BORDER, ("sq",), body=q_body),
+        ],
+    )
+    e = Engine(
+        EngineSpec(
+            workflows=[w],
+            streams=[StreamDef("sp", VAL_COLS), StreamDef("sq", VAL_COLS)],
+            tables=[TableDef("out", VAL_COLS)],
+        ),
+        queue_bound=1,
+    )
+    engine.append(e)
+    p1 = e.ingest_batch("sp", AtomicBatch(1, (Tuple((1,), tuple_id=1, batch_id=1),)))
+    e.run_until_idle()
+    assert p1.outcome == "aborted"
+    assert p1.reason == "serial execution violated"
+    assert fed == []  # no ticket was handed out, so none is left unresolved
+    assert not e.partition.client_queue and not e.partition.fast_track
+    assert "Q" not in e.partition.last_queued
+    assert e.store.table("out").rows == []
+    tickets = [e.ingest_batch("sq", q_batch(r)) for r in (1, 2)]
+    e.run_until_idle()
+    assert [t.outcome for t in tickets] == ["committed", "committed"]
+    assert all(t.acknowledged for t in tickets)
+    assert sorted(t.values for t in e.store.table("out").rows) == [(11,), (12,)]
 
 
 def test_not_partitionable_guard():

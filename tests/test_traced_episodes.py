@@ -1,13 +1,14 @@
-"""The benchmark's span wrappers on the window and leaderboard paths.
+"""The benchmark's span wrappers on the window, leaderboard and chain paths.
 
 ``perfbench/spans.py`` wraps engine functions by name and reads their
 positional arguments (``_select_scanned`` reads the table and predicate of
 ``Store.select_where``). The traced chain episode in ``perfbench/tests``
 never reaches the window, select or statement-program paths, so these tiny
-traced episodes check that the wrappers still fit them. The window case
-also names the round path's wrapped functions, from the push to the
-collection of the round's batches, so that a round path which stops calling
-one of them fails here, not only in a traced benchmark run.
+traced episodes check that the wrappers still fit them. The window and
+chain cases also name the round path's wrapped functions, from the push to
+the collection of the round's batches, and the chain case those of its
+command log, checkpoint and strong recovery too, so that a path which stops
+calling one of them fails here, not only in a traced benchmark run.
 """
 
 import sys
@@ -29,6 +30,10 @@ class TinyWindow(episode.Window):
 
 
 class TinyLeaderboard(episode.Leaderboard):
+    shape = wl.Shape(warmup=50, timed=250, checkpoint_every=100, resume=20, block=50)
+
+
+class TinyChain(episode.Chain):
     shape = wl.Shape(warmup=50, timed=250, checkpoint_every=100, resume=20, block=50)
 
 
@@ -57,8 +62,35 @@ class TinyLeaderboard(episode.Leaderboard):
                 "triggers.on_window_events",
             ],
         ),
+        (
+            TinyChain,
+            [
+                "ingest.push",
+                "engine.ingest_batch",
+                "executor.execute",
+                "codec.batches_to_args",
+                "codec.args_to_batches",
+                "codec.decode_args",
+                "storage.insert_batch",
+                "storage.next_tuple_ids",
+                "storage.insert",
+                "storage.garbage_collect",
+                "triggers.fire",
+                "triggers.gc.note_append",
+                "triggers.gc.note_consumed",
+                "recovery.encode",
+                "recovery.flush",
+                "engine.checkpoint",
+                "snapshot.encode",
+                "snapshot.decode",
+                "snapshot.verify",
+                "recovery.truncate",
+                "recovery.read_log",
+                "recovery.compact",
+            ],
+        ),
     ],
-    ids=["window", "leaderboard"],
+    ids=["window", "leaderboard", "chain"],
 )
 def test_traced_episode_reaches_window_paths(workload, called, tmp_path):
     tr = spans.Tracer()
