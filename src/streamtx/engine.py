@@ -164,8 +164,9 @@ class Engine:
             schedule_capacity=schedule_capacity,
             post_commit_hook=post_commit_hook,
         )
-        # border -> round -> (its batches so far, its ticket), for rounds that
-        # miss a batch or wait behind a lower round
+        # border -> round -> (its batches so far, its ticket), for the rounds
+        # of a border with more than one input that miss a batch or wait
+        # behind a lower round
         self._feeder_pending: dict[str, dict[int, tuple[dict, Ticket]]] = {}
         # a border's inputs are exactly the streams no edge produces
         self._border_for_stream: dict[str, ProcedurePlan] = {
@@ -199,7 +200,10 @@ class Engine:
         A border runs its rounds in increasing order: a round with every
         input batch is submitted once no lower round waits for one, and a
         batch for a round the border already took (``Partition.last_queued``),
-        or a second one from a stream, raises ``BadDefinition``. A call
+        or a second one from a stream, raises ``BadDefinition``. A one-input
+        border's batch is its whole round, which goes straight to the client
+        queue; a border with more inputs keeps a round's batches in a feeder
+        slot until the round is complete and no lower round waits. A call
         made while an execution runs, from a procedure body, raises
         ``StreamTxError`` before it changes anything, so only that
         execution aborts. The stream's ``check_row``, the one value rule,
@@ -207,11 +211,12 @@ class Engine:
         again. A batch is encoded only for a file that keeps it. In weak
         mode the input cache writes it before the round runs, so an
         unacknowledged round survives a crash; a border the log keeps gets
-        its encoded round as the request's args. The request
-        carries the batches themselves, so the live execution decodes
-        nothing, and an unlogged border's args stay empty. The call that
-        completes a round returns its ticket, even while the round waits;
-        earlier calls return None.
+        its encoded round as the request's args, which for a one-input
+        round in weak mode is the cache's encoding. The request carries
+        the batches themselves, so the live execution decodes nothing, and
+        an unlogged border's args stay empty. The call that completes a
+        round returns its ticket, even while the round waits; earlier calls
+        return None.
         """
         p = self.partition
         if p.stopped:
@@ -235,13 +240,28 @@ class Engine:
         if not resubmit and p.input_cache.path is not None:
             cached = batches_to_args({stream: batch})
             p.fail_stop(p.input_cache.append, stream, batch, cached)
+        n_inputs = len(plan.inputs)
+        if n_inputs == 1:
+            # this batch completes the round, and no lower round of a
+            # one-input border can wait for a batch: queue it, with no slot
+            p.last_queued[proc_name] = round_
+            if len(p.client_queue) + len(p.fast_track) >= self.queue_bound:
+                self.run_until_idle()
+            args = b""
+            if plan.logged:  # the cache may have encoded the round already
+                args = cached or batches_to_args({stream: batch})
+            ticket = Ticket()
+            req = TERequest(
+                proc_name, round_, args, Origin.CLIENT, ticket, batches={stream: batch}
+            )
+            p.submit_client(req)
+            return ticket
         if pending is None:
             pending = self._feeder_pending[proc_name] = {}
         if slot is None:
             slot = pending[round_] = ({}, Ticket())
         batches, ticket = slot
         batches[stream] = batch
-        n_inputs = len(plan.inputs)
         if len(batches) < n_inputs:
             return None
         while pending:
@@ -253,11 +273,7 @@ class Engine:
             p.last_queued[proc_name] = low
             if len(p.client_queue) + len(p.fast_track) >= self.queue_bound:
                 self.run_until_idle()
-            args = b""
-            if plan.logged:
-                # a one-input round is this batch, which the cache may have
-                # encoded already
-                args = cached if n_inputs == 1 and cached else batches_to_args(ready)
+            args = batches_to_args(ready) if plan.logged else b""
             req = TERequest(
                 proc_name, low, args, Origin.CLIENT, low_ticket, batches=ready
             )

@@ -257,7 +257,7 @@ class TEContext:
             else:
                 tuples.append(new(Tuple, (tuple(r), tid, batch_id, ts)))
         # every tuple carries batch_id, so the batch needs no check
-        batch = AtomicBatch._make((batch_id, tuple(tuples)))
+        batch = new(AtomicBatch, (batch_id, tuple(tuples)))
         self.store.insert_batch(stream, batch, self.undo, checked=checked)
         self.appended[stream] = plan
         if plan.program is not None:
@@ -302,7 +302,8 @@ class TEContext:
     def _window_insert(self, window: str, tuples: list[Tuple], checked=False):
         """``window_insert`` of tuples; a statement step passes ``checked``
         when its source rows have the window's column types."""
-        self._check_owner(window)
+        if window in self.plan.foreign_windows:
+            self._check_owner(window)
         events = self.store.window_insert(window, tuples, self.undo, checked=checked)
         if events:
             self.partition.trigger_engine.on_window_events(self, window, events)
@@ -319,9 +320,6 @@ class TEContext:
 
     def set_result(self, rows) -> None:
         self.result_rows = rows
-
-    def count_statement(self, n: int = 1) -> None:
-        self.partition.counters.ee_statement_executions += n
 
 
 class Partition:
@@ -418,7 +416,8 @@ class Partition:
             raise StreamTxError("serial execution violated")
         req = self.schedule_next()
         if req is None:
-            self.fail_stop(self.log.maybe_flush)
+            if self.log.pending:  # the group-commit timer
+                self.fail_stop(self.log.maybe_flush)
             return False
         self.execute(req)
         return True
@@ -434,7 +433,8 @@ class Partition:
             elif client:
                 self.execute(client.popleft())
             else:
-                self.fail_stop(self.log.maybe_flush)
+                if self.log.pending:  # the group-commit timer
+                    self.fail_stop(self.log.maybe_flush)
                 return
 
     def drain_and_quiesce(self) -> None:
@@ -551,7 +551,10 @@ class Partition:
             batches = args_to_batches(req.args)
         inputs = ctx.inputs
         if batches:
-            for stream, batch in sorted(batches.items()):
+            items = batches.items()
+            if len(batches) > 1:
+                items = sorted(items)
+            for stream, batch in items:
                 if stream not in proc.stream_inputs or batch.batch_id != req.round:
                     raise BadDefinition(
                         f"{proc.name} round {req.round} takes no batch "
@@ -638,7 +641,8 @@ class Partition:
         else:
             if ticket is not None:
                 ticket.acknowledged = True
-            self.log.maybe_flush()
+            if self.log.pending:
+                self.log.maybe_flush()
 
     def _finish_abort(
         self, req: TERequest, plan: ProcedurePlan, error: Exception

@@ -124,7 +124,7 @@ class StreamIngestor:
     def _flush(self) -> Optional[Ticket]:
         if not self._buffer:
             return None
-        batch = AtomicBatch._make((self.next_batch_id, tuple(self._buffer)))
+        batch = tuple.__new__(AtomicBatch, (self.next_batch_id, tuple(self._buffer)))
         self._buffer = []
         self._buffer_ts = None
         self.next_batch_id += 1

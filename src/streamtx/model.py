@@ -49,8 +49,9 @@ class AtomicBatch(_Batch):
     """A contiguous run of stream tuples processed as one indivisible unit.
 
     Building one checks that it is nonempty and that every tuple carries
-    its id. ``AtomicBatch._make((batch_id, tuples))`` skips the check; the
-    engine uses it for the batches whose ids it has just stamped."""
+    its id. ``tuple.__new__(AtomicBatch, (batch_id, tuples))`` skips the
+    check, and the Python-level call of ``_make`` too; the engine builds
+    the batches whose ids it has just stamped that way."""
 
     __slots__ = ()
 

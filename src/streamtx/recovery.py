@@ -234,9 +234,11 @@ class CommandLog:
     Records buffer in memory and reach disk on flush; tickets attached to
     buffered records are acknowledged only once their flush completes. A
     flush happens when ``max_batch`` records are pending, when the oldest
-    pending record is older than ``max_delay``, or explicitly. A log without
-    a file (no data dir or no recovery mode) has no mode and logs nothing.
-    Every flush counts in ``counters.sync_count``.
+    pending record is older than ``max_delay``, or explicitly. ``pending``
+    lists the buffered (record, ticket) pairs; the partition checks the
+    timer only while it holds one. A log without a file (no data dir or no
+    recovery mode) has no mode and logs nothing. Every flush counts in
+    ``counters.sync_count``.
     """
 
     def __init__(
@@ -254,7 +256,7 @@ class CommandLog:
         self.counters = counters
         self.max_batch = max(1, max_batch)
         self.max_delay = max_delay
-        self._pending: list[tuple[CommandLogRecord, object]] = []
+        self.pending: list[tuple[CommandLogRecord, object]] = []
         self._pending_since: Optional[float] = None
         self._file = None
         if mode is not None:
@@ -263,7 +265,7 @@ class CommandLog:
     def append(self, record: CommandLogRecord, ticket=None) -> None:
         """Buffer ``record``, then flush as ``maybe_flush`` would, or at
         once when ``max_batch`` records are pending."""
-        pending = self._pending
+        pending = self.pending
         pending.append((record, ticket))
         now = time.monotonic()
         if self._pending_since is None:
@@ -275,16 +277,16 @@ class CommandLog:
 
     def maybe_flush(self) -> None:
         """Timer surrogate: flush if the oldest pending record is overdue."""
-        if self._pending and (
+        if self.pending and (
             time.monotonic() - self._pending_since >= self.max_delay
         ):
             self.flush()
 
     def flush(self) -> int:
         """Write and sync all pending records, then release their tickets."""
-        if not self._pending:
+        if not self.pending:
             return 0
-        batch, self._pending = self._pending, []
+        batch, self.pending = self.pending, []
         self._pending_since = None
         self._file.append(b"".join([record.encode() for record, _ in batch]))
         self.counters.sync_count += 1
@@ -299,7 +301,7 @@ class CommandLog:
 
     def crash(self) -> None:
         """Drop buffered records and close, as a power failure would."""
-        self._pending.clear()
+        self.pending.clear()
         self._pending_since = None
         if self._file is not None:
             self._file.close()

@@ -639,52 +639,70 @@ class Store:
         *,
         checked=False,
     ) -> list[FullWindowEvent]:
-        """Stage new tuples, then advance the window while a slide is due.
+        """Stage new tuples, then make every slide that is due, in one pass.
 
         Before the first full window, arrivals accumulate in staging; the
         first event fires once ``size`` tuples exist. Afterwards every
         ``slide`` staged tuples expire the oldest actives and fire an event.
-        A single large batch may fire several events. The running sums move
-        with each slide: admitted tuples are added, expired ones subtracted.
-        Without ``events_carry_rows`` events carry no copy of the active set.
-        ``checked`` skips ``check_row``, as in ``insert_batch``.
+        A single large batch may fire several events: the insert admits
+        their tuples into ``active`` at once, moves the running sums from
+        each slide boundary to the next (the tuples a slide admits are
+        added, those it expires subtracted), and takes every expired tuple
+        out at once. Without ``events_carry_rows`` events carry no copy of
+        the active set. ``checked`` skips ``check_row``, as in
+        ``insert_batch``.
         """
-        w = self.window(window)
-        tuples = list(tuples)
+        w = self.tables.get(window)
+        if type(w) is not WindowTable:
+            w = self.window(window)  # raises
+        if type(tuples) is not list:
+            tuples = list(tuples)
         if not checked:
             w.check_rows(tuples)
         expired = undo.record_window(w)
-        w.staged.extend(tuples)
-
+        active, staged = w.active, w.staged
+        staged += tuples
         size, slide = w.spec.size, w.spec.slide
-        active, staged, sums = w.active, w.staged, w.sums
+        held = len(active)
+        # where the first event's window starts in active + admitted, and
+        # how many events this insert fires
+        if w.full_seen:
+            first, count = slide, len(staged) // slide
+            if not count:
+                return []
+        elif held + len(staged) >= size:
+            first, count = 0, (held + len(staged) - size) // slide + 1
+            w.full_seen = True
+        else:
+            return []
+        out = first + (count - 1) * slide  # the tuples before it expire
+        admitted = out + size - held
+        active += staged[:admitted]
+        del staged[:admitted]
+
+        sums, int_cols = w.sums, w.int_cols
+        name, index = w.name, w.events_emitted
+        carry = w.events_carry_rows
+        new = tuple.__new__
         events: list[FullWindowEvent] = []
-        while True:
-            if not w.full_seen:
-                if len(active) + len(staged) < size:
-                    break
-                admitted = staged[: size - len(active)]
-                gone: list[Tuple] = []
-                w.full_seen = True
-            else:
-                if len(staged) < slide:
-                    break
-                admitted = staged[:slide]
-                gone = active[:slide]
-                del active[:slide]
-                expired += gone
-            del staged[: len(admitted)]
-            active += admitted
-            for name, ci in w.int_cols:
-                total = sums[name]
-                for t in admitted:
+        was_lo, was_hi = 0, held  # the window the sums now cover
+        for lo in range(first, out + 1, slide):
+            hi = lo + size
+            for col, ci in int_cols:
+                total = sums[col]
+                for t in active[was_hi:hi]:
                     total += t.values[ci]
-                for t in gone:
+                for t in active[was_lo:lo]:
                     total -= t.values[ci]
-                sums[name] = total
-            rows = tuple(active) if w.events_carry_rows else None
-            events.append(FullWindowEvent(w.name, w.events_emitted, rows, dict(sums)))
-            w.events_emitted += 1
+                sums[col] = total
+            rows = tuple(active[lo:hi]) if carry else None
+            events.append(new(FullWindowEvent, (name, index, rows, dict(sums))))
+            index += 1
+            was_lo, was_hi = lo, hi
+        w.events_emitted = index
+        if out:
+            expired += active[:out]
+            del active[:out]
         return events
 
     # --- stream upkeep ---

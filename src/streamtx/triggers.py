@@ -335,7 +335,7 @@ class TriggerEngine:
         fate); steps that land rows on another triggered stream or window
         cascade depth-first through the context."""
         for step in plan.program:
-            ctx.count_statement()
+            ctx.partition.counters.ee_statement_executions += 1
             step.run(ctx, batch.tuples)
 
     def on_window_events(self, ctx, window: str, events: list[FullWindowEvent]):
@@ -343,7 +343,7 @@ class TriggerEngine:
         insert: each step runs once over all of them, in slide order, before
         the next step starts, and counts one statement per event."""
         for step in self.window_programs.get(window, ()):
-            ctx.count_statement(len(events))
+            ctx.partition.counters.ee_statement_executions += len(events)
             step.run(ctx, events)
 
     # --- procedure trigger firing (commit time) ---

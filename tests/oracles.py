@@ -134,3 +134,43 @@ class LeaderboardSimulator:
             "valid_votes": self.total_valid,
             "recorded_votes": len(self.votes),
         }
+
+
+def window_insert_per_slide(state, tuples, size, slide, int_cols, carry_rows):
+    """One window insert, one slide at a time, in plain Python.
+
+    ``state`` holds a window's ``active``, ``staged``, ``full_seen``,
+    ``events_emitted`` and ``sums`` (int column name -> running sum) and is
+    changed in place; ``int_cols`` lists (name, position) of the int
+    columns. Before the first full window tuples wait in staging, and the
+    first event fires once ``size`` exist; after it every ``slide`` staged
+    tuples push out the oldest active ones and fire the next event.
+
+    Returns (events, expired): each event as (index, the active tuples or
+    None without ``carry_rows``, the sums), and the tuples that left the
+    active set, oldest first.
+    """
+    active, staged, sums = state["active"], state["staged"], state["sums"]
+    staged.extend(tuples)
+    events, expired = [], []
+    while True:
+        if not state["full_seen"]:
+            if len(active) + len(staged) < size:
+                break
+            admitted, gone = staged[: size - len(active)], []
+            state["full_seen"] = True
+        else:
+            if len(staged) < slide:
+                break
+            admitted, gone = staged[:slide], active[:slide]
+            del active[:slide]
+            expired.extend(gone)
+        del staged[: len(admitted)]
+        active.extend(admitted)
+        for name, ci in int_cols:
+            sums[name] += sum(t.values[ci] for t in admitted)
+            sums[name] -= sum(t.values[ci] for t in gone)
+        rows = tuple(active) if carry_rows else None
+        events.append((state["events_emitted"], rows, dict(sums)))
+        state["events_emitted"] += 1
+    return events, expired

@@ -245,7 +245,7 @@ def crash_in_flush(engine: Engine, rng: random.Random) -> None:
     random prefix of their bytes, maybe none, reaches the file, which may
     leave a torn tail. None of them was acknowledged."""
     log = engine.partition.log
-    buffered = b"".join(rec.encode() for rec, _ in log._pending)
+    buffered = b"".join(rec.encode() for rec, _ in log.pending)
     engine.crash()
     if buffered:
         with open(log.path, "ab") as fh:

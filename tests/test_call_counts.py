@@ -50,9 +50,9 @@ ROUNDS = 64  # five records a round fill 40 group-commit flushes of 8
 
 # calls per round when these pins were set; a flush of 8 records costs a
 # fractional share of a round
-PINS = {"chain": 120.875, "window": 33, "window4": 33, "leaderboard": 120.578125}
+PINS = {"chain": 120.625, "window": 26, "window4": 26, "leaderboard": 118.640625}
 # calls per strong record replayed and per weak cached round re-submitted
-RECOVERY_PINS = {"STRONG": 22.8, "WEAK": 14}
+RECOVERY_PINS = {"STRONG": 21.8, "WEAK": 14}
 
 
 def chain_engine(data_dir):
@@ -147,7 +147,7 @@ def recovery_calls(mode, data_dir, rounds):
         engine.ingest_batch(stream, b)
         if pumped:
             engine.run_until_idle()
-    assert not engine.partition.log._pending  # the crash follows a flush
+    assert not engine.partition.log.pending  # the crash follows a flush
     engine.crash()
     profile = cProfile.Profile()
     recovered = profile.runcall(recover, spec(), data_dir, fsync=False)

@@ -875,7 +875,7 @@ def test_round_bookkeeping_bounded_by_checkpoints(tmp_path):
         e.checkpoint()
         assert cache.retained == {"s1": []}
         assert read_input_cache(str(tmp_path / CACHE_FILE)) == {}
-    assert e._feeder_pending == {"SP1": {}}
+    assert not any(e._feeder_pending.values())  # no round waits in a slot
     e.close()
 
 

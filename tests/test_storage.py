@@ -13,6 +13,7 @@ from streamtx.errors import (
 from streamtx.model import AtomicBatch, Tuple, WindowSpec
 from streamtx.snapshot import restore_state, snapshot_state
 from streamtx.storage import (
+    FullWindowEvent,
     Pred,
     PublicTable,
     Store,
@@ -21,7 +22,7 @@ from streamtx.storage import (
     make_schema,
 )
 
-from oracles import group_tally, sliding_window_events
+from oracles import group_tally, sliding_window_events, window_insert_per_slide
 
 VAL = make_schema(("value", "int"))
 
@@ -409,6 +410,66 @@ def test_window_oracle_random_batchings(size):
             if w.full_seen:
                 assert len(w.staged) < slide
             assert len(w.active) <= size
+
+
+WINDOW3 = make_schema(("a", "int"), ("b", "float"), ("c", "int"))
+
+
+def window_state(w):
+    """A window's fields, in the layout of ``window_insert_per_slide``."""
+    return {
+        "active": list(w.active),
+        "staged": list(w.staged),
+        "full_seen": w.full_seen,
+        "events_emitted": w.events_emitted,
+        "sums": dict(w.sums),
+    }
+
+
+def test_window_insert_matches_per_slide_reference():
+    """``Store.window_insert`` against the per-slide loop of the oracles,
+    over 500 seeded windows: the same events (index, rows and sums), the
+    same window afterwards, and one undo entry whose expired tuples are the
+    ones the loop pushed out, in order. A rolled-back insert leaves the
+    window as it found it. Each window's second insert fills it and slides
+    it in one go."""
+    for seed in range(500):
+        check_window_against_per_slide(seed)
+
+
+def check_window_against_per_slide(seed):
+    rng = random.Random(seed)
+    size = rng.randint(1, 12)
+    slide = rng.randint(1, size)
+    store = Store()
+    w = store.create_window(WindowSpec("w", size, slide, "sp"), WINDOW3)
+    w.events_carry_rows = rng.random() < 0.5
+    want = window_state(w)
+    lengths = [rng.randint(0, size - 1)]
+    lengths.append(size - lengths[0] + slide + rng.randint(0, size))
+    lengths += [rng.randint(0, 3 * size) for _ in range(rng.randint(1, 6))]
+    for n in lengths:
+        tuples = [
+            Tuple((rng.randint(-50, 50), rng.uniform(-9.0, 9.0), rng.randint(0, 9)))
+            for _ in range(n)
+        ]
+        before = window_state(w)
+        undo = UndoBuffer()
+        got = store.window_insert("w", tuples, undo)
+        events, expired = window_insert_per_slide(
+            want, tuples, size, slide, w.int_cols, w.events_carry_rows
+        )
+        assert all(type(ev) is FullWindowEvent for ev in got), seed
+        assert [(ev.window, ev.index, ev.tuples, ev.sums) for ev in got] == [
+            ("w", *ev) for ev in events
+        ], seed
+        assert window_state(w) == want, seed
+        assert len(undo) == 1 and undo[0][0] == "win", seed
+        assert undo[0][2] == expired, seed
+        if rng.random() < 0.3:
+            undo.rollback()
+            assert window_state(w) == before, seed
+            want = before
 
 
 # --- undo completeness ---

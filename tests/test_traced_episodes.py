@@ -8,7 +8,9 @@ traced episodes check that the wrappers still fit them. The window and
 chain cases also name the round path's wrapped functions, from the push to
 the collection of the round's batches, and the chain case those of its
 command log, checkpoint and strong recovery too, so that a path which stops
-calling one of them fails here, not only in a traced benchmark run.
+calling one of them fails here, not only in a traced benchmark run. Some
+wrappers only count: the window cases require the count that
+``UndoBuffer.record_window`` adds, which no span shows.
 """
 
 import sys
@@ -38,7 +40,7 @@ class TinyChain(episode.Chain):
 
 
 @pytest.mark.parametrize(
-    "workload, called",
+    "workload, called, counted",
     [
         (
             TinyWindow,
@@ -53,6 +55,7 @@ class TinyChain(episode.Chain):
                 "triggers.on_window_events",
                 "storage.garbage_collect",
             ],
+            ["storage.undo_window_rows"],
         ),
         (
             TinyLeaderboard,
@@ -61,6 +64,7 @@ class TinyChain(episode.Chain):
                 "storage.window_insert",
                 "triggers.on_window_events",
             ],
+            ["storage.undo_window_rows"],
         ),
         (
             TinyChain,
@@ -88,11 +92,12 @@ class TinyChain(episode.Chain):
                 "recovery.read_log",
                 "recovery.compact",
             ],
+            [],
         ),
     ],
     ids=["window", "leaderboard", "chain"],
 )
-def test_traced_episode_reaches_window_paths(workload, called, tmp_path):
+def test_traced_episode_reaches_window_paths(workload, called, counted, tmp_path):
     tr = spans.Tracer()
     spans.install(tr)
     try:
@@ -101,9 +106,16 @@ def test_traced_episode_reaches_window_paths(workload, called, tmp_path):
         tr.uninstall()
     assert ep.problems == []
     assert ep.failed == 0
+    summary = spans.summarize(tr)
     calls = {}
-    for (_, name), totals in spans.summarize(tr).spans.items():
+    for (_, name), totals in summary.spans.items():
         calls[name] = calls.get(name, 0) + totals.calls
     assert {name: calls.get(name, 0) > 0 for name in called} == dict.fromkeys(
         called, True
+    )
+    counts = {}
+    for (_, key), n in summary.counts.items():
+        counts[key] = counts.get(key, 0) + n
+    assert {key: counts.get(key, 0) > 0 for key in counted} == dict.fromkeys(
+        counted, True
     )
