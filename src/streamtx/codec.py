@@ -39,6 +39,11 @@ def encode_text(s: str) -> bytes:
     return _H.pack(len(b)) + b
 
 
+# a name's text encoding, made once per name: every cache record and logged
+# border names its streams, and every log record its procedure
+name_bytes = functools.lru_cache(maxsize=1024)(encode_text)
+
+
 def text_at(buf: bytes, off: int) -> tuple[str, int]:
     (n,) = _H.unpack_from(buf, off)
     end = off + 2 + n
@@ -151,7 +156,7 @@ def encode_batches(batches: dict[str, AtomicBatch]) -> bytes:
         for stream, (batch_id, tuples) in batches.items():
             codes, encode_rows = _batch_codec(tuple(map(type, tuples[0].values)))
             head = _BATCH_HEAD.pack(batch_id, len(tuples), len(codes))
-            out += (encode_text(stream), head, codes, encode_rows(tuples))
+            out += (name_bytes(stream), head, codes, encode_rows(tuples))
     except struct.error as e:  # a row head outside int64, say
         raise TypeMismatch(str(e)) from e
     return b"".join(out)

@@ -236,9 +236,10 @@ class Engine:
         if slot is None and round_ <= p.last_queued.get(proc_name, 0):
             raise BadDefinition(f"{proc_name} already took round {round_}")
         table.check_rows(batch.tuples)
+        by_stream = {stream: batch}
         cached = None  # the cache's encoding of this batch, if it keeps one
         if not resubmit and p.input_cache.path is not None:
-            cached = batches_to_args({stream: batch})
+            cached = batches_to_args(by_stream)
             p.fail_stop(p.input_cache.append, stream, batch, cached)
         n_inputs = len(plan.inputs)
         if n_inputs == 1:
@@ -249,10 +250,10 @@ class Engine:
                 self.run_until_idle()
             args = b""
             if plan.logged:  # the cache may have encoded the round already
-                args = cached or batches_to_args({stream: batch})
+                args = cached or batches_to_args(by_stream)
             ticket = Ticket()
             req = TERequest(
-                proc_name, round_, args, Origin.CLIENT, ticket, batches={stream: batch}
+                proc_name, round_, args, Origin.CLIENT, ticket, batches=by_stream
             )
             p.submit_client(req)
             return ticket

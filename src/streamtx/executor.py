@@ -271,8 +271,11 @@ class TEContext:
             return
         if table in self.plan.foreign_windows:
             self._check_owner(table)
-        t = values if isinstance(values, Tuple) else Tuple(tuple(values), 0, 0, ts)
-        events = self.store.insert(table, t, self.undo)
+        if not isinstance(values, Tuple):
+            # ``Store.insert`` holds the row, its head included, to the
+            # table's value rule: skip Tuple's ``__new__``
+            values = _make(Tuple, (tuple(values), 0, 0, ts))
+        events = self.store.insert(table, values, self.undo)
         if events:
             self.partition.trigger_engine.on_window_events(self, table, events)
 
@@ -498,14 +501,20 @@ class Partition:
         execution that ran, error|None); on an error all of them have
         rolled back."""
         ran: list[tuple[TEContext, TERequest]] = []
+        round_ = req.round
         for child in plan.group.order:
             if child == req.proc:
                 child_plan, child_req = plan, req
             else:
                 child_plan = self.plans[child]
-                if not all(req.round in t.batches for t in child_plan.inputs):
+                ready = True
+                for tab in child_plan.inputs:
+                    if round_ not in tab.batches:
+                        ready = False
+                        break
+                if not ready:
                     continue
-                child_req = TERequest(child, req.round, origin=Origin.TRIGGER)
+                child_req = TERequest(child, round_, origin=Origin.TRIGGER)
                 self.counters.boundary_crossings += 1
             ctx, error = self._run_one(child_plan, child_req)
             if error is not None:

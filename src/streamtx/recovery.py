@@ -55,7 +55,6 @@ the OS only. ``replace_file`` always syncs.
 from __future__ import annotations
 
 import enum
-import functools
 import os
 import struct
 import time
@@ -66,9 +65,9 @@ from .codec import (
     FRAME_OVERHEAD,
     decode_batches,
     encode_batches,
-    encode_text,
     frame,
     frames,
+    name_bytes,
     text_at,
 )
 from .errors import CorruptLogRecord, LogWriteFailure
@@ -88,11 +87,6 @@ class RecoveryMode(enum.Enum):
     WEAK = 2
 
 
-# a procedure name's text encoding, made once per name: every record
-# names its procedure
-_name_bytes = functools.lru_cache(maxsize=1024)(encode_text)
-
-
 class CommandLogRecord(NamedTuple):
     """One committed transaction, and the (procedure, round) of each logged
     transaction that aborted since the previous record."""
@@ -105,9 +99,9 @@ class CommandLogRecord(NamedTuple):
 
     def encode(self) -> bytes:
         seq, procedure, round_, args, aborted = self
-        body = _RECORD_HEAD.pack(seq, round_, len(aborted)) + _name_bytes(procedure)
+        body = _RECORD_HEAD.pack(seq, round_, len(aborted)) + name_bytes(procedure)
         for procedure, round_ in aborted:
-            body += _name_bytes(procedure) + _ROUND.pack(round_)
+            body += name_bytes(procedure) + _ROUND.pack(round_)
         return frame(body + args)
 
     @classmethod

@@ -6,8 +6,11 @@ public-table operation records one undo entry: an insert that it appended,
 a delete the table's old row list, and a whole-table clear its old buckets
 too, so rollback swaps them back instead of putting rows back one by one.
 ``Store.insert``, ``select_where`` and ``delete_where`` find their table
-with one lookup and branch on its kind only for a stream or a window; an
-``==`` predicate compares inline, with no call per row. The store is
+with one lookup and branch on its kind only for a stream or a window. A
+predicate (``Pred``, an immutable named tuple) finds its column's position
+and allowed value types in a map its table builds once (``pred_cols``); an
+``==`` compares inline, with no call per row, and a delete splits the rows
+it keeps from those it takes in one pass. The store is
 single-threaded per partition; nothing here locks, and nothing here checks
 who may touch a table: the execution context (``executor.TEContext``) keeps
 a window to its owner.
@@ -104,17 +107,27 @@ def make_schema(*cols: tuple[str, str]) -> Schema:
     return tuple(Column(n, ScalarType(t)) for n, t in cols)
 
 
-@dataclass(frozen=True, slots=True)
-class Pred:
-    """Single-column comparison predicate."""
-
+class _PredFields(NamedTuple):
     column: str
     op: str
     value: Value
 
-    def __post_init__(self):
-        if self.op not in _OPS:
-            raise BadDefinition(f"unknown comparison operator {self.op!r}")
+
+class Pred(_PredFields):
+    """Single-column comparison predicate: an immutable named tuple, so it
+    compares, hashes and pickles as the 3-tuple of its fields. Building
+    one checks its operator, through ``_make`` and ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, column: str, op: str, value: Value):
+        if op not in _OPS:
+            raise BadDefinition(f"unknown comparison operator {op!r}")
+        return tuple.__new__(cls, (column, op, value))
+
+    @classmethod
+    def _make(cls, iterable) -> "Pred":
+        return cls(*iterable)
 
 
 class FullWindowEvent(NamedTuple):
@@ -136,6 +149,8 @@ class FullWindowEvent(NamedTuple):
 
 class _BaseTable:
     kind = "?"
+    # see ``pred_cols``: built on the table's first predicate
+    _pred_cols: Optional[dict[str, tuple[int, tuple[type, ...]]]] = None
 
     def __init__(self, name: str, schema: Schema):
         self.name = name
@@ -365,14 +380,29 @@ class UndoBuffer(list):
         self.clear()
 
 
+def pred_cols(tab: _BaseTable) -> dict[str, tuple[int, tuple[type, ...]]]:
+    """``tab``'s map from each column to its position and the value types a
+    predicate on it may compare with: text with ``str``, int and float with
+    ``int`` or ``float``. Built on the table's first predicate; select and
+    delete read it inline, and call ``pred_column`` only to raise."""
+    cols = tab._pred_cols
+    if cols is None:
+        cols = tab._pred_cols = {
+            c.name: (i, (str,) if c.type is ScalarType.TEXT else (int, float))
+            for i, c in enumerate(tab.schema)
+        }
+    return cols
+
+
 def pred_column(tab: _BaseTable, pred: Pred) -> tuple[int, Value]:
     """The position of ``pred``'s column in ``tab`` and the value it
-    compares with, checked once: text compares with ``str``, int and float
-    with ``int`` or ``float``."""
-    ci = tab.col(pred.column)
-    col = tab.schema[ci]
-    kinds = (str,) if col.type is ScalarType.TEXT else (int, float)
+    compares with, checked against ``pred_cols``."""
+    spot = pred_cols(tab).get(pred.column)
+    if spot is None:
+        tab.col(pred.column)  # raises UnknownColumn
+    ci, kinds = spot
     if type(pred.value) not in kinds:
+        col = tab.schema[ci]
         raise TypeMismatch(
             f"{tab.name}.{col.name} is {col.type.value}; "
             f"cannot compare it with {pred.value!r}"
@@ -548,13 +578,17 @@ class Store:
             self.table(table)  # raises UnknownTable
         if pred is None:
             return list(rows)
-        if pred.op != "==":
-            match = row_matcher(tab, pred)
-            return [t for t in rows if match(t)]
-        ci, want = pred_column(tab, pred)
-        if pred.column in indexes:
+        column, op, want = pred
+        spot = (tab._pred_cols or pred_cols(tab)).get(column)
+        if spot is None or type(want) not in spot[1]:
+            pred_column(tab, pred)  # raises UnknownColumn or TypeMismatch
+        ci = spot[0]
+        if op != "==":
+            fn = _OPS[op]
+            return [t for t in rows if fn(t.values[ci], want)]
+        if column in indexes:
             # a NaN equals nothing, though a dict finds a key by identity
-            return list(indexes[pred.column].get(want, ())) if want == want else []
+            return list(indexes[column].get(want, ())) if want == want else []
         return [t for t in rows if t.values[ci] == want]
 
     def delete_where(self, table: str, pred: Optional[Pred], undo: UndoBuffer) -> int:
@@ -585,18 +619,29 @@ class Store:
             if tab.index_cols:
                 tab.indexes = {cname: {} for cname, _ in tab.index_cols}
             return len(rows)
-        if pred.op == "==":
-            ci, want = pred_column(tab, pred)
-            gone = [t for t in rows if t.values[ci] == want]
-            if not gone:
-                return 0
-            kept = [t for t in rows if t.values[ci] != want]
+        column, op, want = pred
+        spot = (tab._pred_cols or pred_cols(tab)).get(column)
+        if spot is None or type(want) not in spot[1]:
+            pred_column(tab, pred)  # raises UnknownColumn or TypeMismatch
+        ci = spot[0]
+        gone: list[Tuple] = []
+        kept: list[Tuple] = []
+        # one pass splits the rows
+        if op == "==":
+            for t in rows:
+                if t.values[ci] == want:
+                    gone.append(t)
+                else:
+                    kept.append(t)
         else:
-            match = row_matcher(tab, pred)
-            gone = [t for t in rows if match(t)]
-            if not gone:
-                return 0
-            kept = [t for t in rows if not match(t)]
+            fn = _OPS[op]
+            for t in rows:
+                if fn(t.values[ci], want):
+                    gone.append(t)
+                else:
+                    kept.append(t)
+        if not gone:
+            return 0
         spots = []
         for cname, ci in tab.index_cols:
             idx = tab.indexes[cname]

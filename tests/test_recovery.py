@@ -52,7 +52,12 @@ from streamtx.recovery import (
 from streamtx.snapshot import snapshot_state
 from streamtx.storage import Pred
 from streamtx.validator import validate
-from streamtx.workloads import pe_chain_spec, window_native_spec
+from streamtx.workloads import (
+    leaderboard_spec,
+    make_vote_trace,
+    pe_chain_spec,
+    window_native_spec,
+)
 
 VAL_COLS = (("value", "int"),)
 
@@ -1541,6 +1546,33 @@ def test_strong_log_bytes_pinned(tmp_path, shape):
     e.close()
     blob = (tmp_path / LOG_FILE).read_bytes()
     assert hashlib.sha256(blob).hexdigest() == STRONG_LOG_SHA256[shape]
+
+
+# SHA-256 of the weak command log and input cache that a fixed leaderboard
+# feed writes, with one checkpoint midway and five rounds still unended at
+# the close: how the engine encodes a stream or procedure name must not
+# change a byte of either
+WEAK_FILE_SHA256 = {
+    LOG_FILE: "64a3591619d400d901a347a3dfff6245bbad9b63c46b06558eced5cd752dcf7b",
+    CACHE_FILE: "b32ad9e4c6da902762142b0793747a84125f3d083178bd163d1caf6c0170a4c5",
+}
+
+
+def test_weak_log_and_cache_bytes_pinned(tmp_path):
+    votes = make_vote_trace(4, 60)  # duplicate phones: aborts ride along
+    e = Engine(leaderboard_spec(removal_period=10), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.WEAK, group_commit_max_batch=8,
+               group_commit_max_delay=3600, fsync=False)
+    for r, vote in enumerate(votes, 1):
+        e.ingest_batch("votes_in", AtomicBatch(r, (Tuple(vote, r, r),)))
+        if r <= len(votes) - 5:
+            e.run_until_idle()
+        if r == len(votes) // 2:
+            e.checkpoint()
+    e.close()
+    for name, digest in WEAK_FILE_SHA256.items():
+        blob = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])

@@ -1,9 +1,11 @@
 import hashlib
 import operator
+import pickle
 import random
 
 import pytest
 
+from streamtx.config import format_pred, parse_pred
 from streamtx.errors import (
     BadDefinition,
     TypeMismatch,
@@ -222,6 +224,73 @@ def test_ill_typed_predicate_rejected_before_scan(store, pred):
     with pytest.raises(TypeMismatch):
         store.delete_where("t", pred, undo)
     assert len(store.table("t").rows) == 1
+
+
+class NoScan(list):
+    """A row list that fails the test when anything iterates over it."""
+
+    def __iter__(self):
+        raise AssertionError("the rows were scanned")
+
+
+@pytest.mark.parametrize("op", ["==", "<"])
+@pytest.mark.parametrize("indexed", [(), ("k",)], ids=["unindexed", "indexed"])
+@pytest.mark.parametrize("n_rows", [0, 3])
+@pytest.mark.parametrize("warm", [False, True], ids=["first_pred", "later_pred"])
+def test_unknown_column_rejected_before_scan(store, op, indexed, n_rows, warm):
+    """A predicate on a column the table lacks raises ``UnknownColumn``
+    before a select reads a row or a delete takes one, on the table's first
+    predicate and once it has resolved others."""
+    tab = store.create_public("t", make_schema(("k", "int"), ("v", "text")), indexed)
+    setup = UndoBuffer()
+    for i in range(n_rows):
+        store.insert("t", Tuple((i, "a")), setup)
+    if warm:
+        assert len(store.select_where("t", Pred("k", ">=", 0))) == n_rows
+    rows = list(tab.rows)
+    buckets = index_buckets(store)
+    tab.rows = NoScan(rows)
+    undo = UndoBuffer()
+    pred = Pred("nope", op, 1)
+    with pytest.raises(UnknownColumn, match="^t has no column nope$"):
+        store.select_where("t", pred)
+    with pytest.raises(UnknownColumn, match="^t has no column nope$"):
+        store.delete_where("t", pred, undo)
+    assert undo == []
+    assert tab.rows == rows
+    assert index_buckets(store) == buckets
+
+
+@pytest.mark.parametrize("op", ["==", "!=", "<", "<=", ">", ">="])
+def test_pred_is_an_immutable_checked_named_tuple(op):
+    """A ``Pred`` is a named tuple of (column, op, value): equal predicates
+    compare and hash alike, an int equal to a float included, it equals
+    the plain 3-tuple of its fields, refuses assignment, round-trips
+    through pickle and the config syntax, and no way of building one,
+    ``_make`` and ``_replace`` included, takes an unknown operator."""
+    p = Pred("v", op, 1)
+    assert p == Pred("v", op, 1.0) and hash(p) == hash(Pred("v", op, 1.0))
+    assert p == ("v", op, 1) and hash(p) == hash(("v", op, 1))
+    assert p != Pred("v", op, 2) and p != Pred("w", op, 1)
+    assert (p.column, p.op, p.value) == ("v", op, 1)
+    for field in ("column", "op", "value"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, "x")
+    assert Pred._make(("v", op, 1)) == p
+    assert p._replace(value=2) == Pred("v", op, 2)
+    for bad in ("=", "<>", "", None, f" {op}"):
+        for build in (
+            lambda: Pred("v", bad, 1),
+            lambda: Pred._make(("v", bad, 1)),
+            lambda: p._replace(op=bad),
+        ):
+            with pytest.raises(BadDefinition, match="unknown comparison operator"):
+                build()
+    for value in (3, -2, 1.5, "C1"):
+        q = Pred("v", op, value)
+        back = pickle.loads(pickle.dumps(q))
+        assert back == q and type(back) is Pred
+        assert parse_pred(format_pred(q)) == q
 
 
 OPERATORS = {
