@@ -135,28 +135,36 @@ def decode(buf, off, n):
 
 
 @functools.cache
-def _batch_codec(types: tuple[type, ...]) -> tuple[bytes, Callable]:
-    """The type codes of a batch whose rows have these column types, and
-    its rows' encoder."""
-    try:
-        codes = bytes(TYPE_CODES[kind] for kind in types)
-    except KeyError as e:
-        raise TypeMismatch(f"cannot encode a {e.args[0].__name__} value") from None
-    return codes, row_codec(types)[0]
-
-
-@functools.cache
 def _decoder(codes: bytes) -> Callable:
     return row_codec(tuple(_CODE_TYPES[c] for c in codes))[1]
 
 
+@functools.lru_cache(maxsize=1024)
+def _stream_codec(
+    stream: str, types: tuple[type, ...]
+) -> tuple[Callable, bytes, bytes, Callable]:
+    """One stream's part of the batch encoding, compiled for ``stream`` and
+    rows of these column types: the packer of its head (name text,
+    batch_id, tuple count, then column count and type codes), the head's
+    constant name and column bytes, and the rows' encoder."""
+    try:
+        codes = bytes(TYPE_CODES[kind] for kind in types)
+    except KeyError as e:
+        raise TypeMismatch(f"cannot encode a {e.args[0].__name__} value") from None
+    name, cols = name_bytes(stream), _H.pack(len(codes)) + codes
+    head = struct.Struct(f"<{len(name)}sqI{len(cols)}s")
+    return head.pack, name, cols, row_codec(types)[0]
+
+
 def encode_batches(batches: dict[str, AtomicBatch]) -> bytes:
+    """The batch encoding of ``batches``: each stream's head packs with one
+    struct compiled for its name and column types (``_stream_codec``)."""
     out = [_H.pack(len(batches))]
     try:
         for stream, (batch_id, tuples) in batches.items():
-            codes, encode_rows = _batch_codec(tuple(map(type, tuples[0].values)))
-            head = _BATCH_HEAD.pack(batch_id, len(tuples), len(codes))
-            out += (name_bytes(stream), head, codes, encode_rows(tuples))
+            types = tuple(map(type, tuples[0].values))
+            pack, name, cols, encode_rows = _stream_codec(stream, types)
+            out += (pack(name, batch_id, len(tuples), cols), encode_rows(tuples))
     except struct.error as e:  # a row head outside int64, say
         raise TypeMismatch(str(e)) from e
     return b"".join(out)

@@ -202,7 +202,11 @@ class Engine:
         batch for a round the border already took (``Partition.last_queued``),
         or a second one from a stream, raises ``BadDefinition``. A one-input
         border's batch is its whole round, which goes straight to the client
-        queue; a border with more inputs keeps a round's batches in a feeder
+        queue, behind the rounds that a full queue's pump (``queue_bound``)
+        runs first; should that pump stop the partition, the call raises,
+        with the failed write's ``LogWriteFailure`` or else
+        ``EngineStopped``, and neither caches nor queues the round. A border
+        with more inputs keeps a round's batches in a feeder
         slot until the round is complete and no lower round waits. A call
         made while an execution runs, from a procedure body, raises
         ``StreamTxError`` before it changes anything, so only that
@@ -237,25 +241,31 @@ class Engine:
             raise BadDefinition(f"{proc_name} already took round {round_}")
         table.check_rows(batch.tuples)
         by_stream = {stream: batch}
+        n_inputs = len(plan.inputs)
+        # a one-input border's round runs behind the rounds the queue-bound
+        # pump runs first; a pump that stops the partition leaves the round
+        # uncached and unqueued
+        if n_inputs == 1 and (
+            len(p.client_queue) + len(p.fast_track) >= self.queue_bound
+        ):
+            self.run_until_idle()
+            if p.stopped:
+                raise EngineStopped("partition is stopped")
         cached = None  # the cache's encoding of this batch, if it keeps one
         if not resubmit and p.input_cache.path is not None:
             cached = batches_to_args(by_stream)
             p.fail_stop(p.input_cache.append, stream, batch, cached)
-        n_inputs = len(plan.inputs)
         if n_inputs == 1:
             # this batch completes the round, and no lower round of a
             # one-input border can wait for a batch: queue it, with no slot
-            p.last_queued[proc_name] = round_
-            if len(p.client_queue) + len(p.fast_track) >= self.queue_bound:
-                self.run_until_idle()
             args = b""
             if plan.logged:  # the cache may have encoded the round already
                 args = cached or batches_to_args(by_stream)
+            p.last_queued[proc_name] = round_
             ticket = Ticket()
-            req = TERequest(
-                proc_name, round_, args, Origin.CLIENT, ticket, batches=by_stream
+            p.client_queue.append(
+                TERequest(proc_name, round_, args, Origin.CLIENT, ticket, by_stream)
             )
-            p.submit_client(req)
             return ticket
         if pending is None:
             pending = self._feeder_pending[proc_name] = {}

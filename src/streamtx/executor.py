@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -391,7 +392,8 @@ class Partition:
     def _submit_trigger(self, fires: list[tuple[str, int]]) -> list[TERequest]:
         """Queue trigger-fired work on the fast track, skipping rounds a
         target already has queued (two producers can complete the same
-        round's inputs in one commit)."""
+        round's inputs in one commit). Recovery's refire calls this;
+        ``_commit_group`` queues its own fires inline, by the same rule."""
         out = []
         for target, round_ in fires:
             if self.last_queued.get(target, 0) >= round_:
@@ -419,8 +421,9 @@ class Partition:
             raise StreamTxError("serial execution violated")
         req = self.schedule_next()
         if req is None:
-            if self.log.pending:  # the group-commit timer
-                self.fail_stop(self.log.maybe_flush)
+            log = self.log
+            if log.pending and time.monotonic() >= log.deadline:
+                self.fail_stop(log.flush)  # the group-commit timer ran out
             return False
         self.execute(req)
         return True
@@ -436,8 +439,9 @@ class Partition:
             elif client:
                 self.execute(client.popleft())
             else:
-                if self.log.pending:  # the group-commit timer
-                    self.fail_stop(self.log.maybe_flush)
+                log = self.log
+                if log.pending and time.monotonic() >= log.deadline:
+                    self.fail_stop(log.flush)  # the group-commit timer ran out
                 return
 
     def drain_and_quiesce(self) -> None:
@@ -549,7 +553,8 @@ class Partition:
     def _load_inputs(self, ctx: TEContext, plan: ProcedurePlan, req: TERequest):
         """Append a border's input batches to their streams, taken from the
         request's batches, or decoded from its args when it carries none, as
-        in replay; every other input must already hold the round's batch.
+        in replay; every other input must already hold the round's batch,
+        which the body gets as a fresh list.
         A request's batches skip the value rule, which ingest ran on them
         against the same tables; decoded ones keep it, and must be the
         request's round, because a log may come from another spec."""
@@ -577,12 +582,12 @@ class Partition:
         for stream, tab in zip(proc.stream_inputs, plan.inputs):
             if stream in inputs:
                 continue
-            tuples = tab.batch_tuples(req.round)
+            tuples = tab.batches.get(req.round)
             if not tuples:
                 raise MissingInputBatch(
                     f"{proc.name}: stream {stream} holds no batch {req.round}"
                 )
-            inputs[stream] = tuples
+            inputs[stream] = list(tuples)
 
     # --- commit / abort ---
 
@@ -591,16 +596,20 @@ class Partition:
         children that ran, as one transaction. Its one log record is ``req``
         at the group's first commit seq; the ticket's commit seq is its last.
         A batch on a stream that triggers a procedure waits for its consumer
-        from here on. The transaction then ends its round as an abort does
-        (see ``drop_aborted``), inline to keep the commit path one call
-        shorter. The record goes to the log last: ``CommandLog.append``
-        flushes once ``max_batch`` records wait or the oldest is overdue.
-        ``execute`` stops the partition when a log write fails."""
+        from here on, and the requests its trigger fires go straight onto
+        the fast track, by ``_submit_trigger``'s rule. The transaction then
+        ends its round as an abort does (see ``drop_aborted``), inline to
+        keep the commit path one call shorter. The record goes to the log
+        last: ``CommandLog.append`` flushes once ``max_batch`` records wait
+        or the log's deadline has passed; an unlogged commit flushes the
+        waiting records once that deadline is due. ``execute`` stops the
+        partition when a log write fails."""
         ticket = req.ticket
         triggers = self.trigger_engine
         store = self.store
         schedule = self.committed_schedule
         counters = self.counters
+        last_queued = self.last_queued
         round_ = req.round
         first_seq = self.commit_seq + 1  # the record's
         seq = self.commit_seq
@@ -609,14 +618,19 @@ class Partition:
             schedule.append(_make(TransactionExecution, (ctx.proc.name, round_, seq)))
             if child.ticket is not None:
                 child.ticket.result_rows = ctx.result_rows
-            # fire each appended stream that triggers a procedure; collect
-            # one a statement program ran on, unless a consumer waits for it
+            # fire each appended stream that triggers a procedure, queueing
+            # its target as ``_submit_trigger`` would; collect one a
+            # statement program ran on, unless a consumer waits for it
             for stream, sp in ctx.appended.items():
                 if sp.target is not None:
                     triggers.note_append(stream, round_)
-                    fires = triggers.fire_procedure_triggers(stream, round_)
-                    if fires:
-                        self._submit_trigger(fires)
+                    for target, _ in triggers.fire_procedure_triggers(stream, round_):
+                        if last_queued.get(target, 0) < round_:
+                            last_queued[target] = round_
+                            self.fast_track.append(
+                                TERequest(target, round_, b"", Origin.TRIGGER)
+                            )
+                            counters.boundary_crossings += 1
                 if sp.program is not None and triggers.gc_eligible(stream, round_):
                     store.garbage_collect(stream, round_)
         self.commit_seq = seq
@@ -650,8 +664,9 @@ class Partition:
         else:
             if ticket is not None:
                 ticket.acknowledged = True
-            if self.log.pending:
-                self.log.maybe_flush()
+            log = self.log
+            if log.pending and time.monotonic() >= log.deadline:
+                log.flush()
 
     def _finish_abort(
         self, req: TERequest, plan: ProcedurePlan, error: Exception

@@ -55,11 +55,13 @@ the OS only. ``replace_file`` always syncs.
 from __future__ import annotations
 
 import enum
+import functools
 import os
 import struct
 import time
+import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .codec import (
     FRAME_OVERHEAD,
@@ -79,6 +81,7 @@ LOG_VERSION = 6
 _LOG_HEAD = struct.Struct("<IBIQ")  # version, mode, partition, snapshot seq
 _RECORD_HEAD = struct.Struct("<QQI")  # commit_seq, round, aborted count
 _ROUND = struct.Struct("<Q")
+_CRC = struct.Struct("<I")  # a frame's CRC of its length and payload
 TEMP_SUFFIX = ".tmp"  # replace_file writes here before the rename
 
 
@@ -98,11 +101,17 @@ class CommandLogRecord(NamedTuple):
     aborted: tuple[tuple[str, int], ...] = ()
 
     def encode(self) -> bytes:
+        """The record's frame: one compiled head packs the frame's length,
+        the record head and the procedure's name (``_frame_head``); the
+        carried aborts and the args follow, then the CRC. The bytes equal
+        ``frame`` of the record's payload."""
         seq, procedure, round_, args, aborted = self
-        body = _RECORD_HEAD.pack(seq, round_, len(aborted)) + name_bytes(procedure)
-        for procedure, round_ in aborted:
-            body += name_bytes(procedure) + _ROUND.pack(round_)
-        return frame(body + args)
+        pack, size, name = _frame_head(procedure)
+        if aborted:
+            carried = [name_bytes(p) + _ROUND.pack(r) for p, r in aborted]
+            args = b"".join(carried) + args
+        body = pack(size + len(args), seq, round_, len(aborted), name) + args
+        return body + _CRC.pack(zlib.crc32(body))
 
     @classmethod
     def decode(cls, payload: bytes) -> "CommandLogRecord":
@@ -114,6 +123,16 @@ class CommandLogRecord(NamedTuple):
             aborted.append((name, _ROUND.unpack_from(payload, off)[0]))
             off += _ROUND.size
         return cls(seq, procedure, round_, payload[off:], tuple(aborted))
+
+
+@functools.lru_cache(maxsize=1024)
+def _frame_head(procedure: str) -> tuple[Callable, int, bytes]:
+    """For ``procedure``, made once: the packer of a record frame's start
+    (frame length u32, record head, then the name's text, which it takes
+    last), how many payload bytes that start holds, and the name's text."""
+    name = name_bytes(procedure)
+    head = struct.Struct(f"<I{_RECORD_HEAD.format[1:]}{len(name)}s")
+    return head.pack, _RECORD_HEAD.size + len(name), name
 
 
 # the procedure kinds whose transactions each log mode logs, by the kind of
@@ -229,10 +248,13 @@ class CommandLog:
     buffered records are acknowledged only once their flush completes. A
     flush happens when ``max_batch`` records are pending, when the oldest
     pending record is older than ``max_delay``, or explicitly. ``pending``
-    lists the buffered (record, ticket) pairs; the partition checks the
-    timer only while it holds one. A log without a file (no data dir or no
-    recovery mode) has no mode and logs nothing. Every flush counts in
-    ``counters.sync_count``.
+    lists the buffered (record, ticket) pairs, and ``deadline`` is when the
+    oldest of them is overdue: ``append`` sets it for the first record to
+    wait and flushes a record appended after it at once, and the
+    partition, while a record waits, compares ``time.monotonic()`` with it
+    inline and calls ``flush`` once it has passed. A log without a file (no
+    data dir or no recovery mode) has no mode and logs nothing. Every flush
+    counts in ``counters.sync_count``.
     """
 
     def __init__(
@@ -251,29 +273,23 @@ class CommandLog:
         self.max_batch = max(1, max_batch)
         self.max_delay = max_delay
         self.pending: list[tuple[CommandLogRecord, object]] = []
-        self._pending_since: Optional[float] = None
+        # when the oldest pending record is overdue (``time.monotonic``);
+        # None while nothing waits
+        self.deadline: Optional[float] = None
         self._file = None
         if mode is not None:
             self._file = AppendFile(path, _log_header(mode, partition_id), fsync)
 
     def append(self, record: CommandLogRecord, ticket=None) -> None:
-        """Buffer ``record``, then flush as ``maybe_flush`` would, or at
-        once when ``max_batch`` records are pending."""
+        """Buffer ``record``, setting the deadline when it is the first to
+        wait; flush once ``max_batch`` records are pending or the deadline
+        has passed."""
         pending = self.pending
         pending.append((record, ticket))
         now = time.monotonic()
-        if self._pending_since is None:
-            self._pending_since = now
-        if len(pending) >= self.max_batch or (
-            now - self._pending_since >= self.max_delay
-        ):
-            self.flush()
-
-    def maybe_flush(self) -> None:
-        """Timer surrogate: flush if the oldest pending record is overdue."""
-        if self.pending and (
-            time.monotonic() - self._pending_since >= self.max_delay
-        ):
+        if len(pending) == 1:
+            self.deadline = now + self.max_delay
+        if len(pending) >= self.max_batch or now >= self.deadline:
             self.flush()
 
     def flush(self) -> int:
@@ -281,7 +297,7 @@ class CommandLog:
         if not self.pending:
             return 0
         batch, self.pending = self.pending, []
-        self._pending_since = None
+        self.deadline = None
         self._file.append(b"".join([record.encode() for record, _ in batch]))
         self.counters.sync_count += 1
         for _, ticket in batch:
@@ -296,7 +312,7 @@ class CommandLog:
     def crash(self) -> None:
         """Drop buffered records and close, as a power failure would."""
         self.pending.clear()
-        self._pending_since = None
+        self.deadline = None
         if self._file is not None:
             self._file.close()
 

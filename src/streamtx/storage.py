@@ -266,6 +266,10 @@ class StreamTable(_BaseTable):
         return list(self.batches)
 
     def batch_tuples(self, batch_id: int) -> list[Tuple]:
+        """A copy of batch ``batch_id``'s tuples, empty when the stream
+        holds none. No engine path calls it: an execution reads its input
+        from ``batches`` directly. It stays because the benchmark's tracer
+        wraps it by name, until that tracer reads public API only."""
         return list(self.batches.get(batch_id, ()))
 
 

@@ -11,8 +11,9 @@ rounds, four slides each). Another, weak-mode shape, the
 leaderboard's vote workflow with its input cache, keeps the ingest path
 that still encodes each batch: once for the cache, whose encoding the
 logged border reuses as its args. Run this file with ``-s`` to
-print them. A change that adds calls to the round path fails here: lower
-the count again, or raise the pin on purpose and say why. Functions that
+print them. The pins are exact: a change that adds calls to the round
+path fails here, and so does one that removes calls without lowering the
+pin. Lower the count again, or move the pin on purpose and say why. Functions that
 Python generates from source, such as a named tuple's ``__new__``, a
 dataclass's ``__init__`` or the codec's compiled row encoders, have the file
 name ``<string>`` and are not counted, so what a record costs to build or
@@ -53,9 +54,9 @@ ROUNDS = 64  # five records a round fill 40 group-commit flushes of 8
 
 # calls per round when these pins were set; a flush of 8 records costs a
 # fractional share of a round
-PINS = {"chain": 119.625, "window": 26, "window4": 26, "leaderboard": 105.359375}
+PINS = {"chain": 103.875, "window": 25, "window4": 25, "leaderboard": 101.109375}
 # calls per strong record replayed and per weak cached round re-submitted
-RECOVERY_PINS = {"STRONG": 21.8, "WEAK": 12}
+RECOVERY_PINS = {"STRONG": 21, "WEAK": 11}
 
 
 def chain_engine(data_dir):
@@ -129,7 +130,7 @@ def test_calls_per_round_pinned(shape, tmp_path):
     twice = streamtx_calls(shape, str(tmp_path / "2n"), 2 * ROUNDS)
     per_round = (twice - once) / ROUNDS
     print(f"\n{shape}: {per_round:g} streamtx calls per round")
-    assert per_round <= PINS[shape]
+    assert per_round == pytest.approx(PINS[shape], abs=1e-9)
 
 
 # recovery mode -> (shape, its spec, whether the feed is pumped)
@@ -169,4 +170,4 @@ def test_recovery_calls_pinned(mode, tmp_path):
     twice, n_twice = recovery_calls(mode, str(tmp_path / "2n"), 2 * ROUNDS)
     per_unit = (twice - once) / (n_twice - n_once)
     print(f"\n{mode}: {per_unit:g} streamtx calls per repeated record or round")
-    assert per_unit <= RECOVERY_PINS[mode]
+    assert per_unit == pytest.approx(RECOVERY_PINS[mode], abs=1e-9)

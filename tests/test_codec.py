@@ -223,3 +223,139 @@ def test_check_row_accepts_exactly_what_row_codec_round_trips():
         batches = {"s": batch}
         assert exact(args_to_batches(batches_to_args(batches))) == exact(batches)
     assert rejected > 200
+
+
+# --- the compiled record and batch heads against struct and zlib alone ---
+
+NAME_CHARS = "aZ_9é€😀"
+
+
+def random_name(rng, max_bytes=64):
+    """A name of 1 to ``max_bytes`` UTF-8 bytes, often not ASCII."""
+    want = rng.randrange(1, max_bytes + 1)
+    name = ""
+    while True:
+        c = rng.choice(NAME_CHARS)
+        if len((name + c).encode()) > want:
+            return name or "a"
+        name += c
+
+
+def ref_text(s):
+    b = s.encode()
+    return struct.pack("<H", len(b)) + b
+
+
+def ref_frame(payload):
+    body = struct.pack("<I", len(payload)) + payload
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def ref_record(rec):
+    """A command-log record's frame, as the format describes it."""
+    payload = struct.pack("<QQI", rec.commit_seq, rec.round, len(rec.aborted))
+    payload += ref_text(rec.procedure)
+    for procedure, round_ in rec.aborted:
+        payload += ref_text(procedure) + struct.pack("<Q", round_)
+    return ref_frame(payload + rec.args)
+
+
+def random_records(seed, n=40):
+    rng = random.Random(seed)
+    names = [random_name(rng) for _ in range(4)]  # reused: the heads are cached
+    seq = 0
+    out = []
+    for _ in range(n):
+        seq += rng.randrange(1, 2**20)
+        aborted = tuple(
+            (rng.choice(names + [random_name(rng)]), rng.randrange(2**64))
+            for _ in range(rng.randrange(4))
+        )
+        args = rng.choice([b"", rng.randbytes(rng.randrange(1, 40))])
+        procedure = rng.choice(names + [random_name(rng)])
+        round_ = rng.randrange(2**64)
+        out.append(CommandLogRecord(seq, procedure, round_, args, aborted))
+    return out
+
+
+def test_record_encode_matches_reference_frame(tmp_path):
+    from streamtx.executor import Counters
+    from streamtx.recovery import CommandLog, RecoveryMode, read_log
+
+    for seed in range(30):
+        records = random_records(seed)
+        for rec in records:
+            assert rec.encode() == ref_record(rec), (seed, rec)
+        path = str(tmp_path / f"{seed}.log")
+        log = CommandLog(
+            path, RecoveryMode.STRONG, Counters(), max_batch=7, max_delay=3600,
+            fsync=False,
+        )
+        for rec in records:
+            log.append(rec)
+        log.close()
+        assert read_log(path)[4] == records, seed
+
+
+def ref_batches(batches):
+    """The batch encoding, as the format describes it."""
+    out = struct.pack("<H", len(batches))
+    for stream, (batch_id, tuples) in batches.items():
+        types = [type(v) for v in tuples[0].values]
+        codes = bytes({int: 0, float: 1, str: 2}[k] for k in types)
+        out += ref_text(stream)
+        out += struct.pack("<qIH", batch_id, len(tuples), len(codes)) + codes
+        for t in tuples:
+            out += struct.pack("<qqq", t.tuple_id, t.batch_id, t.ts)
+            for v in t.values:
+                if type(v) is int:
+                    out += struct.pack("<q", v)
+                elif type(v) is float:
+                    out += struct.pack("<d", v)
+                else:
+                    out += ref_text(v)
+    return out
+
+
+def test_one_stream_batches_match_reference_encoding():
+    from streamtx.codec import decode_batches, encode_batches
+
+    rng = random.Random(7)
+    streams = [random_name(rng, 20) for _ in range(3)]  # each with many types
+    for seed in range(300):
+        rng = random.Random(seed)
+        kinds = [rng.choice(("int", "float", "text")) for _ in range(rng.randrange(5))]
+        batch_id = rng.choice(INT_EDGES + [rng.randrange(1, 1000)])
+        tuples = tuple(
+            Tuple(
+                tuple(random_value(rng, k) for k in kinds),
+                rng.choice(INT_EDGES + [rng.randrange(1, 1000)]),
+                batch_id,
+                rng.choice(INT_EDGES),
+            )
+            for _ in range(rng.randrange(1, 6))
+        )
+        stream = rng.choice(streams + [random_name(rng)])
+        batches = {stream: AtomicBatch(batch_id, tuples)}
+        blob = encode_batches(batches)
+        assert blob == ref_batches(batches), seed
+        assert exact(decode_batches(blob)) == exact(batches), seed
+
+
+@pytest.mark.parametrize("field", ["tuple_id", "batch_id", "ts"])
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+@pytest.mark.parametrize("n_streams", [1, 2])
+def test_row_head_outside_int64_is_a_type_mismatch(field, value, n_streams):
+    from streamtx.codec import encode_batches
+
+    good, bad = Tuple((1, 2.5, "x"), 2, 4, 5), Tuple((1, 2.5, "x"), 3, 4, 5)
+    if field == "batch_id":  # a batch's tuples carry its id
+        rows = (good._replace(batch_id=value), bad._replace(batch_id=value))
+        batch = AtomicBatch(value, rows)
+    else:
+        batch = AtomicBatch(4, (good, bad._replace(**{field: value})))
+    batches = {"s": batch}
+    if n_streams == 2:
+        batches["t"] = one([1])
+    with pytest.raises(TypeMismatch):
+        encode_batches(batches)

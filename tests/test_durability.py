@@ -403,3 +403,95 @@ def test_recovery_leaves_no_open_or_stale_files(tmp_path):
     r.close()
     del r
     gc.collect()
+
+
+# --- the group-commit timer, on a clock the test moves ---
+
+DELAY = 0.5  # exact in binary, so deadlines compare exactly
+
+
+class FakeClock:
+    """Stands in for the ``time`` module that the log and the partition
+    read ``monotonic`` from."""
+
+    def __init__(self, now=100.0):
+        self.now = now
+
+    def monotonic(self):
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    import streamtx.executor as executor_mod
+
+    fake = FakeClock()
+    monkeypatch.setattr(recovery_mod, "time", fake)
+    monkeypatch.setattr(executor_mod, "time", fake)
+    return fake
+
+
+def timed_engine(tmp_path, mode=RecoveryMode.STRONG):
+    """A chain whose records wait for the timer: no group fills up."""
+    return Engine(
+        chain_spec(N_PROCS), data_dir=str(tmp_path), recovery_mode=mode,
+        group_commit_max_batch=100, group_commit_max_delay=DELAY, fsync=False,
+    )
+
+
+@pytest.mark.parametrize("pump", ["run_until_idle", "step"])
+def test_idle_pump_flushes_once_the_deadline_passes(tmp_path, clock, pump):
+    e = timed_engine(tmp_path)
+    log, syncs = e.partition.log, e.counters.sync_count
+    ticket = e.ingest_batch("s1", batch(1))
+    e.run_until_idle()
+    assert ticket.committed and len(log.pending) == N_PROCS
+    assert log.deadline == 100.0 + DELAY  # set by the first record to wait
+    for now in (100.0, 100.0 + DELAY / 2, 100.0 + DELAY - 1e-9):
+        clock.now = now
+        assert not getattr(e, pump)()
+        assert len(log.pending) == N_PROCS and not ticket.acknowledged
+        assert e.counters.sync_count == syncs
+    clock.now = 100.0 + DELAY
+    assert not getattr(e, pump)()
+    assert not log.pending and log.deadline is None
+    assert ticket.acknowledged and e.counters.sync_count == syncs + 1
+    e.close()
+
+
+def test_record_appended_after_the_deadline_flushes_at_once(tmp_path, clock):
+    e = timed_engine(tmp_path)
+    log, syncs = e.partition.log, e.counters.sync_count
+    first = e.ingest_batch("s1", batch(1))
+    e.run_until_idle()
+    clock.now = log.deadline + 1.0
+    second = e.ingest_batch("s1", batch(2))
+    assert not first.acknowledged and e.counters.sync_count == syncs
+    assert e.step()  # round 2's border commits and appends its record
+    # that append flushed round 1's records and its own
+    assert first.acknowledged and second.acknowledged
+    assert not log.pending and e.counters.sync_count == syncs + 1
+    e.run_until_idle()  # round 2's interiors wait on a new deadline
+    assert len(log.pending) == N_PROCS - 1
+    assert log.deadline == clock.now + DELAY
+    assert e.counters.sync_count == syncs + 1
+    e.close()
+
+
+def test_unlogged_commit_flushes_once_the_deadline_is_due(tmp_path, clock):
+    # weak mode logs the border only: its interiors commit unlogged
+    e = timed_engine(tmp_path, RecoveryMode.WEAK)
+    log, syncs = e.partition.log, e.counters.sync_count
+    ticket = e.ingest_batch("s1", batch(1))
+    assert e.step()  # SP1: its record waits
+    assert len(log.pending) == 1 and not ticket.acknowledged
+    clock.now = 100.0 + DELAY - 1e-9
+    assert e.step()  # SP2 commits unlogged before the deadline
+    assert len(log.pending) == 1 and not ticket.acknowledged
+    assert e.counters.sync_count == syncs
+    clock.now = 100.0 + DELAY
+    assert e.step()  # SP3 commits unlogged once it is due
+    assert not log.pending and ticket.acknowledged
+    assert e.counters.sync_count == syncs + 1
+    assert e.counters.te_committed == N_PROCS
+    e.close()

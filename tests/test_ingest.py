@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from streamtx.engine import Engine, EngineSpec, StreamDef, TableDef
@@ -8,7 +10,14 @@ from streamtx.ingest import (
     StreamIngestor,
     ingest,
 )
-from streamtx.model import ProcedureDef, ProcedureKind, Tuple, register_workflow
+from streamtx.model import (
+    AtomicBatch,
+    ProcedureDef,
+    ProcedureKind,
+    Tuple,
+    register_workflow,
+)
+from test_recovery import chain_spec
 
 VAL_COLS = (("value", "int"),)
 
@@ -209,3 +218,100 @@ def test_from_values_takes_a_tuple_as_its_values():
     # a Tuple is a tuple too, but its four fields are not a row
     feed = FeedSource.from_values([Tuple((1, "a"), 5, 5, 9), (2, "b"), [3, "c"], 4], ts=7)
     assert feed.rows == [((1, "a"), 7), ((2, "b"), 7), ((3, "c"), 7), ((4,), 7)]
+
+
+# --- the one-input intake: straight to the client queue ---
+
+
+def small_batch(r):
+    return AtomicBatch(r, (Tuple((r,), tuple_id=r, batch_id=r),))
+
+
+def test_round_queues_behind_the_queue_bound_pump():
+    e = Engine(chain_spec(3), queue_bound=3)
+    tickets = [e.ingest_batch("s1", small_batch(r)) for r in (1, 2, 3)]
+    assert [req.round for req in e.partition.client_queue] == [1, 2, 3]
+    fourth = e.ingest_batch("s1", small_batch(4))  # the pump runs 1-3 first
+    assert all(t.committed for t in tickets)
+    (req,) = e.partition.client_queue
+    assert (req.proc, req.round, req.ticket) == ("SP1", 4, fourth)
+    assert e.partition.last_queued["SP1"] == 4
+    e.run_until_idle()
+    assert fourth.committed
+    assert [(te.procedure, te.round) for te in e.committed_schedule] == [
+        (f"SP{i}", r) for r in (1, 2, 3, 4) for i in (1, 2, 3)
+    ]
+
+
+def test_failed_pump_write_queues_and_caches_nothing(tmp_path, monkeypatch):
+    from streamtx.errors import LogWriteFailure
+    from streamtx.recovery import RecoveryMode, read_input_cache
+
+    e = Engine(
+        chain_spec(3), data_dir=str(tmp_path), recovery_mode=RecoveryMode.WEAK,
+        fsync=True, queue_bound=3,
+    )
+    for r in (1, 2, 3):
+        e.ingest_batch("s1", small_batch(r))
+
+    def fail(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(LogWriteFailure, match="disk full"):
+        e.ingest_batch("s1", small_batch(4))  # round 1's record fails to sync
+    monkeypatch.undo()
+    p = e.partition
+    assert p.stopped
+    assert [req.round for req in p.client_queue] == [2, 3]
+    assert p.last_queued["SP1"] == 3
+    assert [b.batch_id for b in p.input_cache.retained["s1"]] == [1, 2, 3]
+    cached = read_input_cache(str(tmp_path / "input.cache"))
+    assert [b.batch_id for b in cached["s1"]] == [1, 2, 3]
+    with pytest.raises(EngineStopped):
+        e.ingest_batch("s1", small_batch(4))
+    e.crash()
+
+
+def test_pump_that_stops_the_partition_raises_engine_stopped():
+    def stop(partition):
+        partition.stopped = True  # as a crash in a commit hook would
+
+    e = Engine(chain_spec(3), queue_bound=2, post_commit_hook=stop)
+    for r in (1, 2):
+        e.ingest_batch("s1", small_batch(r))
+    with pytest.raises(EngineStopped):
+        e.ingest_batch("s1", small_batch(3))
+    assert [req.round for req in e.partition.client_queue] == [2]
+    assert e.partition.last_queued["SP1"] == 2
+
+
+def test_client_calls_get_their_ticket_from_submit_client(monkeypatch):
+    from streamtx.bench import _client_call
+    from streamtx.executor import Partition
+
+    submitted = []
+    real = Partition.submit_client
+
+    def spy(self, req):
+        ticket = real(self, req)
+        submitted.append((req.proc, req.round, ticket))
+        return ticket
+
+    monkeypatch.setattr(Partition, "submit_client", spy)
+    w = register_workflow(
+        "q", [ProcedureDef("W", ProcedureKind.OLTP, body=lambda ctx: None)]
+    )
+    oltp = Engine(EngineSpec(workflows=[w]))
+    ticket = oltp.call_oltp("W")
+    assert submitted == [("W", 0, ticket)]
+
+    spec = chain_spec(2)
+    spec.use_procedure_triggers = False  # the client drives SP2
+    e = Engine(spec)
+    e.ingest_batch("s1", small_batch(1))
+    assert len(submitted) == 1  # a border round goes straight to the queue
+    e.run_until_idle()
+    assert _client_call(e, "SP2", 1)["outcome"] == "committed"
+    assert [s[:2] for s in submitted] == [("W", 0), ("SP2", 1)]
+    assert submitted[1][2].committed
