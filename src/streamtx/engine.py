@@ -88,6 +88,8 @@ class Engine:
     # whether this engine may write into data_dir: recover() sets it for the
     # directory it reopens, and any other engine's first write claims it
     _owns_data_dir = False
+    # the rows each table's last checkpoint encoded (``snapshot_state``)
+    _snapshot_memo: Optional[dict] = None
 
     def __init__(
         self,
@@ -327,13 +329,19 @@ class Engine:
     def checkpoint(self) -> str:
         """Quiesce, write a snapshot, truncate the log, and compact the input
         cache to the batches above their border's mark (``_unended``). A
-        failed file step stops the partition, as a failed log write does."""
+        failed file step stops the partition, as a failed log write does.
+        The snapshot encodes only the rows that public tables and streams
+        gained since the last checkpoint (``snapshot_state``'s memo): with
+        no execution open once ``drain_and_quiesce`` returns, every row it
+        reuses is committed."""
         if self.data_dir is None:
             raise BadDefinition("checkpoint needs a data directory")
         self._claim_data_dir()
         self.drain_and_quiesce()  # also flushes the log
         p = self.partition
-        blob = self.snapshot_bytes()
+        if self._snapshot_memo is None:
+            self._snapshot_memo = {}
+        blob = snapshot_state(self.store, p.id, p.commit_seq, self._snapshot_memo)
         path = os.path.join(self.data_dir, f"snapshot-{p.commit_seq:012d}.snap")
         p.fail_stop(replace_file, path, blob)
         if p.log.mode is not None:

@@ -389,22 +389,6 @@ class Partition:
         self.client_queue.append(req)
         return req.ticket
 
-    def _submit_trigger(self, fires: list[tuple[str, int]]) -> list[TERequest]:
-        """Queue trigger-fired work on the fast track, skipping rounds a
-        target already has queued (two producers can complete the same
-        round's inputs in one commit). Recovery's refire calls this;
-        ``_commit_group`` queues its own fires inline, by the same rule."""
-        out = []
-        for target, round_ in fires:
-            if self.last_queued.get(target, 0) >= round_:
-                continue
-            self.last_queued[target] = round_
-            req = TERequest(target, round_, origin=Origin.TRIGGER)
-            self.fast_track.append(req)
-            self.counters.boundary_crossings += 1
-            out.append(req)
-        return out
-
     # --- scheduling ---
 
     def schedule_next(self) -> Optional[TERequest]:
@@ -597,13 +581,14 @@ class Partition:
         at the group's first commit seq; the ticket's commit seq is its last.
         A batch on a stream that triggers a procedure waits for its consumer
         from here on, and the requests its trigger fires go straight onto
-        the fast track, by ``_submit_trigger``'s rule. The transaction then
-        ends its round as an abort does (see ``drop_aborted``), inline to
-        keep the commit path one call shorter. The record goes to the log
-        last: ``CommandLog.append`` flushes once ``max_batch`` records wait
-        or the log's deadline has passed; an unlogged commit flushes the
-        waiting records once that deadline is due. ``execute`` stops the
-        partition when a log write fails."""
+        the fast track, skipping a round their target already has queued
+        (two producers can complete the same round's inputs in one
+        commit). The transaction then ends its round as an abort does (see
+        ``drop_aborted``), inline to keep the commit path one call shorter.
+        The record goes to the log last: ``CommandLog.append`` flushes once
+        ``max_batch`` records wait or the log's deadline has passed; an
+        unlogged commit flushes the waiting records once that deadline is
+        due. ``execute`` stops the partition when a log write fails."""
         ticket = req.ticket
         triggers = self.trigger_engine
         store = self.store
@@ -619,7 +604,7 @@ class Partition:
             if child.ticket is not None:
                 child.ticket.result_rows = ctx.result_rows
             # fire each appended stream that triggers a procedure, queueing
-            # its target as ``_submit_trigger`` would; collect one a
+            # its target unless it already has the round; collect one a
             # statement program ran on, unless a consumer waits for it
             for stream, sp in ctx.appended.items():
                 if sp.target is not None:
@@ -709,4 +694,16 @@ class Partition:
     # --- trigger surface (module operations live on the partition) ---
 
     def refire_nonempty_streams(self) -> list[TERequest]:
-        return self._submit_trigger(self.trigger_engine.refire_nonempty_streams())
+        """Queue on the fast track what recovery's refire of the triggering
+        streams fires, skipping the rounds a target already has queued, by
+        the rule ``_commit_group`` queues its own fires with."""
+        out = []
+        for target, round_ in self.trigger_engine.refire_nonempty_streams():
+            if self.last_queued.get(target, 0) >= round_:
+                continue
+            self.last_queued[target] = round_
+            req = TERequest(target, round_, origin=Origin.TRIGGER)
+            self.fast_track.append(req)
+            self.counters.boundary_crossings += 1
+            out.append(req)
+        return out

@@ -453,10 +453,6 @@ class DispatchCounts:
     client_path: int
     trigger_path: int
 
-    @property
-    def total(self) -> int:
-        return self.client_path + self.trigger_path
-
 
 def recovery_dispatch_count(
     mode: RecoveryMode, n_procedures: int, rounds: int, oltp: int = 0

@@ -7,19 +7,28 @@ Layout (little-endian, length-prefixed strings):
     shape:   kind u8 | name | schema | index columns, or window owner, size, slide
     trailer: CRC32 over everything before it
 
+A table's rows are the concatenation of each row's encoding, so a
+checkpoint that keeps the previous one's encoded rows (``snapshot_state``'s
+memo) encodes only the rows added since and writes the same bytes as one
+that encodes everything. The file is still written, and its CRC taken,
+whole.
+
 Restore loads the file into the store the spec built: each table's shape
 must equal the snapshot's byte for byte, and its contents are replaced
 bit-exactly, including stream tuple-id counters and window staging state.
+Restore decodes every row; it seeds no memo.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from itertools import islice
+from typing import Optional
 
 from .codec import TYPE_CODES, encode_text, row_codec
 from .errors import CorruptSnapshot, VersionMismatch
-from .storage import AnyTable, PublicTable, Store, StreamTable
+from .storage import AnyTable, PublicTable, Store, StreamTable, WindowTable
 
 MAGIC = b"STXSNAP1"
 VERSION = 1
@@ -29,6 +38,7 @@ _KIND_CODE = {"public": 0, "stream": 1, "window": 2}
 _PUBLIC_STATE = struct.Struct("<Q")  # rows
 _STREAM_STATE = struct.Struct("<QQQ")  # next tuple id, last consumed batch, rows
 _WINDOW_STATE = struct.Struct("<BQQQ")  # full_seen, events emitted, active, staged
+_NOTHING = (None, 0, 0, b"")  # a memo entry that keeps no rows
 
 
 def _shape(tab: AnyTable) -> bytes:
@@ -45,25 +55,68 @@ def _shape(tab: AnyTable) -> bytes:
     return b"".join(out)
 
 
-def snapshot_state(store: Store, partition_id: int = 0, commit_seq: int = 0) -> bytes:
-    """Serialize every table. Call only at quiescence."""
+def snapshot_state(
+    store: Store,
+    partition_id: int = 0,
+    commit_seq: int = 0,
+    memo: Optional[dict] = None,
+) -> bytes:
+    """Serialize every table. Call only at quiescence.
+
+    ``memo`` is a dict that one caller hands to each of its snapshots of
+    ``store``. Each public table and stream keeps there the bytes and
+    count of the rows this snapshot wrote, with an anchor: the next
+    snapshot reuses those bytes and encodes only the rows after them,
+    once the anchor proves by object identity that they still stand. A
+    table whose anchor fails, and every table without a memo, is encoded
+    whole by the same loop, so the bytes never depend on the memo. A
+    window's active set slides, so a window is always encoded whole."""
     out = [MAGIC, struct.pack("<IIQ", VERSION, partition_id, commit_seq)]
+    held = {} if memo is None else memo
     for name in sorted(store.tables):
         tab = store.tables[name]
+        # (anchor, list entries, rows, their bytes) the last snapshot kept
+        anchor, n_entries, n_rows, encoded = held.get(name, _NOTHING)
         if isinstance(tab, PublicTable):
             rows = tab.rows
-            state = _PUBLIC_STATE.pack(len(rows))
+            # a row list only grows, a rollback pops only rows its open
+            # transaction appended, and a delete installs a new list (its
+            # rollback puts the old one back unchanged): the same list
+            # still starts with the rows the memo encoded
+            if rows is not anchor:
+                n_rows, encoded = 0, b""
+            new = rows[n_rows:]
+            anchor = rows
+            n_entries = n_rows = len(rows)
+            state = _PUBLIC_STATE.pack(n_rows)
         elif isinstance(tab, StreamTable):
-            rows = tab.rows
+            batches = tab.batches
+            # ids ascend in insertion order, no id below the newest is
+            # appended, a batch changes only by being replaced, and a
+            # collected one never returns: when entry n_entries is still
+            # the batch object the memo encoded last, the entries before
+            # it are the same batches
+            if n_entries and (
+                next(islice(batches.values(), n_entries - 1, None), None)
+                is not anchor
+            ):
+                n_entries = n_rows = 0
+                encoded = b""
+            new = [t for b in islice(batches.values(), n_entries, None) for t in b]
+            anchor = next(reversed(batches.values()), None)
+            n_entries, n_rows = len(batches), n_rows + len(new)
             state = _STREAM_STATE.pack(
-                tab.next_tuple_id, tab.last_consumed_batch, len(rows)
+                tab.next_tuple_id, tab.last_consumed_batch, n_rows
             )
         else:
-            rows = tab.active + tab.staged
+            new = tab.active + tab.staged
             state = _WINDOW_STATE.pack(
                 tab.full_seen, tab.events_emitted, len(tab.active), len(tab.staged)
             )
-        out += (_shape(tab), state, row_codec(tab.types)[0](rows))
+        encoded += row_codec(tab.types)[0](new)
+        out += (_shape(tab), state, encoded)
+        if memo is not None and not isinstance(tab, WindowTable):
+            memo[name] = (anchor, n_entries, n_rows, encoded)
     body = b"".join(out)
     return body + struct.pack("<I", zlib.crc32(body))
 

@@ -1,8 +1,9 @@
 """Seeded random run generators: end-to-end workflows for the master
 schedule property, strong recovery of such a workflow crashed at any step,
-window aggregates across aborts and a crash, and a two-input border across
-arrival orders, checkpoints and crashes; and the fixed specs they and other
-tests share."""
+window aggregates across aborts and a crash, a two-input border across
+arrival orders, checkpoints and crashes, and checkpoints that reuse the
+previous one's encoded rows; and the fixed specs they and other tests
+share."""
 
 import os
 import random
@@ -30,7 +31,8 @@ from streamtx.model import (
     register_workflow,
 )
 from streamtx.recovery import RecoveryMode, read_input_cache, read_log
-from streamtx.snapshot import snapshot_state
+from streamtx.snapshot import restore_state, snapshot_state
+from streamtx.storage import Pred
 from streamtx.validator import validate
 from streamtx.triggers import AggregateInsert, StatementTrigger, WindowInsertStmt
 
@@ -660,3 +662,177 @@ def random_pair_run(seed: int, data_dir: str) -> tuple[list, list, list]:
     engine.close()
     want = [(r, values["a"][r] + values["b"][r]) for r in ids]
     return got, want, violations
+
+
+# --- checkpoints that reuse the previous one's encoded rows ---
+
+KEYED_COLS = (("k", "int"), ("name", "text"))
+
+
+def checkpoint_spec(size: int = 3, slide: int = 1) -> EngineSpec:
+    """Every way a checkpoint's rows can change after it. Border ``a``
+    (input ``s1``) appends its round to ``keep``, which nothing consumes,
+    and to ``mid``, which interior ``c`` copies into table ``log``, so
+    ``mid``'s batches are collected; it also feeds window ``w``. Border
+    ``b`` (input ``s2``) appends its round to ``keep`` as well, so a round
+    ``a`` appended first gets longer. Both borders abort after their writes
+    when their round's first value is negative. OLTP ``put`` inserts
+    ``ks`` into table ``t``, ``drop`` deletes ``t``'s rows with key ``k``
+    (every row for None), and ``dup`` deletes ``t``'s oldest key and
+    inserts its newest row again, the same object; each aborts after its
+    writes when ``abort`` is set."""
+
+    def a_body(ctx):
+        rows = [t.values for t in ctx.input_tuples("s1")]
+        ctx.emit("keep", rows)
+        ctx.emit("mid", rows)
+        ctx.window_insert("w", rows)
+        if rows[0][0] < 0:
+            ctx.abort("negative")
+
+    def b_body(ctx):
+        rows = [t.values for t in ctx.input_tuples("s2")]
+        ctx.emit("keep", rows)
+        if rows[0][0] < 0:
+            ctx.abort("negative")
+
+    def c_body(ctx):
+        for t in ctx.input_tuples("mid"):
+            ctx.insert("log", t.values)
+
+    def oltp(write):
+        def body(ctx):
+            write(ctx, ctx.args)
+            if ctx.args["abort"]:
+                ctx.abort("asked")
+
+        return body
+
+    def put(ctx, args):
+        for k in args["ks"]:
+            ctx.insert("t", (k, f"n{k}"))
+
+    def drop(ctx, args):
+        k = args["k"]
+        ctx.delete("t", None if k is None else Pred("k", "==", k))
+
+    def dup(ctx, args):
+        rows = ctx.select("t")
+        if rows:
+            ctx.delete("t", Pred("k", "==", rows[0].values[0]))
+            ctx.insert("t", rows[-1])
+
+    wa = register_workflow(
+        "ckpt_a",
+        [
+            ProcedureDef(
+                "a", ProcedureKind.BORDER, ("s1",),
+                window_defs=(WindowSpec("w", size, slide, "a"),), body=a_body,
+            ),
+            ProcedureDef("c", ProcedureKind.INTERIOR, ("mid",), body=c_body),
+        ],
+        [("a", "mid", "c")],
+    )
+    wb = register_workflow(
+        "ckpt_b", [ProcedureDef("b", ProcedureKind.BORDER, ("s2",), body=b_body)]
+    )
+    ops = register_workflow(
+        "ckpt_oltp",
+        [
+            ProcedureDef(name, ProcedureKind.OLTP, body=oltp(write))
+            for name, write in (("put", put), ("drop", drop), ("dup", dup))
+        ],
+    )
+    return EngineSpec(
+        workflows=[wa, wb, ops],
+        streams=[StreamDef(s, VAL_COLS) for s in ("s1", "s2", "keep", "mid")],
+        tables=[TableDef("t", KEYED_COLS, ("k",)), TableDef("log", VAL_COLS)],
+        window_columns={"w": VAL_COLS},
+    )
+
+
+class CheckpointFeed:
+    """Rounds for ``checkpoint_spec``'s borders: ``a`` takes a new round,
+    ``b`` the newest round ``a`` took unless it took that one already, so
+    its append to ``keep`` lengthens the newest batch when ``a``
+    committed that round."""
+
+    def __init__(self, engine: Engine):
+        self.engine = engine
+        self.round = self.b_round = self.tuple_id = 0
+
+    def push(self, stream: str, values: list[int]) -> None:
+        if stream == "s1":
+            self.round += 1
+            r = self.round
+        else:
+            r = self.round = self.b_round = max(self.b_round + 1, self.round)
+        tuples = []
+        for v in values:
+            self.tuple_id += 1
+            tuples.append(Tuple((v,), tuple_id=self.tuple_id, batch_id=r))
+        self.engine.ingest_batch(stream, AtomicBatch(r, tuple(tuples)))
+        self.engine.run_until_idle()
+
+
+def checkpoint_and_compare(engine: Engine, spec: EngineSpec) -> bytes:
+    """Take a checkpoint and check its file: it equals ``snapshot_state``
+    without a memo, byte for byte, and an engine that loads it snapshots
+    the same bytes. Returns the file's bytes."""
+    path = engine.checkpoint()
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    p = engine.partition
+    assert blob == snapshot_state(engine.store, p.id, p.commit_seq)
+    loaded = Engine(spec).store
+    assert restore_state(blob, loaded) == (p.id, p.commit_seq)
+    assert snapshot_state(loaded, p.id, p.commit_seq) == blob
+    return blob
+
+
+def random_checkpoint_run(seed: int, data_dir: str) -> int:
+    """One seeded strong-mode run of ``checkpoint_spec``: border rounds,
+    some aborted, some lengthening ``keep``'s newest batch; OLTP inserts,
+    deletes and re-inserts on ``t``, some aborted; now and then a ``keep``
+    batch collected out of order; and checkpoints at one to three random
+    steps and at the last, each checked by ``checkpoint_and_compare``. The
+    engine then crashes, and ``recover()`` must bring back the last
+    snapshot's bytes. Returns the number of checkpoints taken."""
+    rng = random.Random(seed)
+    size = rng.randint(1, 5)
+    spec = checkpoint_spec(size, rng.randint(1, size))
+    engine = Engine(
+        spec, data_dir=data_dir, recovery_mode=RecoveryMode.STRONG,
+        group_commit_max_batch=1, fsync=False,
+    )
+    feed = CheckpointFeed(engine)
+    steps = rng.randint(6, 24)
+    # the last step checkpoints, so the crash loses nothing the log holds
+    checkpoints = set(rng.sample(range(steps - 1), rng.randint(1, 3))) | {steps - 1}
+    blob = None
+    for step in range(steps):
+        op = rng.choice(("s1", "s1", "s2", "put", "put", "drop", "dup", "gc"))
+        if op in ("s1", "s2"):
+            first = -rng.randint(1, 9) if rng.random() < 0.2 else rng.randint(0, 9)
+            more = [rng.randint(0, 9) for _ in range(rng.randint(0, 2))]
+            feed.push(op, [first] + more)  # a negative first value aborts
+        elif op == "gc":
+            keep = engine.store.stream("keep").batches
+            if len(keep) > 1:
+                engine.store.garbage_collect("keep", rng.choice(list(keep)))
+        else:
+            args = {"abort": rng.random() < 0.25}
+            if op == "put":
+                args["ks"] = [rng.randint(0, 5) for _ in range(rng.randint(1, 3))]
+            elif op == "drop":
+                rows = engine.store.table("t").rows
+                pick = rng.choice(rows).values[0] if rows else 0
+                args["k"] = None if rng.random() < 0.15 else pick
+            engine.await_ticket(engine.call_oltp(op, args))
+        if step in checkpoints:
+            blob = checkpoint_and_compare(engine, spec)
+    engine.crash()
+    engine = recover(spec, data_dir, fsync=False)
+    assert engine.snapshot_bytes() == blob
+    engine.close()
+    return len(checkpoints)

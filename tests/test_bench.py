@@ -252,6 +252,30 @@ def test_cli_bench_ee(tmp_path, capsys):
     assert {r["mode"] for r in reports} == {"triggered", "client_driven"}
 
 
+def test_cli_bench_csv(tmp_path):
+    from streamtx.bench import MetricsReport
+    from streamtx.cli import main
+
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("[engine]\nrounds = 20\n\n[params]\nstages = 2\n")
+    path = tmp_path / "out.csv"
+    args = ["--config", str(cfg), "--out", "csv", "--out-file", str(path)]
+    assert main(["bench", "ee", *args]) == 0
+    header, *rows = path.read_text().splitlines()
+    names = header.split(",")
+    assert header == MetricsReport.csv_header() and len(rows) == 2
+    assert set(names) <= set(MetricsReport("n", "m", 1, 1.0, 1.0, 1.0, {}).as_dict())
+    modes = set()
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == len(names)
+        name, mode, rounds, *rates = fields
+        assert name == "ee_trigger" and int(rounds) > 0
+        assert all(float(v) > 0 for v in rates)
+        modes.add(mode)
+    assert modes == {"triggered", "client_driven"}
+
+
 def test_cli_recover(tmp_path, capsys):
     from streamtx.cli import main
     from streamtx.engine import Engine

@@ -1,5 +1,6 @@
-"""The partition's durable files: crash points, write failures, handles and
-stale files.
+"""The partition's durable files: crash points, write failures, handles,
+stale files, and checkpoints that encode only the rows added since the
+last one.
 
 The crash-point test runs a short chain once while recording the data dir
 around every call that writes it: before the call, after it, and with only
@@ -18,11 +19,19 @@ import pytest
 
 import streamtx.engine as engine_mod
 import streamtx.recovery as recovery_mod
+import streamtx.snapshot as snapshot_mod
+from randomized import (
+    CheckpointFeed,
+    checkpoint_and_compare,
+    checkpoint_spec,
+    random_checkpoint_run,
+)
 from streamtx.engine import Engine, recover
 from streamtx.model import AtomicBatch, Tuple, register_workflow
 from streamtx.recovery import CommandLog, InputCache, RecoveryMode
 from streamtx.snapshot import snapshot_state
 from streamtx.validator import validate
+from streamtx.workloads import window_native_spec
 from test_recovery import chain_spec, public_tables
 
 N_PROCS, ROUNDS, CHECKPOINT_AFTER, GROUP_COMMIT = 3, 12, 6, 3
@@ -495,3 +504,171 @@ def test_unlogged_commit_flushes_once_the_deadline_is_due(tmp_path, clock):
     assert e.counters.sync_count == syncs + 1
     assert e.counters.te_committed == N_PROCS
     e.close()
+
+
+# --- checkpoints that encode only the rows added since the last one ---
+
+
+@pytest.fixture
+def encoded_rows(monkeypatch):
+    """A one-item list counting the rows handed to the snapshot's row
+    encoders."""
+    count = [0]
+    real = snapshot_mod.row_codec
+
+    def counting(types):
+        encode, decode = real(types)
+
+        def encode_counted(rows):
+            count[0] += len(rows)
+            return encode(rows)
+
+        return encode_counted, decode
+
+    monkeypatch.setattr(snapshot_mod, "row_codec", counting)
+    return count
+
+
+def test_window_checkpoint_encodes_only_new_stream_rows(tmp_path, encoded_rows):
+    e = Engine(window_native_spec(10, 1), data_dir=str(tmp_path), fsync=False)
+    rounds = 0
+
+    def run(n):
+        nonlocal rounds
+        for _ in range(n):
+            rounds += 1
+            rows = tuple(
+                Tuple((rounds * 4 + i,), tuple_id=rounds * 4 + i, batch_id=rounds)
+                for i in range(4)
+            )
+            e.ingest_batch("s1", AtomicBatch(rounds, rows))
+            e.run_until_idle()
+
+    run(5)
+    e.checkpoint()
+    wout = e.store.stream("wout")
+    before = len(wout.rows)
+    run(7)
+    w = e.store.window("w")
+    encoded_rows[0] = 0
+    e.checkpoint()
+    assert len(wout.rows) > before > 0
+    assert encoded_rows[0] == len(wout.rows) - before + len(w.active) + len(w.staged)
+    e.close()
+
+
+def memo_engine(tmp_path, mode=RecoveryMode.STRONG):
+    spec = checkpoint_spec()
+    engine = Engine(spec, data_dir=str(tmp_path), recovery_mode=mode, fsync=False)
+    return engine, spec, CheckpointFeed(engine)
+
+
+def oltp(engine, proc, abort=False, **args):
+    ticket = engine.await_ticket(engine.call_oltp(proc, dict(args, abort=abort)))
+    assert ticket.committed != abort
+
+
+def rows_encoded(engine, count):
+    """Take a checkpoint, check that its file equals a snapshot taken
+    without a memo, and return how many rows it encoded."""
+    count[0] = 0
+    path = engine.checkpoint()
+    rows = count[0]
+    p = engine.partition
+    with open(path, "rb") as fh:
+        assert fh.read() == snapshot_state(engine.store, p.id, p.commit_seq)
+    return rows
+
+
+def test_checkpoint_after_an_insert_and_an_abort(tmp_path, encoded_rows):
+    e, spec, _ = memo_engine(tmp_path)
+    oltp(e, "put", ks=[1, 2, 3])
+    checkpoint_and_compare(e, spec)
+    oltp(e, "put", abort=True, ks=[4, 5])  # rollback pops both
+    oltp(e, "put", ks=[6])
+    assert rows_encoded(e, encoded_rows) == 1  # the row list still stands
+    e.close()
+
+
+def test_checkpoint_after_a_delete_and_an_abort(tmp_path, encoded_rows):
+    e, spec, _ = memo_engine(tmp_path)
+    oltp(e, "put", ks=[1, 2, 3])
+    checkpoint_and_compare(e, spec)
+    oltp(e, "drop", abort=True, k=2)  # rollback puts the old row list back
+    oltp(e, "put", ks=[4])
+    assert rows_encoded(e, encoded_rows) == 1
+    e.close()
+
+
+def test_checkpoint_after_a_delete_and_a_commit(tmp_path, encoded_rows):
+    e, spec, _ = memo_engine(tmp_path)
+    oltp(e, "put", ks=[1, 2, 3])
+    checkpoint_and_compare(e, spec)
+    oltp(e, "drop", k=2)  # a new row list, one row shorter
+    oltp(e, "put", ks=[4, 5])
+    assert rows_encoded(e, encoded_rows) == 4
+    e.close()
+
+
+def test_checkpoint_after_a_delete_and_a_reinsert(tmp_path, encoded_rows):
+    e, spec, _ = memo_engine(tmp_path)
+    oltp(e, "put", ks=[1, 2, 3])
+    checkpoint_and_compare(e, spec)
+    oltp(e, "dup")  # drops key 1, then appends the row of key 3 again
+    t = e.store.table("t").rows
+    assert [r.values[0] for r in t] == [2, 3, 3] and t[1] is t[2]
+    assert rows_encoded(e, encoded_rows) == 3
+    e.close()
+
+
+def test_checkpoint_after_a_middle_batch_is_collected(tmp_path, encoded_rows):
+    e, spec, feed = memo_engine(tmp_path)
+    for v in (1, 2, 3):
+        feed.push("s1", [v])
+    checkpoint_and_compare(e, spec)
+    e.store.garbage_collect("keep", 2)
+    feed.push("s1", [4])
+    assert list(e.store.stream("keep").batches) == [1, 3, 4]
+    # all of keep, log's new row, all of w
+    assert rows_encoded(e, encoded_rows) == 3 + 1 + 3
+    e.close()
+
+
+def test_checkpoint_after_the_newest_batch_gets_longer(tmp_path, encoded_rows):
+    e, spec, feed = memo_engine(tmp_path)
+    feed.push("s1", [1])
+    feed.push("s1", [2, 3])
+    checkpoint_and_compare(e, spec)
+    feed.push("s2", [4])  # border b's round 2 lengthens keep's batch 2
+    assert [len(b) for b in e.store.stream("keep").batches.values()] == [1, 3]
+    assert rows_encoded(e, encoded_rows) == 4 + 3  # all of keep, all of w
+    e.close()
+
+
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_checkpoint_after_recover(tmp_path, encoded_rows, mode):
+    e, spec, feed = memo_engine(tmp_path, mode)
+    feed.push("s1", [1, 2])
+    oltp(e, "put", ks=[1, 2])
+    checkpoint_and_compare(e, spec)
+    feed.push("s1", [3])
+    oltp(e, "put", ks=[3])
+    e.crash()
+    r = recover(spec, str(tmp_path), fsync=False)
+    r.run_until_idle()
+    feed.engine = r
+    feed.push("s1", [4])
+    oltp(r, "put", ks=[4])
+    checkpoint_and_compare(r, spec)
+    feed.push("s1", [5])
+    oltp(r, "put", ks=[5])
+    # keep's and log's newest round, t's new row, and all of w
+    assert rows_encoded(r, encoded_rows) == 1 + 1 + 1 + 3
+    r.close()
+
+
+def test_checkpoints_match_memo_free_snapshots_randomized(tmp_path):
+    taken = sum(
+        random_checkpoint_run(seed, str(tmp_path / str(seed))) for seed in range(300)
+    )
+    assert taken >= 600
