@@ -328,8 +328,10 @@ class Engine:
 
     def checkpoint(self) -> str:
         """Quiesce, write a snapshot, truncate the log, and compact the input
-        cache to the batches above their border's mark (``_unended``). A
-        failed file step stops the partition, as a failed log write does.
+        cache to the batches above their border's mark (``_unended``). Each
+        file step syncs only when the engine's ``fsync`` is set, which the
+        input cache holds for the engine. A failed file step stops the
+        partition, as a failed log write does.
         The snapshot encodes only the rows that public tables and streams
         gained since the last checkpoint (``snapshot_state``'s memo): with
         no execution open once ``drain_and_quiesce`` returns, every row it
@@ -339,11 +341,13 @@ class Engine:
         self._claim_data_dir()
         self.drain_and_quiesce()  # also flushes the log
         p = self.partition
+        cache = p.input_cache
+        fsync = cache.fsync  # the engine's one fsync setting
         if self._snapshot_memo is None:
             self._snapshot_memo = {}
         blob = snapshot_state(self.store, p.id, p.commit_seq, self._snapshot_memo)
         path = os.path.join(self.data_dir, f"snapshot-{p.commit_seq:012d}.snap")
-        p.fail_stop(replace_file, path, blob)
+        p.fail_stop(replace_file, path, blob, fsync)
         if p.log.mode is not None:
             p.fail_stop(
                 truncate_log,
@@ -351,9 +355,9 @@ class Engine:
                 p.log.mode,
                 p.id,
                 p.commit_seq,
+                fsync,
             )
             p.fail_stop(p.log.reopen)
-        cache = p.input_cache
         cache.retained = self._unended(cache.retained)
         p.fail_stop(cache.compact)
         for _, name in _snapshots(self.data_dir)[:-KEEP_SNAPSHOTS]:

@@ -45,11 +45,19 @@ dies is lost: weak recovery runs it again, and strong recovery forgets it.
 Border args are that batch encoding too: a batch's column types, then its
 rows in the row encoding snapshots use. The input cache backs the
 weak-recovery upstream-backup scheme: every external batch is written there
-before its border execution runs. One ``fsync`` policy holds for both the
-log and the cache: with it on, a new data directory's entry, a new file's
-header and its directory entry are synced when they are created, and an
-append is synced before it returns; with it off, appends are flushed to
-the OS only. ``replace_file`` always syncs.
+before its border execution runs.
+
+One ``fsync`` policy holds for every durable byte: the log, the cache and
+the whole-file replacements a checkpoint makes (snapshot, log truncation,
+cache compaction). With it on, a new data directory's entry, a new file's
+header and its directory entry are synced when they are created, an
+append is synced before it returns, and ``replace_file`` syncs the temp
+file before its rename and the directory after it, so that a power loss,
+too, should keep what the recovery mode promises. With it off, nothing is
+synced: appends are flushed to the OS and a replacement is a write and a
+rename. That still keeps the promise across a process crash, since the OS
+keeps every written byte and a rename is seen whole or not at all, but it
+promises nothing across a power loss.
 """
 
 from __future__ import annotations
@@ -151,18 +159,23 @@ def _log_header(mode: RecoveryMode, partition_id: int, snapshot_seq: int = 0) ->
     return LOG_MAGIC + head
 
 
-def replace_file(path: str, data: bytes) -> None:
+def replace_file(path: str, data: bytes, fsync: bool) -> None:
     """Make ``path`` hold exactly ``data`` across a crash at any point:
-    write and sync a temp file, rename it over ``path``, sync the directory.
-    An I/O error raises ``LogWriteFailure``."""
+    write a temp file and rename it over ``path``, so a crash leaves the
+    old file or the new one whole. With ``fsync`` set, the temp file is
+    synced before the rename and the directory after it, so that this
+    holds across a power loss too (the engine's one ``fsync`` policy; see
+    the module docstring). An I/O error raises ``LogWriteFailure``."""
     tmp = path + TEMP_SUFFIX
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
-        _sync_dir(path)
+        if fsync:
+            _sync_dir(path)
     except OSError as e:
         raise LogWriteFailure(str(e)) from e
 
@@ -210,7 +223,7 @@ class AppendFile:
 
     def rewrite(self, body: bytes) -> None:
         """Replace the whole file with ``body`` and append after it."""
-        replace_file(self.path, body)
+        replace_file(self.path, body, self.fsync)
         self.reopen()
 
     def reopen(self) -> None:
@@ -385,12 +398,16 @@ def make_dirs(path: str, fsync: bool) -> None:
 
 
 def truncate_log(
-    path: str, mode: RecoveryMode, partition_id: int, snapshot_seq: int = 0
+    path: str,
+    mode: RecoveryMode,
+    partition_id: int,
+    snapshot_seq: int = 0,
+    fsync: bool = True,
 ) -> None:
     """Start the log over after the snapshot at ``snapshot_seq`` made the
     records up to it redundant; recovery then needs that snapshot or a
-    newer one."""
-    replace_file(path, _log_header(mode, partition_id, snapshot_seq))
+    newer one. The new log is synced when ``fsync`` is set."""
+    replace_file(path, _log_header(mode, partition_id, snapshot_seq), fsync)
 
 
 # --- upstream backup ---

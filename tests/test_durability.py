@@ -37,9 +37,7 @@ from test_recovery import chain_spec, public_tables
 N_PROCS, ROUNDS, CHECKPOINT_AFTER, GROUP_COMMIT = 3, 12, 6, 3
 # an hour-long group-commit timer: only full groups and explicit flushes
 # write, so the recorded calls do not depend on timing
-ENGINE_ARGS = dict(
-    group_commit_max_batch=GROUP_COMMIT, group_commit_max_delay=3600, fsync=False
-)
+ENGINE_ARGS = dict(group_commit_max_batch=GROUP_COMMIT, group_commit_max_delay=3600)
 WRITERS = [
     (CommandLog, "flush"),
     (InputCache, "append"),
@@ -101,7 +99,7 @@ def half_written(before, after):
     return state
 
 
-def record_crash_states(mode, d):
+def record_crash_states(mode, d, fsync):
     """(dir contents, highest acknowledged commit_seq) at every crash point."""
     states, tickets = [], []
 
@@ -123,7 +121,8 @@ def record_crash_states(mode, d):
     with pytest.MonkeyPatch.context() as mp:
         for owner, attr in WRITERS:
             mp.setattr(owner, attr, recorded(getattr(owner, attr)))
-        e = Engine(chain_spec(N_PROCS), data_dir=d, recovery_mode=mode, **ENGINE_ARGS)
+        e = Engine(chain_spec(N_PROCS), data_dir=d, recovery_mode=mode, fsync=fsync,
+                   **ENGINE_ARGS)
         tickets += feed(e, 1, ROUNDS, checkpoint_after=CHECKPOINT_AFTER)
         e.close()
     distinct = {}
@@ -132,10 +131,13 @@ def record_crash_states(mode, d):
     return list(distinct.values())
 
 
+# with fsync on or off, a process crash keeps every written byte and sees a
+# rename whole, so both build the same kinds of state
+@pytest.mark.parametrize("fsync", [True, False])
 @pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
-def test_recovery_at_every_crash_point(tmp_path, mode):
+def test_recovery_at_every_crash_point(tmp_path, mode, fsync):
     golden_states, golden = golden_run()
-    crash_states = record_crash_states(mode, str(tmp_path / "live"))
+    crash_states = record_crash_states(mode, str(tmp_path / "live"), fsync)
     assert len(crash_states) > 20
     workflow = chain_spec(N_PROCS).workflows[0]
 
@@ -150,7 +152,7 @@ def test_recovery_at_every_crash_point(tmp_path, mode):
         d.mkdir()
         for name, data in files.items():
             (d / name).write_bytes(data)
-        r = recover(chain_spec(N_PROCS), str(d), **ENGINE_ARGS)
+        r = recover(chain_spec(N_PROCS), str(d), fsync=fsync, **ENGINE_ARGS)
         check(r, seen, f"state {i}")
         # the recovered engine takes up to two more rounds, then crashes and
         # is recovered once more
@@ -159,7 +161,7 @@ def test_recovery_at_every_crash_point(tmp_path, mode):
         tickets = feed(r, resume, min(resume + 1, ROUNDS))
         seen = max([seen] + [t.commit_seq for t in tickets if t.acknowledged])
         r.crash()
-        r = recover(chain_spec(N_PROCS), str(d), **ENGINE_ARGS)
+        r = recover(chain_spec(N_PROCS), str(d), fsync=fsync, **ENGINE_ARGS)
         check(r, seen, f"state {i}, recovered twice")
         r.run_until_idle()
         resume = r.store.stream("s1").last_consumed_batch + 1
@@ -175,17 +177,23 @@ def test_recovery_at_every_crash_point(tmp_path, mode):
 # --- one fsync policy ---
 
 
-@pytest.mark.parametrize("fsync", [True, False])
-@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
-def test_log_and_cache_follow_one_fsync_policy(tmp_path, monkeypatch, mode, fsync):
-    synced = []
+@pytest.fixture
+def synced(monkeypatch):
+    """The kind, ``"file"`` or ``"dir"``, of each ``os.fsync`` call so far."""
+    kinds = []
     real_fsync = os.fsync
 
     def fsync_by_kind(fd):
-        synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        kinds.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
         real_fsync(fd)
 
     monkeypatch.setattr(os, "fsync", fsync_by_kind)
+    return kinds
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_log_and_cache_follow_one_fsync_policy(tmp_path, synced, mode, fsync):
     e = Engine(chain_spec(N_PROCS), data_dir=str(tmp_path), recovery_mode=mode,
                group_commit_max_batch=8, group_commit_max_delay=3600, fsync=fsync)
     # each new file, the log and in weak mode the cache, is synced and then
@@ -208,6 +216,47 @@ def test_log_and_cache_follow_one_fsync_policy(tmp_path, monkeypatch, mode, fsyn
                recovery_mode=mode, fsync=fsync)
     assert synced == (["dir", "dir"] + ["file", "dir"] * new_files if fsync else [])
     e.close()
+
+
+# the files a checkpoint replaces, each a synced temp file and then its
+# directory when fsync is on: the snapshot, then the log and in weak mode
+# the cache; an engine without a log keeps only its snapshots
+CHECKPOINTED_FILES = {"strong": 2, "weak": 3, "no log": 1}
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+@pytest.mark.parametrize("engine", sorted(CHECKPOINTED_FILES))
+def test_checkpoint_follows_the_fsync_policy(tmp_path, synced, engine, fsync):
+    if engine == "no log":
+        e = Engine(window_native_spec(10, 1), data_dir=str(tmp_path), fsync=fsync)
+    else:
+        mode = RecoveryMode[engine.upper()]
+        e = Engine(chain_spec(N_PROCS), data_dir=str(tmp_path), recovery_mode=mode,
+                   fsync=fsync)
+    feed(e, 1, 4)
+    e.drain_and_quiesce()  # nothing left for the checkpoint's flush
+    synced.clear()
+    e.checkpoint()
+    assert synced == (["file", "dir"] * CHECKPOINTED_FILES[engine] if fsync else [])
+    e.close()
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_recovery_syncs_only_a_weak_closing_checkpoint(tmp_path, synced, mode, fsync):
+    # every round ran and its records were flushed before the crash, so the
+    # log has no torn tail to cut and no round is re-submitted: weak recovery
+    # syncs only the checkpoint it ends with, and strong recovery nothing
+    e = Engine(chain_spec(N_PROCS), data_dir=str(tmp_path), recovery_mode=mode,
+               fsync=fsync)
+    feed(e, 1, 4)
+    e.crash()
+    synced.clear()
+    r = recover(chain_spec(N_PROCS), str(tmp_path), fsync=fsync)
+    weak = mode is RecoveryMode.WEAK
+    assert synced == (["file", "dir"] * 3 if fsync and weak else [])
+    assert r.partition.commit_seq == 4 * N_PROCS
+    r.close()
 
 
 # --- fail-stop ---
@@ -272,37 +321,42 @@ def test_failed_write_stops_the_partition(
     r.close()
 
 
-def test_failed_checkpoint_stops_the_partition(tmp_path, monkeypatch):
-    # the directory sync after the truncated log's rename fails: the log's
-    # handle still points at the old, now unlinked file, so a commit after
-    # this would be acknowledged from a file recovery never reads
+@pytest.mark.parametrize("fsync", [True, False])
+def test_failed_checkpoint_stops_the_partition(tmp_path, monkeypatch, fsync):
+    # the truncated log's last file step fails: with fsync on, the directory
+    # sync after its rename, when the log's handle still points at the old,
+    # now unlinked file, so a commit after this would be acknowledged from a
+    # file recovery never reads; with fsync off, which syncs nothing, the
+    # rename itself
     import errno
 
     from streamtx.errors import EngineStopped, LogWriteFailure
     from streamtx.workloads import pe_chain_spec
 
-    real_sync_dir = recovery_mod._sync_dir
+    def fail_for_log(real):
+        def call(*args):
+            if os.path.basename(args[-1]) == "command.log":
+                raise OSError(errno.EIO, "I/O error")
+            return real(*args)
 
-    def fail_for_log(path):
-        if os.path.basename(path) == "command.log":
-            raise OSError(errno.EIO, "I/O error")
-        real_sync_dir(path)
+        return call
 
+    owner, attr = (recovery_mod, "_sync_dir") if fsync else (os, "replace")
     e = Engine(
         pe_chain_spec(2, "triggered"), data_dir=str(tmp_path),
-        recovery_mode=RecoveryMode.STRONG, fsync=False,
+        recovery_mode=RecoveryMode.STRONG, fsync=fsync,
     )
     assert e.await_ticket(e.ingest_batch("s1", batch(1))).acknowledged
     e.run_until_idle()
-    monkeypatch.setattr(recovery_mod, "_sync_dir", fail_for_log)
-    with pytest.raises(LogWriteFailure, match="I/O error"):
-        e.checkpoint()
-    monkeypatch.setattr(recovery_mod, "_sync_dir", real_sync_dir)
+    with monkeypatch.context() as mp:
+        mp.setattr(owner, attr, fail_for_log(getattr(owner, attr)))
+        with pytest.raises(LogWriteFailure, match="I/O error"):
+            e.checkpoint()
     assert e.partition.stopped
     with pytest.raises(EngineStopped):
         e.ingest_batch("s1", batch(2))
     e.crash()
-    r = recover(pe_chain_spec(2, "triggered"), str(tmp_path), fsync=False)
+    r = recover(pe_chain_spec(2, "triggered"), str(tmp_path), fsync=fsync)
     assert [t.values for t in r.store.table("out").rows] == [(10,)]
     r.close()
 
