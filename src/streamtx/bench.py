@@ -11,7 +11,6 @@ capture exactly.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -19,7 +18,7 @@ from typing import Optional
 from .engine import Engine, recover, route_partition
 from .executor import Origin, TERequest
 from .ingest import BatchingPolicy, StreamIngestor
-from .recovery import RecoveryMode
+from .recovery import LOG_FILE, CommandLogRecord, RecoveryMode, data_path, write_snapshot
 from .validator import validate
 from .workloads import (
     ee_chain_spec,
@@ -330,20 +329,13 @@ def run_recovery_experiment(
     run_elapsed = time.perf_counter() - t0
     live_counters = live.counters.as_dict()
     live.crash()
-    from .engine import LOG_FILE
-
     if kind == "mid-flush":
-        from .recovery import CommandLogRecord
-
         torn = CommandLogRecord(10**6, "sp1", 10**6, b"torn").encode()
-        with open(os.path.join(data_dir, LOG_FILE), "ab") as fh:
+        with open(data_path(data_dir, LOG_FILE), "ab") as fh:
             fh.write(torn[: len(torn) // 2])
     elif kind == "mid-snapshot":
         torn = snapshot_state(live.store, 0, 10**6)[:50]
-        with open(
-            os.path.join(data_dir, "snapshot-000000999999.snap"), "wb"
-        ) as fh:
-            fh.write(torn)
+        write_snapshot(data_dir, 999999, torn, False)
 
     t1 = time.perf_counter()
     recovered = recover(pe_chain_spec(n, "triggered"), data_dir, fsync=False)

@@ -7,8 +7,6 @@ engines that share nothing (see ``partitioned_engines``).
 
 from __future__ import annotations
 
-import os
-import re
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -35,26 +33,14 @@ from .executor import (
     make_plans,
 )
 from .model import AtomicBatch, ProcedureKind, Tuple, Workflow
-from .recovery import (
-    TEMP_SUFFIX,
-    CommandLog,
-    InputCache,
-    RecoveryMode,
-    cut_torn_tail,
-    make_dirs,
-    read_input_cache,
-    read_log,
-    replace_file,
-    truncate_log,
+from .recovery import (  # the file layer: the engine makes no file-system call
+    CACHE_FILE, LOG_FILE, CommandLog, InputCache, RecoveryMode, cut_torn_tail,
+    data_path, make_dirs, prune_snapshots, read_input_cache, read_log,
+    read_snapshots, remove_temp_files, truncate_log, used_data_file, write_snapshot,
 )
 from .snapshot import restore_state, snapshot_state, verify_snapshot
 from .storage import Store, UndoBuffer, make_schema
 from .triggers import StatementTrigger, TriggerEngine
-
-SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.snap$")
-LOG_FILE = "command.log"
-CACHE_FILE = "input.cache"
-KEEP_SNAPSHOTS = 2  # recovery falls back to the older one if the newest is damaged
 
 
 @dataclass(frozen=True)
@@ -144,17 +130,12 @@ class Engine:
         if mode is not None:
             self._claim_data_dir()
             make_dirs(data_dir, fsync)
-            log_path = os.path.join(data_dir, LOG_FILE)
+            log_path = data_path(data_dir, LOG_FILE)
             if mode is RecoveryMode.WEAK:
-                cache_path = os.path.join(data_dir, CACHE_FILE)
+                cache_path = data_path(data_dir, CACHE_FILE)
         log = CommandLog(
-            log_path,
-            mode,
-            Counters(),
-            partition_id,
-            max_batch=group_commit_max_batch,
-            max_delay=group_commit_max_delay,
-            fsync=fsync,
+            log_path, mode, Counters(), partition_id, max_batch=group_commit_max_batch,
+            max_delay=group_commit_max_delay, fsync=fsync,
         )
         self.partition = Partition(
             partition_id,
@@ -203,15 +184,16 @@ class Engine:
         input batch is submitted once no lower round waits for one, and a
         batch for a round the border already took (``Partition.last_queued``),
         or a second one from a stream, raises ``BadDefinition``. A one-input
-        border's batch is its whole round, which goes straight to the client
-        queue, behind the rounds that a full queue's pump (``queue_bound``)
+        border's batch is its whole round and goes straight to the client
+        queue; a border with more inputs keeps a round's batches in a feeder
+        slot until the round is complete and no lower round waits. A round
+        queues behind the rounds that a full queue's pump (``queue_bound``)
         runs first; should that pump stop the partition, the call raises,
         with the failed write's ``LogWriteFailure`` or else
-        ``EngineStopped``, and neither caches nor queues the round. A border
-        with more inputs keeps a round's batches in a feeder
-        slot until the round is complete and no lower round waits. A call
-        made while an execution runs, from a procedure body, raises
-        ``StreamTxError`` before it changes anything, so only that
+        ``EngineStopped``, and the border does not take the round: a
+        one-input round is neither cached nor queued, and a slot keeps its
+        round. A call made while an execution runs, from a procedure body,
+        raises ``StreamTxError`` before it changes anything, so only that
         execution aborts. The stream's ``check_row``, the one value rule,
         accepts every tuple here, once: nothing downstream checks the batch
         again. A batch is encoded only for a file that keeps it. In weak
@@ -244,9 +226,7 @@ class Engine:
         table.check_rows(batch.tuples)
         by_stream = {stream: batch}
         n_inputs = len(plan.inputs)
-        # a one-input border's round runs behind the rounds the queue-bound
-        # pump runs first; a pump that stops the partition leaves the round
-        # uncached and unqueued
+        # the queue-bound pump runs before the round is cached or queued
         if n_inputs == 1 and (
             len(p.client_queue) + len(p.fast_track) >= self.queue_bound
         ):
@@ -282,15 +262,16 @@ class Engine:
             ready, low_ticket = pending[low]
             if len(ready) < n_inputs:
                 break
-            del pending[low]
-            p.last_queued[proc_name] = low
             if len(p.client_queue) + len(p.fast_track) >= self.queue_bound:
                 self.run_until_idle()
+                if p.stopped:
+                    raise EngineStopped("partition is stopped")
+            del pending[low]
+            p.last_queued[proc_name] = low
             args = batches_to_args(ready) if plan.logged else b""
-            req = TERequest(
-                proc_name, low, args, Origin.CLIENT, low_ticket, batches=ready
+            p.client_queue.append(
+                TERequest(proc_name, low, args, Origin.CLIENT, low_ticket, ready)
             )
-            p.submit_client(req)
         return ticket
 
     def call_oltp(self, proc: str, args=None) -> Ticket:
@@ -327,41 +308,33 @@ class Engine:
         return snapshot_state(self.store, self.partition.id, self.partition.commit_seq)
 
     def checkpoint(self) -> str:
-        """Quiesce, write a snapshot, truncate the log, and compact the input
-        cache to the batches above their border's mark (``_unended``). Each
-        file step syncs only when the engine's ``fsync`` is set, which the
-        input cache holds for the engine. A failed file step stops the
-        partition, as a failed log write does.
+        """Quiesce, write a snapshot, truncate the log, compact the input
+        cache to the batches above their border's mark (``_unended``), and
+        prune the snapshots (``KEEP_SNAPSHOTS``). Each file step is a call
+        into the ``recovery`` file layer that syncs only when the engine's
+        ``fsync`` is set, which the input cache holds for the engine. A
+        failed file step stops the partition, as a failed log write does.
         The snapshot encodes only the rows that public tables and streams
         gained since the last checkpoint (``snapshot_state``'s memo): with
         no execution open once ``drain_and_quiesce`` returns, every row it
         reuses is committed."""
         if self.data_dir is None:
             raise BadDefinition("checkpoint needs a data directory")
-        self._claim_data_dir()
-        self.drain_and_quiesce()  # also flushes the log
         p = self.partition
+        p.fail_stop(self._claim_data_dir)
+        self.drain_and_quiesce()  # also flushes the log
         cache = p.input_cache
         fsync = cache.fsync  # the engine's one fsync setting
         if self._snapshot_memo is None:
             self._snapshot_memo = {}
         blob = snapshot_state(self.store, p.id, p.commit_seq, self._snapshot_memo)
-        path = os.path.join(self.data_dir, f"snapshot-{p.commit_seq:012d}.snap")
-        p.fail_stop(replace_file, path, blob, fsync)
+        path = p.fail_stop(write_snapshot, self.data_dir, p.commit_seq, blob, fsync)
         if p.log.mode is not None:
-            p.fail_stop(
-                truncate_log,
-                os.path.join(self.data_dir, LOG_FILE),
-                p.log.mode,
-                p.id,
-                p.commit_seq,
-                fsync,
-            )
+            p.fail_stop(truncate_log, p.log.path, p.log.mode, p.id, p.commit_seq, fsync)
             p.fail_stop(p.log.reopen)
         cache.retained = self._unended(cache.retained)
         p.fail_stop(cache.compact)
-        for _, name in _snapshots(self.data_dir)[:-KEEP_SNAPSHOTS]:
-            os.remove(os.path.join(self.data_dir, name))
+        p.fail_stop(prune_snapshots, self.data_dir)
         return path
 
     def _unended(
@@ -382,12 +355,11 @@ class Engine:
         """Before this engine first writes into its data directory, refuse
         one that holds a log, cache or snapshot: starting empty, it would
         write commits that recovery cannot order after the old ones."""
-        if not self._owns_data_dir and os.path.isdir(self.data_dir):
-            for name in sorted(os.listdir(self.data_dir)):
-                if name in (LOG_FILE, CACHE_FILE) or SNAPSHOT_RE.match(name):
-                    raise BadDefinition(
-                        f"{self.data_dir} already holds {name}; recover() reopens it"
-                    )
+        name = None if self._owns_data_dir else used_data_file(self.data_dir)
+        if name is not None:
+            raise BadDefinition(
+                f"{self.data_dir} already holds {name}; recover() reopens it"
+            )
         self._owns_data_dir = True
 
     def crash(self) -> None:
@@ -407,21 +379,9 @@ class Engine:
             p.input_cache.close()
 
 
-def _snapshots(data_dir: str) -> list[tuple[int, str]]:
-    """(commit_seq, file name) of every snapshot, oldest first."""
-    found = []
-    for name in os.listdir(data_dir):
-        m = SNAPSHOT_RE.match(name)
-        if m:
-            found.append((int(m.group(1)), name))
-    return sorted(found)
-
-
 def latest_valid_snapshot(data_dir: str) -> Optional[bytes]:
     """Newest snapshot that passes its checksum; torn ones are skipped."""
-    for _, name in reversed(_snapshots(data_dir)):
-        with open(os.path.join(data_dir, name), "rb") as fh:
-            blob = fh.read()
+    for blob in read_snapshots(data_dir):
         try:
             verify_snapshot(blob)
         except CorruptSnapshot:
@@ -445,10 +405,8 @@ def recover(
     partition, or with ``expect_mode`` set a log written in the other mode,
     raises ``VersionMismatch``. A newest valid snapshot older than the one the log
     follows raises ``CorruptSnapshot``."""
-    for name in os.listdir(data_dir):
-        if name.endswith(TEMP_SUFFIX):  # a replace_file the crash cut short
-            os.remove(os.path.join(data_dir, name))
-    log_path = os.path.join(data_dir, LOG_FILE)
+    remove_temp_files(data_dir)
+    log_path = data_path(data_dir, LOG_FILE)
     mode, log_partition, log_snapshot_seq, log_end, records = read_log(log_path)
     if expect_mode is not None and mode is not expect_mode:
         raise VersionMismatch(
@@ -462,10 +420,7 @@ def recover(
     engine = Engine.__new__(Engine)
     engine._owns_data_dir = True
     engine.__init__(
-        spec,
-        partition_id=partition_id,
-        data_dir=data_dir,
-        recovery_mode=mode,
+        spec, partition_id=partition_id, data_dir=data_dir, recovery_mode=mode,
         **engine_kwargs,
     )
     try:
@@ -521,7 +476,7 @@ def recover(
             # re-submit the cached rounds no border has ended, then take a
             # fresh checkpoint so commit sequences stay consistent with the
             # (rotated) log
-            cached = read_input_cache(os.path.join(data_dir, CACHE_FILE))
+            cached = read_input_cache(data_path(data_dir, CACHE_FILE))
             p.input_cache.retained = engine._unended(cached)
             for stream in sorted(p.input_cache.retained):
                 for batch in p.input_cache.retained[stream]:

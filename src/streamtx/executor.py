@@ -438,13 +438,13 @@ class Partition:
             self.execute(self.fast_track.popleft())
         self.fail_stop(self.log.flush)
 
-    def fail_stop(self, write: Callable, *args) -> None:
-        """Call ``write``, which writes the log, the input cache or a
-        checkpoint's files. A failed write stops the partition for good, so
+    def fail_stop(self, write: Callable, *args):
+        """Return ``write(*args)``, which writes the log, the input cache or
+        a checkpoint's files. A failed write stops the partition for good, so
         memory never runs ahead of its files. The commit path makes the same
         guard once, around its log writes, in ``execute``."""
         try:
-            write(*args)
+            return write(*args)
         except LogWriteFailure:
             self.stopped = True
             raise

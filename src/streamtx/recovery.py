@@ -1,11 +1,14 @@
 """Durability: command log with group commit, input caching, recovery replay.
 
-All of the partition's durable bytes reach disk through one small file
-layer: ``AppendFile`` appends to a file that starts with a header,
-``replace_file`` swaps a whole file atomically, and ``_read_frames`` reads
-one back. Each file is a header, then codec frames; a torn or corrupt frame
-ends it, and recovery cuts a log's torn tail (``cut_torn_tail``) before the
-engine appends to it again. The log header's snapshot seq is the commit
+This module owns the data directory, its file names and every file-system
+call the engine makes, through one small file layer: ``AppendFile``
+appends to a file that starts with a header, ``replace_file`` swaps a
+whole file atomically, ``_read_frames`` reads one back, and the snapshot
+calls write, prune (to ``KEEP_SNAPSHOTS``) and read them, newest first. A
+call that changes the directory raises ``LogWriteFailure`` on an I/O error.
+Each file is a header, then codec frames; a torn or corrupt frame ends it,
+and recovery cuts a log's torn tail (``cut_torn_tail``) before the engine
+appends to it again. The log header's snapshot seq is the commit
 sequence of the snapshot the log follows: the checkpoint that wrote that
 snapshot truncated the log, so the commits up to it are in no log record.
 A record is one transaction: a nested group's record names its entry child
@@ -65,6 +68,7 @@ from __future__ import annotations
 import enum
 import functools
 import os
+import re
 import struct
 import time
 import zlib
@@ -72,13 +76,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .codec import (
-    FRAME_OVERHEAD,
-    decode_batches,
-    encode_batches,
-    frame,
-    frames,
-    name_bytes,
-    text_at,
+    FRAME_OVERHEAD, decode_batches, encode_batches, frame, frames, name_bytes, text_at,
 )
 from .errors import CorruptLogRecord, LogWriteFailure
 from .model import AtomicBatch, ProcedureKind
@@ -91,6 +89,10 @@ _RECORD_HEAD = struct.Struct("<QQI")  # commit_seq, round, aborted count
 _ROUND = struct.Struct("<Q")
 _CRC = struct.Struct("<I")  # a frame's CRC of its length and payload
 TEMP_SUFFIX = ".tmp"  # replace_file writes here before the rename
+LOG_FILE = "command.log"
+CACHE_FILE = "input.cache"
+KEEP_SNAPSHOTS = 2  # recovery falls back to the older one if the newest is damaged
+_SNAPSHOT_RE = re.compile(r"^snapshot-\d{12}\.snap$")  # sorts as its commit seq
 
 
 class RecoveryMode(enum.Enum):
@@ -159,25 +161,34 @@ def _log_header(mode: RecoveryMode, partition_id: int, snapshot_seq: int = 0) ->
     return LOG_MAGIC + head
 
 
+def _write_failure(fn: Callable) -> Callable:
+    """``fn``, raising ``LogWriteFailure`` for an I/O error."""
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OSError as e:
+            raise LogWriteFailure(str(e)) from e
+    return call
+
+
+@_write_failure
 def replace_file(path: str, data: bytes, fsync: bool) -> None:
     """Make ``path`` hold exactly ``data`` across a crash at any point:
     write a temp file and rename it over ``path``, so a crash leaves the
     old file or the new one whole. With ``fsync`` set, the temp file is
     synced before the rename and the directory after it, so that this
     holds across a power loss too (the engine's one ``fsync`` policy; see
-    the module docstring). An I/O error raises ``LogWriteFailure``."""
+    the module docstring)."""
     tmp = path + TEMP_SUFFIX
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            if fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
-        os.replace(tmp, path)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
         if fsync:
-            _sync_dir(path)
-    except OSError as e:
-        raise LogWriteFailure(str(e)) from e
+            fh.flush()
+            os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    if fsync:
+        _sync_dir(path)
 
 
 def _sync_dir(path: str) -> None:
@@ -197,19 +208,17 @@ class AppendFile:
     power loss that drops the new file itself.
     """
 
+    @_write_failure
     def __init__(self, path: str, header: bytes, fsync: bool):
         self.path = path
         self.fsync = fsync
-        try:
-            self._fh = open(path, "ab")
-            if self._fh.tell() == 0:
-                self._fh.write(header)
-                self._fh.flush()
-                if fsync:
-                    os.fsync(self._fh.fileno())
-                    _sync_dir(path)
-        except OSError as e:
-            raise LogWriteFailure(str(e)) from e
+        self._fh = open(path, "ab")
+        if self._fh.tell() == 0:
+            self._fh.write(header)
+            self._fh.flush()
+            if fsync:
+                os.fsync(self._fh.fileno())
+                _sync_dir(path)
 
     def append(self, data: bytes) -> None:
         """Write ``data``; sync it too when the engine's ``fsync`` is set."""
@@ -221,18 +230,11 @@ class AppendFile:
         except OSError as e:
             raise LogWriteFailure(str(e)) from e
 
-    def rewrite(self, body: bytes) -> None:
-        """Replace the whole file with ``body`` and append after it."""
-        replace_file(self.path, body, self.fsync)
-        self.reopen()
-
+    @_write_failure
     def reopen(self) -> None:
         """Append to the file now at ``path``, after it was replaced."""
         self._fh.close()
-        try:
-            self._fh = open(self.path, "ab")
-        except OSError as e:
-            raise LogWriteFailure(str(e)) from e
+        self._fh = open(self.path, "ab")
 
     def close(self) -> None:
         self._fh.close()
@@ -366,22 +368,21 @@ def read_log(
     return RecoveryMode(mode_v), partition_id, snapshot_seq, end, records
 
 
+@_write_failure
 def cut_torn_tail(path: str, end: int, fsync: bool) -> None:
     """Cut ``path`` back to its first ``end`` bytes, the whole frames before
     a torn tail, so that later appends follow them instead of bytes no read
     gets past; sync the cut when ``fsync`` is set. A file no longer than
-    ``end`` is left as it is. An I/O error raises ``LogWriteFailure``."""
-    try:
-        with open(path, "r+b") as fh:
-            if fh.seek(0, os.SEEK_END) <= end:
-                return
-            fh.truncate(end)
-            if fsync:
-                os.fsync(fh.fileno())
-    except OSError as e:
-        raise LogWriteFailure(str(e)) from e
+    ``end`` is left as it is."""
+    with open(path, "r+b") as fh:
+        if fh.seek(0, os.SEEK_END) <= end:
+            return
+        fh.truncate(end)
+        if fsync:
+            os.fsync(fh.fileno())
 
 
+@_write_failure
 def make_dirs(path: str, fsync: bool) -> None:
     """``os.makedirs(path, exist_ok=True)``; with ``fsync`` set, also sync
     the parent of each directory it creates, so that the new entries
@@ -408,6 +409,57 @@ def truncate_log(
     records up to it redundant; recovery then needs that snapshot or a
     newer one. The new log is synced when ``fsync`` is set."""
     replace_file(path, _log_header(mode, partition_id, snapshot_seq), fsync)
+
+
+# --- the data directory ---
+
+
+def data_path(data_dir: str, name: str) -> str:
+    return os.path.join(data_dir, name)
+
+
+def _snapshots(data_dir: str) -> list[str]:
+    """The file name of every snapshot, oldest first."""
+    return sorted(n for n in os.listdir(data_dir) if _SNAPSHOT_RE.match(n))
+
+
+def write_snapshot(data_dir: str, commit_seq: int, blob: bytes, fsync: bool) -> str:
+    """Write the snapshot at ``commit_seq`` with ``replace_file``; its path."""
+    path = os.path.join(data_dir, f"snapshot-{commit_seq:012d}.snap")
+    replace_file(path, blob, fsync)
+    return path
+
+
+@_write_failure
+def prune_snapshots(data_dir: str) -> None:
+    """Remove all but the newest ``KEEP_SNAPSHOTS`` snapshots."""
+    for name in _snapshots(data_dir)[:-KEEP_SNAPSHOTS]:
+        os.remove(os.path.join(data_dir, name))
+
+
+def read_snapshots(data_dir: str) -> Iterator[bytes]:
+    """Each snapshot's bytes, newest first, each read when it is asked for."""
+    for name in reversed(_snapshots(data_dir)):
+        with open(os.path.join(data_dir, name), "rb") as fh:
+            blob = fh.read()
+        yield blob
+
+
+@_write_failure
+def used_data_file(data_dir: str) -> Optional[str]:
+    """The first, in name order, of the log, the cache and the snapshots in
+    ``data_dir``; None if it holds none of them or does not exist."""
+    names = sorted(os.listdir(data_dir)) if os.path.isdir(data_dir) else ()
+    used = (LOG_FILE, CACHE_FILE)
+    return next((n for n in names if n in used or _SNAPSHOT_RE.match(n)), None)
+
+
+@_write_failure
+def remove_temp_files(data_dir: str) -> None:
+    """Remove the temp file of each ``replace_file`` that a crash cut short."""
+    for name in os.listdir(data_dir):
+        if name.endswith(TEMP_SUFFIX):
+            os.remove(os.path.join(data_dir, name))
 
 
 # --- upstream backup ---
@@ -447,7 +499,8 @@ class InputCache:
             for s in sorted(self.retained)
             for b in self.retained[s]
         ]
-        self._file.rewrite(CACHE_MAGIC + b"".join(records))
+        replace_file(self.path, CACHE_MAGIC + b"".join(records), self.fsync)
+        self._file.reopen()
 
     def close(self) -> None:
         if self._file is not None:

@@ -11,8 +11,6 @@ import shutil
 
 from oracles import sliding_window_events
 from streamtx.engine import (
-    CACHE_FILE,
-    LOG_FILE,
     Engine,
     EngineSpec,
     StreamDef,
@@ -30,7 +28,13 @@ from streamtx.model import (
     WindowSpec,
     register_workflow,
 )
-from streamtx.recovery import RecoveryMode, read_input_cache, read_log
+from streamtx.recovery import (
+    CACHE_FILE,
+    LOG_FILE,
+    RecoveryMode,
+    read_input_cache,
+    read_log,
+)
 from streamtx.snapshot import restore_state, snapshot_state
 from streamtx.storage import Pred
 from streamtx.validator import validate

@@ -28,23 +28,30 @@ from randomized import (
 )
 from streamtx.engine import Engine, recover
 from streamtx.model import AtomicBatch, Tuple, register_workflow
-from streamtx.recovery import CommandLog, InputCache, RecoveryMode
+from streamtx.recovery import CommandLog, CommandLogRecord, InputCache, RecoveryMode
 from streamtx.snapshot import snapshot_state
 from streamtx.validator import validate
 from streamtx.workloads import window_native_spec
 from test_recovery import chain_spec, public_tables
 
-N_PROCS, ROUNDS, CHECKPOINT_AFTER, GROUP_COMMIT = 3, 12, 6, 3
+N_PROCS, ROUNDS, GROUP_COMMIT = 3, 12, 3
+# the third checkpoint prunes the first one's snapshot
+CHECKPOINTS = (4, 6, 8)
 # an hour-long group-commit timer: only full groups and explicit flushes
 # write, so the recorded calls do not depend on timing
 ENGINE_ARGS = dict(group_commit_max_batch=GROUP_COMMIT, group_commit_max_delay=3600)
+# the file layer's calls that change the data dir, each patched where its
+# caller looks it up: the log's and the cache's writes, every whole-file
+# replacement (the snapshot, the truncated log, the compacted cache), and
+# the checkpoint's log truncation and snapshot prune, which the engine
+# calls by its own names
 WRITERS = [
     (CommandLog, "flush"),
     (InputCache, "append"),
     (InputCache, "compact"),
     (recovery_mod, "replace_file"),
-    (engine_mod, "replace_file"),
     (engine_mod, "truncate_log"),
+    (engine_mod, "prune_snapshots"),
 ]
 
 
@@ -52,12 +59,12 @@ def batch(r):
     return AtomicBatch(r, (Tuple((r * 10,), tuple_id=r, batch_id=r, ts=0),))
 
 
-def feed(engine, first, last, checkpoint_after=None):
+def feed(engine, first, last, checkpoints=()):
     tickets = []
     for r in range(first, last + 1):
         tickets.append(engine.ingest_batch("s1", batch(r)))
         engine.run_until_idle()
-        if r == checkpoint_after:
+        if r in checkpoints:
             engine.checkpoint()
     return tickets
 
@@ -123,7 +130,7 @@ def record_crash_states(mode, d, fsync):
             mp.setattr(owner, attr, recorded(getattr(owner, attr)))
         e = Engine(chain_spec(N_PROCS), data_dir=d, recovery_mode=mode, fsync=fsync,
                    **ENGINE_ARGS)
-        tickets += feed(e, 1, ROUNDS, checkpoint_after=CHECKPOINT_AFTER)
+        tickets += feed(e, 1, ROUNDS, checkpoints=CHECKPOINTS)
         e.close()
     distinct = {}
     for files, seen in states:
@@ -259,6 +266,292 @@ def test_recovery_syncs_only_a_weak_closing_checkpoint(tmp_path, synced, mode, f
     r.close()
 
 
+# --- the file-system calls themselves ---
+
+
+class _Truncations:
+    """A file object that records its ``truncate`` calls."""
+
+    def __init__(self, fh, record, name):
+        self._fh, self._record, self._name = fh, record, name
+
+    def truncate(self, size=None):
+        self._record(f"truncate {self._name}")
+        return self._fh.truncate(size)
+
+    def __getattr__(self, attr):
+        return getattr(self._fh, attr)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.fixture
+def traffic(monkeypatch, tmp_path):
+    """Every file-system call on a path under ``tmp_path`` so far, as
+    ``"<kind> <path relative to tmp_path>"``; an ``open`` carries its mode,
+    and ``fsync`` the kind, file or dir, of the descriptor it syncs."""
+    calls, fd_names = [], {}
+    root = str(tmp_path)
+
+    def rel(path):
+        path = os.fspath(path)
+        return os.path.relpath(path, root) if path.startswith(root) else None
+
+    def path_call(kind, real):
+        def call(path, *args, **kwargs):
+            if rel(path) is not None:
+                calls.append(f"{kind} {rel(path)}")
+            return real(path, *args, **kwargs)
+
+        return call
+
+    real_open, real_os_open = open, os.open
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def traced_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        name = rel(path) if isinstance(path, (str, os.PathLike)) else None
+        if name is None:
+            return fh
+        calls.append(f"open {mode} {name}")
+        fd_names[fh.fileno()] = name
+        return _Truncations(fh, calls.append, name)
+
+    def traced_os_open(path, flags, *args, **kwargs):
+        fd = real_os_open(path, flags, *args, **kwargs)
+        if rel(path) is not None:
+            calls.append(f"open dir {rel(path)}")
+            fd_names[fd] = rel(path)
+        return fd
+
+    def traced_fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        calls.append(f"fsync {kind} {fd_names.get(fd)}")
+        real_fsync(fd)
+
+    def traced_replace(src, dst):
+        calls.append(f"replace {rel(src)} {rel(dst)}")
+        real_replace(src, dst)
+
+    monkeypatch.setattr("builtins.open", traced_open)
+    monkeypatch.setattr(os, "open", traced_os_open)
+    monkeypatch.setattr(os, "fsync", traced_fsync)
+    monkeypatch.setattr(os, "replace", traced_replace)
+    for kind in ("listdir", "remove", "makedirs"):
+        monkeypatch.setattr(os, kind, path_call(kind, getattr(os, kind)))
+    monkeypatch.setattr(os.path, "isdir", path_call("isdir", os.path.isdir))
+    return calls
+
+
+def take(calls):
+    """The calls recorded so far; the record starts over."""
+    out = calls[:]
+    calls.clear()
+    return out
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_file_traffic_pinned(tmp_path, traffic, mode, fsync):
+    """The file-system calls of construction, a checkpoint, a checkpoint
+    that prunes the oldest snapshot, and the recovery of a crash that left
+    a torn log tail and a stale temp file, call for call. With fsync off
+    they are the same calls without the syncs and the directory opens."""
+    d = tmp_path / "data"
+    d.mkdir()
+    e = Engine(chain_spec(N_PROCS), data_dir=str(d), recovery_mode=mode,
+               fsync=fsync, **ENGINE_ARGS)
+    got = {"construct": take(traffic)}
+    feed(e, 1, 2)
+    take(traffic)
+    e.checkpoint()
+    got["checkpoint"] = take(traffic)
+    for r in (3, 4):
+        feed(e, r, r)
+        e.checkpoint()
+    feed(e, 5, 5)
+    take(traffic)
+    e.checkpoint()
+    got["pruning checkpoint"] = take(traffic)
+    feed(e, 6, 6)
+    e.crash()
+    torn = CommandLogRecord(10**6, "SP1", 10**6, b"torn").encode()
+    with (d / "command.log").open("ab") as fh:
+        fh.write(torn[: len(torn) // 2])
+    (d / "command.log.tmp").write_bytes(b"STXLOG01")
+    take(traffic)
+    r = recover(chain_spec(N_PROCS), str(d), fsync=fsync, **ENGINE_ARGS)
+    r.close()
+    got["recover and close"] = take(traffic)
+    want = TRAFFIC[mode]
+    if not fsync:
+        want = {
+            phase: [c for c in calls if not c.startswith(("fsync", "open dir"))]
+            for phase, calls in want.items()
+        }
+    assert got == want
+
+
+# with fsync on; a power-loss model at the file layer (ROADMAP item 6) has
+# to cover each of these calls
+TRAFFIC = {
+    RecoveryMode.STRONG: {
+        "construct": [
+            "isdir data",
+            "listdir data",
+            "isdir data",
+            "makedirs data",
+            "isdir data",
+            "open ab data/command.log",
+            "fsync file data/command.log",
+            "open dir data",
+            "fsync dir data",
+        ],
+        "checkpoint": [
+            "open wb data/snapshot-000000000006.snap.tmp",
+            "fsync file data/snapshot-000000000006.snap.tmp",
+            "replace data/snapshot-000000000006.snap.tmp data/snapshot-000000000006.snap",
+            "open dir data",
+            "fsync dir data",
+            "open wb data/command.log.tmp",
+            "fsync file data/command.log.tmp",
+            "replace data/command.log.tmp data/command.log",
+            "open dir data",
+            "fsync dir data",
+            "open ab data/command.log",
+            "listdir data",
+        ],
+        "pruning checkpoint": [
+            "open wb data/snapshot-000000000015.snap.tmp",
+            "fsync file data/snapshot-000000000015.snap.tmp",
+            "replace data/snapshot-000000000015.snap.tmp data/snapshot-000000000015.snap",
+            "open dir data",
+            "fsync dir data",
+            "open wb data/command.log.tmp",
+            "fsync file data/command.log.tmp",
+            "replace data/command.log.tmp data/command.log",
+            "open dir data",
+            "fsync dir data",
+            "open ab data/command.log",
+            "listdir data",
+            "remove data/snapshot-000000000009.snap",
+        ],
+        "recover and close": [
+            "listdir data",
+            "remove data/command.log.tmp",
+            "open rb data/command.log",
+            "open r+b data/command.log",
+            "truncate data/command.log",
+            "fsync file data/command.log",
+            "isdir data",
+            "makedirs data",
+            "isdir data",
+            "open ab data/command.log",
+            "listdir data",
+            "open rb data/snapshot-000000000015.snap",
+        ],
+    },
+    RecoveryMode.WEAK: {
+        "construct": [
+            "isdir data",
+            "listdir data",
+            "isdir data",
+            "makedirs data",
+            "isdir data",
+            "open ab data/command.log",
+            "fsync file data/command.log",
+            "open dir data",
+            "fsync dir data",
+            "open ab data/input.cache",
+            "fsync file data/input.cache",
+            "open dir data",
+            "fsync dir data",
+        ],
+        "checkpoint": [
+            "fsync file data/command.log",
+            "open wb data/snapshot-000000000006.snap.tmp",
+            "fsync file data/snapshot-000000000006.snap.tmp",
+            "replace data/snapshot-000000000006.snap.tmp data/snapshot-000000000006.snap",
+            "open dir data",
+            "fsync dir data",
+            "open wb data/command.log.tmp",
+            "fsync file data/command.log.tmp",
+            "replace data/command.log.tmp data/command.log",
+            "open dir data",
+            "fsync dir data",
+            "open ab data/command.log",
+            "open wb data/input.cache.tmp",
+            "fsync file data/input.cache.tmp",
+            "replace data/input.cache.tmp data/input.cache",
+            "open dir data",
+            "fsync dir data",
+            "open ab data/input.cache",
+            "listdir data",
+        ],
+        "pruning checkpoint": [
+            "fsync file data/command.log",
+            "open wb data/snapshot-000000000015.snap.tmp",
+            "fsync file data/snapshot-000000000015.snap.tmp",
+            "replace data/snapshot-000000000015.snap.tmp data/snapshot-000000000015.snap",
+            "open dir data",
+            "fsync dir data",
+            "open wb data/command.log.tmp",
+            "fsync file data/command.log.tmp",
+            "replace data/command.log.tmp data/command.log",
+            "open dir data",
+            "fsync dir data",
+            "open ab data/command.log",
+            "open wb data/input.cache.tmp",
+            "fsync file data/input.cache.tmp",
+            "replace data/input.cache.tmp data/input.cache",
+            "open dir data",
+            "fsync dir data",
+            "open ab data/input.cache",
+            "listdir data",
+            "remove data/snapshot-000000000009.snap",
+        ],
+        "recover and close": [
+            "listdir data",
+            "remove data/command.log.tmp",
+            "open rb data/command.log",
+            "open r+b data/command.log",
+            "truncate data/command.log",
+            "fsync file data/command.log",
+            "isdir data",
+            "makedirs data",
+            "isdir data",
+            "open ab data/command.log",
+            "open ab data/input.cache",
+            "listdir data",
+            "open rb data/snapshot-000000000015.snap",
+            "open rb data/input.cache",
+            "open wb data/snapshot-000000000015.snap.tmp",
+            "fsync file data/snapshot-000000000015.snap.tmp",
+            "replace data/snapshot-000000000015.snap.tmp data/snapshot-000000000015.snap",
+            "open dir data",
+            "fsync dir data",
+            "open wb data/command.log.tmp",
+            "fsync file data/command.log.tmp",
+            "replace data/command.log.tmp data/command.log",
+            "open dir data",
+            "fsync dir data",
+            "open ab data/command.log",
+            "open wb data/input.cache.tmp",
+            "fsync file data/input.cache.tmp",
+            "replace data/input.cache.tmp data/input.cache",
+            "open dir data",
+            "fsync dir data",
+            "open ab data/input.cache",
+            "listdir data",
+        ],
+    },
+}
+
+
 # --- fail-stop ---
 
 
@@ -321,44 +614,69 @@ def test_failed_write_stops_the_partition(
     r.close()
 
 
-@pytest.mark.parametrize("fsync", [True, False])
-def test_failed_checkpoint_stops_the_partition(tmp_path, monkeypatch, fsync):
+@pytest.mark.parametrize(
+    "fsync, step",
+    [(True, "log"), (False, "log"), (True, "prune"), (False, "prune")],
+    ids=["True", "False", "prune-True", "prune-False"],
+)
+def test_failed_checkpoint_stops_the_partition(tmp_path, monkeypatch, fsync, step):
     # the truncated log's last file step fails: with fsync on, the directory
     # sync after its rename, when the log's handle still points at the old,
     # now unlinked file, so a commit after this would be acknowledged from a
     # file recovery never reads; with fsync off, which syncs nothing, the
-    # rename itself
+    # rename itself. Or the third checkpoint's prune fails to remove the
+    # first one's snapshot, its last file step.
     import errno
 
     from streamtx.errors import EngineStopped, LogWriteFailure
     from streamtx.workloads import pe_chain_spec
 
-    def fail_for_log(real):
+    def fail_for(suffix, real):
         def call(*args):
-            if os.path.basename(args[-1]) == "command.log":
+            if args[-1].endswith(suffix):
                 raise OSError(errno.EIO, "I/O error")
             return real(*args)
 
         return call
 
-    owner, attr = (recovery_mod, "_sync_dir") if fsync else (os, "replace")
+    if step == "prune":
+        owner, attr, suffix = os, "remove", ".snap"
+    else:
+        owner, attr = (recovery_mod, "_sync_dir") if fsync else (os, "replace")
+        suffix = "command.log"
+    rounds = 3 if step == "prune" else 1
     e = Engine(
         pe_chain_spec(2, "triggered"), data_dir=str(tmp_path),
         recovery_mode=RecoveryMode.STRONG, fsync=fsync,
     )
-    assert e.await_ticket(e.ingest_batch("s1", batch(1))).acknowledged
-    e.run_until_idle()
+    for r in range(1, rounds + 1):
+        if r > 1:
+            e.checkpoint()
+        assert e.await_ticket(e.ingest_batch("s1", batch(r))).acknowledged
+        e.run_until_idle()
     with monkeypatch.context() as mp:
-        mp.setattr(owner, attr, fail_for_log(getattr(owner, attr)))
+        mp.setattr(owner, attr, fail_for(suffix, getattr(owner, attr)))
         with pytest.raises(LogWriteFailure, match="I/O error"):
             e.checkpoint()
     assert e.partition.stopped
     with pytest.raises(EngineStopped):
-        e.ingest_batch("s1", batch(2))
+        e.ingest_batch("s1", batch(rounds + 1))
     e.crash()
     r = recover(pe_chain_spec(2, "triggered"), str(tmp_path), fsync=fsync)
-    assert [t.values for t in r.store.table("out").rows] == [(10,)]
+    assert [t.values for t in r.store.table("out").rows] == [
+        (10 * n,) for n in range(1, rounds + 1)
+    ]
     r.close()
+
+
+def test_data_dir_that_cannot_be_made_raises_log_write_failure(tmp_path):
+    # every file-layer call that changes the data dir raises the one error
+    from streamtx.errors import LogWriteFailure
+
+    (tmp_path / "file").write_bytes(b"")
+    with pytest.raises(LogWriteFailure, match="Not a directory"):
+        Engine(chain_spec(N_PROCS), data_dir=str(tmp_path / "file" / "data"),
+               recovery_mode=RecoveryMode.STRONG, fsync=False)
 
 
 def test_close_stops_the_partition_when_its_flush_fails(tmp_path, monkeypatch):

@@ -2,7 +2,8 @@ import os
 
 import pytest
 
-from streamtx.engine import Engine, EngineSpec, StreamDef, TableDef
+from randomized import pair_chain_spec
+from streamtx.engine import Engine, EngineSpec, StreamDef, TableDef, recover
 from streamtx.errors import EngineStopped, SchemaMismatch, WrongKind
 from streamtx.ingest import (
     BatchingPolicy,
@@ -285,6 +286,68 @@ def test_pump_that_stops_the_partition_raises_engine_stopped():
     assert [req.round for req in e.partition.client_queue] == [2]
     assert e.partition.last_queued["SP1"] == 2
 
+
+
+# --- a border with two inputs: its rounds wait in feeder slots ---
+
+
+def pair_round(e, r):
+    """Both batches of round r of ``pair_chain_spec``; the second's ticket."""
+    e.ingest_batch("a", small_batch(r))
+    return e.ingest_batch("b", small_batch(r))
+
+
+def test_pump_that_stops_the_partition_keeps_the_two_input_round():
+    def stop(partition):
+        partition.stopped = True  # as a crash in a commit hook would
+
+    e = Engine(pair_chain_spec(), queue_bound=2, post_commit_hook=stop)
+    for r in (1, 2):
+        pair_round(e, r)
+    with pytest.raises(EngineStopped):
+        pair_round(e, 3)
+    assert [req.round for req in e.partition.client_queue] == [2]
+    assert e.partition.last_queued["SP1"] == 2
+    assert sorted(e._feeder_pending["SP1"][3][0]) == ["a", "b"]
+
+
+def test_failed_pump_write_keeps_the_two_input_round_in_its_slot(tmp_path, monkeypatch):
+    from streamtx.errors import LogWriteFailure
+    from streamtx.recovery import RecoveryMode, read_input_cache
+
+    e = Engine(
+        pair_chain_spec(), data_dir=str(tmp_path), recovery_mode=RecoveryMode.WEAK,
+        fsync=False, queue_bound=3,
+    )
+    for r in (1, 2, 3):
+        pair_round(e, r)
+    e.ingest_batch("a", small_batch(4))
+
+    def fail(data):
+        raise LogWriteFailure("disk full")
+
+    monkeypatch.setattr(e.partition.log._file, "append", fail)
+    with pytest.raises(LogWriteFailure, match="disk full"):
+        e.ingest_batch("b", small_batch(4))  # round 1's record fails to write
+    p = e.partition
+    assert p.stopped
+    assert [req.round for req in p.client_queue] == [2, 3]
+    assert p.last_queued["SP1"] == 3
+    assert sorted(e._feeder_pending["SP1"][4][0]) == ["a", "b"]
+    # the cache holds the slot's batches, so recovery runs round 4 too
+    cached = read_input_cache(str(tmp_path / "input.cache"))
+    assert {s: [b.batch_id for b in bs] for s, bs in cached.items()} == {
+        "a": [1, 2, 3, 4], "b": [1, 2, 3, 4]
+    }
+    with pytest.raises(EngineStopped):
+        e.ingest_batch("a", small_batch(5))
+    e.crash()
+    r = recover(pair_chain_spec(), str(tmp_path), fsync=False)
+    r.run_until_idle()
+    assert [t.values for t in r.store.table("out").rows] == [
+        (n, 2 * n) for n in (1, 2, 3, 4)
+    ]
+    r.close()
 
 def test_client_calls_get_their_ticket_from_submit_client(monkeypatch):
     from streamtx.bench import _client_call

@@ -11,8 +11,6 @@ from randomized import (
     random_strong_crash_run,
 )
 from streamtx.engine import (
-    CACHE_FILE,
-    LOG_FILE,
     Engine,
     EngineSpec,
     StreamDef,
@@ -39,6 +37,8 @@ from streamtx.model import (
     register_workflow,
 )
 from streamtx.recovery import (
+    CACHE_FILE,
+    LOG_FILE,
     CommandLog,
     CommandLogRecord,
     DispatchCounts,
