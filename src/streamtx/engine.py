@@ -35,8 +35,8 @@ from .executor import (
 from .model import AtomicBatch, ProcedureKind, Tuple, Workflow
 from .recovery import (  # the file layer: the engine makes no file-system call
     CACHE_FILE, LOG_FILE, CommandLog, InputCache, RecoveryMode, cut_torn_tail,
-    data_path, make_dirs, prune_snapshots, read_input_cache, read_log,
-    read_snapshots, remove_temp_files, truncate_log, used_data_file, write_snapshot,
+    data_path, prune_snapshots, read_input_cache, read_log, read_snapshots,
+    remove_temp_files, truncate_log, used_data_file, write_snapshot,
 )
 from .snapshot import restore_state, snapshot_state, verify_snapshot
 from .storage import Store, UndoBuffer, make_schema
@@ -128,8 +128,7 @@ class Engine:
                         )
         log_path = cache_path = None
         if mode is not None:
-            self._claim_data_dir()
-            make_dirs(data_dir, fsync)
+            self._claim_data_dir(fsync)
             log_path = data_path(data_dir, LOG_FILE)
             if mode is RecoveryMode.WEAK:
                 cache_path = data_path(data_dir, CACHE_FILE)
@@ -321,17 +320,17 @@ class Engine:
         if self.data_dir is None:
             raise BadDefinition("checkpoint needs a data directory")
         p = self.partition
-        p.fail_stop(self._claim_data_dir)
-        self.drain_and_quiesce()  # also flushes the log
         cache = p.input_cache
         fsync = cache.fsync  # the engine's one fsync setting
+        p.fail_stop(self._claim_data_dir, fsync)
+        self.drain_and_quiesce()  # also flushes the log
         if self._snapshot_memo is None:
             self._snapshot_memo = {}
         blob = snapshot_state(self.store, p.id, p.commit_seq, self._snapshot_memo)
         path = p.fail_stop(write_snapshot, self.data_dir, p.commit_seq, blob, fsync)
         if p.log.mode is not None:
+            # cut in place: the log's open handle appends after the new header
             p.fail_stop(truncate_log, p.log.path, p.log.mode, p.id, p.commit_seq, fsync)
-            p.fail_stop(p.log.reopen)
         cache.retained = self._unended(cache.retained)
         p.fail_stop(cache.compact)
         p.fail_stop(prune_snapshots, self.data_dir)
@@ -351,11 +350,12 @@ class Engine:
             out[s] = [b for b in bs if b.batch_id > mark]
         return out
 
-    def _claim_data_dir(self) -> None:
+    def _claim_data_dir(self, fsync: bool) -> None:
         """Before this engine first writes into its data directory, refuse
         one that holds a log, cache or snapshot: starting empty, it would
-        write commits that recovery cannot order after the old ones."""
-        name = None if self._owns_data_dir else used_data_file(self.data_dir)
+        write commits that recovery cannot order after the old ones. A
+        directory that does not exist yet is made."""
+        name = None if self._owns_data_dir else used_data_file(self.data_dir, fsync)
         if name is not None:
             raise BadDefinition(
                 f"{self.data_dir} already holds {name}; recover() reopens it"
@@ -473,15 +473,17 @@ def recover(
                 p.last_queued[plan.proc.name] = _mark(plan)
         p.refire_nonempty_streams()
         if not strong:
-            # re-submit the cached rounds no border has ended, then take a
-            # fresh checkpoint so commit sequences stay consistent with the
-            # (rotated) log
+            # re-submit the cached rounds no border has ended. Weak replay
+            # numbers the commits it runs afresh, so a fresh checkpoint
+            # starts the log over after them; with no record replayed, the
+            # log holds no commit after the snapshot and needs none
             cached = read_input_cache(data_path(data_dir, CACHE_FILE))
             p.input_cache.retained = engine._unended(cached)
             for stream in sorted(p.input_cache.retained):
                 for batch in p.input_cache.retained[stream]:
                     engine.ingest_batch(stream, batch, resubmit=True)
-            engine.checkpoint()
+            if replayed:
+                engine.checkpoint()
     except BaseException:
         engine.crash()  # close its files
         raise

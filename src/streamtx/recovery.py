@@ -2,10 +2,12 @@
 
 This module owns the data directory, its file names and every file-system
 call the engine makes, through one small file layer: ``AppendFile``
-appends to a file that starts with a header, ``replace_file`` swaps a
-whole file atomically, ``_read_frames`` reads one back, and the snapshot
-calls write, prune (to ``KEEP_SNAPSHOTS``) and read them, newest first. A
-call that changes the directory raises ``LogWriteFailure`` on an I/O error.
+appends to a file that starts with a header and cuts it back in place,
+``truncate_log`` cuts the log back to a new header in place,
+``replace_file`` swaps a whole file atomically, ``_read_frames`` reads one
+back, and the snapshot calls write, prune (to ``KEEP_SNAPSHOTS``) and read
+them, newest first. A call that changes the directory raises
+``LogWriteFailure`` on an I/O error.
 Each file is a header, then codec frames; a torn or corrupt frame ends it,
 and recovery cuts a log's torn tail (``cut_torn_tail``) before the engine
 appends to it again. The log header's snapshot seq is the commit
@@ -51,21 +53,25 @@ weak-recovery upstream-backup scheme: every external batch is written there
 before its border execution runs.
 
 One ``fsync`` policy holds for every durable byte: the log, the cache and
-the whole-file replacements a checkpoint makes (snapshot, log truncation,
-cache compaction). With it on, a new data directory's entry, a new file's
+the file steps a checkpoint takes. A checkpoint replaces the snapshot
+whole, cuts the log back to a new header in place, and cuts the cache
+back to its header in place when it keeps no batch, or else replaces it
+whole. With ``fsync`` on, a new data directory's entry, a new file's
 header and its directory entry are synced when they are created, an
-append is synced before it returns, and ``replace_file`` syncs the temp
-file before its rename and the directory after it, so that a power loss,
-too, should keep what the recovery mode promises. With it off, nothing is
-synced: appends are flushed to the OS and a replacement is a write and a
-rename. That still keeps the promise across a process crash, since the OS
-keeps every written byte and a rename is seen whole or not at all, but it
-promises nothing across a power loss.
+append is synced before it returns, a cut in place is synced once it is
+made, and ``replace_file`` syncs the temp file before its rename and the
+directory after it, so that a power loss, too, should keep what the
+recovery mode promises. With it off, nothing is synced: appends are
+flushed to the OS, a cut is a write and a truncate, and a replacement is
+a write and a rename. That still keeps the promise across a process
+crash, since the OS keeps every written byte and a rename is seen whole
+or not at all, but it promises nothing across a power loss.
 """
 
 from __future__ import annotations
 
 import enum
+import errno
 import functools
 import os
 import re
@@ -236,6 +242,15 @@ class AppendFile:
         self._fh.close()
         self._fh = open(self.path, "ab")
 
+    @_write_failure
+    def cut(self, size: int) -> None:
+        """Cut the file back to its first ``size`` bytes in place; appends
+        go on after them. The cut is synced when ``fsync`` is set."""
+        fd = self._fh.fileno()
+        os.ftruncate(fd, size)
+        if self.fsync:
+            os.fsync(fd)
+
     def close(self) -> None:
         self._fh.close()
 
@@ -320,10 +335,6 @@ class CommandLog:
                 ticket.acknowledged = True
         return len(batch)
 
-    def reopen(self) -> None:
-        """Append to the file now at ``path``, after it was replaced."""
-        self._file.reopen()
-
     def crash(self) -> None:
         """Drop buffered records and close, as a power failure would."""
         self.pending.clear()
@@ -398,6 +409,7 @@ def make_dirs(path: str, fsync: bool) -> None:
             _sync_dir(new)
 
 
+@_write_failure
 def truncate_log(
     path: str,
     mode: RecoveryMode,
@@ -407,8 +419,28 @@ def truncate_log(
 ) -> None:
     """Start the log over after the snapshot at ``snapshot_seq`` made the
     records up to it redundant; recovery then needs that snapshot or a
-    newer one. The new log is synced when ``fsync`` is set."""
-    replace_file(path, _log_header(mode, partition_id, snapshot_seq), fsync)
+    newer one. The log is cut in place, so a handle that appends to it
+    appends after the new header: the header is written over the old one,
+    then the file is cut to it, and the cut is synced when ``fsync`` is
+    set. A crash between the two leaves the new header before records up
+    to ``snapshot_seq``, which recovery skips. A missing log is created,
+    and with ``fsync`` set its directory entry is synced too."""
+    header = _log_header(mode, partition_id, snapshot_seq)
+    # no O_APPEND: on Linux, pwrite on such a descriptor appends
+    try:
+        fd, created = os.open(path, os.O_WRONLY), False
+    except FileNotFoundError:
+        fd, created = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), True
+    try:
+        if os.pwrite(fd, header, 0) != len(header):
+            raise OSError(errno.EIO, f"short header write to {path}")
+        os.ftruncate(fd, len(header))
+        if fsync:
+            os.fsync(fd)
+    finally:
+        os.close(fd)
+    if created and fsync:
+        _sync_dir(path)
 
 
 # --- the data directory ---
@@ -446,12 +478,17 @@ def read_snapshots(data_dir: str) -> Iterator[bytes]:
 
 
 @_write_failure
-def used_data_file(data_dir: str) -> Optional[str]:
+def used_data_file(data_dir: str, fsync: bool) -> Optional[str]:
     """The first, in name order, of the log, the cache and the snapshots in
-    ``data_dir``; None if it holds none of them or does not exist."""
-    names = sorted(os.listdir(data_dir)) if os.path.isdir(data_dir) else ()
+    ``data_dir``; None if it holds none of them. A ``data_dir`` that does
+    not exist holds none, and is made (``make_dirs``)."""
+    try:
+        names = os.listdir(data_dir)
+    except FileNotFoundError:
+        make_dirs(data_dir, fsync)
+        return None
     used = (LOG_FILE, CACHE_FILE)
-    return next((n for n in names if n in used or _SNAPSHOT_RE.match(n)), None)
+    return min((n for n in names if n in used or _SNAPSHOT_RE.match(n)), default=None)
 
 
 @_write_failure
@@ -491,7 +528,10 @@ class InputCache:
         self._file.append(frame(payload))
 
     def compact(self) -> None:
-        """Rewrite the durable file to hold only still-retained batches."""
+        """Make the durable file hold only the still-retained batches: with
+        none retained, cut it back to its header in place; else replace it
+        whole, since a rewrite in place that a crash cut short could lose a
+        retained batch."""
         if self._file is None:
             return
         records = [
@@ -499,6 +539,9 @@ class InputCache:
             for s in sorted(self.retained)
             for b in self.retained[s]
         ]
+        if not records:
+            self._file.cut(len(CACHE_MAGIC))
+            return
         replace_file(self.path, CACHE_MAGIC + b"".join(records), self.fsync)
         self._file.reopen()
 

@@ -41,10 +41,10 @@ CHECKPOINTS = (4, 6, 8)
 # write, so the recorded calls do not depend on timing
 ENGINE_ARGS = dict(group_commit_max_batch=GROUP_COMMIT, group_commit_max_delay=3600)
 # the file layer's calls that change the data dir, each patched where its
-# caller looks it up: the log's and the cache's writes, every whole-file
-# replacement (the snapshot, the truncated log, the compacted cache), and
-# the checkpoint's log truncation and snapshot prune, which the engine
-# calls by its own names
+# caller looks it up: the log's and the cache's writes, the cache's
+# compaction, every whole-file replacement (the snapshot, a compacted cache
+# that keeps a batch), and the checkpoint's log truncation and snapshot
+# prune, which the engine calls by its own names
 WRITERS = [
     (CommandLog, "flush"),
     (InputCache, "append"),
@@ -90,10 +90,20 @@ def read_dir(d):
     return out
 
 
+# the header a file is cut back to in place: the log's new header (the
+# snapshot seq changes, the length does not), or the cache's magic
+CUT_TO_HEADER = {
+    "command.log": len(recovery_mod._log_header(RecoveryMode.STRONG, 0)),
+    "input.cache": len(recovery_mod.CACHE_MAGIC),
+}
+
+
 def half_written(before, after):
     """The dir had the call died half-way: an appended file holds half of its
-    new bytes; a replaced or new file is unchanged, beside a temp file that
-    holds half of its new bytes."""
+    new bytes; a file cut back to its header in place holds the new header
+    over its old bytes, the state between the header's write and the cut; a
+    replaced or new file is unchanged, beside a temp file that holds half of
+    its new bytes."""
     state = dict(before)
     for name, data in after.items():
         old = before.get(name)
@@ -101,6 +111,8 @@ def half_written(before, after):
             continue
         if old is not None and data.startswith(old):
             state[name] = data[: len(old) + (len(data) - len(old)) // 2]
+        elif old is not None and len(data) == CUT_TO_HEADER.get(name) < len(old):
+            state[name] = data + old[len(data) :]
         else:
             state[name + ".tmp"] = data[: len(data) // 2]
     return state
@@ -225,14 +237,19 @@ def test_log_and_cache_follow_one_fsync_policy(tmp_path, synced, mode, fsync):
     e.close()
 
 
-# the files a checkpoint replaces, each a synced temp file and then its
-# directory when fsync is on: the snapshot, then the log and in weak mode
-# the cache; an engine without a log keeps only its snapshots
-CHECKPOINTED_FILES = {"strong": 2, "weak": 3, "no log": 1}
+# the syncs of a checkpoint with fsync on: the snapshot replaces a synced
+# temp file, then syncs its directory; the log is cut in place, and in weak
+# mode so is a cache that keeps no batch, each with one file sync; an
+# engine without a log keeps only its snapshots
+CHECKPOINT_SYNCS = {
+    "strong": ["file", "dir", "file"],
+    "weak": ["file", "dir", "file", "file"],
+    "no log": ["file", "dir"],
+}
 
 
 @pytest.mark.parametrize("fsync", [True, False])
-@pytest.mark.parametrize("engine", sorted(CHECKPOINTED_FILES))
+@pytest.mark.parametrize("engine", sorted(CHECKPOINT_SYNCS))
 def test_checkpoint_follows_the_fsync_policy(tmp_path, synced, engine, fsync):
     if engine == "no log":
         e = Engine(window_native_spec(10, 1), data_dir=str(tmp_path), fsync=fsync)
@@ -244,8 +261,33 @@ def test_checkpoint_follows_the_fsync_policy(tmp_path, synced, engine, fsync):
     e.drain_and_quiesce()  # nothing left for the checkpoint's flush
     synced.clear()
     e.checkpoint()
-    assert synced == (["file", "dir"] * CHECKPOINTED_FILES[engine] if fsync else [])
+    assert synced == (CHECKPOINT_SYNCS[engine] if fsync else [])
     e.close()
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+def test_unlogged_checkpoint_makes_a_missing_data_dir(tmp_path, synced, fsync):
+    # an engine without a log first writes at its checkpoint, whose listing
+    # of the data dir finds it missing and makes it, syncing the parent of
+    # each directory it creates before the snapshot
+    d = tmp_path / "new" / "data"
+    e = Engine(window_native_spec(10, 1), data_dir=str(d), fsync=fsync)
+    assert not (tmp_path / "new").exists()
+    e.checkpoint()
+    assert synced == (["dir", "dir"] + CHECKPOINT_SYNCS["no log"] if fsync else [])
+    assert os.listdir(d) == ["snapshot-000000000000.snap"]
+    e.close()
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+def test_truncate_log_creates_a_missing_log(tmp_path, synced, fsync):
+    # how a directory without a log gets one that recover() can read; the
+    # new file's directory entry is synced after the file
+    path = str(tmp_path / "command.log")
+    recovery_mod.truncate_log(path, RecoveryMode.STRONG, 0, 7, fsync)
+    assert synced == (["file", "dir"] if fsync else [])
+    header = len(recovery_mod._log_header(RecoveryMode.STRONG, 0))
+    assert recovery_mod.read_log(path) == (RecoveryMode.STRONG, 0, 7, header, [])
 
 
 @pytest.mark.parametrize("fsync", [True, False])
@@ -253,7 +295,8 @@ def test_checkpoint_follows_the_fsync_policy(tmp_path, synced, engine, fsync):
 def test_recovery_syncs_only_a_weak_closing_checkpoint(tmp_path, synced, mode, fsync):
     # every round ran and its records were flushed before the crash, so the
     # log has no torn tail to cut and no round is re-submitted: weak recovery
-    # syncs only the checkpoint it ends with, and strong recovery nothing
+    # syncs only the checkpoint it ends with after it replays a record, and
+    # strong recovery nothing
     e = Engine(chain_spec(N_PROCS), data_dir=str(tmp_path), recovery_mode=mode,
                fsync=fsync)
     feed(e, 1, 4)
@@ -261,8 +304,16 @@ def test_recovery_syncs_only_a_weak_closing_checkpoint(tmp_path, synced, mode, f
     synced.clear()
     r = recover(chain_spec(N_PROCS), str(tmp_path), fsync=fsync)
     weak = mode is RecoveryMode.WEAK
-    assert synced == (["file", "dir"] * 3 if fsync and weak else [])
+    assert synced == (CHECKPOINT_SYNCS["weak"] if fsync and weak else [])
     assert r.partition.commit_seq == 4 * N_PROCS
+    # with no record after the snapshot, weak recovery takes no checkpoint
+    feed(r, 5, 5)
+    r.checkpoint()
+    r.crash()
+    synced.clear()
+    r = recover(chain_spec(N_PROCS), str(tmp_path), fsync=fsync)
+    assert synced == []
+    assert r.partition.commit_seq == 5 * N_PROCS
     r.close()
 
 
@@ -293,7 +344,9 @@ class _Truncations:
 def traffic(monkeypatch, tmp_path):
     """Every file-system call on a path under ``tmp_path`` so far, as
     ``"<kind> <path relative to tmp_path>"``; an ``open`` carries its mode,
-    and ``fsync`` the kind, file or dir, of the descriptor it syncs."""
+    or for ``os.open`` the kind, file or dir, of what it opened, ``fsync``
+    the kind of the descriptor it syncs, and a call on a descriptor
+    (``fsync``, ``ftruncate``, ``pwrite``) the path it was opened for."""
     calls, fd_names = [], {}
     root = str(tmp_path)
 
@@ -308,6 +361,16 @@ def traffic(monkeypatch, tmp_path):
             return real(path, *args, **kwargs)
 
         return call
+
+    def fd_call(kind, real):
+        def call(fd, *args, **kwargs):
+            calls.append(f"{kind} {fd_names.get(fd)}")
+            return real(fd, *args, **kwargs)
+
+        return call
+
+    def is_dir(fd):
+        return stat.S_ISDIR(os.fstat(fd).st_mode)
 
     real_open, real_os_open = open, os.open
     real_fsync, real_replace = os.fsync, os.replace
@@ -324,13 +387,12 @@ def traffic(monkeypatch, tmp_path):
     def traced_os_open(path, flags, *args, **kwargs):
         fd = real_os_open(path, flags, *args, **kwargs)
         if rel(path) is not None:
-            calls.append(f"open dir {rel(path)}")
+            calls.append(f"open {'dir' if is_dir(fd) else 'file'} {rel(path)}")
             fd_names[fd] = rel(path)
         return fd
 
     def traced_fsync(fd):
-        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
-        calls.append(f"fsync {kind} {fd_names.get(fd)}")
+        calls.append(f"fsync {'dir' if is_dir(fd) else 'file'} {fd_names.get(fd)}")
         real_fsync(fd)
 
     def traced_replace(src, dst):
@@ -341,8 +403,10 @@ def traffic(monkeypatch, tmp_path):
     monkeypatch.setattr(os, "open", traced_os_open)
     monkeypatch.setattr(os, "fsync", traced_fsync)
     monkeypatch.setattr(os, "replace", traced_replace)
-    for kind in ("listdir", "remove", "makedirs"):
+    for kind in ("listdir", "remove", "makedirs", "truncate"):
         monkeypatch.setattr(os, kind, path_call(kind, getattr(os, kind)))
+    for kind in ("ftruncate", "pwrite"):
+        monkeypatch.setattr(os, kind, fd_call(kind, getattr(os, kind)))
     monkeypatch.setattr(os.path, "isdir", path_call("isdir", os.path.isdir))
     return calls
 
@@ -382,7 +446,7 @@ def test_file_traffic_pinned(tmp_path, traffic, mode, fsync):
     torn = CommandLogRecord(10**6, "SP1", 10**6, b"torn").encode()
     with (d / "command.log").open("ab") as fh:
         fh.write(torn[: len(torn) // 2])
-    (d / "command.log.tmp").write_bytes(b"STXLOG01")
+    (d / "snapshot-000000000018.snap.tmp").write_bytes(b"STXSNAP1")
     take(traffic)
     r = recover(chain_spec(N_PROCS), str(d), fsync=fsync, **ENGINE_ARGS)
     r.close()
@@ -401,11 +465,7 @@ def test_file_traffic_pinned(tmp_path, traffic, mode, fsync):
 TRAFFIC = {
     RecoveryMode.STRONG: {
         "construct": [
-            "isdir data",
             "listdir data",
-            "isdir data",
-            "makedirs data",
-            "isdir data",
             "open ab data/command.log",
             "fsync file data/command.log",
             "open dir data",
@@ -417,12 +477,10 @@ TRAFFIC = {
             "replace data/snapshot-000000000006.snap.tmp data/snapshot-000000000006.snap",
             "open dir data",
             "fsync dir data",
-            "open wb data/command.log.tmp",
-            "fsync file data/command.log.tmp",
-            "replace data/command.log.tmp data/command.log",
-            "open dir data",
-            "fsync dir data",
-            "open ab data/command.log",
+            "open file data/command.log",
+            "pwrite data/command.log",
+            "ftruncate data/command.log",
+            "fsync file data/command.log",
             "listdir data",
         ],
         "pruning checkpoint": [
@@ -431,25 +489,20 @@ TRAFFIC = {
             "replace data/snapshot-000000000015.snap.tmp data/snapshot-000000000015.snap",
             "open dir data",
             "fsync dir data",
-            "open wb data/command.log.tmp",
-            "fsync file data/command.log.tmp",
-            "replace data/command.log.tmp data/command.log",
-            "open dir data",
-            "fsync dir data",
-            "open ab data/command.log",
+            "open file data/command.log",
+            "pwrite data/command.log",
+            "ftruncate data/command.log",
+            "fsync file data/command.log",
             "listdir data",
             "remove data/snapshot-000000000009.snap",
         ],
         "recover and close": [
             "listdir data",
-            "remove data/command.log.tmp",
+            "remove data/snapshot-000000000018.snap.tmp",
             "open rb data/command.log",
             "open r+b data/command.log",
             "truncate data/command.log",
             "fsync file data/command.log",
-            "isdir data",
-            "makedirs data",
-            "isdir data",
             "open ab data/command.log",
             "listdir data",
             "open rb data/snapshot-000000000015.snap",
@@ -457,11 +510,7 @@ TRAFFIC = {
     },
     RecoveryMode.WEAK: {
         "construct": [
-            "isdir data",
             "listdir data",
-            "isdir data",
-            "makedirs data",
-            "isdir data",
             "open ab data/command.log",
             "fsync file data/command.log",
             "open dir data",
@@ -478,18 +527,12 @@ TRAFFIC = {
             "replace data/snapshot-000000000006.snap.tmp data/snapshot-000000000006.snap",
             "open dir data",
             "fsync dir data",
-            "open wb data/command.log.tmp",
-            "fsync file data/command.log.tmp",
-            "replace data/command.log.tmp data/command.log",
-            "open dir data",
-            "fsync dir data",
-            "open ab data/command.log",
-            "open wb data/input.cache.tmp",
-            "fsync file data/input.cache.tmp",
-            "replace data/input.cache.tmp data/input.cache",
-            "open dir data",
-            "fsync dir data",
-            "open ab data/input.cache",
+            "open file data/command.log",
+            "pwrite data/command.log",
+            "ftruncate data/command.log",
+            "fsync file data/command.log",
+            "ftruncate data/input.cache",
+            "fsync file data/input.cache",
             "listdir data",
         ],
         "pruning checkpoint": [
@@ -499,54 +542,27 @@ TRAFFIC = {
             "replace data/snapshot-000000000015.snap.tmp data/snapshot-000000000015.snap",
             "open dir data",
             "fsync dir data",
-            "open wb data/command.log.tmp",
-            "fsync file data/command.log.tmp",
-            "replace data/command.log.tmp data/command.log",
-            "open dir data",
-            "fsync dir data",
-            "open ab data/command.log",
-            "open wb data/input.cache.tmp",
-            "fsync file data/input.cache.tmp",
-            "replace data/input.cache.tmp data/input.cache",
-            "open dir data",
-            "fsync dir data",
-            "open ab data/input.cache",
+            "open file data/command.log",
+            "pwrite data/command.log",
+            "ftruncate data/command.log",
+            "fsync file data/command.log",
+            "ftruncate data/input.cache",
+            "fsync file data/input.cache",
             "listdir data",
             "remove data/snapshot-000000000009.snap",
         ],
         "recover and close": [
             "listdir data",
-            "remove data/command.log.tmp",
+            "remove data/snapshot-000000000018.snap.tmp",
             "open rb data/command.log",
             "open r+b data/command.log",
             "truncate data/command.log",
             "fsync file data/command.log",
-            "isdir data",
-            "makedirs data",
-            "isdir data",
             "open ab data/command.log",
             "open ab data/input.cache",
             "listdir data",
             "open rb data/snapshot-000000000015.snap",
             "open rb data/input.cache",
-            "open wb data/snapshot-000000000015.snap.tmp",
-            "fsync file data/snapshot-000000000015.snap.tmp",
-            "replace data/snapshot-000000000015.snap.tmp data/snapshot-000000000015.snap",
-            "open dir data",
-            "fsync dir data",
-            "open wb data/command.log.tmp",
-            "fsync file data/command.log.tmp",
-            "replace data/command.log.tmp data/command.log",
-            "open dir data",
-            "fsync dir data",
-            "open ab data/command.log",
-            "open wb data/input.cache.tmp",
-            "fsync file data/input.cache.tmp",
-            "replace data/input.cache.tmp data/input.cache",
-            "open dir data",
-            "fsync dir data",
-            "open ab data/input.cache",
-            "listdir data",
         ],
     },
 }
@@ -620,30 +636,26 @@ def test_failed_write_stops_the_partition(
     ids=["True", "False", "prune-True", "prune-False"],
 )
 def test_failed_checkpoint_stops_the_partition(tmp_path, monkeypatch, fsync, step):
-    # the truncated log's last file step fails: with fsync on, the directory
-    # sync after its rename, when the log's handle still points at the old,
-    # now unlinked file, so a commit after this would be acknowledged from a
-    # file recovery never reads; with fsync off, which syncs nothing, the
-    # rename itself. Or the third checkpoint's prune fails to remove the
-    # first one's snapshot, its last file step.
+    # the log's cut fails after its new header is written, so the header
+    # stands over the old records; or the third checkpoint's prune fails to
+    # remove the first one's snapshot, its last file step
     import errno
 
     from streamtx.errors import EngineStopped, LogWriteFailure
     from streamtx.workloads import pe_chain_spec
 
-    def fail_for(suffix, real):
+    def failing(real, fails):
         def call(*args):
-            if args[-1].endswith(suffix):
+            if fails(*args):
                 raise OSError(errno.EIO, "I/O error")
             return real(*args)
 
         return call
 
     if step == "prune":
-        owner, attr, suffix = os, "remove", ".snap"
-    else:
-        owner, attr = (recovery_mod, "_sync_dir") if fsync else (os, "replace")
-        suffix = "command.log"
+        attr, fails = "remove", lambda path: path.endswith(".snap")
+    else:  # strong mode has no cache: the log's is the only cut
+        attr, fails = "ftruncate", lambda fd, size: True
     rounds = 3 if step == "prune" else 1
     e = Engine(
         pe_chain_spec(2, "triggered"), data_dir=str(tmp_path),
@@ -655,7 +667,7 @@ def test_failed_checkpoint_stops_the_partition(tmp_path, monkeypatch, fsync, ste
         assert e.await_ticket(e.ingest_batch("s1", batch(r))).acknowledged
         e.run_until_idle()
     with monkeypatch.context() as mp:
-        mp.setattr(owner, attr, fail_for(suffix, getattr(owner, attr)))
+        mp.setattr(os, attr, failing(getattr(os, attr), fails))
         with pytest.raises(LogWriteFailure, match="I/O error"):
             e.checkpoint()
     assert e.partition.stopped
@@ -777,7 +789,8 @@ def test_recovery_leaves_no_open_or_stale_files(tmp_path):
         f"snapshot-{2 * N_PROCS:012d}.snap",
         f"snapshot-{3 * N_PROCS:012d}.snap",
     ]
-    (tmp_path / "command.log.tmp").write_bytes(b"STXLOG01")  # replace_file cut short
+    # a snapshot's replace_file cut short
+    (tmp_path / f"snapshot-{5 * N_PROCS:012d}.snap.tmp").write_bytes(b"STXSNAP1")
     r = recover(chain_spec(N_PROCS), str(tmp_path), fsync=False)
     assert r.partition.commit_seq == 4 * N_PROCS
     assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]

@@ -1675,36 +1675,66 @@ def test_no_data_dir_retains_no_input():
 
 @pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
 def test_crash_inside_truncate_log_keeps_log(tmp_path, monkeypatch, mode):
-    import builtins
-
+    # the log is cut in place: the new header is written over the old one,
+    # the file is cut to it, and the cut is synced; the process dies after
+    # each of these steps in turn
     import streamtx.engine as engine_mod
-    import streamtx.recovery as recovery_mod
 
     real_truncate = engine_mod.truncate_log
+    for step in ("pwrite", "ftruncate", "fsync"):
+        def step_then_die(*args, real_step=getattr(os, step)):
+            real_step(*args)
+            raise OSError("power lost")
 
-    def empty_then_die(path, how="r", *args, **kwargs):
-        builtins.open(path, "wb").close()  # the file is emptied
-        raise OSError("power lost")
+        def truncate_then_die(*args, step=step):  # once: recovery truncates too
+            monkeypatch.setattr(engine_mod, "truncate_log", real_truncate)
+            with monkeypatch.context() as mp:
+                mp.setattr(os, step, step_then_die)
+                real_truncate(*args)
 
-    def truncate_then_die(*args):  # once: recovery truncates too
-        monkeypatch.setattr(engine_mod, "truncate_log", real_truncate)
-        monkeypatch.setattr(recovery_mod, "open", empty_then_die, raising=False)
-        try:
-            real_truncate(*args)
-        finally:
-            monkeypatch.delattr(recovery_mod, "open")
+        monkeypatch.setattr(engine_mod, "truncate_log", truncate_then_die)
+        d = str(tmp_path / step)
+        e = Engine(chain_spec(2), data_dir=d, recovery_mode=mode, fsync=True)
+        feed_rounds(e, [1, 2, 3])
+        e.run_until_idle()
+        want = e.store.content_signature()
+        with pytest.raises(LogWriteFailure, match="power lost"):
+            e.checkpoint()
+        assert e.partition.stopped, step
+        e.crash()
+        r = recover(chain_spec(2), d, fsync=True)
+        r.run_until_idle()
+        assert r.store.content_signature() == want, step
+        r.close()
 
-    monkeypatch.setattr(engine_mod, "truncate_log", truncate_then_die)
-    e = Engine(chain_spec(2), data_dir=str(tmp_path), recovery_mode=mode,
-               fsync=False)
-    feed_rounds(e, [1, 2, 3])
+
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_checkpoint_cuts_the_log_and_an_empty_cache_in_place(tmp_path, mode):
+    # each file keeps its inode, so the handle the engine appends with still
+    # writes the file recovery reads: a round after the checkpoint comes back
+    e = Engine(chain_spec(2), data_dir=str(tmp_path), recovery_mode=mode, fsync=False)
+    feed_rounds(e, [1, 2])
     e.run_until_idle()
+    weak = mode is RecoveryMode.WEAK
+    files = [tmp_path / LOG_FILE] + ([tmp_path / CACHE_FILE] if weak else [])
+    inodes = [os.stat(f).st_ino for f in files]
+    e.checkpoint()
+    assert [os.stat(f).st_ino for f in files] == inodes
+    ticket = e.await_ticket(e.ingest_batch("s1", one_row(3, 3)))
+    e.run_until_idle()
+    e.partition.log.flush()
+    assert ticket.acknowledged
     want = e.store.content_signature()
-    with pytest.raises(LogWriteFailure, match="power lost"):
-        e.checkpoint()
-    assert e.partition.stopped
     e.crash()
+    _, _, snapshot_seq, _, records = read_log(str(tmp_path / LOG_FILE))
+    assert snapshot_seq == 2 * 2
+    assert [(rec.commit_seq, rec.round) for rec in records] == (
+        [(5, 3)] if weak else [(5, 3), (6, 3)]
+    )
+    if weak:
+        assert read_input_cache(str(tmp_path / CACHE_FILE)) == {"s1": [one_row(3, 3)]}
     r = recover(chain_spec(2), str(tmp_path), fsync=False)
     r.run_until_idle()
     assert r.store.content_signature() == want
+    assert out_values(r) == [1, 2, 3]
     r.close()
