@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import struct
 import zlib
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .errors import TypeMismatch
 from .model import MAX_TEXT_BYTES, AtomicBatch, Tuple
@@ -184,21 +184,21 @@ def decode_batches(buf: bytes) -> dict[str, AtomicBatch]:
     return out
 
 
-FRAME_OVERHEAD = 2 * _I.size  # a frame's length before its payload, its CRC after
-
-
 def frame(payload: bytes) -> bytes:
     body = _I.pack(len(payload)) + payload
     return body + _I.pack(zlib.crc32(body))
 
 
-def frames(blob: bytes, off: int) -> Iterator[bytes]:
-    """Payloads of the frames from ``off`` on; a torn or corrupt frame
-    ends the scan (the standard torn-tail rule)."""
+def frames(blob: bytes, off: int) -> tuple[list[bytes], int]:
+    """The payloads of the frames from ``off`` on, and the offset after the
+    last whole one: a torn or corrupt frame ends the scan (the standard
+    torn-tail rule), and an append file ends there."""
+    out = []
     while off + 4 <= len(blob):
         end = off + 4 + _I.unpack_from(blob, off)[0]
         torn = end + 4 > len(blob)
         if torn or zlib.crc32(blob[off:end]) != _I.unpack_from(blob, end)[0]:
-            return
-        yield blob[off + 4 : end]
+            break
+        out.append(blob[off + 4 : end])
         off = end + 4
+    return out, off

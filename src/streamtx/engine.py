@@ -34,9 +34,9 @@ from .executor import (
 )
 from .model import AtomicBatch, ProcedureKind, Tuple, Workflow
 from .recovery import (  # the file layer: the engine makes no file-system call
-    CACHE_FILE, LOG_FILE, CommandLog, InputCache, RecoveryMode, cut_torn_tail,
-    data_path, prune_snapshots, read_input_cache, read_log, read_snapshots,
-    remove_temp_files, truncate_log, used_data_file, write_snapshot,
+    CACHE_FILE, LOG_FILE, CommandLog, InputCache, RecoveryMode, data_path,
+    prune_snapshots, read_input_cache, read_log, read_snapshots, remove_temp_files,
+    truncate_log, used_data_file, write_snapshot,
 )
 from .snapshot import restore_state, snapshot_state, verify_snapshot
 from .storage import Store, UndoBuffer, make_schema
@@ -343,9 +343,13 @@ class Engine:
         A border has ended round r, by commit or abort, exactly when r is at
         most its mark, the highest ``last_consumed_batch`` of its inputs.
         Borders take their rounds in order, so with the fast track drained
-        these are the rounds queued for a client or held in a feeder slot."""
+        these are the rounds queued for a client or held in a feeder slot.
+        A stream that no border reads, from a cache another spec wrote,
+        raises ``VersionMismatch``."""
         out = {}
         for s, bs in cached.items():
+            if s not in self._border_for_stream:
+                raise VersionMismatch(f"input cache holds {s}, which no border reads")
             mark = _mark(self._border_for_stream[s])
             out[s] = [b for b in bs if b.batch_id > mark]
         return out
@@ -398,13 +402,14 @@ def recover(
     **engine_kwargs,
 ) -> Engine:
     """Bring a crashed engine back per the mode recorded in its log: cut
-    the log's torn tail, if it has one, so that new records follow the
+    the log, and in weak mode the input cache, back to the last whole frame
+    with the handles that append to them, so that new frames follow the
     ones recovery reads, load the newest valid snapshot into the tables
     ``spec`` builds, then replay the records after it, in one loop for
     both modes (see the ``recovery`` module). A log or snapshot of another
-    partition, or with ``expect_mode`` set a log written in the other mode,
-    raises ``VersionMismatch``. A newest valid snapshot older than the one the log
-    follows raises ``CorruptSnapshot``."""
+    partition, a cache of another spec, or with ``expect_mode`` set a log
+    written in the other mode, raises ``VersionMismatch``. A newest valid
+    snapshot older than the one the log follows raises ``CorruptSnapshot``."""
     remove_temp_files(data_dir)
     log_path = data_path(data_dir, LOG_FILE)
     mode, log_partition, log_snapshot_seq, log_end, records = read_log(log_path)
@@ -416,14 +421,19 @@ def recover(
         raise VersionMismatch(
             f"log belongs to partition {log_partition}, not {partition_id}"
         )
-    cut_torn_tail(log_path, log_end, engine_kwargs.get("fsync", True))
     engine = Engine.__new__(Engine)
     engine._owns_data_dir = True
     engine.__init__(
         spec, partition_id=partition_id, data_dir=data_dir, recovery_mode=mode,
         **engine_kwargs,
     )
+    p = engine.partition
+    strong = mode is RecoveryMode.STRONG
     try:
+        p.log.file.cut(log_end)
+        if not strong:
+            cached, cache_end = read_input_cache(p.input_cache.path)
+            p.input_cache.file.cut(cache_end)
         blob = latest_valid_snapshot(data_dir)
         snapshot_seq = 0
         if blob is not None:
@@ -442,8 +452,6 @@ def recover(
             )
         # every record after the snapshot runs once, or replay raises
         replayed = [rec for rec in records if rec.commit_seq > snapshot_seq]
-        p = engine.partition
-        strong = mode is RecoveryMode.STRONG
         c = engine.counters
         crossings = c.boundary_crossings
         # strong replays every transaction with procedure triggers off; weak
@@ -477,7 +485,6 @@ def recover(
             # numbers the commits it runs afresh, so a fresh checkpoint
             # starts the log over after them; with no record replayed, the
             # log holds no commit after the snapshot and needs none
-            cached = read_input_cache(data_path(data_dir, CACHE_FILE))
             p.input_cache.retained = engine._unended(cached)
             for stream in sorted(p.input_cache.retained):
                 for batch in p.input_cache.retained[stream]:

@@ -8,11 +8,12 @@ appends to a file that starts with a header and cuts it back in place,
 back, and the snapshot calls write, prune (to ``KEEP_SNAPSHOTS``) and read
 them, newest first. A call that changes the directory raises
 ``LogWriteFailure`` on an I/O error.
-Each file is a header, then codec frames; a torn or corrupt frame ends it,
-and recovery cuts a log's torn tail (``cut_torn_tail``) before the engine
-appends to it again. The log header's snapshot seq is the commit
-sequence of the snapshot the log follows: the checkpoint that wrote that
-snapshot truncated the log, so the commits up to it are in no log record.
+Each file is a header, then codec frames; a torn or corrupt frame ends it
+(``codec.frames``), and recovery cuts the log and the cache back to their
+last whole frame (``AppendFile.cut``) before the engine appends again. The
+log header's snapshot seq is the commit sequence of the snapshot the log
+follows: the checkpoint that wrote that snapshot truncated the log, so the
+commits up to it are in no log record.
 A record is one transaction: a nested group's record names its entry child
 and carries the group's first commit seq, and strong replay runs the group
 again whole.
@@ -81,9 +82,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .codec import (
-    FRAME_OVERHEAD, decode_batches, encode_batches, frame, frames, name_bytes, text_at,
-)
+from .codec import decode_batches, encode_batches, frame, frames, name_bytes, text_at
 from .errors import CorruptLogRecord, LogWriteFailure
 from .model import AtomicBatch, ProcedureKind
 
@@ -244,9 +243,11 @@ class AppendFile:
 
     @_write_failure
     def cut(self, size: int) -> None:
-        """Cut the file back to its first ``size`` bytes in place; appends
-        go on after them. The cut is synced when ``fsync`` is set."""
+        """Cut a file longer than ``size`` bytes back to them in place;
+        appends go on after them. The cut is synced when ``fsync`` is set."""
         fd = self._fh.fileno()
+        if os.fstat(fd).st_size <= size:
+            return
         os.ftruncate(fd, size)
         if self.fsync:
             os.fsync(fd)
@@ -257,9 +258,10 @@ class AppendFile:
 
 def _read_frames(
     path: str, magic: bytes, head_size: int
-) -> tuple[bytes, Iterator[bytes]]:
+) -> tuple[bytes, list[bytes], int]:
     """The ``head_size`` header bytes after ``magic`` (fewer when the file
-    is shorter; the caller checks) and the frame payloads after them."""
+    is shorter; the caller checks), the frame payloads after them and the
+    offset where the last whole frame ends (``codec.frames``)."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -268,7 +270,7 @@ def _read_frames(
     start = len(magic) + head_size
     if not blob.startswith(magic):
         raise CorruptLogRecord(f"bad header in {os.path.basename(path)}")
-    return blob[len(magic) : start], frames(blob, start)
+    return blob[len(magic) : start], *frames(blob, start)
 
 
 class CommandLog:
@@ -282,9 +284,9 @@ class CommandLog:
     oldest of them is overdue: ``append`` sets it for the first record to
     wait and flushes a record appended after it at once, and the
     partition, while a record waits, compares ``time.monotonic()`` with it
-    inline and calls ``flush`` once it has passed. A log without a file (no
-    data dir or no recovery mode) has no mode and logs nothing. Every flush
-    counts in ``counters.sync_count``.
+    inline and calls ``flush`` once it has passed. A log without a ``file``
+    (no data dir or no recovery mode) has no mode and logs nothing. Every
+    flush counts in ``counters.sync_count``.
     """
 
     def __init__(
@@ -306,9 +308,9 @@ class CommandLog:
         # when the oldest pending record is overdue (``time.monotonic``);
         # None while nothing waits
         self.deadline: Optional[float] = None
-        self._file = None
+        self.file = None
         if mode is not None:
-            self._file = AppendFile(path, _log_header(mode, partition_id), fsync)
+            self.file = AppendFile(path, _log_header(mode, partition_id), fsync)
 
     def append(self, record: CommandLogRecord, ticket=None) -> None:
         """Buffer ``record``, setting the deadline when it is the first to
@@ -328,7 +330,7 @@ class CommandLog:
             return 0
         batch, self.pending = self.pending, []
         self.deadline = None
-        self._file.append(b"".join([record.encode() for record, _ in batch]))
+        self.file.append(b"".join([record.encode() for record, _ in batch]))
         self.counters.sync_count += 1
         for _, ticket in batch:
             if ticket is not None:
@@ -339,27 +341,27 @@ class CommandLog:
         """Drop buffered records and close, as a power failure would."""
         self.pending.clear()
         self.deadline = None
-        if self._file is not None:
-            self._file.close()
+        if self.file is not None:
+            self.file.close()
 
     def close(self) -> None:
         """Flush, then close the file even when the flush fails."""
         try:
             self.flush()
         finally:
-            if self._file is not None:
-                self._file.close()
+            if self.file is not None:
+                self.file.close()
 
 
 def read_log(
     path: str,
 ) -> tuple[RecoveryMode, int, int, int, list[CommandLogRecord]]:
-    """Read a command log; a torn record truncates the tail (standard rule).
+    """Read a command log; a torn or corrupt frame ends it (``codec.frames``).
 
     Returns (mode, partition_id, snapshot seq, the offset where the last
     whole frame ends, records in file order).
     """
-    head, payloads = _read_frames(path, LOG_MAGIC, _LOG_HEAD.size)
+    head, payloads, end = _read_frames(path, LOG_MAGIC, _LOG_HEAD.size)
     # the version leads, so an older header, shorter than this one, still
     # reads as its version
     version = int.from_bytes(head[:4], "little")
@@ -368,29 +370,13 @@ def read_log(
     if len(head) < _LOG_HEAD.size:
         raise CorruptLogRecord(f"bad header in {os.path.basename(path)}")
     _, mode_v, partition_id, snapshot_seq = _LOG_HEAD.unpack(head)
-    end = len(LOG_MAGIC) + _LOG_HEAD.size
     records: list[CommandLogRecord] = []
     for payload in payloads:
         rec = CommandLogRecord.decode(payload)
         if records and rec.commit_seq <= records[-1].commit_seq:
             raise CorruptLogRecord("commit sequence not increasing")
         records.append(rec)
-        end += len(payload) + FRAME_OVERHEAD
     return RecoveryMode(mode_v), partition_id, snapshot_seq, end, records
-
-
-@_write_failure
-def cut_torn_tail(path: str, end: int, fsync: bool) -> None:
-    """Cut ``path`` back to its first ``end`` bytes, the whole frames before
-    a torn tail, so that later appends follow them instead of bytes no read
-    gets past; sync the cut when ``fsync`` is set. A file no longer than
-    ``end`` is left as it is."""
-    with open(path, "r+b") as fh:
-        if fh.seek(0, os.SEEK_END) <= end:
-            return
-        fh.truncate(end)
-        if fsync:
-            os.fsync(fh.fileno())
 
 
 @_write_failure
@@ -506,7 +492,7 @@ def remove_temp_files(data_dir: str) -> None:
 class InputCache:
     """Retained external batches, written before the border runs (weak mode).
 
-    Only a cache with a file retains anything. A checkpoint sets
+    Only a cache with a ``file`` retains anything. A checkpoint sets
     ``retained`` to the batches above their border's consumption mark and
     calls ``compact``; in between, every appended batch is kept.
     """
@@ -517,22 +503,22 @@ class InputCache:
 
     def __post_init__(self):
         path = self.path
-        self._file = None if path is None else AppendFile(path, CACHE_MAGIC, self.fsync)
+        self.file = None if path is None else AppendFile(path, CACHE_MAGIC, self.fsync)
 
     def append(self, stream: str, batch: AtomicBatch, payload: bytes) -> None:
         """Retain ``batch`` and write ``payload``, the codec's encoding of
         ``{stream: batch}``, to the file."""
-        if self._file is None:
+        if self.file is None:
             return
         self.retained.setdefault(stream, []).append(batch)
-        self._file.append(frame(payload))
+        self.file.append(frame(payload))
 
     def compact(self) -> None:
         """Make the durable file hold only the still-retained batches: with
         none retained, cut it back to its header in place; else replace it
         whole, since a rewrite in place that a crash cut short could lose a
         retained batch."""
-        if self._file is None:
+        if self.file is None:
             return
         records = [
             frame(encode_batches({s: b}))
@@ -540,23 +526,25 @@ class InputCache:
             for b in self.retained[s]
         ]
         if not records:
-            self._file.cut(len(CACHE_MAGIC))
+            self.file.cut(len(CACHE_MAGIC))
             return
         replace_file(self.path, CACHE_MAGIC + b"".join(records), self.fsync)
-        self._file.reopen()
+        self.file.reopen()
 
     def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
+        if self.file is not None:
+            self.file.close()
 
 
-def read_input_cache(path: str) -> dict[str, list[AtomicBatch]]:
-    """All cached batches by stream, in append order; torn tail dropped."""
+def read_input_cache(path: str) -> tuple[dict[str, list[AtomicBatch]], int]:
+    """All cached batches by stream, in append order, and the offset where
+    the last whole frame ends; a torn or corrupt frame ends the cache."""
     out: dict[str, list[AtomicBatch]] = {}
-    for payload in _read_frames(path, CACHE_MAGIC, 0)[1]:
+    _, payloads, end = _read_frames(path, CACHE_MAGIC, 0)
+    for payload in payloads:
         for stream, batch in decode_batches(payload).items():
             out.setdefault(stream, []).append(batch)
-    return out
+    return out, end
 
 
 @dataclass(frozen=True)

@@ -600,7 +600,7 @@ def assert_cache_holds_waiting_rounds(engine: Engine, data_dir: str) -> None:
     for batches in waiting:
         for s, b in batches.items():
             want.setdefault(s, []).append(b)
-    got = read_input_cache(os.path.join(data_dir, CACHE_FILE))
+    got = read_input_cache(os.path.join(data_dir, CACHE_FILE))[0]
     assert {s: sorted(bs) for s, bs in got.items()} == {
         s: sorted(bs) for s, bs in want.items()
     }

@@ -267,7 +267,7 @@ def test_failed_pump_write_queues_and_caches_nothing(tmp_path, monkeypatch):
     assert [req.round for req in p.client_queue] == [2, 3]
     assert p.last_queued["SP1"] == 3
     assert [b.batch_id for b in p.input_cache.retained["s1"]] == [1, 2, 3]
-    cached = read_input_cache(str(tmp_path / "input.cache"))
+    cached = read_input_cache(str(tmp_path / "input.cache"))[0]
     assert [b.batch_id for b in cached["s1"]] == [1, 2, 3]
     with pytest.raises(EngineStopped):
         e.ingest_batch("s1", small_batch(4))
@@ -326,7 +326,7 @@ def test_failed_pump_write_keeps_the_two_input_round_in_its_slot(tmp_path, monke
     def fail(data):
         raise LogWriteFailure("disk full")
 
-    monkeypatch.setattr(e.partition.log._file, "append", fail)
+    monkeypatch.setattr(e.partition.log.file, "append", fail)
     with pytest.raises(LogWriteFailure, match="disk full"):
         e.ingest_batch("b", small_batch(4))  # round 1's record fails to write
     p = e.partition
@@ -335,7 +335,7 @@ def test_failed_pump_write_keeps_the_two_input_round_in_its_slot(tmp_path, monke
     assert p.last_queued["SP1"] == 3
     assert sorted(e._feeder_pending["SP1"][4][0]) == ["a", "b"]
     # the cache holds the slot's batches, so recovery runs round 4 too
-    cached = read_input_cache(str(tmp_path / "input.cache"))
+    cached = read_input_cache(str(tmp_path / "input.cache"))[0]
     assert {s: [b.batch_id for b in bs] for s, bs in cached.items()} == {
         "a": [1, 2, 3, 4], "b": [1, 2, 3, 4]
     }

@@ -10,6 +10,7 @@ from randomized import (
     random_pair_run,
     random_strong_crash_run,
 )
+from streamtx.codec import encode_batches, frame
 from streamtx.engine import (
     Engine,
     EngineSpec,
@@ -735,7 +736,7 @@ def test_weak_unlogged_border_resubmitted_from_cache(tmp_path):
     e.crash()
     *_, recs = read_log(str(tmp_path / LOG_FILE))
     assert recs == []
-    cached = read_input_cache(str(tmp_path / CACHE_FILE))
+    cached = read_input_cache(str(tmp_path / CACHE_FILE))[0]
     assert [b.batch_id for b in cached["s1"]] == [1, 2, 3]
     r = recover(chain_spec(2), str(tmp_path), fsync=False)
     r.run_until_idle()
@@ -807,7 +808,7 @@ def test_trim_proceeds_past_aborted_group_round(tmp_path):
     assert e.counters.te_aborted == 1
     e.checkpoint()
     assert e.partition.input_cache.retained == {"s1": []}
-    assert read_input_cache(str(tmp_path / CACHE_FILE)) == {}
+    assert read_input_cache(str(tmp_path / CACHE_FILE))[0] == {}
     e.close()
 
 
@@ -857,7 +858,7 @@ def test_trim_stops_at_pending_interior(tmp_path):
     # interior batch is in the snapshot
     e.checkpoint()
     assert e.partition.input_cache.retained == {"s1": []}
-    assert read_input_cache(str(tmp_path / CACHE_FILE)) == {}
+    assert read_input_cache(str(tmp_path / CACHE_FILE))[0] == {}
     e.crash()
     r = recover(chain_spec(2), str(tmp_path), fsync=False)
     r.run_until_idle()
@@ -879,7 +880,7 @@ def test_round_bookkeeping_bounded_by_checkpoints(tmp_path):
         assert len(cache.retained["s1"]) == n
         e.checkpoint()
         assert cache.retained == {"s1": []}
-        assert read_input_cache(str(tmp_path / CACHE_FILE)) == {}
+        assert read_input_cache(str(tmp_path / CACHE_FILE))[0] == {}
     assert not any(e._feeder_pending.values())  # no round waits in a slot
     e.close()
 
@@ -901,7 +902,7 @@ def assert_checkpoint_trims(tmp_path, rounds):
     assert [b.batch_id for b in e.partition.input_cache.retained["s1"]] == list(rounds)
     e.checkpoint()
     assert e.partition.input_cache.retained == {"s1": []}
-    assert read_input_cache(str(tmp_path / CACHE_FILE)) == {}
+    assert read_input_cache(str(tmp_path / CACHE_FILE))[0] == {}
     e.checkpoint()  # nothing left to drop
     assert e.partition.input_cache.retained == {"s1": []}
     e.close()
@@ -948,7 +949,7 @@ def test_round_waiting_in_feeder_slot_kept_and_recovered(tmp_path):
     retained = e.partition.input_cache.retained
     assert [b.batch_id for b in retained["a"]] == [5, 6]
     assert [b.batch_id for b in retained["b"]] == [6]
-    cached = read_input_cache(str(tmp_path / CACHE_FILE))
+    cached = read_input_cache(str(tmp_path / CACHE_FILE))[0]
     assert {s: [b.batch_id for b in bs] for s, bs in cached.items()} == {
         "a": [5, 6], "b": [6]
     }
@@ -1217,7 +1218,7 @@ def test_rejects_batch_border_already_took(tmp_path, case):
     assert out_values(e) == [10 if case != "same_slot" else 11]
     assert validate(e.committed_schedule, spec.workflows[0]).correct
     e.close()
-    cached = read_input_cache(str(tmp_path / CACHE_FILE))
+    cached = read_input_cache(str(tmp_path / CACHE_FILE))[0]
     assert [b.tuples[0].values for b in cached[first]] == [(10,)]
 
 
@@ -1237,6 +1238,51 @@ def test_queued_rounds_survive_two_crashes(tmp_path):
     r = recover(chain_spec(2), str(tmp_path), fsync=False)
     r.run_until_idle()
     assert out_values(r) == [10, 20, 30, 40, 50, 60]
+    r.close()
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+def test_round_cached_after_a_torn_cache_tail_survives(tmp_path, fsync):
+    # recovery replays no record here, so it takes no closing checkpoint;
+    # it must still cut the cache's torn tail, or round 4's frame follows
+    # bytes that no read gets past
+    e = Engine(chain_spec(2), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.WEAK, fsync=fsync)
+    for n in (1, 2):
+        e.ingest_batch("s1", one_row(n, 10 * n))
+        e.run_until_idle()
+    e.checkpoint()
+    e.ingest_batch("s1", one_row(3, 30))
+    e.crash()
+    torn = frame(encode_batches({"s1": one_row(99, 99)}))
+    with open(tmp_path / CACHE_FILE, "ab") as fh:
+        fh.write(torn[: len(torn) // 2])
+    r = recover(chain_spec(2), str(tmp_path), fsync=fsync)
+    assert r.counters.replay_client_dispatches == 0
+    r.ingest_batch("s1", one_row(4, 40))
+    r.crash()
+    r = recover(chain_spec(2), str(tmp_path), fsync=fsync)
+    assert [req.round for req in r.partition.client_queue] == [3, 4]
+    r.run_until_idle()
+    assert out_values(r) == [10, 20, 30, 40]
+    r.close()
+
+
+def test_cache_of_another_spec_rejected(tmp_path):
+    # the cache holds s1, but the spec's border reads t1
+    e = Engine(chain_spec(2), data_dir=str(tmp_path),
+               recovery_mode=RecoveryMode.WEAK, fsync=False)
+    e.ingest_batch("s1", one_row(1, 10))
+    e.crash()
+    w = register_workflow(
+        "t", [ProcedureDef("SP1", ProcedureKind.BORDER, ("t1",), body=lambda ctx: None)]
+    )
+    spec = EngineSpec(workflows=[w], streams=[StreamDef("t1", VAL_COLS)])
+    with pytest.raises(VersionMismatch, match="input cache holds s1, which no border"):
+        recover(spec, str(tmp_path), fsync=False)
+    r = recover(chain_spec(2), str(tmp_path), fsync=False)
+    r.run_until_idle()
+    assert out_values(r) == [10]
     r.close()
 
 
@@ -1594,7 +1640,7 @@ def test_unencodable_value_rejected_before_kept(tmp_path, mode, bad):
     assert e._feeder_pending == {}
     e.close()
     if mode is RecoveryMode.WEAK:
-        assert read_input_cache(str(tmp_path / CACHE_FILE)) == {}
+        assert read_input_cache(str(tmp_path / CACHE_FILE))[0] == {}
 
 
 def test_old_input_cache_rejected(tmp_path):
@@ -1732,7 +1778,8 @@ def test_checkpoint_cuts_the_log_and_an_empty_cache_in_place(tmp_path, mode):
         [(5, 3)] if weak else [(5, 3), (6, 3)]
     )
     if weak:
-        assert read_input_cache(str(tmp_path / CACHE_FILE)) == {"s1": [one_row(3, 3)]}
+        cached, _ = read_input_cache(str(tmp_path / CACHE_FILE))
+        assert cached == {"s1": [one_row(3, 3)]}
     r = recover(chain_spec(2), str(tmp_path), fsync=False)
     r.run_until_idle()
     assert r.store.content_signature() == want
