@@ -8,7 +8,7 @@
 ``recover`` reads snapshots and the input cache from the log's directory.
 ``run`` feeds the CSV named by the config's ``[feed] source`` into its
 stream, batched by ``batch_mode`` and ``batch_size``; a ``ts`` column, when
-the file has one, gives each tuple's timestamp.
+the file has one, gives each tuple's timestamp; a used ``--data-dir`` is recovered.
 Exit code 0 means every embedded assertion held; an engine error
 (``StreamTxError``) prints one line on stderr and exits 1.
 """
@@ -187,13 +187,16 @@ def cmd_run(args) -> int:
     ing = StreamIngestor(engine, stream, policy)
     delay = 1.0 / args.rate if args.rate else 0.0
     tickets = []
-    for values, ts in feed.rows:
-        tickets.append(ing.push(values, ts))
+    try:  # an engine error, such as a round the border already took, closes it too
+        for values, ts in feed.rows:
+            tickets.append(ing.push(values, ts))
+            engine.run_until_idle()
+            if delay:
+                time.sleep(delay)
+        tickets.append(ing.end_of_stream())
         engine.run_until_idle()
-        if delay:
-            time.sleep(delay)
-    tickets.append(ing.end_of_stream())
-    engine.run_until_idle()
+    finally:
+        engine.close()
     tickets = [t for t in tickets if t is not None]
     committed = sum(1 for t in tickets if t.committed)
     print(
@@ -206,7 +209,6 @@ def cmd_run(args) -> int:
             }
         )
     )
-    engine.close()
     return 0
 
 

@@ -24,7 +24,7 @@ import struct
 import zlib
 from typing import Callable, Optional
 
-from .errors import TypeMismatch
+from .errors import CorruptLogRecord, TypeMismatch
 from .model import MAX_TEXT_BYTES, AtomicBatch, Tuple
 
 TYPE_CODES = {int: 0, float: 1, str: 2}  # a column's type, as snapshot shapes number it
@@ -32,6 +32,7 @@ _CODE_TYPES = tuple(TYPE_CODES)
 _H = struct.Struct("<H")
 _I = struct.Struct("<I")
 _BATCH_HEAD = struct.Struct("<qIH")  # batch_id, tuple count, column count
+RESYNC_SCAN = 1 << 20  # how many bytes past a bad frame ``frames`` searches
 
 
 def encode_text(s: str) -> bytes:
@@ -189,16 +190,23 @@ def frame(payload: bytes) -> bytes:
     return body + _I.pack(zlib.crc32(body))
 
 
-def frames(blob: bytes, off: int) -> tuple[list[bytes], int]:
+def frames(blob: bytes, off: int, name: str) -> tuple[list[bytes], int]:
     """The payloads of the frames from ``off`` on, and the offset after the
-    last whole one: a torn or corrupt frame ends the scan (the standard
-    torn-tail rule), and an append file ends there."""
-    out = []
-    while off + 4 <= len(blob):
+    last whole one. A bad frame ends them, as a torn tail, when no whole
+    frame starts in the ``RESYNC_SCAN`` bytes after it. Else it is corrupt:
+    an end there would drop whole frames, so ``CorruptLogRecord`` names the
+    file ``name`` and the bad frame's offset."""
+    out, bad = [], None  # bad: the offset of the first bad frame
+    while off + 4 <= len(blob) and (bad is None or off - bad < RESYNC_SCAN):
         end = off + 4 + _I.unpack_from(blob, off)[0]
         torn = end + 4 > len(blob)
         if torn or zlib.crc32(blob[off:end]) != _I.unpack_from(blob, end)[0]:
-            break
-        out.append(blob[off + 4 : end])
-        off = end + 4
-    return out, off
+            if bad is None:
+                bad = off
+            off += 1  # look on for a whole frame
+        elif bad is not None:
+            raise CorruptLogRecord(f"corrupt frame at offset {bad} in {name}")
+        else:
+            out.append(blob[off + 4 : end])
+            off = end + 4
+    return out, off if bad is None else bad

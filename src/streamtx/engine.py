@@ -2,7 +2,9 @@
 atomic batches, takes checkpoints, and recovers after a crash.
 
 One Engine wraps one partition. Partitioned deployments instantiate several
-engines that share nothing (see ``partitioned_engines``).
+engines that share nothing (see ``partitioned_engines``). An engine with a
+data directory and a recovery mode starts fresh in one that holds none of
+its files, and recovers any other (``Engine._recover``).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Callable, Optional
 
 from .errors import (
     BadDefinition,
+    CorruptLogRecord,
     CorruptSnapshot,
     EngineStopped,
     NotPartitionable,
@@ -34,9 +37,9 @@ from .executor import (
 )
 from .model import AtomicBatch, ProcedureKind, Tuple, Workflow
 from .recovery import (  # the file layer: the engine makes no file-system call
-    CACHE_FILE, LOG_FILE, CommandLog, InputCache, RecoveryMode, data_path,
-    prune_snapshots, read_input_cache, read_log, read_snapshots, remove_temp_files,
-    truncate_log, used_data_file, write_snapshot,
+    CACHE_FILE, LOG_FILE, CommandLog, CommandLogRecord, InputCache, RecoveryMode,
+    data_path, open_data_dir, prune_snapshots, read_input_cache, read_log,
+    read_log_mode, read_snapshots, truncate_log, write_snapshot,
 )
 from .snapshot import restore_state, snapshot_state, verify_snapshot
 from .storage import Store, UndoBuffer, make_schema
@@ -71,10 +74,8 @@ class EngineSpec:
 
 
 class Engine:
-    # whether this engine may write into data_dir: recover() sets it for the
-    # directory it reopens, and any other engine's first write claims it
-    _owns_data_dir = False
-    # the rows each table's last checkpoint encoded (``snapshot_state``)
+    # the rows each table's last checkpoint encoded (``snapshot_state``);
+    # None before the engine's first checkpoint
     _snapshot_memo: Optional[dict] = None
 
     def __init__(
@@ -126,26 +127,27 @@ class Engine:
                         triggers.register_procedure_trigger(
                             e.stream, consumer.proc, group
                         )
-        log_path = cache_path = None
+        log_path = cache_path = found = None
         if mode is not None:
-            self._claim_data_dir(fsync)
+            names = open_data_dir(data_dir, fsync)
             log_path = data_path(data_dir, LOG_FILE)
             if mode is RecoveryMode.WEAK:
                 cache_path = data_path(data_dir, CACHE_FILE)
-        log = CommandLog(
-            log_path, mode, Counters(), partition_id, max_batch=group_commit_max_batch,
-            max_delay=group_commit_max_delay, fsync=fsync,
-        )
-        self.partition = Partition(
-            partition_id,
-            store,
-            triggers,
-            plans,
-            log=log,
-            input_cache=InputCache(cache_path, fsync),
-            schedule_capacity=schedule_capacity,
-            post_commit_hook=post_commit_hook,
-        )
+            if names:  # a used directory: its log is read before it is opened
+                snapshots = [n for n in names if n not in (LOG_FILE, CACHE_FILE)]
+                log_mode, owner, *found = read_log(log_path)
+                if log_mode not in (None, mode):
+                    raise VersionMismatch(
+                        f"log was written in {log_mode.name} mode, not {mode.name}"
+                    )
+                if owner not in (None, partition_id):
+                    raise VersionMismatch(
+                        f"log belongs to partition {owner}, not {partition_id}"
+                    )
+                # a short log holds no record, but it cannot say which
+                # snapshot it follows
+                if owner is None and snapshots:
+                    raise CorruptLogRecord(f"bad header in {LOG_FILE}")
         # border -> round -> (its batches so far, its ticket), for the rounds
         # of a border with more than one input that miss a batch or wait
         # behind a lower round
@@ -157,6 +159,98 @@ class Engine:
             if plan.proc.kind is ProcedureKind.BORDER
             for s in plan.proc.stream_inputs
         }
+        log = CommandLog(
+            log_path, mode, Counters(), partition_id, max_batch=group_commit_max_batch,
+            max_delay=group_commit_max_delay, fsync=fsync,
+        )
+        cache = None
+        try:
+            cache = InputCache(cache_path, fsync)
+            self.partition = Partition(
+                partition_id, store, triggers, plans, log=log, input_cache=cache,
+                schedule_capacity=schedule_capacity, post_commit_hook=post_commit_hook,
+            )
+            if found is not None:
+                self._recover(*found, snapshots)
+        except BaseException:
+            log.crash()  # close the files it opened
+            if cache is not None:
+                cache.close()
+            raise
+
+    def _recover(
+        self, log_snapshot_seq: int, log_end: int, records: list[CommandLogRecord],
+        snapshots: list[str],
+    ) -> None:
+        """Bring back what the data dir holds, as the ``recovery`` module
+        says. A snapshot of another partition, or a cache of another spec,
+        raises ``VersionMismatch``; a newest valid snapshot older than the
+        one the log follows raises ``CorruptSnapshot``."""
+        p = self.partition
+        strong = p.log.mode is RecoveryMode.STRONG
+        p.log.file.cut(log_end)
+        if not strong:
+            cached, cache_end = read_input_cache(p.input_cache.path)
+            p.input_cache.file.cut(cache_end)
+        snapshot_seq = 0
+        for blob in read_snapshots(self.data_dir, snapshots):  # newest first
+            try:
+                verify_snapshot(blob)
+            except CorruptSnapshot:
+                continue  # a torn snapshot: fall back to the older one
+            owner, snapshot_seq = restore_state(blob, self.store)
+            if owner != p.id:
+                raise VersionMismatch(f"snapshot belongs to partition {owner}, not {p.id}")
+            p.commit_seq = snapshot_seq
+            break
+        if snapshot_seq < log_snapshot_seq:
+            # the log was truncated after a snapshot that is now unreadable:
+            # the commits between the two are gone
+            raise CorruptSnapshot(
+                f"newest valid snapshot is at commit {snapshot_seq}, but the "
+                f"log follows the snapshot at commit {log_snapshot_seq}"
+            )
+        # every record after the snapshot runs once, or replay raises
+        replayed = [rec for rec in records if rec.commit_seq > snapshot_seq]
+        c = self.counters
+        crossings = c.boundary_crossings
+        # strong replays every transaction with procedure triggers off; weak
+        # replays border and OLTP records, and the triggers bring back the
+        # interiors. A replay that raises fails the constructor.
+        p.trigger_engine.pe_enabled = not strong
+        for rec in replayed:
+            if strong and rec.commit_seq != p.commit_seq + 1:
+                raise ReplayDivergence(
+                    f"expected commit {p.commit_seq + 1}, log has {rec.commit_seq}"
+                )
+            for proc, round_ in rec.aborted:
+                p.drop_aborted(proc, round_)
+            req = TERequest(rec.procedure, rec.round, rec.args, Origin.RECOVERY)
+            if p.execute(req) != "committed":
+                raise ReplayDivergence(
+                    f"{rec.procedure} round {rec.round} aborted during replay"
+                )
+            if not strong:
+                p.run_until_idle()
+        p.trigger_engine.pe_enabled = True
+        c.replay_client_dispatches = len(replayed)
+        c.replay_trigger_dispatches = c.boundary_crossings - crossings
+        # a border took each round its transaction ended, by commit or abort
+        for plan in p.plans.values():
+            if plan.proc.kind is ProcedureKind.BORDER:
+                p.last_queued[plan.proc.name] = _mark(plan)
+        p.refire_nonempty_streams()
+        if not strong:
+            # re-submit the cached rounds no border has ended. Weak replay
+            # numbers the commits it runs afresh, so a fresh checkpoint
+            # starts the log over after them; with no record replayed, the
+            # log holds no commit after the snapshot and needs none
+            p.input_cache.retained = self._unended(cached)
+            for stream in sorted(p.input_cache.retained):
+                for batch in p.input_cache.retained[stream]:
+                    self.ingest_batch(stream, batch, resubmit=True)
+            if replayed:
+                self.checkpoint()
 
     # --- convenience accessors ---
 
@@ -322,10 +416,14 @@ class Engine:
         p = self.partition
         cache = p.input_cache
         fsync = cache.fsync  # the engine's one fsync setting
-        p.fail_stop(self._claim_data_dir, fsync)
-        self.drain_and_quiesce()  # also flushes the log
         if self._snapshot_memo is None:
+            if p.log.mode is None:
+                # an engine without a log first writes to its data dir here
+                used = p.fail_stop(open_data_dir, self.data_dir, fsync)
+                if used:
+                    raise BadDefinition(f"{self.data_dir} already holds {used[0]}")
             self._snapshot_memo = {}
+        self.drain_and_quiesce()  # also flushes the log
         blob = snapshot_state(self.store, p.id, p.commit_seq, self._snapshot_memo)
         path = p.fail_stop(write_snapshot, self.data_dir, p.commit_seq, blob, fsync)
         if p.log.mode is not None:
@@ -354,18 +452,6 @@ class Engine:
             out[s] = [b for b in bs if b.batch_id > mark]
         return out
 
-    def _claim_data_dir(self, fsync: bool) -> None:
-        """Before this engine first writes into its data directory, refuse
-        one that holds a log, cache or snapshot: starting empty, it would
-        write commits that recovery cannot order after the old ones. A
-        directory that does not exist yet is made."""
-        name = None if self._owns_data_dir else used_data_file(self.data_dir, fsync)
-        if name is not None:
-            raise BadDefinition(
-                f"{self.data_dir} already holds {name}; recover() reopens it"
-            )
-        self._owns_data_dir = True
-
     def crash(self) -> None:
         """Die without flushing anything buffered, like a power failure."""
         self.partition.stopped = True
@@ -383,118 +469,14 @@ class Engine:
             p.input_cache.close()
 
 
-def latest_valid_snapshot(data_dir: str) -> Optional[bytes]:
-    """Newest snapshot that passes its checksum; torn ones are skipped."""
-    for blob in read_snapshots(data_dir):
-        try:
-            verify_snapshot(blob)
-        except CorruptSnapshot:
-            continue
-        return blob
-    return None
-
-
 def recover(
-    spec: EngineSpec,
-    data_dir: str,
-    partition_id: int = 0,
-    expect_mode: Optional[RecoveryMode] = None,
-    **engine_kwargs,
+    spec: EngineSpec, data_dir: str, partition_id: int = 0, **engine_kwargs
 ) -> Engine:
-    """Bring a crashed engine back per the mode recorded in its log: cut
-    the log, and in weak mode the input cache, back to the last whole frame
-    with the handles that append to them, so that new frames follow the
-    ones recovery reads, load the newest valid snapshot into the tables
-    ``spec`` builds, then replay the records after it, in one loop for
-    both modes (see the ``recovery`` module). A log or snapshot of another
-    partition, a cache of another spec, or with ``expect_mode`` set a log
-    written in the other mode, raises ``VersionMismatch``. A newest valid
-    snapshot older than the one the log follows raises ``CorruptSnapshot``."""
-    remove_temp_files(data_dir)
-    log_path = data_path(data_dir, LOG_FILE)
-    mode, log_partition, log_snapshot_seq, log_end, records = read_log(log_path)
-    if expect_mode is not None and mode is not expect_mode:
-        raise VersionMismatch(
-            f"log was written in {mode.name} mode, not {expect_mode.name}"
-        )
-    if log_partition != partition_id:
-        raise VersionMismatch(
-            f"log belongs to partition {log_partition}, not {partition_id}"
-        )
-    engine = Engine.__new__(Engine)
-    engine._owns_data_dir = True
-    engine.__init__(
-        spec, partition_id=partition_id, data_dir=data_dir, recovery_mode=mode,
-        **engine_kwargs,
-    )
-    p = engine.partition
-    strong = mode is RecoveryMode.STRONG
-    try:
-        p.log.file.cut(log_end)
-        if not strong:
-            cached, cache_end = read_input_cache(p.input_cache.path)
-            p.input_cache.file.cut(cache_end)
-        blob = latest_valid_snapshot(data_dir)
-        snapshot_seq = 0
-        if blob is not None:
-            owner, snapshot_seq = restore_state(blob, engine.store)
-            if owner != partition_id:
-                raise VersionMismatch(
-                    f"snapshot belongs to partition {owner}, not {partition_id}"
-                )
-            engine.partition.commit_seq = snapshot_seq
-        if snapshot_seq < log_snapshot_seq:
-            # the log was truncated after a snapshot that is now unreadable:
-            # the commits between the two are gone
-            raise CorruptSnapshot(
-                f"newest valid snapshot is at commit {snapshot_seq}, but the "
-                f"log follows the snapshot at commit {log_snapshot_seq}"
-            )
-        # every record after the snapshot runs once, or replay raises
-        replayed = [rec for rec in records if rec.commit_seq > snapshot_seq]
-        c = engine.counters
-        crossings = c.boundary_crossings
-        # strong replays every transaction with procedure triggers off; weak
-        # replays border and OLTP records, and the triggers bring back the
-        # interiors. A replay that raises crashes the engine below.
-        p.trigger_engine.pe_enabled = not strong
-        for rec in replayed:
-            if strong and rec.commit_seq != p.commit_seq + 1:
-                raise ReplayDivergence(
-                    f"expected commit {p.commit_seq + 1}, log has {rec.commit_seq}"
-                )
-            for proc, round_ in rec.aborted:
-                p.drop_aborted(proc, round_)
-            req = TERequest(rec.procedure, rec.round, rec.args, Origin.RECOVERY)
-            if p.execute(req) != "committed":
-                raise ReplayDivergence(
-                    f"{rec.procedure} round {rec.round} aborted during replay"
-                )
-            if not strong:
-                p.run_until_idle()
-        p.trigger_engine.pe_enabled = True
-        c.replay_client_dispatches = len(replayed)
-        c.replay_trigger_dispatches = c.boundary_crossings - crossings
-        # a border took each round its transaction ended, by commit or abort
-        for plan in p.plans.values():
-            if plan.proc.kind is ProcedureKind.BORDER:
-                p.last_queued[plan.proc.name] = _mark(plan)
-        p.refire_nonempty_streams()
-        if not strong:
-            # re-submit the cached rounds no border has ended. Weak replay
-            # numbers the commits it runs afresh, so a fresh checkpoint
-            # starts the log over after them; with no record replayed, the
-            # log holds no commit after the snapshot and needs none
-            p.input_cache.retained = engine._unended(cached)
-            for stream in sorted(p.input_cache.retained):
-                for batch in p.input_cache.retained[stream]:
-                    engine.ingest_batch(stream, batch, resubmit=True)
-            if replayed:
-                engine.checkpoint()
-    except BaseException:
-        engine.crash()  # close its files
-        raise
-    return engine
+    """Open ``data_dir`` with an ``Engine`` of the mode its log records. A
+    log too short to hold its mode byte raises ``CorruptLogRecord`` here,
+    although an ``Engine`` given the mode opens it."""
+    mode = read_log_mode(data_path(data_dir, LOG_FILE))
+    return Engine(spec, partition_id, data_dir, mode, **engine_kwargs)
 
 
 def _mark(border: ProcedurePlan) -> int:

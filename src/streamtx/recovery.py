@@ -1,19 +1,23 @@
 """Durability: command log with group commit, input caching, recovery replay.
 
 This module owns the data directory, its file names and every file-system
-call the engine makes, through one small file layer: ``AppendFile``
-appends to a file that starts with a header and cuts it back in place,
+call the engine makes, through one small file layer: ``open_data_dir``
+lists the directory once when an engine opens it, ``AppendFile`` appends
+to a file that starts with a header and cuts it back in place,
 ``truncate_log`` cuts the log back to a new header in place,
 ``replace_file`` swaps a whole file atomically, ``_read_frames`` reads one
 back, and the snapshot calls write, prune (to ``KEEP_SNAPSHOTS``) and read
 them, newest first. A call that changes the directory raises
 ``LogWriteFailure`` on an I/O error.
-Each file is a header, then codec frames; a torn or corrupt frame ends it
-(``codec.frames``), and recovery cuts the log and the cache back to their
-last whole frame (``AppendFile.cut``) before the engine appends again. The
-log header's snapshot seq is the commit sequence of the snapshot the log
-follows: the checkpoint that wrote that snapshot truncated the log, so the
-commits up to it are in no log record.
+Each file is a header, then codec frames. A torn frame ends it, and
+recovery cuts the log and the cache back to their last whole frame
+(``AppendFile.cut``) before the engine appends again; a corrupt one, with
+a whole frame after it, raises (``codec.frames``). A file holding only a
+prefix of its header holds no frame, and opening it writes the header
+whole (``AppendFile``), but for a log beside a snapshot. The log header's
+snapshot seq is the commit sequence of the snapshot the log follows: the
+checkpoint that wrote that snapshot truncated the log, so the commits up
+to it are in no log record.
 A record is one transaction: a nested group's record names its entry child
 and carries the group's first commit seq, and strong replay runs the group
 again whole.
@@ -208,8 +212,10 @@ def _sync_dir(path: str) -> None:
 class AppendFile:
     """A file that starts with ``header`` and grows by appends.
 
-    With ``fsync`` set, creating the file syncs the header and the
-    directory entry, so later synced appends are never orphaned by a
+    Opening a new file, or one that a crash left holding a prefix of the
+    header, writes the header whole; any other file shorter than it raises
+    ``CorruptLogRecord``. With ``fsync`` set, the header and the directory
+    entry are synced, so later synced appends are never orphaned by a
     power loss that drops the new file itself.
     """
 
@@ -218,8 +224,12 @@ class AppendFile:
         self.path = path
         self.fsync = fsync
         self._fh = open(path, "ab")
-        if self._fh.tell() == 0:
-            self._fh.write(header)
+        held = self._fh.tell()
+        if held < len(header):
+            if held and not header.startswith(_read(path)):
+                self._fh.close()
+                raise CorruptLogRecord(f"bad header in {os.path.basename(path)}")
+            self._fh.write(header[held:])
             self._fh.flush()
             if fsync:
                 os.fsync(self._fh.fileno())
@@ -256,21 +266,28 @@ class AppendFile:
         self._fh.close()
 
 
+def _read(path: str, size: int = -1) -> bytes:
+    """The first ``size`` bytes of ``path``, or all of them."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read(size)
+    except FileNotFoundError:
+        raise CorruptLogRecord(f"missing {os.path.basename(path)}") from None
+
+
 def _read_frames(
     path: str, magic: bytes, head_size: int
 ) -> tuple[bytes, list[bytes], int]:
-    """The ``head_size`` header bytes after ``magic`` (fewer when the file
-    is shorter; the caller checks), the frame payloads after them and the
-    offset where the last whole frame ends (``codec.frames``)."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        raise CorruptLogRecord(f"missing {os.path.basename(path)}") from None
+    """The ``head_size`` header bytes after ``magic`` (fewer in a shorter
+    file, whose frames end with the header it lacks; the caller checks),
+    the frame payloads after them and the offset where the last one ends."""
+    blob = _read(path)
     start = len(magic) + head_size
-    if not blob.startswith(magic):
+    if not (blob.startswith(magic) or magic.startswith(blob)):
         raise CorruptLogRecord(f"bad header in {os.path.basename(path)}")
-    return blob[len(magic) : start], *frames(blob, start)
+    if len(blob) < start:
+        return blob[len(magic) :], [], start
+    return blob[len(magic) : start], *frames(blob, start, os.path.basename(path))
 
 
 class CommandLog:
@@ -355,11 +372,12 @@ class CommandLog:
 
 def read_log(
     path: str,
-) -> tuple[RecoveryMode, int, int, int, list[CommandLogRecord]]:
-    """Read a command log; a torn or corrupt frame ends it (``codec.frames``).
+) -> tuple[Optional[RecoveryMode], Optional[int], int, int, list[CommandLogRecord]]:
+    """Read a command log; a torn frame ends it (``codec.frames``).
 
     Returns (mode, partition_id, snapshot seq, the offset where the last
-    whole frame ends, records in file order).
+    whole frame ends, records in file order); a log shorter than its header
+    holds no record, and its mode and partition read as None.
     """
     head, payloads, end = _read_frames(path, LOG_MAGIC, _LOG_HEAD.size)
     # the version leads, so an older header, shorter than this one, still
@@ -368,31 +386,30 @@ def read_log(
     if len(head) >= 4 and version != LOG_VERSION:
         raise CorruptLogRecord(f"unsupported log version {version}")
     if len(head) < _LOG_HEAD.size:
-        raise CorruptLogRecord(f"bad header in {os.path.basename(path)}")
-    _, mode_v, partition_id, snapshot_seq = _LOG_HEAD.unpack(head)
+        return None, None, 0, end, []
+    _, _, partition_id, snapshot_seq = _LOG_HEAD.unpack(head)
     records: list[CommandLogRecord] = []
     for payload in payloads:
         rec = CommandLogRecord.decode(payload)
         if records and rec.commit_seq <= records[-1].commit_seq:
             raise CorruptLogRecord("commit sequence not increasing")
         records.append(rec)
-    return RecoveryMode(mode_v), partition_id, snapshot_seq, end, records
+    return _mode(head, path), partition_id, snapshot_seq, end, records
 
 
-@_write_failure
-def make_dirs(path: str, fsync: bool) -> None:
-    """``os.makedirs(path, exist_ok=True)``; with ``fsync`` set, also sync
-    the parent of each directory it creates, so that the new entries
-    survive a crash."""
-    created = []
-    d = os.path.abspath(path)
-    while not os.path.isdir(d):
-        created.append(d)
-        d = os.path.dirname(d)
-    os.makedirs(path, exist_ok=True)
-    if fsync:
-        for new in reversed(created):
-            _sync_dir(new)
+def read_log_mode(path: str) -> RecoveryMode:
+    """The mode byte of the log at ``path``, read alone; a log missing or
+    too short to hold it raises ``CorruptLogRecord``."""
+    return _mode(_read(path, len(LOG_MAGIC) + 5)[len(LOG_MAGIC) :], path)
+
+
+def _mode(head: bytes, path: str) -> RecoveryMode:
+    """The mode in ``head``, a log header's bytes after its magic; a head
+    too short to hold one, or holding none, raises ``CorruptLogRecord``."""
+    try:
+        return RecoveryMode(head[4])  # after the u32 version
+    except (IndexError, ValueError):
+        raise CorruptLogRecord(f"bad header in {os.path.basename(path)}") from None
 
 
 @_write_failure
@@ -436,9 +453,29 @@ def data_path(data_dir: str, name: str) -> str:
     return os.path.join(data_dir, name)
 
 
-def _snapshots(data_dir: str) -> list[str]:
-    """The file name of every snapshot, oldest first."""
-    return sorted(n for n in os.listdir(data_dir) if _SNAPSHOT_RE.match(n))
+@_write_failure
+def open_data_dir(data_dir: str, fsync: bool) -> list[str]:
+    """List ``data_dir`` once: remove the temp file of each ``replace_file``
+    that a crash cut short, and return the names of the log, the cache and
+    the snapshots it holds, in name order. A missing ``data_dir`` holds
+    none; it is made, syncing with ``fsync`` set each new entry's parent."""
+    try:
+        names = os.listdir(data_dir)
+    except FileNotFoundError:
+        made = []
+        d = os.path.abspath(data_dir)
+        while not os.path.isdir(d):
+            made.append(d)
+            d = os.path.dirname(d)
+        os.makedirs(data_dir, exist_ok=True)
+        if fsync:
+            for new in reversed(made):
+                _sync_dir(new)
+        return []
+    for name in names:
+        if name.endswith(TEMP_SUFFIX):
+            os.remove(os.path.join(data_dir, name))
+    return sorted(n for n in names if n in (LOG_FILE, CACHE_FILE) or _SNAPSHOT_RE.match(n))
 
 
 def write_snapshot(data_dir: str, commit_seq: int, blob: bytes, fsync: bool) -> str:
@@ -451,38 +488,16 @@ def write_snapshot(data_dir: str, commit_seq: int, blob: bytes, fsync: bool) -> 
 @_write_failure
 def prune_snapshots(data_dir: str) -> None:
     """Remove all but the newest ``KEEP_SNAPSHOTS`` snapshots."""
-    for name in _snapshots(data_dir)[:-KEEP_SNAPSHOTS]:
+    names = sorted(n for n in os.listdir(data_dir) if _SNAPSHOT_RE.match(n))
+    for name in names[:-KEEP_SNAPSHOTS]:
         os.remove(os.path.join(data_dir, name))
 
 
-def read_snapshots(data_dir: str) -> Iterator[bytes]:
-    """Each snapshot's bytes, newest first, each read when it is asked for."""
-    for name in reversed(_snapshots(data_dir)):
-        with open(os.path.join(data_dir, name), "rb") as fh:
-            blob = fh.read()
-        yield blob
-
-
-@_write_failure
-def used_data_file(data_dir: str, fsync: bool) -> Optional[str]:
-    """The first, in name order, of the log, the cache and the snapshots in
-    ``data_dir``; None if it holds none of them. A ``data_dir`` that does
-    not exist holds none, and is made (``make_dirs``)."""
-    try:
-        names = os.listdir(data_dir)
-    except FileNotFoundError:
-        make_dirs(data_dir, fsync)
-        return None
-    used = (LOG_FILE, CACHE_FILE)
-    return min((n for n in names if n in used or _SNAPSHOT_RE.match(n)), default=None)
-
-
-@_write_failure
-def remove_temp_files(data_dir: str) -> None:
-    """Remove the temp file of each ``replace_file`` that a crash cut short."""
-    for name in os.listdir(data_dir):
-        if name.endswith(TEMP_SUFFIX):
-            os.remove(os.path.join(data_dir, name))
+def read_snapshots(data_dir: str, names: list[str]) -> Iterator[bytes]:
+    """The bytes of each snapshot of ``data_dir`` that ``names`` lists,
+    oldest first, read newest first and each when it is asked for."""
+    for name in reversed(names):
+        yield _read(os.path.join(data_dir, name))
 
 
 # --- upstream backup ---

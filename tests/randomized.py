@@ -1,9 +1,9 @@
 """Seeded random run generators: end-to-end workflows for the master
 schedule property, strong recovery of such a workflow crashed at any step,
 window aggregates across aborts and a crash, a two-input border across
-arrival orders, checkpoints and crashes, and checkpoints that reuse the
-previous one's encoded rows; and the fixed specs they and other tests
-share."""
+arrival orders, checkpoints and crashes, checkpoints that reuse the
+previous one's encoded rows, and one bit flipped in a durable file; and
+the fixed specs they and other tests share."""
 
 import os
 import random
@@ -17,7 +17,7 @@ from streamtx.engine import (
     TableDef,
     recover,
 )
-from streamtx.errors import BadDefinition
+from streamtx.errors import BadDefinition, CorruptLogRecord, CorruptSnapshot, VersionMismatch
 from streamtx.ingest import BatchingPolicy, StreamIngestor
 from streamtx.model import (
     AtomicBatch,
@@ -39,6 +39,7 @@ from streamtx.snapshot import restore_state, snapshot_state
 from streamtx.storage import Pred
 from streamtx.validator import validate
 from streamtx.triggers import AggregateInsert, StatementTrigger, WindowInsertStmt
+from streamtx.workloads import pe_chain_spec
 
 VAL_COLS = (("value", "int"),)
 
@@ -840,3 +841,88 @@ def random_checkpoint_run(seed: int, data_dir: str) -> int:
     assert engine.snapshot_bytes() == blob
     engine.close()
     return len(checkpoints)
+
+
+# --- one bit flipped in a durable file ---
+
+
+def random_bit_flip_run(seed: int, data_dir: str) -> bool:
+    """One seeded run of a three-stage chain in a random mode, with group
+    commit 1-4 and, in some runs, a checkpoint after a random round. The
+    engine closes, so every commit is acknowledged. Then one random bit of
+    the command log flips, or in weak mode maybe of the input cache, and
+    the constructor opens the directory.
+
+    Opening must raise ``CorruptLogRecord``, ``CorruptSnapshot`` or
+    ``VersionMismatch``, or bring back every commit that the flipped file's
+    last frame does not hold, which a torn tail may lose. In strong mode
+    the state must be bit-exact to a crash-free run's at the recovered
+    commit seq; in weak mode, once the engine is idle, ``out`` must hold a
+    prefix of the crash-free run's rows. Returns whether opening raised.
+    """
+    rng = random.Random(seed)
+    spec = pe_chain_spec(3, "triggered")
+    mode = rng.choice((RecoveryMode.STRONG, RecoveryMode.WEAK))
+    rounds = rng.randint(2, 10)
+    values = [rng.randint(0, 99) for _ in range(rounds)]
+    checkpoint_after = rng.randint(1, rounds) if rng.random() < 0.5 else None
+
+    def run(engine):
+        for r, v in enumerate(values, 1):
+            engine.ingest_batch("s1", AtomicBatch(r, (Tuple((v,), tuple_id=r, batch_id=r),)))
+            engine.run_until_idle()
+            if r == checkpoint_after and engine.data_dir is not None:
+                engine.checkpoint()
+
+    golden_states = {}
+
+    def hook(p):
+        golden_states[p.commit_seq] = snapshot_state(p.store, p.id, p.commit_seq)
+
+    golden = Engine(spec, post_commit_hook=hook)
+    golden_states[0] = golden.snapshot_bytes()
+    run(golden)
+    golden_out = [t.values for t in golden.store.table("out").rows]
+    args = dict(recovery_mode=mode, group_commit_max_batch=rng.randint(1, 4),
+                group_commit_max_delay=3600, fsync=False)
+    live = Engine(spec, data_dir=data_dir, **args)
+    run(live)
+    live.close()
+
+    name = LOG_FILE
+    if mode is RecoveryMode.WEAK and rng.random() < 0.5:
+        name = CACHE_FILE
+    path = os.path.join(data_dir, name)
+    # the round of the file's last frame, which a torn tail may lose, and in
+    # strong mode the commit seq that the frames before it reach
+    _, _, snapshot_seq, _, records = read_log(os.path.join(data_dir, LOG_FILE))
+    need_seq = records[-2].commit_seq if len(records) > 1 else snapshot_seq
+    if name == LOG_FILE:
+        last = records[-1].round if records else None
+    else:
+        cached = read_input_cache(path)[0].get("s1", [])
+        last = cached[-1].batch_id if cached else None
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    bit = rng.randrange(len(blob) * 8)
+    blob[bit // 8] ^= 1 << (bit % 8)
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+    try:
+        engine = Engine(spec, data_dir=data_dir, **args)
+    except (CorruptLogRecord, CorruptSnapshot, VersionMismatch):
+        return True
+    at = f"seed {seed}: {mode.name}, bit {bit} of {name}"
+    engine.run_until_idle()
+    if mode is RecoveryMode.STRONG:
+        seq = engine.partition.commit_seq
+        assert seq >= need_seq, f"{at}: commit {need_seq} lost, recovered {seq}"
+        assert engine.snapshot_bytes() == golden_states[seq], at
+    else:
+        out = [t.values for t in engine.store.table("out").rows]
+        need = rounds - 1 if last == rounds else rounds
+        assert out == golden_out[: len(out)], f"{at}: out is not a prefix"
+        assert len(out) >= need, f"{at}: {rounds - len(out)} rounds lost"
+    engine.close()
+    return False

@@ -423,3 +423,43 @@ source = csv:%s
             assert out == ""
             assert err == f"streamtx run: SchemaMismatch: {reason}\n"
             assert not (data / "command.log").exists()
+
+
+@pytest.mark.parametrize("recovery", ["strong", "weak"])
+def test_cli_run_recovers_a_used_data_dir(tmp_path, capsys, recovery):
+    # the second run's engine recovers the first run's rounds, which its
+    # border already took, so feeding them again is an engine error
+    from streamtx.cli import main
+
+    feed = tmp_path / "feed.csv"
+    feed.write_text("value\n5\n15\n")
+    cfg = tmp_path / "wl.cfg"
+    cfg.write_text(
+        f"""
+[engine]
+recovery = {recovery}
+
+[stream s1]
+columns = value:int
+
+[table out]
+columns = value:int
+
+[procedure head]
+kind = border
+streams = s1
+tables = out
+body = builtin:record
+
+[feed]
+stream = s1
+source = csv:{feed}
+"""
+    )
+    run = ["run", "--config", str(cfg), "--data-dir", str(tmp_path / "data")]
+    assert main(run) == 0
+    assert json.loads(capsys.readouterr().out)["committed"] == 2
+    assert main(run) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "streamtx run: BadDefinition: head already took round 1\n"

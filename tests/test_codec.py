@@ -69,7 +69,7 @@ def test_batch_round_trip(batches):
     blob = batches_to_args(batches)
     assert exact(args_to_batches(blob)) == exact(batches)
     rec = CommandLogRecord(3, "SP1", 9, blob)
-    (payload,), _ = frames(rec.encode(), 0)
+    (payload,), _ = frames(rec.encode(), 0, "command.log")
     assert CommandLogRecord.decode(payload) == rec
 
 

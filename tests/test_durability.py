@@ -4,10 +4,10 @@ last one.
 
 The crash-point test runs a short chain once while recording the data dir
 around every call that writes it: before the call, after it, and with only
-half of what the call wrote. Each recorded state is then recovered in a
-fresh directory, the way ALICE (Pillai et al., OSDI 2014) replays every
-prefix of a program's file operations, and the recovered engine crashes
-and is recovered once more.
+half of what the call wrote. Each recorded state is then opened by the
+constructor in a fresh directory, the way ALICE (Pillai et al., OSDI 2014)
+replays every prefix of a program's file operations, and the recovered
+engine crashes and is recovered once more.
 """
 
 import dataclasses
@@ -41,11 +41,12 @@ CHECKPOINTS = (4, 6, 8)
 # write, so the recorded calls do not depend on timing
 ENGINE_ARGS = dict(group_commit_max_batch=GROUP_COMMIT, group_commit_max_delay=3600)
 # the file layer's calls that change the data dir, each patched where its
-# caller looks it up: the log's and the cache's writes, the cache's
-# compaction, every whole-file replacement (the snapshot, a compacted cache
-# that keeps a batch), and the checkpoint's log truncation and snapshot
-# prune, which the engine calls by its own names
+# caller looks it up: the creation of the log and the cache, their writes,
+# the cache's compaction, every whole-file replacement (the snapshot, a
+# compacted cache that keeps a batch), and the checkpoint's log truncation
+# and snapshot prune, which the engine calls by its own names
 WRITERS = [
+    (recovery_mod.AppendFile, "__init__"),
     (CommandLog, "flush"),
     (InputCache, "append"),
     (InputCache, "compact"),
@@ -99,14 +100,15 @@ CUT_TO_HEADER = {
 
 
 def half_written(before, after):
-    """The dir had the call died half-way: an appended file holds half of its
-    new bytes; a file cut back to its header in place holds the new header
-    over its old bytes, the state between the header's write and the cut; a
-    replaced or new file is unchanged, beside a temp file that holds half of
-    its new bytes."""
+    """The dir had the call died half-way: an appended file, or a new one
+    that is appended to, holds half of its new bytes; a file cut back to its
+    header in place holds the new header over its old bytes, the state
+    between the header's write and the cut; a replaced or new snapshot is
+    unchanged, beside a temp file that holds half of its new bytes."""
     state = dict(before)
     for name, data in after.items():
-        old = before.get(name)
+        # a new append file starts empty: its header is its first append
+        old = before.get(name, b"" if name in CUT_TO_HEADER else None)
         if old == data:
             continue
         if old is not None and data.startswith(old):
@@ -160,6 +162,10 @@ def test_recovery_at_every_crash_point(tmp_path, mode, fsync):
     assert len(crash_states) > 20
     workflow = chain_spec(N_PROCS).workflows[0]
 
+    def reopen(d):
+        return Engine(chain_spec(N_PROCS), data_dir=str(d), recovery_mode=mode,
+                      fsync=fsync, **ENGINE_ARGS)
+
     def check(r, seen, at):
         if mode is RecoveryMode.STRONG:
             seq = r.partition.commit_seq
@@ -175,7 +181,7 @@ def test_recovery_at_every_crash_point(tmp_path, mode, fsync):
             return r
         r.ingest_batch("s1", batch(next_round))
         r.crash()
-        r = recover(chain_spec(N_PROCS), str(d), fsync=fsync, **ENGINE_ARGS)
+        r = reopen(d)
         queued = [req.round for req in r.partition.client_queue]
         assert next_round in queued, f"{at}: cached round {next_round} lost"
         return r
@@ -185,7 +191,7 @@ def test_recovery_at_every_crash_point(tmp_path, mode, fsync):
         d.mkdir()
         for name, data in files.items():
             (d / name).write_bytes(data)
-        r = recover(chain_spec(N_PROCS), str(d), fsync=fsync, **ENGINE_ARGS)
+        r = reopen(d)
         check(r, seen, f"state {i}")
         r = cache_keeps_next_round(r, d, f"state {i}")
         # the recovered engine takes up to two more rounds, then crashes and
@@ -195,7 +201,7 @@ def test_recovery_at_every_crash_point(tmp_path, mode, fsync):
         tickets = feed(r, resume, min(resume + 1, ROUNDS))
         seen = max([seen] + [t.commit_seq for t in tickets if t.acknowledged])
         r.crash()
-        r = recover(chain_spec(N_PROCS), str(d), fsync=fsync, **ENGINE_ARGS)
+        r = reopen(d)
         check(r, seen, f"state {i}, recovered twice")
         r = cache_keeps_next_round(r, d, f"state {i}, recovered twice")
         r.run_until_idle()
@@ -437,16 +443,23 @@ def take(calls):
 @pytest.mark.parametrize("fsync", [True, False])
 @pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
 def test_file_traffic_pinned(tmp_path, traffic, mode, fsync):
-    """The file-system calls of construction, a checkpoint, a checkpoint
-    that prunes the oldest snapshot, the recovery of a crash that left a
-    torn log tail and a stale temp file, and in weak mode the recovery of
-    a torn cache tail, call for call. With fsync off they are the same
-    calls without the syncs and the directory opens."""
+    """The file-system calls of construction without a recovery mode, which
+    makes none, and with one, a checkpoint, a checkpoint that prunes the
+    oldest snapshot, the constructor's recovery of a crash that left a torn
+    log tail and a stale temp file, and in weak mode its recovery of a torn
+    cache tail, call for call. With fsync off they are the same calls
+    without the syncs and the directory opens."""
     d = tmp_path / "data"
     d.mkdir()
-    e = Engine(chain_spec(N_PROCS), data_dir=str(d), recovery_mode=mode,
-               fsync=fsync, **ENGINE_ARGS)
-    got = {"construct": take(traffic)}
+    Engine(chain_spec(N_PROCS), data_dir=str(d), fsync=fsync, **ENGINE_ARGS).close()
+    got = {"construct and close without a recovery mode": take(traffic)}
+
+    def open_engine():
+        return Engine(chain_spec(N_PROCS), data_dir=str(d), recovery_mode=mode,
+                      fsync=fsync, **ENGINE_ARGS)
+
+    e = open_engine()
+    got["construct"] = take(traffic)
     feed(e, 1, 2)
     take(traffic)
     e.checkpoint()
@@ -465,8 +478,7 @@ def test_file_traffic_pinned(tmp_path, traffic, mode, fsync):
         fh.write(torn[: len(torn) // 2])
     (d / "snapshot-000000000018.snap.tmp").write_bytes(b"STXSNAP1")
     take(traffic)
-    r = recover(chain_spec(N_PROCS), str(d), fsync=fsync, **ENGINE_ARGS)
-    r.close()
+    open_engine().close()
     got["recover and close"] = take(traffic)
     if mode is RecoveryMode.WEAK:
         # round 6 is still cached and not run; a torn frame follows it, which
@@ -474,11 +486,11 @@ def test_file_traffic_pinned(tmp_path, traffic, mode, fsync):
         with (d / "input.cache").open("ab") as fh:
             fh.write(torn[: len(torn) // 2])
         take(traffic)
-        r = recover(chain_spec(N_PROCS), str(d), fsync=fsync, **ENGINE_ARGS)
+        r = open_engine()
         assert r.counters.replay_client_dispatches == 0
         r.close()
         got["recover from a torn cache tail"] = take(traffic)
-    want = TRAFFIC[mode]
+    want = {"construct and close without a recovery mode": [], **TRAFFIC[mode]}
     if not fsync:
         want = {
             phase: [c for c in calls if not c.startswith(("fsync", "open dir"))]
@@ -530,7 +542,6 @@ TRAFFIC = {
             "open ab data/command.log",
             "ftruncate data/command.log",
             "fsync file data/command.log",
-            "listdir data",
             "open rb data/snapshot-000000000015.snap",
         ],
     },
@@ -586,7 +597,6 @@ TRAFFIC = {
             "ftruncate data/command.log",
             "fsync file data/command.log",
             "open rb data/input.cache",
-            "listdir data",
             "open rb data/snapshot-000000000015.snap",
         ],
         "recover from a torn cache tail": [
@@ -597,7 +607,6 @@ TRAFFIC = {
             "open rb data/input.cache",
             "ftruncate data/input.cache",
             "fsync file data/input.cache",
-            "listdir data",
             "open rb data/snapshot-000000000015.snap",
         ],
     },
@@ -758,40 +767,146 @@ def test_close_stops_the_partition_when_its_flush_fails(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
-def test_engine_refuses_a_used_data_dir(tmp_path, mode):
-    """A second engine on a directory another one wrote would start empty
-    and log commits whose sequence restarts at 1; only recover() reopens
-    it. An engine without a log writes there first at its checkpoint,
-    which checks instead."""
-    from streamtx.errors import BadDefinition
+def test_engine_recovers_a_used_data_dir(tmp_path, mode):
+    """The constructor recovers a directory another engine wrote, so that
+    its commits go on after the old ones. An engine of the other mode or
+    partition refuses the log before it opens a file. An engine without a
+    log writes there first at its checkpoint, which refuses a used
+    directory instead."""
+    from streamtx.errors import BadDefinition, VersionMismatch
     from streamtx.workloads import pe_chain_spec
 
-    args = dict(fsync=False)
-    e = Engine(pe_chain_spec(2, "triggered"), data_dir=str(tmp_path),
-               recovery_mode=mode, **args)
+    def engine(**kwargs):
+        return Engine(pe_chain_spec(2, "triggered"), data_dir=str(tmp_path),
+                      fsync=False, **kwargs)
+
+    e = engine(recovery_mode=mode)
     feed(e, 1, 3)
     e.close()
-    with pytest.raises(BadDefinition, match="already holds command.log"):
-        Engine(pe_chain_spec(2, "triggered"), data_dir=str(tmp_path),
-               recovery_mode=mode, **args)
-    r = recover(pe_chain_spec(2, "triggered"), str(tmp_path), **args)
+    written = read_dir(tmp_path)
+    other = RecoveryMode.WEAK if mode is RecoveryMode.STRONG else RecoveryMode.STRONG
+    with pytest.raises(VersionMismatch, match=f"in {mode.name} mode, not {other.name}"):
+        engine(recovery_mode=other)
+    with pytest.raises(VersionMismatch, match="belongs to partition 0, not 1"):
+        engine(recovery_mode=mode, partition_id=1)
+    assert read_dir(tmp_path) == written
+    r = engine(recovery_mode=mode)
     r.run_until_idle()
     assert [t.values for t in r.store.table("out").rows] == [(10,), (20,), (30,)]
     feed(r, 4, 4)
     r.checkpoint()
+    r.crash()
+    r = engine(recovery_mode=mode)
+    assert r.partition.commit_seq == 8
     r.close()
+    written = read_dir(tmp_path)
+    unlogged = engine()
+    feed(unlogged, 1, 1)
+    with pytest.raises(BadDefinition, match=r"already holds command\.log$"):
+        unlogged.checkpoint()
     os.remove(tmp_path / "command.log")
     if mode is RecoveryMode.WEAK:
-        with pytest.raises(BadDefinition, match="already holds input.cache"):
-            Engine(pe_chain_spec(2, "triggered"), data_dir=str(tmp_path),
-                   recovery_mode=mode, **args)
         os.remove(tmp_path / "input.cache")
-    snapshots = sorted(os.listdir(tmp_path))
-    unlogged = Engine(pe_chain_spec(2, "triggered"), data_dir=str(tmp_path), **args)
-    feed(unlogged, 1, 1)
-    with pytest.raises(BadDefinition, match=r"already holds snapshot-\d+\.snap"):
+    with pytest.raises(BadDefinition, match=r"already holds snapshot-\d+\.snap$"):
         unlogged.checkpoint()
-    assert sorted(os.listdir(tmp_path)) == snapshots
+    assert read_dir(tmp_path) == {
+        n: data for n, data in written.items() if n.endswith(".snap")
+    }
+
+
+# --- a header that a crash cut short ---
+
+
+# the files a crash inside the creation of the log or the cache leaves: a
+# log of 0, 5 or 12 bytes (no magic yet, part of it, the magic and the
+# version), alone since the cache is made after it; or, in weak mode, a
+# cache of 0 or 3 bytes beside a whole log
+SHORT_HEADERS = [
+    (name, size, mode)
+    for name, sizes, modes in (
+        ("command.log", (0, 5, 12), (RecoveryMode.STRONG, RecoveryMode.WEAK)),
+        ("input.cache", (0, 3), (RecoveryMode.WEAK,)),
+    )
+    for size in sizes
+    for mode in modes
+]
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+@pytest.mark.parametrize("name, size, mode", SHORT_HEADERS)
+def test_short_header_written_whole(tmp_path, synced, name, size, mode, fsync):
+    """A log or cache that holds a prefix of its header holds no frame, so
+    the constructor opens it by writing the header whole, synced as a new
+    file's is; the directory then takes rounds, and a second open recovers
+    them. ``recover()`` reads the mode from the header, so it refuses a
+    log too short to hold it."""
+    from streamtx.errors import CorruptLogRecord
+
+    header = {
+        "command.log": recovery_mod._log_header(mode, 0),
+        "input.cache": recovery_mod.CACHE_MAGIC,
+    }
+    if name == "input.cache":
+        (tmp_path / "command.log").write_bytes(header["command.log"])
+    (tmp_path / name).write_bytes(header[name][:size])
+    if name == "command.log":
+        with pytest.raises(CorruptLogRecord, match="^bad header in command.log$"):
+            recover(chain_spec(N_PROCS), str(tmp_path), fsync=fsync)
+    synced.clear()
+    e = Engine(chain_spec(N_PROCS), data_dir=str(tmp_path), recovery_mode=mode,
+               fsync=fsync)
+    # the mended file, and in weak mode a cache made after a short log
+    written = 2 if name == "command.log" and mode is RecoveryMode.WEAK else 1
+    assert synced == (["file", "dir"] * written if fsync else [])
+    assert read_dir(tmp_path) == {
+        n: h for n, h in header.items() if n == "command.log" or mode is RecoveryMode.WEAK
+    }
+    feed(e, 1, 2)
+    e.crash()
+    r = Engine(chain_spec(N_PROCS), data_dir=str(tmp_path), recovery_mode=mode,
+               fsync=fsync)
+    r.run_until_idle()
+    assert [t.values for t in r.store.table("out").rows] == [(10,), (20,)]
+    r.close()
+
+
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_short_header_refused_where_it_could_lose_commits(tmp_path, mode):
+    """A short log beside a snapshot cannot say which snapshot it follows,
+    and a short file that is not a prefix of its header is not one a crash
+    left: opening either raises and writes nothing."""
+    from streamtx.errors import CorruptLogRecord
+
+    e = Engine(chain_spec(N_PROCS), data_dir=str(tmp_path), recovery_mode=mode,
+               fsync=False)
+    feed(e, 1, 2)
+    e.checkpoint()
+    e.close()
+    whole = read_dir(tmp_path)
+    header = recovery_mod._log_header(mode, 0)
+    damaged = [("command.log", header[:12]), ("command.log", b"")]
+    if mode is RecoveryMode.WEAK:
+        damaged.append(("input.cache", b"STY"))
+    for name, data in damaged:
+        (tmp_path / name).write_bytes(data)
+        written = read_dir(tmp_path)
+        with pytest.raises(CorruptLogRecord, match=f"^bad header in {name}$"):
+            Engine(chain_spec(N_PROCS), data_dir=str(tmp_path), recovery_mode=mode,
+                   fsync=False)
+        assert read_dir(tmp_path) == written
+        (tmp_path / name).write_bytes(whole[name])
+    for n in os.listdir(tmp_path):
+        if n.endswith(".snap"):
+            os.remove(tmp_path / n)
+    # without a snapshot: a wrong magic, and the start of the other mode's
+    # header, which only the full header's prefix tells apart
+    other = RecoveryMode.WEAK if mode is RecoveryMode.STRONG else RecoveryMode.STRONG
+    for data in (b"STXLOX", recovery_mod._log_header(other, 0)[:13]):
+        (tmp_path / "command.log").write_bytes(data)
+        with pytest.raises(CorruptLogRecord, match="^bad header in command.log$"):
+            Engine(chain_spec(N_PROCS), data_dir=str(tmp_path), recovery_mode=mode,
+                   fsync=False)
+        assert (tmp_path / "command.log").read_bytes() == data
 
 
 # --- handles and stale files ---
