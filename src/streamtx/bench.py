@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .codec import frame
 from .engine import Engine, recover, route_partition
 from .executor import Origin, TERequest
 from .ingest import BatchingPolicy, StreamIngestor
@@ -330,7 +331,7 @@ def run_recovery_experiment(
     live_counters = live.counters.as_dict()
     live.crash()
     if kind == "mid-flush":
-        torn = CommandLogRecord(10**6, "sp1", 10**6, b"torn").encode()
+        torn = frame(CommandLogRecord(10**6, "sp1", 10**6, b"torn").encode())
         with open(data_path(data_dir, LOG_FILE), "ab") as fh:
             fh.write(torn[: len(torn) // 2])
     elif kind == "mid-snapshot":

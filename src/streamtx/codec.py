@@ -2,13 +2,14 @@
 
     scalars  int <q, float <d, text as len u16 | UTF-8
     row      tuple_id, batch_id, ts as <qqq | each value in its column's
-             scalar encoding (snapshots, and the rows of a batch)
+             scalar encoding (snapshots)
     batches  stream count u16, then per stream: name text | batch_id <q |
              tuple count u32 | column count u16 | a type code u8 per column
-             (0 int, 1 float, 2 text) | the rows (border args and
-             input-cache records)
-    frame    len u32 | payload | CRC32 of len and payload (command log and
-             input cache)
+             (0 int, 1 float, 2 text) | the rows of the batch, each a row
+             without its batch_id, which the head holds: tuple_id, ts as
+             <qq | the values (border args and input-cache records)
+    frame    len u32 | payload | CRC32 of len and payload (a command log
+             group commit, an input-cache record)
 
 Batches describe themselves, so the log reads without the spec. The codec
 checks no value: ``check_row`` (storage) is the one rule, and the engine
@@ -54,10 +55,11 @@ def text_at(buf: bytes, off: int) -> tuple[str, int]:
 
 
 @functools.cache
-def row_codec(types: tuple[type, ...]) -> tuple[Callable, Callable]:
+def row_codec(types: tuple[type, ...], batch: bool = False) -> tuple[Callable, Callable]:
     """Encoder ``rows -> bytes`` and decoder ``(buf, off, n) -> (rows, off)``
-    of rows whose columns have these value types (``int``, ``float``,
-    ``str``), so tables and batches of the same types share one.
+    of rows with these column types (``int``, ``float``, ``str``), which
+    tables of the same types share. A ``batch`` codec leaves out the
+    batch_id, which its decoder ``(buf, off, n, bid)`` stamps on each row.
 
     Compiled on first use into Python source, as ``namedtuple`` builds
     its methods: each run of fixed-width fields, the row head included,
@@ -69,7 +71,8 @@ def row_codec(types: tuple[type, ...]) -> tuple[Callable, Callable]:
     table hold, raises ``ValueError`` or ``struct.error``."""
     env = {"Tuple": Tuple, "new": tuple.__new__}
     runs: list[tuple[list[str], Optional[str]]] = []  # (fields, text field)
-    fields, fmt = ["tid", "bid", "ts"], "<qqq"
+    fields, fmt = (["tid", "ts"], "<qq") if batch else (["tid", "bid", "ts"], "<qqq")
+    params = "buf, off, n, bid" if batch else "buf, off, n"
     for i, kind in enumerate(types):
         if kind is str:
             runs.append((fields, f"v{i}"))
@@ -89,7 +92,7 @@ def row_codec(types: tuple[type, ...]) -> tuple[Callable, Callable]:
 def encode(rows):
     return b"".join([s0.pack({head}) for ({values}), tid, bid, ts in rows])
 
-def decode(buf, off, n):
+def decode({params}):
     end = off + n * s0.size
     if end > len(buf):
         raise ValueError(f"{{n}} rows run past the end")
@@ -124,7 +127,7 @@ def encode(rows):
         {enc_body}
     return b"".join(out)
 
-def decode(buf, off, n):
+def decode({params}):
     rows = []
     for _ in range(n):
         {dec_body}
@@ -137,7 +140,7 @@ def decode(buf, off, n):
 
 @functools.cache
 def _decoder(codes: bytes) -> Callable:
-    return row_codec(tuple(_CODE_TYPES[c] for c in codes))[1]
+    return row_codec(tuple(_CODE_TYPES[c] for c in codes), True)[1]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -154,7 +157,7 @@ def _stream_codec(
         raise TypeMismatch(f"cannot encode a {e.args[0].__name__} value") from None
     name, cols = name_bytes(stream), _H.pack(len(codes)) + codes
     head = struct.Struct(f"<{len(name)}sqI{len(cols)}s")
-    return head.pack, name, cols, row_codec(types)[0]
+    return head.pack, name, cols, row_codec(types, True)[0]
 
 
 def encode_batches(batches: dict[str, AtomicBatch]) -> bytes:
@@ -172,6 +175,7 @@ def encode_batches(batches: dict[str, AtomicBatch]) -> bytes:
 
 
 def decode_batches(buf: bytes) -> dict[str, AtomicBatch]:
+    """The batches of ``buf``, each row stamped with its batch's head id."""
     (n_streams,) = _H.unpack_from(buf, 0)
     off = 2
     out: dict[str, AtomicBatch] = {}
@@ -180,8 +184,8 @@ def decode_batches(buf: bytes) -> dict[str, AtomicBatch]:
         batch_id, n_tuples, n_cols = _BATCH_HEAD.unpack_from(buf, off)
         off += _BATCH_HEAD.size
         decode = _decoder(buf[off : off + n_cols])
-        rows, off = decode(buf, off + n_cols, n_tuples)
-        out[stream] = AtomicBatch(batch_id, tuple(rows))
+        rows, off = decode(buf, off + n_cols, n_tuples, batch_id)
+        out[stream] = tuple.__new__(AtomicBatch, (batch_id, tuple(rows)))
     return out
 
 
@@ -192,15 +196,18 @@ def frame(payload: bytes) -> bytes:
 
 def frames(blob: bytes, off: int, name: str) -> tuple[list[bytes], int]:
     """The payloads of the frames from ``off`` on, and the offset after the
-    last whole one. A bad frame ends them, as a torn tail, when no whole
-    frame starts in the ``RESYNC_SCAN`` bytes after it. Else it is corrupt:
-    an end there would drop whole frames, so ``CorruptLogRecord`` names the
-    file ``name`` and the bad frame's offset."""
+    last whole one. A bad frame ends them, as a torn tail, when it reaches
+    the end of ``blob`` and no whole frame starts in the ``RESYNC_SCAN``
+    bytes after it. Else it is corrupt, since a crash tears only the last
+    write: an end there would drop what follows, so ``CorruptLogRecord``
+    names the file ``name`` and the bad frame's offset."""
     out, bad = [], None  # bad: the offset of the first bad frame
     while off + 4 <= len(blob) and (bad is None or off - bad < RESYNC_SCAN):
         end = off + 4 + _I.unpack_from(blob, off)[0]
         torn = end + 4 > len(blob)
         if torn or zlib.crc32(blob[off:end]) != _I.unpack_from(blob, end)[0]:
+            if bad is None and end + 4 < len(blob):  # bytes follow it
+                raise CorruptLogRecord(f"corrupt frame at offset {off} in {name}")
             if bad is None:
                 bad = off
             off += 1  # look on for a whole frame

@@ -11,13 +11,13 @@ them, newest first. A call that changes the directory raises
 ``LogWriteFailure`` on an I/O error.
 Each file is a header, then codec frames. A torn frame ends it, and
 recovery cuts the log and the cache back to their last whole frame
-(``AppendFile.cut``) before the engine appends again; a corrupt one, with
-a whole frame after it, raises (``codec.frames``). A file holding only a
-prefix of its header holds no frame, and opening it writes the header
-whole (``AppendFile``), but for a log beside a snapshot. The log header's
-snapshot seq is the commit sequence of the snapshot the log follows: the
-checkpoint that wrote that snapshot truncated the log, so the commits up
-to it are in no log record.
+(``AppendFile.cut``) before the engine appends again; a corrupt one raises
+(``codec.frames`` tells them apart: a crash tears only the last write). A
+file holding only a prefix of its header holds no frame, and opening it
+writes the header whole (``AppendFile``), but for a log beside a snapshot.
+The log header's snapshot seq is the commit sequence of the snapshot the
+log follows: the checkpoint that wrote that snapshot truncated the log, so
+the commits up to it are in no log record.
 A record is one transaction: a nested group's record names its entry child
 and carries the group's first commit seq, and strong replay runs the group
 again whole.
@@ -45,17 +45,19 @@ mark, the rule a checkpoint keeps them by. An abort is acknowledged at
 once, so one that neither a record nor a snapshot holds when the process
 dies is lost: weak recovery runs it again, and strong recovery forgets it.
 
-    log header:    magic "STXLOG01" | version u32 (6) | mode u8 | partition u32
+    log header:    magic "STXLOG01" | version u32 (7) | mode u8 | partition u32
                    | snapshot seq u64
-    log record:    commit_seq u64 | round u64 | aborted count u32 | procedure
-                   text | per abort: procedure text | round u64 | args
-    cache header:  magic "STXINP03"
-    cache record:  one ``{stream: batch}`` in the codec's batch encoding
+    log frame:     the records of one group commit, in commit order
+    log record:    len u32 | commit_seq u64 | round u64 | aborted count u32 |
+                   procedure text | per abort: procedure text | round u64 |
+                   args, where len counts the bytes after it
+    cache header:  magic "STXINP04"
+    cache frame:   one ``{stream: batch}`` in the codec's batch encoding
 
 Border args are that batch encoding too: a batch's column types, then its
-rows in the row encoding snapshots use. The input cache backs the
-weak-recovery upstream-backup scheme: every external batch is written there
-before its border execution runs.
+rows without the batch id, which the batch's head holds. The input cache
+backs the weak-recovery upstream-backup scheme: every external batch is
+written there before its border execution runs.
 
 One ``fsync`` policy holds for every durable byte: the log, the cache and
 the file steps a checkpoint takes. A checkpoint replaces the snapshot
@@ -91,12 +93,13 @@ from .errors import CorruptLogRecord, LogWriteFailure
 from .model import AtomicBatch, ProcedureKind
 
 LOG_MAGIC = b"STXLOG01"
-CACHE_MAGIC = b"STXINP03"
-LOG_VERSION = 6
+CACHE_MAGIC = b"STXINP04"
+LOG_VERSION = 7
 _LOG_HEAD = struct.Struct("<IBIQ")  # version, mode, partition, snapshot seq
-_RECORD_HEAD = struct.Struct("<QQI")  # commit_seq, round, aborted count
+_RECORD_HEAD = struct.Struct("<IQQI")  # len, commit_seq, round, aborted count
+_RECORD_READ = struct.Struct("<IQQIH")  # that head and the procedure's text length
 _ROUND = struct.Struct("<Q")
-_CRC = struct.Struct("<I")  # a frame's CRC of its length and payload
+_U32 = struct.Struct("<I")  # a frame's length, and its CRC of length and payload
 TEMP_SUFFIX = ".tmp"  # replace_file writes here before the rename
 LOG_FILE = "command.log"
 CACHE_FILE = "input.cache"
@@ -120,38 +123,26 @@ class CommandLogRecord(NamedTuple):
     aborted: tuple[tuple[str, int], ...] = ()
 
     def encode(self) -> bytes:
-        """The record's frame: one compiled head packs the frame's length,
-        the record head and the procedure's name (``_frame_head``); the
-        carried aborts and the args follow, then the CRC. The bytes equal
-        ``frame`` of the record's payload."""
+        """The record, unframed: one compiled head packs its length, the
+        record head and the procedure's name (``_record_head``); the
+        carried aborts and the args follow. ``CommandLog.flush`` frames the
+        records of a group commit together."""
         seq, procedure, round_, args, aborted = self
-        pack, size, name = _frame_head(procedure)
+        pack, size, name = _record_head(procedure)
         if aborted:
             carried = [name_bytes(p) + _ROUND.pack(r) for p, r in aborted]
             args = b"".join(carried) + args
-        body = pack(size + len(args), seq, round_, len(aborted), name) + args
-        return body + _CRC.pack(zlib.crc32(body))
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "CommandLogRecord":
-        seq, round_, n = _RECORD_HEAD.unpack_from(payload)
-        procedure, off = text_at(payload, _RECORD_HEAD.size)
-        aborted = []
-        for _ in range(n):
-            name, off = text_at(payload, off)
-            aborted.append((name, _ROUND.unpack_from(payload, off)[0]))
-            off += _ROUND.size
-        return cls(seq, procedure, round_, payload[off:], tuple(aborted))
+        return pack(size + len(args), seq, round_, len(aborted), name) + args
 
 
 @functools.lru_cache(maxsize=1024)
-def _frame_head(procedure: str) -> tuple[Callable, int, bytes]:
-    """For ``procedure``, made once: the packer of a record frame's start
-    (frame length u32, record head, then the name's text, which it takes
-    last), how many payload bytes that start holds, and the name's text."""
+def _record_head(procedure: str) -> tuple[Callable, int, bytes]:
+    """For ``procedure``, made once: the packer of a record's head, then
+    the name's text, which it takes last; how many bytes after the length
+    that packs; and the name's text."""
     name = name_bytes(procedure)
-    head = struct.Struct(f"<I{_RECORD_HEAD.format[1:]}{len(name)}s")
-    return head.pack, _RECORD_HEAD.size + len(name), name
+    head = struct.Struct(f"{_RECORD_HEAD.format}{len(name)}s")
+    return head.pack, _RECORD_HEAD.size - 4 + len(name), name
 
 
 # the procedure kinds whose transactions each log mode logs, by the kind of
@@ -342,12 +333,15 @@ class CommandLog:
             self.flush()
 
     def flush(self) -> int:
-        """Write and sync all pending records, then release their tickets."""
+        """Write and sync all pending records as one frame, built inline as
+        ``codec.frame`` builds one, then release their tickets."""
         if not self.pending:
             return 0
         batch, self.pending = self.pending, []
         self.deadline = None
-        self.file.append(b"".join([record.encode() for record, _ in batch]))
+        records = b"".join([record.encode() for record, _ in batch])
+        body = _U32.pack(len(records)) + records
+        self.file.append(body + _U32.pack(zlib.crc32(body)))
         self.counters.sync_count += 1
         for _, ticket in batch:
             if ticket is not None:
@@ -389,11 +383,34 @@ def read_log(
         return None, None, 0, end, []
     _, _, partition_id, snapshot_seq = _LOG_HEAD.unpack(head)
     records: list[CommandLogRecord] = []
-    for payload in payloads:
-        rec = CommandLogRecord.decode(payload)
-        if records and rec.commit_seq <= records[-1].commit_seq:
-            raise CorruptLogRecord("commit sequence not increasing")
-        records.append(rec)
+    names: dict[bytes, str] = {}  # each procedure's text, decoded once
+    new, unpack, last = tuple.__new__, _RECORD_READ.unpack_from, -1
+    try:
+        for payload in payloads:
+            off = 0
+            while off < len(payload):
+                size, seq, round_, n, name_len = unpack(payload, off)
+                if seq <= last:
+                    raise CorruptLogRecord("commit sequence not increasing")
+                last, stop = seq, off + 4 + size
+                off += _RECORD_READ.size + name_len
+                name = payload[off - name_len : off]
+                procedure = names.get(name) or names.setdefault(name, name.decode())
+                aborted = ()
+                if n:  # rare: the aborts since the previous record
+                    carried = []
+                    for _ in range(n):
+                        proc, off = text_at(payload, off)
+                        carried.append((proc, _ROUND.unpack_from(payload, off)[0]))
+                        off += _ROUND.size
+                    aborted = tuple(carried)
+                if not off <= stop <= len(payload):
+                    raise ValueError("record runs past its frame")
+                rec = (seq, procedure, round_, payload[off:stop], aborted)
+                records.append(new(CommandLogRecord, rec))
+                off = stop
+    except (struct.error, ValueError) as e:  # UnicodeDecodeError is a ValueError
+        raise CorruptLogRecord(f"malformed record in {os.path.basename(path)}: {e}") from None
     return _mode(head, path), partition_id, snapshot_seq, end, records
 
 
@@ -553,7 +570,7 @@ class InputCache:
 
 def read_input_cache(path: str) -> tuple[dict[str, list[AtomicBatch]], int]:
     """All cached batches by stream, in append order, and the offset where
-    the last whole frame ends; a torn or corrupt frame ends the cache."""
+    the last whole frame ends; a torn frame ends the cache (``codec.frames``)."""
     out: dict[str, list[AtomicBatch]] = {}
     _, payloads, end = _read_frames(path, CACHE_MAGIC, 0)
     for payload in payloads:

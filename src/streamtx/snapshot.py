@@ -171,10 +171,10 @@ def restore_state(blob: bytes, store: Store) -> tuple[int, int]:
             if isinstance(tab, PublicTable):
                 (count,) = _PUBLIC_STATE.unpack_from(buf, off)
                 tab.rows, off = decode_rows(buf, off + _PUBLIC_STATE.size, count)
-                for idx in tab.indexes.values():
-                    idx.clear()
-                for t in tab.rows:
-                    tab._index_add(t)
+                for cname, ci in tab.index_cols:  # buckets in table-row order
+                    tab.indexes[cname] = buckets = {}
+                    for t in tab.rows:
+                        buckets.setdefault(t.values[ci], []).append(t)
             elif isinstance(tab, StreamTable):
                 next_id, last_consumed, count = _STREAM_STATE.unpack_from(buf, off)
                 tab.next_tuple_id = next_id

@@ -2,14 +2,15 @@
 schedule property, strong recovery of such a workflow crashed at any step,
 window aggregates across aborts and a crash, a two-input border across
 arrival orders, checkpoints and crashes, checkpoints that reuse the
-previous one's encoded rows, and one bit flipped in a durable file; and
-the fixed specs they and other tests share."""
+previous one's encoded rows, and a durable file with a flipped bit or an
+overwritten run of bytes; and the fixed specs they and other tests share."""
 
 import os
 import random
 import shutil
 
 from oracles import sliding_window_events
+from streamtx.codec import frame, frames
 from streamtx.engine import (
     Engine,
     EngineSpec,
@@ -32,6 +33,7 @@ from streamtx.recovery import (
     CACHE_FILE,
     LOG_FILE,
     RecoveryMode,
+    _log_header,
     read_input_cache,
     read_log,
 )
@@ -247,12 +249,20 @@ def group_boundaries(schedule, workflow) -> set[int]:
     return out
 
 
+def log_frame(*records) -> bytes:
+    """The bytes ``CommandLog.flush`` writes for a group commit of
+    ``records``: one frame holding each record's encoding, or nothing for
+    no record. Every hand-written log record in the tests goes through
+    this."""
+    return frame(b"".join(rec.encode() for rec in records)) if records else b""
+
+
 def crash_in_flush(engine: Engine, rng: random.Random) -> None:
     """Crash ``engine`` inside a flush of the records its log buffers: a
     random prefix of their bytes, maybe none, reaches the file, which may
     leave a torn tail. None of them was acknowledged."""
     log = engine.partition.log
-    buffered = b"".join(rec.encode() for rec, _ in log.pending)
+    buffered = log_frame(*[rec for rec, _ in log.pending])
     engine.crash()
     if buffered:
         with open(log.path, "ab") as fh:
@@ -843,29 +853,51 @@ def random_checkpoint_run(seed: int, data_dir: str) -> int:
     return len(checkpoints)
 
 
-# --- one bit flipped in a durable file ---
+# --- a durable file damaged: a bit flipped or a short run of bytes overwritten ---
 
 
-def random_bit_flip_run(seed: int, data_dir: str) -> bool:
+def records_outside_last_frame(path: str) -> list:
+    """The records of the command log at ``path`` before its last frame,
+    which holds the last group commit: the log read as if cut there."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    head = len(_log_header(RecoveryMode.STRONG, 0))
+    payloads, end = frames(blob, head, LOG_FILE)
+    if not payloads:
+        return []
+    prefix = path + ".prefix"
+    with open(prefix, "wb") as fh:
+        fh.write(blob[: end - len(payloads[-1]) - 8])
+    records = read_log(prefix)[4]
+    os.remove(prefix)
+    return records
+
+
+def random_bit_flip_run(seed: int, data_dir: str, damage: str = "flip") -> bool:
     """One seeded run of a three-stage chain in a random mode, with group
     commit 1-4 and, in some runs, a checkpoint after a random round. The
-    engine closes, so every commit is acknowledged. Then one random bit of
-    the command log flips, or in weak mode maybe of the input cache, and
-    the constructor opens the directory.
+    engine closes, so every commit is acknowledged. Then a durable file is
+    damaged and the constructor opens the directory. ``damage`` says how:
+    ``"flip"`` flips one random bit of the command log, or in weak mode
+    maybe of the input cache; ``"overwrite"`` overwrites a random run of
+    2-16 bytes of the same file with random bytes; ``"snapshot"`` flips one
+    bit of the newest snapshot, and every such run takes its checkpoint.
 
     Opening must raise ``CorruptLogRecord``, ``CorruptSnapshot`` or
-    ``VersionMismatch``, or bring back every commit that the flipped file's
-    last frame does not hold, which a torn tail may lose. In strong mode
-    the state must be bit-exact to a crash-free run's at the recovered
-    commit seq; in weak mode, once the engine is idle, ``out`` must hold a
-    prefix of the crash-free run's rows. Returns whether opening raised.
+    ``VersionMismatch``, or bring back every commit that the damaged file's
+    last frame does not hold, which a torn tail may lose: for the log, the
+    last group commit. In strong mode the state must be bit-exact to a
+    crash-free run's at the recovered commit seq; in weak mode, once the
+    engine is idle, ``out`` must hold a prefix of the crash-free run's rows.
+    Returns whether opening raised.
     """
     rng = random.Random(seed)
     spec = pe_chain_spec(3, "triggered")
     mode = rng.choice((RecoveryMode.STRONG, RecoveryMode.WEAK))
     rounds = rng.randint(2, 10)
     values = [rng.randint(0, 99) for _ in range(rounds)]
-    checkpoint_after = rng.randint(1, rounds) if rng.random() < 0.5 else None
+    checkpoint = rng.random() < 0.5 or damage == "snapshot"
+    checkpoint_after = rng.randint(1, rounds) if checkpoint else None
 
     def run(engine):
         for r, v in enumerate(values, 1):
@@ -892,20 +924,30 @@ def random_bit_flip_run(seed: int, data_dir: str) -> bool:
     name = LOG_FILE
     if mode is RecoveryMode.WEAK and rng.random() < 0.5:
         name = CACHE_FILE
+    if damage == "snapshot":
+        name = max(n for n in os.listdir(data_dir) if n.startswith("snapshot-"))
     path = os.path.join(data_dir, name)
-    # the round of the file's last frame, which a torn tail may lose, and in
-    # strong mode the commit seq that the frames before it reach
-    _, _, snapshot_seq, _, records = read_log(os.path.join(data_dir, LOG_FILE))
-    need_seq = records[-2].commit_seq if len(records) > 1 else snapshot_seq
-    if name == LOG_FILE:
-        last = records[-1].round if records else None
-    else:
+    # the rounds of the file's last frame, which a torn tail may lose, and
+    # in strong mode the commit seq that the frames before it reach
+    log_path = os.path.join(data_dir, LOG_FILE)
+    before = records_outside_last_frame(log_path)
+    need_seq = before[-1].commit_seq if before else read_log(log_path)[2]
+    if name == CACHE_FILE:
         cached = read_input_cache(path)[0].get("s1", [])
-        last = cached[-1].batch_id if cached else None
+        lost = {cached[-1].batch_id} if cached else set()
+    else:
+        lost = {rec.round for rec in read_log(log_path)[4][len(before) :]}
     with open(path, "rb") as fh:
         blob = bytearray(fh.read())
-    bit = rng.randrange(len(blob) * 8)
-    blob[bit // 8] ^= 1 << (bit % 8)
+    if damage == "overwrite":
+        start = rng.randrange(len(blob))
+        run = rng.randbytes(rng.randint(2, 16))[: len(blob) - start]
+        blob[start : start + len(run)] = run
+        at = f"seed {seed}: {mode.name}, bytes {start}-{start + len(run) - 1} of {name}"
+    else:
+        bit = rng.randrange(len(blob) * 8)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        at = f"seed {seed}: {mode.name}, bit {bit} of {name}"
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -913,7 +955,6 @@ def random_bit_flip_run(seed: int, data_dir: str) -> bool:
         engine = Engine(spec, data_dir=data_dir, **args)
     except (CorruptLogRecord, CorruptSnapshot, VersionMismatch):
         return True
-    at = f"seed {seed}: {mode.name}, bit {bit} of {name}"
     engine.run_until_idle()
     if mode is RecoveryMode.STRONG:
         seq = engine.partition.commit_seq
@@ -921,7 +962,7 @@ def random_bit_flip_run(seed: int, data_dir: str) -> bool:
         assert engine.snapshot_bytes() == golden_states[seq], at
     else:
         out = [t.values for t in engine.store.table("out").rows]
-        need = rounds - 1 if last == rounds else rounds
+        need = rounds - len(lost)
         assert out == golden_out[: len(out)], f"{at}: out is not a prefix"
         assert len(out) >= need, f"{at}: {rounds - len(out)} rounds lost"
     engine.close()

@@ -59,8 +59,13 @@ PINS = {"chain": 103.875, "window": 25, "window4": 25, "leaderboard": 101.109375
 # weak recovery that replays no record takes no closing checkpoint, whose
 # cache compaction encoded and framed each re-submitted round again. The
 # frame scan is a loop that returns a list, not a generator resumed once
-# per frame, so each log record and each cached round reads one call less
-RECOVERY_PINS = {"STRONG": 20, "WEAK": 8}
+# per frame. ``read_log`` decodes every record inline, without a call to a
+# record decoder or to ``text_at`` for its procedure, so a strong record
+# reads two calls less; a decoded batch is built without the
+# ``AtomicBatch`` constructor, which checked each row's batch id, so each
+# cached round, and each strong border record (one record in five on the
+# chain), reads one less
+RECOVERY_PINS = {"STRONG": 17.8, "WEAK": 7}
 
 
 def chain_engine(data_dir):

@@ -10,11 +10,12 @@ import zlib
 
 import pytest
 
-from streamtx.codec import frames, row_codec
+from randomized import log_frame
+from streamtx.codec import row_codec
 from streamtx.errors import CorruptSnapshot, TypeMismatch
 from streamtx.executor import args_to_batches, batches_to_args
 from streamtx.model import AtomicBatch, Tuple
-from streamtx.recovery import CommandLogRecord
+from streamtx.recovery import CommandLogRecord, RecoveryMode, _log_header, read_log
 from streamtx.snapshot import restore_state, snapshot_state
 from streamtx.storage import PY_TYPES, ScalarType, Store, UndoBuffer, make_schema
 
@@ -65,12 +66,13 @@ CASES = {
 
 
 @pytest.mark.parametrize("batches", CASES.values(), ids=CASES.keys())
-def test_batch_round_trip(batches):
+def test_batch_round_trip(batches, tmp_path):
     blob = batches_to_args(batches)
     assert exact(args_to_batches(blob)) == exact(batches)
     rec = CommandLogRecord(3, "SP1", 9, blob)
-    (payload,), _ = frames(rec.encode(), 0, "command.log")
-    assert CommandLogRecord.decode(payload) == rec
+    path = tmp_path / "command.log"
+    path.write_bytes(_log_header(RecoveryMode.STRONG, 0) + log_frame(rec))
+    assert read_log(str(path))[4] == [rec]
 
 
 # --- schema-typed rows (snapshots) ---
@@ -252,12 +254,14 @@ def ref_frame(payload):
 
 
 def ref_record(rec):
-    """A command-log record's frame, as the format describes it."""
+    """A command-log record, as the format describes it: its length, then
+    the record; a group commit frames its records together."""
     payload = struct.pack("<QQI", rec.commit_seq, rec.round, len(rec.aborted))
     payload += ref_text(rec.procedure)
     for procedure, round_ in rec.aborted:
         payload += ref_text(procedure) + struct.pack("<Q", round_)
-    return ref_frame(payload + rec.args)
+    payload += rec.args
+    return struct.pack("<I", len(payload)) + payload
 
 
 def random_records(seed, n=40):
@@ -280,7 +284,7 @@ def random_records(seed, n=40):
 
 def test_record_encode_matches_reference_frame(tmp_path):
     from streamtx.executor import Counters
-    from streamtx.recovery import CommandLog, RecoveryMode, read_log
+    from streamtx.recovery import CommandLog
 
     for seed in range(30):
         records = random_records(seed)
@@ -294,6 +298,11 @@ def test_record_encode_matches_reference_frame(tmp_path):
         for rec in records:
             log.append(rec)
         log.close()
+        # one frame per group commit of 7, the last one shorter
+        groups = [records[i : i + 7] for i in range(0, len(records), 7)]
+        frames = [ref_frame(b"".join(map(ref_record, g))) for g in groups]
+        with open(path, "rb") as fh:
+            assert fh.read() == _log_header(RecoveryMode.STRONG, 0) + b"".join(frames)
         assert read_log(path)[4] == records, seed
 
 
@@ -305,8 +314,8 @@ def ref_batches(batches):
         codes = bytes({int: 0, float: 1, str: 2}[k] for k in types)
         out += ref_text(stream)
         out += struct.pack("<qIH", batch_id, len(tuples), len(codes)) + codes
-        for t in tuples:
-            out += struct.pack("<qqq", t.tuple_id, t.batch_id, t.ts)
+        for t in tuples:  # the head holds the batch id
+            out += struct.pack("<qq", t.tuple_id, t.ts)
             for v in t.values:
                 if type(v) is int:
                     out += struct.pack("<q", v)

@@ -24,8 +24,10 @@ from randomized import (
     CheckpointFeed,
     checkpoint_and_compare,
     checkpoint_spec,
+    log_frame,
     random_checkpoint_run,
 )
+from streamtx.codec import frames
 from streamtx.engine import Engine, recover
 from streamtx.model import AtomicBatch, Tuple, register_workflow
 from streamtx.recovery import CommandLog, CommandLogRecord, InputCache, RecoveryMode
@@ -212,6 +214,73 @@ def test_recovery_at_every_crash_point(tmp_path, mode, fsync):
         else:
             assert public_tables(r) == public_tables(golden), f"state {i}"
             assert validate(r.committed_schedule, workflow).correct, f"state {i}"
+        r.close()
+
+
+# --- one frame per group commit ---
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_torn_group_commit_loses_exactly_that_group(tmp_path, mode, fsync):
+    """A flush writes its whole group commit as one frame. A crash that
+    cuts that frame after any of its bytes loses exactly that group: none of
+    its tickets is acknowledged, the log reads as ending with the frame
+    before it, strong recovery is bit-exact to the state before the group,
+    and weak recovery re-submits the group's rounds from the input cache."""
+    from streamtx.errors import LogWriteFailure
+
+    golden_states, golden = golden_run()
+    strong = mode is RecoveryMode.STRONG
+
+    def start(d):
+        """An engine whose log flushed rounds 1-2 and holds rounds 3-4's
+        records, two rounds' worth in either mode, as one pending group."""
+        e = Engine(chain_spec(N_PROCS), data_dir=str(d), recovery_mode=mode,
+                   fsync=fsync, group_commit_max_batch=100,
+                   group_commit_max_delay=3600)
+        acked = feed(e, 1, 2)
+        e.partition.log.flush()
+        return e, acked, feed(e, 3, 4)
+
+    e, _, _ = start(tmp_path / "whole")
+    before = os.path.getsize(tmp_path / "whole" / "command.log")
+    e.close()
+    blob = (tmp_path / "whole" / "command.log").read_bytes()
+    # rounds 1-2's group, then rounds 3-4's
+    assert len(frames(blob, CUT_TO_HEADER["command.log"], "command.log")[0]) == 2
+    frame = blob[before:]
+    for cut in range(len(frame)):
+        d = tmp_path / f"cut{cut}"
+        e, acked, group = start(d)
+
+        def torn_append(data):
+            assert data == frame  # the group is one frame
+            with (d / "command.log").open("ab") as fh:
+                fh.write(data[:cut])
+            raise LogWriteFailure("crash inside the flush")
+
+        e.partition.log.file.append = torn_append
+        with pytest.raises(LogWriteFailure):
+            e.partition.fail_stop(e.partition.log.flush)
+        assert all(t.acknowledged for t in acked), cut
+        assert not any(t.acknowledged for t in group), cut
+        e.crash()
+        # the log ends with the frame before the group's
+        assert recovery_mod.read_log(str(d / "command.log"))[3] == before, cut
+        r = Engine(chain_spec(N_PROCS), data_dir=str(d), recovery_mode=mode,
+                   fsync=fsync, **ENGINE_ARGS)
+        if strong:
+            assert r.partition.commit_seq == 2 * N_PROCS, cut
+            assert r.snapshot_bytes() == golden_states[2 * N_PROCS], cut
+            assert not r.partition.client_queue, cut
+        else:
+            assert [req.round for req in r.partition.client_queue] == [3, 4], cut
+        r.run_until_idle()
+        feed(r, 3 if strong else 5, ROUNDS)
+        assert public_tables(r) == public_tables(golden), cut
+        if strong:
+            assert r.snapshot_bytes() == golden_states[ROUNDS * N_PROCS], cut
         r.close()
 
 
@@ -473,7 +542,7 @@ def test_file_traffic_pinned(tmp_path, traffic, mode, fsync):
     got["pruning checkpoint"] = take(traffic)
     feed(e, 6, 6)
     e.crash()
-    torn = CommandLogRecord(10**6, "SP1", 10**6, b"torn").encode()
+    torn = log_frame(CommandLogRecord(10**6, "SP1", 10**6, b"torn"))
     with (d / "command.log").open("ab") as fh:
         fh.write(torn[: len(torn) // 2])
     (d / "snapshot-000000000018.snap.tmp").write_bytes(b"STXSNAP1")

@@ -6,6 +6,7 @@ import pytest
 
 from randomized import (
     dead_round_diamond_spec,
+    log_frame,
     pair_chain_spec,
     random_bit_flip_run,
     random_pair_run,
@@ -476,7 +477,7 @@ def test_tail_corruption_truncates(tmp_path):
     *_, before = read_log(log_path)
     assert len(before) == 4
     # torn tail: half a record
-    rec = CommandLogRecord(99, "SP1", 99, b"xxx").encode()
+    rec = log_frame(CommandLogRecord(99, "SP1", 99, b"xxx"))
     with open(log_path, "ab") as fh:
         fh.write(rec[: len(rec) // 2])
     *_, after = read_log(log_path)
@@ -633,7 +634,7 @@ def test_replayed_border_batch_must_be_its_round(tmp_path):
     batch = AtomicBatch(2, (Tuple((5,), tuple_id=1, batch_id=2),))
     rec = CommandLogRecord(1, "SP1", 1, batches_to_args({"s1": batch}))
     with open(tmp_path / LOG_FILE, "ab") as fh:
-        fh.write(rec.encode())
+        fh.write(log_frame(rec))
     with pytest.raises(ReplayDivergence, match="SP1 round 1 aborted"):
         recover(chain_spec(2), str(tmp_path), fsync=False)
 
@@ -1321,6 +1322,22 @@ def test_bit_flip_raises_or_recovers_randomized(tmp_path):
     assert 100 < sum(raised) < 200
 
 
+@pytest.mark.parametrize("damage", ["overwrite", "snapshot"])
+def test_damage_raises_or_recovers_randomized(tmp_path, damage):
+    """A run of 2-16 random bytes written over the log or the cache, or one
+    bit flipped in the newest snapshot, either makes the open raise a typed
+    error or loses at most what the damaged file's last frame held
+    (``random_bit_flip_run``). A bad frame that bytes follow was not torn,
+    so a run that spans the last two frames raises too."""
+    runs = [random_bit_flip_run(seed, str(tmp_path / str(seed)), damage) for seed in range(200)]
+    if damage == "snapshot":
+        # the log follows the newest snapshot, whose CRC the flip fails, and
+        # no older snapshot reaches that far: every open raises
+        assert all(runs)
+    else:
+        assert 100 < sum(runs) < 200
+
+
 # --- dispatch accounting ---
 
 
@@ -1464,7 +1481,8 @@ def test_v1_log_header_rejected(tmp_path):
     # a v1 header is shorter than the current one; a v3 log holds a record
     # per nested-group child, which replay would not run as a group; a v4
     # log's border args tag each value instead of naming column types; a v5
-    # record carries the batches aborts dropped instead of the aborts
+    # record carries the batches aborts dropped instead of the aborts; a v6
+    # log frames each record alone, and its batch rows repeat the batch id
     from streamtx.recovery import LOG_MAGIC
 
     path = tmp_path / LOG_FILE
@@ -1474,6 +1492,7 @@ def test_v1_log_header_rejected(tmp_path):
         (3, struct.pack("<IBIQ", 3, strong, 0, 0)),
         (4, struct.pack("<IBIQ", 4, strong, 0, 0)),
         (5, struct.pack("<IBIQ", 5, strong, 0, 0)),
+        (6, struct.pack("<IBIQ", 6, strong, 0, 0)),
     ):
         path.write_bytes(LOG_MAGIC + head)
         with pytest.raises(
@@ -1583,11 +1602,11 @@ def test_border_batch_encoded_only_for_a_file(
         assert [c for c in calls if len(c) == 2] == whole
 
 
-# SHA-256 of the strong command log a fixed feed writes; how often the
-# engine encodes a border round must not change a byte of it
+# SHA-256 of the strong command log a fixed feed writes (log version 7);
+# how often the engine encodes a border round must not change a byte of it
 STRONG_LOG_SHA256 = {
-    "chain": "768c9ccd17fbe145ddcde28e4cc469dc08ba185d1fe88abda852a3a0866b0070",
-    "pair": "1196f4c7cd3802bdfd3be58c6446d7025b0c8f59e80f921cebf571b6cf051a59",
+    "chain": "f5d8c5cc5431592fec8cd7bf5f2745ad7ef6eae8ce96b5ac5239618582954888",
+    "pair": "9551f877f5bc6ce93103d5b149c3e11a67bd67246fc7148d1bde6a9198d37f18",
 }
 
 
@@ -1606,13 +1625,13 @@ def test_strong_log_bytes_pinned(tmp_path, shape):
     assert hashlib.sha256(blob).hexdigest() == STRONG_LOG_SHA256[shape]
 
 
-# SHA-256 of the weak command log and input cache that a fixed leaderboard
-# feed writes, with one checkpoint midway and five rounds still unended at
-# the close: how the engine encodes a stream or procedure name must not
-# change a byte of either
+# SHA-256 of the weak command log (version 7) and input cache (STXINP04)
+# that a fixed leaderboard feed writes, with one checkpoint midway and five
+# rounds still unended at the close: how the engine encodes a stream or
+# procedure name must not change a byte of either
 WEAK_FILE_SHA256 = {
-    LOG_FILE: "64a3591619d400d901a347a3dfff6245bbad9b63c46b06558eced5cd752dcf7b",
-    CACHE_FILE: "b32ad9e4c6da902762142b0793747a84125f3d083178bd163d1caf6c0170a4c5",
+    LOG_FILE: "7bad852c22c550b40af6827d917b4793d8819f9a4a459ef5736e0d825d6390ee",
+    CACHE_FILE: "6dd1a827d69d676336cfb79d143c9ba96b4318bde9e1e65255fce456fd032ba7",
 }
 
 
@@ -1656,7 +1675,8 @@ def test_unencodable_value_rejected_before_kept(tmp_path, mode, bad):
 
 
 def test_old_input_cache_rejected(tmp_path):
-    # an STXINP02 cache holds batches whose values are tagged one by one
+    # an STXINP02 cache holds batches whose values are tagged one by one; an
+    # STXINP03 cache's batch rows repeat the batch id
     e = Engine(chain_spec(2), data_dir=str(tmp_path),
                recovery_mode=RecoveryMode.WEAK, fsync=False)
     feed_rounds(e, [1, 2])
@@ -1664,10 +1684,11 @@ def test_old_input_cache_rejected(tmp_path):
     e.crash()
     path = tmp_path / CACHE_FILE
     blob = path.read_bytes()
-    assert blob.startswith(b"STXINP03")
-    path.write_bytes(b"STXINP02" + blob[8:])
-    with pytest.raises(CorruptLogRecord, match="^bad header in input.cache$"):
-        recover(chain_spec(2), str(tmp_path), fsync=False)
+    assert blob.startswith(b"STXINP04")
+    for magic in (b"STXINP02", b"STXINP03"):
+        path.write_bytes(magic + blob[8:])
+        with pytest.raises(CorruptLogRecord, match="^bad header in input.cache$"):
+            recover(chain_spec(2), str(tmp_path), fsync=False)
 
 
 BAD_WRITES = {
