@@ -375,8 +375,8 @@ class Engine:
         return self.partition.submit_client(req)
 
     def await_ticket(self, ticket: Ticket) -> Ticket:
-        """Pump until the outcome is known, then force the group-commit
-        timer if the acknowledgment is still buffered."""
+        """Pump until the outcome is known, then force the flush that
+        acknowledges it if the acknowledgment still waits for one."""
         while not ticket.done:
             if not self.partition.step():
                 break

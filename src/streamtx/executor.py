@@ -72,9 +72,13 @@ class Origin(enum.Enum):
 class Ticket:
     """Asynchronous outcome of one submitted request.
 
-    ``outcome`` is set at commit/abort; ``acknowledged`` only once the
-    commit's log record is written (immediately when nothing is logged),
-    and at once for an abort.
+    ``outcome`` is set at commit/abort. ``acknowledged`` is set once the
+    outcome is as durable as the log's ``fsync`` setting promises: written
+    to the OS with it off, synced with it on. A logged commit waits for the
+    flush of its record; an abort, or a commit the log does not keep, waits
+    for the flush of the records pending at its outcome, which hold every
+    commit it may have read, and is acknowledged at once when none are
+    pending (``CommandLog.acknowledge``).
     ``commit_seq`` is the last commit of the transaction, which for a
     nested group is its last child.
     """
@@ -406,14 +410,18 @@ class Partition:
         req = self.schedule_next()
         if req is None:
             log = self.log
-            if log.pending and time.monotonic() >= log.deadline:
-                self.fail_stop(log.flush)  # the group-commit timer ran out
+            if log.pending and (not log.fsync or time.monotonic() >= log.deadline):
+                self.fail_stop(log.flush)  # idle: no sync to share, or overdue
             return False
         self.execute(req)
         return True
 
     def run_until_idle(self) -> None:
-        """``step`` until idle, popping the queues inline."""
+        """``step`` until idle, popping the queues inline. Idle, the
+        partition flushes the pending records when the log's ``fsync`` is
+        off, since the group then has no sync to share, or else once the
+        group-commit deadline has passed; ``step`` does the same when it
+        finds no work."""
         if self.executing:
             raise StreamTxError("serial execution violated")
         fast, client = self.fast_track, self.client_queue
@@ -424,8 +432,8 @@ class Partition:
                 self.execute(client.popleft())
             else:
                 log = self.log
-                if log.pending and time.monotonic() >= log.deadline:
-                    self.fail_stop(log.flush)  # the group-commit timer ran out
+                if log.pending and (not log.fsync or time.monotonic() >= log.deadline):
+                    self.fail_stop(log.flush)  # idle: no sync to share, or overdue
                 return
 
     def drain_and_quiesce(self) -> None:
@@ -586,9 +594,11 @@ class Partition:
         commit). The transaction then ends its round as an abort does (see
         ``drop_aborted``), inline to keep the commit path one call shorter.
         The record goes to the log last: ``CommandLog.append`` flushes once
-        ``max_batch`` records wait or the log's deadline has passed; an
-        unlogged commit flushes the waiting records once that deadline is
-        due. ``execute`` stops the partition when a log write fails."""
+        ``max_batch`` records wait or the log's deadline has passed. An
+        unlogged commit's ticket waits for the pending records, as an
+        abort's does (``CommandLog.acknowledge``), and the commit flushes
+        them once that deadline is due. ``execute`` stops the partition
+        when a log write fails."""
         ticket = req.ticket
         triggers = self.trigger_engine
         store = self.store
@@ -647,26 +657,31 @@ class Partition:
             record = (first_seq, req.proc, round_, req.args, aborted)
             self.log.append(_make(CommandLogRecord, record), ticket)
         else:
-            if ticket is not None:
-                ticket.acknowledged = True
             log = self.log
-            if log.pending and time.monotonic() >= log.deadline:
-                log.flush()
+            if log.pending:  # ``log.acknowledge(ticket)``, inline
+                if ticket is not None:
+                    log.waiting.append(ticket)
+                if time.monotonic() >= log.deadline:
+                    log.flush()
+            elif ticket is not None:
+                ticket.acknowledged = True
 
     def _finish_abort(
         self, req: TERequest, plan: ProcedurePlan, error: Exception
     ) -> None:
         """Abort ``req``'s transaction, which ``plan`` enters, once its
         executions have rolled back. Nothing it appended waits for a
-        consumer, since only a commit makes a batch wait. The abort is
-        acknowledged at once; when the log keeps the transaction, the next
-        record carries it."""
+        consumer, since only a commit makes a batch wait. The abort may
+        have read a commit whose record is still pending, so its ticket is
+        acknowledged by the flush that writes the last pending record, and
+        at once when none is pending; when the log keeps the transaction,
+        the next record carries the abort."""
         self.counters.te_aborted += 1
         t = req.ticket
         if t is not None:
             t.outcome = "aborted"
             t.reason = str(error)
-            t.acknowledged = True
+            self.log.acknowledge(t)
         if plan.logged:
             self._aborted.append((req.proc, req.round))
         self.drop_aborted(req.proc, req.round)

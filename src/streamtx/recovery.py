@@ -41,9 +41,12 @@ rebuilds ``Partition.last_queued``, the one record of the rounds each
 procedure took, once, from the marks alone: a border has ended round r
 exactly when r is at most the highest mark of its inputs, so intake
 refuses those rounds. Weak recovery re-submits the cached rounds above the
-mark, the rule a checkpoint keeps them by. An abort is acknowledged at
-once, so one that neither a record nor a snapshot holds when the process
-dies is lost: weak recovery runs it again, and strong recovery forgets it.
+mark, the rule a checkpoint keeps them by. An abort is acknowledged by
+the flush that writes the records pending at it, or at once when none
+are, so every commit it read is durable before it is acknowledged; still,
+an abort that neither a record nor a snapshot holds when the process dies
+is lost: weak recovery runs it again, against a state that holds every
+commit it read, and strong recovery forgets it.
 
     log header:    magic "STXLOG01" | version u32 (7) | mode u8 | partition u32
                    | snapshot seq u64
@@ -73,6 +76,11 @@ flushed to the OS, a cut is a write and a truncate, and a replacement is
 a write and a rename. That still keeps the promise across a process
 crash, since the OS keeps every written byte and a rename is seen whole
 or not at all, but it promises nothing across a power loss.
+A ticket is acknowledged once its outcome is as durable as that setting
+promises: written with ``fsync`` off, synced with it on
+(``CommandLog``). Group commit waits only where there is a sync to
+share, so with ``fsync`` off an idle partition writes its pending
+records at once.
 """
 
 from __future__ import annotations
@@ -284,17 +292,25 @@ def _read_frames(
 class CommandLog:
     """Append-only command log with group commit.
 
-    Records buffer in memory and reach disk on flush; tickets attached to
-    buffered records are acknowledged only once their flush completes. A
-    flush happens when ``max_batch`` records are pending, when the oldest
-    pending record is older than ``max_delay``, or explicitly. ``pending``
-    lists the buffered (record, ticket) pairs, and ``deadline`` is when the
-    oldest of them is overdue: ``append`` sets it for the first record to
-    wait and flushes a record appended after it at once, and the
-    partition, while a record waits, compares ``time.monotonic()`` with it
-    inline and calls ``flush`` once it has passed. A log without a ``file``
-    (no data dir or no recovery mode) has no mode and logs nothing. Every
-    flush counts in ``counters.sync_count``.
+    Records buffer in memory and reach the file on flush. One rule holds
+    for every ticket: it is acknowledged once its outcome is as durable as
+    ``fsync`` promises, that is written (off) or synced (on). A ticket
+    attached to a buffered record is acknowledged by the flush that writes
+    it; an outcome without a record of its own, an abort or an unlogged
+    commit, is acknowledged by the flush that writes the records pending
+    at it, since it may have read their commits (``acknowledge``).
+    A flush happens when ``max_batch`` records are pending, when the oldest
+    pending record is older than ``max_delay``, when the partition goes
+    idle with ``fsync`` off, since a group then has no sync to share, or
+    explicitly; so with ``fsync`` off ``max_delay`` bounds only a busy
+    pump. ``pending`` lists the buffered (record, ticket) pairs, and
+    ``deadline`` is when the oldest of them is overdue: ``append`` sets it
+    for the first record to wait and flushes a record appended after it at
+    once, and the partition, while a record waits, compares
+    ``time.monotonic()`` with it inline and calls ``flush`` once it has
+    passed. A log without a ``file`` (no data dir or no recovery mode) has
+    no mode and logs nothing. Every flush counts in
+    ``counters.sync_count``.
     """
 
     def __init__(
@@ -312,7 +328,10 @@ class CommandLog:
         self.counters = counters
         self.max_batch = max(1, max_batch)
         self.max_delay = max_delay
+        self.fsync = fsync
         self.pending: list[tuple[CommandLogRecord, object]] = []
+        # the tickets ``acknowledge`` left for the flush of ``pending``
+        self.waiting: list = []
         # when the oldest pending record is overdue (``time.monotonic``);
         # None while nothing waits
         self.deadline: Optional[float] = None
@@ -332,9 +351,18 @@ class CommandLog:
         if len(pending) >= self.max_batch or now >= self.deadline:
             self.flush()
 
+    def acknowledge(self, ticket) -> None:
+        """Acknowledge ``ticket``, whose outcome has no record, at the flush
+        that writes the records pending now, or at once when none are."""
+        if self.pending:
+            self.waiting.append(ticket)
+        else:
+            ticket.acknowledged = True
+
     def flush(self) -> int:
-        """Write and sync all pending records as one frame, built inline as
-        ``codec.frame`` builds one, then release their tickets."""
+        """Write all pending records as one frame, built inline as
+        ``codec.frame`` builds one, and sync it when ``fsync`` is on; then
+        acknowledge their tickets and the ``waiting`` ones."""
         if not self.pending:
             return 0
         batch, self.pending = self.pending, []
@@ -346,11 +374,16 @@ class CommandLog:
         for _, ticket in batch:
             if ticket is not None:
                 ticket.acknowledged = True
+        if self.waiting:
+            for ticket in self.waiting:
+                ticket.acknowledged = True
+            self.waiting = []
         return len(batch)
 
     def crash(self) -> None:
         """Drop buffered records and close, as a power failure would."""
         self.pending.clear()
+        self.waiting.clear()
         self.deadline = None
         if self.file is not None:
             self.file.close()

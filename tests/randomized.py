@@ -257,6 +257,19 @@ def log_frame(*records) -> bytes:
     return frame(b"".join(rec.encode() for rec in records)) if records else b""
 
 
+def run_queued(engine: Engine, limit: int = -1) -> None:
+    """Run the executions queued on ``engine`` in the order
+    ``run_until_idle`` runs them, at most ``limit`` of them when it is not
+    negative, and return before the partition goes idle: with the log's
+    ``fsync`` off an idle partition writes its pending records, so a crash
+    right after this is a crash inside the pump, with those records still
+    pending."""
+    p = engine.partition
+    while (p.fast_track or p.client_queue) and limit != 0:
+        p.step()
+        limit -= 1
+
+
 def crash_in_flush(engine: Engine, rng: random.Random) -> None:
     """Crash ``engine`` inside a flush of the records its log buffers: a
     random prefix of their bytes, maybe none, reaches the file, which may
@@ -292,7 +305,8 @@ def random_strong_crash_run(
     seed: int, data_dir: str
 ) -> list[tuple[int, set, dict, bytes, int]]:
     """One seeded strong-mode run of a ``random_workflow`` with group commit
-    1-4, crashed inside a flush after a random step of a random feed and
+    1-4, crashed inside a flush after a random step of a random feed, and
+    after some of the executions queued by then (``run_queued``), and
     recovered; the recovered engine takes the rest of the feed and crashes
     again, the same way, after a random later step, and is recovered once
     more.
@@ -351,7 +365,9 @@ def random_strong_crash_run(
     boundaries = group_boundaries(golden.committed_schedule, w)
 
     live = Engine(spec, data_dir=data_dir, recovery_mode=RecoveryMode.STRONG, **args)
-    acked = acked_by(run(live, steps[:crash_after]))
+    tickets = run(live, steps[:crash_after])
+    run_queued(live, rng.randrange(8))  # the crash may fall inside a pump
+    acked = acked_by(tickets)
     crash_in_flush(live, rng)
     shutil.copytree(data_dir, data_dir + "-golden")
     engine = recover(spec, data_dir, **args)
@@ -369,7 +385,9 @@ def random_strong_crash_run(
     rest_boundaries = group_boundaries(rest.committed_schedule, w)
 
     crash_again = rng.randint(crash_after, len(steps))
-    acked = acked_by(run(engine, steps[crash_after:crash_again]), acked)
+    tickets = run(engine, steps[crash_after:crash_again])
+    run_queued(engine, rng.randrange(8))
+    acked = acked_by(tickets, acked)
     crash_in_flush(engine, rng)
     engine = recover(spec, data_dir, **args)
     assert_aborted_rounds_refused(engine, data_dir)
@@ -622,7 +640,8 @@ def random_pair_run(seed: int, data_dir: str) -> tuple[list, list, list]:
     the ``a`` and ``b`` batches arrive in a random order in which later
     rounds can complete before earlier ones, with random pumping,
     checkpoints and group-commit size, and the engine crashes and recovers
-    at one or two random points, then takes the rest of the feed. After
+    at one or two random points, some of them inside a pump
+    (``run_queued``), then takes the rest of the feed. After
     every checkpoint, a recovery's included, the cache holds exactly the
     waiting rounds (``assert_cache_holds_waiting_rounds``).
 
@@ -655,6 +674,7 @@ def random_pair_run(seed: int, data_dir: str) -> tuple[list, list, list]:
     violations = []
     for i in range(len(arrivals) + 1):
         if i in crash_at:
+            run_queued(engine, rng.randrange(4))  # the crash may fall inside a pump
             violations += validate(engine.committed_schedule, spec.workflows[0]).violations
             engine.crash()
             engine = recover(spec, data_dir, **args)

@@ -50,11 +50,14 @@ from streamtx.workloads import (
 )
 
 SRC = os.path.dirname(streamtx.__file__) + os.sep
-ROUNDS = 64  # five records a round fill 40 group-commit flushes of 8
+ROUNDS = 64
 
-# calls per round when these pins were set; a flush of 8 records costs a
-# fractional share of a round
-PINS = {"chain": 103.875, "window": 25, "window4": 25, "leaderboard": 101.109375}
+# calls per round when these pins were set. With fsync off, as here, each
+# pump that leaves records pending ends with a flush through ``fail_stop``,
+# so chain's five records a round, which never fill a group of 8, are
+# written once a round, and so is each leaderboard round's accepted vote; a
+# rejected vote's ticket goes through ``CommandLog.acknowledge``
+PINS = {"chain": 106, "window": 25, "window4": 25, "leaderboard": 104.203125}
 # calls per strong record replayed and per weak cached round re-submitted;
 # weak recovery that replays no record takes no closing checkpoint, whose
 # cache compaction encoded and framed each re-submitted round again. The

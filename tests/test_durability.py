@@ -26,6 +26,7 @@ from randomized import (
     checkpoint_spec,
     log_frame,
     random_checkpoint_run,
+    run_queued,
 )
 from streamtx.codec import frames
 from streamtx.engine import Engine, recover
@@ -39,8 +40,9 @@ from test_recovery import chain_spec, public_tables
 N_PROCS, ROUNDS, GROUP_COMMIT = 3, 12, 3
 # the third checkpoint prunes the first one's snapshot
 CHECKPOINTS = (4, 6, 8)
-# an hour-long group-commit timer: only full groups and explicit flushes
-# write, so the recorded calls do not depend on timing
+# an hour-long group-commit timer: only full groups, explicit flushes and,
+# with fsync off, idle pumps write, so the recorded calls do not depend on
+# timing
 ENGINE_ARGS = dict(group_commit_max_batch=GROUP_COMMIT, group_commit_max_delay=3600)
 # the file layer's calls that change the data dir, each patched where its
 # caller looks it up: the creation of the log and the cache, their writes,
@@ -69,6 +71,15 @@ def feed(engine, first, last, checkpoints=()):
         engine.run_until_idle()
         if r in checkpoints:
             engine.checkpoint()
+    return tickets
+
+
+def feed_one_pump(engine, first, last):
+    """Rounds ``first`` to ``last`` queued and run in one pump that stops
+    before the partition goes idle (``run_queued``): their records stay
+    pending, whatever the log's ``fsync``, until a group fills."""
+    tickets = [engine.ingest_batch("s1", batch(r)) for r in range(first, last + 1)]
+    run_queued(engine)
     return tickets
 
 
@@ -235,13 +246,14 @@ def test_torn_group_commit_loses_exactly_that_group(tmp_path, mode, fsync):
 
     def start(d):
         """An engine whose log flushed rounds 1-2 and holds rounds 3-4's
-        records, two rounds' worth in either mode, as one pending group."""
+        records, two rounds' worth in either mode, as one pending group:
+        they run in a pump that has not gone idle yet."""
         e = Engine(chain_spec(N_PROCS), data_dir=str(d), recovery_mode=mode,
                    fsync=fsync, group_commit_max_batch=100,
                    group_commit_max_delay=3600)
-        acked = feed(e, 1, 2)
+        acked = feed_one_pump(e, 1, 2)
         e.partition.log.flush()
-        return e, acked, feed(e, 3, 4)
+        return e, acked, feed_one_pump(e, 3, 4)
 
     e, _, _ = start(tmp_path / "whole")
     before = os.path.getsize(tmp_path / "whole" / "command.log")
@@ -313,7 +325,7 @@ def test_log_and_cache_follow_one_fsync_policy(tmp_path, synced, mode, fsync):
     assert synced == (["file", "dir"] * new_files if fsync else [])
     synced.clear()
     rounds = 40
-    feed(e, 1, rounds)
+    feed_one_pump(e, 1, rounds)  # only full groups flush, whatever the fsync
     flushes = e.counters.sync_count
     assert flushes == rounds * (N_PROCS if mode is RecoveryMode.STRONG else 1) // 8
     cache_appends = rounds if mode is RecoveryMode.WEAK else 0
@@ -540,7 +552,7 @@ def test_file_traffic_pinned(tmp_path, traffic, mode, fsync):
     take(traffic)
     e.checkpoint()
     got["pruning checkpoint"] = take(traffic)
-    feed(e, 6, 6)
+    feed_one_pump(e, 6, 6)  # the crash falls inside the pump
     e.crash()
     torn = log_frame(CommandLogRecord(10**6, "SP1", 10**6, b"torn"))
     with (d / "command.log").open("ab") as fh:
@@ -806,9 +818,9 @@ def test_data_dir_that_cannot_be_made_raises_log_write_failure(tmp_path):
 
 
 def test_close_stops_the_partition_when_its_flush_fails(tmp_path, monkeypatch):
-    # round 1's border record sits in the group-commit buffer; the flush in
-    # close() fails, so that record never reaches the log, and a round after
-    # it must not commit in memory
+    # round 1's border record sits in the group-commit buffer, in a pump
+    # that has not gone idle; the flush in close() fails, so that record
+    # never reaches the log, and a round after it must not commit in memory
     from streamtx.errors import EngineStopped, LogWriteFailure
     from streamtx.workloads import pe_chain_spec
 
@@ -818,7 +830,7 @@ def test_close_stops_the_partition_when_its_flush_fails(tmp_path, monkeypatch):
         group_commit_max_delay=3600, fsync=False,
     )
     ticket = e.ingest_batch("s1", batch(1))
-    e.run_until_idle()
+    run_queued(e)
     assert ticket.committed and not ticket.acknowledged
 
     def fail(self, data):
@@ -1046,10 +1058,11 @@ def clock(monkeypatch):
 
 
 def timed_engine(tmp_path, mode=RecoveryMode.STRONG):
-    """A chain whose records wait for the timer: no group fills up."""
+    """A chain whose records wait for the timer: no group fills up. Its log
+    syncs, since with ``fsync`` off an idle partition waits for no timer."""
     return Engine(
         chain_spec(N_PROCS), data_dir=str(tmp_path), recovery_mode=mode,
-        group_commit_max_batch=100, group_commit_max_delay=DELAY, fsync=False,
+        group_commit_max_batch=100, group_commit_max_delay=DELAY, fsync=True,
     )
 
 
@@ -1108,6 +1121,71 @@ def test_unlogged_commit_flushes_once_the_deadline_is_due(tmp_path, clock):
     assert not log.pending and ticket.acknowledged
     assert e.counters.sync_count == syncs + 1
     assert e.counters.te_committed == N_PROCS
+    e.close()
+
+
+# --- with fsync off, a pump ends with its pending records written ---
+
+
+def unsynced_engine(tmp_path, max_batch=100):
+    """A chain whose log syncs nothing: a group has no sync to share."""
+    return Engine(
+        chain_spec(N_PROCS), data_dir=str(tmp_path), recovery_mode=RecoveryMode.STRONG,
+        group_commit_max_batch=max_batch, group_commit_max_delay=3600, fsync=False,
+    )
+
+
+@pytest.mark.parametrize("pump", ["run_until_idle", "step"])
+def test_idle_pump_writes_pending_records_as_one_frame(tmp_path, pump):
+    """With fsync off, a pump that goes idle, or a ``step`` that finds no
+    work, writes every record its commits left pending as one frame, and
+    that write acknowledges their tickets, long before the deadline."""
+    e = unsynced_engine(tmp_path)
+    log, syncs = e.partition.log, e.counters.sync_count
+    tickets = feed_one_pump(e, 1, 2)
+    assert all(t.committed and not t.acknowledged for t in tickets)
+    assert len(log.pending) == 2 * N_PROCS and e.counters.sync_count == syncs
+    group = [rec for rec, _ in log.pending]
+    size = os.path.getsize(tmp_path / "command.log")
+    assert not getattr(e, pump)()
+    assert not log.pending and log.deadline is None
+    assert all(t.acknowledged for t in tickets)
+    assert e.counters.sync_count == syncs + 1
+    # the two rounds' records share the pump's one frame
+    assert (tmp_path / "command.log").read_bytes()[size:] == log_frame(*group)
+    e.close()
+
+
+def test_pump_that_fills_a_group_still_writes_before_it_ends(tmp_path):
+    """Inside a pump, ``max_batch`` still bounds a group; the records left
+    over when the pump goes idle are its last frame."""
+    e = unsynced_engine(tmp_path, max_batch=4)
+    e.ingest_batch("s1", batch(1))
+    e.ingest_batch("s1", batch(2))
+    e.ingest_batch("s1", batch(3))
+    e.run_until_idle()
+    assert not e.partition.log.pending
+    assert e.counters.sync_count == 3
+    blob = (tmp_path / "command.log").read_bytes()
+    records = recovery_mod.read_log(str(tmp_path / "command.log"))[4]
+    assert len(records) == 3 * N_PROCS
+    assert blob[CUT_TO_HEADER["command.log"] :] == (
+        log_frame(*records[:4]) + log_frame(*records[4:8]) + log_frame(*records[8:])
+    )
+    e.close()
+
+
+def test_idle_partition_with_nothing_pending_writes_nothing(tmp_path, monkeypatch):
+    e = unsynced_engine(tmp_path)
+    feed(e, 1, 2)
+    assert not e.partition.log.pending
+    flushes = []
+    monkeypatch.setattr(CommandLog, "flush", lambda self: flushes.append(1))
+    size = os.path.getsize(tmp_path / "command.log")
+    e.run_until_idle()
+    assert not e.step()
+    assert flushes == [] and os.path.getsize(tmp_path / "command.log") == size
+    monkeypatch.undo()
     e.close()
 
 

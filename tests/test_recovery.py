@@ -11,6 +11,7 @@ from randomized import (
     random_bit_flip_run,
     random_pair_run,
     random_strong_crash_run,
+    run_queued,
 )
 from streamtx.codec import encode_batches, frame
 from streamtx.engine import (
@@ -181,9 +182,10 @@ def test_strong_logs_interior_with_round_and_empty_args(tmp_path):
 
 
 def test_group_commit_defers_acks(tmp_path):
+    # the log syncs: with fsync off an idle partition writes what is pending
     spec = EngineSpec(workflows=[oltp_workflow()], tables=[TableDef("olog", VAL_COLS)])
     e = Engine(spec, data_dir=str(tmp_path), recovery_mode=RecoveryMode.STRONG,
-               group_commit_max_batch=4, group_commit_max_delay=3600, fsync=False)
+               group_commit_max_batch=4, group_commit_max_delay=3600, fsync=True)
     tickets = [e.call_oltp("Q", {"v": i}) for i in range(3)]
     e.run_until_idle()
     assert all(t.done for t in tickets)
@@ -216,7 +218,7 @@ def test_unacknowledged_absent_acknowledged_present(tmp_path):
     e = Engine(spec, data_dir=str(tmp_path), recovery_mode=RecoveryMode.STRONG,
                group_commit_max_batch=3, group_commit_max_delay=3600, fsync=False)
     tickets = [e.call_oltp("Q", {"v": i}) for i in range(5)]
-    e.run_until_idle()
+    run_queued(e)  # the crash falls inside the pump
     assert [t.acknowledged for t in tickets] == [True] * 3 + [False] * 2
     e.crash()  # records 4 and 5 were still buffered
     r = recover(spec, str(tmp_path), fsync=False)
@@ -730,7 +732,7 @@ def test_weak_unlogged_border_resubmitted_from_cache(tmp_path):
                group_commit_max_batch=100, group_commit_max_delay=3600,
                fsync=False)
     tickets = feed_rounds(e, [10, 20, 30])
-    e.run_until_idle()
+    run_queued(e)  # the crash falls inside the pump
     # nothing flushed: all three border records vanish with the crash
     assert all(t.done and not t.acknowledged for t in tickets)
     e.crash()
@@ -1001,7 +1003,7 @@ def test_border_runs_rounds_in_order():
 
 def seen_spec():
     """Border SP1 records each value in ``seen`` and aborts on a repeat; the
-    OLTP procedure Clear empties ``seen``."""
+    OLTP procedure Clear empties ``seen``, and Add inserts its ``v``."""
 
     def body(ctx):
         for t in ctx.input_tuples("s1"):
@@ -1012,11 +1014,18 @@ def seen_spec():
     def clear(ctx):
         ctx.delete("seen", None)
 
+    def add(ctx):
+        ctx.insert("seen", (ctx.args["v"],))
+
     border = register_workflow(
         "dedup", [ProcedureDef("SP1", ProcedureKind.BORDER, ("s1",), body=body)]
     )
     ops = register_workflow(
-        "ops", [ProcedureDef("Clear", ProcedureKind.OLTP, body=clear)]
+        "ops",
+        [
+            ProcedureDef("Clear", ProcedureKind.OLTP, body=clear),
+            ProcedureDef("Add", ProcedureKind.OLTP, body=add),
+        ],
     )
     return EngineSpec(
         workflows=[border, ops],
@@ -1059,6 +1068,87 @@ def test_acknowledged_abort_after_checkpoint_not_rerun(tmp_path):
     assert r.store.table("seen").rows == []
     assert r.counters.te_aborted == 0
     r.close()
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_abort_acknowledged_only_once_what_it_read_is_durable(tmp_path, mode, fsync):
+    # Add(7) commits and its record is pending: with fsync on it waits
+    # across pumps for a group to share a sync, with it off it shares a
+    # pump with round 1, which aborts on the 7 it reads. The crash comes
+    # before any flush: the abort must not have been acknowledged, since
+    # recovery loses Add(7), and weak recovery runs round 1 again, which
+    # then commits
+    e = Engine(seen_spec(), data_dir=str(tmp_path), recovery_mode=mode,
+               group_commit_max_batch=8, group_commit_max_delay=3600, fsync=fsync)
+    add = e.call_oltp("Add", {"v": 7})
+    if fsync:
+        e.run_until_idle()
+        assert add.committed and not add.acknowledged
+    t1 = e.ingest_batch("s1", one_row(1, 7))
+    if fsync:
+        e.run_until_idle()
+    else:
+        run_queued(e)  # the crash falls inside the pump
+    assert add.committed and not add.acknowledged
+    assert t1.outcome == "aborted" and t1.reason == "seen before"
+    assert not t1.acknowledged
+    e.crash()
+    r = recover(seen_spec(), str(tmp_path), fsync=fsync)
+    r.run_until_idle()
+    reran = ("SP1", 1) in [(te.procedure, te.round) for te in r.committed_schedule]
+    assert reran == (mode is RecoveryMode.WEAK)
+    assert [t.values for t in r.store.table("seen").rows] == (
+        [(7,)] if reran else []
+    )
+    r.close()
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+@pytest.mark.parametrize("mode", [RecoveryMode.STRONG, RecoveryMode.WEAK])
+def test_abort_acknowledged_by_the_flush_of_what_it_read(tmp_path, mode, fsync):
+    # the flush that writes Add(7)'s record acknowledges the abort too, and
+    # ``await_ticket`` forces it; an abort with nothing pending is
+    # acknowledged at once
+    e = Engine(seen_spec(), data_dir=str(tmp_path), recovery_mode=mode,
+               group_commit_max_batch=8, group_commit_max_delay=3600, fsync=fsync)
+    add = e.call_oltp("Add", {"v": 7})
+    t1 = e.ingest_batch("s1", one_row(1, 7))
+    run_queued(e)
+    assert t1.outcome == "aborted" and not t1.acknowledged
+    assert e.await_ticket(t1).acknowledged and add.acknowledged
+    assert not e.partition.log.pending
+    t2 = e.ingest_batch("s1", one_row(2, 7))
+    run_queued(e)
+    assert t2.outcome == "aborted" and t2.acknowledged
+    e.close()
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+def test_unlogged_commit_acknowledged_by_the_flush_of_what_it_read(tmp_path, fsync):
+    # client-driven, weak mode: the client submits the interior SP2, which
+    # the log does not keep, after the border SP1, whose record is pending;
+    # SP2's ticket waits for that record, as an abort's would
+    from streamtx.executor import Origin, TERequest
+
+    spec = chain_spec(2)
+    spec.use_procedure_triggers = False
+    e = Engine(spec, data_dir=str(tmp_path), recovery_mode=RecoveryMode.WEAK,
+               group_commit_max_batch=8, group_commit_max_delay=3600, fsync=fsync)
+    t1 = e.ingest_batch("s1", one_row(1, 5))
+    t2 = e.partition.submit_client(TERequest("SP2", 1, origin=Origin.CLIENT))
+    run_queued(e)
+    assert t1.committed and t2.committed
+    assert not t1.acknowledged and not t2.acknowledged
+    assert e.await_ticket(t2).acknowledged and t1.acknowledged
+    # with nothing pending, an unlogged commit is acknowledged at once
+    e.ingest_batch("s1", one_row(2, 6))
+    run_queued(e)
+    e.partition.log.flush()
+    t3 = e.partition.submit_client(TERequest("SP2", 2, origin=Origin.CLIENT))
+    run_queued(e)
+    assert t3.committed and t3.acknowledged
+    e.close()
 
 
 def test_trailing_abort_reruns_after_weak_recovery(tmp_path):
@@ -1391,9 +1481,7 @@ def test_strong_recovery_brings_back_whole_groups(tmp_path, flushed):
 
     def vote(engine, round_, phone, who):
         row = Tuple((phone, who), tuple_id=round_, batch_id=round_)
-        ticket = engine.ingest_batch("votes_in", AtomicBatch(round_, (row,)))
-        engine.run_until_idle()
-        return ticket
+        return engine.ingest_batch("votes_in", AtomicBatch(round_, (row,)))
 
     votes = [(1, "C0"), (2, "C1")]
     golden = {}
@@ -1405,10 +1493,12 @@ def test_strong_recovery_brings_back_whole_groups(tmp_path, flushed):
     golden[0] = g.snapshot_bytes()
     for r, (phone, who) in enumerate(votes, 1):
         vote(g, r, phone, who)
+        g.run_until_idle()
 
     live = Engine(spec(), data_dir=str(tmp_path), recovery_mode=RecoveryMode.STRONG,
                   group_commit_max_batch=3, fsync=False)
     tickets = [vote(live, r, phone, who) for r, (phone, who) in enumerate(votes, 1)]
+    run_queued(live)  # one pump, which the crash ends before it goes idle
     if flushed:
         live.partition.log.flush()
     live.crash()
@@ -1628,9 +1718,10 @@ def test_strong_log_bytes_pinned(tmp_path, shape):
 # SHA-256 of the weak command log (version 7) and input cache (STXINP04)
 # that a fixed leaderboard feed writes, with one checkpoint midway and five
 # rounds still unended at the close: how the engine encodes a stream or
-# procedure name must not change a byte of either
+# procedure name must not change a byte of either. With fsync off each pump
+# that commits a vote ends with its own frame, and the close writes the rest
 WEAK_FILE_SHA256 = {
-    LOG_FILE: "7bad852c22c550b40af6827d917b4793d8819f9a4a459ef5736e0d825d6390ee",
+    LOG_FILE: "9595a4739612f49ee189954479474ae4b13e948aa792b67241d539fac142003a",
     CACHE_FILE: "6dd1a827d69d676336cfb79d143c9ba96b4318bde9e1e65255fce456fd032ba7",
 }
 
